@@ -17,14 +17,12 @@
 ///            row at the same cell — predict-then-place never loses to a
 ///            fixed placement.
 ///
-/// The text summary diffs against docs/expected/bench_fusion_dispatch.txt
-/// in CI (scripts/check_fusion.sh); BENCH_fusion_dispatch.json carries the
-/// trajectory for scripts/compare_bench.py plus the two acceptance checks.
-///
-/// Smoke scale by default; set DGNN_FUSION_REQUESTS to sweep a heavier
-/// stream and DGNN_BENCH_JSON_PATH to redirect the JSON artifact.
+/// The text summary and BENCH_fusion_dispatch.json (the trajectory for
+/// scripts/compare_bench.py) are byte-checked against docs/expected/ by the
+/// `fusion_dispatch_diff` golden test;
+/// scripts/assert_bench_fusion_dispatch.py then checks the two acceptance
+/// claims in the fresh JSON.
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -48,24 +46,7 @@ constexpr uint64_t kSeed = 1013;
 constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 3000.0;
 constexpr int64_t kNumNeighbors = 10;
-
-int64_t
-RequestCount()
-{
-    if (const char* env = std::getenv("DGNN_FUSION_REQUESTS")) {
-        return std::max<int64_t>(1, std::atoll(env));
-    }
-    return 512;
-}
-
-std::string
-JsonPath()
-{
-    if (const char* env = std::getenv("DGNN_BENCH_JSON_PATH")) {
-        return env;
-    }
-    return "BENCH_fusion_dispatch.json";
-}
+constexpr int64_t kRequests = 512;
 
 data::InteractionSpec
 FusionDatasetSpec()
@@ -247,7 +228,7 @@ main()
 {
     using namespace dgnn;
 
-    const int64_t n = RequestCount();
+    const int64_t n = kRequests;
     std::cout << "DGNN fusion + hybrid dispatch (simulated Xeon Gold 6226R "
                  "vs RTX A6000)\n"
               << "Registered-chain kernel fusion + per-batch "
@@ -268,7 +249,7 @@ main()
     LaunchAblation(model_list, json);
     ServingSweep(model_list, dataset, n, json);
 
-    json.WriteFile(JsonPath());
+    json.WriteFile("BENCH_fusion_dispatch.json");
     std::cout << "\njson: BENCH_fusion_dispatch.json (" << json.RecordCount()
               << " records)\n";
     return 0;

@@ -11,12 +11,11 @@
 /// QPS in hybrid mode, because the host-side sampling/batching stage — the
 /// paper's bottleneck no. 2 — leaves the GPU idle in eager mode.
 ///
-/// Smoke scale by default (deterministic, diffed against
-/// docs/expected/bench_serving_latency.txt in CI); set
-/// DGNN_SERVING_REQUESTS to sweep a heavier stream.
+/// Smoke scale, deterministic; byte-checked against
+/// docs/expected/bench_serving_latency.txt by the `serving_latency_diff`
+/// golden test.
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,15 +34,7 @@ using serve::ExecutorKind;
 
 constexpr uint64_t kArrivalSeed = 997;
 constexpr sim::SimTime kSloUs = 20000.0;  // 20 ms p99 SLO
-
-int64_t
-RequestCount()
-{
-    if (const char* env = std::getenv("DGNN_SERVING_REQUESTS")) {
-        return std::max<int64_t>(1, std::atoll(env));
-    }
-    return 1024;
-}
+constexpr int64_t kRequests = 1024;
 
 struct PolicySpec {
     std::string label;
@@ -81,7 +72,7 @@ SweepModel(const std::string& title, models::DgnnModel& model,
     bench::Banner("Online serving: " + title,
                   "the serving regime motivated by Dynasparse / §6 outlook");
 
-    const int64_t n = RequestCount();
+    const int64_t n = kRequests;
     const std::vector<sim::SimTime> arrivals =
         serve::PoissonArrivals(offered_qps, n, kArrivalSeed);
 
@@ -144,7 +135,7 @@ main()
 
     std::cout << "DGNN online-serving latency characterization (simulated "
                  "Xeon Gold 6226R + RTX A6000)\n"
-              << "Requests per sweep: " << RequestCount()
+              << "Requests per sweep: " << kRequests
               << "; arrival process: Poisson (seed " << kArrivalSeed
               << "); SLO: p99 <= 20 ms\n";
 
