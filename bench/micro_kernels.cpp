@@ -34,19 +34,30 @@ BM_MatMul(benchmark::State& state)
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
+// [m,k] x [n,k]^T, args {m, k, n}: the square sweep, then the shapes the
+// models run most (TGAT/TGN feature projection, key/value projection,
+// attention scores).
 void
 BM_MatMulTransposed(benchmark::State& state)
 {
-    const int64_t n = state.range(0);
+    const int64_t m = state.range(0);
+    const int64_t k = state.range(1);
+    const int64_t n = state.range(2);
     Rng rng(1);
-    const Tensor a = init::Normal(Shape({n, n}), rng);
-    const Tensor b = init::Normal(Shape({n, n}), rng);
+    const Tensor a = init::Normal(Shape({m, k}), rng);
+    const Tensor b = init::Normal(Shape({n, k}), rng);
     for (auto _ : state) {
         benchmark::DoNotOptimize(ops::MatMulTransposed(a, b));
     }
-    state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_MatMulTransposed)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMulTransposed)
+    ->Args({32, 32, 32})
+    ->Args({64, 64, 64})
+    ->Args({128, 128, 128})
+    ->Args({1, 172, 64})
+    ->Args({20, 64, 64})
+    ->Args({1, 32, 20});
 
 void
 BM_Attention(benchmark::State& state)

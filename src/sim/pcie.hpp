@@ -15,10 +15,12 @@ namespace dgnn::sim {
 /// Host <-> device interconnect.
 class PcieLink {
   public:
+    /// Every host and peer link is built here, so this is where bad link
+    /// parameters are rejected: throws dgnn::Error unless the bandwidth is
+    /// finite and positive and the latency finite and non-negative.
     /// @param bandwidth_gbps effective bandwidth, GB/s
     /// @param latency_us per-transfer setup latency, us
-    PcieLink(double bandwidth_gbps, SimTime latency_us)
-        : bandwidth_gbps_(bandwidth_gbps), latency_us_(latency_us), queue_("pcie") {}
+    PcieLink(double bandwidth_gbps, SimTime latency_us);
 
     /// PCIe 4.0 x16 with realistic pinned-memory efficiency.
     static PcieLink Gen4x16() { return PcieLink(12.0, 10.0); }

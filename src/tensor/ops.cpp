@@ -1,5 +1,6 @@
 #include "tensor/ops.hpp"
 
+#include <array>
 #include <cmath>
 
 namespace dgnn::ops {
@@ -37,6 +38,59 @@ ElementwiseBinary(const Tensor& a, const Tensor& b, Fn fn, const char* op_name)
         dst[i] = fn(pa[i], pb[i]);
     }
     return out;
+}
+
+// The MatMulTransposed blocks below keep one double accumulator per output,
+// summed over kk in ascending order; they only interleave independent chains.
+
+/// One output: arow . brow over @p k elements.
+float
+DotRow(const float* arow, const float* brow, int64_t k)
+{
+    double acc = 0.0;
+    for (int64_t kk = 0; kk < k; ++kk) {
+        acc += static_cast<double>(arow[kk]) * static_cast<double>(brow[kk]);
+    }
+    return static_cast<float>(acc);
+}
+
+/// c[r] = arow . (row r of @p b), for the 8 B rows starting at @p b.
+void
+Block1x8(const float* arow, const float* b, int64_t k, float* c)
+{
+    std::array<double, 8> acc{};
+    for (int64_t kk = 0; kk < k; ++kk) {
+        const auto x = static_cast<double>(arow[kk]);
+        for (size_t r = 0; r < acc.size(); ++r) {
+            acc[r] += x * static_cast<double>(b[static_cast<int64_t>(r) * k + kk]);
+        }
+    }
+    for (size_t r = 0; r < acc.size(); ++r) {
+        c[r] = static_cast<float>(acc[r]);
+    }
+}
+
+/// c0[r] = a0 . (row r of @p b) and c1[r] = a1 . (row r of @p b), for the
+/// 4 B rows starting at @p b.
+void
+Block2x4(const float* a0, const float* a1, const float* b, int64_t k, float* c0,
+         float* c1)
+{
+    std::array<double, 4> acc0{};
+    std::array<double, 4> acc1{};
+    for (int64_t kk = 0; kk < k; ++kk) {
+        const auto x0 = static_cast<double>(a0[kk]);
+        const auto x1 = static_cast<double>(a1[kk]);
+        for (size_t r = 0; r < acc0.size(); ++r) {
+            const auto y = static_cast<double>(b[static_cast<int64_t>(r) * k + kk]);
+            acc0[r] += x0 * y;
+            acc1[r] += x1 * y;
+        }
+    }
+    for (size_t r = 0; r < acc0.size(); ++r) {
+        c0[r] = static_cast<float>(acc0[r]);
+        c1[r] = static_cast<float>(acc1[r]);
+    }
 }
 
 }  // namespace
@@ -87,15 +141,30 @@ MatMulTransposed(const Tensor& a, const Tensor& b)
     const float* pa = a.Data();
     const float* pb = b.Data();
     float* pc = c.Data();
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            const float* arow = pa + i * k;
-            const float* brow = pb + j * k;
-            double acc = 0.0;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                acc += static_cast<double>(arow[kk]) * static_cast<double>(brow[kk]);
-            }
-            pc[i * n + j] = static_cast<float>(acc);
+    // Row pairs in 2x4 blocks, then the leftover row (and every m == 1 call)
+    // through the 1x8 path; scalar DotRow covers the column tails.
+    int64_t i = 0;
+    for (; i + 2 <= m; i += 2) {
+        const float* a0 = pa + i * k;
+        float* c0 = pc + i * n;
+        int64_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            Block2x4(a0, a0 + k, pb + j * k, k, c0 + j, c0 + n + j);
+        }
+        for (; j < n; ++j) {
+            c0[j] = DotRow(a0, pb + j * k, k);
+            c0[n + j] = DotRow(a0 + k, pb + j * k, k);
+        }
+    }
+    if (i < m) {
+        const float* arow = pa + i * k;
+        float* crow = pc + i * n;
+        int64_t j = 0;
+        for (; j + 8 <= n; j += 8) {
+            Block1x8(arow, pb + j * k, k, crow + j);
+        }
+        for (; j < n; ++j) {
+            crow[j] = DotRow(arow, pb + j * k, k);
         }
     }
     return c;

@@ -13,6 +13,15 @@ namespace dgnn::ops {
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
 /// C = A x B^T for rank-2 A [m,k] and B [n,k].
+///
+/// Numeric contract: every output element is one double accumulator, starting
+/// at +0.0 and summed over kk in ascending order, then rounded to float once.
+/// A float x float product is exact in double (24 + 24 significand bits fit in
+/// 53), so the only rounding is the add chain itself. The kernel is register
+/// blocked (2 rows x 4 columns; 1 x 8 for single-row calls; scalar tails), but
+/// blocking only interleaves independent chains and a fused multiply-add of
+/// an exact product rounds like the separate add, so neither vector width nor
+/// FMA contraction can change a bit of the output. See DESIGN.md section 2.
 Tensor MatMulTransposed(const Tensor& a, const Tensor& b);
 
 /// y = x W^T + b, PyTorch nn.Linear convention: x [m,in], W [out,in], b [out].

@@ -3,6 +3,12 @@
 // numerics, produces a deterministic checksum, and reports the breakdown
 // categories the paper's Fig 7 names.
 
+#include <array>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "models/astgnn.hpp"
@@ -463,6 +469,66 @@ TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
             EXPECT_NEAR(category_sum, rt.ElapsedInWindow(), tolerance)
                 << model->Name() << " in mode " << sim::ToString(mode);
         }
+    }
+}
+
+/// Hex-float rendering, so a mismatch prints the exact literal.
+std::string
+HexFloat(double value)
+{
+    std::array<char, 64> buf{};
+    std::snprintf(buf.data(), buf.size(), "%a", value);
+    return buf.data();
+}
+
+TEST(AllModelsTest, HybridChecksumsArePinned)
+{
+    // Absolute pins on every model's hybrid output checksum: any change to
+    // the host numerics (summation order in a kernel, a reordered op) moves
+    // the last bits and fails here. The tiny configs (embed dims 8/16) hit
+    // the GEMM kernel's row and column tails; the default TGAT and TGN run
+    // the full 172 -> 64 feature projections.
+    const auto interactions = TinyInteractions();
+    const auto snapshots = TinySnapshots();
+    const auto molecular = TinyMolecular();
+    const auto traffic = TinyTraffic();
+    const auto point_process = TinyPointProcess();
+    data::InteractionSpec wide_spec;
+    wide_spec.name = "tiny-172";
+    wide_spec.num_users = 20;
+    wide_spec.num_items = 12;
+    wide_spec.num_events = 120;
+    wide_spec.seed = 5;
+    const auto wide = data::GenerateInteractions(wide_spec);
+    ASSERT_EQ(wide.edge_features.Dim(1), 172);
+
+    // Literals generated with the plain scalar GEMM loop, before blocking.
+    std::vector<std::pair<std::unique_ptr<DgnnModel>, double>> pins;
+    pins.emplace_back(std::make_unique<Jodie>(interactions, JodieConfig{16, 13}),
+                      0x1.6205ba6a835d1p+4);
+    pins.emplace_back(std::make_unique<Tgat>(interactions, TgatConfig{16, 2, 1, 4, 7}),
+                      0x1.2f595db1aa1efp+10);
+    pins.emplace_back(std::make_unique<Tgn>(interactions, TgnConfig{16, 16, 2, 11}),
+                      0x1.b07b95bf93a3bp+8);
+    pins.emplace_back(std::make_unique<DyRep>(point_process, DyRepConfig{8, 3, 29}),
+                      0x1.382882bb1e4e9p+5);
+    pins.emplace_back(std::make_unique<Ldg>(point_process,
+                                            LdgConfig{LdgEncoder::kMlp, 8, 4, 3, 31}),
+                      0x1.762fe24b1988ap+5);
+    pins.emplace_back(std::make_unique<EvolveGcn>(
+                          snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 8, 17}),
+                      0x1.d932d38c78343p-1);
+    pins.emplace_back(std::make_unique<Astgnn>(traffic, AstgnnConfig{8, 2, 1, 1, 23}),
+                      -0x1.f440d58ef62c3p+4);
+    pins.emplace_back(std::make_unique<MolDgnn>(molecular, MolDgnnConfig{8, 16, 19}),
+                      0x1.68f3e72c7f933p+8);
+    pins.emplace_back(std::make_unique<Tgat>(wide, TgatConfig{}), 0x1.b8dee9f28204p+11);
+    pins.emplace_back(std::make_unique<Tgn>(wide, TgnConfig{}), 0x1.728bfc924cd86p+7);
+
+    for (const auto& [model, expected] : pins) {
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        const RunResult r = model->RunInference(rt, SmallRun(sim::ExecMode::kHybrid));
+        EXPECT_EQ(HexFloat(r.output_checksum), HexFloat(expected)) << model->Name();
     }
 }
 

@@ -1,6 +1,7 @@
 // Unit + property tests for tensor math kernels.
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +64,76 @@ TEST(MatMulTest, TransposedMatchesExplicitTranspose)
     ASSERT_EQ(direct.GetShape(), via_t.GetShape());
     for (int64_t i = 0; i < direct.NumElements(); ++i) {
         EXPECT_NEAR(direct.At(i), via_t.At(i), 1e-4f);
+    }
+}
+
+/// The kernel's contract as a plain loop: one double accumulator per output,
+/// summed over kk in ascending order.
+Tensor
+ScalarMatMulTransposed(const Tensor& a, const Tensor& b)
+{
+    const int64_t m = a.Dim(0);
+    const int64_t k = a.Dim(1);
+    const int64_t n = b.Dim(0);
+    Tensor c(Shape({m, n}));
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (int64_t kk = 0; kk < k; ++kk) {
+                acc += static_cast<double>(a.At(i, kk)) *
+                       static_cast<double>(b.At(j, kk));
+            }
+            c.At(i, j) = static_cast<float>(acc);
+        }
+    }
+    return c;
+}
+
+/// Normal values of both signs with every third element an exact zero.
+Tensor
+SignedWithZeros(Shape shape, Rng& rng)
+{
+    Tensor t = init::Normal(std::move(shape), rng);
+    for (int64_t i = 0; i < t.NumElements(); i += 3) {
+        t.At(i) = 0.0f;
+    }
+    return t;
+}
+
+TEST(MatMulTest, TransposedIsBitIdenticalToScalarReference)
+{
+    // Covers the 2x4 blocks, the 1x8 single-row path and every row and
+    // column tail. For k >= 4 a huge product at kk = 1 is cancelled exactly
+    // at kk = k - 2, so the float result keeps the rounding of the double
+    // partial sums in between: a reordered sum flips low bits here.
+    Rng rng(11);
+    for (const int64_t m : {0, 1, 2, 3, 5}) {
+        for (const int64_t n : {0, 1, 3, 4, 7, 8, 9, 17}) {
+            for (const int64_t k : {0, 1, 5, 172}) {
+                Tensor a = SignedWithZeros(Shape({m, k}), rng);
+                Tensor b = SignedWithZeros(Shape({n, k}), rng);
+                if (k >= 4) {
+                    for (int64_t i = 0; i < m; ++i) {
+                        a.At(i, 1) = std::ldexp(1.0f + rng.Uniform(), 40);
+                        a.At(i, k - 2) = -a.At(i, 1);
+                    }
+                    for (int64_t j = 0; j < n; ++j) {
+                        b.At(j, 1) = rng.Normal();
+                        b.At(j, k - 2) = b.At(j, 1);
+                    }
+                }
+                const Tensor got = ops::MatMulTransposed(a, b);
+                const Tensor want = ScalarMatMulTransposed(a, b);
+                ASSERT_EQ(got.GetShape(), want.GetShape());
+                if (got.NumElements() > 0) {
+                    EXPECT_EQ(std::memcmp(got.Data(), want.Data(),
+                                          sizeof(float) *
+                                              static_cast<size_t>(got.NumElements())),
+                              0)
+                        << "m=" << m << " n=" << n << " k=" << k;
+                }
+            }
+        }
     }
 }
 

@@ -103,6 +103,43 @@ TEST(TopologyTest, OneDeviceTopologyRuntimeIsBitIdentical)
     EXPECT_EQ(sharded.ClusterDevices(), 1);
 }
 
+TEST(TopologyTest, RuntimeRejectsBadHostLink)
+{
+    sim::RuntimeConfig flat;
+    flat.mode = sim::ExecMode::kHybrid;
+    flat.pcie_bandwidth_gbps = 0.0;
+    EXPECT_THROW(sim::Runtime{flat}, Error);
+
+    sim::TopologyNode node;
+    node.host_link.latency_us = -1.0;
+    sim::Topology topo;
+    topo.AddNode(node);
+    sim::RuntimeConfig config;
+    config.mode = sim::ExecMode::kHybrid;
+    config.topology = topo;
+    config.device_index = 0;
+    EXPECT_THROW(sim::Runtime{config}, Error);
+}
+
+TEST(TopologyTest, RuntimeRejectsBadPeerLink)
+{
+    sim::LinkSpec dead = sim::LinkSpec::NvlinkClass();
+    dead.bandwidth_gbps = 0.0;
+    sim::RuntimeConfig config;
+    config.mode = sim::ExecMode::kHybrid;
+    config.topology = sim::Topology::ScaleOut(2, dead);
+    config.device_index = 0;
+    EXPECT_THROW(sim::Runtime{config}, Error);
+
+    // One bad directed link fails only the runtime that owns it (1 -> 0).
+    config.topology = sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
+    config.topology->SetPeerLink(1, 0, dead);
+    config.device_index = 1;
+    EXPECT_THROW(sim::Runtime{config}, Error);
+    config.device_index = 0;
+    EXPECT_NO_THROW(sim::Runtime{config});
+}
+
 // ----------------------------------------------------------- partition book
 
 TEST(PartitionBookTest, SerializeRoundTrips)

@@ -1,6 +1,8 @@
 // Tests for the hardware-simulator substrate: cost model, streams, PCIe,
 // device memory, warm-up.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "sim/device.hpp"
@@ -114,6 +116,17 @@ TEST(PcieTest, TransferTimeLatencyPlusBandwidth)
     // 10 GB/s == 10000 bytes/us: 1 MB -> ~104.9 us + 5.
     EXPECT_NEAR(link.TransferTime(1 << 20), 5.0 + 104.8576, 1e-3);
     EXPECT_THROW(link.TransferTime(-1), Error);
+}
+
+TEST(PcieTest, RejectsBadLinkParameters)
+{
+    EXPECT_THROW(PcieLink(0.0, 5.0), Error);
+    EXPECT_THROW(PcieLink(-1.0, 5.0), Error);
+    EXPECT_THROW(PcieLink(std::numeric_limits<double>::infinity(), 5.0), Error);
+    EXPECT_THROW(PcieLink(std::numeric_limits<double>::quiet_NaN(), 5.0), Error);
+    EXPECT_THROW(PcieLink(10.0, -1.0), Error);
+    EXPECT_THROW(PcieLink(10.0, std::numeric_limits<double>::quiet_NaN()), Error);
+    EXPECT_NO_THROW(PcieLink(10.0, 0.0));
 }
 
 TEST(PcieTest, LinkQueuesTransfers)
