@@ -25,8 +25,11 @@ ServingObservability::OnRunBegin(const serve::RunContext& ctx)
                    {"mode", ctx.mode},
                    {"policy", ctx.policy},
                    {"executor", ctx.executor}};
-    // Plant the trace cursor past warm-up so the run's device scan covers
+    // A serving runtime records no trace until something reads it: turn
+    // tracing on before any serving-window op is issued, then plant the
+    // cursor past whatever warm-up left so the run's device scan covers
     // only serving-window events.
+    ctx.runtime->SetTracing(true);
     trace_cursor_ = ctx.runtime->GetTrace().Size();
     cache_before_ =
         ctx.cache != nullptr ? ctx.cache->Stats() : cache::CacheStats{};
@@ -105,9 +108,7 @@ ServingObservability::OnBatch(const serve::BatchObservation& ob)
     windows_.OnBatch(s.complete_us, h2d_bytes, d2h_bytes,
                      ob.cache_cost.hit_rows, ob.cache_cost.miss_rows);
 
-    if (options_.keep_request_records) {
-        timeline_.RecordBatch(ob);
-    }
+    timeline_.RecordBatch(ob);
     attribution_.OnBatch(ob);
     batch_spans_.push_back(s);
 }

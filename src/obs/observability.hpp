@@ -16,9 +16,11 @@
 /// obs/ — instead the observer pulls from them, snapshotting the runtime's
 /// counters and cache stats at run begin and diffing at run end, and
 /// scanning the runtime's event trace from a cursor planted at run begin
-/// (so warm-up events stay out of the run's figures). One instance may
-/// observe several sequential runs; run-scoped metric labels (model, mode,
-/// policy, executor) keep the series apart.
+/// (so warm-up events stay out of the run's figures). A serving runtime
+/// records no trace unless asked, so OnRunBegin turns its tracing on —
+/// the one write the observer makes, and one that changes no simulated
+/// figure. One instance may observe several sequential runs; run-scoped
+/// metric labels (model, mode, policy, executor) keep the series apart.
 
 #include <cstdint>
 #include <string>
@@ -36,9 +38,6 @@ namespace dgnn::obs {
 struct ObservabilityOptions {
     /// Windowed-aggregation interval, us.
     sim::SimTime window_us = 100000.0;
-    /// Keep per-request records (the timeline grows by one record per
-    /// request; disable for very long runs where only aggregates matter).
-    bool keep_request_records = true;
     /// Copy the runtime's device trace events at run end (needed for the
     /// merged chrome-trace export).
     bool keep_device_trace = true;

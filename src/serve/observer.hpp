@@ -33,8 +33,10 @@ struct RunContext {
     std::string mode;
     std::string policy;
     std::string executor;
-    /// The run's runtime — counters and the event trace are readable at any
-    /// hook. Never null during a run.
+    /// The run's runtime — its counters are readable at any hook. Its
+    /// tracing is off (Runtime::SetTracing), so it records no per-op trace;
+    /// an observer that reads the trace turns tracing on in OnRunBegin,
+    /// before the serving window issues any op. Never null during a run.
     sim::Runtime* runtime = nullptr;
     /// The session's device cache (disabled instance when uncached).
     const cache::DeviceCache* cache = nullptr;

@@ -68,6 +68,10 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
         options.runtime_config.value_or(sim::RuntimeConfig{});
     runtime_config.mode = session.Mode();
     sim::Runtime runtime{std::move(runtime_config)};
+    // Nothing reads a serving runtime's per-op trace unless an observer asks
+    // for it in OnRunBegin (obs::ServingObservability does); recording
+    // millions of events nobody reads dominated serving host time.
+    runtime.SetTracing(false);
     runtime.SetObserver(options.runtime_observer);
     const cache::CacheStats cache_stats_before = session.Cache().Stats();
     std::unique_ptr<BatchExecutor> executor = MakeExecutor(runtime, options);

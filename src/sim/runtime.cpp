@@ -233,14 +233,16 @@ Runtime::RunHost(const KernelDesc& kernel)
     AdvanceHost(duration);
     cpu_.AddBusy(duration, occ);
 
-    TraceEvent e = MakeEvent(EventKind::kHostOp, kernel.name, cpu_.Name(), start,
-                             host_time_);
-    e.occupancy = occ;
-    e.flops = kernel.flops;
-    e.bytes = kernel.bytes;
-    e.parallel_items = kernel.parallel_items;
-    e.irregular = kernel.irregular;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e = MakeEvent(EventKind::kHostOp, kernel.name, cpu_.Name(),
+                                 start, host_time_);
+        e.occupancy = occ;
+        e.flops = kernel.flops;
+        e.bytes = kernel.bytes;
+        e.parallel_items = kernel.parallel_items;
+        e.irregular = kernel.irregular;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kHostOp, kernel.name, /*on_host=*/true, StreamId::kCompute,
              /*blocking=*/true, start, host_time_, kernel.bytes);
     return host_time_;
@@ -253,7 +255,10 @@ Runtime::RunHostFor(const std::string& name, SimTime duration_us)
     const SimTime start = host_time_;
     AdvanceHost(duration_us);
     cpu_.AddBusy(duration_us, cpu_.Spec().occupancy_floor);
-    trace_.Add(MakeEvent(EventKind::kHostOp, name, cpu_.Name(), start, host_time_));
+    if (tracing_) {
+        trace_.Add(
+            MakeEvent(EventKind::kHostOp, name, cpu_.Name(), start, host_time_));
+    }
     NotifyOp(OpKind::kHostOp, name, /*on_host=*/true, StreamId::kCompute,
              /*blocking=*/true, start, host_time_, 0);
     return host_time_;
@@ -288,14 +293,16 @@ Runtime::Launch(const KernelDesc& kernel)
     dev.AddBusy(execution, occ);
 
     // The trace event spans the execution interval, after the launch gap.
-    TraceEvent e =
-        MakeEvent(EventKind::kKernel, kernel.name, dev.Name(), end - execution, end);
-    e.occupancy = occ;
-    e.flops = kernel.flops;
-    e.bytes = kernel.bytes;
-    e.parallel_items = kernel.parallel_items;
-    e.irregular = kernel.irregular;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e = MakeEvent(EventKind::kKernel, kernel.name, dev.Name(),
+                                 end - execution, end);
+        e.occupancy = occ;
+        e.flops = kernel.flops;
+        e.bytes = kernel.bytes;
+        e.parallel_items = kernel.parallel_items;
+        e.irregular = kernel.irregular;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kKernel, kernel.name, /*on_host=*/!HasGpu(),
              StreamId::kCompute, /*blocking=*/!HasGpu(), end - execution, end,
              kernel.bytes);
@@ -319,10 +326,13 @@ Runtime::CopyToDevice(int64_t bytes, const std::string& what)
     // fence at the copy end.
     compute_stream_.Enqueue(iv.end, 0.0);
 
-    TraceEvent e = MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-    e.bytes = bytes;
-    e.direction = CopyDirection::kHostToDevice;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e =
+            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
+        e.bytes = bytes;
+        e.direction = CopyDirection::kHostToDevice;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kCopyH2D, what, /*on_host=*/true, StreamId::kCompute,
              /*blocking=*/true, iv.start, iv.end, bytes);
     return host_time_;
@@ -343,10 +353,13 @@ Runtime::CopyToHost(int64_t bytes, const std::string& what)
     ++transfer_count_;
     transfer_time_us_ += host_time_ - start;
 
-    TraceEvent e = MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-    e.bytes = bytes;
-    e.direction = CopyDirection::kDeviceToHost;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e =
+            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
+        e.bytes = bytes;
+        e.direction = CopyDirection::kDeviceToHost;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kCopyD2H, what, /*on_host=*/true, StreamId::kCompute,
              /*blocking=*/true, iv.start, iv.end, bytes);
     return host_time_;
@@ -444,10 +457,13 @@ Runtime::CopyToDeviceAsync(int64_t bytes, const std::string& what)
     h2d_bytes_ += bytes;
     ++transfer_count_;
 
-    TraceEvent e = MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-    e.bytes = bytes;
-    e.direction = CopyDirection::kHostToDevice;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e =
+            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
+        e.bytes = bytes;
+        e.direction = CopyDirection::kHostToDevice;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kCopyH2D, what, /*on_host=*/false, StreamId::kCopy,
              /*blocking=*/false, iv.start, iv.end, bytes);
     return iv.end;
@@ -466,10 +482,13 @@ Runtime::CopyToHostAsync(int64_t bytes, const std::string& what)
     d2h_bytes_ += bytes;
     ++transfer_count_;
 
-    TraceEvent e = MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-    e.bytes = bytes;
-    e.direction = CopyDirection::kDeviceToHost;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e =
+            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
+        e.bytes = bytes;
+        e.direction = CopyDirection::kDeviceToHost;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kCopyD2H, what, /*on_host=*/false, StreamId::kCopy,
              /*blocking=*/false, iv.start, iv.end, bytes);
     return iv.end;
@@ -499,12 +518,14 @@ Runtime::PeerCopyAsync(int32_t peer, int64_t bytes, const std::string& what)
     ++peer_copy_count_;
     peer_link_time_us_ += iv.end - iv.start;
 
-    TraceEvent e = MakeEvent(EventKind::kTransfer, what,
-                             std::string("peer:") +
-                                 ToString(PeerLinkSpec(peer).kind),
-                             iv.start, iv.end);
-    e.bytes = bytes;
-    trace_.Add(std::move(e));
+    if (tracing_) {
+        TraceEvent e = MakeEvent(EventKind::kTransfer, what,
+                                 std::string("peer:") +
+                                     ToString(PeerLinkSpec(peer).kind),
+                                 iv.start, iv.end);
+        e.bytes = bytes;
+        trace_.Add(std::move(e));
+    }
     NotifyOp(OpKind::kCopyPeer, what, /*on_host=*/false, StreamId::kCopy,
              /*blocking=*/false, iv.start, iv.end, bytes);
     return iv.end;
@@ -549,8 +570,10 @@ Runtime::WaitEvent(const Event& event)
         const SimTime start = host_time_;
         sync_wait_us_ += event.ready_us - host_time_;
         AdvanceHost(event.ready_us - host_time_);
-        trace_.Add(MakeEvent(EventKind::kSync, "event_wait", cpu_.Name(), start,
-                             host_time_));
+        if (tracing_) {
+            trace_.Add(MakeEvent(EventKind::kSync, "event_wait", cpu_.Name(),
+                                 start, host_time_));
+        }
     }
     // The ordering edge exists even when the event had already completed.
     if (observer_ != nullptr) {
@@ -565,8 +588,10 @@ Runtime::IdleUntil(SimTime until_us)
     if (until_us > host_time_) {
         const SimTime start = host_time_;
         AdvanceHost(until_us - host_time_);
-        trace_.Add(
-            MakeEvent(EventKind::kHostOp, "idle", cpu_.Name(), start, host_time_));
+        if (tracing_) {
+            trace_.Add(MakeEvent(EventKind::kHostOp, "idle", cpu_.Name(), start,
+                                 host_time_));
+        }
     }
     return host_time_;
 }
@@ -583,8 +608,10 @@ Runtime::Synchronize()
         const SimTime start = host_time_;
         sync_wait_us_ += ready - host_time_;
         AdvanceHost(ready - host_time_);
-        trace_.Add(MakeEvent(EventKind::kSync, "cuda_synchronize", cpu_.Name(), start,
-                             host_time_));
+        if (tracing_) {
+            trace_.Add(MakeEvent(EventKind::kSync, "cuda_synchronize",
+                                 cpu_.Name(), start, host_time_));
+        }
     }
     if (observer_ != nullptr) {
         observer_->OnSynchronize();
@@ -595,8 +622,10 @@ Runtime::Synchronize()
 void
 Runtime::Marker(const std::string& name)
 {
-    trace_.Add(MakeEvent(EventKind::kMarker, name, cpu_.Name(), host_time_,
-                         host_time_));
+    if (tracing_) {
+        trace_.Add(MakeEvent(EventKind::kMarker, name, cpu_.Name(), host_time_,
+                             host_time_));
+    }
 }
 
 DeviceBuffer
@@ -625,20 +654,26 @@ Runtime::EnsureWarm(int64_t weight_bytes)
 
     const SimTime t0 = host_time_;
     AdvanceHost(w.context_init_us);
-    trace_.Add(MakeEvent(EventKind::kMarker, "warmup:context_init",
-                         ComputeDevice().Name(), t0, host_time_));
+    if (tracing_) {
+        trace_.Add(MakeEvent(EventKind::kMarker, "warmup:context_init",
+                             ComputeDevice().Name(), t0, host_time_));
+    }
     const SimTime t1 = host_time_;
     AdvanceHost(w.model_init_us);
-    trace_.Add(MakeEvent(EventKind::kMarker, "warmup:model_init",
-                         ComputeDevice().Name(), t1, host_time_));
+    if (tracing_) {
+        trace_.Add(MakeEvent(EventKind::kMarker, "warmup:model_init",
+                             ComputeDevice().Name(), t1, host_time_));
+    }
     if (w.weight_transfer_us > 0.0) {
         const SimTime t2 = host_time_;
         AdvanceHost(w.weight_transfer_us);
-        TraceEvent e = MakeEvent(EventKind::kTransfer, "warmup:weights_h2d", "PCIe", t2,
-                                 host_time_);
-        e.bytes = weight_bytes;
-        e.direction = CopyDirection::kHostToDevice;
-        trace_.Add(std::move(e));
+        if (tracing_) {
+            TraceEvent e = MakeEvent(EventKind::kTransfer, "warmup:weights_h2d",
+                                     "PCIe", t2, host_time_);
+            e.bytes = weight_bytes;
+            e.direction = CopyDirection::kHostToDevice;
+            trace_.Add(std::move(e));
+        }
     }
     // Warm-up stalls the compute stream too: nothing ran before it.
     compute_stream_.Enqueue(host_time_, 0.0);
@@ -654,8 +689,10 @@ Runtime::RunAllocWarmup(int64_t working_set_bytes)
         ComputePerRunWarmup(ComputeDevice().Spec(), working_set_bytes);
     const SimTime start = host_time_;
     AdvanceHost(w.TotalUs());
-    trace_.Add(MakeEvent(EventKind::kMarker, "warmup:alloc", ComputeDevice().Name(),
-                         start, host_time_));
+    if (tracing_) {
+        trace_.Add(MakeEvent(EventKind::kMarker, "warmup:alloc",
+                             ComputeDevice().Name(), start, host_time_));
+    }
     compute_stream_.Enqueue(host_time_, 0.0);
     return w;
 }

@@ -4,7 +4,8 @@
 /// The simulated heterogeneous runtime. Models issue host ops, device
 /// kernels, and PCIe copies through this class; it advances a deterministic
 /// simulated clock, applies the analytic device cost models, tracks memory
-/// and transfer volumes, and records everything into a Trace.
+/// and transfer volumes, and records everything into a Trace while tracing
+/// is on (the default; see SetTracing).
 ///
 /// Execution semantics mirror eager-mode PyTorch + CUDA:
 ///  * host ops run synchronously on the CPU timeline;
@@ -344,6 +345,14 @@ class Runtime {
         return category_time_;
     }
 
+    /// Sets whether issued operations are recorded into the trace; on by
+    /// default. Turning it off stops the recording and nothing else: clocks,
+    /// streams, links, counters, CategoryTimes() and observer hooks behave
+    /// identically, and the trace keeps the events it already holds. A
+    /// serving run turns it off because only an observer that reads the
+    /// trace needs the per-op events, and that observer turns it back on.
+    void SetTracing(bool on) { tracing_ = on; }
+
     Trace& GetTrace() { return trace_; }
     const Trace& GetTrace() const { return trace_; }
 
@@ -381,6 +390,7 @@ class Runtime {
     std::map<std::string, SimTime> category_time_;
     std::optional<OneTimeWarmup> one_time_warmup_;
     Trace trace_;
+    bool tracing_ = true;
     int64_t h2d_bytes_ = 0;
     int64_t d2h_bytes_ = 0;
     int64_t cache_hit_bytes_ = 0;

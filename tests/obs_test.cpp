@@ -276,7 +276,7 @@ serve::ServingReport
 ServeScenario(const scenario::Scenario& s,
               const data::InteractionDataset& dataset,
               serve::ExecutorKind kind, int64_t n,
-              ServingObservability* obs)
+              serve::ServingObserver* obs)
 {
     models::Tgn tgn(dataset, models::TgnConfig{16, 16, 2, 11});
     cache::DeviceCacheConfig cache_config;
@@ -407,6 +407,84 @@ TEST(ObservabilityTest, MetricsAgreeWithTheServingReport)
     EXPECT_DOUBLE_EQ(batch_size->Mean(), report.batch_size.Mean());
 
     EXPECT_EQ(obs.RunsObserved(), 1);
+}
+
+/// A serving observer that reads the runtime's trace but never asks for it.
+class TraceReader final : public serve::ServingObserver {
+  public:
+    void OnRunBegin(const serve::RunContext& ctx) override
+    {
+        runtime_ = ctx.runtime;
+    }
+    void OnRunEnd() override
+    {
+        events = runtime_->GetTrace().Size();
+        h2d_bytes = runtime_->BytesToDevice();
+    }
+    size_t events = 0;
+    int64_t h2d_bytes = 0;
+
+  private:
+    sim::Runtime* runtime_ = nullptr;
+};
+
+TEST(ObservabilityTest, ServingRuntimeRecordsNoTraceByDefault)
+{
+    const auto dataset = TinyInteractions();
+    const auto scenarios =
+        scenario::GauntletScenarios(4000.0, 120, dataset.NumNodes(), 9);
+    for (const serve::ExecutorKind kind :
+         {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(serve::ToString(kind));
+        TraceReader reader;
+        const serve::ServingReport report =
+            ServeScenario(scenarios.front(), dataset, kind, 120, &reader);
+        EXPECT_EQ(reader.events, 0u);
+        // The run did issue work; only its per-op record is missing.
+        EXPECT_GT(report.batches, 0);
+        EXPECT_EQ(reader.h2d_bytes, report.h2d_bytes);
+        EXPECT_GT(reader.h2d_bytes, 0);
+    }
+}
+
+/// ServingObservability that also tallies the kernels each batch issues.
+class KernelTally final : public ServingObservability {
+  public:
+    void OnBatch(const serve::BatchObservation& ob) override
+    {
+        // The profile's kernels, plus the device gather of cached rows.
+        expected_kernels += static_cast<int64_t>(ob.profile->kernels.size());
+        if (ob.cache_cost.hit_rows > 0) {
+            ++expected_kernels;
+            ++hit_batches;
+        }
+        ServingObservability::OnBatch(ob);
+    }
+    int64_t expected_kernels = 0;
+    int64_t hit_batches = 0;
+};
+
+TEST(ObservabilityTest, KernelLaunchCounterSeesEveryServingKernel)
+{
+    const auto dataset = TinyInteractions();
+    const auto scenarios =
+        scenario::GauntletScenarios(4000.0, 120, dataset.NumNodes(), 9);
+    for (const serve::ExecutorKind kind :
+         {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(serve::ToString(kind));
+        KernelTally tally;
+        const serve::ServingReport report =
+            ServeScenario(scenarios.front(), dataset, kind, 120, &tally);
+        const Labels labels = {{"model", report.model},
+                               {"mode", report.mode},
+                               {"policy", report.policy},
+                               {"executor", report.executor}};
+        EXPECT_GT(tally.hit_batches, 0);
+        EXPECT_GT(tally.expected_kernels, report.batches);
+        EXPECT_EQ(tally.Metrics().CounterValue(
+                      "dgnn_sim_kernel_launches_total", labels),
+                  static_cast<double>(tally.expected_kernels));
+    }
 }
 
 TEST(ObservabilityTest, MergedChromeTraceContainsAllLanes)

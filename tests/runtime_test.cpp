@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "support/check.hpp"
 
 #include "sim/runtime.hpp"
@@ -437,6 +441,176 @@ TEST(RuntimeTest, TraceTimestampsAreOrderedPerDevice)
             prev_end = e.end_us;
         }
         EXPECT_GE(e.end_us, e.start_us);
+    }
+}
+
+/// Everything a RuntimeObserver hears, flattened to comparable values.
+struct ObservedOp {
+    std::string hook;
+    std::string name;
+    int kind = 0;
+    bool on_host = false;
+    int stream = 0;
+    bool blocking = false;
+    SimTime start_us = 0.0;
+    SimTime end_us = 0.0;
+    int64_t bytes = 0;
+
+    bool operator==(const ObservedOp&) const = default;
+};
+
+class RecordingObserver final : public RuntimeObserver {
+  public:
+    void OnOp(const OpRecord& op) override
+    {
+        ops.push_back({"op", *op.name, static_cast<int>(op.kind), op.on_host,
+                       static_cast<int>(op.stream), op.blocking, op.start_us,
+                       op.end_us, op.bytes});
+    }
+    void OnEventRecorded(const Event& event, StreamId stream) override
+    {
+        ops.push_back({"record", "", 0, false, static_cast<int>(stream), false,
+                       event.ready_us, event.ready_us, event.id});
+    }
+    void OnStreamWaitEvent(StreamId stream, const Event& event) override
+    {
+        ops.push_back({"stream_wait", "", 0, false, static_cast<int>(stream),
+                       false, event.ready_us, event.ready_us, event.id});
+    }
+    void OnHostWaitEvent(const Event& event) override
+    {
+        ops.push_back({"host_wait", "", 0, false, 0, false, event.ready_us,
+                       event.ready_us, event.id});
+    }
+    void OnSynchronize() override
+    {
+        ops.push_back({"sync", "", 0, false, 0, false, 0.0, 0.0, 0});
+    }
+
+    std::vector<ObservedOp> ops;
+};
+
+/// One fixed script issuing every operation that records a trace event,
+/// with each wait long enough to block and each stream fence landing on an
+/// idle stream. After every op it notes the op's result, the host clock and
+/// both stream ready times.
+std::vector<SimTime>
+RunEveryTracedOp(Runtime& rt)
+{
+    KernelDesc big = SmallKernel();
+    big.flops = 4000000000;
+    std::vector<SimTime> t;
+    const auto step = [&t, &rt](SimTime result) {
+        t.insert(t.end(), {result, rt.Now(),
+                           rt.StreamReadyTime(StreamId::kCompute),
+                           rt.StreamReadyTime(StreamId::kCopy)});
+    };
+    rt.PushCategory("warm");
+    step(rt.EnsureWarm(1 << 20).TotalUs());
+    step(rt.RunAllocWarmup(8 << 20).TotalUs());
+    rt.PopCategory();
+    rt.ResetMeasurementWindow();
+    const CategoryScope outer(rt, "outer");
+    rt.Marker("phase");
+    step(rt.Now());
+    step(rt.RunHost(SmallKernel()));
+    step(rt.RunHostFor("load", 3.0));
+    step(rt.CopyToDevice(4096, "h2d"));
+    step(rt.PeerCopyAsync(1, 1 << 20, "peer"));
+    step(rt.Launch(big));
+    step(rt.CopyToHost(4096, "d2h"));
+    step(rt.CopyToDeviceAsync(64 << 20, "h2d_async"));
+    step(rt.CopyToHostAsync(1 << 20, "d2h_async"));
+    {
+        const CategoryScope inner(rt, "cache");
+        step(rt.GatherToDevice(3, 5, 256, "gather"));
+        step(rt.WriteBackToHost(2, 256, "writeback"));
+    }
+    const Event copied = rt.RecordEvent(StreamId::kCopy);
+    step(copied.ready_us);
+    rt.StreamWaitEvent(StreamId::kCompute, copied);
+    step(rt.Now());
+    step(rt.Launch(big));
+    const Event computed = rt.RecordEvent(StreamId::kCompute);
+    step(rt.WaitEvent(computed));
+    step(rt.IdleUntil(rt.Now() + 50.0));
+    step(rt.Launch(big));
+    step(rt.CopyToDeviceAsync(1 << 20, "tail"));
+    step(rt.Synchronize());
+    return t;
+}
+
+TEST(RuntimeTest, TracingOffChangesNothingButTheTrace)
+{
+    for (const ExecMode mode : {ExecMode::kHybrid, ExecMode::kCpuOnly}) {
+        SCOPED_TRACE(ToString(mode));
+        RuntimeConfig config;
+        config.mode = mode;
+        config.topology = Topology::ScaleOut(2, LinkSpec::NvlinkClass());
+        Runtime on(config);
+        Runtime off(config);
+        off.SetTracing(false);
+        RecordingObserver on_ops;
+        RecordingObserver off_ops;
+        on.SetObserver(&on_ops);
+        off.SetObserver(&off_ops);
+
+        EXPECT_EQ(RunEveryTracedOp(on), RunEveryTracedOp(off));
+        EXPECT_EQ(on.Now(), off.Now());
+        EXPECT_EQ(on.MeasureStart(), off.MeasureStart());
+        EXPECT_EQ(on.ElapsedInWindow(), off.ElapsedInWindow());
+        EXPECT_EQ(on.BytesToDevice(), off.BytesToDevice());
+        EXPECT_EQ(on.BytesToHost(), off.BytesToHost());
+        EXPECT_EQ(on.TransferCount(), off.TransferCount());
+        EXPECT_EQ(on.CacheHitBytes(), off.CacheHitBytes());
+        EXPECT_EQ(on.PeerBytes(), off.PeerBytes());
+        EXPECT_EQ(on.PeerCopyCount(), off.PeerCopyCount());
+        EXPECT_EQ(on.PeerLinkTime(), off.PeerLinkTime());
+        EXPECT_EQ(on.SyncWaitTime(), off.SyncWaitTime());
+        EXPECT_EQ(on.TransferTime(), off.TransferTime());
+        EXPECT_EQ(on.CategoryTimes(), off.CategoryTimes());
+        EXPECT_EQ(on.ComputeUtilizationPct(), off.ComputeUtilizationPct());
+        EXPECT_EQ(on.Cpu().BusyTime(), off.Cpu().BusyTime());
+        EXPECT_EQ(on.ComputeDevice().BusyTime(), off.ComputeDevice().BusyTime());
+        for (const StreamId stream : {StreamId::kCompute, StreamId::kCopy}) {
+            EXPECT_EQ(on.StreamReadyTime(stream), off.StreamReadyTime(stream));
+        }
+        EXPECT_EQ(on_ops.ops, off_ops.ops);
+        EXPECT_FALSE(on_ops.ops.empty());
+
+        EXPECT_TRUE(off.GetTrace().Empty());
+        std::set<EventKind> kinds;
+        std::set<std::string> names;
+        for (const TraceEvent& e : on.GetTrace().Events()) {
+            kinds.insert(e.kind);
+            names.insert(e.name);
+        }
+        const std::set<EventKind> expected =
+            mode == ExecMode::kHybrid
+                ? std::set<EventKind>{EventKind::kKernel, EventKind::kTransfer,
+                                      EventKind::kHostOp, EventKind::kSync,
+                                      EventKind::kMarker}
+                : std::set<EventKind>{EventKind::kKernel, EventKind::kHostOp,
+                                      EventKind::kMarker};
+        EXPECT_EQ(kinds, expected);
+        if (mode == ExecMode::kHybrid) {
+            // The script reaches every guarded recording site.
+            for (const char* name :
+                 {"warmup:context_init", "warmup:model_init",
+                  "warmup:weights_h2d", "warmup:alloc", "phase", "load",
+                  "h2d", "d2h", "h2d_async", "d2h_async", "peer",
+                  "gather:cache_miss_h2d", "gather:cache_hit_gather",
+                  "writeback:cache_writeback_d2h", "event_wait", "idle",
+                  "cuda_synchronize"}) {
+                EXPECT_EQ(names.count(name), 1u) << name;
+            }
+        }
+
+        // Turning tracing back on records from that point.
+        off.SetTracing(true);
+        off.Marker("resumed");
+        ASSERT_EQ(off.GetTrace().Size(), 1u);
+        EXPECT_EQ(off.GetTrace().Events().front().name, "resumed");
     }
 }
 
