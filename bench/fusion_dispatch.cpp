@@ -182,9 +182,7 @@ ServingSweep(const std::vector<models::DgnnModel*>& model_list,
                 scenario::GenerateRequests(s, dataset, n);
 
             for (const dispatch::DispatchMode mode : kModes) {
-                dispatch::DispatcherConfig config;
-                config.mode = mode;
-                const dispatch::HybridDispatcher dispatcher(config);
+                const dispatch::HybridDispatcher dispatcher(mode);
 
                 serve::TimeoutPolicy policy(kServeBatch, kBatchTimeoutUs);
                 serve::ServerOptions options;

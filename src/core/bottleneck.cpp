@@ -97,9 +97,8 @@ AnalyzeWarmup(const sim::Runtime& runtime, sim::SimTime per_run_alloc_us,
     WarmupBottleneckReport r;
     if (runtime.IsWarm()) {
         // EnsureWarm caches its report; re-run the pure computation.
-        r.one_time = sim::ComputeOneTimeWarmup(
-            runtime.ComputeDevice().Spec(),
-            const_cast<sim::Runtime&>(runtime).Pcie(), 0);
+        r.one_time = sim::ComputeOneTimeWarmup(runtime.ComputeDevice().Spec(),
+                                               runtime.Pcie(), 0);
     }
     r.per_run_alloc_us = per_run_alloc_us;
     r.steady_state_iteration_us = steady_state_iteration_us;

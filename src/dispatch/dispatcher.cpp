@@ -1,22 +1,18 @@
 #include "dispatch/dispatcher.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "support/check.hpp"
 
 namespace dgnn::dispatch {
 namespace {
 
+/// One blocking copy over @p link; a batch with nothing to move issues no
+/// copy (the executors skip zero-byte transfers).
 sim::SimTime
-TransferTime(int64_t bytes, const DispatcherConfig& config)
+CopyTime(int64_t bytes, const sim::LinkSpec& link)
 {
-    if (bytes <= 0) {
-        return 0.0;
-    }
-    // GB/s == kbytes per microsecond; one latency per blocking copy.
-    return config.pcie_latency_us +
-           static_cast<double>(bytes) / (config.pcie_bandwidth_gbps * 1e3);
+    return bytes > 0 ? link.TransferTime(bytes) : 0.0;
 }
 
 sim::SimTime
@@ -62,21 +58,6 @@ ToString(DispatchMode mode)
     return "?";
 }
 
-HybridDispatcher::HybridDispatcher() : HybridDispatcher(DispatcherConfig{}) {}
-
-HybridDispatcher::HybridDispatcher(DispatcherConfig config)
-    : config_(std::move(config))
-{
-    if (config_.cpu.name.empty()) {
-        config_.cpu = sim::DeviceSpec::XeonGold6226R();
-    }
-    if (config_.gpu.name.empty()) {
-        config_.gpu = sim::DeviceSpec::RtxA6000();
-    }
-    DGNN_CHECK(config_.pcie_bandwidth_gbps > 0.0,
-               "dispatcher needs positive PCIe bandwidth");
-}
-
 BatchStats
 HybridDispatcher::Stats(const WorkEstimate& estimate)
 {
@@ -108,7 +89,8 @@ HybridDispatcher::Stats(const WorkEstimate& estimate)
 }
 
 PlacementDecision
-HybridDispatcher::Decide(const WorkEstimate& estimate, bool allow_cpu) const
+HybridDispatcher::Decide(const WorkEstimate& estimate,
+                         const sim::TopologyNode& node, bool allow_cpu) const
 {
     PlacementDecision decision;
     decision.stats = Stats(estimate);
@@ -116,27 +98,28 @@ HybridDispatcher::Decide(const WorkEstimate& estimate, bool allow_cpu) const
     // CPU: the host already owns the inputs and keeps the outputs — no PCIe,
     // but every kernel runs at host throughput and host launch cost.
     decision.predicted_cpu_us =
-        estimate.host_us + ChainTime(config_.cpu, *estimate.kernels);
+        estimate.host_us + ChainTime(node.cpu, *estimate.kernels);
 
     // GPU: pay both blocking transfers around the kernel chain. The serial
     // executor additionally pays per-launch submit and sync costs the model
     // omits, so these predictions are optimistic for the device — the CPU
     // placement is only chosen when it wins against a flattering GPU bound.
-    const sim::SimTime transfers = TransferTime(estimate.h2d_bytes, config_) +
-                                   TransferTime(estimate.d2h_bytes, config_);
+    const sim::SimTime transfers =
+        CopyTime(estimate.h2d_bytes, node.host_link) +
+        CopyTime(estimate.d2h_bytes, node.host_link);
     decision.predicted_gpu_us =
-        estimate.host_us + transfers + ChainTime(config_.gpu, *estimate.kernels);
+        estimate.host_us + transfers + ChainTime(node.gpu, *estimate.kernels);
     decision.predicted_gpu_fused_us =
         estimate.fused_kernels != nullptr
             ? estimate.host_us + transfers +
-                  ChainTime(config_.gpu, *estimate.fused_kernels)
+                  ChainTime(node.gpu, *estimate.fused_kernels)
             : decision.predicted_gpu_us;
 
     // No fused chain offered: kGpuFused collapses into kGpu (the static
     // fused policy falls back exactly like masked kStaticCpu does).
     const bool have_fused = estimate.fused_kernels != nullptr;
 
-    switch (config_.mode) {
+    switch (mode_) {
         case DispatchMode::kStaticCpu:
             decision.placement =
                 allow_cpu ? Placement::kCpu : Placement::kGpu;

@@ -2,13 +2,14 @@
 
 /// @file
 /// Per-batch hybrid dispatch: predict-then-place. The dispatcher prices a
-/// batch's kernel chain on the CPU spec, on the GPU spec (plus PCIe
-/// transfers), and on the GPU with the registered fusion chains collapsed,
-/// then routes the batch to the cheapest placement. The predictor IS the
-/// analytic cost model (sim/kernel.hpp, sim/fusion.hpp) — the same formulas
-/// the runtime charges — so on the serial executor the decision is exact up
-/// to per-launch submit/sync overheads, which only make the GPU predictions
-/// optimistic (CPU is chosen conservatively).
+/// batch's kernel chain on a topology node's CPU, on its GPU (plus the host
+/// link's transfers), and on the GPU with the registered fusion chains
+/// collapsed, then routes the batch to the cheapest placement. The
+/// predictor IS the analytic cost model (sim/kernel.hpp, sim/fusion.hpp,
+/// sim::LinkSpec) — the same formulas the runtime charges — so on the
+/// serial executor the decision is exact up to per-launch submit/sync
+/// overheads, which only make the GPU predictions optimistic (CPU is
+/// chosen conservatively).
 ///
 /// This reproduces the Dynasparse-style dynamic placement and the
 /// embedding-dimension CPU/GPU crossover of Adiletta et al. (PAPERS.md):
@@ -16,16 +17,16 @@
 /// launches), dense batches go to the device, and irregular byte-bound
 /// chains pick fused vs unfused per batch.
 ///
-/// Decide() is a pure function of the WorkEstimate and the config — no
-/// clocks, no RNG, no mutable state — so dispatch decisions are
+/// Decide() is a pure function of the WorkEstimate, the node and the mode —
+/// no clocks, no RNG, no mutable state — so dispatch decisions are
 /// seed-deterministic by construction.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "sim/device_spec.hpp"
 #include "sim/kernel.hpp"
+#include "sim/topology.hpp"
 
 namespace dgnn::dispatch {
 
@@ -94,37 +95,31 @@ struct PlacementDecision {
     BatchStats stats;
 };
 
-/// Dispatcher configuration: the device specs to price against and the
-/// transfer model (defaults mirror sim::RuntimeConfig's).
-struct DispatcherConfig {
-    DispatchMode mode = DispatchMode::kHybrid;
-    sim::DeviceSpec cpu;  ///< defaulted to XeonGold6226R() by the ctor
-    sim::DeviceSpec gpu;  ///< defaulted to RtxA6000() by the ctor
-    double pcie_bandwidth_gbps = 12.0;
-    sim::SimTime pcie_latency_us = 10.0;
-};
-
-/// Stateless per-batch placement engine.
+/// Stateless per-batch placement engine. It holds only its policy; the
+/// hardware it prices is the topology node handed to Decide().
 class HybridDispatcher {
   public:
-    HybridDispatcher();
-    explicit HybridDispatcher(DispatcherConfig config);
+    explicit HybridDispatcher(DispatchMode mode = DispatchMode::kHybrid)
+        : mode_(mode)
+    {
+    }
 
-    /// Route one batch. Pure function of (estimate, allow_cpu, config).
-    /// allow_cpu=false masks the CPU placement — serving uses it for
+    /// Route one batch, pricing it on @p node's CPU, GPU and host link —
+    /// the serving loop passes its own runtime's node, so predict and place
+    /// read the same hardware. Pure function of (estimate, node, allow_cpu,
+    /// mode). allow_cpu=false masks the CPU placement — serving uses it for
     /// cache-enabled sessions whose state is device-resident (a host run
     /// would bypass the cached rows). kStaticCpu with allow_cpu=false
     /// falls back to kGpu.
     [[nodiscard]] PlacementDecision Decide(const WorkEstimate& estimate,
+                                           const sim::TopologyNode& node,
                                            bool allow_cpu = true) const;
 
     /// The decision features alone (also computed inside Decide()).
     [[nodiscard]] static BatchStats Stats(const WorkEstimate& estimate);
 
-    [[nodiscard]] const DispatcherConfig& Config() const { return config_; }
-
   private:
-    DispatcherConfig config_;
+    DispatchMode mode_;
 };
 
 }  // namespace dgnn::dispatch

@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "support/check.hpp"
 
@@ -20,12 +21,14 @@ ToString(ExecutorKind kind)
 
 namespace {
 
+/// In-flight batches the pipelined executor allows (double buffering).
+constexpr int64_t kPipelineDepth = 2;
+
 std::unique_ptr<BatchExecutor>
 MakeExecutor(sim::Runtime& runtime, const ServerOptions& options)
 {
     if (options.executor == ExecutorKind::kPipelined) {
-        return std::make_unique<PipelinedExecutor>(runtime,
-                                                   options.pipeline_depth);
+        return std::make_unique<PipelinedExecutor>(runtime, kPipelineDepth);
     }
     return std::make_unique<SerialExecutor>(runtime);
 }
@@ -62,11 +65,14 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                               }),
                "arrival timestamps must be sorted");
 
-    // Unset runtime_config reproduces models::MakeRuntime(mode) — a default
-    // config with only the mode set — bit-for-bit.
-    sim::RuntimeConfig runtime_config =
-        options.runtime_config.value_or(sim::RuntimeConfig{});
+    // A shard runs on its own topology node; everything else on the
+    // testbed pair, exactly like models::MakeRuntime(mode).
+    sim::RuntimeConfig runtime_config;
     runtime_config.mode = session.Mode();
+    if (options.shard_hook != nullptr) {
+        runtime_config.topology = options.shard_hook->Topology();
+        runtime_config.device_index = options.shard_hook->DeviceIndex();
+    }
     sim::Runtime runtime{std::move(runtime_config)};
     // Nothing reads a serving runtime's per-op trace unless an observer asks
     // for it in OnRunBegin (obs::ServingObservability does); recording
@@ -76,11 +82,9 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     const cache::CacheStats cache_stats_before = session.Cache().Stats();
     std::unique_ptr<BatchExecutor> executor = MakeExecutor(runtime, options);
 
-    if (options.warm_start) {
-        // Context/model init happen before the serving window opens; model
-        // weights are assumed resident (a server loads them once).
-        runtime.EnsureWarm(0);
-    }
+    // Context/model init happen before the serving window opens; model
+    // weights are assumed resident (a server loads them once).
+    runtime.EnsureWarm(0);
     runtime.ResetMeasurementWindow();
     const sim::SimTime window_start = runtime.Now();
 
@@ -153,8 +157,9 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
 
             const BatchProfile& profile = session.Profile(decision.dispatch);
 
-            // Predict-then-place (src/dispatch/): price the batch on CPU,
-            // GPU, and GPU-fused from the captured profiles and route it.
+            // Predict-then-place (src/dispatch/): price the batch on this
+            // runtime's node — CPU, GPU, and GPU-fused from the captured
+            // profiles — and route it.
             // The estimate charges the device placements the worst-case
             // all-miss state volume — the same bound the executors pay for
             // uncached sessions. Cache-enabled sessions keep their batches
@@ -178,7 +183,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 estimate.kernels = &profile.kernels;
                 estimate.fused_kernels = &fused_profile.kernels;
                 placed = options.dispatcher->Decide(
-                    estimate, /*allow_cpu=*/!session.CacheEnabled());
+                    estimate, runtime.Node(),
+                    /*allow_cpu=*/!session.CacheEnabled());
                 placement = placed->placement;
                 if (placement == dispatch::Placement::kGpuFused) {
                     exec_profile = &fused_profile;

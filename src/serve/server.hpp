@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,10 +41,6 @@ const char* ToString(ExecutorKind kind);
 /// Server knobs independent of policy and load.
 struct ServerOptions {
     ExecutorKind executor = ExecutorKind::kPipelined;
-    /// In-flight depth bound for the pipelined executor.
-    int64_t pipeline_depth = 2;
-    /// Pay the one-time device warm-up before the serving window opens.
-    bool warm_start = true;
     /// Optional passive observer (src/obs/). Null — the default — disables
     /// all observability hooks; the simulation is bit-identical either way
     /// because the hooks only read state.
@@ -56,24 +51,21 @@ struct ServerOptions {
     /// default — keeps the run bit-identical and skips all access
     /// annotation work.
     sim::RuntimeObserver* runtime_observer = nullptr;
-    /// Optional runtime configuration for the run (scale-out: a topology
-    /// node per shard). The execution mode is always overridden from the
-    /// session; unset — the default — reproduces the historical
-    /// models::MakeRuntime(mode) runtime bit-for-bit.
-    std::optional<sim::RuntimeConfig> runtime_config;
-    /// Optional per-batch shard intercept (src/shard/): claims the batch
-    /// nodes owned by remote shards and issues the priced alltoall
-    /// exchange before the batch executes. Null — the default — skips the
-    /// seam entirely. Borrowed; must outlive the run.
+    /// Optional per-batch shard intercept (src/shard/): names the
+    /// topology node the run's runtime models, claims the batch nodes
+    /// owned by remote shards and issues the priced alltoall exchange
+    /// before the batch executes. Null — the default — runs on
+    /// sim::Topology::SinglePair() and skips the seam entirely. Borrowed;
+    /// must outlive the run.
     BatchShardHook* shard_hook = nullptr;
     /// Optional per-batch hybrid dispatcher (src/dispatch/): predicts each
     /// dispatched batch's CPU / GPU / GPU-fused cost from the session's
-    /// captured profiles and routes the batch accordingly
-    /// (predict-then-place). Hybrid sessions only. CPU routing is masked
-    /// for cache-enabled sessions (their state is device-resident). Null —
-    /// the default — keeps every batch on the executor's device path with
-    /// the unfused profile, bit-identical to dispatcherless serving.
-    /// Borrowed; must outlive the run.
+    /// captured profiles, priced on the run's own topology node, and routes
+    /// the batch accordingly (predict-then-place). Hybrid sessions only.
+    /// CPU routing is masked for cache-enabled sessions (their state is
+    /// device-resident). Null — the default — keeps every batch on the
+    /// executor's device path with the unfused profile, bit-identical to
+    /// dispatcherless serving. Borrowed; must outlive the run.
     const dispatch::HybridDispatcher* dispatcher = nullptr;
 };
 
@@ -117,9 +109,11 @@ struct ServingReport {
 };
 
 /// Runs one serving simulation of @p arrivals (relative timestamps, sorted)
-/// against @p session under @p policy. Builds a fresh runtime internally;
-/// deterministic for fixed inputs. Requests carry no node identities, so a
-/// cache-enabled session falls back to the captured all-miss state volume.
+/// against @p session under @p policy. Builds a fresh runtime internally,
+/// on the shard hook's topology node or else on SinglePair(), and pays its
+/// one-time device warm-up before the serving window opens. Deterministic
+/// for fixed inputs. Requests carry no node identities, so a cache-enabled
+/// session falls back to the captured all-miss state volume.
 ServingReport Serve(ModelSession& session, BatchPolicy& policy,
                     const std::vector<sim::SimTime>& arrivals,
                     const ServerOptions& options);

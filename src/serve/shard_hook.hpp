@@ -1,8 +1,9 @@
 #pragma once
 
 /// @file
-/// The shard seam of the serving loop: a BatchShardHook lets a scale-out
-/// layer (src/shard/) intercept each dispatched batch's unique state nodes,
+/// The shard seam of the serving loop: a BatchShardHook names the topology
+/// node the shard's runtime models, and lets a scale-out layer (src/shard/)
+/// intercept each dispatched batch's unique state nodes,
 /// claim the ones owned by remote shards, and issue the priced alltoall
 /// exchange pulling their rows over the topology's peer links BEFORE the
 /// batch executes. The seam mirrors the observer seams in spirit but is
@@ -19,6 +20,7 @@
 
 namespace dgnn::sim {
 class Runtime;
+class Topology;
 }  // namespace dgnn::sim
 
 namespace dgnn::serve {
@@ -51,13 +53,19 @@ struct ExchangeCost {
     }
 };
 
-/// Per-batch intercept for sharded serving. The serving loop calls
-/// ClaimRemote with the batch's sorted unique state nodes right before the
-/// cache gather, then IssueExchange on the run's runtime right before the
-/// executor submits the batch.
+/// Per-batch intercept for sharded serving. The serving loop builds its
+/// runtime on node DeviceIndex() of Topology(), calls ClaimRemote with each
+/// batch's sorted unique state nodes right before the cache gather, then
+/// IssueExchange on the run's runtime right before the executor submits
+/// the batch.
 class BatchShardHook {
   public:
     virtual ~BatchShardHook() = default;
+
+    /// The cluster the shard belongs to, and the shard's node in it: the
+    /// hardware the run's runtime charges and its dispatcher prices.
+    [[nodiscard]] virtual const sim::Topology& Topology() const = 0;
+    [[nodiscard]] virtual int32_t DeviceIndex() const = 0;
 
     /// Removes the nodes owned by remote shards from @p nodes (preserving
     /// sorted order) and stages them for the next IssueExchange call.

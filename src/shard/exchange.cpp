@@ -40,10 +40,20 @@ BuildExchangePlan(const PartitionBook& book, int32_t self_shard,
 }
 
 ShardExchangeHook::ShardExchangeHook(const PartitionBook& book,
+                                     const sim::Topology& topology,
                                      int32_t self_shard,
                                      ExchangeConfig config)
-    : book_(book), self_shard_(self_shard), config_(std::move(config))
+    : book_(book),
+      topology_(topology),
+      self_shard_(self_shard),
+      config_(std::move(config))
 {
+    DGNN_CHECK(topology.DeviceCount() == book.NumShards(), "a ",
+               book.NumShards(), "-shard book needs a ", book.NumShards(),
+               "-device topology, got ", topology.DeviceCount());
+    DGNN_CHECK(self_shard >= 0 && self_shard < book.NumShards(), "shard ",
+               self_shard, " out of range for a ", book.NumShards(),
+               "-shard book");
     DGNN_CHECK(config_.row_bytes >= 0, "negative exchange row width ",
                config_.row_bytes);
     staged_.rows_per_shard.assign(static_cast<size_t>(book.NumShards()), 0);

@@ -71,10 +71,13 @@ struct ExchangePlan {
 /// empty and the hook never touches the runtime.
 class ShardExchangeHook final : public serve::BatchShardHook {
   public:
-    /// @p book is borrowed and must outlive the hook.
-    ShardExchangeHook(const PartitionBook& book, int32_t self_shard,
-                      ExchangeConfig config);
+    /// @p book and @p topology (one device per shard; the shard runs on
+    /// node @p self_shard) are borrowed and must outlive the hook.
+    ShardExchangeHook(const PartitionBook& book, const sim::Topology& topology,
+                      int32_t self_shard, ExchangeConfig config);
 
+    const sim::Topology& Topology() const override { return topology_; }
+    int32_t DeviceIndex() const override { return self_shard_; }
     int64_t ClaimRemote(std::vector<int64_t>& nodes) override;
     serve::ExchangeCost IssueExchange(sim::Runtime& runtime) override;
 
@@ -87,6 +90,7 @@ class ShardExchangeHook final : public serve::BatchShardHook {
     static constexpr int64_t kSlots = 2;
 
     const PartitionBook& book_;
+    const sim::Topology& topology_;
     int32_t self_shard_;
     ExchangeConfig config_;
     ExchangePlan staged_;

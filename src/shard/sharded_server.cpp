@@ -95,14 +95,9 @@ ServeSharded(
         ExchangeConfig exchange_config;
         exchange_config.row_bytes = model.CacheRowBytes();
         exchange_config.rows_mutable = model.CacheRowsMutable();
-        ShardExchangeHook hook(book, shard, exchange_config);
+        ShardExchangeHook hook(book, topology, shard, exchange_config);
 
         serve::ServerOptions server = options.server;
-        sim::RuntimeConfig runtime_config =
-            server.runtime_config.value_or(sim::RuntimeConfig{});
-        runtime_config.topology = topology;
-        runtime_config.device_index = shard;
-        server.runtime_config = runtime_config;
         server.shard_hook = &hook;
 
         report.shards.push_back(

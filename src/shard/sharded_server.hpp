@@ -41,9 +41,9 @@ struct ShardedOptions {
     /// Peer-link class between every shard pair (PCIe vs NVLink-class).
     sim::LinkSpec interconnect = sim::LinkSpec::PcieGen4();
     uint64_t partition_seed = 1;
-    /// Per-shard serving knobs. runtime_config and shard_hook are
-    /// OVERRIDDEN per shard (topology node + exchange hook); everything
-    /// else passes through.
+    /// Per-shard serving knobs. shard_hook is OVERRIDDEN per shard: the
+    /// exchange hook, which also places the shard's runtime on its
+    /// topology node. Everything else passes through.
     serve::ServerOptions server;
     /// Per-shard session cache (each shard caches only the rows it owns).
     cache::DeviceCacheConfig cache_config;

@@ -6,26 +6,38 @@
 
 namespace dgnn::sim {
 
-PcieLink::PcieLink(double bandwidth_gbps, SimTime latency_us)
-    : bandwidth_gbps_(bandwidth_gbps), latency_us_(latency_us), queue_("pcie")
+const char*
+ToString(LinkKind kind)
 {
-    // A zero bandwidth would price every transfer at +inf us without failing.
-    constexpr const char* kSources =
-        "; check RuntimeConfig::pcie_*, TopologyNode::host_link or the LinkSpec "
-        "given to Topology::SetPeerLink/ScaleOut";
-    DGNN_CHECK(std::isfinite(bandwidth_gbps) && bandwidth_gbps > 0.0,
-               "link bandwidth must be finite and > 0 GB/s, got ", bandwidth_gbps,
-               kSources);
-    DGNN_CHECK(std::isfinite(latency_us) && latency_us >= 0.0,
-               "link latency must be finite and >= 0 us, got ", latency_us, kSources);
+    switch (kind) {
+      case LinkKind::kPcie:
+        return "pcie";
+      case LinkKind::kNvlink:
+        return "nvlink";
+    }
+    return "?";
 }
 
 SimTime
-PcieLink::TransferTime(int64_t bytes) const
+LinkSpec::TransferTime(int64_t bytes) const
 {
     DGNN_CHECK(bytes >= 0, "negative transfer size ", bytes);
     // GB/s == kbytes per microsecond.
-    return latency_us_ + static_cast<double>(bytes) / (bandwidth_gbps_ * 1e3);
+    return latency_us + static_cast<double>(bytes) / (bandwidth_gbps * 1e3);
+}
+
+PcieLink::PcieLink(const LinkSpec& spec) : spec_(spec), queue_("pcie")
+{
+    // A zero bandwidth would price every transfer at +inf us without failing.
+    constexpr const char* kSources =
+        "; check TopologyNode::host_link or the LinkSpec given to "
+        "Topology::SetPeerLink/ScaleOut";
+    DGNN_CHECK(std::isfinite(spec.bandwidth_gbps) && spec.bandwidth_gbps > 0.0,
+               "link bandwidth must be finite and > 0 GB/s, got ",
+               spec.bandwidth_gbps, kSources);
+    DGNN_CHECK(std::isfinite(spec.latency_us) && spec.latency_us >= 0.0,
+               "link latency must be finite and >= 0 us, got ", spec.latency_us,
+               kSources);
 }
 
 Stream::Interval

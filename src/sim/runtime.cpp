@@ -78,55 +78,32 @@ DeviceBuffer::Release()
     }
 }
 
-namespace {
-
-/// Resolves a topology-carrying config to its node's concrete parameters,
-/// so everything downstream reads one flat set of knobs. A config without
-/// a topology passes through untouched (the historical single pair).
-RuntimeConfig
-ResolveTopology(RuntimeConfig config)
-{
-    if (config.topology.has_value()) {
-        const TopologyNode& node = config.topology->NodeAt(config.device_index);
-        config.cpu = node.cpu;
-        config.gpu = node.gpu;
-        config.pcie_bandwidth_gbps = node.host_link.bandwidth_gbps;
-        config.pcie_latency_us = node.host_link.latency_us;
-    }
-    return config;
-}
-
-}  // namespace
-
+// Node() fails on an empty topology or an out-of-range device index before
+// any device is built from it.
 Runtime::Runtime(RuntimeConfig config)
-    : config_(ResolveTopology(std::move(config))),
-      cpu_(config_.cpu),
-      gpu_(config_.gpu),
-      pcie_(config_.pcie_bandwidth_gbps, config_.pcie_latency_us),
+    : config_(std::move(config)),
+      cpu_(Node().cpu),
+      gpu_(Node().gpu),
+      pcie_(Node().host_link),
       compute_stream_("compute"),
       copy_stream_("copy")
 {
-    DGNN_CHECK(config_.cpu.kind == DeviceKind::kCpu, "cpu spec must be a CPU");
-    DGNN_CHECK(config_.gpu.kind == DeviceKind::kGpu, "gpu spec must be a GPU");
-    if (config_.topology.has_value()) {
-        const Topology& topo = *config_.topology;
-        peer_links_.reserve(static_cast<size_t>(topo.DeviceCount()));
-        for (int32_t peer = 0; peer < topo.DeviceCount(); ++peer) {
-            // The self entry keeps the indexing direct; it is never used.
-            const LinkSpec& link = peer == config_.device_index
-                                       ? LinkSpec::PcieGen4()
-                                       : topo.PeerLink(config_.device_index,
-                                                       peer);
-            peer_links_.emplace_back(link.bandwidth_gbps, link.latency_us);
-        }
+    DGNN_CHECK(cpu_.Spec().kind == DeviceKind::kCpu, "cpu spec must be a CPU");
+    DGNN_CHECK(gpu_.Spec().kind == DeviceKind::kGpu, "gpu spec must be a GPU");
+    const int32_t devices = ClusterDevices();
+    peer_links_.reserve(static_cast<size_t>(devices));
+    for (int32_t peer = 0; peer < devices; ++peer) {
+        // The self entry keeps the indexing direct; it is never used.
+        peer_links_.emplace_back(peer == config_.device_index
+                                     ? Node().host_link
+                                     : PeerLinkSpec(peer));
     }
 }
 
 const LinkSpec&
 Runtime::PeerLinkSpec(int32_t peer) const
 {
-    DGNN_CHECK(HasTopology(), "PeerLinkSpec requires a topology");
-    return config_.topology->PeerLink(config_.device_index, peer);
+    return config_.topology.PeerLink(config_.device_index, peer);
 }
 
 Device&
@@ -497,7 +474,6 @@ Runtime::CopyToHostAsync(int64_t bytes, const std::string& what)
 SimTime
 Runtime::PeerCopyAsync(int32_t peer, int64_t bytes, const std::string& what)
 {
-    DGNN_CHECK(HasTopology(), "PeerCopyAsync requires a topology");
     DGNN_CHECK(peer >= 0 && peer < ClusterDevices() &&
                    peer != config_.device_index,
                "invalid peer ", peer, " for device ", config_.device_index,

@@ -46,23 +46,20 @@ enum class ExecMode {
 
 const char* ToString(ExecMode mode);
 
-/// Configuration for a simulated system.
+/// Configuration for a simulated system. The hardware — CPU and GPU specs
+/// and the host link — comes only from topology node @p device_index.
 struct RuntimeConfig {
-    DeviceSpec cpu = DeviceSpec::XeonGold6226R();
-    DeviceSpec gpu = DeviceSpec::RtxA6000();
     ExecMode mode = ExecMode::kHybrid;
-    double pcie_bandwidth_gbps = 12.0;
-    SimTime pcie_latency_us = 10.0;
     /// Host-side cost of submitting one asynchronous kernel, us.
     SimTime submit_overhead_us = 1.5;
     /// Host-side cost of recording an event or enqueueing a stream wait, us.
     SimTime event_overhead_us = 0.5;
-    /// Optional N-device cluster topology (scale-out). When set, this
-    /// runtime models topology node @p device_index: cpu/gpu/pcie_* above
-    /// are overridden from that node, and PeerCopyAsync prices transfers to
-    /// the other devices through the topology's peer links. Unset (the
-    /// default) keeps the historical single-pair behavior bit-for-bit.
-    std::optional<Topology> topology;
+    /// The cluster this runtime belongs to. It models node @p device_index:
+    /// that node's CPU, GPU and host link, and PeerCopyAsync prices
+    /// transfers to the other nodes through the topology's peer links.
+    /// Construction fails with dgnn::Error on an empty topology or an
+    /// out-of-range index.
+    Topology topology = Topology::SinglePair();
     int32_t device_index = 0;
 };
 
@@ -132,22 +129,24 @@ class Runtime {
     const Device& ComputeDevice() const { return HasGpu() ? gpu_ : cpu_; }
 
     PcieLink& Pcie() { return pcie_; }
+    const PcieLink& Pcie() const { return pcie_; }
 
     /// --- Topology (scale-out) -------------------------------------------
 
-    /// Whether this runtime models one node of an N-device topology.
-    bool HasTopology() const { return config_.topology.has_value(); }
-
-    /// This runtime's node index in the topology (0 without one).
-    int32_t DeviceIndex() const { return config_.device_index; }
-
-    /// Devices in the cluster this runtime belongs to (1 without topology).
-    int32_t ClusterDevices() const
+    /// The topology node this runtime models: the CPU/GPU specs and host
+    /// link it charges (the hybrid dispatcher prices the same node).
+    const TopologyNode& Node() const
     {
-        return HasTopology() ? config_.topology->DeviceCount() : 1;
+        return config_.topology.NodeAt(config_.device_index);
     }
 
-    /// The directed link from this device to @p peer. Requires a topology.
+    /// This runtime's node index in the topology.
+    int32_t DeviceIndex() const { return config_.device_index; }
+
+    /// Devices in the cluster this runtime belongs to.
+    int32_t ClusterDevices() const { return config_.topology.DeviceCount(); }
+
+    /// The directed link from this device to @p peer (a distinct node).
     const LinkSpec& PeerLinkSpec(int32_t peer) const;
 
     /// Current host (CPU thread) simulated time, us.
@@ -247,9 +246,9 @@ class Runtime {
     /// this device, priced through the directed peer link (its own
     /// contended queue) and landing on the copy stream like the pinned
     /// copies above. Ordering against compute is the caller's
-    /// responsibility (RecordEvent + StreamWaitEvent). Requires a topology;
-    /// no-op (returns Now()) in CPU-only mode. Counted in PeerBytes(), not
-    /// in the host-link H2D/D2H counters.
+    /// responsibility (RecordEvent + StreamWaitEvent). Requires a peer
+    /// node; no-op (returns Now()) in CPU-only mode. Counted in
+    /// PeerBytes(), not in the host-link H2D/D2H counters.
     [[nodiscard]] SimTime PeerCopyAsync(int32_t peer, int64_t bytes,
                                         const std::string& what);
 
@@ -376,8 +375,7 @@ class Runtime {
     Device cpu_;
     Device gpu_;
     PcieLink pcie_;
-    /// One contended queue per topology peer (self entry never scheduled);
-    /// empty without a topology.
+    /// One contended queue per topology peer (self entry never scheduled).
     std::vector<PcieLink> peer_links_;
     Stream compute_stream_;
     Stream copy_stream_;

@@ -4,18 +4,6 @@
 
 namespace dgnn::sim {
 
-const char*
-ToString(LinkKind kind)
-{
-    switch (kind) {
-      case LinkKind::kPcie:
-        return "pcie";
-      case LinkKind::kNvlink:
-        return "nvlink";
-    }
-    return "?";
-}
-
 Topology
 Topology::SinglePair()
 {

@@ -5,50 +5,19 @@
 /// CPU+GPU pair the runtime was born with. A Topology is a set of nodes —
 /// each one CPU + one GPU joined by a host link — plus a peer-link matrix
 /// pricing device<->device transfers (PCIe peer-to-peer vs NVLink-class).
-/// One sim::Runtime models ONE node of the topology (RuntimeConfig.topology
-/// + device_index); the sharded serving layer (src/shard/) builds one
-/// runtime per shard and prices cross-shard traffic through the peer links.
-///
-/// Bit-identity contract: SinglePair() reproduces the historical default
-/// RuntimeConfig exactly (Xeon Gold 6226R + RTX A6000 over PCIe gen4 x16),
-/// so a topology-carrying runtime with one device is indistinguishable from
-/// a config that never mentions a topology.
+/// The topology is the only hardware description: one sim::Runtime models
+/// ONE node of it (RuntimeConfig::topology + device_index, defaulting to
+/// SinglePair() node 0), and the hybrid dispatcher prices the same node.
+/// The sharded serving layer (src/shard/) builds one runtime per shard and
+/// prices cross-shard traffic through the peer links.
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/device_spec.hpp"
-#include "sim/sim_time.hpp"
+#include "sim/pcie.hpp"
 
 namespace dgnn::sim {
-
-/// Interconnect class of one directed link.
-enum class LinkKind {
-    kPcie,    ///< PCIe peer-to-peer (through the host root complex)
-    kNvlink,  ///< NVLink-class direct device fabric
-};
-
-const char* ToString(LinkKind kind);
-
-/// One directed link's analytic parameters (same model as PcieLink: fixed
-/// per-transfer latency plus bytes / bandwidth, one contended queue).
-struct LinkSpec {
-    LinkKind kind = LinkKind::kPcie;
-    double bandwidth_gbps = 12.0;
-    SimTime latency_us = 10.0;
-
-    /// PCIe 4.0 x16 with realistic pinned-memory efficiency — identical to
-    /// PcieLink::Gen4x16() and the historical RuntimeConfig defaults.
-    static LinkSpec PcieGen4() { return LinkSpec{LinkKind::kPcie, 12.0, 10.0}; }
-
-    /// NVLink-class device fabric: ~7x the bandwidth at a fraction of the
-    /// setup latency (the `--nvlink` sweep point of distributed-GNN
-    /// harnesses).
-    static LinkSpec NvlinkClass()
-    {
-        return LinkSpec{LinkKind::kNvlink, 80.0, 2.0};
-    }
-};
 
 /// One cluster node: a CPU + GPU pair and the host link between them.
 struct TopologyNode {
@@ -63,8 +32,8 @@ class Topology {
   public:
     Topology() = default;
 
-    /// The historical single CPU+GPU pair — runtimes built from this node
-    /// are bit-identical to the default RuntimeConfig.
+    /// The paper's testbed: one Xeon Gold 6226R + RTX A6000 pair over
+    /// PCIe gen4 x16 (the default RuntimeConfig::topology).
     [[nodiscard]] static Topology SinglePair();
 
     /// @p devices identical SinglePair nodes, every peer pair joined by

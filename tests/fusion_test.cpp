@@ -18,6 +18,8 @@
 #include "scenario/scenario.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/server.hpp"
+#include "shard/exchange.hpp"
+#include "shard/partition_book.hpp"
 #include "support/check.hpp"
 
 namespace dgnn {
@@ -328,6 +330,9 @@ TEST(ModelFusionTest, FusedProfileKeepsHostAndTransferVolumes)
 
 // ------------------------------------------------------------- dispatcher
 
+/// The testbed node the unit-level dispatcher tests price.
+const sim::TopologyNode kTestbed{};
+
 dispatch::WorkEstimate
 Estimate(const std::vector<sim::KernelDesc>& kernels,
          const std::vector<sim::KernelDesc>* fused_kernels, int64_t batch,
@@ -350,7 +355,8 @@ TEST(DispatcherTest, TinyBatchStaysOnHostLargeBatchGoesToDevice)
     // Tiny launch-bound batch: two PCIe latencies dwarf the work.
     const std::vector<sim::KernelDesc> tiny = {Desc("small", 2000, 8192, 8)};
     const dispatch::PlacementDecision on_host =
-        dispatcher.Decide(Estimate(tiny, nullptr, 4, 5.0, 4096, 1024));
+        dispatcher.Decide(Estimate(tiny, nullptr, 4, 5.0, 4096, 1024),
+                          kTestbed);
     EXPECT_EQ(on_host.placement, dispatch::Placement::kCpu);
     EXPECT_LT(on_host.predicted_cpu_us, on_host.predicted_gpu_us);
 
@@ -358,7 +364,7 @@ TEST(DispatcherTest, TinyBatchStaysOnHostLargeBatchGoesToDevice)
     const std::vector<sim::KernelDesc> dense = {
         Desc("gemm", 2000000000, 64000000, 200000)};
     const dispatch::PlacementDecision on_device = dispatcher.Decide(
-        Estimate(dense, nullptr, 256, 50.0, 8000000, 1000000));
+        Estimate(dense, nullptr, 256, 50.0, 8000000, 1000000), kTestbed);
     EXPECT_EQ(on_device.placement, dispatch::Placement::kGpu);
     EXPECT_LT(on_device.predicted_gpu_us, on_device.predicted_cpu_us);
 }
@@ -378,7 +384,7 @@ TEST(DispatcherTest, FusedChainWinsWhenItSavesLaunches)
     const std::vector<sim::KernelDesc> fused = {sim::Collapse(chain)};
 
     const dispatch::PlacementDecision decision = dispatcher.Decide(
-        Estimate(unfused, &fused, 256, 50.0, 8000000, 1000000));
+        Estimate(unfused, &fused, 256, 50.0, 8000000, 1000000), kTestbed);
     EXPECT_EQ(decision.placement, dispatch::Placement::kGpuFused);
     EXPECT_LT(decision.predicted_gpu_fused_us, decision.predicted_gpu_us);
 }
@@ -391,9 +397,11 @@ TEST(DispatcherTest, DecisionsAreDeterministic)
     const dispatch::WorkEstimate estimate =
         Estimate(kernels, nullptr, 32, 12.0, 65536, 8192);
 
-    const dispatch::PlacementDecision first = dispatcher.Decide(estimate);
+    const dispatch::PlacementDecision first =
+        dispatcher.Decide(estimate, kTestbed);
     for (int i = 0; i < 10; ++i) {
-        const dispatch::PlacementDecision again = dispatcher.Decide(estimate);
+        const dispatch::PlacementDecision again =
+            dispatcher.Decide(estimate, kTestbed);
         EXPECT_EQ(again.placement, first.placement);
         EXPECT_DOUBLE_EQ(again.predicted_cpu_us, first.predicted_cpu_us);
         EXPECT_DOUBLE_EQ(again.predicted_gpu_us, first.predicted_gpu_us);
@@ -413,9 +421,7 @@ TEST(DispatcherTest, StaticModesForceThePlacement)
 
     const auto decide = [](const dispatch::WorkEstimate& e,
                            dispatch::DispatchMode mode, bool allow_cpu) {
-        dispatch::DispatcherConfig config;
-        config.mode = mode;
-        return dispatch::HybridDispatcher(config).Decide(e, allow_cpu);
+        return dispatch::HybridDispatcher(mode).Decide(e, kTestbed, allow_cpu);
     };
 
     EXPECT_EQ(decide(estimate, dispatch::DispatchMode::kStaticCpu, true)
@@ -542,9 +548,8 @@ TEST(DispatchServingTest, StaticGpuDispatcherIsIdenticalToDispatcherless)
          {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
         const serve::ServingReport baseline =
             ServeWith(tgn, requests, kind, nullptr);
-        dispatch::DispatcherConfig config;
-        config.mode = dispatch::DispatchMode::kStaticGpu;
-        const dispatch::HybridDispatcher dispatcher(config);
+        const dispatch::HybridDispatcher dispatcher(
+            dispatch::DispatchMode::kStaticGpu);
         const serve::ServingReport routed =
             ServeWith(tgn, requests, kind, &dispatcher);
 
@@ -605,6 +610,162 @@ TEST(DispatchServingTest, CacheEnabledSessionNeverRoutesToCpu)
         report.placement_batches[static_cast<size_t>(dispatch::Placement::kCpu)],
         0);
     EXPECT_GT(report.batches, 0);
+}
+
+TEST(DispatchServingTest, StaticCpuPlacementEqualsCpuOnlyServing)
+{
+    // "Run this batch on the CPU" has one meaning. The CPU placement
+    // replays the hybrid-captured profile on the host, and no model
+    // branches on ExecMode except for the cache (which an uncached session
+    // never uses), so it must serve exactly what a kCpuOnly session serves.
+    const auto dataset = ServingDataset();
+    const auto requests = ServingRequests(dataset, 256);
+    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    const dispatch::HybridDispatcher static_cpu(
+        dispatch::DispatchMode::kStaticCpu);
+
+    for (models::DgnnModel* model :
+         std::vector<models::DgnnModel*>{&tgn, &tgat, &jodie}) {
+        SCOPED_TRACE(model->Name());
+        serve::ModelSession hybrid(*model, sim::ExecMode::kHybrid,
+                                   /*num_neighbors=*/4);
+        serve::ModelSession cpu_only(*model, sim::ExecMode::kCpuOnly,
+                                     /*num_neighbors=*/4);
+        const serve::BatchProfile& placed = hybrid.Profile(32);
+        const serve::BatchProfile& captured = cpu_only.Profile(32);
+        EXPECT_EQ(placed.host_us, captured.host_us);
+        ASSERT_EQ(placed.kernels.size(), captured.kernels.size());
+        for (size_t i = 0; i < placed.kernels.size(); ++i) {
+            const sim::KernelDesc& a = placed.kernels[i];
+            const sim::KernelDesc& b = captured.kernels[i];
+            EXPECT_EQ(a.name, b.name) << i;
+            EXPECT_EQ(a.flops, b.flops) << a.name;
+            EXPECT_EQ(a.bytes, b.bytes) << a.name;
+            EXPECT_EQ(a.parallel_items, b.parallel_items) << a.name;
+            EXPECT_EQ(a.irregular, b.irregular) << a.name;
+        }
+
+        for (const serve::ExecutorKind kind :
+             {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
+            SCOPED_TRACE(serve::ToString(kind));
+            serve::TimeoutPolicy routed_policy(32, 5000.0);
+            serve::ServerOptions routed_options;
+            routed_options.executor = kind;
+            routed_options.dispatcher = &static_cpu;
+            const serve::ServingReport routed = serve::ServeRequests(
+                hybrid, routed_policy, requests, routed_options);
+
+            serve::TimeoutPolicy plain_policy(32, 5000.0);
+            serve::ServerOptions plain_options;
+            plain_options.executor = kind;
+            const serve::ServingReport plain = serve::ServeRequests(
+                cpu_only, plain_policy, requests, plain_options);
+
+            EXPECT_EQ(routed.placement_batches[static_cast<size_t>(
+                          dispatch::Placement::kCpu)],
+                      routed.batches);
+            EXPECT_EQ(routed.batches, plain.batches);
+            EXPECT_EQ(routed.latency.P50(), plain.latency.P50());
+            EXPECT_EQ(routed.latency.P99(), plain.latency.P99());
+            // The two runs open their serving windows after different
+            // warm-ups (GPU context vs host model init), so their absolute
+            // clocks differ and the makespans agree only to the last ulp.
+            EXPECT_NEAR(routed.makespan_us, plain.makespan_us, 1e-6);
+        }
+    }
+}
+
+/// Keeps every batch observation of a run.
+class BatchRecorder final : public serve::ServingObserver {
+  public:
+    void OnBatch(const serve::BatchObservation& ob) override
+    {
+        batches.push_back(ob);
+    }
+
+    std::vector<serve::BatchObservation> batches;
+};
+
+TEST(DispatchServingTest, DispatcherPricesTheRuntimesOwnNode)
+{
+    // A shard on non-default hardware: an NVLink-class host link and a CPU
+    // at half the testbed's throughput. Its dispatcher must price this
+    // node, not the testbed defaults, so every prediction matches what the
+    // shard's runtime charges.
+    sim::TopologyNode node;
+    node.host_link = sim::LinkSpec::NvlinkClass();
+    node.cpu.peak_gflops *= 0.5;
+    node.cpu.mem_bw_gbps *= 0.5;
+    sim::Topology topology;
+    topology.AddNode(node);
+
+    const auto dataset = ServingDataset();
+    const auto requests = ServingRequests(dataset, 256);
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    const shard::PartitionBook book =
+        shard::HashPartition(dataset.NumNodes(), 1, 1);
+    shard::ExchangeConfig exchange_config;
+    exchange_config.row_bytes = tgat.CacheRowBytes();
+
+    int64_t cpu_batches = 0;
+    int64_t gpu_batches = 0;
+    for (const dispatch::DispatchMode mode :
+         {dispatch::DispatchMode::kStaticCpu,
+          dispatch::DispatchMode::kStaticGpu}) {
+        SCOPED_TRACE(dispatch::ToString(mode));
+        const dispatch::HybridDispatcher dispatcher(mode);
+        shard::ShardExchangeHook hook(book, topology, 0, exchange_config);
+        serve::ModelSession session(tgat, sim::ExecMode::kHybrid,
+                                    /*num_neighbors=*/4);
+        serve::TimeoutPolicy policy(32, 5000.0);
+        BatchRecorder recorder;
+        serve::ServerOptions options;
+        options.executor = serve::ExecutorKind::kSerial;
+        options.dispatcher = &dispatcher;
+        options.shard_hook = &hook;
+        options.observer = &recorder;
+        const serve::ServingReport report =
+            serve::ServeRequests(session, policy, requests, options);
+        ASSERT_EQ(static_cast<int64_t>(recorder.batches.size()),
+                  report.batches);
+
+        for (const serve::BatchObservation& ob : recorder.batches) {
+            ASSERT_TRUE(ob.decision.has_value());
+            const dispatch::PlacementDecision& decision = *ob.decision;
+            const serve::BatchSpans& spans = ob.spans;
+            const serve::BatchProfile& profile = *ob.profile;
+            if (decision.placement == dispatch::Placement::kCpu) {
+                ++cpu_batches;
+                EXPECT_NEAR(decision.predicted_cpu_us,
+                            spans.complete_us - spans.dispatch_us, 1e-6)
+                    << ob.batch_index;
+                continue;
+            }
+            ++gpu_batches;
+            ASSERT_GT(profile.h2d_bytes, 0);
+            ASSERT_GT(profile.d2h_bytes, 0);
+            const sim::SimTime h2d_us =
+                spans.h2d_done_us - spans.host_done_us;
+            const sim::SimTime d2h_us =
+                spans.complete_us - spans.compute_done_us;
+            EXPECT_NEAR(h2d_us, node.host_link.TransferTime(profile.h2d_bytes),
+                        1e-6)
+                << ob.batch_index;
+            // The prediction's transfer term is exactly what the runtime
+            // charged for both copies.
+            sim::SimTime chain_us = 0.0;
+            for (const sim::KernelDesc& kernel : profile.kernels) {
+                chain_us += sim::KernelDuration(node.gpu, kernel);
+            }
+            EXPECT_NEAR(decision.predicted_gpu_us - profile.host_us - chain_us,
+                        h2d_us + d2h_us, 1e-6)
+                << ob.batch_index;
+        }
+    }
+    EXPECT_GT(cpu_batches, 0);
+    EXPECT_GT(gpu_batches, 0);
 }
 
 // Forwards batch observations into a DispatchLedger.

@@ -1,9 +1,10 @@
 // Tests for src/shard/ and the sim topology layer underneath it.
 //
 // Four layers:
-//   * topology unit checks: scale-out construction, peer-link lookup, and
-//     the 1-device bit-identity contract (a topology-carrying runtime must
-//     reproduce the historical single-pair runtime exactly);
+//   * topology unit checks: scale-out construction, peer-link lookup,
+//     construction-time rejection of bad nodes, and the 1-device
+//     bit-identity contract (a ScaleOut(1) runtime must reproduce the
+//     default SinglePair() runtime exactly);
 //   * partition-book suite: round-trip serialization, seed determinism,
 //     exactly-one-shard coverage, balance bounds, edge-cut accounting
 //     against hand-computed cuts, and greedy-beats-hash on clustered
@@ -105,20 +106,32 @@ TEST(TopologyTest, OneDeviceTopologyRuntimeIsBitIdentical)
 
 TEST(TopologyTest, RuntimeRejectsBadHostLink)
 {
-    sim::RuntimeConfig flat;
-    flat.mode = sim::ExecMode::kHybrid;
-    flat.pcie_bandwidth_gbps = 0.0;
-    EXPECT_THROW(sim::Runtime{flat}, Error);
+    const auto one_node = [](const sim::TopologyNode& node) {
+        sim::RuntimeConfig config;
+        config.mode = sim::ExecMode::kHybrid;
+        config.topology = sim::Topology{};
+        config.topology.AddNode(node);
+        return config;
+    };
+    sim::TopologyNode dead_link;
+    dead_link.host_link.bandwidth_gbps = 0.0;
+    EXPECT_THROW(sim::Runtime{one_node(dead_link)}, Error);
 
-    sim::TopologyNode node;
-    node.host_link.latency_us = -1.0;
-    sim::Topology topo;
-    topo.AddNode(node);
-    sim::RuntimeConfig config;
-    config.mode = sim::ExecMode::kHybrid;
-    config.topology = topo;
-    config.device_index = 0;
-    EXPECT_THROW(sim::Runtime{config}, Error);
+    sim::TopologyNode negative_latency;
+    negative_latency.host_link.latency_us = -1.0;
+    EXPECT_THROW(sim::Runtime{one_node(negative_latency)}, Error);
+
+    // No node to build the runtime on: an empty topology, or an index
+    // outside the one given.
+    sim::RuntimeConfig empty;
+    empty.topology = sim::Topology{};
+    EXPECT_THROW(sim::Runtime{empty}, Error);
+    for (const int32_t index : {-1, 1}) {
+        sim::RuntimeConfig out_of_range;
+        out_of_range.device_index = index;
+        EXPECT_THROW(sim::Runtime{out_of_range}, Error) << index;
+    }
+    EXPECT_NO_THROW(sim::Runtime{one_node(sim::TopologyNode{})});
 }
 
 TEST(TopologyTest, RuntimeRejectsBadPeerLink)
@@ -133,7 +146,7 @@ TEST(TopologyTest, RuntimeRejectsBadPeerLink)
 
     // One bad directed link fails only the runtime that owns it (1 -> 0).
     config.topology = sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
-    config.topology->SetPeerLink(1, 0, dead);
+    config.topology.SetPeerLink(1, 0, dead);
     config.device_index = 1;
     EXPECT_THROW(sim::Runtime{config}, Error);
     config.device_index = 0;
@@ -243,9 +256,11 @@ TEST(ExchangeTest, BuildPlanSplitsLocalFromRemotePreservingOrder)
 TEST(ExchangeTest, EmptyClaimIssuesZeroRuntimeOps)
 {
     const PartitionBook book = HashPartition(100, 1, 1);
+    const sim::Topology topology =
+        sim::Topology::ScaleOut(1, sim::LinkSpec::PcieGen4());
     ExchangeConfig config;
     config.row_bytes = 256;
-    ShardExchangeHook hook(book, 0, config);
+    ShardExchangeHook hook(book, topology, 0, config);
 
     std::vector<int64_t> nodes = {5, 6, 7};
     EXPECT_EQ(hook.ClaimRemote(nodes), 0);
@@ -253,7 +268,7 @@ TEST(ExchangeTest, EmptyClaimIssuesZeroRuntimeOps)
 
     sim::RuntimeConfig rc;
     rc.mode = sim::ExecMode::kHybrid;
-    rc.topology = sim::Topology::ScaleOut(1, sim::LinkSpec::PcieGen4());
+    rc.topology = topology;
     sim::Runtime rt(rc);
     const sim::SimTime before = rt.Now();
     const serve::ExchangeCost cost = hook.IssueExchange(rt);
@@ -270,14 +285,16 @@ TEST(ExchangeTest, RemoteRowsArePricedThroughThePeerLink)
     ExchangeConfig config;
     config.row_bytes = 256;
     config.rows_mutable = true;  // 2x for the piggybacked return delta
-    ShardExchangeHook hook(book, 0, config);
+    const sim::Topology topology =
+        sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
+    ShardExchangeHook hook(book, topology, 0, config);
 
     std::vector<int64_t> nodes = {0, 1, 2, 3};
     EXPECT_EQ(hook.ClaimRemote(nodes), 2);
 
     sim::RuntimeConfig rc;
     rc.mode = sim::ExecMode::kHybrid;
-    rc.topology = sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
+    rc.topology = topology;
     rc.device_index = 0;
     sim::Runtime rt(rc);
     const serve::ExchangeCost cost = hook.IssueExchange(rt);
@@ -447,7 +464,9 @@ CheckedShardRun(bool install_fence, int64_t* rounds_out)
     exchange_config.row_bytes = model.CacheRowBytes();
     exchange_config.rows_mutable = model.CacheRowsMutable();
     exchange_config.install_fence = install_fence;
-    ShardExchangeHook hook(book, 0, exchange_config);
+    const sim::Topology topology =
+        sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
+    ShardExchangeHook hook(book, topology, 0, exchange_config);
 
     cache::DeviceCacheConfig cache_config;
     cache_config.capacity_bytes =
@@ -459,10 +478,6 @@ CheckedShardRun(bool install_fence, int64_t* rounds_out)
 
     analysis::HazardChecker checker;
     serve::ServerOptions options;
-    sim::RuntimeConfig rc;
-    rc.topology = sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
-    rc.device_index = 0;
-    options.runtime_config = rc;
     options.shard_hook = &hook;
     options.runtime_observer = &checker;
     (void)serve::ServeRequests(session, policy, shard0, options);

@@ -109,9 +109,16 @@ TEST(StreamTest, EnqueueSerializes)
     EXPECT_DOUBLE_EQ(s.ReadyTime(), 0.0);
 }
 
+/// A PCIe-class link with the given parameters.
+PcieLink
+Link(double bandwidth_gbps, SimTime latency_us)
+{
+    return PcieLink(LinkSpec{LinkKind::kPcie, bandwidth_gbps, latency_us});
+}
+
 TEST(PcieTest, TransferTimeLatencyPlusBandwidth)
 {
-    PcieLink link(10.0, 5.0);  // 10 GB/s, 5 us latency
+    PcieLink link = Link(10.0, 5.0);  // 10 GB/s, 5 us latency
     EXPECT_DOUBLE_EQ(link.TransferTime(0), 5.0);
     // 10 GB/s == 10000 bytes/us: 1 MB -> ~104.9 us + 5.
     EXPECT_NEAR(link.TransferTime(1 << 20), 5.0 + 104.8576, 1e-3);
@@ -120,18 +127,18 @@ TEST(PcieTest, TransferTimeLatencyPlusBandwidth)
 
 TEST(PcieTest, RejectsBadLinkParameters)
 {
-    EXPECT_THROW(PcieLink(0.0, 5.0), Error);
-    EXPECT_THROW(PcieLink(-1.0, 5.0), Error);
-    EXPECT_THROW(PcieLink(std::numeric_limits<double>::infinity(), 5.0), Error);
-    EXPECT_THROW(PcieLink(std::numeric_limits<double>::quiet_NaN(), 5.0), Error);
-    EXPECT_THROW(PcieLink(10.0, -1.0), Error);
-    EXPECT_THROW(PcieLink(10.0, std::numeric_limits<double>::quiet_NaN()), Error);
-    EXPECT_NO_THROW(PcieLink(10.0, 0.0));
+    EXPECT_THROW(Link(0.0, 5.0), Error);
+    EXPECT_THROW(Link(-1.0, 5.0), Error);
+    EXPECT_THROW(Link(std::numeric_limits<double>::infinity(), 5.0), Error);
+    EXPECT_THROW(Link(std::numeric_limits<double>::quiet_NaN(), 5.0), Error);
+    EXPECT_THROW(Link(10.0, -1.0), Error);
+    EXPECT_THROW(Link(10.0, std::numeric_limits<double>::quiet_NaN()), Error);
+    EXPECT_NO_THROW(Link(10.0, 0.0));
 }
 
 TEST(PcieTest, LinkQueuesTransfers)
 {
-    PcieLink link(10.0, 5.0);
+    PcieLink link = Link(10.0, 5.0);
     const auto a = link.Schedule(0.0, 100000);
     const auto b = link.Schedule(0.0, 100000);
     EXPECT_DOUBLE_EQ(b.start, a.end);
@@ -195,7 +202,7 @@ TEST(DeviceTest, InvalidBusyThrows)
 TEST(WarmupTest, OneTimeComponentsForGpu)
 {
     const DeviceSpec gpu = DeviceSpec::RtxA6000();
-    PcieLink link = PcieLink::Gen4x16();
+    PcieLink link(LinkSpec::PcieGen4());
     const OneTimeWarmup w = ComputeOneTimeWarmup(gpu, link, 10 << 20);
     EXPECT_DOUBLE_EQ(w.context_init_us, gpu.context_init_us);
     EXPECT_GT(w.model_init_us, gpu.model_init_fixed_us);
@@ -207,7 +214,7 @@ TEST(WarmupTest, OneTimeComponentsForGpu)
 TEST(WarmupTest, CpuHasNoContextOrTransfer)
 {
     const DeviceSpec cpu = DeviceSpec::XeonGold6226R();
-    PcieLink link = PcieLink::Gen4x16();
+    PcieLink link(LinkSpec::PcieGen4());
     const OneTimeWarmup w = ComputeOneTimeWarmup(cpu, link, 10 << 20);
     EXPECT_DOUBLE_EQ(w.context_init_us, 0.0);
     EXPECT_DOUBLE_EQ(w.weight_transfer_us, 0.0);
@@ -219,7 +226,7 @@ TEST(WarmupTest, GpuModelInitMuchSlowerThanCpu)
     // Paper section 4.4: GPU model init is 40x - 937x the CPU's.
     const DeviceSpec gpu = DeviceSpec::RtxA6000();
     const DeviceSpec cpu = DeviceSpec::XeonGold6226R();
-    PcieLink link = PcieLink::Gen4x16();
+    PcieLink link(LinkSpec::PcieGen4());
     const int64_t weights = 5 << 20;
     const double ratio = ComputeOneTimeWarmup(gpu, link, weights).model_init_us /
                          ComputeOneTimeWarmup(cpu, link, weights).model_init_us;

@@ -40,9 +40,12 @@ TEST(FailureInjectionTest, DeviceOutOfMemorySurfacesAsError)
 {
     // A GPU with a tiny memory capacity must reject model working sets with
     // a clean Error, not UB.
+    sim::TopologyNode node;
+    node.gpu.memory_bytes = 1024;  // 1 KiB GPU
     sim::RuntimeConfig config;
     config.mode = sim::ExecMode::kHybrid;
-    config.gpu.memory_bytes = 1024;  // 1 KiB GPU
+    config.topology = sim::Topology{};
+    config.topology.AddNode(node);
     sim::Runtime rt(config);
 
     data::InteractionSpec spec;
