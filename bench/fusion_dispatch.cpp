@@ -17,8 +17,8 @@
 ///            row at the same cell — predict-then-place never loses to a
 ///            fixed placement.
 ///
-/// The text summary and BENCH_fusion_dispatch.json (the trajectory for
-/// scripts/compare_bench.py) are byte-checked against docs/expected/ by the
+/// The text summary and BENCH_fusion_dispatch.json (the perf-trajectory
+/// record) are byte-checked against docs/expected/ by the
 /// `fusion_dispatch_diff` golden test;
 /// scripts/assert_bench_fusion_dispatch.py then checks the two acceptance
 /// claims in the fresh JSON.

@@ -10,6 +10,7 @@
 #include "graph/temporal_sampler.hpp"
 #include "nn/attention.hpp"
 #include "nn/gcn.hpp"
+#include "nn/linear.hpp"
 #include "nn/rnn_cell.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/fusion.hpp"
@@ -34,9 +35,9 @@ BM_MatMul(benchmark::State& state)
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
-// [m,k] x [n,k]^T, args {m, k, n}: the square sweep, then the shapes the
-// models run most (TGAT/TGN feature projection, key/value projection,
-// attention scores).
+// [m,k] x [n,k]^T, args {m, k, n}, packing B on every call: the square
+// sweep, then the shapes the models run most (TGAT/TGN feature projection,
+// key/value projection, attention scores) and BM_LinearForward's shapes.
 void
 BM_MatMulTransposed(benchmark::State& state)
 {
@@ -56,8 +57,34 @@ BENCHMARK(BM_MatMulTransposed)
     ->Args({64, 64, 64})
     ->Args({128, 128, 128})
     ->Args({1, 172, 64})
+    ->Args({10, 64, 64})
     ->Args({20, 64, 64})
-    ->Args({1, 32, 20});
+    ->Args({1, 64, 64})
+    ->Args({1, 32, 20})
+    ->Args({300, 364, 192});
+
+// nn::Linear::Forward, args {m, in, out}: the weight is packed once at
+// construction, so the gap to BM_MatMulTransposed at the same shape is the
+// cost of packing on every call.
+void
+BM_LinearForward(benchmark::State& state)
+{
+    const int64_t m = state.range(0);
+    const int64_t in = state.range(1);
+    const int64_t out = state.range(2);
+    Rng rng(1);
+    const nn::Linear layer(in, out, rng);
+    const Tensor x = init::Normal(Shape({m, in}), rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.Forward(x));
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * m * in * out);
+}
+BENCHMARK(BM_LinearForward)
+    ->Args({1, 172, 64})
+    ->Args({10, 64, 64})
+    ->Args({1, 64, 64})
+    ->Args({300, 364, 192});
 
 void
 BM_Attention(benchmark::State& state)

@@ -13,8 +13,8 @@
 /// by the `serving_gauntlet_diff` golden test:
 ///   * this text summary, and
 ///   * BENCH_serving_gauntlet.json (core::BenchJsonWriter) — the repo's
-///     perf-trajectory record; scripts/compare_bench.py diffs two of them
-///     with tolerances to compare trajectories across commits.
+///     perf-trajectory record. The gate is byte identity: any move of a
+///     cell fails the golden test and shows in its diff.
 
 #include <algorithm>
 #include <iostream>

@@ -13,9 +13,9 @@
 /// unsharded serving path bit-for-bit — the scale-out seam's identity
 /// contract.
 ///
-/// The text summary and BENCH_shard_scaling.json (the trajectory for
-/// scripts/compare_bench.py) are byte-checked against docs/expected/ by
-/// the `shard_scaling_diff` golden test.
+/// The text summary and BENCH_shard_scaling.json (the perf-trajectory
+/// record) are byte-checked against docs/expected/ by the
+/// `shard_scaling_diff` golden test.
 
 #include <iostream>
 #include <memory>

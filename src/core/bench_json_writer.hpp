@@ -11,8 +11,8 @@
 /// The emitter is schema-stable by construction — field order, float
 /// formatting (fixed precision, no locale), and escaping never depend on
 /// platform or build — so two runs of a deterministic bench produce
-/// byte-identical files and scripts/compare_bench.py can diff trajectories
-/// across PRs with per-metric tolerances.
+/// byte-identical files, which the golden test (scripts/check_golden.sh)
+/// diffs against the committed baselines.
 
 #include <cstdint>
 #include <string>

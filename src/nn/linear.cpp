@@ -8,7 +8,8 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool with_bi
       out_features_(out_features),
       weight_(init::XavierUniform(out_features, in_features, rng)),
       bias_(with_bias ? init::Uniform(Shape({out_features}), rng, -0.05f, 0.05f)
-                      : Tensor())
+                      : Tensor()),
+      packed_weight_(ops::PackRhs(weight_))
 {
     RegisterParameter("weight", weight_);
     if (with_bias) {
@@ -21,7 +22,11 @@ Linear::Forward(const Tensor& x) const
 {
     DGNN_CHECK(x.Rank() == 2 && x.Dim(1) == in_features_, "Linear expects [*, ",
                in_features_, "], got ", x.GetShape().ToString());
-    return ops::LinearForward(x, weight_, bias_);
+    Tensor y = ops::MatMulTransposed(x, packed_weight_);
+    if (bias_.NumElements() > 0) {
+        y = ops::AddRowBroadcast(y, bias_);
+    }
+    return y;
 }
 
 int64_t

@@ -30,6 +30,9 @@ class Linear : public Module {
     int64_t out_features_;
     Tensor weight_;  ///< [out, in]
     Tensor bias_;    ///< [out] (empty when bias disabled)
+    /// weight_ packed once for the host GEMM; weight_ never changes after
+    /// construction, so this copy cannot go stale.
+    ops::PackedRhs packed_weight_;
 };
 
 }  // namespace dgnn::nn

@@ -1,5 +1,6 @@
 #include "tensor/ops.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -40,56 +41,31 @@ ElementwiseBinary(const Tensor& a, const Tensor& b, Fn fn, const char* op_name)
     return out;
 }
 
-// The MatMulTransposed blocks below keep one double accumulator per output,
-// summed over kk in ascending order; they only interleave independent chains.
-
-/// One output: arow . brow over @p k elements.
-float
-DotRow(const float* arow, const float* brow, int64_t k)
-{
-    double acc = 0.0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<double>(arow[kk]) * static_cast<double>(brow[kk]);
-    }
-    return static_cast<float>(acc);
-}
-
-/// c[r] = arow . (row r of @p b), for the 8 B rows starting at @p b.
+/// Rows x kPanel outputs of MatMulTransposed: (row r of @p a) . (panel row l)
+/// into c[r * ldc + l] for the first @p cols lanes; the other lanes are
+/// padding and are dropped. Each output is one double accumulator summed over
+/// kk in ascending order; the blocking only interleaves independent chains.
+template <size_t Rows>
 void
-Block1x8(const float* arow, const float* b, int64_t k, float* c)
+PanelBlock(const float* a, int64_t k, const double* panel, int64_t cols, float* c,
+           int64_t ldc)
 {
-    std::array<double, 8> acc{};
+    constexpr auto kLanes = static_cast<size_t>(PackedRhs::kPanel);
+    std::array<std::array<double, kLanes>, Rows> acc{};
     for (int64_t kk = 0; kk < k; ++kk) {
-        const auto x = static_cast<double>(arow[kk]);
-        for (size_t r = 0; r < acc.size(); ++r) {
-            acc[r] += x * static_cast<double>(b[static_cast<int64_t>(r) * k + kk]);
+        const double* w = panel + kk * PackedRhs::kPanel;
+        for (size_t r = 0; r < Rows; ++r) {
+            const auto x = static_cast<double>(a[static_cast<int64_t>(r) * k + kk]);
+            for (size_t l = 0; l < kLanes; ++l) {
+                acc[r][l] += x * w[l];
+            }
         }
     }
-    for (size_t r = 0; r < acc.size(); ++r) {
-        c[r] = static_cast<float>(acc[r]);
-    }
-}
-
-/// c0[r] = a0 . (row r of @p b) and c1[r] = a1 . (row r of @p b), for the
-/// 4 B rows starting at @p b.
-void
-Block2x4(const float* a0, const float* a1, const float* b, int64_t k, float* c0,
-         float* c1)
-{
-    std::array<double, 4> acc0{};
-    std::array<double, 4> acc1{};
-    for (int64_t kk = 0; kk < k; ++kk) {
-        const auto x0 = static_cast<double>(a0[kk]);
-        const auto x1 = static_cast<double>(a1[kk]);
-        for (size_t r = 0; r < acc0.size(); ++r) {
-            const auto y = static_cast<double>(b[static_cast<int64_t>(r) * k + kk]);
-            acc0[r] += x0 * y;
-            acc1[r] += x1 * y;
+    for (size_t r = 0; r < Rows; ++r) {
+        for (int64_t l = 0; l < cols; ++l) {
+            c[static_cast<int64_t>(r) * ldc + l] =
+                static_cast<float>(acc[r][static_cast<size_t>(l)]);
         }
-    }
-    for (size_t r = 0; r < acc0.size(); ++r) {
-        c0[r] = static_cast<float>(acc0[r]);
-        c1[r] = static_cast<float>(acc1[r]);
     }
 }
 
@@ -126,58 +102,60 @@ MatMul(const Tensor& a, const Tensor& b)
     return c;
 }
 
-Tensor
-MatMulTransposed(const Tensor& a, const Tensor& b)
+PackedRhs
+PackRhs(const Tensor& b)
 {
-    DGNN_CHECK(a.Rank() == 2 && b.Rank() == 2,
-               "MatMulTransposed requires rank-2 inputs, got ", a.GetShape().ToString(),
-               " and ", b.GetShape().ToString());
-    const int64_t m = a.Dim(0);
-    const int64_t k = a.Dim(1);
-    const int64_t n = b.Dim(0);
-    DGNN_CHECK(b.Dim(1) == k, "MatMulTransposed inner-dimension mismatch: ",
-               a.GetShape().ToString(), " x ", b.GetShape().ToString(), "^T");
-    Tensor c(Shape({m, n}));
-    const float* pa = a.Data();
+    DGNN_CHECK(b.Rank() == 2, "PackRhs requires rank-2, got ", b.GetShape().ToString());
+    constexpr int64_t kLanes = PackedRhs::kPanel;
+    PackedRhs packed;
+    packed.rows_ = b.Dim(0);
+    packed.cols_ = b.Dim(1);
+    const int64_t k = packed.cols_;
+    const int64_t panels = (packed.rows_ + kLanes - 1) / kLanes;
+    packed.data_.assign(static_cast<size_t>(panels * kLanes * k), 0.0);
     const float* pb = b.Data();
-    float* pc = c.Data();
-    // Row pairs in 2x4 blocks, then the leftover row (and every m == 1 call)
-    // through the 1x8 path; scalar DotRow covers the column tails.
-    int64_t i = 0;
-    for (; i + 2 <= m; i += 2) {
-        const float* a0 = pa + i * k;
-        float* c0 = pc + i * n;
-        int64_t j = 0;
-        for (; j + 4 <= n; j += 4) {
-            Block2x4(a0, a0 + k, pb + j * k, k, c0 + j, c0 + n + j);
-        }
-        for (; j < n; ++j) {
-            c0[j] = DotRow(a0, pb + j * k, k);
-            c0[n + j] = DotRow(a0 + k, pb + j * k, k);
+    for (int64_t j = 0; j < packed.rows_; ++j) {
+        double* dst = packed.data_.data() + (j / kLanes) * k * kLanes + j % kLanes;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            dst[kk * kLanes] = pb[j * k + kk];
         }
     }
-    if (i < m) {
-        const float* arow = pa + i * k;
-        float* crow = pc + i * n;
-        int64_t j = 0;
-        for (; j + 8 <= n; j += 8) {
-            Block1x8(arow, pb + j * k, k, crow + j);
+    return packed;
+}
+
+Tensor
+MatMulTransposed(const Tensor& a, const PackedRhs& b)
+{
+    DGNN_CHECK(a.Rank() == 2, "MatMulTransposed requires rank-2 A, got ",
+               a.GetShape().ToString());
+    const int64_t m = a.Dim(0);
+    const int64_t k = a.Dim(1);
+    const int64_t n = b.Rows();
+    DGNN_CHECK(b.Cols() == k, "MatMulTransposed inner-dimension mismatch: ",
+               a.GetShape().ToString(), " x ", Shape({n, b.Cols()}).ToString(), "^T");
+    Tensor c(Shape({m, n}));
+    const float* pa = a.Data();
+    float* pc = c.Data();
+    // Panel-major, so one panel stays in cache across every row pair; the
+    // odd last row (and every m == 1 call) takes the one-row block.
+    for (int64_t j = 0; j < n; j += PackedRhs::kPanel) {
+        const double* panel = b.Panel(j / PackedRhs::kPanel);
+        const int64_t cols = std::min(PackedRhs::kPanel, n - j);
+        int64_t i = 0;
+        for (; i + 2 <= m; i += 2) {
+            PanelBlock<2>(pa + i * k, k, panel, cols, pc + i * n + j, n);
         }
-        for (; j < n; ++j) {
-            crow[j] = DotRow(arow, pb + j * k, k);
+        if (i < m) {
+            PanelBlock<1>(pa + i * k, k, panel, cols, pc + i * n + j, n);
         }
     }
     return c;
 }
 
 Tensor
-LinearForward(const Tensor& x, const Tensor& weight, const Tensor& bias)
+MatMulTransposed(const Tensor& a, const Tensor& b)
 {
-    Tensor y = MatMulTransposed(x, weight);
-    if (bias.NumElements() > 0) {
-        y = AddRowBroadcast(y, bias);
-    }
-    return y;
+    return MatMulTransposed(a, PackRhs(b));
 }
 
 Tensor
@@ -345,24 +323,6 @@ Transpose(const Tensor& a)
         for (int64_t j = 0; j < n; ++j) {
             out.Data()[j * m + i] = a.Data()[i * n + j];
         }
-    }
-    return out;
-}
-
-Tensor
-RowNorms(const Tensor& a)
-{
-    DGNN_CHECK(a.Rank() == 2, "RowNorms requires rank-2, got ", a.GetShape().ToString());
-    const int64_t m = a.Dim(0);
-    const int64_t n = a.Dim(1);
-    Tensor out(Shape({m}));
-    for (int64_t i = 0; i < m; ++i) {
-        double acc = 0.0;
-        for (int64_t j = 0; j < n; ++j) {
-            const double v = a.Data()[i * n + j];
-            acc += v * v;
-        }
-        out.Data()[i] = static_cast<float>(std::sqrt(acc));
     }
     return out;
 }

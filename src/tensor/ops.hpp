@@ -12,20 +12,47 @@ namespace dgnn::ops {
 /// C = A x B for rank-2 A [m,k] and B [k,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
-/// C = A x B^T for rank-2 A [m,k] and B [n,k].
+/// The right-hand side B [n,k] of C = A x B^T, packed for the host GEMM:
+/// widened to double and cut into panels of kPanel rows. Each panel is
+/// stored kk-major, so element (row j, column kk) sits at
+/// (j / kPanel) * k * kPanel + kk * kPanel + j % kPanel. Rows past n are
+/// zero and never reach an output.
+class PackedRhs {
+  public:
+    static constexpr int64_t kPanel = 8;
+
+    /// n and k of the packed B.
+    int64_t Rows() const { return rows_; }
+    int64_t Cols() const { return cols_; }
+
+    /// Panel @p p: Cols() steps of kPanel doubles.
+    const double* Panel(int64_t p) const { return data_.data() + p * cols_ * kPanel; }
+
+  private:
+    friend PackedRhs PackRhs(const Tensor& b);
+
+    int64_t rows_ = 0;
+    int64_t cols_ = 0;
+    std::vector<double> data_;
+};
+
+/// Packs rank-2 @p b for MatMulTransposed; callers that reuse B pack it once.
+PackedRhs PackRhs(const Tensor& b);
+
+/// C = A x B^T for rank-2 A [m,k] and packed B [n,k]: the one host GEMM.
 ///
 /// Numeric contract: every output element is one double accumulator, starting
 /// at +0.0 and summed over kk in ascending order, then rounded to float once.
 /// A float x float product is exact in double (24 + 24 significand bits fit in
-/// 53), so the only rounding is the add chain itself. The kernel is register
-/// blocked (2 rows x 4 columns; 1 x 8 for single-row calls; scalar tails), but
-/// blocking only interleaves independent chains and a fused multiply-add of
-/// an exact product rounds like the separate add, so neither vector width nor
-/// FMA contraction can change a bit of the output. See DESIGN.md section 2.
-Tensor MatMulTransposed(const Tensor& a, const Tensor& b);
+/// 53), so the only rounding is the add chain itself. The kernel keeps 2 rows
+/// x 8 columns of accumulators per panel (one row for the odd tail), but that
+/// only interleaves independent chains, and a fused multiply-add of an exact
+/// product rounds like the separate add, so neither vector width nor FMA
+/// contraction can change a bit of the output. See DESIGN.md section 2.
+Tensor MatMulTransposed(const Tensor& a, const PackedRhs& b);
 
-/// y = x W^T + b, PyTorch nn.Linear convention: x [m,in], W [out,in], b [out].
-Tensor LinearForward(const Tensor& x, const Tensor& weight, const Tensor& bias);
+/// C = A x B^T for rank-2 A [m,k] and B [n,k]; packs B on every call.
+Tensor MatMulTransposed(const Tensor& a, const Tensor& b);
 
 /// Elementwise sum; shapes must match.
 Tensor Add(const Tensor& a, const Tensor& b);
@@ -62,9 +89,6 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b);
 
 /// Transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
-
-/// Row-wise L2 norms of a rank-2 tensor -> rank-1 of length rows.
-Tensor RowNorms(const Tensor& a);
 
 /// Mean over rows of a rank-2 tensor -> rank-1 of length cols.
 Tensor MeanRows(const Tensor& a);

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "nn/linear.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
@@ -100,59 +102,97 @@ SignedWithZeros(Shape shape, Rng& rng)
     return t;
 }
 
+/// SignedWithZeros [m,k], plus (for k >= 4) a huge value at column 1 that
+/// column k - 2 negates; with equal B entries at those columns the huge
+/// products cancel exactly.
+Tensor
+CancellingInput(int64_t m, int64_t k, Rng& rng)
+{
+    Tensor x = SignedWithZeros(Shape({m, k}), rng);
+    for (int64_t i = 0; i < m && k >= 4; ++i) {
+        x.At(i, 1) = std::ldexp(1.0f + rng.Uniform(), 40);
+        x.At(i, k - 2) = -x.At(i, 1);
+    }
+    return x;
+}
+
+/// Compares two same-shape tensors bit for bit.
+bool
+BitIdentical(const Tensor& got, const Tensor& want)
+{
+    return got.GetShape() == want.GetShape() &&
+           (got.NumElements() == 0 ||
+            std::memcmp(got.Data(), want.Data(),
+                        sizeof(float) * static_cast<size_t>(got.NumElements())) == 0);
+}
+
 TEST(MatMulTest, TransposedIsBitIdenticalToScalarReference)
 {
-    // Covers the 2x4 blocks, the 1x8 single-row path and every row and
-    // column tail. For k >= 4 a huge product at kk = 1 is cancelled exactly
-    // at kk = k - 2, so the float result keeps the rounding of the double
-    // partial sums in between: a reordered sum flips low bits here.
+    // n covers an empty B, partial first panels, exact panels and partial
+    // last panels; odd m covers the one-row tail. For k >= 4 a huge product
+    // at kk = 1 is cancelled exactly at kk = k - 2, so the float result keeps
+    // the rounding of the double partial sums in between: a reordered sum
+    // flips low bits here.
     Rng rng(11);
     for (const int64_t m : {0, 1, 2, 3, 5}) {
-        for (const int64_t n : {0, 1, 3, 4, 7, 8, 9, 17}) {
+        for (const int64_t n : {0, 1, 3, 4, 7, 8, 9, 17, 64}) {
             for (const int64_t k : {0, 1, 5, 172}) {
-                Tensor a = SignedWithZeros(Shape({m, k}), rng);
+                const Tensor a = CancellingInput(m, k, rng);
                 Tensor b = SignedWithZeros(Shape({n, k}), rng);
-                if (k >= 4) {
-                    for (int64_t i = 0; i < m; ++i) {
-                        a.At(i, 1) = std::ldexp(1.0f + rng.Uniform(), 40);
-                        a.At(i, k - 2) = -a.At(i, 1);
-                    }
-                    for (int64_t j = 0; j < n; ++j) {
-                        b.At(j, 1) = rng.Normal();
-                        b.At(j, k - 2) = b.At(j, 1);
-                    }
+                for (int64_t j = 0; j < n && k >= 4; ++j) {
+                    b.At(j, 1) = rng.Normal();
+                    b.At(j, k - 2) = b.At(j, 1);
                 }
-                const Tensor got = ops::MatMulTransposed(a, b);
                 const Tensor want = ScalarMatMulTransposed(a, b);
-                ASSERT_EQ(got.GetShape(), want.GetShape());
-                if (got.NumElements() > 0) {
-                    EXPECT_EQ(std::memcmp(got.Data(), want.Data(),
-                                          sizeof(float) *
-                                              static_cast<size_t>(got.NumElements())),
-                              0)
-                        << "m=" << m << " n=" << n << " k=" << k;
-                }
+                const ops::PackedRhs packed = ops::PackRhs(b);
+                EXPECT_EQ(packed.Rows(), n);
+                EXPECT_EQ(packed.Cols(), k);
+                EXPECT_TRUE(BitIdentical(ops::MatMulTransposed(a, packed), want))
+                    << "packed m=" << m << " n=" << n << " k=" << k;
+                EXPECT_TRUE(BitIdentical(ops::MatMulTransposed(a, b), want))
+                    << "unpacked m=" << m << " n=" << n << " k=" << k;
             }
         }
     }
 }
 
-TEST(LinearForwardTest, MatchesManualAffine)
+TEST(MatMulTest, PackedInnerDimensionMismatchThrows)
 {
-    const Tensor x = Mat({1, 2}, 1, 2);
-    const Tensor w = Mat({3, 4, 5, 6}, 2, 2);  // [out=2, in=2]
-    const Tensor b = Tensor::FromVector({0.5f, -0.5f});
-    const Tensor y = ops::LinearForward(x, w, b);
-    EXPECT_FLOAT_EQ(y.At(0, 0), 1 * 3 + 2 * 4 + 0.5f);
-    EXPECT_FLOAT_EQ(y.At(0, 1), 1 * 5 + 2 * 6 - 0.5f);
+    const ops::PackedRhs packed = ops::PackRhs(Tensor(Shape({4, 3})));
+    EXPECT_THROW(ops::MatMulTransposed(Tensor(Shape({2, 4})), packed), Error);
+    EXPECT_THROW(ops::MatMulTransposed(Tensor(Shape({2})), packed), Error);
+    EXPECT_THROW(ops::PackRhs(Tensor(Shape({3}))), Error);
+}
+
+TEST(LinearForwardTest, MatchesScalarReferencePlusBias)
+{
+    Rng rng(12);
+    const std::vector<std::pair<int64_t, int64_t>> in_out = {
+        {172, 64}, {64, 64}, {5, 9}, {32, 20}, {1, 1}};
+    for (const auto& [in, out] : in_out) {
+        const nn::Linear layer(in, out, rng);
+        for (const int64_t m : {0, 1, 2, 3, 10}) {
+            const Tensor x = SignedWithZeros(Shape({m, in}), rng);
+            const Tensor want = ScalarMatMulTransposed(x, layer.Weight());
+            Tensor want_biased(want.GetShape());
+            for (int64_t i = 0; i < m; ++i) {
+                for (int64_t j = 0; j < out; ++j) {
+                    want_biased.At(i, j) = want.At(i, j) + layer.Bias().At(j);
+                }
+            }
+            EXPECT_TRUE(BitIdentical(layer.Forward(x), want_biased))
+                << "m=" << m << " in=" << in << " out=" << out;
+        }
+    }
 }
 
 TEST(LinearForwardTest, EmptyBiasSkipsAdd)
 {
-    const Tensor x = Mat({1, 1}, 1, 2);
-    const Tensor w = Mat({1, 1}, 1, 2);
-    const Tensor y = ops::LinearForward(x, w, Tensor());
-    EXPECT_FLOAT_EQ(y.At(0, 0), 2.0f);
+    Rng rng(13);
+    const nn::Linear layer(172, 17, rng, /*with_bias=*/false);
+    EXPECT_EQ(layer.Bias().NumElements(), 0);
+    const Tensor x = SignedWithZeros(Shape({3, 172}), rng);
+    EXPECT_TRUE(BitIdentical(layer.Forward(x), ScalarMatMulTransposed(x, layer.Weight())));
 }
 
 TEST(ElementwiseTest, AddSubMul)
@@ -256,13 +296,9 @@ TEST(TransposeTest, DoubleTransposeIsIdentity)
     }
 }
 
-TEST(ReductionTest, RowNormsAndMeans)
+TEST(ReductionTest, MeanAndSumRows)
 {
     const Tensor a = Mat({3, 4, 0, 0}, 2, 2);
-    const Tensor norms = ops::RowNorms(a);
-    EXPECT_FLOAT_EQ(norms.At(0), 5.0f);
-    EXPECT_FLOAT_EQ(norms.At(1), 0.0f);
-
     const Tensor mean = ops::MeanRows(a);
     EXPECT_FLOAT_EQ(mean.At(0), 1.5f);
     EXPECT_FLOAT_EQ(mean.At(1), 2.0f);
