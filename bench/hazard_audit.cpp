@@ -79,7 +79,8 @@ AuditModel(const std::string& model_name, models::DgnnModel& model,
                              "resources", "events", "stream waits",
                              "host waits", "syncs", "hazards", "verdict"});
     for (const scenario::Scenario& s : scenarios) {
-        const scenario::ScenarioSource source(s, dataset);
+        const std::vector<serve::Request> requests =
+            scenario::GenerateRequests(s, dataset, n);
         for (const serve::ExecutorKind kind :
              {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
             // Fresh session per cell, like the gauntlet: cache warmth must
@@ -95,7 +96,7 @@ AuditModel(const std::string& model_name, models::DgnnModel& model,
             options.executor = kind;
             options.runtime_observer = &checker;
 
-            (void)serve::Serve(session, policy, source, n, options);
+            (void)serve::ServeRequests(session, policy, requests, options);
             const analysis::HazardReport report = checker.Report();
             if (!report.Clean()) {
                 ++dirty_cells;

@@ -130,7 +130,8 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                              "overflow", "h2d (MB)", "d2h (MB)", "hit rate",
                              "saved (MB)"});
     for (const scenario::Scenario& s : scenarios) {
-        const scenario::ScenarioSource source(s, dataset);
+        const std::vector<serve::Request> requests =
+            scenario::GenerateRequests(s, dataset, n);
         for (const serve::ExecutorKind kind :
              {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
             // A fresh session per cell: cache warmth must not leak across
@@ -146,7 +147,7 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
             options.executor = kind;
 
             const serve::ServingReport report =
-                serve::Serve(session, policy, source, n, options);
+                serve::ServeRequests(session, policy, requests, options);
 
             const double hit_rate = report.cache_stats.HitRate();
             hit_rates[CellKey{s.name, model_name,

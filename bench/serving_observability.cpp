@@ -101,8 +101,8 @@ RunCell(models::DgnnModel& model, const scenario::Scenario& s,
     serve::ServerOptions options;
     options.executor = kind;
     options.observer = &observability;
-    const scenario::ScenarioSource source(s, dataset);
-    return serve::Serve(session, policy, source, n, options);
+    return serve::ServeRequests(session, policy,
+                                scenario::GenerateRequests(s, dataset, n), options);
 }
 
 void

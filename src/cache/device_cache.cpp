@@ -7,18 +7,6 @@
 
 namespace dgnn::cache {
 
-const char*
-ToString(EvictionPolicy policy)
-{
-    switch (policy) {
-      case EvictionPolicy::kLru:
-        return "LRU";
-      case EvictionPolicy::kFifo:
-        return "FIFO";
-    }
-    return "?";
-}
-
 void
 SortUnique(std::vector<int64_t>& keys)
 {

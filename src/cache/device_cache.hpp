@@ -31,8 +31,6 @@ enum class EvictionPolicy {
     kFifo,  ///< oldest-inserted row leaves first (no touch promotion)
 };
 
-const char* ToString(EvictionPolicy policy);
-
 /// Canonicalizes a cache-key list in place: ascending, duplicates removed.
 /// The shared idiom for building a batch's unique touched-node set.
 void SortUnique(std::vector<int64_t>& keys);

@@ -34,11 +34,4 @@ Profiler::RangeTotals() const
     return totals;
 }
 
-void
-Profiler::Clear()
-{
-    DGNN_CHECK(open_.empty(), "Profiler::Clear with open ranges");
-    ranges_.clear();
-}
-
 }  // namespace dgnn::core

@@ -47,9 +47,6 @@ class Profiler {
     /// Number of currently open ranges.
     int OpenDepth() const { return static_cast<int>(open_.size()); }
 
-    /// Drops all recorded ranges.
-    void Clear();
-
   private:
     struct OpenRange {
         std::string name;

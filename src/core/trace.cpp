@@ -53,19 +53,6 @@ UtilizationTimeline(const sim::Trace& trace, const std::string& device, sim::Sim
     return samples;
 }
 
-sim::SimTime
-DeviceBusyTime(const sim::Trace& trace, const std::string& device, sim::SimTime t0,
-               sim::SimTime t1)
-{
-    sim::SimTime busy = 0.0;
-    for (const sim::TraceEvent& e : trace.Events()) {
-        if (e.kind == sim::EventKind::kKernel && e.device == device) {
-            busy += Overlap(e.start_us, e.end_us, t0, t1);
-        }
-    }
-    return busy;
-}
-
 int64_t
 TransferredBytes(const sim::Trace& trace, sim::CopyDirection direction, sim::SimTime t0,
                  sim::SimTime t1)
@@ -78,48 +65,6 @@ TransferredBytes(const sim::Trace& trace, sim::CopyDirection direction, sim::Sim
         }
     }
     return bytes;
-}
-
-sim::SimTime
-TransferBusyTime(const sim::Trace& trace, sim::SimTime t0, sim::SimTime t1)
-{
-    sim::SimTime busy = 0.0;
-    for (const sim::TraceEvent& e : trace.Events()) {
-        if (e.kind == sim::EventKind::kTransfer) {
-            busy += Overlap(e.start_us, e.end_us, t0, t1);
-        }
-    }
-    return busy;
-}
-
-int64_t
-KernelCount(const sim::Trace& trace, const std::string& device, sim::SimTime t0,
-            sim::SimTime t1)
-{
-    int64_t count = 0;
-    for (const sim::TraceEvent& e : trace.Events()) {
-        if (e.kind == sim::EventKind::kKernel && e.device == device &&
-            e.start_us >= t0 && e.start_us < t1) {
-            ++count;
-        }
-    }
-    return count;
-}
-
-double
-MeanKernelOccupancy(const sim::Trace& trace, const std::string& device, sim::SimTime t0,
-                    sim::SimTime t1)
-{
-    double sum = 0.0;
-    int64_t count = 0;
-    for (const sim::TraceEvent& e : trace.Events()) {
-        if (e.kind == sim::EventKind::kKernel && e.device == device &&
-            e.start_us >= t0 && e.start_us < t1) {
-            sum += e.occupancy;
-            ++count;
-        }
-    }
-    return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
 std::string

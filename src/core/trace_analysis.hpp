@@ -28,25 +28,9 @@ std::vector<UtilizationSample> UtilizationTimeline(const sim::Trace& trace,
                                                    sim::SimTime bin_us,
                                                    bool occupancy_weighted = false);
 
-/// Sum of kernel durations on @p device within [t0, t1).
-sim::SimTime DeviceBusyTime(const sim::Trace& trace, const std::string& device,
-                            sim::SimTime t0, sim::SimTime t1);
-
 /// Bytes moved in @p direction within [t0, t1).
 int64_t TransferredBytes(const sim::Trace& trace, sim::CopyDirection direction,
                          sim::SimTime t0, sim::SimTime t1);
-
-/// Total transfer (PCIe-busy) time within [t0, t1).
-sim::SimTime TransferBusyTime(const sim::Trace& trace, sim::SimTime t0,
-                              sim::SimTime t1);
-
-/// Number of kernel events on @p device within [t0, t1).
-int64_t KernelCount(const sim::Trace& trace, const std::string& device,
-                    sim::SimTime t0, sim::SimTime t1);
-
-/// Mean kernel occupancy on @p device within [t0, t1); 0 when no kernels.
-double MeanKernelOccupancy(const sim::Trace& trace, const std::string& device,
-                           sim::SimTime t0, sim::SimTime t1);
 
 /// Serializes the trace to chrome://tracing JSON ("traceEvents" array).
 std::string ToChromeTraceJson(const sim::Trace& trace);

@@ -18,7 +18,6 @@
 #include "nn/attention.hpp"
 #include "nn/embedding.hpp"
 #include "nn/gcn.hpp"
-#include "nn/layer_norm.hpp"
 #include "nn/linear.hpp"
 #include "nn/mlp.hpp"
 #include "nn/module.hpp"
@@ -58,7 +57,6 @@
 #include "core/bench_json_writer.hpp"
 #include "core/bottleneck.hpp"
 #include "core/breakdown.hpp"
-#include "core/csv_writer.hpp"
 #include "core/latency_histogram.hpp"
 #include "core/model_summary.hpp"
 #include "core/profiler.hpp"
@@ -88,7 +86,6 @@
 #include "dispatch/dispatcher.hpp"
 
 // Online inference serving
-#include "serve/arrival_source.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/executor.hpp"
 #include "serve/model_session.hpp"

@@ -29,20 +29,6 @@ ChainTime(const sim::DeviceSpec& spec,
 }  // namespace
 
 const char*
-ToString(Placement placement)
-{
-    switch (placement) {
-        case Placement::kCpu:
-            return "cpu";
-        case Placement::kGpu:
-            return "gpu";
-        case Placement::kGpuFused:
-            return "gpu-fused";
-    }
-    return "?";
-}
-
-const char*
 ToString(DispatchMode mode)
 {
     switch (mode) {

@@ -39,8 +39,6 @@ enum class Placement {
 
 inline constexpr int kNumPlacements = 3;
 
-const char* ToString(Placement placement);
-
 /// Dispatch policy: three static baselines plus the per-batch hybrid.
 enum class DispatchMode {
     kStaticCpu,

@@ -49,13 +49,6 @@ EventStream::EndTime() const
     return events_.empty() ? 0.0 : events_.back().time;
 }
 
-int64_t
-EventStream::NumBatches(int64_t batch_size) const
-{
-    DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
-    return (NumEvents() + batch_size - 1) / batch_size;
-}
-
 TemporalAdjacency::TemporalAdjacency(const EventStream& stream)
     : history_(static_cast<size_t>(stream.NumNodes()))
 {

@@ -40,9 +40,6 @@ class EventStream {
     double StartTime() const;
     double EndTime() const;
 
-    /// Number of mini-batches of @p batch_size covering the stream.
-    int64_t NumBatches(int64_t batch_size) const;
-
   private:
     int64_t num_nodes_;
     std::vector<TemporalEvent> events_;

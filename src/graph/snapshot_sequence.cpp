@@ -33,27 +33,20 @@ SnapshotSequence::TotalEdges() const
 }
 
 double
-SnapshotSequence::AdjacentOverlap(int64_t t) const
-{
-    DGNN_CHECK(t >= 0 && t + 1 < NumSteps(), "no adjacent pair at step ", t);
-    const GraphSnapshot& a = snapshots_[static_cast<size_t>(t)];
-    const GraphSnapshot& b = snapshots_[static_cast<size_t>(t) + 1];
-    const int64_t common = a.CommonEdges(b);
-    const int64_t union_size = a.NumEdges() + b.NumEdges() - common;
-    return union_size > 0 ? static_cast<double>(common) /
-                                static_cast<double>(union_size)
-                          : 0.0;
-}
-
-double
 SnapshotSequence::MeanOverlap() const
 {
     if (NumSteps() < 2) {
         return 0.0;
     }
     double sum = 0.0;
-    for (int64_t t = 0; t + 1 < NumSteps(); ++t) {
-        sum += AdjacentOverlap(t);
+    for (size_t t = 0; t + 1 < snapshots_.size(); ++t) {
+        const GraphSnapshot& a = snapshots_[t];
+        const GraphSnapshot& b = snapshots_[t + 1];
+        const int64_t common = a.CommonEdges(b);
+        const int64_t union_size = a.NumEdges() + b.NumEdges() - common;
+        sum += union_size > 0 ? static_cast<double>(common) /
+                                    static_cast<double>(union_size)
+                              : 0.0;
     }
     return sum / static_cast<double>(NumSteps() - 1);
 }

@@ -24,12 +24,9 @@ class SnapshotSequence {
     /// Total edges across all snapshots.
     int64_t TotalEdges() const;
 
-    /// Jaccard-style similarity of adjacent snapshots t and t+1:
-    /// |E_t ∩ E_{t+1}| / |E_t ∪ E_{t+1}|. Drives the delta-transfer
-    /// optimization study (paper section 5.2.2).
-    double AdjacentOverlap(int64_t t) const;
-
-    /// Mean AdjacentOverlap over the sequence (0 for < 2 steps).
+    /// Mean Jaccard-style similarity of adjacent snapshots t and t+1,
+    /// |E_t ∩ E_{t+1}| / |E_t ∪ E_{t+1}| (0 for < 2 steps). Drives the
+    /// delta-transfer optimization study (paper section 5.2.2).
     double MeanOverlap() const;
 
   private:

@@ -8,16 +8,6 @@
 
 namespace dgnn::graph {
 
-SamplingCost&
-SamplingCost::operator+=(const SamplingCost& other)
-{
-    bisection_probes += other.bisection_probes;
-    sort_ops += other.sort_ops;
-    gathered_bytes += other.gathered_bytes;
-    candidates_scanned += other.candidates_scanned;
-    return *this;
-}
-
 TemporalNeighborSampler::TemporalNeighborSampler(const TemporalAdjacency& adjacency,
                                                  SamplingStrategy strategy,
                                                  uint64_t seed)

@@ -34,8 +34,6 @@ struct SamplingCost {
     int64_t sort_ops = 0;          ///< comparisons in candidate sorting
     int64_t gathered_bytes = 0;    ///< bytes touched via random access
     int64_t candidates_scanned = 0;
-
-    SamplingCost& operator+=(const SamplingCost& other);
 };
 
 /// Samples temporal neighborhoods over a TemporalAdjacency.

@@ -29,12 +29,11 @@ Astgnn::WeightBytes() const
 }
 
 void
-Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
+Astgnn::TemporalAttentionPhase(sim::Runtime& runtime, core::Profiler& profiler,
                                const char* label, int64_t batch, int64_t steps,
                                int64_t numeric_cap, const Tensor& window,
                                Checksum& checksum)
 {
-    sim::Runtime& runtime = exec.GetRuntime();
     core::ProfileScope scope(profiler, label);
     const int64_t sensors = dataset_.spec.num_sensors;
     const int64_t channels = dataset_.spec.channels;
@@ -70,7 +69,7 @@ Astgnn::TemporalAttentionPhase(NnExecutor& exec, core::Profiler& profiler,
 }
 
 void
-Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batch,
+Astgnn::SpatialGcnPhase(sim::Runtime& runtime, core::Profiler& profiler, int64_t batch,
                         int64_t steps, int64_t numeric_cap, Checksum& checksum)
 {
     core::ProfileScope scope(profiler, "Spatial-attention GCN");
@@ -80,7 +79,6 @@ Astgnn::SpatialGcnPhase(NnExecutor& exec, core::Profiler& profiler, int64_t batc
     // Cost: one fused aggregate+transform kernel over all (window, step)
     // pairs. The road graph is static and preprocessed, so accesses are
     // coalesced (no irregular derating).
-    sim::Runtime& runtime = exec.GetRuntime();
     sim::KernelDesc gcn;
     gcn.name = "spatial_gcn";
     gcn.flops = batch * steps *
@@ -112,7 +110,6 @@ RunResult
 Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    NnExecutor exec(runtime);
     core::Profiler profiler(runtime);
     const int64_t sensors = dataset_.spec.num_sensors;
     const int64_t hist = dataset_.spec.history_len;
@@ -186,9 +183,9 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         runtime.Marker("encoder_begin");
         const Tensor window = dataset_.Window(begin, hist);
         for (int64_t l = 0; l < config_.encoder_layers; ++l) {
-            TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, hist,
+            TemporalAttentionPhase(runtime, profiler, "Temporal Attention", nb, hist,
                                    run.numeric_cap, window, checksum);
-            SpatialGcnPhase(exec, profiler, nb, hist, run.numeric_cap, checksum);
+            SpatialGcnPhase(runtime, profiler, nb, hist, run.numeric_cap, checksum);
         }
         (void)runtime.Synchronize();
         runtime.Marker("encoder_end");
@@ -198,11 +195,11 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         profiler.Begin("Decoder");
         runtime.Marker("decoder_begin");
         for (int64_t l = 0; l < config_.decoder_layers; ++l) {
-            TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, horizon,
+            TemporalAttentionPhase(runtime, profiler, "Temporal Attention", nb, horizon,
                                    run.numeric_cap, window, checksum);
-            TemporalAttentionPhase(exec, profiler, "Temporal Attention", nb, horizon,
+            TemporalAttentionPhase(runtime, profiler, "Temporal Attention", nb, horizon,
                                    run.numeric_cap, window, checksum);
-            SpatialGcnPhase(exec, profiler, nb, horizon, run.numeric_cap, checksum);
+            SpatialGcnPhase(runtime, profiler, nb, horizon, run.numeric_cap, checksum);
         }
         runtime.Marker("decoder_end");
         profiler.End();

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/ops.hpp"
-
 namespace dgnn::models {
 
 sim::Runtime
@@ -88,188 +86,6 @@ CollectRunStats(sim::Runtime& runtime, const std::string& model,
     return r;
 }
 
-namespace {
-
-/// Approximate payload bytes of tensors touched by a kernel.
-int64_t
-TensorBytes(std::initializer_list<const Tensor*> tensors)
-{
-    int64_t bytes = 0;
-    for (const Tensor* t : tensors) {
-        bytes += t->NumBytes();
-    }
-    return bytes;
-}
-
-}  // namespace
-
-Tensor
-NnExecutor::Linear(const nn::Linear& linear, const Tensor& x)
-{
-    Tensor y = linear.Forward(x);
-    sim::KernelDesc k;
-    k.name = "linear";
-    k.flops = linear.ForwardFlops(x.Dim(0));
-    k.bytes = TensorBytes({&x, &y}) + linear.ParameterBytes();
-    k.parallel_items = x.Dim(0) * linear.OutFeatures();
-    runtime_.Launch(k);
-    return y;
-}
-
-Tensor
-NnExecutor::Mlp(const nn::Mlp& mlp, const Tensor& x)
-{
-    Tensor y = mlp.Forward(x);
-    sim::KernelDesc k;
-    k.name = "mlp";
-    k.flops = mlp.ForwardFlops(x.Dim(0));
-    k.bytes = TensorBytes({&x, &y}) + mlp.ParameterBytes();
-    k.parallel_items = x.Dim(0) * mlp.OutFeatures();
-    runtime_.Launch(k);
-    return y;
-}
-
-Tensor
-NnExecutor::Gru(const nn::GruCell& cell, const Tensor& x, const Tensor& h)
-{
-    Tensor y = cell.Forward(x, h);
-    sim::KernelDesc k;
-    k.name = "gru_cell";
-    k.flops = cell.ForwardFlops(x.Dim(0));
-    k.bytes = TensorBytes({&x, &h, &y}) + cell.ParameterBytes();
-    k.parallel_items = x.Dim(0) * cell.HiddenSize();
-    runtime_.Launch(k);
-    return y;
-}
-
-Tensor
-NnExecutor::Rnn(const nn::RnnCell& cell, const Tensor& x, const Tensor& h)
-{
-    Tensor y = cell.Forward(x, h);
-    sim::KernelDesc k;
-    k.name = "rnn_cell";
-    k.flops = cell.ForwardFlops(x.Dim(0));
-    k.bytes = TensorBytes({&x, &h, &y}) + cell.ParameterBytes();
-    k.parallel_items = x.Dim(0) * cell.HiddenSize();
-    runtime_.Launch(k);
-    return y;
-}
-
-nn::LstmState
-NnExecutor::Lstm(const nn::LstmCell& cell, const Tensor& x, const nn::LstmState& state)
-{
-    nn::LstmState next = cell.Forward(x, state);
-    sim::KernelDesc k;
-    k.name = "lstm_cell";
-    k.flops = cell.ForwardFlops(x.Dim(0));
-    k.bytes = TensorBytes({&x, &state.h, &state.c, &next.h, &next.c}) +
-              cell.ParameterBytes();
-    k.parallel_items = x.Dim(0) * cell.HiddenSize();
-    runtime_.Launch(k);
-    return next;
-}
-
-Tensor
-NnExecutor::Attention(const nn::MultiHeadAttention& mha, const Tensor& q,
-                      const Tensor& k, const Tensor& v)
-{
-    Tensor y = mha.Forward(q, k, v);
-    sim::KernelDesc desc;
-    desc.name = "attention";
-    desc.flops = mha.ForwardFlops(q.Dim(0), k.Dim(0));
-    desc.bytes = TensorBytes({&q, &k, &v, &y}) + mha.ParameterBytes();
-    desc.parallel_items = q.Dim(0) * k.Dim(0) * mha.ModelDim();
-    runtime_.Launch(desc);
-    return y;
-}
-
-Tensor
-NnExecutor::Spmm(const nn::SparseMatrix& a, const Tensor& x)
-{
-    Tensor y = nn::Spmm(a, x);
-    sim::KernelDesc k;
-    k.name = "spmm";
-    k.flops = 2 * a.Nnz() * x.Dim(1);
-    k.bytes = TensorBytes({&x, &y}) +
-              a.Nnz() * static_cast<int64_t>(sizeof(int64_t) + sizeof(float));
-    k.parallel_items = a.n * x.Dim(1);
-    k.irregular = true;
-    runtime_.Launch(k);
-    return y;
-}
-
-Tensor
-NnExecutor::Gcn(const nn::GcnLayer& layer, const nn::SparseMatrix& a_hat,
-                const Tensor& h)
-{
-    const Tensor aggregated = Spmm(a_hat, h);
-    // Dense transform kernel.
-    Tensor y = nn::Apply(nn::Activation::kRelu,
-                         ops::MatMulTransposed(aggregated, layer.Weight()));
-    sim::KernelDesc k;
-    k.name = "gcn_transform";
-    k.flops = ops::MatMulFlops(aggregated.Dim(0), layer.InFeatures(),
-                               layer.OutFeatures());
-    k.bytes = TensorBytes({&aggregated, &y}) + layer.ParameterBytes();
-    k.parallel_items = aggregated.Dim(0) * layer.OutFeatures();
-    runtime_.Launch(k);
-    return y;
-}
-
-Tensor
-NnExecutor::GcnWithWeight(const nn::GcnLayer& /*layer*/, const nn::SparseMatrix& a_hat,
-                          const Tensor& h, const Tensor& weight)
-{
-    const Tensor aggregated = Spmm(a_hat, h);
-    Tensor y = nn::Apply(nn::Activation::kRelu,
-                         ops::MatMulTransposed(aggregated, weight));
-    sim::KernelDesc k;
-    k.name = "gcn_transform";
-    k.flops = ops::MatMulFlops(aggregated.Dim(0), weight.Dim(1), weight.Dim(0));
-    k.bytes = TensorBytes({&aggregated, &y, &weight});
-    k.parallel_items = aggregated.Dim(0) * weight.Dim(0);
-    runtime_.Launch(k);
-    return y;
-}
-
-Tensor
-NnExecutor::TimeEncode(const nn::BochnerTimeEncoder& encoder, const Tensor& deltas)
-{
-    Tensor y = encoder.Forward(deltas);
-    sim::KernelDesc k;
-    k.name = "time_encoding";
-    k.flops = encoder.ForwardFlops(deltas.Dim(0));
-    k.bytes = TensorBytes({&deltas, &y});
-    k.parallel_items = deltas.Dim(0) * encoder.Dim();
-    runtime_.Launch(k);
-    return y;
-}
-
-void
-NnExecutor::Elementwise(const std::string& name, int64_t flops, int64_t bytes,
-                        int64_t items)
-{
-    sim::KernelDesc k;
-    k.name = name;
-    k.flops = flops;
-    k.bytes = bytes;
-    k.parallel_items = std::max<int64_t>(1, items);
-    runtime_.Launch(k);
-}
-
-std::vector<graph::SampledNeighborhood>
-NnExecutor::SampleOnCpu(graph::TemporalNeighborSampler& sampler,
-                        const std::vector<int64_t>& nodes,
-                        const std::vector<double>& times, int64_t k)
-{
-    std::vector<graph::SampledNeighborhood> result =
-        sampler.SampleBatch(nodes, times, k);
-    const graph::SamplingCost cost = sampler.TakeCost();
-    runtime_.RunHost(SamplingKernel(cost, static_cast<int64_t>(nodes.size()), k,
-                                    sampler.Strategy()));
-    return result;
-}
-
 sim::KernelDesc
 SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
                graph::SamplingStrategy strategy)
@@ -299,6 +115,19 @@ SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
     desc.parallel_items = 1;
     desc.irregular = true;
     return desc;
+}
+
+std::vector<graph::SampledNeighborhood>
+SampleOnCpu(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
+            const std::vector<int64_t>& nodes, const std::vector<double>& times,
+            int64_t k)
+{
+    std::vector<graph::SampledNeighborhood> result =
+        sampler.SampleBatch(nodes, times, k);
+    const graph::SamplingCost cost = sampler.TakeCost();
+    runtime.RunHost(SamplingKernel(cost, static_cast<int64_t>(nodes.size()), k,
+                                   sampler.Strategy()));
+    return result;
 }
 
 void

@@ -1,11 +1,10 @@
 #pragma once
 
 /// @file
-/// Common interface for the eight profiled DGNN models, plus the NnExecutor
-/// bridge: models compute *real* numerics on the host through the nn
-/// substrate while the executor issues matching cost descriptors to the
-/// simulated runtime (kernels, copies, syncs). This is the seam described in
-/// DESIGN.md: numerical fidelity and timing fidelity are decoupled.
+/// Common interface for the eight profiled DGNN models. Each model computes
+/// *real* numerics on the host through the nn substrate and issues the
+/// matching cost descriptors (kernels, copies, syncs) to the simulated
+/// runtime; DESIGN.md section 2 says which steps share one call.
 ///
 /// Numeric fidelity: models accept a `numeric_cap` — when positive, only the
 /// first `numeric_cap` items of a batch are numerically evaluated (outputs
@@ -17,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cache/device_cache.hpp"
 #include "core/breakdown.hpp"
@@ -165,63 +165,6 @@ RunConfig SingleBatchProbe(sim::ExecMode mode, int64_t batch_size,
 RunResult CollectRunStats(sim::Runtime& runtime, const std::string& model,
                           const std::string& dataset, int64_t iterations);
 
-/// Executes nn modules on the host and issues the matching simulated cost.
-/// All methods return the real numeric result.
-class NnExecutor {
-  public:
-    explicit NnExecutor(sim::Runtime& runtime) : runtime_(runtime) {}
-
-    sim::Runtime& GetRuntime() { return runtime_; }
-
-    /// y = linear(x) as one device kernel.
-    Tensor Linear(const nn::Linear& linear, const Tensor& x);
-
-    /// y = mlp(x) as one fused device kernel.
-    Tensor Mlp(const nn::Mlp& mlp, const Tensor& x);
-
-    /// h' = cell(x, h) as one device kernel (GRU).
-    Tensor Gru(const nn::GruCell& cell, const Tensor& x, const Tensor& h);
-
-    /// h' = cell(x, h) as one device kernel (vanilla RNN).
-    Tensor Rnn(const nn::RnnCell& cell, const Tensor& x, const Tensor& h);
-
-    /// LSTM step as one device kernel.
-    nn::LstmState Lstm(const nn::LstmCell& cell, const Tensor& x,
-                       const nn::LstmState& state);
-
-    /// Multi-head attention as one device kernel.
-    Tensor Attention(const nn::MultiHeadAttention& mha, const Tensor& q,
-                     const Tensor& k, const Tensor& v);
-
-    /// Sparse aggregation (SpMM) as one irregular device kernel.
-    Tensor Spmm(const nn::SparseMatrix& a, const Tensor& x);
-
-    /// GCN layer: SpMM kernel + dense-transform kernel.
-    Tensor Gcn(const nn::GcnLayer& layer, const nn::SparseMatrix& a_hat,
-               const Tensor& h);
-
-    /// GCN layer with externally-evolved weights (EvolveGCN).
-    Tensor GcnWithWeight(const nn::GcnLayer& layer, const nn::SparseMatrix& a_hat,
-                         const Tensor& h, const Tensor& weight);
-
-    /// Bochner time encoding as one device kernel.
-    Tensor TimeEncode(const nn::BochnerTimeEncoder& encoder, const Tensor& deltas);
-
-    /// Generic elementwise kernel of @p flops over @p tensor_bytes.
-    void Elementwise(const std::string& name, int64_t flops, int64_t bytes,
-                     int64_t items);
-
-    /// CPU-side temporal sampling: performs the real sampling and charges
-    /// the host with the calibrated irregular-access cost model.
-    std::vector<graph::SampledNeighborhood>
-    SampleOnCpu(graph::TemporalNeighborSampler& sampler,
-                const std::vector<int64_t>& nodes, const std::vector<double>& times,
-                int64_t k);
-
-  private:
-    sim::Runtime& runtime_;
-};
-
 /// Converts an accumulated sampling cost into a host kernel descriptor.
 /// Calibration: each bisection probe and each gathered neighbor entry is a
 /// cache-missing random access; framework per-target call overhead appears
@@ -230,6 +173,13 @@ class NnExecutor {
 /// overhead than the vectorizable most-recent lookup (TGN/DyRep).
 sim::KernelDesc SamplingKernel(const graph::SamplingCost& cost, int64_t targets,
                                int64_t k, graph::SamplingStrategy strategy);
+
+/// CPU-side temporal sampling: performs the real sampling and charges the
+/// host with SamplingKernel of the cost it accumulated.
+std::vector<graph::SampledNeighborhood>
+SampleOnCpu(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
+            const std::vector<int64_t>& nodes, const std::vector<double>& times,
+            int64_t k);
 
 /// Deterministic fingerprint helper: accumulates sum + abs-sum of a tensor.
 class Checksum {

@@ -8,6 +8,52 @@
 
 namespace dgnn::models {
 
+namespace {
+
+/// h' = cell(x, h) on the host, launched as one device kernel.
+Tensor
+GruStep(sim::Runtime& runtime, const nn::GruCell& cell, const Tensor& x,
+        const Tensor& h)
+{
+    Tensor y = cell.Forward(x, h);
+    sim::KernelDesc k;
+    k.name = "gru_cell";
+    k.flops = cell.ForwardFlops(x.Dim(0));
+    k.bytes = x.NumBytes() + h.NumBytes() + y.NumBytes() + cell.ParameterBytes();
+    k.parallel_items = x.Dim(0) * cell.HiddenSize();
+    runtime.Launch(k);
+    return y;
+}
+
+/// One GCN layer with evolved weights on the host, launched as the
+/// irregular SpMM aggregation kernel plus the dense transform kernel.
+Tensor
+GcnStep(sim::Runtime& runtime, const nn::GcnLayer& layer,
+        const nn::SparseMatrix& a_hat, const Tensor& h, const Tensor& weight)
+{
+    Tensor y = layer.ForwardWithWeight(a_hat, h, weight);
+    // The aggregated intermediate A_hat · h is [n, h.Dim(1)].
+    const int64_t aggregated_bytes =
+        a_hat.n * h.Dim(1) * static_cast<int64_t>(sizeof(float));
+    sim::KernelDesc spmm;
+    spmm.name = "spmm";
+    spmm.flops = 2 * a_hat.Nnz() * h.Dim(1);
+    spmm.bytes = h.NumBytes() + aggregated_bytes +
+                 a_hat.Nnz() * static_cast<int64_t>(sizeof(int64_t) + sizeof(float));
+    spmm.parallel_items = a_hat.n * h.Dim(1);
+    spmm.irregular = true;
+    runtime.Launch(spmm);
+    sim::KernelDesc transform;
+    transform.name = "gcn_transform";
+    transform.flops = ops::MatMulFlops(a_hat.n, weight.Dim(1), weight.Dim(0));
+    transform.bytes = aggregated_bytes + y.NumBytes() + weight.NumBytes();
+    transform.parallel_items = a_hat.n * weight.Dim(0);
+    runtime.Launch(transform);
+    return y;
+}
+
+}  // namespace
+
 const char*
 ToString(EvolveGcnVariant variant)
 {
@@ -84,10 +130,9 @@ EvolveGcn::LayerWeight(int64_t layer) const
 }
 
 void
-EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
+EvolveGcn::EvolveWeights(sim::Runtime& runtime, core::Profiler& profiler,
                          const Tensor& node_embeddings)
 {
-    sim::Runtime& runtime = exec.GetRuntime();
     for (size_t l = 0; l < weights_.size(); ++l) {
         Tensor rnn_input;
         if (config_.variant == EvolveGcnVariant::kH) {
@@ -146,7 +191,7 @@ EvolveGcn::EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
             core::ProfileScope scope(profiler, "RNN");
             // GRU expects matching row counts: -O uses the weight itself,
             // -H uses the top-k rows (shaped [out_l, in_l] above).
-            weights_[l] = exec.Gru(*weight_rnn_[l], rnn_input, weights_[l]);
+            weights_[l] = GruStep(runtime, *weight_rnn_[l], rnn_input, weights_[l]);
             // GCN needs the fresh weights (Fig 2a). The in-order compute
             // stream already enforces the data dependency; the baseline
             // additionally stalls the host here (eager-mode behaviour),
@@ -162,7 +207,6 @@ RunResult
 EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    NnExecutor exec(runtime);
     core::Profiler profiler(runtime);
 
     sim::SimTime warm_one = 0.0;
@@ -220,7 +264,7 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // --- RNN (+ top-k for -H): evolve the GCN weights.
-        EvolveWeights(exec, profiler, dataset_.node_features);
+        EvolveWeights(runtime, profiler, dataset_.node_features);
 
         // --- GNN: two GCN layers with the evolved weights.
         Tensor h = dataset_.node_features;
@@ -228,7 +272,7 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             core::ProfileScope scope(profiler, "GNN");
             const nn::SparseMatrix a_hat = ToNormalizedCsr(snap);
             for (size_t l = 0; l < gcn_layers_.size(); ++l) {
-                h = exec.GcnWithWeight(*gcn_layers_[l], a_hat, h, weights_[l]);
+                h = GcnStep(runtime, *gcn_layers_[l], a_hat, h, weights_[l]);
             }
             if (!config_.pipelined) {
                 (void)runtime.Synchronize();

@@ -67,7 +67,7 @@ class EvolveGcn : public DgnnModel {
 
   private:
     /// Evolves layer weights for one step; returns top-k host cost (H only).
-    void EvolveWeights(NnExecutor& exec, core::Profiler& profiler,
+    void EvolveWeights(sim::Runtime& runtime, core::Profiler& profiler,
                        const Tensor& node_embeddings);
 
     const data::SnapshotDataset& dataset_;

@@ -53,7 +53,6 @@ RunResult
 MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    NnExecutor exec(runtime);
     core::Profiler profiler(runtime);
     const int64_t atoms = dataset_.spec.num_atoms;
     const int64_t frame_bytes = dataset_.FrameBytes();

@@ -82,7 +82,6 @@ RunResult
 Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    NnExecutor exec(runtime);
     core::Profiler profiler(runtime);
     graph::TemporalNeighborSampler sampler(adjacency_,
                                            graph::SamplingStrategy::kUniform,
@@ -166,7 +165,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             core::ProfileScope scope(profiler, "Sampling (CPU)");
             ChargeBatchOverhead(runtime);
-            hoods = exec.SampleOnCpu(sampler, nodes, times, k);
+            hoods = SampleOnCpu(runtime, sampler, nodes, times, k);
             if (feature_cache.Enabled()) {
                 for (const auto& h : hoods) {
                     for (const int64_t nbr : h.neighbors) {
@@ -188,8 +187,8 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     }
                 }
                 if (!inner_nodes.empty()) {
-                    const auto inner_hoods = exec.SampleOnCpu(
-                        sampler, inner_nodes, inner_times,
+                    const auto inner_hoods = SampleOnCpu(
+                        runtime, sampler, inner_nodes, inner_times,
                         config_.second_hop_neighbors);
                     if (feature_cache.Enabled()) {
                         for (const auto& h : inner_hoods) {

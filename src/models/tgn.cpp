@@ -46,7 +46,6 @@ RunResult
 Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    NnExecutor exec(runtime);
     core::Profiler profiler(runtime);
     graph::TemporalNeighborSampler sampler(
         adjacency_, graph::SamplingStrategy::kMostRecent, config_.seed + 1);
@@ -255,7 +254,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 nodes.push_back(batch[i].dst);
                 times.push_back(batch[i].time);
             }
-            exec.SampleOnCpu(sampler, nodes, times, k);
+            SampleOnCpu(runtime, sampler, nodes, times, k);
 
             // Neighbor indices H2D; the node memory itself is resident on
             // the device (memory_buf), so only the batch's lookup structure

@@ -1,49 +1,8 @@
 #include "nn/activations.hpp"
 
-#include "support/check.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::nn {
-
-const char*
-ToString(Activation act)
-{
-    switch (act) {
-      case Activation::kIdentity:
-        return "identity";
-      case Activation::kRelu:
-        return "relu";
-      case Activation::kSigmoid:
-        return "sigmoid";
-      case Activation::kTanh:
-        return "tanh";
-      case Activation::kGelu:
-        return "gelu";
-    }
-    return "?";
-}
-
-Activation
-ParseActivation(const std::string& name)
-{
-    if (name == "identity") {
-        return Activation::kIdentity;
-    }
-    if (name == "relu") {
-        return Activation::kRelu;
-    }
-    if (name == "sigmoid") {
-        return Activation::kSigmoid;
-    }
-    if (name == "tanh") {
-        return Activation::kTanh;
-    }
-    if (name == "gelu") {
-        return Activation::kGelu;
-    }
-    DGNN_CHECK(false, "unknown activation '", name, "'");
-    return Activation::kIdentity;
-}
 
 Tensor
 Apply(Activation act, const Tensor& x)

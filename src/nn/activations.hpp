@@ -4,8 +4,6 @@
 /// Named activation functions as a small enum-dispatched helper so model
 /// configs can select them declaratively.
 
-#include <string>
-
 #include "tensor/tensor.hpp"
 
 namespace dgnn::nn {
@@ -18,11 +16,6 @@ enum class Activation {
     kTanh,
     kGelu,
 };
-
-const char* ToString(Activation act);
-
-/// Parses "relu"/"sigmoid"/"tanh"/"gelu"/"identity"; throws on other input.
-Activation ParseActivation(const std::string& name);
 
 /// Applies the activation elementwise.
 Tensor Apply(Activation act, const Tensor& x);

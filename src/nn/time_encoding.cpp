@@ -40,31 +40,4 @@ BochnerTimeEncoder::Forward(const Tensor& deltas) const
     return out;
 }
 
-Time2Vec::Time2Vec(int64_t dim, Rng& rng) : Module("time2vec"), dim_(dim)
-{
-    DGNN_CHECK(dim >= 2, "Time2Vec dim must be >= 2, got ", dim);
-    weights_ = init::Uniform(Shape({dim}), rng, -1.0f, 1.0f);
-    biases_ = init::Uniform(Shape({dim}), rng, -1.0f, 1.0f);
-    RegisterParameter("weights", weights_);
-    RegisterParameter("biases", biases_);
-}
-
-Tensor
-Time2Vec::Forward(const Tensor& times) const
-{
-    DGNN_CHECK(times.Rank() == 1, "Time2Vec expects rank-1 times, got ",
-               times.GetShape().ToString());
-    const int64_t n = times.Dim(0);
-    Tensor out(Shape({n, dim_}));
-    for (int64_t i = 0; i < n; ++i) {
-        const float t = times.At(i);
-        out.Data()[i * dim_ + 0] = weights_.Data()[0] * t + biases_.Data()[0];
-        for (int64_t j = 1; j < dim_; ++j) {
-            out.Data()[i * dim_ + j] =
-                std::sin(weights_.Data()[j] * t + biases_.Data()[j]);
-        }
-    }
-    return out;
-}
-
 }  // namespace dgnn::nn

@@ -1,8 +1,8 @@
 #pragma once
 
 /// @file
-/// Functional time encoders: the Bochner/harmonic encoder of TGAT/TGN
-/// (cos(t*w + b) feature map of relative time) and Time2Vec (Kazemi et al.).
+/// Functional time encoder: the Bochner/harmonic encoder of TGAT/TGN
+/// (cos(t*w + b) feature map of relative time).
 
 #include "nn/module.hpp"
 
@@ -24,23 +24,6 @@ class BochnerTimeEncoder : public Module {
     int64_t dim_;
     Tensor frequencies_;  ///< [dim]
     Tensor phases_;       ///< [dim]
-};
-
-/// Time2Vec: first component linear, the rest sinusoidal.
-class Time2Vec : public Module {
-  public:
-    Time2Vec(int64_t dim, Rng& rng);
-
-    /// times: rank-1 [n] -> [n, dim] embedding.
-    Tensor Forward(const Tensor& times) const;
-
-    int64_t Dim() const { return dim_; }
-    int64_t ForwardFlops(int64_t n) const { return 3 * n * dim_; }
-
-  private:
-    int64_t dim_;
-    Tensor weights_;  ///< [dim]
-    Tensor biases_;   ///< [dim]
 };
 
 }  // namespace dgnn::nn

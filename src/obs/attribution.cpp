@@ -157,14 +157,6 @@ DispatchLedger::MeanRelativeError() const
     return routed_ > 0 ? rel_error_sum_ / static_cast<double>(routed_) : 0.0;
 }
 
-void
-DispatchLedger::Clear()
-{
-    buckets_ = {};
-    rel_error_sum_ = 0.0;
-    routed_ = 0;
-}
-
 AttributionSummary
 BottleneckAttributor::Summary() const
 {

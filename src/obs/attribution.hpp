@@ -142,8 +142,6 @@ class DispatchLedger {
     /// prediction-quality figure (0 when nothing was routed).
     double MeanRelativeError() const;
 
-    void Clear();
-
   private:
     std::array<PlacementBucket, dispatch::kNumPlacements> buckets_{};
     double rel_error_sum_ = 0.0;

@@ -97,24 +97,6 @@ GenerateRequests(const Scenario& s, const data::InteractionDataset& dataset,
     return requests;
 }
 
-ScenarioSource::ScenarioSource(Scenario scenario,
-                               const data::InteractionDataset& dataset)
-    : scenario_(std::move(scenario)), dataset_(dataset)
-{
-}
-
-std::string
-ScenarioSource::Name() const
-{
-    return scenario_.name;
-}
-
-std::vector<serve::Request>
-ScenarioSource::Generate(int64_t n) const
-{
-    return GenerateRequests(scenario_, dataset_, n);
-}
-
 std::vector<Scenario>
 GauntletScenarios(double base_qps, int64_t num_requests, int64_t num_nodes,
                   uint64_t seed)

@@ -4,8 +4,8 @@
 /// Scenario = arrival pattern x access pattern. An arrival generator
 /// (arrival_patterns.hpp) times the requests; an access shaper
 /// (access_patterns.hpp) or a trace replay over a
-/// data/temporal_interactions dataset assigns the node endpoints. The
-/// combination plugs into serve/ through the ArrivalSource seam, so every
+/// data/temporal_interactions dataset assigns the node endpoints.
+/// GenerateRequests hands the result to serve::ServeRequests, so every
 /// adversarial regime exercises the identical serving loop, batch
 /// policies, executors, and DeviceCache as the benign PR 2 processes.
 ///
@@ -21,7 +21,7 @@
 #include "data/temporal_interactions.hpp"
 #include "scenario/access_patterns.hpp"
 #include "scenario/arrival_patterns.hpp"
-#include "serve/arrival_source.hpp"
+#include "serve/request.hpp"
 
 namespace dgnn::scenario {
 
@@ -68,22 +68,6 @@ struct Scenario {
 std::vector<serve::Request> GenerateRequests(const Scenario& s,
                                              const data::InteractionDataset& dataset,
                                              int64_t n);
-
-/// ArrivalSource adapter: scenarios plug into serve::Serve directly.
-class ScenarioSource final : public serve::ArrivalSource {
-  public:
-    /// @p dataset is borrowed and must outlive the source.
-    ScenarioSource(Scenario scenario, const data::InteractionDataset& dataset);
-
-    std::string Name() const override;
-    std::vector<serve::Request> Generate(int64_t n) const override;
-
-    const Scenario& Spec() const { return scenario_; }
-
-  private:
-    Scenario scenario_;
-    const data::InteractionDataset& dataset_;
-};
 
 /// The gauntlet registry: a recurrent baseline plus the adversarial
 /// regimes, sized to @p num_requests at @p base_qps over @p num_nodes

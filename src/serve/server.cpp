@@ -49,13 +49,6 @@ Serve(ModelSession& session, BatchPolicy& policy,
 }
 
 ServingReport
-Serve(ModelSession& session, BatchPolicy& policy, const ArrivalSource& source,
-      int64_t n, const ServerOptions& options)
-{
-    return ServeRequests(session, policy, source.Generate(n), options);
-}
-
-ServingReport
 ServeRequests(ModelSession& session, BatchPolicy& policy,
               const std::vector<Request>& requests, const ServerOptions& options)
 {
@@ -64,6 +57,9 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                                   return a.arrival_us < b.arrival_us;
                               }),
                "arrival timestamps must be sorted");
+    DGNN_CHECK(options.dispatcher == nullptr ||
+                   session.Mode() == sim::ExecMode::kHybrid,
+               "the hybrid dispatcher needs a hybrid session");
 
     // A shard runs on its own topology node; everything else on the
     // testbed pair, exactly like models::MakeRuntime(mode).
@@ -169,8 +165,6 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             dispatch::Placement placement = dispatch::Placement::kGpu;
             std::optional<dispatch::PlacementDecision> placed;
             if (options.dispatcher != nullptr) {
-                DGNN_CHECK(session.Mode() == sim::ExecMode::kHybrid,
-                           "the hybrid dispatcher needs a hybrid session");
                 const BatchProfile& fused_profile =
                     session.FusedProfile(decision.dispatch);
                 dispatch::WorkEstimate estimate;

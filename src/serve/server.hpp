@@ -20,7 +20,6 @@
 
 #include "core/latency_histogram.hpp"
 #include "dispatch/dispatcher.hpp"
-#include "serve/arrival_source.hpp"
 #include "serve/batch_policy.hpp"
 #include "serve/executor.hpp"
 #include "serve/model_session.hpp"
@@ -61,7 +60,8 @@ struct ServerOptions {
     /// Optional per-batch hybrid dispatcher (src/dispatch/): predicts each
     /// dispatched batch's CPU / GPU / GPU-fused cost from the session's
     /// captured profiles, priced on the run's own topology node, and routes
-    /// the batch accordingly (predict-then-place). Hybrid sessions only.
+    /// the batch accordingly (predict-then-place). Hybrid sessions only:
+    /// a run on any other session throws before it starts.
     /// CPU routing is masked for cache-enabled sessions (their state is
     /// device-resident). Null — the default — keeps every batch on the
     /// executor's device path with the unfused profile, bit-identical to
@@ -126,12 +126,6 @@ ServingReport Serve(ModelSession& session, BatchPolicy& policy,
 ServingReport ServeRequests(ModelSession& session, BatchPolicy& policy,
                             const std::vector<Request>& requests,
                             const ServerOptions& options);
-
-/// Source-driven entry: generates @p n requests from @p source and serves
-/// them. The ArrivalSource seam (scenario generators plug in here).
-ServingReport Serve(ModelSession& session, BatchPolicy& policy,
-                    const ArrivalSource& source, int64_t n,
-                    const ServerOptions& options);
 
 /// Result of the sustained-throughput search.
 struct QpsSearchResult {

@@ -1,7 +1,6 @@
 #include "shard/partition_book.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_map>
 
 #include "support/check.hpp"
@@ -88,40 +87,6 @@ PartitionBook::BalanceFactor() const
     const double ideal = static_cast<double>(NumNodes()) /
                          static_cast<double>(num_shards_);
     return static_cast<double>(largest) / ideal;
-}
-
-std::string
-PartitionBook::Serialize() const
-{
-    std::ostringstream out;
-    out << "shards " << num_shards_ << "\n";
-    out << "nodes " << NumNodes() << "\n";
-    for (const int32_t shard : assignment_) {
-        out << shard << "\n";
-    }
-    return out.str();
-}
-
-PartitionBook
-PartitionBook::Deserialize(const std::string& text)
-{
-    std::istringstream in(text);
-    std::string tag;
-    int32_t num_shards = 0;
-    int64_t num_nodes = 0;
-    in >> tag >> num_shards;
-    DGNN_CHECK(tag == "shards", "partition book header expected 'shards', ",
-               "got '", tag, "'");
-    in >> tag >> num_nodes;
-    DGNN_CHECK(tag == "nodes", "partition book header expected 'nodes', ",
-               "got '", tag, "'");
-    DGNN_CHECK(num_nodes >= 0, "negative node count ", num_nodes);
-    std::vector<int32_t> assignment(static_cast<size_t>(num_nodes), 0);
-    for (int64_t i = 0; i < num_nodes; ++i) {
-        DGNN_CHECK(static_cast<bool>(in >> assignment[static_cast<size_t>(i)]),
-                   "partition book truncated at node ", i);
-    }
-    return PartitionBook(num_shards, std::move(assignment));
 }
 
 PartitionBook

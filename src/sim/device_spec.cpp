@@ -2,18 +2,6 @@
 
 namespace dgnn::sim {
 
-const char*
-ToString(DeviceKind kind)
-{
-    switch (kind) {
-      case DeviceKind::kCpu:
-        return "CPU";
-      case DeviceKind::kGpu:
-        return "GPU";
-    }
-    return "?";
-}
-
 DeviceSpec
 DeviceSpec::XeonGold6226R()
 {

@@ -19,8 +19,6 @@ enum class DeviceKind {
     kGpu,
 };
 
-const char* ToString(DeviceKind kind);
-
 /// Analytic performance description of one device.
 struct DeviceSpec {
     std::string name;

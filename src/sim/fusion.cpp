@@ -69,10 +69,4 @@ UnfusedDuration(const DeviceSpec& spec, const FusedKernelDesc& fused)
     return total;
 }
 
-SimTime
-FusedSavings(const DeviceSpec& spec, const FusedKernelDesc& fused)
-{
-    return UnfusedDuration(spec, fused) - FusedDuration(spec, fused);
-}
-
 }  // namespace dgnn::sim

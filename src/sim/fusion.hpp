@@ -64,10 +64,4 @@ struct FusedKernelDesc {
 [[nodiscard]] SimTime UnfusedDuration(const DeviceSpec& spec,
                                       const FusedKernelDesc& fused);
 
-/// UnfusedDuration - FusedDuration. Usually positive (launch overhead and
-/// intermediate traffic saved); can be negative when an irregular part
-/// poisons a byte-bound regular part's bandwidth.
-[[nodiscard]] SimTime FusedSavings(const DeviceSpec& spec,
-                                   const FusedKernelDesc& fused);
-
 }  // namespace dgnn::sim

@@ -22,36 +22,6 @@ ToString(ExecMode mode)
     return "?";
 }
 
-const char*
-ToString(StreamId id)
-{
-    switch (id) {
-      case StreamId::kCompute:
-        return "compute";
-      case StreamId::kCopy:
-        return "copy";
-    }
-    return "?";
-}
-
-const char*
-ToString(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::kHostOp:
-        return "host_op";
-      case OpKind::kKernel:
-        return "kernel";
-      case OpKind::kCopyH2D:
-        return "copy_h2d";
-      case OpKind::kCopyD2H:
-        return "copy_d2h";
-      case OpKind::kCopyPeer:
-        return "copy_peer";
-    }
-    return "?";
-}
-
 DeviceBuffer&
 DeviceBuffer::operator=(DeviceBuffer&& other) noexcept
 {
@@ -610,13 +580,6 @@ Runtime::AllocDevice(int64_t bytes, const std::string& label)
     Device& dev = ComputeDevice();
     const int64_t id = dev.Memory().Allocate(bytes, label);
     return DeviceBuffer(&dev.Memory(), id, bytes);
-}
-
-DeviceBuffer
-Runtime::AllocHost(int64_t bytes, const std::string& label)
-{
-    const int64_t id = cpu_.Memory().Allocate(bytes, label);
-    return DeviceBuffer(&cpu_.Memory(), id, bytes);
 }
 
 const OneTimeWarmup&

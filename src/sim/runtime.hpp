@@ -69,8 +69,6 @@ enum class StreamId {
     kCopy,     ///< Async-copy (DMA engine) stream.
 };
 
-const char* ToString(StreamId id);
-
 /// Cross-stream synchronization marker (the cudaEvent analogue). Obtained
 /// from Runtime::RecordEvent; complete once the simulated clock passes
 /// ready_us. Copyable value type — recording again returns a new Event.
@@ -289,8 +287,6 @@ class Runtime {
     /// spot, which is never what a caller means — hence nodiscard.
     [[nodiscard]] DeviceBuffer AllocDevice(int64_t bytes,
                                            const std::string& label);
-    [[nodiscard]] DeviceBuffer AllocHost(int64_t bytes,
-                                         const std::string& label);
 
     /// --- Warm-up --------------------------------------------------------
 

@@ -49,8 +49,6 @@ enum class OpKind {
     kCopyPeer,  ///< device->device transfer over a topology peer link
 };
 
-const char* ToString(OpKind kind);
-
 /// One issued operation, as reported to the observer. Timeline semantics
 /// (which the hazard checker mirrors — DESIGN.md §11):
 ///   * on_host == true: the op ran synchronously on the host timeline.

@@ -22,41 +22,5 @@ ToString(EventKind kind)
     return "?";
 }
 
-const char*
-ToString(CopyDirection dir)
-{
-    switch (dir) {
-      case CopyDirection::kHostToDevice:
-        return "H2D";
-      case CopyDirection::kDeviceToHost:
-        return "D2H";
-      case CopyDirection::kNone:
-        return "-";
-    }
-    return "?";
-}
-
-SimTime
-Trace::EndTime() const
-{
-    SimTime t = 0.0;
-    for (const TraceEvent& e : events_) {
-        t = std::max(t, e.end_us);
-    }
-    return t;
-}
-
-SimTime
-Trace::StartTime() const
-{
-    if (events_.empty()) {
-        return 0.0;
-    }
-    SimTime t = events_.front().start_us;
-    for (const TraceEvent& e : events_) {
-        t = std::min(t, e.start_us);
-    }
-    return t;
-}
 
 }  // namespace dgnn::sim

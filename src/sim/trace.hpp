@@ -31,8 +31,6 @@ enum class CopyDirection {
     kNone,
 };
 
-const char* ToString(CopyDirection dir);
-
 /// One timeline entry.
 struct TraceEvent {
     EventKind kind = EventKind::kMarker;
@@ -68,12 +66,6 @@ class Trace {
     size_t Size() const { return events_.size(); }
     bool Empty() const { return events_.empty(); }
     void Clear() { events_.clear(); }
-
-    /// Latest end timestamp across all events (0 when empty).
-    SimTime EndTime() const;
-
-    /// Earliest start timestamp across all events (0 when empty).
-    SimTime StartTime() const;
 
   private:
     std::vector<TraceEvent> events_;

@@ -165,12 +165,6 @@ Add(const Tensor& a, const Tensor& b)
 }
 
 Tensor
-Sub(const Tensor& a, const Tensor& b)
-{
-    return ElementwiseBinary(a, b, [](float x, float y) { return x - y; }, "Sub");
-}
-
-Tensor
 Mul(const Tensor& a, const Tensor& b)
 {
     return ElementwiseBinary(a, b, [](float x, float y) { return x * y; }, "Mul");
@@ -234,24 +228,6 @@ Gelu(const Tensor& a)
 }
 
 Tensor
-Exp(const Tensor& a)
-{
-    return ElementwiseUnary(a, [](float x) { return std::exp(x); });
-}
-
-Tensor
-Cos(const Tensor& a)
-{
-    return ElementwiseUnary(a, [](float x) { return std::cos(x); });
-}
-
-Tensor
-Sin(const Tensor& a)
-{
-    return ElementwiseUnary(a, [](float x) { return std::sin(x); });
-}
-
-Tensor
 SoftmaxRows(const Tensor& a)
 {
     DGNN_CHECK(a.Rank() == 2, "SoftmaxRows requires rank-2, got ",
@@ -296,18 +272,6 @@ ConcatCols(const Tensor& a, const Tensor& b)
         std::copy(b.Data() + i * nb, b.Data() + (i + 1) * nb,
                   out.Data() + i * (na + nb) + na);
     }
-    return out;
-}
-
-Tensor
-ConcatRows(const Tensor& a, const Tensor& b)
-{
-    DGNN_CHECK(a.Rank() == 2 && b.Rank() == 2 && a.Dim(1) == b.Dim(1),
-               "ConcatRows requires matching column counts, got ",
-               a.GetShape().ToString(), " and ", b.GetShape().ToString());
-    Tensor out(Shape({a.Dim(0) + b.Dim(0), a.Dim(1)}));
-    std::copy(a.Data(), a.Data() + a.NumElements(), out.Data());
-    std::copy(b.Data(), b.Data() + b.NumElements(), out.Data() + a.NumElements());
     return out;
 }
 
@@ -393,29 +357,10 @@ ScatterRows(Tensor& table, const std::vector<int64_t>& indices, const Tensor& ro
     }
 }
 
-double
-Dot(const Tensor& a, const Tensor& b)
-{
-    DGNN_CHECK(a.Rank() == 1 && b.Rank() == 1 && a.Dim(0) == b.Dim(0),
-               "Dot requires equal-length rank-1 tensors, got ",
-               a.GetShape().ToString(), " and ", b.GetShape().ToString());
-    double acc = 0.0;
-    for (int64_t i = 0; i < a.Dim(0); ++i) {
-        acc += static_cast<double>(a.Data()[i]) * static_cast<double>(b.Data()[i]);
-    }
-    return acc;
-}
-
 int64_t
 MatMulFlops(int64_t m, int64_t k, int64_t n)
 {
     return 2 * m * k * n;
-}
-
-int64_t
-ElementwiseFlops(const Tensor& t)
-{
-    return t.NumElements();
 }
 
 }  // namespace dgnn::ops

@@ -57,9 +57,6 @@ Tensor MatMulTransposed(const Tensor& a, const Tensor& b);
 /// Elementwise sum; shapes must match.
 Tensor Add(const Tensor& a, const Tensor& b);
 
-/// Elementwise difference; shapes must match.
-Tensor Sub(const Tensor& a, const Tensor& b);
-
 /// Elementwise (Hadamard) product; shapes must match.
 Tensor Mul(const Tensor& a, const Tensor& b);
 
@@ -74,18 +71,12 @@ Tensor Relu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Gelu(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Cos(const Tensor& a);
-Tensor Sin(const Tensor& a);
 
 /// Row-wise softmax over the last axis of a rank-2 tensor.
 Tensor SoftmaxRows(const Tensor& a);
 
 /// Concatenates rank-2 tensors along columns (axis 1); row counts must match.
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
-
-/// Concatenates rank-2 tensors along rows (axis 0); column counts must match.
-Tensor ConcatRows(const Tensor& a, const Tensor& b);
 
 /// Transpose of a rank-2 tensor.
 Tensor Transpose(const Tensor& a);
@@ -102,11 +93,8 @@ Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& indices);
 /// Scatters @p rows (rank-2) into @p table rows named by @p indices (in-place).
 void ScatterRows(Tensor& table, const std::vector<int64_t>& indices, const Tensor& rows);
 
-/// Dot product of two rank-1 tensors.
-double Dot(const Tensor& a, const Tensor& b);
-
-/// Approximate FLOP count helpers used by the device cost model.
+/// Approximate FLOP count of C = A x B for A [m,k] and B [k,n], used by the
+/// device cost model.
 int64_t MatMulFlops(int64_t m, int64_t k, int64_t n);
-int64_t ElementwiseFlops(const Tensor& t);
 
 }  // namespace dgnn::ops

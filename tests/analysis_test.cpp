@@ -545,8 +545,8 @@ ServeCell(models::DgnnModel& model, const scenario::Scenario& s,
     serve::ServerOptions options;
     options.executor = kind;
     options.runtime_observer = observer;
-    const scenario::ScenarioSource source(s, dataset);
-    return serve::Serve(session, policy, source, n, options);
+    return serve::ServeRequests(session, policy,
+                                scenario::GenerateRequests(s, dataset, n), options);
 }
 
 TEST(ServingSweepTest, AllGauntletCellsAreHazardFree)

@@ -131,9 +131,6 @@ TEST(FusedDurationTest, MatchesCostModelOnCollapsedDescriptor)
         EXPECT_DOUBLE_EQ(sim::UnfusedDuration(spec, fused),
                          sim::KernelDuration(spec, fused.parts[0]) +
                              sim::KernelDuration(spec, fused.parts[1]));
-        EXPECT_DOUBLE_EQ(sim::FusedSavings(spec, fused),
-                         sim::UnfusedDuration(spec, fused) -
-                             sim::FusedDuration(spec, fused));
     }
 }
 
@@ -159,15 +156,16 @@ TEST(FusedDurationTest, IrregularPoisoningCanMakeFusionLose)
 {
     // A tiny gather fused in front of a byte-bound regular kernel: the whole
     // chain inherits the irregular penalty, which costs more than one saved
-    // launch. FusedSavings must surface the loss (negative) — this is the
-    // case that keeps placement a per-batch decision.
+    // launch. The fused chain must come out slower — this is the case that
+    // keeps placement a per-batch decision.
     sim::FusedKernelDesc fused;
     fused.name = "poisoned";
     fused.parts = {Desc("gather", 0, 4096, 200000, /*irregular=*/true),
                    Desc("stream", 0, 600000000, 200000)};
     fused.intermediate_bytes = {0};
 
-    EXPECT_LT(sim::FusedSavings(sim::DeviceSpec::RtxA6000(), fused), 0.0);
+    const sim::DeviceSpec gpu = sim::DeviceSpec::RtxA6000();
+    EXPECT_GT(sim::FusedDuration(gpu, fused), sim::UnfusedDuration(gpu, fused));
 }
 
 TEST(CostModelEdgeTest, OccupancyClampsToFloorAndOne)
@@ -583,6 +581,21 @@ TEST(DispatchServingTest, DispatcherRequiresAHybridSession)
     options.dispatcher = &dispatcher;
     EXPECT_THROW((void)serve::ServeRequests(session, policy, requests, options),
                  dgnn::Error);
+    // The check runs when the run starts: an empty request list dispatches
+    // no batch and must still be rejected.
+    EXPECT_THROW((void)serve::ServeRequests(session, policy, {}, options),
+                 dgnn::Error);
+
+    // A rejected run never opens the observer's run.
+    struct RunBeginCounter final : serve::ServingObserver {
+        int64_t run_begins = 0;
+        void OnRunBegin(const serve::RunContext&) override { ++run_begins; }
+    };
+    RunBeginCounter counter;
+    options.observer = &counter;
+    EXPECT_THROW((void)serve::ServeRequests(session, policy, requests, options),
+                 dgnn::Error);
+    EXPECT_EQ(counter.run_begins, 0);
 }
 
 TEST(DispatchServingTest, CacheEnabledSessionNeverRoutesToCpu)

@@ -94,11 +94,7 @@ TEST(EventStreamTest, SliceAndBatches)
     const auto slice = s.Slice(3, 7);
     EXPECT_EQ(slice.size(), 4u);
     EXPECT_DOUBLE_EQ(slice[0].time, 3.0);
-    EXPECT_EQ(s.NumBatches(3), 4);
-    EXPECT_EQ(s.NumBatches(10), 1);
-    EXPECT_EQ(s.NumBatches(11), 1);
     EXPECT_THROW(s.Slice(5, 3), Error);
-    EXPECT_THROW(s.NumBatches(0), Error);
 }
 
 TEST(EventStreamTest, OutOfRangeNodeThrows)
@@ -176,7 +172,6 @@ TEST(SnapshotSequenceTest, OverlapMetrics)
     snaps.emplace_back(3, std::vector<Edge>{{0, 1, 1.0f}, {2, 0, 1.0f}});
     SnapshotSequence seq(3, std::move(snaps));
     // Common: {0->1}. Union: 3 edges. Jaccard = 1/3.
-    EXPECT_NEAR(seq.AdjacentOverlap(0), 1.0 / 3.0, 1e-9);
     EXPECT_NEAR(seq.MeanOverlap(), 1.0 / 3.0, 1e-9);
 }
 
@@ -187,7 +182,7 @@ TEST(SnapshotSequenceTest, IdenticalSnapshotsFullOverlap)
     snaps.emplace_back(3, edges);
     snaps.emplace_back(3, edges);
     SnapshotSequence seq(3, std::move(snaps));
-    EXPECT_DOUBLE_EQ(seq.AdjacentOverlap(0), 1.0);
+    EXPECT_DOUBLE_EQ(seq.MeanOverlap(), 1.0);
 }
 
 }  // namespace

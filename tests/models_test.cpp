@@ -107,6 +107,60 @@ ExpectDeterministic(ModelFactory make_model, const RunConfig& run)
     EXPECT_EQ(a.iterations, b.iterations);
 }
 
+TEST(SampleOnCpuTest, ReturnsTheSamplerBatchAndChargesItsSamplingKernel)
+{
+    const auto ds = TinyInteractions();
+    const graph::TemporalAdjacency adjacency(ds.stream);
+    std::vector<int64_t> nodes;
+    std::vector<double> times;
+    for (int64_t i = 40; i < 60; ++i) {
+        const graph::TemporalEvent& e = ds.stream.Event(i);
+        nodes.push_back(e.src);
+        times.push_back(e.time);
+        nodes.push_back(e.dst);
+        times.push_back(e.time);
+    }
+    const int64_t k = 5;
+    for (const graph::SamplingStrategy strategy :
+         {graph::SamplingStrategy::kMostRecent, graph::SamplingStrategy::kUniform}) {
+        SCOPED_TRACE(strategy == graph::SamplingStrategy::kUniform ? "uniform"
+                                                                   : "most-recent");
+        graph::TemporalNeighborSampler sampler(adjacency, strategy, 7);
+        graph::TemporalNeighborSampler reference(adjacency, strategy, 7);
+        sim::Runtime runtime = MakeRuntime(sim::ExecMode::kHybrid);
+        sim::Runtime expected_runtime = MakeRuntime(sim::ExecMode::kHybrid);
+
+        const auto hoods = SampleOnCpu(runtime, sampler, nodes, times, k);
+        const auto expected = reference.SampleBatch(nodes, times, k);
+        ASSERT_EQ(hoods.size(), expected.size());
+        for (size_t i = 0; i < hoods.size(); ++i) {
+            EXPECT_EQ(hoods[i].neighbors, expected[i].neighbors);
+            EXPECT_EQ(hoods[i].times, expected[i].times);
+            EXPECT_EQ(hoods[i].feature_indices, expected[i].feature_indices);
+        }
+        // The accumulated cost is consumed by the charge.
+        EXPECT_EQ(sampler.TakeCost().bisection_probes, 0);
+
+        expected_runtime.RunHost(SamplingKernel(reference.TakeCost(),
+                                                static_cast<int64_t>(nodes.size()),
+                                                k, strategy));
+        EXPECT_GT(runtime.Now(), 0.0);
+        EXPECT_EQ(runtime.Now(), expected_runtime.Now());
+        EXPECT_EQ(runtime.Cpu().BusyTime(), expected_runtime.Cpu().BusyTime());
+        const auto& got = runtime.GetTrace().Events();
+        const auto& want = expected_runtime.GetTrace().Events();
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].name, want[i].name);
+            EXPECT_EQ(got[i].device, want[i].device);
+            EXPECT_EQ(got[i].start_us, want[i].start_us);
+            EXPECT_EQ(got[i].end_us, want[i].end_us);
+            EXPECT_EQ(got[i].flops, want[i].flops);
+            EXPECT_EQ(got[i].bytes, want[i].bytes);
+        }
+    }
+}
+
 TEST(TgatTest, RunsOnBothModesWithExpectedCategories)
 {
     const auto ds = TinyInteractions();

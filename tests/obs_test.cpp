@@ -287,8 +287,8 @@ ServeScenario(const scenario::Scenario& s,
     serve::ServerOptions options;
     options.executor = kind;
     options.observer = obs;
-    const scenario::ScenarioSource source(s, dataset);
-    return serve::Serve(session, policy, source, n, options);
+    return serve::ServeRequests(session, policy,
+                                scenario::GenerateRequests(s, dataset, n), options);
 }
 
 TEST(ObservabilityTest, SpanConservationHoldsForEveryGauntletScenario)

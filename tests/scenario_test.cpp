@@ -332,20 +332,6 @@ TEST(ScenarioTest, DifferentRegistrySeedsDiffer)
     }
 }
 
-TEST(ScenarioTest, ScenarioSourceMatchesGenerateRequests)
-{
-    const auto dataset = TinyInteractions();
-    const auto scenarios =
-        GauntletScenarios(2000.0, 128, dataset.NumNodes(), 7);
-    const Scenario& s = scenarios.front();
-    const ScenarioSource source(s, dataset);
-    EXPECT_EQ(source.Name(), s.name);
-    ExpectSameRequests(source.Generate(128),
-                       GenerateRequests(s, dataset, 128));
-    // The ArrivalSource contract: repeated Generate calls are identical.
-    ExpectSameRequests(source.Generate(64), source.Generate(64));
-}
-
 TEST(ScenarioTest, RegistryNamesAreUniqueAndStable)
 {
     const auto dataset = TinyInteractions();

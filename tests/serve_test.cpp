@@ -66,68 +66,22 @@ TEST(ArrivalsTest, InvalidParametersThrow)
     EXPECT_THROW(TraceArrivals(ds.stream, -5.0, 10), Error);
 }
 
-// ---------------------------------------------------------- arrival sources
-
-TEST(ArrivalSourceTest, PoissonSourceWrapsTheFreeFunctionExactly)
-{
-    const PoissonSource source(1000.0, 7);
-    EXPECT_EQ(source.Name(), "poisson(1000qps)");
-
-    const auto requests = source.Generate(200);
-    const auto raw = PoissonArrivals(1000.0, 200, 7);
-    ASSERT_EQ(requests.size(), 200u);
-    for (size_t i = 0; i < requests.size(); ++i) {
-        EXPECT_EQ(requests[i].id, static_cast<int64_t>(i));
-        EXPECT_EQ(requests[i].arrival_us, raw[i]);
-        EXPECT_EQ(requests[i].src, -1);  // node-blind by contract
-        EXPECT_EQ(requests[i].dst, -1);
-    }
-    EXPECT_THROW(PoissonSource(0.0, 1), Error);
-}
-
-TEST(ArrivalSourceTest, TraceReplaySourceCarriesEndpoints)
+TEST(ArrivalsTest, TraceRequestsCarryEndpoints)
 {
     const auto ds = TinyInteractions();
-    const TraceReplaySource source(ds.stream, 500.0);
-    EXPECT_EQ(source.Name(), "trace-replay(500qps)");
-
-    const auto requests = source.Generate(100);
-    const auto direct = TraceRequests(ds.stream, 500.0, 100);
-    ASSERT_EQ(requests.size(), direct.size());
+    const auto requests = TraceRequests(ds.stream, 500.0, 100);
+    const auto arrivals = TraceArrivals(ds.stream, 500.0, 100);
+    ASSERT_EQ(requests.size(), arrivals.size());
     for (size_t i = 0; i < requests.size(); ++i) {
-        EXPECT_EQ(requests[i].arrival_us, direct[i].arrival_us);
-        EXPECT_EQ(requests[i].src, direct[i].src);
-        EXPECT_EQ(requests[i].dst, direct[i].dst);
+        const graph::TemporalEvent& e =
+            ds.stream.Event(static_cast<int64_t>(i) % ds.stream.NumEvents());
+        EXPECT_EQ(requests[i].id, static_cast<int64_t>(i));
+        EXPECT_EQ(requests[i].arrival_us, arrivals[i]);
+        EXPECT_EQ(requests[i].src, e.src);
+        EXPECT_EQ(requests[i].dst, e.dst);
         EXPECT_GE(requests[i].src, 0);  // replay is node-bearing
     }
-    EXPECT_THROW(TraceReplaySource(ds.stream, 0.0), Error);
-}
-
-TEST(ArrivalSourceTest, ServeViaSourceMatchesServeRequests)
-{
-    // The Serve(source) overload must be a pure composition of Generate +
-    // ServeRequests: same report either way, through the virtual interface.
-    const auto ds = TinyInteractions();
-    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
-    ModelSession session(tgn, sim::ExecMode::kHybrid, 4);
-    const TraceReplaySource source(ds.stream, 2000.0);
-    const ArrivalSource& virt = source;
-    ServerOptions options;
-    options.executor = ExecutorKind::kPipelined;
-
-    TimeoutPolicy policy_a(16, 3000.0);
-    const ServingReport via_source =
-        Serve(session, policy_a, virt, 128, options);
-    TimeoutPolicy policy_b(16, 3000.0);
-    const ServingReport via_requests =
-        ServeRequests(session, policy_b, source.Generate(128), options);
-
-    EXPECT_EQ(via_source.requests, via_requests.requests);
-    EXPECT_EQ(via_source.batches, via_requests.batches);
-    EXPECT_DOUBLE_EQ(via_source.makespan_us, via_requests.makespan_us);
-    EXPECT_DOUBLE_EQ(via_source.latency.P50(), via_requests.latency.P50());
-    EXPECT_DOUBLE_EQ(via_source.latency.P99(), via_requests.latency.P99());
-    EXPECT_EQ(via_source.h2d_bytes, via_requests.h2d_bytes);
+    EXPECT_THROW(TraceRequests(ds.stream, 0.0, 10), Error);
 }
 
 // ---------------------------------------------------------------- policies
@@ -395,19 +349,12 @@ TEST(ServeTest, ZeroArrivalStreamDrainsCleanly)
     EXPECT_DOUBLE_EQ(report.achieved_qps, 0.0);
     EXPECT_EQ(report.h2d_bytes, 0);
 
-    // Same through the node-bearing and source-driven entry points.
+    // Same through the node-bearing entry point.
     TimeoutPolicy policy2(16, 3000.0);
     const ServingReport via_requests = ServeRequests(
         session, policy2, {}, Options(ExecutorKind::kPipelined));
     EXPECT_EQ(via_requests.requests, 0);
     EXPECT_EQ(via_requests.batches, 0);
-
-    TimeoutPolicy policy3(16, 3000.0);
-    const TraceReplaySource source(ds.stream, 1000.0);
-    const ServingReport via_source = Serve(session, policy3, source, 0,
-                                           Options(ExecutorKind::kSerial));
-    EXPECT_EQ(via_source.requests, 0);
-    EXPECT_EQ(via_source.batches, 0);
 }
 
 TEST(ServeTest, SingleRequestFlushesAtStreamEndBeforeTimeout)

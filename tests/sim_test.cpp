@@ -27,7 +27,6 @@ TEST(DeviceSpecTest, PresetsAreSane)
     EXPECT_GT(gpu.launch_overhead_us, cpu.launch_overhead_us);
     EXPECT_GT(gpu.context_init_us, 0.0);
     EXPECT_EQ(cpu.context_init_us, 0.0);
-    EXPECT_STREQ(ToString(DeviceKind::kGpu), "GPU");
 }
 
 TEST(KernelCostTest, OccupancyClampedToFloorAndOne)
