@@ -3,6 +3,10 @@
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "data/temporal_interactions.hpp"
@@ -35,11 +39,11 @@ BM_MatMul(benchmark::State& state)
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
 
-// [m,k] x [n,k]^T, args {m, k, n}, packing B on every call: the square
-// sweep, then the shapes the models run most (TGAT/TGN feature projection,
-// key/value projection, attention scores) and BM_LinearForward's shapes.
+// [m,k] x [n,k]^T through one host GEMM kernel, args {m, k, n}, packing B
+// on every call as MatMulTransposed(a, b) does. Registered per kernel by
+// RegisterHostGemmBenchmarks.
 void
-BM_MatMulTransposed(benchmark::State& state)
+BM_MatMulTransposed(benchmark::State& state, ops::detail::HostGemmKernel kernel)
 {
     const int64_t m = state.range(0);
     const int64_t k = state.range(1);
@@ -48,43 +52,65 @@ BM_MatMulTransposed(benchmark::State& state)
     const Tensor a = init::Normal(Shape({m, k}), rng);
     const Tensor b = init::Normal(Shape({n, k}), rng);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(ops::MatMulTransposed(a, b));
+        Tensor c(Shape({m, n}));
+        kernel.fn(a.Data(), m, ops::PackRhs(b), c.Data());
+        benchmark::DoNotOptimize(c.Data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+    state.SetLabel(kernel.name);
 }
-BENCHMARK(BM_MatMulTransposed)
-    ->Args({32, 32, 32})
-    ->Args({64, 64, 64})
-    ->Args({128, 128, 128})
-    ->Args({1, 172, 64})
-    ->Args({10, 64, 64})
-    ->Args({20, 64, 64})
-    ->Args({1, 64, 64})
-    ->Args({1, 32, 20})
-    ->Args({300, 364, 192});
 
-// nn::Linear::Forward, args {m, in, out}: the weight is packed once at
-// construction, so the gap to BM_MatMulTransposed at the same shape is the
-// cost of packing on every call.
+// nn::Linear::Forward's work through one kernel, args {m, in, out}: the
+// weight is packed once, as Linear does at construction, so the gap to
+// BM_MatMulTransposed at the same shape is the cost of packing on every call.
 void
-BM_LinearForward(benchmark::State& state)
+BM_LinearForward(benchmark::State& state, ops::detail::HostGemmKernel kernel)
 {
     const int64_t m = state.range(0);
     const int64_t in = state.range(1);
     const int64_t out = state.range(2);
     Rng rng(1);
     const nn::Linear layer(in, out, rng);
+    const ops::PackedRhs weight = ops::PackRhs(layer.Weight());
     const Tensor x = init::Normal(Shape({m, in}), rng);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(layer.Forward(x));
+        Tensor y(Shape({m, out}));
+        kernel.fn(x.Data(), m, weight, y.Data());
+        benchmark::DoNotOptimize(ops::AddRowBroadcast(std::move(y), layer.Bias()));
     }
     state.SetItemsProcessed(state.iterations() * 2 * m * in * out);
+    state.SetLabel(kernel.name);
 }
-BENCHMARK(BM_LinearForward)
-    ->Args({1, 172, 64})
-    ->Args({10, 64, 64})
-    ->Args({1, 64, 64})
-    ->Args({300, 364, 192});
+
+// Both host GEMM benchmarks run once per kernel this CPU has, each row named
+// and labelled with its kernel. The shapes: the square sweep, then the ones
+// the models run most (TGAT/TGN feature projection, key/value projection,
+// attention scores, the four-row and 945-row projections of the offline
+// profile) and the big GCN transform.
+void
+RegisterHostGemmBenchmarks()
+{
+    const std::vector<std::vector<int64_t>> matmul_shapes = {
+        {32, 32, 32}, {64, 64, 64}, {128, 128, 128}, {1, 172, 64},    {4, 64, 64},
+        {10, 64, 64}, {20, 64, 64}, {945, 64, 64},   {1, 64, 64},     {1, 32, 20},
+        {300, 364, 192}};
+    const std::vector<std::vector<int64_t>> linear_shapes = {
+        {1, 172, 64}, {4, 64, 64}, {10, 64, 64}, {945, 64, 64}, {1, 64, 64}, {300, 364, 192}};
+    for (const ops::detail::HostGemmKernel& kernel : ops::detail::HostGemmKernels()) {
+        const std::string suffix = std::string("/") + kernel.name;
+        auto* matmul = benchmark::RegisterBenchmark(
+            ("BM_MatMulTransposed" + suffix).c_str(), BM_MatMulTransposed, kernel);
+        for (const auto& shape : matmul_shapes) {
+            matmul->Args(shape);
+        }
+        auto* linear = benchmark::RegisterBenchmark(("BM_LinearForward" + suffix).c_str(),
+                                                    BM_LinearForward, kernel);
+        for (const auto& shape : linear_shapes) {
+            linear->Args(shape);
+        }
+    }
+}
 
 void
 BM_Attention(benchmark::State& state)
@@ -215,4 +241,15 @@ BENCHMARK(BM_FusedChain)->Arg(1)->Arg(16)->Arg(256);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char** argv)
+{
+    RegisterHostGemmBenchmarks();
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+        return 1;
+    }
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

@@ -1,5 +1,7 @@
 #include "nn/linear.hpp"
 
+#include <utility>
+
 namespace dgnn::nn {
 
 Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool with_bias)
@@ -24,7 +26,7 @@ Linear::Forward(const Tensor& x) const
                in_features_, "], got ", x.GetShape().ToString());
     Tensor y = ops::MatMulTransposed(x, packed_weight_);
     if (bias_.NumElements() > 0) {
-        y = ops::AddRowBroadcast(y, bias_);
+        y = ops::AddRowBroadcast(std::move(y), bias_);
     }
     return y;
 }

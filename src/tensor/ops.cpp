@@ -4,6 +4,10 @@
 #include <array>
 #include <cmath>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dgnn::ops {
 
 namespace {
@@ -69,7 +73,142 @@ PanelBlock(const float* a, int64_t k, const double* panel, int64_t cols, float* 
     }
 }
 
+/// The portable kernel, for any CPU: panel-major, so one panel stays in cache
+/// across every row pair; the odd last row (and every m == 1 call) takes the
+/// one-row block. PanelBlock's inner loop is contiguous, so the compiler
+/// vectorises it for whatever target it builds.
+void
+PortableGemm(const float* a, int64_t m, const PackedRhs& b, float* c)
+{
+    const int64_t k = b.Cols();
+    const int64_t n = b.Rows();
+    for (int64_t j = 0; j < n; j += PackedRhs::kPanel) {
+        const double* panel = b.Panel(j / PackedRhs::kPanel);
+        const int64_t cols = std::min(PackedRhs::kPanel, n - j);
+        int64_t i = 0;
+        for (; i + 2 <= m; i += 2) {
+            PanelBlock<2>(a + i * k, k, panel, cols, c + i * n + j, n);
+        }
+        if (i < m) {
+            PanelBlock<1>(a + i * k, k, panel, cols, c + i * n + j, n);
+        }
+    }
+}
+
+#if defined(__x86_64__)
+
+/// Rounds one row's 8 lanes of a panel to float and stores the first @p cols.
+__attribute__((target("avx2,fma"))) void
+StoreLanes(__m256d lo, __m256d hi, int64_t cols, float* c)
+{
+    if (cols == PackedRhs::kPanel) {
+        _mm_storeu_ps(c, _mm256_cvtpd_ps(lo));
+        _mm_storeu_ps(c + 4, _mm256_cvtpd_ps(hi));
+        return;
+    }
+    alignas(32) double lanes[PackedRhs::kPanel];
+    _mm256_store_pd(lanes, lo);
+    _mm256_store_pd(lanes + 4, hi);
+    for (int64_t l = 0; l < cols; ++l) {
+        c[l] = static_cast<float>(lanes[l]);
+    }
+}
+
+/// Rows x (Panels * 8) outputs: rows of @p a against @p Panels adjacent
+/// panels from @p panel, of which @p n_left rows of B are real. One step kk of
+/// a panel is two ymm registers; each accumulator lane is one output's chain,
+/// starting at +0.0 and fed kk in ascending order. A fused multiply-add of an
+/// exact product rounds like the separate add, so this is PanelBlock's sum.
+template <int Rows, int Panels>
+__attribute__((target("avx2,fma"))) void
+Avx2Tile(const float* a, int64_t k, const double* panel, int64_t n_left, float* c,
+         int64_t ldc)
+{
+    constexpr int64_t kLanes = PackedRhs::kPanel;
+    constexpr int kRegs = 2 * Panels;
+    __m256d acc[Rows][kRegs];
+    for (int r = 0; r < Rows; ++r) {
+        for (int v = 0; v < kRegs; ++v) {
+            acc[r][v] = _mm256_setzero_pd();
+        }
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+        __m256d w[kRegs];
+        for (int p = 0; p < Panels; ++p) {
+            const double* step = panel + (p * k + kk) * kLanes;
+            w[2 * p] = _mm256_loadu_pd(step);
+            w[2 * p + 1] = _mm256_loadu_pd(step + 4);
+        }
+        for (int r = 0; r < Rows; ++r) {
+            const __m256d x = _mm256_set1_pd(static_cast<double>(a[r * k + kk]));
+            for (int v = 0; v < kRegs; ++v) {
+                acc[r][v] = _mm256_fmadd_pd(x, w[v], acc[r][v]);
+            }
+        }
+    }
+    for (int r = 0; r < Rows; ++r) {
+        for (int p = 0; p < Panels; ++p) {
+            StoreLanes(acc[r][2 * p], acc[r][2 * p + 1],
+                       std::min(kLanes, n_left - p * kLanes), c + r * ldc + p * kLanes);
+        }
+    }
+}
+
+/// The AVX2+FMA kernel: 4 x 8 tiles (8 independent FMA chains) per panel,
+/// then 2 x 8 and 1 x 8 for the row tails. An m == 1 call takes two adjacent
+/// panels at once (1 x 16, 4 chains), and 1 x 8 for an odd last panel.
+__attribute__((target("avx2,fma"))) void
+Avx2FmaGemm(const float* a, int64_t m, const PackedRhs& b, float* c)
+{
+    constexpr int64_t kLanes = PackedRhs::kPanel;
+    const int64_t k = b.Cols();
+    const int64_t n = b.Rows();
+    int64_t j = 0;
+    if (m == 1) {
+        for (; j + kLanes < n; j += 2 * kLanes) {
+            Avx2Tile<1, 2>(a, k, b.Panel(j / kLanes), n - j, c + j, n);
+        }
+    }
+    for (; j < n; j += kLanes) {
+        const double* panel = b.Panel(j / kLanes);
+        int64_t i = 0;
+        for (; i + 4 <= m; i += 4) {
+            Avx2Tile<4, 1>(a + i * k, k, panel, n - j, c + i * n + j, n);
+        }
+        if (i + 2 <= m) {
+            Avx2Tile<2, 1>(a + i * k, k, panel, n - j, c + i * n + j, n);
+            i += 2;
+        }
+        if (i < m) {
+            Avx2Tile<1, 1>(a + i * k, k, panel, n - j, c + i * n + j, n);
+        }
+    }
+}
+
+#endif  // __x86_64__
+
 }  // namespace
+
+namespace detail {
+
+const std::vector<HostGemmKernel>&
+HostGemmKernels()
+{
+    // A function-local static: built once, thread-safely, on first use.
+    static const std::vector<HostGemmKernel> kernels = [] {
+        std::vector<HostGemmKernel> available = {{"portable", PortableGemm}};
+#if defined(__x86_64__)
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+            available.push_back({"avx2_fma", Avx2FmaGemm});
+        }
+#endif
+        return available;
+    }();
+    return kernels;
+}
+
+}  // namespace detail
 
 Tensor
 MatMul(const Tensor& a, const Tensor& b)
@@ -134,21 +273,7 @@ MatMulTransposed(const Tensor& a, const PackedRhs& b)
     DGNN_CHECK(b.Cols() == k, "MatMulTransposed inner-dimension mismatch: ",
                a.GetShape().ToString(), " x ", Shape({n, b.Cols()}).ToString(), "^T");
     Tensor c(Shape({m, n}));
-    const float* pa = a.Data();
-    float* pc = c.Data();
-    // Panel-major, so one panel stays in cache across every row pair; the
-    // odd last row (and every m == 1 call) takes the one-row block.
-    for (int64_t j = 0; j < n; j += PackedRhs::kPanel) {
-        const double* panel = b.Panel(j / PackedRhs::kPanel);
-        const int64_t cols = std::min(PackedRhs::kPanel, n - j);
-        int64_t i = 0;
-        for (; i + 2 <= m; i += 2) {
-            PanelBlock<2>(pa + i * k, k, panel, cols, pc + i * n + j, n);
-        }
-        if (i < m) {
-            PanelBlock<1>(pa + i * k, k, panel, cols, pc + i * n + j, n);
-        }
-    }
+    detail::HostGemmKernels().back().fn(a.Data(), m, b, c.Data());
     return c;
 }
 
@@ -171,7 +296,7 @@ Mul(const Tensor& a, const Tensor& b)
 }
 
 Tensor
-AddRowBroadcast(const Tensor& matrix, const Tensor& row)
+AddRowBroadcast(Tensor matrix, const Tensor& row)
 {
     DGNN_CHECK(matrix.Rank() == 2 && row.Rank() == 1,
                "AddRowBroadcast expects [m,n] + [n], got ",
@@ -180,16 +305,14 @@ AddRowBroadcast(const Tensor& matrix, const Tensor& row)
     const int64_t n = matrix.Dim(1);
     DGNN_CHECK(row.Dim(0) == n, "AddRowBroadcast width mismatch: ", n, " vs ",
                row.Dim(0));
-    Tensor out(matrix.GetShape());
-    const float* pm = matrix.Data();
+    float* pm = matrix.Data();
     const float* pr = row.Data();
-    float* po = out.Data();
     for (int64_t i = 0; i < m; ++i) {
         for (int64_t j = 0; j < n; ++j) {
-            po[i * n + j] = pm[i * n + j] + pr[j];
+            pm[i * n + j] += pr[j];
         }
     }
-    return out;
+    return matrix;
 }
 
 Tensor

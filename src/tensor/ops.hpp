@@ -44,15 +44,34 @@ PackedRhs PackRhs(const Tensor& b);
 /// Numeric contract: every output element is one double accumulator, starting
 /// at +0.0 and summed over kk in ascending order, then rounded to float once.
 /// A float x float product is exact in double (24 + 24 significand bits fit in
-/// 53), so the only rounding is the add chain itself. The kernel keeps 2 rows
-/// x 8 columns of accumulators per panel (one row for the odd tail), but that
-/// only interleaves independent chains, and a fused multiply-add of an exact
-/// product rounds like the separate add, so neither vector width nor FMA
-/// contraction can change a bit of the output. See DESIGN.md section 2.
+/// 53), so the only rounding is the add chain itself. It runs the last of
+/// detail::HostGemmKernels(). Each kernel keeps a tile of independent
+/// accumulators per panel, but that only interleaves chains, and a fused
+/// multiply-add of an exact product rounds like the separate add, so neither
+/// the kernel, its vector width nor FMA can change a bit of the output. See
+/// DESIGN.md section 2.
 Tensor MatMulTransposed(const Tensor& a, const PackedRhs& b);
 
 /// C = A x B^T for rank-2 A [m,k] and B [n,k]; packs B on every call.
 Tensor MatMulTransposed(const Tensor& a, const Tensor& b);
+
+namespace detail {
+
+/// One implementation of MatMulTransposed's numeric contract: writes
+/// C [m, b.Rows()] = A [m, b.Cols()] x B^T into @p c, both row-major.
+using HostGemmFn = void (*)(const float* a, int64_t m, const PackedRhs& b, float* c);
+
+struct HostGemmKernel {
+    const char* name;
+    HostGemmFn fn;
+};
+
+/// The host GEMM kernels this CPU runs, found once: "portable" everywhere,
+/// then "avx2_fma" on an x86-64 CPU with AVX2 and FMA. MatMulTransposed runs
+/// the last; tests and the micro-benchmark run each.
+const std::vector<HostGemmKernel>& HostGemmKernels();
+
+}  // namespace detail
 
 /// Elementwise sum; shapes must match.
 Tensor Add(const Tensor& a, const Tensor& b);
@@ -60,8 +79,9 @@ Tensor Add(const Tensor& a, const Tensor& b);
 /// Elementwise (Hadamard) product; shapes must match.
 Tensor Mul(const Tensor& a, const Tensor& b);
 
-/// Adds a rank-1 bias to every row of a rank-2 tensor.
-Tensor AddRowBroadcast(const Tensor& matrix, const Tensor& row);
+/// Adds a rank-1 bias to every row of a rank-2 tensor, in place of
+/// @p matrix: pass an rvalue to skip the copy.
+Tensor AddRowBroadcast(Tensor matrix, const Tensor& row);
 
 /// Scales every element by @p s.
 Tensor Scale(const Tensor& a, float s);

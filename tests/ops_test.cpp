@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -128,14 +130,30 @@ BitIdentical(const Tensor& got, const Tensor& want)
 
 TEST(MatMulTest, TransposedIsBitIdenticalToScalarReference)
 {
-    // n covers an empty B, partial first panels, exact panels and partial
-    // last panels; odd m covers the one-row tail. For k >= 4 a huge product
-    // at kk = 1 is cancelled exactly at kk = k - 2, so the float result keeps
-    // the rounding of the double partial sums in between: a reordered sum
-    // flips low bits here.
+    // Every kernel this CPU runs, and the public calls through the selected
+    // one. m covers every row tile and tail (4, 2 and 1 rows; m == 1 takes
+    // panel pairs); n covers an empty B, partial first panels, exact panels,
+    // partial last panels and an odd last panel after a pair. For k >= 4 a
+    // huge product at kk = 1 is cancelled exactly at kk = k - 2, so the float
+    // result keeps the rounding of the double partial sums in between: a
+    // reordered sum flips low bits here, and k == 0 pins the +0.0 start.
+    // The list holds the portable kernel always and the AVX2+FMA kernel
+    // exactly where the CPU has both, last, so MatMulTransposed runs it.
+    const auto& kernels = ops::detail::HostGemmKernels();
+    std::vector<std::string> names;
+    for (const auto& kernel : kernels) {
+        names.emplace_back(kernel.name);
+    }
+    std::vector<std::string> want_names = {"portable"};
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+        want_names.emplace_back("avx2_fma");
+    }
+#endif
+    EXPECT_EQ(names, want_names);
     Rng rng(11);
-    for (const int64_t m : {0, 1, 2, 3, 5}) {
-        for (const int64_t n : {0, 1, 3, 4, 7, 8, 9, 17, 64}) {
+    for (const int64_t m : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20}) {
+        for (const int64_t n : {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 64}) {
             for (const int64_t k : {0, 1, 5, 172}) {
                 const Tensor a = CancellingInput(m, k, rng);
                 Tensor b = SignedWithZeros(Shape({n, k}), rng);
@@ -147,6 +165,12 @@ TEST(MatMulTest, TransposedIsBitIdenticalToScalarReference)
                 const ops::PackedRhs packed = ops::PackRhs(b);
                 EXPECT_EQ(packed.Rows(), n);
                 EXPECT_EQ(packed.Cols(), k);
+                for (const auto& kernel : kernels) {
+                    Tensor got(Shape({m, n}), std::nanf(""));
+                    kernel.fn(a.Data(), m, packed, got.Data());
+                    EXPECT_TRUE(BitIdentical(got, want))
+                        << kernel.name << " m=" << m << " n=" << n << " k=" << k;
+                }
                 EXPECT_TRUE(BitIdentical(ops::MatMulTransposed(a, packed), want))
                     << "packed m=" << m << " n=" << n << " k=" << k;
                 EXPECT_TRUE(BitIdentical(ops::MatMulTransposed(a, b), want))
@@ -171,7 +195,7 @@ TEST(LinearForwardTest, MatchesScalarReferencePlusBias)
         {172, 64}, {64, 64}, {5, 9}, {32, 20}, {1, 1}};
     for (const auto& [in, out] : in_out) {
         const nn::Linear layer(in, out, rng);
-        for (const int64_t m : {0, 1, 2, 3, 10}) {
+        for (const int64_t m : {0, 1, 2, 3, 4, 5, 7, 10, 20}) {
             const Tensor x = SignedWithZeros(Shape({m, in}), rng);
             const Tensor want = ScalarMatMulTransposed(x, layer.Weight());
             Tensor want_biased(want.GetShape());
