@@ -16,6 +16,7 @@
 #include "data/temporal_interactions.hpp"
 #include "data/traffic_gen.hpp"
 #include "models/dgnn_model.hpp"
+#include "models/tgn.hpp"
 
 namespace dgnn::bench {
 
@@ -87,6 +88,27 @@ GithubDataset(int64_t events = 2000)
     return data::GeneratePointProcess(spec);
 }
 
+/// The recurrent repeat-talker stream the serving benches share (gauntlet,
+/// hazard audit, shard scaling, fusion + dispatch), so their cells are
+/// comparable across benches.
+inline data::InteractionSpec
+GauntletSpec()
+{
+    data::InteractionSpec spec;
+    spec.name = "gauntlet";
+    spec.num_users = 512;
+    spec.num_items = 128;
+    spec.num_events = 4096;
+    spec.edge_feature_dim = 64;
+    spec.popularity_alpha = 2.5;
+    spec.repeat_prob = 0.9;
+    spec.seed = 31;
+    return spec;
+}
+
+/// The TGN every serving bench runs.
+inline constexpr models::TgnConfig kServingTgn{172, 64, 2, 11};
+
 /// Standard bench run configuration.
 inline models::RunConfig
 BenchRun(sim::ExecMode mode, int64_t batch_size, int64_t neighbors = 20,
@@ -115,6 +137,13 @@ inline std::string
 Ms(sim::SimTime us)
 {
     return core::TableWriter::Num(us / 1000.0, 2);
+}
+
+/// A fraction as a percentage with 1 decimal ("12.5%").
+inline std::string
+Pct(double fraction)
+{
+    return core::TableWriter::Num(100.0 * fraction, 1) + "%";
 }
 
 /// Megabytes with 1 decimal.

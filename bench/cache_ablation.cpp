@@ -40,15 +40,8 @@ constexpr int64_t kNeighbors = 10;
 data::InteractionSpec
 RecurrentSpec()
 {
-    data::InteractionSpec spec;
+    data::InteractionSpec spec = bench::GauntletSpec();
     spec.name = "recurrent";  // heavy repeat-talkers (Wikipedia/Reddit-like)
-    spec.num_users = 512;
-    spec.num_items = 128;
-    spec.num_events = kEvents;
-    spec.edge_feature_dim = 64;
-    spec.popularity_alpha = 2.5;
-    spec.repeat_prob = 0.9;
-    spec.seed = 31;
     return spec;
 }
 
@@ -65,12 +58,6 @@ DiffuseSpec()
     spec.repeat_prob = 0.05;
     spec.seed = 32;
     return spec;
-}
-
-std::string
-Pct(double fraction)
-{
-    return core::TableWriter::Num(100.0 * fraction, 1) + "%";
 }
 
 void
@@ -108,7 +95,7 @@ OfflineSweep(const std::string& title,
         if (p.rows == 0) {
             baseline_checksum = r.output_checksum;
         }
-        table.AddRow({p.label, Pct(r.cache_stats.HitRate()),
+        table.AddRow({p.label, bench::Pct(r.cache_stats.HitRate()),
                       bench::Mb(r.h2d_bytes), bench::Mb(r.d2h_bytes),
                       bench::Mb(r.cache_hit_bytes),
                       core::TableWriter::Num(
@@ -134,7 +121,7 @@ ServingSection()
     const auto dataset = data::GenerateInteractions(RecurrentSpec());
     // Paper-faithful memory width (TGN uses 172-d memory on Wikipedia):
     // wide rows make the state movement the dominant H2D component.
-    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    models::Tgn tgn(dataset, bench::kServingTgn);
 
     // Saturating burst: arrivals outpace the service rate, every batch is
     // full, and the backlog drains at the server's service rate — so
@@ -196,7 +183,7 @@ ServingSection()
                       core::TableWriter::Num(
                           static_cast<double>(report.latency.OverflowCount()), 0),
                       bench::Mb(report.h2d_bytes), bench::Mb(report.d2h_bytes),
-                      Pct(report.cache_stats.HitRate()),
+                      bench::Pct(report.cache_stats.HitRate()),
                       bench::Mb(report.cache_hit_bytes),
                       core::TableWriter::Num(report.achieved_qps, 0)});
     }

@@ -48,24 +48,6 @@ constexpr sim::SimTime kBatchTimeoutUs = 3000.0;
 constexpr int64_t kNumNeighbors = 10;
 constexpr int64_t kRequests = 512;
 
-data::InteractionSpec
-FusionDatasetSpec()
-{
-    // The hazard-audit dataset (recurrent repeat-talker stream) — the same
-    // stream the gauntlet and shard sweeps serve, so cells are comparable
-    // across benches.
-    data::InteractionSpec spec;
-    spec.name = "gauntlet";
-    spec.num_users = 512;
-    spec.num_items = 128;
-    spec.num_events = 4096;
-    spec.edge_feature_dim = 64;
-    spec.popularity_alpha = 2.5;
-    spec.repeat_prob = 0.9;
-    spec.seed = 31;
-    return spec;
-}
-
 void
 PrintCatalog()
 {
@@ -235,9 +217,9 @@ main()
               << "," << static_cast<int64_t>(kBatchTimeoutUs) / 1000
               << "ms) batching, seed " << kSeed << "\n";
 
-    const auto dataset = data::GenerateInteractions(FusionDatasetSpec());
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
 
-    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    models::Tgn tgn(dataset, bench::kServingTgn);
     models::Tgat tgat(dataset, models::TgatConfig{});
     models::Jodie jodie(dataset, models::JodieConfig{});
     const std::vector<models::DgnnModel*> model_list = {&tgn, &tgat, &jodie};

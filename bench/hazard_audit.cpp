@@ -41,22 +41,6 @@ constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 5000.0;
 constexpr int64_t kRequests = 512;
 
-data::InteractionSpec
-AuditDatasetSpec()
-{
-    // The gauntlet bench's dataset (recurrent repeat-talker stream).
-    data::InteractionSpec spec;
-    spec.name = "gauntlet";
-    spec.num_users = 512;
-    spec.num_items = 128;
-    spec.num_events = 4096;
-    spec.edge_feature_dim = 64;
-    spec.popularity_alpha = 2.5;
-    spec.repeat_prob = 0.9;
-    spec.seed = 31;
-    return spec;
-}
-
 std::string
 Verdict(const analysis::HazardReport& report)
 {
@@ -186,11 +170,11 @@ main()
               << static_cast<int64_t>(kBatchTimeoutUs) / 1000
               << "ms) batching, seed " << kSeed << "\n";
 
-    const auto dataset = data::GenerateInteractions(AuditDatasetSpec());
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
     const std::vector<scenario::Scenario> scenarios =
         scenario::GauntletScenarios(kBaseQps, n, dataset.NumNodes(), kSeed);
 
-    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    models::Tgn tgn(dataset, bench::kServingTgn);
     models::Tgat tgat(dataset, models::TgatConfig{});
     models::Jodie jodie(dataset, models::JodieConfig{});
 

@@ -41,27 +41,6 @@ constexpr int64_t kServeBatch = 64;
 constexpr sim::SimTime kBatchTimeoutUs = 5000.0;
 constexpr int64_t kRequests = 1024;
 
-data::InteractionSpec
-GauntletDatasetSpec()
-{
-    data::InteractionSpec spec;
-    spec.name = "gauntlet";  // recurrent repeat-talker stream (the baseline)
-    spec.num_users = 512;
-    spec.num_items = 128;
-    spec.num_events = 4096;
-    spec.edge_feature_dim = 64;
-    spec.popularity_alpha = 2.5;
-    spec.repeat_prob = 0.9;
-    spec.seed = 31;
-    return spec;
-}
-
-std::string
-Pct(double fraction)
-{
-    return core::TableWriter::Num(100.0 * fraction, 1) + "%";
-}
-
 void
 CatalogSection(const std::vector<scenario::Scenario>& scenarios,
                const data::InteractionDataset& dataset, int64_t n)
@@ -92,7 +71,7 @@ CatalogSection(const std::vector<scenario::Scenario>& scenarios,
                       core::TableWriter::Num(arrival.peak_to_mean, 2),
                       core::TableWriter::Num(
                           static_cast<double>(access.unique_nodes), 0),
-                      Pct(access.reuse_fraction)});
+                      bench::Pct(access.reuse_fraction)});
     }
     std::cout << table.ToString();
 }
@@ -162,7 +141,7 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                               static_cast<double>(report.latency.OverflowCount()),
                               0),
                           bench::Mb(report.h2d_bytes),
-                          bench::Mb(report.d2h_bytes), Pct(hit_rate),
+                          bench::Mb(report.d2h_bytes), bench::Pct(hit_rate),
                           bench::Mb(report.cache_hit_bytes)});
 
             json.BeginRecord();
@@ -227,7 +206,7 @@ VerdictSection(const std::map<CellKey, double>& hit_rates)
         }
         const bool defeated = worst < baseline;
         all_defeated = all_defeated && defeated;
-        table.AddRow({model, Pct(baseline), Pct(worst), worst_name,
+        table.AddRow({model, bench::Pct(baseline), bench::Pct(worst), worst_name,
                       defeated ? "adversary wins (hit rate down)"
                                : "NO EFFECT — investigate"});
     }
@@ -258,13 +237,13 @@ main()
               << static_cast<int64_t>(kBatchTimeoutUs) / 1000
               << "ms) batching, seed " << kSeed << "\n";
 
-    const auto dataset = data::GenerateInteractions(GauntletDatasetSpec());
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
     const std::vector<scenario::Scenario> scenarios =
         scenario::GauntletScenarios(kBaseQps, n, dataset.NumNodes(), kSeed);
 
     CatalogSection(scenarios, dataset, n);
 
-    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    models::Tgn tgn(dataset, bench::kServingTgn);
     models::Tgat tgat(dataset, models::TgatConfig{});
     models::Jodie jodie(dataset, models::JodieConfig{});
 

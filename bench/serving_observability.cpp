@@ -57,15 +57,9 @@ constexpr int64_t kRequests = 1024;
 data::InteractionSpec
 ObservabilityDatasetSpec()
 {
-    data::InteractionSpec spec;
+    data::InteractionSpec spec = bench::GauntletSpec();
     spec.name = "obs";
-    spec.num_users = 512;
-    spec.num_items = 128;
-    spec.num_events = 4096;
     spec.edge_feature_dim = 320;
-    spec.popularity_alpha = 2.5;
-    spec.repeat_prob = 0.9;
-    spec.seed = 31;
     return spec;
 }
 
@@ -340,7 +334,7 @@ main()
     const std::vector<scenario::Scenario> scenarios =
         scenario::GauntletScenarios(kBaseQps, n, dataset.NumNodes(), kSeed);
 
-    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    models::Tgn tgn(dataset, bench::kServingTgn);
     models::Tgat tgat(dataset, models::TgatConfig{});
 
     SpanLedgerSection(tgn, scenarios, dataset, n);

@@ -40,23 +40,6 @@ constexpr sim::SimTime kBatchTimeoutUs = 5000.0;
 constexpr uint64_t kPartitionSeed = 7;
 constexpr int64_t kRequests = 512;
 
-data::InteractionSpec
-ShardDatasetSpec()
-{
-    // The hazard-audit dataset (recurrent repeat-talker stream): enough
-    // nodes that an 8-way partition still owns meaningful state per shard.
-    data::InteractionSpec spec;
-    spec.name = "gauntlet";
-    spec.num_users = 512;
-    spec.num_items = 128;
-    spec.num_events = 4096;
-    spec.edge_feature_dim = 64;
-    spec.popularity_alpha = 2.5;
-    spec.repeat_prob = 0.9;
-    spec.seed = 31;
-    return spec;
-}
-
 std::vector<serve::Request>
 ShardTrace(const data::InteractionDataset& dataset, int64_t n)
 {
@@ -159,10 +142,12 @@ main()
               << static_cast<int64_t>(kBatchTimeoutUs) / 1000
               << "ms) batching, partition seed " << kPartitionSeed << "\n";
 
-    const auto dataset = data::GenerateInteractions(ShardDatasetSpec());
+    // Enough nodes that an 8-way partition still owns meaningful state
+    // per shard.
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
     const std::vector<serve::Request> requests = ShardTrace(dataset, n);
 
-    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    models::Tgn tgn(dataset, bench::kServingTgn);
     models::Tgat tgat(dataset, models::TgatConfig{});
 
     core::BenchJsonWriter json("shard_scaling");

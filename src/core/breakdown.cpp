@@ -5,26 +5,16 @@
 namespace dgnn::core {
 
 Breakdown
-Breakdown::FromRuntime(const sim::Runtime& runtime, bool fold_small,
-                       double min_share_pct)
+Breakdown::FromRuntime(const sim::Runtime& runtime)
 {
     Breakdown b;
     for (const auto& [category, time_us] : runtime.CategoryTimes()) {
         b.total_us_ += time_us;
     }
-    sim::SimTime folded = 0.0;
     for (const auto& [category, time_us] : runtime.CategoryTimes()) {
         const double share =
             b.total_us_ > 0.0 ? 100.0 * time_us / b.total_us_ : 0.0;
-        if (fold_small && share < min_share_pct) {
-            folded += time_us;
-            continue;
-        }
         b.entries_.push_back(BreakdownEntry{category, time_us, share});
-    }
-    if (folded > 0.0) {
-        b.entries_.push_back(BreakdownEntry{
-            "Others", folded, b.total_us_ > 0.0 ? 100.0 * folded / b.total_us_ : 0.0});
     }
     std::sort(b.entries_.begin(), b.entries_.end(),
               [](const BreakdownEntry& x, const BreakdownEntry& y) {

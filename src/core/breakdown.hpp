@@ -22,10 +22,8 @@ struct BreakdownEntry {
 class Breakdown {
   public:
     /// Builds the breakdown from the runtime's category accounting over the
-    /// current measurement window. Categories with < @p min_share_pct of the
-    /// total are folded into "Others" when @p fold_small is set.
-    static Breakdown FromRuntime(const sim::Runtime& runtime, bool fold_small = false,
-                                 double min_share_pct = 1.0);
+    /// current measurement window, one entry per category.
+    static Breakdown FromRuntime(const sim::Runtime& runtime);
 
     const std::vector<BreakdownEntry>& Entries() const { return entries_; }
 

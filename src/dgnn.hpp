@@ -59,7 +59,6 @@
 #include "core/breakdown.hpp"
 #include "core/latency_histogram.hpp"
 #include "core/model_summary.hpp"
-#include "core/profiler.hpp"
 #include "core/table_writer.hpp"
 #include "core/trace_analysis.hpp"
 

@@ -29,12 +29,11 @@ Astgnn::WeightBytes() const
 }
 
 void
-Astgnn::TemporalAttentionPhase(sim::Runtime& runtime, core::Profiler& profiler,
-                               const char* label, int64_t batch, int64_t steps,
+Astgnn::TemporalAttentionPhase(sim::Runtime& runtime, int64_t batch, int64_t steps,
                                int64_t numeric_cap, const Tensor& window,
                                Checksum& checksum)
 {
-    core::ProfileScope scope(profiler, label);
+    sim::CategoryScope scope(runtime, "Temporal Attention");
     const int64_t sensors = dataset_.spec.num_sensors;
     const int64_t channels = dataset_.spec.channels;
     const int64_t d = config_.model_dim;
@@ -69,12 +68,12 @@ Astgnn::TemporalAttentionPhase(sim::Runtime& runtime, core::Profiler& profiler,
 }
 
 void
-Astgnn::SpatialGcnPhase(sim::Runtime& runtime, core::Profiler& profiler, int64_t batch,
-                        int64_t steps, int64_t numeric_cap, Checksum& checksum)
+Astgnn::SpatialGcnPhase(sim::Runtime& runtime, int64_t batch, int64_t steps,
+                        int64_t numeric_cap, Checksum& checksum)
 {
-    core::ProfileScope scope(profiler, "Spatial-attention GCN");
+    sim::CategoryScope scope(runtime, "Spatial-attention GCN");
     const int64_t d = config_.model_dim;
-    const int64_t cap = numeric_cap > 0 ? std::min<int64_t>(numeric_cap, steps) : steps;
+    const int64_t cap = Capped(steps, numeric_cap);
 
     // Cost: one fused aggregate+transform kernel over all (window, step)
     // pairs. The road graph is static and preprocessed, so accesses are
@@ -110,21 +109,13 @@ RunResult
 Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
     const int64_t sensors = dataset_.spec.num_sensors;
     const int64_t hist = dataset_.spec.history_len;
     const int64_t horizon = dataset_.spec.horizon;
     const int64_t d = config_.model_dim;
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime
-                       .RunAllocWarmup(run.batch_size * sensors *
-                                       (hist + horizon) * d * 4)
-                       .TotalUs();
-    }
+    const RunWarmup warmup = WarmUp(runtime, run, WeightBytes(),
+                                    run.batch_size * sensors * (hist + horizon) * d * 4);
 
     sim::DeviceBuffer weights = runtime.AllocDevice(WeightBytes(), "astgnn_weights");
     sim::DeviceBuffer graph_buf = runtime.AllocDevice(
@@ -132,9 +123,7 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
     runtime.ResetMeasurementWindow();
 
-    const int64_t samples =
-        run.max_events > 0 ? std::min<int64_t>(run.max_events, dataset_.NumSamples())
-                           : dataset_.NumSamples();
+    const int64_t samples = Capped(dataset_.NumSamples(), run.max_events);
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
@@ -145,11 +134,9 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         const int64_t window_bytes =
             sensors * dataset_.spec.channels * (hist + horizon) * 4;
 
-        profiler.Begin("iteration");
-
         // --- Etc: CPU-side window gather (data loading).
         {
-            core::ProfileScope scope(profiler, "Etc(data loading, cuda sync)");
+            sim::CategoryScope scope(runtime, "Etc(data loading, cuda sync)");
             ChargeBatchOverhead(runtime);
             sim::KernelDesc load;
             load.name = "window_gather";
@@ -163,13 +150,13 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         sim::DeviceBuffer act = runtime.AllocDevice(
             nb * sensors * (hist + horizon) * d * 4, "astgnn_batch");
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToDevice(nb * window_bytes, "windows_h2d");
         }
 
         // --- Position Encoding.
         {
-            core::ProfileScope scope(profiler, "Position Encoding");
+            sim::CategoryScope scope(runtime, "Position Encoding");
             sim::KernelDesc pe;
             pe.name = "position_encoding";
             pe.flops = nb * sensors * hist * d * 3;
@@ -179,53 +166,43 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // --- Encoder.
-        profiler.Begin("Encoder");
         runtime.Marker("encoder_begin");
         const Tensor window = dataset_.Window(begin, hist);
         for (int64_t l = 0; l < config_.encoder_layers; ++l) {
-            TemporalAttentionPhase(runtime, profiler, "Temporal Attention", nb, hist,
-                                   run.numeric_cap, window, checksum);
-            SpatialGcnPhase(runtime, profiler, nb, hist, run.numeric_cap, checksum);
+            TemporalAttentionPhase(runtime, nb, hist, run.numeric_cap, window, checksum);
+            SpatialGcnPhase(runtime, nb, hist, run.numeric_cap, checksum);
         }
         (void)runtime.Synchronize();
         runtime.Marker("encoder_end");
-        profiler.End();
 
         // --- Decoder.
-        profiler.Begin("Decoder");
         runtime.Marker("decoder_begin");
         for (int64_t l = 0; l < config_.decoder_layers; ++l) {
-            TemporalAttentionPhase(runtime, profiler, "Temporal Attention", nb, horizon,
-                                   run.numeric_cap, window, checksum);
-            TemporalAttentionPhase(runtime, profiler, "Temporal Attention", nb, horizon,
-                                   run.numeric_cap, window, checksum);
-            SpatialGcnPhase(runtime, profiler, nb, horizon, run.numeric_cap, checksum);
+            TemporalAttentionPhase(runtime, nb, horizon, run.numeric_cap, window,
+                                   checksum);
+            TemporalAttentionPhase(runtime, nb, horizon, run.numeric_cap, window,
+                                   checksum);
+            SpatialGcnPhase(runtime, nb, horizon, run.numeric_cap, checksum);
         }
         runtime.Marker("decoder_end");
-        profiler.End();
 
         // --- Etc: end-of-iteration CUDA synchronization.
         {
-            core::ProfileScope scope(profiler, "Etc(data loading, cuda sync)");
+            sim::CategoryScope scope(runtime, "Etc(data loading, cuda sync)");
             (void)runtime.Synchronize();
         }
 
         // --- Memory Copy: predictions D2H.
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToHost(nb * sensors * dataset_.spec.channels * horizon * 4,
                                "predictions_d2h");
         }
-        profiler.End();  // iteration
         ++iterations;
     }
 
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    return result;
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, iterations, warmup,
+                           checksum);
 }
 
 }  // namespace dgnn::models

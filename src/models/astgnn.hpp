@@ -48,14 +48,13 @@ class Astgnn : public DgnnModel {
 
   private:
     /// One temporal-attention block over [steps, dim] per sensor.
-    void TemporalAttentionPhase(sim::Runtime& runtime, core::Profiler& profiler,
-                                const char* label, int64_t batch, int64_t steps,
+    void TemporalAttentionPhase(sim::Runtime& runtime, int64_t batch, int64_t steps,
                                 int64_t numeric_cap, const Tensor& window,
                                 Checksum& checksum);
 
     /// One spatial dynamic-GCN block over the sensor graph.
-    void SpatialGcnPhase(sim::Runtime& runtime, core::Profiler& profiler, int64_t batch,
-                        int64_t steps, int64_t numeric_cap, Checksum& checksum);
+    void SpatialGcnPhase(sim::Runtime& runtime, int64_t batch, int64_t steps,
+                         int64_t numeric_cap, Checksum& checksum);
 
     const data::TrafficDataset& dataset_;
     AstgnnConfig config_;

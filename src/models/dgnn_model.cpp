@@ -1,5 +1,6 @@
 #include "models/dgnn_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace dgnn::models {
@@ -19,11 +20,13 @@ ChargeBatchOverhead(sim::Runtime& runtime)
 }
 
 void
-ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config)
+ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config,
+                  int64_t min_neighbors)
 {
     DGNN_CHECK(config.batch_size > 0, "batch_size must be positive, got ",
                config.batch_size);
-    DGNN_CHECK(config.num_neighbors >= 0, "num_neighbors must be non-negative, got ",
+    DGNN_CHECK(config.num_neighbors >= min_neighbors,
+               "RunConfig::num_neighbors must be at least ", min_neighbors, ", got ",
                config.num_neighbors);
     DGNN_CHECK(config.max_events >= 0, "max_events must be non-negative, got ",
                config.max_events);
@@ -36,6 +39,24 @@ ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config)
                config.cache.capacity_bytes);
 }
 
+RunWarmup
+WarmUp(sim::Runtime& runtime, const RunConfig& run, int64_t weight_bytes,
+       int64_t working_set_bytes)
+{
+    RunWarmup warmup;
+    if (run.include_warmup) {
+        warmup.one_time_us = runtime.EnsureWarm(weight_bytes).TotalUs();
+        warmup.per_run_us = runtime.RunAllocWarmup(working_set_bytes).TotalUs();
+    }
+    return warmup;
+}
+
+int64_t
+Capped(int64_t count, int64_t cap)
+{
+    return cap > 0 ? std::min(cap, count) : count;
+}
+
 cache::DeviceCache
 MakeRunCache(const sim::Runtime& runtime, const RunConfig& run, int64_t row_bytes)
 {
@@ -45,6 +66,36 @@ MakeRunCache(const sim::Runtime& runtime, const RunConfig& run, int64_t row_byte
     cache::DeviceCacheConfig config = run.cache;
     config.row_bytes = row_bytes;
     return cache::DeviceCache(config);
+}
+
+sim::DeviceBuffer
+AllocCacheBuffer(sim::Runtime& runtime, const cache::DeviceCache& cache,
+                 int64_t table_rows, const std::string& what)
+{
+    if (!cache.Enabled()) {
+        return sim::DeviceBuffer{};
+    }
+    return runtime.AllocDevice(std::min(cache.CapacityRows(), table_rows) *
+                                   cache.RowBytes(),
+                               what);
+}
+
+void
+GatherThroughCache(sim::Runtime& runtime, cache::DeviceCache& cache,
+                   const std::vector<int64_t>& keys, bool mark_dirty,
+                   const std::string& what)
+{
+    const cache::GatherResult g = cache.Gather(keys, mark_dirty);
+    runtime.GatherToDevice(g.hit_rows, g.miss_rows, cache.RowBytes(), what);
+    runtime.WriteBackToHost(g.writeback_rows, cache.RowBytes(), what);
+}
+
+void
+FlushCache(sim::Runtime& runtime, cache::DeviceCache& cache, const std::string& what)
+{
+    if (cache.Enabled()) {
+        runtime.WriteBackToHost(cache.FlushDirty(), cache.RowBytes(), what);
+    }
 }
 
 RunConfig
@@ -62,7 +113,9 @@ SingleBatchProbe(sim::ExecMode mode, int64_t batch_size, int64_t num_neighbors)
 
 RunResult
 CollectRunStats(sim::Runtime& runtime, const std::string& model,
-                const std::string& dataset, int64_t iterations)
+                const std::string& dataset, int64_t iterations,
+                const RunWarmup& warmup, const Checksum& checksum,
+                const cache::DeviceCache& cache)
 {
     (void)runtime.Synchronize();
     RunResult r;
@@ -83,6 +136,10 @@ CollectRunStats(sim::Runtime& runtime, const std::string& model,
     r.compute_busy_us = runtime.ComputeDevice().BusyTime();
     r.cache_hit_bytes = runtime.CacheHitBytes();
     r.breakdown = core::Breakdown::FromRuntime(runtime);
+    r.warmup_one_time_us = warmup.one_time_us;
+    r.warmup_per_run_us = warmup.per_run_us;
+    r.output_checksum = checksum.Value();
+    r.cache_stats = cache.Stats();
     return r;
 }
 

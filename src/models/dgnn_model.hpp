@@ -20,7 +20,6 @@
 
 #include "cache/device_cache.hpp"
 #include "core/breakdown.hpp"
-#include "core/profiler.hpp"
 #include "graph/temporal_sampler.hpp"
 #include "nn/attention.hpp"
 #include "nn/gcn.hpp"
@@ -139,9 +138,29 @@ constexpr sim::SimTime kFrameworkBatchOverheadUs = 250.0;
 /// Charges the per-batch framework overhead to the current category.
 void ChargeBatchOverhead(sim::Runtime& runtime);
 
-/// Validates a run configuration (positive batch size, sane neighbor and
-/// cap values, mode matching the runtime). Every model calls this first.
-void ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config);
+/// Validates a run configuration (positive batch size, at least
+/// @p min_neighbors sampled neighbors, sane cap values, mode matching the
+/// runtime). Every model calls this first, before anything is charged;
+/// models that sample temporal neighbors pass min_neighbors = 1.
+void ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config,
+                       int64_t min_neighbors = 0);
+
+/// Warm-up charged before a run's measured window.
+struct RunWarmup {
+    sim::SimTime one_time_us = 0.0;
+    sim::SimTime per_run_us = 0.0;
+};
+
+/// Runs the warm-up when RunConfig::include_warmup is set: the one-time
+/// ramp-up with the @p weight_bytes upload, then the per-run allocator
+/// warm-up of @p working_set_bytes. Returns zeros when it is off.
+RunWarmup WarmUp(sim::Runtime& runtime, const RunConfig& run, int64_t weight_bytes,
+                 int64_t working_set_bytes);
+
+/// @p count, limited to @p cap when the cap is positive: the one clamp
+/// behind RunConfig::max_events (the items a run processes) and
+/// RunConfig::numeric_cap (the items of a batch evaluated numerically).
+int64_t Capped(int64_t count, int64_t cap);
 
 /// Builds the run's device cache: enabled only when the runtime is hybrid
 /// and the config carries a positive capacity; the model's @p row_bytes
@@ -150,6 +169,25 @@ void ValidateRunConfig(const sim::Runtime& runtime, const RunConfig& config);
 /// uncached transfer path".
 cache::DeviceCache MakeRunCache(const sim::Runtime& runtime, const RunConfig& run,
                                 int64_t row_bytes);
+
+/// The cache's device footprint (staging + index), capped at the
+/// @p table_rows the model could ever cache: cached capacity is not free
+/// device memory. An empty buffer when the cache is disabled.
+sim::DeviceBuffer AllocCacheBuffer(sim::Runtime& runtime, const cache::DeviceCache& cache,
+                                   int64_t table_rows, const std::string& what);
+
+/// Moves the rows of @p keys to the device through @p cache: hits gather
+/// on-device, misses cross PCIe, and dirty rows the admission evicted are
+/// written back. @p mark_dirty marks every gathered row as about to be
+/// rewritten on the device.
+void GatherThroughCache(sim::Runtime& runtime, cache::DeviceCache& cache,
+                        const std::vector<int64_t>& keys, bool mark_dirty,
+                        const std::string& what);
+
+/// End-of-run flush: the host-side store sees every device-resident update
+/// once (one bulk write-back, not one per batch). No-op when disabled.
+void FlushCache(sim::Runtime& runtime, cache::DeviceCache& cache,
+                const std::string& what);
 
 /// Single-batch probe configuration: runs exactly one mini-batch of
 /// @p batch_size items (max_events == batch_size) with warm-up disabled and
@@ -160,10 +198,26 @@ cache::DeviceCache MakeRunCache(const sim::Runtime& runtime, const RunConfig& ru
 RunConfig SingleBatchProbe(sim::ExecMode mode, int64_t batch_size,
                            int64_t num_neighbors = 20);
 
-/// Assembles the common RunResult fields from the runtime's measurement
-/// window. Model-specific fields (checksum, warm-up) are set by the caller.
+/// Deterministic fingerprint helper: accumulates sum + abs-sum of a tensor.
+class Checksum {
+  public:
+    void Add(const Tensor& t);
+    void Add(double v);
+    double Value() const;
+
+  private:
+    double sum_ = 0.0;
+    double abs_sum_ = 0.0;
+    int64_t count_ = 0;
+};
+
+/// Synchronizes, then assembles the RunResult from the runtime's
+/// measurement window, the run's @p warmup, @p checksum and the counters of
+/// its device @p cache (all zero for a model without one).
 RunResult CollectRunStats(sim::Runtime& runtime, const std::string& model,
-                          const std::string& dataset, int64_t iterations);
+                          const std::string& dataset, int64_t iterations,
+                          const RunWarmup& warmup, const Checksum& checksum,
+                          const cache::DeviceCache& cache = cache::DeviceCache{});
 
 /// Converts an accumulated sampling cost into a host kernel descriptor.
 /// Calibration: each bisection probe and each gathered neighbor entry is a
@@ -180,18 +234,5 @@ std::vector<graph::SampledNeighborhood>
 SampleOnCpu(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
             const std::vector<int64_t>& nodes, const std::vector<double>& times,
             int64_t k);
-
-/// Deterministic fingerprint helper: accumulates sum + abs-sum of a tensor.
-class Checksum {
-  public:
-    void Add(const Tensor& t);
-    void Add(double v);
-    double Value() const;
-
-  private:
-    double sum_ = 0.0;
-    double abs_sum_ = 0.0;
-    int64_t count_ = 0;
-};
 
 }  // namespace dgnn::models

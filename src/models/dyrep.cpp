@@ -47,20 +47,47 @@ DyRep::ExpectedNextEventTime(int64_t u, int64_t v) const
     return 1.0 / lambda;
 }
 
+EndpointAttention
+AttendEndpoints(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
+                const nn::MultiHeadAttention& attention, const nn::Embedding& embeddings,
+                const graph::TemporalEvent& event, int64_t k, const std::string& kernel,
+                bool numeric)
+{
+    const int64_t d = embeddings.Dim();
+    EndpointAttention out;
+    for (const int64_t node : {event.src, event.dst}) {
+        const graph::SampledNeighborhood nbh = sampler.Sample(node, event.time, k);
+        sim::KernelDesc attn;
+        attn.name = kernel;
+        attn.flops = attention.ForwardFlops(1, k);
+        attn.bytes = (k + 2) * d * 4 * 3;
+        attn.parallel_items = k;
+        runtime.Launch(attn);
+
+        if (numeric) {
+            Tensor kv(Shape({k, d}));
+            for (int64_t j = 0; j < k; ++j) {
+                const int64_t nbr = nbh.neighbors[static_cast<size_t>(j)];
+                if (nbr >= 0) {
+                    kv.SetRow(j, embeddings.Row(nbr));
+                }
+            }
+            const Tensor q = embeddings.Row(node).Reshape(Shape({1, d}));
+            (node == event.src ? out.src : out.dst) = attention.Forward(q, kv, kv);
+        }
+    }
+    return out;
+}
+
 RunResult
 DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
     const int64_t d = config_.embed_dim;
     const int64_t k = config_.attention_neighbors;
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime.RunAllocWarmup(dataset_.spec.num_actors * d * 4).TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(), dataset_.spec.num_actors * d * 4);
 
     sim::DeviceBuffer weights = runtime.AllocDevice(WeightBytes(), "dyrep_weights");
     sim::DeviceBuffer emb_buf = runtime.AllocDevice(
@@ -71,9 +98,7 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
     graph::TemporalNeighborSampler sampler(
         adjacency_, graph::SamplingStrategy::kMostRecent, config_.seed + 1);
 
-    const int64_t total_events =
-        run.max_events > 0 ? std::min(run.max_events, dataset_.stream.NumEvents())
-                           : dataset_.stream.NumEvents();
+    const int64_t total_events = Capped(dataset_.stream.NumEvents(), run.max_events);
     Checksum checksum;
 
     // Strictly sequential event loop: this IS the bottleneck.
@@ -83,39 +108,16 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
             run.numeric_cap <= 0 || i < run.numeric_cap;
 
         // --- Temporal Attention over both endpoints' neighborhoods.
-        Tensor attended_u;
-        Tensor attended_v;
+        EndpointAttention attended;
         {
-            core::ProfileScope scope(profiler, "Temporal Attention");
-            for (const int64_t node : {e.src, e.dst}) {
-                const graph::SampledNeighborhood nbh =
-                    sampler.Sample(node, e.time, k);
-                sim::KernelDesc attn;
-                attn.name = "local_attention";
-                attn.flops = attention_->ForwardFlops(1, k);
-                attn.bytes = (k + 2) * d * 4 * 3;
-                attn.parallel_items = k;
-                runtime.Launch(attn);
-
-                if (numeric) {
-                    Tensor kv(Shape({k, d}));
-                    for (int64_t j = 0; j < k; ++j) {
-                        const int64_t nbr = nbh.neighbors[static_cast<size_t>(j)];
-                        if (nbr >= 0) {
-                            kv.SetRow(j, embeddings_->Row(nbr));
-                        }
-                    }
-                    const Tensor q =
-                        embeddings_->Row(node).Reshape(Shape({1, d}));
-                    Tensor& out = node == e.src ? attended_u : attended_v;
-                    out = attention_->Forward(q, kv, kv);
-                }
-            }
+            sim::CategoryScope scope(runtime, "Temporal Attention");
+            attended = AttendEndpoints(runtime, sampler, *attention_, *embeddings_, e,
+                                       k, "local_attention", numeric);
         }
 
         // --- Node Embedding Update (RNN per endpoint).
         {
-            core::ProfileScope scope(profiler, "Node Embedding Update");
+            sim::CategoryScope scope(runtime, "Node Embedding Update");
             for (const int64_t node : {e.src, e.dst}) {
                 sim::KernelDesc rnn;
                 rnn.name = "embedding_rnn";
@@ -126,11 +128,9 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
                 if (numeric) {
                     const int64_t other = node == e.src ? e.dst : e.src;
-                    const Tensor& attended =
-                        node == e.src ? attended_u : attended_v;
                     const Tensor input = ops::ConcatCols(
                         ops::ConcatCols(
-                            attended,
+                            node == e.src ? attended.src : attended.dst,
                             embeddings_->Row(other).Reshape(Shape({1, d}))),
                         exogenous_.Reshape(Shape({1, d})));
                     const Tensor h =
@@ -145,7 +145,7 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Conditional Intensity (decoder) + hard sync: the next event
         // depends on this one's updates.
         {
-            core::ProfileScope scope(profiler, "Conditional Intensity");
+            sim::CategoryScope scope(runtime, "Conditional Intensity");
             sim::KernelDesc head;
             head.name = "conditional_intensity";
             head.flops = intensity_head_->ForwardFlops(1) + 4;
@@ -160,12 +160,8 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
     }
 
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, total_events);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    return result;
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, total_events, warmup,
+                           checksum);
 }
 
 }  // namespace dgnn::models

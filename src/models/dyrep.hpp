@@ -49,7 +49,7 @@ class DyRep : public DgnnModel {
     /// mean of an exponential with rate lambda_uv).
     double ExpectedNextEventTime(int64_t u, int64_t v) const;
 
-  protected:
+  private:
     const data::PointProcessDataset& dataset_;
     graph::TemporalAdjacency adjacency_;
     std::unique_ptr<nn::Embedding> embeddings_;
@@ -57,9 +57,25 @@ class DyRep : public DgnnModel {
     std::unique_ptr<nn::RnnCell> update_rnn_;
     std::unique_ptr<nn::Linear> intensity_head_;
     Tensor exogenous_;  ///< [embed_dim] drive vector
-
-  private:
     DyRepConfig config_;
 };
+
+/// Attended neighborhoods of one event's two endpoints.
+struct EndpointAttention {
+    Tensor src;
+    Tensor dst;
+};
+
+/// DyRep's per-endpoint attention step, which LDG shares: for each of
+/// @p event's endpoints, samples its @p k most recent neighbors and
+/// launches one single-head attention kernel named @p kernel; with
+/// @p numeric set, also attends the endpoint's embedding over the
+/// neighbors' rows on the host (the result stays empty otherwise).
+EndpointAttention AttendEndpoints(sim::Runtime& runtime,
+                                  graph::TemporalNeighborSampler& sampler,
+                                  const nn::MultiHeadAttention& attention,
+                                  const nn::Embedding& embeddings,
+                                  const graph::TemporalEvent& event, int64_t k,
+                                  const std::string& kernel, bool numeric);
 
 }  // namespace dgnn::models

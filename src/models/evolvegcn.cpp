@@ -130,15 +130,14 @@ EvolveGcn::LayerWeight(int64_t layer) const
 }
 
 void
-EvolveGcn::EvolveWeights(sim::Runtime& runtime, core::Profiler& profiler,
-                         const Tensor& node_embeddings)
+EvolveGcn::EvolveWeights(sim::Runtime& runtime, const Tensor& node_embeddings)
 {
     for (size_t l = 0; l < weights_.size(); ++l) {
         Tensor rnn_input;
         if (config_.variant == EvolveGcnVariant::kH) {
             // [top-k]: score nodes, pick out_l rows to drive the GRU. The
             // paper singles this phase out as a sampling-style overhead.
-            core::ProfileScope scope(profiler, "top-k");
+            sim::CategoryScope scope(runtime, "top-k");
             const Tensor& x = l == 0 ? node_embeddings : node_embeddings;
             const int64_t n = x.Dim(0);
             const int64_t k = layer_out_[l];
@@ -188,7 +187,7 @@ EvolveGcn::EvolveWeights(sim::Runtime& runtime, core::Profiler& profiler,
         }
 
         {
-            core::ProfileScope scope(profiler, "RNN");
+            sim::CategoryScope scope(runtime, "RNN");
             // GRU expects matching row counts: -O uses the weight itself,
             // -H uses the top-k rows (shaped [out_l, in_l] above).
             weights_[l] = GruStep(runtime, *weight_rnn_[l], rnn_input, weights_[l]);
@@ -207,27 +206,17 @@ RunResult
 EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
-
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime
-                       .RunAllocWarmup(dataset_.node_features.NumBytes() +
-                                       dataset_.sequence.Step(0).TopologyBytes())
-                       .TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(),
+               dataset_.node_features.NumBytes() +
+                   dataset_.sequence.Step(0).TopologyBytes());
 
     sim::DeviceBuffer weight_buf =
         runtime.AllocDevice(WeightBytes(), "evolvegcn_weights");
 
     runtime.ResetMeasurementWindow();
 
-    const int64_t steps =
-        run.max_events > 0
-            ? std::min<int64_t>(run.max_events, dataset_.sequence.NumSteps())
-            : dataset_.sequence.NumSteps();
+    const int64_t steps = Capped(dataset_.sequence.NumSteps(), run.max_events);
     Checksum checksum;
 
     for (int64_t t = 0; t < steps; ++t) {
@@ -240,7 +229,7 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             snap.TopologyBytes() + dataset_.node_features.NumBytes(),
             "evolvegcn_snapshot");
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             ChargeBatchOverhead(runtime);
             int64_t copy_bytes =
                 snap.TopologyBytes() + dataset_.node_features.NumBytes();
@@ -264,12 +253,12 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // --- RNN (+ top-k for -H): evolve the GCN weights.
-        EvolveWeights(runtime, profiler, dataset_.node_features);
+        EvolveWeights(runtime, dataset_.node_features);
 
         // --- GNN: two GCN layers with the evolved weights.
         Tensor h = dataset_.node_features;
         {
-            core::ProfileScope scope(profiler, "GNN");
+            sim::CategoryScope scope(runtime, "GNN");
             const nn::SparseMatrix a_hat = ToNormalizedCsr(snap);
             for (size_t l = 0; l < gcn_layers_.size(); ++l) {
                 h = GcnStep(runtime, *gcn_layers_[l], a_hat, h, weights_[l]);
@@ -282,16 +271,13 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Memory Copy: step outputs D2H.
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToHost(h.NumBytes(), "embeddings_d2h");
         }
     }
 
-    RunResult result = CollectRunStats(runtime, Name(), dataset_.spec.name, steps);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    return result;
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, steps, warmup,
+                           checksum);
 }
 
 }  // namespace dgnn::models

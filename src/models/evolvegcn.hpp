@@ -67,8 +67,7 @@ class EvolveGcn : public DgnnModel {
 
   private:
     /// Evolves layer weights for one step; returns top-k host cost (H only).
-    void EvolveWeights(sim::Runtime& runtime, core::Profiler& profiler,
-                       const Tensor& node_embeddings);
+    void EvolveWeights(sim::Runtime& runtime, const Tensor& node_embeddings);
 
     const data::SnapshotDataset& dataset_;
     EvolveGcnConfig config_;

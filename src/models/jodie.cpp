@@ -34,7 +34,6 @@ RunResult
 Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
     const int64_t d = config_.embed_dim;
     // Device-resident embedding cache keyed by global node id (users and
     // items share one id space). Hits keep rows on the device across
@@ -42,29 +41,16 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
     cache::DeviceCache embedding_cache =
         MakeRunCache(runtime, run, CacheRowBytes());
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime.RunAllocWarmup(run.batch_size * d * 4).TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(), run.batch_size * d * 4);
 
     sim::DeviceBuffer weights = runtime.AllocDevice(WeightBytes(), "jodie_weights");
-    // The cache's device footprint, capped at the full embedding tables:
-    // cached capacity is not free device memory.
-    sim::DeviceBuffer cache_buf;
-    if (embedding_cache.Enabled()) {
-        cache_buf = runtime.AllocDevice(
-            std::min(embedding_cache.CapacityRows(), dataset_.NumNodes()) *
-                CacheRowBytes(),
-            "jodie_embedding_cache");
-    }
+    sim::DeviceBuffer cache_buf = AllocCacheBuffer(
+        runtime, embedding_cache, dataset_.NumNodes(), "jodie_embedding_cache");
 
     runtime.ResetMeasurementWindow();
 
-    const int64_t total_events =
-        run.max_events > 0 ? std::min(run.max_events, dataset_.stream.NumEvents())
-                           : dataset_.stream.NumEvents();
+    const int64_t total_events = Capped(dataset_.stream.NumEvents(), run.max_events);
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
@@ -87,7 +73,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Load Embedding: t-batch creation (CPU) + embeddings H2D.
         std::vector<graph::TBatch> tbatches;
         {
-            core::ProfileScope scope(profiler, "Load Embedding");
+            sim::CategoryScope scope(runtime, "Load Embedding");
             ChargeBatchOverhead(runtime);
             if (config_.use_tbatch) {
                 tbatches = graph::BuildTBatches(dataset_.stream, begin, end);
@@ -112,12 +98,8 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 // Every gathered row is rewritten by the RNN updates:
                 // dirty at gather time, so same-chunk evictions still owe
                 // their write-back.
-                const cache::GatherResult g =
-                    embedding_cache.Gather(chunk_nodes, /*mark_dirty=*/true);
-                runtime.GatherToDevice(g.hit_rows, g.miss_rows, CacheRowBytes(),
-                                       "jodie_embeddings");
-                runtime.WriteBackToHost(g.writeback_rows, CacheRowBytes(),
-                                       "jodie_embeddings");
+                GatherThroughCache(runtime, embedding_cache, chunk_nodes,
+                                   /*mark_dirty=*/true, "jodie_embeddings");
             } else {
                 runtime.CopyToDevice(2 * chunk_events * d * 4,
                                      "jodie_embeddings_h2d");
@@ -130,8 +112,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Per t-batch sequential processing (mutually recursive RNNs).
         for (const graph::TBatch& tb : tbatches) {
             const int64_t m = static_cast<int64_t>(tb.event_indices.size());
-            const int64_t cap =
-                run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, m) : m;
+            const int64_t cap = Capped(m, run.numeric_cap);
 
             // Gather the real rows for the numeric path.
             std::vector<int64_t> users;
@@ -158,7 +139,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
             // [Project User Embedding]: u' = (1 + Δt*w) ⊙ u.
             Tensor projected(u.GetShape());
             {
-                core::ProfileScope scope(profiler, "Project User Embedding");
+                sim::CategoryScope scope(runtime, "Project User Embedding");
                 for (int64_t i = 0; i < cap; ++i) {
                     for (int64_t j = 0; j < d; ++j) {
                         projected.At(i, j) =
@@ -179,7 +160,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
             // [Predict Item Embedding]: linear head on projected users.
             Tensor predicted;
             {
-                core::ProfileScope scope(profiler, "Predict Item Embedding");
+                sim::CategoryScope scope(runtime, "Predict Item Embedding");
                 predicted = item_predictor_->Forward(projected);
                 pred.name = "predict_item";
                 pred.flops = item_predictor_->ForwardFlops(m);
@@ -192,7 +173,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
             // [Update Embedding]: mutually-recursive user and item RNNs.
             {
-                core::ProfileScope scope(profiler, "Update Embedding");
+                sim::CategoryScope scope(runtime, "Update Embedding");
                 const Tensor new_u = user_rnn_->Forward(v, u);
                 const Tensor new_v = item_rnn_->Forward(u, v);
                 user_embeddings_->Update(users, new_u);
@@ -237,25 +218,16 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // updated rows stay device-resident (marked dirty at gather time)
         // and write back only on eviction or the end-of-run flush.
         if (!embedding_cache.Enabled()) {
-            core::ProfileScope scope(profiler, "Update Embedding");
+            sim::CategoryScope scope(runtime, "Update Embedding");
             runtime.CopyToHost(2 * chunk_events * d * 4,
                                "jodie_embeddings_d2h");
         }
         ++iterations;
     }
 
-    if (embedding_cache.Enabled()) {
-        runtime.WriteBackToHost(embedding_cache.FlushDirty(), CacheRowBytes(),
-                                "jodie_embeddings_flush");
-    }
-
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    result.cache_stats = embedding_cache.Stats();
-    return result;
+    FlushCache(runtime, embedding_cache, "jodie_embeddings_flush");
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, iterations, warmup,
+                           checksum, embedding_cache);
 }
 
 }  // namespace dgnn::models

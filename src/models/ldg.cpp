@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "models/dyrep.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -65,16 +66,11 @@ RunResult
 Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
     const int64_t d = config_.embed_dim;
     const int64_t k = config_.attention_neighbors;
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime.RunAllocWarmup(dataset_.spec.num_actors * d * 4).TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(), dataset_.spec.num_actors * d * 4);
 
     sim::DeviceBuffer weights = runtime.AllocDevice(WeightBytes(), "ldg_weights");
     sim::DeviceBuffer emb_buf = runtime.AllocDevice(
@@ -85,9 +81,7 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
     graph::TemporalNeighborSampler sampler(
         adjacency_, graph::SamplingStrategy::kMostRecent, config_.seed + 1);
 
-    const int64_t total_events =
-        run.max_events > 0 ? std::min(run.max_events, dataset_.stream.NumEvents())
-                           : dataset_.stream.NumEvents();
+    const int64_t total_events = Capped(dataset_.stream.NumEvents(), run.max_events);
     Checksum checksum;
 
     for (int64_t i = 0; i < total_events; ++i) {
@@ -98,7 +92,7 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // the pair's sampled context edges.
         Tensor latent_edge;
         {
-            core::ProfileScope scope(profiler, "Encoder (NRI)");
+            sim::CategoryScope scope(runtime, "Encoder (NRI)");
             if (config_.encoder == LdgEncoder::kMlp) {
                 sim::KernelDesc enc;
                 enc.name = "nri_encoder";
@@ -123,40 +117,18 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
         }
 
-        // --- Temporal Attention over the endpoints' neighborhoods.
-        Tensor attended_u;
-        Tensor attended_v;
+        // --- Temporal Attention over the endpoints' neighborhoods
+        // (DyRep's step).
+        EndpointAttention attended;
         {
-            core::ProfileScope scope(profiler, "Temporal Attention");
-            for (const int64_t node : {e.src, e.dst}) {
-                const graph::SampledNeighborhood nbh =
-                    sampler.Sample(node, e.time, k);
-                sim::KernelDesc attn;
-                attn.name = "latent_attention";
-                attn.flops = attention_->ForwardFlops(1, k);
-                attn.bytes = (k + 2) * d * 4 * 3;
-                attn.parallel_items = k;
-                runtime.Launch(attn);
-
-                if (numeric) {
-                    Tensor kv(Shape({k, d}));
-                    for (int64_t j = 0; j < k; ++j) {
-                        const int64_t nbr = nbh.neighbors[static_cast<size_t>(j)];
-                        if (nbr >= 0) {
-                            kv.SetRow(j, embeddings_->Row(nbr));
-                        }
-                    }
-                    const Tensor q =
-                        embeddings_->Row(node).Reshape(Shape({1, d}));
-                    Tensor& out = node == e.src ? attended_u : attended_v;
-                    out = attention_->Forward(q, kv, kv);
-                }
-            }
+            sim::CategoryScope scope(runtime, "Temporal Attention");
+            attended = AttendEndpoints(runtime, sampler, *attention_, *embeddings_, e,
+                                       k, "latent_attention", numeric);
         }
 
         // --- Node Embedding Update.
         {
-            core::ProfileScope scope(profiler, "Node Embedding Update");
+            sim::CategoryScope scope(runtime, "Node Embedding Update");
             for (const int64_t node : {e.src, e.dst}) {
                 sim::KernelDesc rnn;
                 rnn.name = "embedding_rnn";
@@ -167,10 +139,8 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
                 if (numeric) {
                     const int64_t other = node == e.src ? e.dst : e.src;
-                    const Tensor& attended =
-                        node == e.src ? attended_u : attended_v;
                     const Tensor input = ops::ConcatCols(
-                        attended,
+                        node == e.src ? attended.src : attended.dst,
                         embeddings_->Row(other).Reshape(Shape({1, d})));
                     const Tensor h =
                         embeddings_->Row(node).Reshape(Shape({1, d}));
@@ -182,7 +152,7 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Bilinear Decoder + per-event sync.
         {
-            core::ProfileScope scope(profiler, "Bilinear Decoder");
+            sim::CategoryScope scope(runtime, "Bilinear Decoder");
             sim::KernelDesc dec;
             dec.name = "bilinear_decoder";
             dec.flops = 2 * d * d + 2 * d;
@@ -197,12 +167,8 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
     }
 
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, total_events);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    return result;
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, total_events, warmup,
+                           checksum);
 }
 
 }  // namespace dgnn::models

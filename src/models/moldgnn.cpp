@@ -53,24 +53,17 @@ RunResult
 MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
     ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
     const int64_t atoms = dataset_.spec.num_atoms;
     const int64_t frame_bytes = dataset_.FrameBytes();
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime.RunAllocWarmup(run.batch_size * frame_bytes).TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(), run.batch_size * frame_bytes);
 
     sim::DeviceBuffer weights = runtime.AllocDevice(WeightBytes(), "moldgnn_weights");
 
     runtime.ResetMeasurementWindow();
 
-    const int64_t total_frames =
-        run.max_events > 0 ? std::min<int64_t>(run.max_events, dataset_.NumFrames())
-                           : dataset_.NumFrames();
+    const int64_t total_frames = Capped(dataset_.NumFrames(), run.max_events);
     const int64_t bs = run.batch_size;
     Checksum checksum;
     int64_t iterations = 0;
@@ -83,7 +76,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         sim::DeviceBuffer batch_buf =
             runtime.AllocDevice(nf * frame_bytes, "moldgnn_batch");
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             ChargeBatchOverhead(runtime);
             sim::KernelDesc concat;
             concat.name = "concat_adjacency";
@@ -101,13 +94,12 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
         }
 
-        const int64_t cap =
-            run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, nf) : nf;
+        const int64_t cap = Capped(nf, run.numeric_cap);
 
         // --- GCN: per-frame graph convolution (batched cost, capped math).
         std::vector<Tensor> frame_embeddings;
         {
-            core::ProfileScope scope(profiler, "GCN");
+            sim::CategoryScope scope(runtime, "GCN");
             for (int64_t f = 0; f < cap; ++f) {
                 const nn::SparseMatrix a = DenseToNormalizedCsr(
                     dataset_.adjacency[static_cast<size_t>(begin + f)]);
@@ -130,7 +122,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // limited to the hidden width — the temporal data dependency.
         nn::LstmState state = lstm_->InitialState(1);
         {
-            core::ProfileScope scope(profiler, "LSTM");
+            sim::CategoryScope scope(runtime, "LSTM");
             for (int64_t f = 0; f < cap; ++f) {
                 state = lstm_->Forward(
                     frame_embeddings[static_cast<size_t>(f)], state);
@@ -147,7 +139,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- FFN: predict the next adjacency matrix.
         {
-            core::ProfileScope scope(profiler, "FFN");
+            sim::CategoryScope scope(runtime, "FFN");
             const Tensor pred = ffn_->Forward(state.h);
             checksum.Add(ops::Sigmoid(pred));
             sim::KernelDesc ffn;
@@ -162,7 +154,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Memory Copy: predicted (symmetric) matrices D2H (Fig 5c).
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             for (int64_t f = 0; f < nf; ++f) {
                 runtime.CopyToHost(frame_bytes, "predictions_d2h");
             }
@@ -170,12 +162,8 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         ++iterations;
     }
 
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    return result;
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, iterations, warmup,
+                           checksum);
 }
 
 }  // namespace dgnn::models

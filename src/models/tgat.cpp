@@ -81,21 +81,14 @@ Tgat::ComputeEmbedding(graph::TemporalNeighborSampler& sampler, int64_t node,
 RunResult
 Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
-    ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
+    ValidateRunConfig(runtime, run, /*min_neighbors=*/1);
     graph::TemporalNeighborSampler sampler(adjacency_,
                                            graph::SamplingStrategy::kUniform,
                                            config_.seed + 1);
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run = runtime
-                       .RunAllocWarmup(run.batch_size * run.num_neighbors *
-                                       config_.embed_dim * 4)
-                       .TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(),
+               run.batch_size * run.num_neighbors * config_.embed_dim * 4);
 
     // Device-resident node-feature cache. Uncached baseline: the whole
     // node-feature table is assumed resident (it fits comfortably), paid
@@ -112,14 +105,9 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
     sim::DeviceBuffer weights =
         runtime.AllocDevice(WeightBytes(), "tgat_weights");
     int64_t resident_table_bytes = dataset_.edge_features.NumBytes();
-    sim::DeviceBuffer cache_buf;
-    if (feature_cache.Enabled()) {
-        // The cache's device footprint: capped at the full node table.
-        cache_buf = runtime.AllocDevice(
-            std::min(feature_cache.CapacityRows(), dataset_.NumNodes()) *
-                CacheRowBytes(),
-            "tgat_feature_cache");
-    } else {
+    sim::DeviceBuffer cache_buf = AllocCacheBuffer(
+        runtime, feature_cache, dataset_.NumNodes(), "tgat_feature_cache");
+    if (!feature_cache.Enabled()) {
         resident_table_bytes += dataset_.node_features.NumBytes();
     }
     sim::DeviceBuffer feature_tables =
@@ -128,9 +116,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
     runtime.ResetMeasurementWindow();
 
-    const int64_t total_events =
-        run.max_events > 0 ? std::min(run.max_events, dataset_.stream.NumEvents())
-                           : dataset_.stream.NumEvents();
+    const int64_t total_events = Capped(dataset_.stream.NumEvents(), run.max_events);
     const int64_t bs = run.batch_size;
     const int64_t k = run.num_neighbors;
     const int64_t d = config_.embed_dim;
@@ -163,7 +149,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             touched = nodes;
         }
         {
-            core::ProfileScope scope(profiler, "Sampling (CPU)");
+            sim::CategoryScope scope(runtime, "Sampling (CPU)");
             ChargeBatchOverhead(runtime);
             hoods = SampleOnCpu(runtime, sampler, nodes, times, k);
             if (feature_cache.Enabled()) {
@@ -211,15 +197,15 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         sim::DeviceBuffer activations = runtime.AllocDevice(
             gathered_nodes * d * 4 * 2, "tgat_batch");
         {
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToDevice(index_bytes + delta_bytes, "tgat_batch_h2d");
             if (feature_cache.Enabled()) {
                 // Feature rows of every touched node (targets + every
                 // sampled hop, deduplicated) come through the cache.
+                // Read-only rows: nothing is dirty, so nothing writes back.
                 cache::SortUnique(touched);
-                const cache::GatherResult g = feature_cache.Gather(touched);
-                runtime.GatherToDevice(g.hit_rows, g.miss_rows, CacheRowBytes(),
-                                       "tgat_features");
+                GatherThroughCache(runtime, feature_cache, touched,
+                                   /*mark_dirty=*/false, "tgat_features");
             }
         }
 
@@ -228,7 +214,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // so the descriptor outlives this phase scope.
         sim::KernelDesc tenc;
         {
-            core::ProfileScope scope(profiler, "Time Encoding");
+            sim::CategoryScope scope(runtime, "Time Encoding");
             tenc.name = "time_encoding";
             tenc.flops = time_encoder_->ForwardFlops(n * k);
             tenc.bytes = n * k * (8 + d * 4);
@@ -241,7 +227,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Attention Layer: projection + attention + merge, batched.
         {
-            core::ProfileScope scope(profiler, "Attention Layer");
+            sim::CategoryScope scope(runtime, "Attention Layer");
             // Feature projection of all gathered nodes (one GEMM).
             sim::KernelDesc proj;
             proj.name = "feature_projection";
@@ -303,8 +289,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
 
             // Real numerics for up to numeric_cap targets (0 = all).
-            const int64_t cap =
-                run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, n) : n;
+            const int64_t cap = Capped(n, run.numeric_cap);
             graph::TemporalNeighborSampler numeric_sampler(
                 adjacency_, graph::SamplingStrategy::kUniform, config_.seed + 2);
             for (int64_t i = 0; i < cap; ++i) {
@@ -319,29 +304,24 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             // --- Cuda Synchronization: drain the tail of the compute
             // stream, then fetch results (the eager baseline).
             {
-                core::ProfileScope scope(profiler, "Cuda Synchronization");
+                sim::CategoryScope scope(runtime, "Cuda Synchronization");
                 (void)runtime.Synchronize();
             }
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h");
         } else {
             // --- Overlapped variant (paper 5.1.1): do not stall; the next
             // iteration's CPU sampling proceeds while the device drains.
             // Results are fetched lazily; the deferred D2H pays the wait
             // only if the device is still behind by then.
-            core::ProfileScope scope(profiler, "Memory Copy");
+            sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToHost(n * d * 4, "tgat_embeddings_d2h_async");
         }
         ++iterations;
     }
 
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    result.cache_stats = feature_cache.Stats();
-    return result;
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, iterations, warmup,
+                           checksum, feature_cache);
 }
 
 }  // namespace dgnn::models

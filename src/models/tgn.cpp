@@ -45,8 +45,7 @@ Tgn::WeightBytes() const
 RunResult
 Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
-    ValidateRunConfig(runtime, run);
-    core::Profiler profiler(runtime);
+    ValidateRunConfig(runtime, run, /*min_neighbors=*/1);
     graph::TemporalNeighborSampler sampler(
         adjacency_, graph::SamplingStrategy::kMostRecent, config_.seed + 1);
     // Device-resident node-memory cache (hybrid + positive capacity only).
@@ -56,32 +55,18 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
     cache::DeviceCache memory_cache =
         MakeRunCache(runtime, run, CacheRowBytes());
 
-    sim::SimTime warm_one = 0.0;
-    sim::SimTime warm_run = 0.0;
-    if (run.include_warmup) {
-        warm_one = runtime.EnsureWarm(WeightBytes()).TotalUs();
-        warm_run =
-            runtime.RunAllocWarmup(run.batch_size * MessageDim() * 4).TotalUs();
-    }
+    const RunWarmup warmup =
+        WarmUp(runtime, run, WeightBytes(), run.batch_size * MessageDim() * 4);
 
     sim::DeviceBuffer weights = runtime.AllocDevice(WeightBytes(), "tgn_weights");
     sim::DeviceBuffer memory_buf = runtime.AllocDevice(
         memory_->Count() * memory_->Dim() * 4, "tgn_node_memory");
-    // The cache's device footprint (staging + index), capped at the full
-    // memory table: cached capacity is not free device memory.
-    sim::DeviceBuffer cache_buf;
-    if (memory_cache.Enabled()) {
-        cache_buf = runtime.AllocDevice(
-            std::min(memory_cache.CapacityRows(), memory_->Count()) *
-                CacheRowBytes(),
-            "tgn_memory_cache");
-    }
+    sim::DeviceBuffer cache_buf = AllocCacheBuffer(
+        runtime, memory_cache, memory_->Count(), "tgn_memory_cache");
 
     runtime.ResetMeasurementWindow();
 
-    const int64_t total_events =
-        run.max_events > 0 ? std::min(run.max_events, dataset_.stream.NumEvents())
-                           : dataset_.stream.NumEvents();
+    const int64_t total_events = Capped(dataset_.stream.NumEvents(), run.max_events);
     const int64_t bs = run.batch_size;
     const int64_t k = run.num_neighbors;
     const int64_t md = config_.memory_dim;
@@ -120,7 +105,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Aggregate Messages Passing ---------------------------------
         {
-            core::ProfileScope scope(profiler, "Aggregate Messages Passing");
+            sim::CategoryScope scope(runtime, "Aggregate Messages Passing");
             runtime.RunHostFor("framework_overhead",
                                kFrameworkBatchOverheadUs / 3.0);
             // CPU builds the raw-message batch (gather + concat, irregular).
@@ -141,15 +126,11 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 // gathered row is about to be rewritten by the GRU update,
                 // so it is marked dirty here (rows evicted before the
                 // batch ends still owe their write-back).
-                const cache::GatherResult g =
-                    memory_cache.Gather(unique_nodes, /*mark_dirty=*/true);
                 runtime.CopyToDevice(
                     2 * nb * (config_.time_dim + dataset_.spec.edge_feature_dim) * 4,
                     "tgn_messages_h2d");
-                runtime.GatherToDevice(g.hit_rows, g.miss_rows, CacheRowBytes(),
-                                       "tgn_memory");
-                runtime.WriteBackToHost(g.writeback_rows, CacheRowBytes(),
-                                        "tgn_memory");
+                GatherThroughCache(runtime, memory_cache, unique_nodes,
+                                   /*mark_dirty=*/true, "tgn_memory");
             } else {
                 runtime.CopyToDevice(2 * nb * MessageDim() * 4, "tgn_messages_h2d");
             }
@@ -167,8 +148,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
 
         // Real message tensors for the numeric path.
-        const int64_t cap =
-            run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, un) : un;
+        const int64_t cap = Capped(un, run.numeric_cap);
         Tensor messages(Shape({cap, MessageDim()}));
         std::vector<int64_t> cap_nodes(unique_nodes.begin(),
                                        unique_nodes.begin() + cap);
@@ -202,7 +182,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Update Memory ------------------------------------------------
         {
-            core::ProfileScope scope(profiler, "Update Memory");
+            sim::CategoryScope scope(runtime, "Update Memory");
             runtime.RunHostFor("framework_overhead",
                                kFrameworkBatchOverheadUs / 3.0);
             const Tensor old_memory = memory_->Lookup(cap_nodes);
@@ -242,7 +222,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
 
         // --- Compute Embedding ---------------------------------------------
         {
-            core::ProfileScope scope(profiler, "Compute Embedding");
+            sim::CategoryScope scope(runtime, "Compute Embedding");
             runtime.RunHostFor("framework_overhead",
                                kFrameworkBatchOverheadUs / 3.0);
             // Temporal neighbor lookup on CPU (recency sampler).
@@ -289,8 +269,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             (void)runtime.Synchronize();
 
             // Numeric path for capped targets.
-            const int64_t ncap =
-                run.numeric_cap > 0 ? std::min<int64_t>(run.numeric_cap, nb) : nb;
+            const int64_t ncap = Capped(nb, run.numeric_cap);
             for (int64_t i = 0; i < ncap; ++i) {
                 const auto& e = batch[i];
                 const Tensor q =
@@ -317,20 +296,9 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         ++iterations;
     }
 
-    // End-of-run: the host-side memory store must see every device-resident
-    // update once (one bulk write-back, not one per batch).
-    if (memory_cache.Enabled()) {
-        runtime.WriteBackToHost(memory_cache.FlushDirty(), CacheRowBytes(),
-                                "tgn_memory_flush");
-    }
-
-    RunResult result =
-        CollectRunStats(runtime, Name(), dataset_.spec.name, iterations);
-    result.warmup_one_time_us = warm_one;
-    result.warmup_per_run_us = warm_run;
-    result.output_checksum = checksum.Value();
-    result.cache_stats = memory_cache.Stats();
-    return result;
+    FlushCache(runtime, memory_cache, "tgn_memory_flush");
+    return CollectRunStats(runtime, Name(), dataset_.spec.name, iterations, warmup,
+                           checksum, memory_cache);
 }
 
 }  // namespace dgnn::models

@@ -36,7 +36,7 @@ struct TraceEvent {
     EventKind kind = EventKind::kMarker;
     /// Kernel/op name ("gemm", "h2d", "sampling_bisect", ...).
     std::string name;
-    /// Profiler category active at issue time ("GNN", "Memory Copy", ...).
+    /// Module category (sim::CategoryScope) active at issue time ("GNN", ...).
     std::string category;
     /// Device name the event ran on ("RTX A6000", "Xeon Gold 6226R", "PCIe").
     std::string device;

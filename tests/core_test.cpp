@@ -1,5 +1,5 @@
 // Tests for the profiling/bottleneck-analysis core (the paper's primary
-// contribution): profiler, breakdown, trace analysis, bottleneck analyzers,
+// contribution): breakdown, trace analysis, bottleneck analyzers,
 // table writer, Table-1 model registry.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "core/breakdown.hpp"
 #include "core/latency_histogram.hpp"
 #include "core/model_summary.hpp"
-#include "core/profiler.hpp"
 #include "core/table_writer.hpp"
 #include "core/trace_analysis.hpp"
 #include "sim/runtime.hpp"
@@ -36,39 +35,6 @@ Kernel(int64_t flops = 1000000, int64_t items = 1000)
     return k;
 }
 
-TEST(ProfilerTest, RangesNestAndTotal)
-{
-    sim::Runtime rt = MakeRuntime();
-    Profiler prof(rt);
-    {
-        ProfileScope outer(prof, "outer");
-        rt.RunHostFor("a", 10.0);
-        {
-            ProfileScope inner(prof, "inner");
-            rt.RunHostFor("b", 5.0);
-        }
-    }
-    ASSERT_EQ(prof.Ranges().size(), 2u);
-    // Inner closes first.
-    EXPECT_EQ(prof.Ranges()[0].name, "inner");
-    EXPECT_DOUBLE_EQ(prof.Ranges()[0].Duration(), 5.0);
-    EXPECT_EQ(prof.Ranges()[0].depth, 1);
-    EXPECT_EQ(prof.Ranges()[1].name, "outer");
-    EXPECT_DOUBLE_EQ(prof.Ranges()[1].Duration(), 15.0);
-    EXPECT_EQ(prof.Ranges()[1].depth, 0);
-
-    const auto totals = prof.RangeTotals();
-    EXPECT_DOUBLE_EQ(totals.at("outer"), 15.0);
-    EXPECT_EQ(prof.OpenDepth(), 0);
-}
-
-TEST(ProfilerTest, EndWithoutBeginThrows)
-{
-    sim::Runtime rt = MakeRuntime();
-    Profiler prof(rt);
-    EXPECT_THROW(prof.End(), Error);
-}
-
 TEST(BreakdownTest, SharesSumToHundred)
 {
     sim::Runtime rt = MakeRuntime();
@@ -91,23 +57,6 @@ TEST(BreakdownTest, SharesSumToHundred)
     EXPECT_NEAR(b.TimeUs("RNN"), 40.0, 1e-9);
     EXPECT_DOUBLE_EQ(b.SharePct("absent"), 0.0);
     EXPECT_EQ(b.Categories().front(), "GNN");  // sorted by share
-}
-
-TEST(BreakdownTest, FoldsSmallCategories)
-{
-    sim::Runtime rt = MakeRuntime();
-    rt.ResetMeasurementWindow();
-    {
-        sim::CategoryScope s(rt, "big");
-        rt.RunHostFor("x", 99.5);
-    }
-    {
-        sim::CategoryScope s(rt, "tiny");
-        rt.RunHostFor("y", 0.5);
-    }
-    const Breakdown folded = Breakdown::FromRuntime(rt, true, 1.0);
-    EXPECT_DOUBLE_EQ(folded.SharePct("tiny"), 0.0);
-    EXPECT_GT(folded.SharePct("Others"), 0.0);
 }
 
 TEST(TraceAnalysisTest, UtilizationTimelineCoverage)

@@ -5,6 +5,8 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,6 +107,77 @@ ExpectDeterministic(ModelFactory make_model, const RunConfig& run)
     EXPECT_DOUBLE_EQ(a.total_us, b.total_us);
     EXPECT_DOUBLE_EQ(a.output_checksum, b.output_checksum);
     EXPECT_EQ(a.iterations, b.iterations);
+}
+
+/// The tiny datasets and the eight models on the configs the pins below
+/// use. Models keep state across runs, so every call builds fresh ones.
+struct TinyZoo {
+    data::InteractionDataset interactions = TinyInteractions();
+    data::SnapshotDataset snapshots = TinySnapshots();
+    data::MolecularDataset molecular = TinyMolecular();
+    data::TrafficDataset traffic = TinyTraffic();
+    data::PointProcessDataset point_process = TinyPointProcess();
+
+    /// JODIE, TGAT and TGN first: the three models with a device cache.
+    std::vector<std::unique_ptr<DgnnModel>> Models() const
+    {
+        std::vector<std::unique_ptr<DgnnModel>> all;
+        all.push_back(std::make_unique<Jodie>(interactions, JodieConfig{16, 13}));
+        all.push_back(
+            std::make_unique<Tgat>(interactions, TgatConfig{16, 2, 1, 4, 7}));
+        all.push_back(std::make_unique<Tgn>(interactions, TgnConfig{16, 16, 2, 11}));
+        all.push_back(std::make_unique<DyRep>(point_process, DyRepConfig{8, 3, 29}));
+        all.push_back(std::make_unique<Ldg>(
+            point_process, LdgConfig{LdgEncoder::kMlp, 8, 4, 3, 31}));
+        all.push_back(std::make_unique<EvolveGcn>(
+            snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 8, 17}));
+        all.push_back(
+            std::make_unique<Astgnn>(traffic, AstgnnConfig{8, 2, 1, 1, 23}));
+        all.push_back(std::make_unique<MolDgnn>(molecular, MolDgnnConfig{8, 16, 19}));
+        return all;
+    }
+};
+
+/// Hex-float rendering, so a mismatch prints the exact literal.
+std::string
+HexFloat(double value)
+{
+    std::array<char, 64> buf{};
+    std::snprintf(buf.data(), buf.size(), "%a", value);
+    return buf.data();
+}
+
+/// Every field of a run: hex-floats for times and shares, exact integers
+/// for bytes and counts, one Breakdown entry per line.
+std::string
+RenderRun(const RunResult& r)
+{
+    std::ostringstream out;
+    out << r.model << " " << r.dataset << " " << r.mode << "\n"
+        << "window " << HexFloat(r.total_us) << " per_iteration "
+        << HexFloat(r.per_iteration_us) << " iterations " << r.iterations << "\n"
+        << "compute util_pct " << HexFloat(r.compute_utilization_pct) << " busy_us "
+        << HexFloat(r.compute_busy_us) << "\n"
+        << "peak_bytes compute " << r.compute_peak_bytes << " cpu "
+        << r.cpu_peak_bytes << "\n"
+        << "transfer h2d " << r.h2d_bytes << " d2h " << r.d2h_bytes << " count "
+        << r.transfer_count << " time_us " << HexFloat(r.transfer_time_us) << "\n"
+        << "warmup one_time " << HexFloat(r.warmup_one_time_us) << " per_run "
+        << HexFloat(r.warmup_per_run_us) << "\n"
+        << "checksum " << HexFloat(r.output_checksum) << "\n"
+        << "breakdown " << HexFloat(r.breakdown.TotalUs()) << "\n";
+    for (const core::BreakdownEntry& e : r.breakdown.Entries()) {
+        out << "  " << e.category << " " << HexFloat(e.time_us) << " "
+            << HexFloat(e.share_pct) << "\n";
+    }
+    const cache::CacheStats& c = r.cache_stats;
+    out << "cache lookups " << c.lookups << " hits " << c.hits << " misses "
+        << c.misses << " insertions " << c.insertions << " evictions "
+        << c.evictions << "\n"
+        << "cache writeback_rows " << c.writeback_rows << " hit_bytes "
+        << c.hit_bytes << " miss_bytes " << c.miss_bytes << " runtime_hit_bytes "
+        << r.cache_hit_bytes << "\n";
+    return out.str();
 }
 
 TEST(SampleOnCpuTest, ReturnsTheSamplerBatchAndChargesItsSamplingKernel)
@@ -448,14 +521,50 @@ TEST(LdgTest, PairScoreIsBilinear)
 
 TEST(AllModelsTest, WarmupReportedOnGpuRuns)
 {
-    const auto ds = TinyInteractions();
-    Tgn model(ds, TgnConfig{16, 16, 2, 11});
-    sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
-    const RunResult r = model.RunInference(rt, SmallRun(sim::ExecMode::kHybrid));
-    EXPECT_GT(r.warmup_one_time_us, 1e6);  // seconds of one-time warm-up
-    EXPECT_GT(r.warmup_per_run_us, 0.0);
-    // Warm-up is outside the measured window.
-    EXPECT_LT(r.total_us, r.warmup_one_time_us);
+    const TinyZoo zoo;
+    for (const auto& model : zoo.Models()) {
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        const RunResult r = model->RunInference(rt, SmallRun(sim::ExecMode::kHybrid));
+        EXPECT_GT(r.warmup_one_time_us, 1e6) << model->Name();  // seconds
+        EXPECT_GT(r.warmup_per_run_us, 0.0) << model->Name();
+        // Warm-up is outside the measured window.
+        EXPECT_LT(r.total_us, r.warmup_one_time_us) << model->Name();
+        EXPECT_TRUE(rt.IsWarm()) << model->Name();
+    }
+    // The serving probe turns warm-up off: nothing is charged or reported.
+    for (const auto& model : zoo.Models()) {
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        const RunResult r =
+            model->RunInference(rt, SingleBatchProbe(sim::ExecMode::kHybrid, 16, 4));
+        EXPECT_EQ(r.warmup_one_time_us, 0.0) << model->Name();
+        EXPECT_EQ(r.warmup_per_run_us, 0.0) << model->Name();
+        EXPECT_FALSE(rt.IsWarm()) << model->Name();
+    }
+}
+
+TEST(AllModelsTest, SampledModelsRejectZeroNeighborsBeforeWarmup)
+{
+    const TinyZoo zoo;
+    RunConfig run = SmallRun(sim::ExecMode::kHybrid);
+    run.num_neighbors = 0;
+    for (const auto& model : zoo.Models()) {
+        const std::string name = model->Name();
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        if (name != "TGAT" && name != "TGN") {
+            // The other six sample no per-run temporal neighbors.
+            EXPECT_NO_THROW(model->RunInference(rt, run)) << name;
+            continue;
+        }
+        try {
+            model->RunInference(rt, run);
+            ADD_FAILURE() << name << " accepted num_neighbors = 0";
+        } catch (const Error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("RunConfig::num_neighbors"), std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(rt.Now(), 0.0) << name << " charged time before rejecting";
+    }
 }
 
 TEST(AllModelsTest, NumericCapKeepsCostAccountingIdentical)
@@ -487,23 +596,8 @@ TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
     // every microsecond the host spends is attributed to exactly one
     // category (async kernel time is captured through the Synchronize
     // waits the models perform).
-    const auto interactions = TinyInteractions();
-    const auto snapshots = TinySnapshots();
-    const auto molecular = TinyMolecular();
-    const auto traffic = TinyTraffic();
-    const auto point_process = TinyPointProcess();
-
-    std::vector<std::unique_ptr<DgnnModel>> all;
-    all.push_back(std::make_unique<Jodie>(interactions, JodieConfig{16, 13}));
-    all.push_back(std::make_unique<Tgat>(interactions, TgatConfig{16, 2, 1, 4, 7}));
-    all.push_back(std::make_unique<Tgn>(interactions, TgnConfig{16, 16, 2, 11}));
-    all.push_back(std::make_unique<DyRep>(point_process, DyRepConfig{8, 3, 29}));
-    all.push_back(std::make_unique<Ldg>(point_process,
-                                        LdgConfig{LdgEncoder::kMlp, 8, 4, 3, 31}));
-    all.push_back(std::make_unique<EvolveGcn>(
-        snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 8, 17}));
-    all.push_back(std::make_unique<Astgnn>(traffic, AstgnnConfig{8, 2, 1, 1, 23}));
-    all.push_back(std::make_unique<MolDgnn>(molecular, MolDgnnConfig{8, 16, 19}));
+    const TinyZoo zoo;
+    const auto all = zoo.Models();
     ASSERT_EQ(all.size(), 8u);  // every model in models/
 
     for (const auto& model : all) {
@@ -526,15 +620,6 @@ TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
     }
 }
 
-/// Hex-float rendering, so a mismatch prints the exact literal.
-std::string
-HexFloat(double value)
-{
-    std::array<char, 64> buf{};
-    std::snprintf(buf.data(), buf.size(), "%a", value);
-    return buf.data();
-}
-
 TEST(AllModelsTest, HybridChecksumsArePinned)
 {
     // Absolute pins on every model's hybrid output checksum: any change to
@@ -542,11 +627,7 @@ TEST(AllModelsTest, HybridChecksumsArePinned)
     // the last bits and fails here. The tiny configs (embed dims 8/16) hit
     // the GEMM kernel's row and column tails; the default TGAT and TGN run
     // the full 172 -> 64 feature projections.
-    const auto interactions = TinyInteractions();
-    const auto snapshots = TinySnapshots();
-    const auto molecular = TinyMolecular();
-    const auto traffic = TinyTraffic();
-    const auto point_process = TinyPointProcess();
+    const TinyZoo zoo;
     data::InteractionSpec wide_spec;
     wide_spec.name = "tiny-172";
     wide_spec.num_users = 20;
@@ -557,25 +638,17 @@ TEST(AllModelsTest, HybridChecksumsArePinned)
     ASSERT_EQ(wide.edge_features.Dim(1), 172);
 
     // Literals generated with the plain scalar GEMM loop, before blocking.
+    // JODIE, TGAT, TGN, DyRep, LDG-MLP, EvolveGCN-O, ASTGNN, MolDGNN.
+    const std::array<double, 8> tiny_pins = {
+        0x1.6205ba6a835d1p+4,  0x1.2f595db1aa1efp+10, 0x1.b07b95bf93a3bp+8,
+        0x1.382882bb1e4e9p+5,  0x1.762fe24b1988ap+5,  0x1.d932d38c78343p-1,
+        -0x1.f440d58ef62c3p+4, 0x1.68f3e72c7f933p+8};
     std::vector<std::pair<std::unique_ptr<DgnnModel>, double>> pins;
-    pins.emplace_back(std::make_unique<Jodie>(interactions, JodieConfig{16, 13}),
-                      0x1.6205ba6a835d1p+4);
-    pins.emplace_back(std::make_unique<Tgat>(interactions, TgatConfig{16, 2, 1, 4, 7}),
-                      0x1.2f595db1aa1efp+10);
-    pins.emplace_back(std::make_unique<Tgn>(interactions, TgnConfig{16, 16, 2, 11}),
-                      0x1.b07b95bf93a3bp+8);
-    pins.emplace_back(std::make_unique<DyRep>(point_process, DyRepConfig{8, 3, 29}),
-                      0x1.382882bb1e4e9p+5);
-    pins.emplace_back(std::make_unique<Ldg>(point_process,
-                                            LdgConfig{LdgEncoder::kMlp, 8, 4, 3, 31}),
-                      0x1.762fe24b1988ap+5);
-    pins.emplace_back(std::make_unique<EvolveGcn>(
-                          snapshots, EvolveGcnConfig{EvolveGcnVariant::kO, 8, 17}),
-                      0x1.d932d38c78343p-1);
-    pins.emplace_back(std::make_unique<Astgnn>(traffic, AstgnnConfig{8, 2, 1, 1, 23}),
-                      -0x1.f440d58ef62c3p+4);
-    pins.emplace_back(std::make_unique<MolDgnn>(molecular, MolDgnnConfig{8, 16, 19}),
-                      0x1.68f3e72c7f933p+8);
+    auto tiny = zoo.Models();
+    ASSERT_EQ(tiny.size(), tiny_pins.size());
+    for (size_t i = 0; i < tiny.size(); ++i) {
+        pins.emplace_back(std::move(tiny[i]), tiny_pins[i]);
+    }
     pins.emplace_back(std::make_unique<Tgat>(wide, TgatConfig{}), 0x1.b8dee9f28204p+11);
     pins.emplace_back(std::make_unique<Tgn>(wide, TgnConfig{}), 0x1.728bfc924cd86p+7);
 
@@ -583,6 +656,320 @@ TEST(AllModelsTest, HybridChecksumsArePinned)
         sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
         const RunResult r = model->RunInference(rt, SmallRun(sim::ExecMode::kHybrid));
         EXPECT_EQ(HexFloat(r.output_checksum), HexFloat(expected)) << model->Name();
+    }
+}
+
+TEST(AllModelsTest, SimulatedWindowsArePinned)
+{
+    // Goldens print 2-decimal ms, so drift below print precision slips past
+    // them; these pins catch it. Rows: the eight models CPU-only, then
+    // hybrid, then cached hybrid runs of JODIE, TGAT and TGN. A 20-row
+    // cache holds fewer rows than the 32 nodes, so gathers hit, miss and
+    // evict, and the two mutable caches write back.
+    const TinyZoo zoo;
+    std::vector<std::string> runs;
+    for (const sim::ExecMode mode : {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
+        for (const auto& model : zoo.Models()) {
+            sim::Runtime rt = MakeRuntime(mode);
+            runs.push_back(RenderRun(model->RunInference(rt, SmallRun(mode))));
+        }
+    }
+    const auto cached = zoo.Models();
+    for (size_t i = 0; i < 3; ++i) {
+        ASSERT_GT(cached[i]->CacheRowBytes(), 0) << cached[i]->Name();
+        RunConfig run = SmallRun(sim::ExecMode::kHybrid);
+        run.cache.capacity_bytes = 20 * cached[i]->CacheRowBytes();
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        runs.push_back(RenderRun(cached[i]->RunInference(rt, run)));
+    }
+
+    const std::vector<std::string> pins = {
+    R"(JODIE tiny CPU
+window 0x1.3002ecfb9c898p+11 per_iteration 0x1.3002ecfb9c898p+8 iterations 8
+compute util_pct 0x1.58bd29d58f378p+6 busy_us 0x1.0602ecfb9c86ap+11
+peak_bytes compute 7552 cpu 7552
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.77050ap+12 per_run 0x1.80028f5c28f5cp+1
+checksum 0x1.6205ba6a835d1p+4
+breakdown 0x1.3002ecfb9c86ap+11
+  Load Embedding 0x1.f926e978d4fdfp+10 0x1.4c53088458586p+6
+  Update Embedding 0x1.c75e802572fb9p+7 0x1.2b92de04cae85p+3
+  Predict Item Embedding 0x1.89eddc4e68bd7p+6 0x1.0327777f59b3bp+2
+  Project User Embedding 0x1.55442b4cf23fbp+6 0x1.c104886315e99p+1
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(TGAT tiny CPU
+window 0x1.20d355d728336p+12 per_iteration 0x1.20d355d728336p+9 iterations 8
+compute util_pct 0x1.8a75d7c2655d5p+6 busy_us 0x1.1cd355d728331p+12
+peak_bytes compute 32512 cpu 32512
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.77069p+12 per_run 0x1.800a3d70a3d71p+1
+checksum 0x1.2f595db1aa1efp+10
+breakdown 0x1.20d355d728331p+12
+  Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.835ea07e8d48bp+6
+  Attention Layer 0x1.01076e6a9cef7p+7 0x1.63f6e427742bap+1
+  Time Encoding 0x1.167830373ccbfp+4 0x1.81a8603715ef5p-2
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(TGN tiny CPU
+window 0x1.30a0fc820f65ap+11 per_iteration 0x1.30a0fc820f65ap+8 iterations 8
+compute util_pct 0x1.857ed372cf6f9p+6 busy_us 0x1.28a0fc820f662p+11
+peak_bytes compute 40900 cpu 40900
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.7713a1fp+12 per_run 0x1.8008f5c28f5c3p+1
+checksum 0x1.b07b95bf93a3bp+8
+breakdown 0x1.30a0fc820f664p+11
+  Update Memory 0x1.b9469675b1158p+9 0x1.21b6b3debad7ap+5
+  Compute Embedding 0x1.a05e583356271p+9 0x1.115c7724d58fbp+5
+  Aggregate Messages Passing 0x1.68df035f365c5p+9 0x1.d9d9a9f8df313p+4
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(DyRep social_evolution CPU
+window 0x1.441dd7a0093ap+9 per_iteration 0x1.59b96e88926p+3 iterations 60
+compute util_pct 0x1.dc3494345cf16p+2 busy_us 0x1.81dd7a0095cbcp+5
+peak_bytes compute 2820 cpu 2820
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.7702247p+12 per_run 0x1.8001333333333p+1
+checksum 0x1.382882bb1e4e9p+5
+breakdown 0x1.441dd7a0095d1p+9
+  Temporal Attention 0x1.10cdf864a502dp+8 0x1.50acb4eadc77p+5
+  Node Embedding Update 0x1.fdd7a0095ccp+7 0x1.3a9ab165a1cb9p+5
+  Conditional Intensity 0x1.e2079b5afd5d4p+6 0x1.2971335f037adp+4
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(LDG-MLP social_evolution CPU
+window 0x1.88337e192964p+9 per_iteration 0x1.a2590f09c5cp+3 iterations 60
+compute util_pct 0x1.06bb4e0a6b5e2p+3 busy_us 0x1.019bf0c94a065p+6
+peak_bytes compute 3408 cpu 3408
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.7702ae4p+12 per_run 0x1.8001333333333p+1
+checksum 0x1.762fe24b1988ap+5
+breakdown 0x1.88337e192940cp+9
+  Temporal Attention 0x1.10cdf864a502dp+8 0x1.163aafeb16c17p+5
+  Node Embedding Update 0x1.f6d210f819bf7p+7 0x1.0068d78e6bd08p+5
+  Encoder (NRI) 0x1.146cd6298b8e7p+7 0x1.19ebfbeb046bfp+4
+  Bilinear Decoder 0x1.e7e640f36b5f5p+6 0x1.f199ea43ece09p+3
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(EvolveGCN-O tiny CPU
+window 0x1.0d3df774f856p+10 per_iteration 0x1.0d3df774f856p+8 iterations 4
+compute util_pct 0x1.7e2c13ba73044p+6 busy_us 0x1.013df774f855ap+10
+peak_bytes compute 8016 cpu 8016
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.770438p+12 per_run 0x1.8008851eb851fp+1
+checksum 0x1.d932d38c78343p-1
+breakdown 0x1.0d3df774f855ap+10
+  Memory Copy 0x1.f4p+9 0x1.7369ba53a3c71p+6
+  GNN 0x1.7ee362f299a89p+5 0x1.1c6b59435042bp+2
+  RNN 0x1.d1b71758e2197p+4 0x1.59f20304e699ep+1
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(ASTGNN pems CPU
+window 0x1.861a54d880bb8p+9 per_iteration 0x1.861a54d880bb8p+8 iterations 2
+compute util_pct 0x1.83b20fbfebd6fp+6 busy_us 0x1.7a1a54d880bb4p+9
+peak_bytes compute 199176 cpu 199176
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.770188dp+12 per_run 0x1.81eb851eb851fp+1
+checksum -0x1.f440d58ef62c3p+4
+breakdown 0x1.861a54d880bb4p+9
+  Etc(data loading, cuda sync) 0x1.01c28f5c28f5cp+9 0x1.084cadb254de5p+6
+  Temporal Attention 0x1.bd4d880bb3ee7p+7 0x1.c899b78d2988bp+4
+  Spatial-attention GCN 0x1.118de5ab277f4p+5 0x1.187e98f78e1f4p+2
+  Position Encoding 0x1.f5c28f5c28f5cp+2 0x1.013eb6b9f763ep+0
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(MolDGNN iso17 CPU
+window 0x1.14a28c634f42p+9 per_iteration 0x1.14a28c634f42p+8 iterations 2
+compute util_pct 0x1.875305c4ed455p+6 busy_us 0x1.0ea28c634f422p+9
+peak_bytes compute 80132 cpu 80132
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.773435fp+12 per_run 0x1.8039c28f5c28fp+1
+checksum 0x1.68f3e72c7f933p+8
+breakdown 0x1.14a28c634f422p+9
+  Memory Copy 0x1.fb77318fc5047p+8 0x1.6ee278c63aadp+6
+  LSTM 0x1.69b87edbe58d4p+4 0x1.0583ca7a90cd3p+2
+  FFN 0x1.b28a67697e7fp+3 0x1.3a296a04758f5p+1
+  GCN 0x1.33c181b9e65eep+3 0x1.bcffd07e26676p+0
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(JODIE tiny GPU
+window 0x1.981b4a2331p+11 per_iteration 0x1.981b4a2331p+8 iterations 8
+compute util_pct 0x1.4f1f31c192b79p-2 busy_us 0x1.55e9e1b0899fep+3
+peak_bytes compute 7552 cpu 0
+transfer h2d 15360 d2h 15360 count 16 time_us 0x1.451eb851fp+7
+warmup one_time 0x1.6e36e6ccacb6fp+22 per_run 0x1.4b464p+12
+checksum 0x1.6205ba6a835d1p+4
+breakdown 0x1.981b4a232fffp+11
+  Load Embedding 0x1.06bc6a7ef9ffp+11 0x1.01845c264a651p+6
+  Update Embedding 0x1.033dbf486cp+10 0x1.fc2eecf3656c6p+4
+  Predict Item Embedding 0x1.f8p+5 0x1.edfd139b87fa1p+0
+  Project User Embedding 0x1.f8p+5 0x1.edfd139b87fa1p+0
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(TGAT tiny GPU
+window 0x1.31567fb698cp+12 per_iteration 0x1.31567fb698cp+9 iterations 8
+compute util_pct 0x1.968f4f7d44ffap-2 busy_us 0x1.3658644523f6ap+4
+peak_bytes compute 32512 cpu 0
+transfer h2d 17280 d2h 15360 count 16 time_us 0x1.4570a3d7p+7
+warmup one_time 0x1.6e37207bab597p+22 per_run 0x1.4b59p+12
+checksum 0x1.2f595db1aa1efp+10
+breakdown 0x1.31567fb6988ecp+12
+  Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.6e6bcc518ec1fp+6
+  Memory Copy 0x1.4570a3d7p+7 0x1.aa5591ae2103bp+1
+  Attention Layer 0x1.0f0b851ea8p+7 0x1.631353674410ep+1
+  Time Encoding 0x1.f21719f7cp+5 0x1.46414f63b22a7p+0
+  Cuda Synchronization 0x1.8ce703afep+5 0x1.03f9d20dd3312p+0
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(TGN tiny GPU
+window 0x1.4df846c75fp+11 per_iteration 0x1.4df846c75fp+8 iterations 8
+compute util_pct 0x1.9f67eca217644p-1 busy_us 0x1.5ad527e521579p+4
+peak_bytes compute 40900 cpu 0
+transfer h2d 63360 d2h 9120 count 32 time_us 0x1.460a3d70ap+8
+warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
+checksum 0x1.b07b95bf93a3bp+8
+breakdown 0x1.4df846c764708p+11
+  Compute Embedding 0x1.f80d8d09f4258p+9 0x1.2ddaf98a6aadbp+5
+  Aggregate Messages Passing 0x1.a94ff513d047p+9 0x1.fd66f02472fe6p+4
+  Update Memory 0x1.968398ffcd556p+9 0x1.e6e31cc6b7a62p+4
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(DyRep social_evolution GPU
+window 0x1.da59a0276cp+10 per_iteration 0x1.f9f9335d4p+4 iterations 60
+compute util_pct 0x1.8f63995c1f7bbp-2 busy_us 0x1.d9a02752545ffp+2
+peak_bytes compute 2820 cpu 0
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.6e36791e16148p+22 per_run 0x1.4b42eep+12
+checksum 0x1.382882bb1e4e9p+5
+breakdown 0x1.da59a0276cp+10
+  Conditional Intensity 0x1.8059a0276cp+10 0x1.441b4fec7731cp+6
+  Node Embedding Update 0x1.68p+7 0x1.2f92c04e23391p+3
+  Temporal Attention 0x1.68p+7 0x1.2f92c04e23391p+3
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(LDG-MLP social_evolution GPU
+window 0x1.1a567a0f8cp+11 per_iteration 0x1.2d290abb4p+5 iterations 60
+compute util_pct 0x1.8a87ab3d87bdfp-2 busy_us 0x1.167a0f9096ba8p+3
+peak_bytes compute 3408 cpu 0
+transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
+warmup one_time 0x1.6e368d803b22dp+22 per_run 0x1.4b42eep+12
+checksum 0x1.762fe24b1988ap+5
+breakdown 0x1.1a567a0f8cp+11
+  Bilinear Decoder 0x1.c42cf41f18p+10 0x1.404ee7ef0b018p+6
+  Node Embedding Update 0x1.68p+7 0x1.fe07006c865cep+2
+  Temporal Attention 0x1.68p+7 0x1.fe07006c865cep+2
+  Encoder (NRI) 0x1.68p+6 0x1.fe07006c865cep+1
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(EvolveGCN-O tiny GPU
+window 0x1.3806879adcp+10 per_iteration 0x1.3806879adcp+8 iterations 4
+compute util_pct 0x1.746e0b5abd47ep-2 busy_us 0x1.2284dfce3150dp+2
+peak_bytes compute 8016 cpu 0
+transfer h2d 13632 d2h 5120 count 8 time_us 0x1.46402bb0cp+6
+warmup one_time 0x1.6e36c7bd374bcp+22 per_run 0x1.4b54cdp+12
+checksum 0x1.d932d38c78343p-1
+breakdown 0x1.3806879adcp+10
+  Memory Copy 0x1.0e6402bb0cp+10 0x1.5aa0595a3231dp+6
+  GNN 0x1.a75ca6cap+6 0x1.0f5d18ed1ccaep+3
+  RNN 0x1.e5974e66p+5 0x1.37403882a34d3p+2
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(ASTGNN pems GPU
+window 0x1.4e14c87d08p+9 per_iteration 0x1.4e14c87d08p+8 iterations 2
+compute util_pct 0x1.aebd9539d14e8p+0 busy_us 0x1.67c17b6b40227p+3
+peak_bytes compute 199176 cpu 0
+transfer h2d 115200 d2h 57600 count 4 time_us 0x1.b33333334p+5
+warmup one_time 0x1.6e3662197cc75p+22 per_run 0x1.4ffp+12
+checksum -0x1.f440d58ef62c3p+4
+breakdown 0x1.4e14c87d08f5cp+9
+  Etc(data loading, cuda sync) 0x1.01c28f5c28f5cp+9 0x1.349e9dd2ca554p+6
+  Temporal Attention 0x1.ec45b4304p+5 0x1.26b3c2a10bb57p+3
+  Memory Copy 0x1.b33333334p+5 0x1.048914e2ebffp+3
+  Spatial-attention GCN 0x1.0daaaaaa8p+5 0x1.42e0281446c8ep+2
+  Position Encoding 0x1.8p+1 0x1.cbc4bb7247a5ap-2
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(MolDGNN iso17 GPU
+window 0x1.05cf876007p+10 per_iteration 0x1.05cf876007p+9 iterations 2
+compute util_pct 0x1.412984888863fp-1 busy_us 0x1.a46b1cd569d99p+2
+peak_bytes compute 80132 cpu 0
+transfer h2d 63840 d2h 34656 count 48 time_us 0x1.e8353f7dp+8
+warmup one_time 0x1.6e3de0e90bab6p+22 per_run 0x1.4bcd04p+12
+checksum 0x1.68f3e72c7f933p+8
+breakdown 0x1.05cf876007412p+10
+  Memory Copy 0x1.f1d6388662824p+9 0x1.7c4d8c99bee93p+6
+  GCN 0x1.2afb7e91p+4 0x1.c8cab2cfae699p+0
+  FFN 0x1.14845f7f8p+4 0x1.a67802b7acb34p+0
+  LSTM 0x1.f335d24ap+3 0x1.7d5a2408ea98ap+0
+cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
+cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
+)",
+    R"(JODIE tiny GPU
+window 0x1.9e88bf2581p+11 per_iteration 0x1.9e88bf2581p+8 iterations 8
+compute util_pct 0x1.643580dec0fa6p-2 busy_us 0x1.7126e978d4fdap+3
+peak_bytes compute 8832 cpu 0
+transfer h2d 3776 d2h 3776 count 16 time_us 0x1.96f60876fp+7
+warmup one_time 0x1.6e36e6ccacb6fp+22 per_run 0x1.4b464p+12
+checksum 0x1.6205ba6a835d1p+4
+breakdown 0x1.9e88bf257fffp+11
+  Load Embedding 0x1.160f6b73a2ffp+11 0x1.0c4fa04fa5c86p+6
+  Update Embedding 0x1.ddd7a7869ap+9 0x1.cd16ab8e0c95ap+4
+  Predict Item Embedding 0x1.f8p+5 0x1.e6543b70bff3bp+0
+  Project User Embedding 0x1.f8p+5 0x1.e6543b70bff3bp+0
+  Uncategorized 0x1.4369d0368p+3 0x1.3812f151129f4p-2
+cache lookups 135 hits 76 misses 59 insertions 59 evictions 39
+cache writeback_rows 59 hit_bytes 4864 miss_bytes 3776 runtime_hit_bytes 4864
+)",
+    R"(TGAT tiny GPU
+window 0x1.36bedb76b3p+12 per_iteration 0x1.36bedb76b3p+9 iterations 8
+compute util_pct 0x1.9085d62a25eb1p-2 busy_us 0x1.3726d4801f753p+4
+peak_bytes compute 32128 cpu 0
+transfer h2d 22944 d2h 15360 count 24 time_us 0x1.e6624dd2e8p+7
+warmup one_time 0x1.6e37207bab597p+22 per_run 0x1.4b59p+12
+checksum 0x1.2f595db1aa1efp+10
+breakdown 0x1.36bedb76b2cecp+12
+  Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.680b684fb56fdp+6
+  Memory Copy 0x1.e9624dd2e8p+7 0x1.3af95f8b22efbp+2
+  Attention Layer 0x1.0f0b851ea8p+7 0x1.5ce57ab2fe878p+1
+  Time Encoding 0x1.0b3f290aap+6 0x1.5801d4f0b68d8p+0
+  Cuda Synchronization 0x1.8ce703afep+5 0x1.fee7471ec960ap-1
+cache lookups 186 hits 9 misses 177 insertions 177 evictions 157
+cache writeback_rows 0 hit_bytes 288 miss_bytes 5664 runtime_hit_bytes 288
+)",
+    R"(TGN tiny GPU
+window 0x1.5e4eb18c3e8p+11 per_iteration 0x1.5e4eb18c3e8p+8 iterations 8
+compute util_pct 0x1.9b955eaf77222p-1 busy_us 0x1.6873abc947067p+4
+peak_bytes compute 42180 cpu 0
+transfer h2d 36416 d2h 4256 count 40 time_us 0x1.be3d93979cp+8
+warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
+checksum 0x1.b07b95bf93a3bp+8
+breakdown 0x1.5e4eb18c43f08p+11
+  Aggregate Messages Passing 0x1.06fc10ee1b238p+10 0x1.2c4a45e4d59c2p+5
+  Compute Embedding 0x1.f80d8d09f4258p+9 0x1.1fc70a34ef6b5p+5
+  Update Memory 0x1.6e27700a0b556p+9 0x1.a21835eb1db12p+4
+  Uncategorized 0x1.4369d0368p+3 0x1.714a78560ffa7p-2
+cache lookups 135 hits 76 misses 59 insertions 59 evictions 39
+cache writeback_rows 59 hit_bytes 4864 miss_bytes 3776 runtime_hit_bytes 4864
+)",
+    };
+    ASSERT_EQ(runs.size(), pins.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_EQ(runs[i], pins[i]) << "row " << i;
     }
 }
 
