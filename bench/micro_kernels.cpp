@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the real host kernels behind the
-// simulator: GEMM, attention, GRU, SpMM, temporal sampling, t-batching.
+// simulator: GEMM, attention, GRU, SpMM, temporal sampling, t-batching,
+// and the device cache's host bookkeeping.
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
@@ -9,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "cache/device_cache.hpp"
 #include "data/temporal_interactions.hpp"
 #include "graph/tbatch.hpp"
 #include "graph/temporal_sampler.hpp"
@@ -203,6 +205,72 @@ BM_TBatchBuild(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_TBatchBuild)->Arg(1000)->Arg(10000);
+
+// Endpoint keys of 64 requests (128 keys) drawn from 640 nodes, the
+// tgn_cached serving shape; each node id is multiplied by @p stride, so a
+// large stride spreads the same batch over a sparse key span.
+std::vector<std::vector<int64_t>>
+ServingKeyBatches(int64_t stride)
+{
+    Rng rng(9);
+    std::vector<std::vector<int64_t>> batches(256);
+    for (std::vector<int64_t>& keys : batches) {
+        for (int i = 0; i < 128; ++i) {
+            keys.push_back(rng.UniformInt(0, 639) * stride);
+        }
+    }
+    return batches;
+}
+
+// cache::SortUnique on one serving batch, arg 0 dense (node ids) or 1
+// sparse (span past the bitmap's reach, so it sorts).
+void
+BM_SortUnique(benchmark::State& state)
+{
+    const bool sparse = state.range(0) != 0;
+    const auto batches = ServingKeyBatches(sparse ? int64_t{1} << 32 : 1);
+    std::vector<int64_t> keys;
+    size_t i = 0;
+    for (auto _ : state) {
+        const std::vector<int64_t>& batch = batches[i++ % batches.size()];
+        keys.assign(batch.begin(), batch.end());
+        cache::SortUnique(keys);
+        benchmark::DoNotOptimize(keys.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 128);
+    state.SetLabel(sparse ? "sparse" : "dense");
+}
+BENCHMARK(BM_SortUnique)->Arg(0)->Arg(1);
+
+// DeviceCache::Gather of one serving batch's unique endpoints into a
+// 160-row cache over 640 nodes (the tgn_cached shape: ~75 evictions per
+// batch), args {lru, mark_dirty}.
+void
+BM_CacheGather(benchmark::State& state)
+{
+    const bool lru = state.range(0) != 0;
+    const bool mark_dirty = state.range(1) != 0;
+    auto batches = ServingKeyBatches(1);
+    for (std::vector<int64_t>& keys : batches) {
+        cache::SortUnique(keys);
+    }
+    cache::DeviceCacheConfig config;
+    config.row_bytes = 256;
+    config.capacity_bytes = 160 * config.row_bytes;
+    config.eviction = lru ? cache::EvictionPolicy::kLru : cache::EvictionPolicy::kFifo;
+    cache::DeviceCache device_cache(config);
+    int64_t keys_gathered = 0;
+    size_t i = 0;
+    for (auto _ : state) {
+        const std::vector<int64_t>& keys = batches[i++ % batches.size()];
+        benchmark::DoNotOptimize(device_cache.Gather(keys, mark_dirty));
+        keys_gathered += static_cast<int64_t>(keys.size());
+    }
+    state.SetItemsProcessed(keys_gathered);
+    state.SetLabel(std::string(lru ? "lru" : "fifo") + (mark_dirty ? "/dirty" : ""));
+}
+BENCHMARK(BM_CacheGather)->Args({1, 0})->Args({1, 1})->Args({0, 0})->Args({0, 1});
 
 // A JODIE-style launch-bound t-batch chain (4 narrow launches -> 1 fused)
 // at the given t-batch width. Wall-clock measures the collapse + pricing

@@ -1,7 +1,10 @@
 #include "cache/device_cache.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -10,8 +13,41 @@ namespace dgnn::cache {
 void
 SortUnique(std::vector<int64_t>& keys)
 {
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    const size_t n = keys.size();
+    if (n < 2) {
+        return;
+    }
+    const auto [min_it, max_it] = std::minmax_element(keys.begin(), keys.end());
+    // Unsigned offsets from the minimum: max - min fits even for keys at
+    // both ends of the int64 range.
+    const uint64_t min_key = static_cast<uint64_t>(*min_it);
+    const uint64_t words = (static_cast<uint64_t>(*max_it) - min_key) / 64 + 1;
+    if (words > 4 * n + 64) {
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+        return;
+    }
+    // One bit per key in [min, max], read back in ascending order. Spans
+    // up to 8192 keys (a batch of node ids) stay on the stack.
+    std::array<uint64_t, 128> stack_bits{};
+    std::vector<uint64_t> heap_bits;
+    uint64_t* bits = stack_bits.data();
+    if (words > stack_bits.size()) {
+        heap_bits.assign(words, 0);
+        bits = heap_bits.data();
+    }
+    for (const int64_t key : keys) {
+        const uint64_t offset = static_cast<uint64_t>(key) - min_key;
+        bits[offset / 64] |= uint64_t{1} << (offset % 64);
+    }
+    size_t out = 0;
+    for (uint64_t w = 0; w < words; ++w) {
+        for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+            const auto bit = static_cast<uint64_t>(std::countr_zero(word));
+            keys[out++] = static_cast<int64_t>(min_key + w * 64 + bit);
+        }
+    }
+    keys.resize(out);
 }
 
 std::string
@@ -74,6 +110,11 @@ DeviceCache::DeviceCache(DeviceCacheConfig config) : config_(config)
         DGNN_CHECK(config_.row_bytes > 0,
                    "an enabled cache needs a positive row size, got ",
                    config_.row_bytes);
+        DGNN_CHECK(config_.capacity_bytes >= config_.row_bytes,
+                   "a cache of ", config_.capacity_bytes,
+                   " bytes cannot hold one ", config_.row_bytes,
+                   "-byte row; give it at least one row, or capacity 0 to "
+                   "disable it");
         capacity_rows_ = config_.capacity_bytes / config_.row_bytes;
     }
 }
@@ -85,18 +126,19 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, bool mark_dirty,
     GatherResult result;
     for (const int64_t key : keys) {
         ++stats_.lookups;
-        const auto it = map_.find(key);
-        if (it != map_.end()) {
+        const int32_t hit = FindSlot(key);
+        if (hit != kNoSlot) {
             ++result.hit_rows;
             ++stats_.hits;
             stats_.hit_bytes += config_.row_bytes;
-            it->second.dirty = it->second.dirty || mark_dirty;
-            if (config_.eviction == EvictionPolicy::kLru) {
-                order_.splice(order_.end(), order_, it->second.pos);
+            Slot& slot = At(hit);
+            slot.dirty = slot.dirty || mark_dirty;
+            if (config_.eviction == EvictionPolicy::kLru && hit != tail_) {
+                Unlink(hit);
+                Append(hit);
             }
             if (trace != nullptr) {
-                trace->hit_rows.push_back(
-                    RowResource(key, it->second.generation));
+                trace->hit_rows.push_back(RowResource(key, slot.generation));
             }
             continue;
         }
@@ -104,20 +146,19 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, bool mark_dirty,
         ++stats_.misses;
         stats_.miss_bytes += config_.row_bytes;
         if (capacity_rows_ == 0) {
-            // Disabled / degenerate: nothing is retained, but a mutated
-            // row still owes its sync-back to the host store.
+            // Disabled: nothing is retained, but a mutated row still owes
+            // its sync-back to the host store.
             if (mark_dirty) {
                 ++result.writeback_rows;
                 ++stats_.writeback_rows;
             }
             continue;
         }
-        while (ResidentRows() >= capacity_rows_) {
+        while (resident_rows_ >= capacity_rows_) {
             EvictOne(result, trace);
         }
         const int64_t generation = next_generation_++;
-        order_.push_back(key);
-        map_.emplace(key, Entry{std::prev(order_.end()), generation, mark_dirty});
+        Insert(key, generation, mark_dirty);
         ++stats_.insertions;
         if (trace != nullptr) {
             trace->inserted_rows.push_back(RowResource(key, generation));
@@ -126,23 +167,135 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, bool mark_dirty,
     return result;
 }
 
+size_t
+DeviceCache::HomeBucket(int64_t key) const
+{
+    // Fibonacci hashing: the top table_bits_ bits of key * 2^64/phi.
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> (64 - table_bits_));
+}
+
+int32_t
+DeviceCache::FindSlot(int64_t key) const
+{
+    if (table_.empty()) {
+        return kNoSlot;
+    }
+    const size_t mask = table_.size() - 1;
+    for (size_t b = HomeBucket(key);; b = (b + 1) & mask) {
+        const Bucket& bucket = table_[b];
+        if (bucket.slot == kNoSlot || bucket.key == key) {
+            return bucket.slot;
+        }
+    }
+}
+
+void
+DeviceCache::Insert(int64_t key, int64_t generation, bool dirty)
+{
+    if (2 * (resident_rows_ + 1) > static_cast<int64_t>(table_.size())) {
+        GrowTable();
+    }
+    int32_t index = free_;
+    if (index != kNoSlot) {
+        free_ = At(index).next;
+    } else {
+        constexpr auto kMaxSlots =
+            static_cast<size_t>(std::numeric_limits<int32_t>::max());
+        DGNN_CHECK(slots_.size() < kMaxSlots, "cache index is full at ",
+                   slots_.size(), " resident rows");
+        index = static_cast<int32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    Slot& slot = At(index);
+    slot.key = key;
+    slot.generation = generation;
+    slot.dirty = dirty;
+    Append(index);
+    const size_t mask = table_.size() - 1;
+    size_t b = HomeBucket(key);
+    while (table_[b].slot != kNoSlot) {
+        b = (b + 1) & mask;
+    }
+    table_[b] = Bucket{key, index};
+    ++resident_rows_;
+}
+
+void
+DeviceCache::GrowTable()
+{
+    table_bits_ = table_.empty() ? 4 : table_bits_ + 1;
+    table_.assign(size_t{1} << table_bits_, Bucket{});
+    const size_t mask = table_.size() - 1;
+    for (int32_t s = head_; s != kNoSlot; s = At(s).next) {
+        const int64_t key = At(s).key;
+        size_t b = HomeBucket(key);
+        while (table_[b].slot != kNoSlot) {
+            b = (b + 1) & mask;
+        }
+        table_[b] = Bucket{key, s};
+    }
+}
+
+void
+DeviceCache::EraseFromTable(int64_t key)
+{
+    const size_t mask = table_.size() - 1;
+    size_t hole = HomeBucket(key);
+    while (table_[hole].key != key || table_[hole].slot == kNoSlot) {
+        hole = (hole + 1) & mask;
+    }
+    // Backward shift: pull each later entry of the probe run into the hole
+    // unless its home bucket lies cyclically in (hole, next], where moving
+    // it would put it before its home.
+    for (size_t next = (hole + 1) & mask; table_[next].slot != kNoSlot;
+         next = (next + 1) & mask) {
+        const size_t home = HomeBucket(table_[next].key);
+        if (((next - home) & mask) >= ((next - hole) & mask)) {
+            table_[hole] = table_[next];
+            hole = next;
+        }
+    }
+    table_[hole].slot = kNoSlot;
+}
+
+void
+DeviceCache::Unlink(int32_t index)
+{
+    const Slot& slot = At(index);
+    (slot.prev != kNoSlot ? At(slot.prev).next : head_) = slot.next;
+    (slot.next != kNoSlot ? At(slot.next).prev : tail_) = slot.prev;
+}
+
+void
+DeviceCache::Append(int32_t index)
+{
+    Slot& slot = At(index);
+    slot.prev = tail_;
+    slot.next = kNoSlot;
+    (tail_ != kNoSlot ? At(tail_).next : head_) = index;
+    tail_ = index;
+}
+
 void
 DeviceCache::EvictOne(GatherResult& result, GatherTrace* trace)
 {
-    DGNN_ASSERT(!order_.empty());
-    const int64_t victim = order_.front();
-    order_.pop_front();
-    const auto it = map_.find(victim);
-    DGNN_ASSERT(it != map_.end());
-    if (it->second.dirty) {
+    DGNN_ASSERT(head_ != kNoSlot);
+    const int32_t victim = head_;
+    Slot& slot = At(victim);
+    if (slot.dirty) {
         ++result.writeback_rows;
         ++stats_.writeback_rows;
         if (trace != nullptr) {
             trace->evicted_dirty_rows.push_back(
-                RowResource(victim, it->second.generation));
+                RowResource(slot.key, slot.generation));
         }
     }
-    map_.erase(it);
+    EraseFromTable(slot.key);
+    Unlink(victim);
+    slot.next = free_;
+    free_ = victim;
+    --resident_rows_;
     ++stats_.evictions;
 }
 
@@ -150,9 +303,9 @@ void
 DeviceCache::MarkDirty(const std::vector<int64_t>& keys)
 {
     for (const int64_t key : keys) {
-        const auto it = map_.find(key);
-        if (it != map_.end()) {
-            it->second.dirty = true;
+        const int32_t index = FindSlot(key);
+        if (index != kNoSlot) {
+            At(index).dirty = true;
         }
     }
 }
@@ -160,23 +313,24 @@ DeviceCache::MarkDirty(const std::vector<int64_t>& keys)
 int64_t
 DeviceCache::FlushDirty(std::vector<std::string>* flushed_resources)
 {
-    // Walk in ascending key order so the resource list (and with it every
-    // hazard report built from it) is independent of the hash map's
-    // internal layout.
-    std::vector<std::pair<int64_t, int64_t>> dirty_keys;
-    for (auto& [key, entry] : map_) {  // determinism-ok: sorted below
-        if (entry.dirty) {
-            entry.dirty = false;
-            dirty_keys.emplace_back(key, entry.generation);
+    int64_t flushed = 0;
+    std::vector<std::pair<int64_t, int64_t>> dirty_rows;
+    for (int32_t s = head_; s != kNoSlot; s = At(s).next) {
+        Slot& slot = At(s);
+        if (slot.dirty) {
+            slot.dirty = false;
+            ++flushed;
+            if (flushed_resources != nullptr) {
+                dirty_rows.emplace_back(slot.key, slot.generation);
+            }
         }
     }
-    std::sort(dirty_keys.begin(), dirty_keys.end());
     if (flushed_resources != nullptr) {
-        for (const auto& [key, generation] : dirty_keys) {
+        std::sort(dirty_rows.begin(), dirty_rows.end());
+        for (const auto& [key, generation] : dirty_rows) {
             flushed_resources->push_back(RowResource(key, generation));
         }
     }
-    const auto flushed = static_cast<int64_t>(dirty_keys.size());
     stats_.writeback_rows += flushed;
     return flushed;
 }

@@ -16,11 +16,20 @@
 /// kernel, a miss pays the PCIe transfer, and evicted dirty rows pay a
 /// write-back copy. Numerics are never routed through the cache: it changes
 /// the cost model only, so checksums are identical with and without it.
+///
+/// The index is a flat slot pool: one slot per resident row holding its
+/// key, residency generation and dirty bit, threaded on an intrusive
+/// recency list of int32 slot indices (freed slots go on a free list), and
+/// a power-of-two open-addressing table from key to slot (linear probing,
+/// backward-shift deletion). Both grow with the resident rows, never with
+/// the capacity, so an Unbounded cache costs only what it holds; once they
+/// have grown, a gather allocates nothing. Callers gather a batch's unique
+/// keys in ascending order (SortUnique), so which rows a batch evicts and
+/// the generation each insertion gets depend only on the batch's key set.
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace dgnn::cache {
@@ -32,7 +41,9 @@ enum class EvictionPolicy {
 };
 
 /// Canonicalizes a cache-key list in place: ascending, duplicates removed.
-/// The shared idiom for building a batch's unique touched-node set.
+/// The shared idiom for building a batch's unique touched-node set. Dense
+/// key spans (the usual batch of node ids) go through a bitmap over
+/// [min, max]; sparse ones fall back to a sort.
 void SortUnique(std::vector<int64_t>& keys);
 
 /// Counters one cache accumulates over its lifetime. All byte figures use
@@ -61,7 +72,8 @@ CacheStats operator-(CacheStats lhs, const CacheStats& rhs);
 /// Configuration of one cache instance.
 struct DeviceCacheConfig {
     /// Device bytes the cache may occupy; 0 disables the cache entirely
-    /// (every gather reports a miss and nothing is retained).
+    /// (every gather reports a miss and nothing is retained). A positive
+    /// capacity must hold at least one row.
     int64_t capacity_bytes = 0;
     /// Width of one cached row in bytes (a node's feature or memory row).
     /// Set by the owning model; must be positive when the cache is enabled.
@@ -115,7 +127,7 @@ class DeviceCache {
 
     int64_t RowBytes() const { return config_.row_bytes; }
     int64_t CapacityRows() const { return capacity_rows_; }
-    int64_t ResidentRows() const { return static_cast<int64_t>(map_.size()); }
+    int64_t ResidentRows() const { return resident_rows_; }
     int64_t ResidentBytes() const { return ResidentRows() * config_.row_bytes; }
     EvictionPolicy Eviction() const { return config_.eviction; }
 
@@ -143,33 +155,63 @@ class DeviceCache {
     /// Clears every dirty bit and returns how many rows need writing back
     /// (end-of-run synchronization of the host-side store). When
     /// @p flushed_resources is non-null the flushed rows' resource names
-    /// are appended in ascending key order (deterministic regardless of
-    /// the map's internal order).
+    /// are appended in ascending key order.
     int64_t FlushDirty(std::vector<std::string>* flushed_resources = nullptr);
 
-    bool Contains(int64_t key) const { return map_.count(key) > 0; }
+    bool Contains(int64_t key) const { return FindSlot(key) != kNoSlot; }
 
     /// Lifetime counters (never reset by Gather/Flush).
     const CacheStats& Stats() const { return stats_; }
     void ResetStats() { stats_ = CacheStats{}; }
 
   private:
-    /// Evicts the policy's victim row; accounts a write-back if dirty.
-    void EvictOne(GatherResult& result, GatherTrace* trace);
+    static constexpr int32_t kNoSlot = -1;
 
-    struct Entry {
-        std::list<int64_t>::iterator pos;  ///< position in order_
-        /// Residency episode this entry belongs to (see GatherTrace).
+    /// One resident row. prev/next thread the recency list; a free slot
+    /// links the free list through next.
+    struct Slot {
+        int64_t key = 0;
+        /// Residency episode this row belongs to (see GatherTrace).
         int64_t generation = 0;
+        int32_t prev = kNoSlot;
+        int32_t next = kNoSlot;
         bool dirty = false;
     };
 
+    /// One open-addressing bucket; slot == kNoSlot marks it empty.
+    struct Bucket {
+        int64_t key = 0;
+        int32_t slot = kNoSlot;
+    };
+
+    /// The slot holding @p key, or kNoSlot.
+    int32_t FindSlot(int64_t key) const;
+    /// Takes a slot for @p key, indexes it and appends it to the list.
+    void Insert(int64_t key, int64_t generation, bool dirty);
+    /// Evicts the policy's victim row; accounts a write-back if dirty.
+    void EvictOne(GatherResult& result, GatherTrace* trace);
+    /// Removes @p key from the table, shifting its probe run back.
+    void EraseFromTable(int64_t key);
+    /// Doubles the table (or creates it) and reindexes every resident row.
+    void GrowTable();
+    size_t HomeBucket(int64_t key) const;
+    void Unlink(int32_t index);
+    void Append(int32_t index);
+    Slot& At(int32_t index) { return slots_[static_cast<size_t>(index)]; }
+
     DeviceCacheConfig config_;
     int64_t capacity_rows_ = 0;
-    /// Eviction order: front = next victim, back = most recently
+    int64_t resident_rows_ = 0;
+    std::vector<Slot> slots_;
+    /// Eviction order: head_ = next victim, tail_ = most recently
     /// inserted/touched (touches promote only under LRU).
-    std::list<int64_t> order_;
-    std::unordered_map<int64_t, Entry> map_;
+    int32_t head_ = kNoSlot;
+    int32_t tail_ = kNoSlot;
+    int32_t free_ = kNoSlot;
+    /// Power-of-two size, at most half full; empty until the first insert.
+    std::vector<Bucket> table_;
+    /// log2(table_.size()), for the multiplicative hash.
+    int table_bits_ = 0;
     CacheStats stats_;
     /// Residency-episode counter; bumped once per insertion.
     int64_t next_generation_ = 0;

@@ -124,6 +124,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
 
     int64_t next_arrival = 0;
     std::deque<Request> queue;
+    // The batch's unique endpoint nodes, refilled per batch.
+    std::vector<int64_t> nodes;
     const sim::SimTime first_due = n > 0 ? due.front() : window_start;
     sim::SimTime last_completion = first_due;
 
@@ -200,10 +202,9 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             // the cache exactly as before.
             const bool want_nodes =
                 session.CacheEnabled() || options.shard_hook != nullptr;
-            std::vector<int64_t> nodes;
+            nodes.clear();
             int64_t blind_endpoints = 0;
             if (want_nodes) {
-                nodes.reserve(static_cast<size_t>(2 * decision.dispatch));
                 for (int64_t i = 0; i < decision.dispatch; ++i) {
                     const Request& r = queue[static_cast<size_t>(i)];
                     for (const int64_t node : {r.src, r.dst}) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "support/check.hpp"
@@ -26,6 +28,8 @@ using cache::DeviceCache;
 using cache::DeviceCacheConfig;
 using cache::EvictionPolicy;
 using cache::GatherResult;
+using cache::GatherTrace;
+using cache::RowResource;
 
 DeviceCacheConfig
 Config(int64_t capacity_rows, EvictionPolicy eviction = EvictionPolicy::kLru,
@@ -202,6 +206,102 @@ TEST(DeviceCacheTest, InvalidConfigurationsThrow)
     no_row.capacity_bytes = 1024;
     no_row.row_bytes = 0;
     EXPECT_THROW(DeviceCache{no_row}, Error);
+
+    // A positive capacity below one row used to disable the cache silently.
+    DeviceCacheConfig under_one_row;
+    under_one_row.capacity_bytes = 63;
+    under_one_row.row_bytes = 64;
+    try {
+        (void)DeviceCache{under_one_row};
+        FAIL() << "a capacity below one row must throw";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("cannot hold one 64-byte row"),
+                  std::string::npos)
+            << e.what();
+    }
+    under_one_row.capacity_bytes = 64;
+    EXPECT_EQ(DeviceCache{under_one_row}.CapacityRows(), 1);
+}
+
+// -------------------------------------------------------------- SortUnique
+
+std::vector<int64_t>
+ReferenceSortUnique(std::vector<int64_t> keys)
+{
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    return keys;
+}
+
+void
+ExpectSortUniqueMatchesReference(std::vector<int64_t> keys)
+{
+    const std::vector<int64_t> expected = ReferenceSortUnique(keys);
+    cache::SortUnique(keys);
+    EXPECT_EQ(keys, expected);
+}
+
+TEST(SortUniqueTest, EmptySingletonAndAllDuplicateInputs)
+{
+    ExpectSortUniqueMatchesReference({});
+    ExpectSortUniqueMatchesReference({42});
+    ExpectSortUniqueMatchesReference({-7});
+    ExpectSortUniqueMatchesReference({5, 5, 5, 5});
+    ExpectSortUniqueMatchesReference(
+        std::vector<int64_t>(300, std::numeric_limits<int64_t>::min()));
+}
+
+TEST(SortUniqueTest, DenseServingBatchesMatchSortUnique)
+{
+    // The serving shape: 64 requests' src and dst, 128 keys in [0, 640).
+    Rng rng(2024);
+    for (int trial = 0; trial < 500; ++trial) {
+        std::vector<int64_t> keys;
+        for (int i = 0; i < 128; ++i) {
+            keys.push_back(rng.UniformInt(0, 639));
+        }
+        ExpectSortUniqueMatchesReference(keys);
+    }
+    // Spans past the on-stack bitmap (8192 keys) but still dense.
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<int64_t> keys;
+        for (int i = 0; i < 4096; ++i) {
+            keys.push_back(rng.UniformInt(-20000, 20000));
+        }
+        ExpectSortUniqueMatchesReference(keys);
+    }
+}
+
+TEST(SortUniqueTest, SparseAndNegativeKeysMatchSortUnique)
+{
+    Rng rng(77);
+    for (int trial = 0; trial < 200; ++trial) {
+        // Sparse: 64 keys over a span of ~2^40, which takes the sort.
+        std::vector<int64_t> sparse;
+        for (int i = 0; i < 64; ++i) {
+            sparse.push_back(rng.UniformInt(0, 1 << 20) * (int64_t{1} << 20) -
+                             (int64_t{1} << 39));
+        }
+        sparse.push_back(sparse.front());
+        ExpectSortUniqueMatchesReference(sparse);
+
+        // Dense negative keys.
+        std::vector<int64_t> negative;
+        for (int i = 0; i < 100; ++i) {
+            negative.push_back(rng.UniformInt(-300, -1));
+        }
+        ExpectSortUniqueMatchesReference(negative);
+    }
+}
+
+TEST(SortUniqueTest, KeysAtBothEndsOfTheRangeDoNotOverflow)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    ExpectSortUniqueMatchesReference({kMax, kMin, 0, kMax, kMin, -1, 1});
+    ExpectSortUniqueMatchesReference({kMax, kMax - 3, kMax - 1, kMax - 3});
+    ExpectSortUniqueMatchesReference({kMin + 2, kMin, kMin + 130, kMin});
+    ExpectSortUniqueMatchesReference({kMin, kMax});
 }
 
 // --------------------------------------------------- runtime cost surface
@@ -509,17 +609,26 @@ TEST(ServingCacheTest, MixedBlindBatchesStillChargeBlindStateMovement)
 // ----------------------------------------- randomized invariant checking
 
 /// Independent reference model of the DeviceCache contract, built on a
-/// vector (not the cache's intrusive list) so a shared bug can't hide in a
-/// shared data structure. Victim = front of `order`; LRU promotes touched
-/// rows to the back, FIFO never promotes. `episodes` counts clean->dirty
+/// vector recency order and an ordered map (not the cache's slot pool and
+/// hash table) so a shared bug can't hide in a shared data structure.
+/// Victim = front of `order`; LRU promotes touched rows to the back, FIFO
+/// never promotes. It numbers residency generations itself and records the
+/// resource names a GatherTrace must hold. `episodes` counts clean->dirty
 /// transitions — the conservation law says every such episode is paid for
 /// by exactly one write-back (dirty eviction, mid-run flush, or the final
 /// flush), so after a final FlushDirty, writebacks == episodes.
 struct ReferenceCache {
+    struct Row {
+        int64_t generation = 0;
+        bool dirty = false;
+    };
+
     int64_t capacity_rows = 0;
     bool lru = true;
     std::vector<int64_t> order;
-    std::unordered_map<int64_t, bool> dirty;
+    std::map<int64_t, Row> rows;
+    int64_t next_generation = 0;
+    GatherTrace trace;
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t insertions = 0;
@@ -529,11 +638,12 @@ struct ReferenceCache {
 
     void Touch(int64_t key, bool mark_dirty)
     {
-        const auto it = dirty.find(key);
-        if (it != dirty.end()) {
+        const auto it = rows.find(key);
+        if (it != rows.end()) {
             ++hits;
-            if (mark_dirty && !it->second) {
-                it->second = true;
+            trace.hit_rows.push_back(RowResource(key, it->second.generation));
+            if (mark_dirty && !it->second.dirty) {
+                it->second.dirty = true;
                 ++episodes;
             }
             if (lru) {
@@ -555,14 +665,19 @@ struct ReferenceCache {
         while (static_cast<int64_t>(order.size()) >= capacity_rows) {
             const int64_t victim = order.front();
             order.erase(order.begin());
-            if (dirty.at(victim)) {
+            const Row& row = rows.at(victim);
+            if (row.dirty) {
                 ++writebacks;
+                trace.evicted_dirty_rows.push_back(
+                    RowResource(victim, row.generation));
             }
-            dirty.erase(victim);
+            rows.erase(victim);
             ++evictions;
         }
+        const int64_t generation = next_generation++;
         order.push_back(key);
-        dirty.emplace(key, mark_dirty);
+        rows.emplace(key, Row{generation, mark_dirty});
+        trace.inserted_rows.push_back(RowResource(key, generation));
         ++insertions;
         if (mark_dirty) {
             ++episodes;
@@ -571,49 +686,69 @@ struct ReferenceCache {
 
     void MarkDirty(int64_t key)
     {
-        const auto it = dirty.find(key);
-        if (it != dirty.end() && !it->second) {
-            it->second = true;
+        const auto it = rows.find(key);
+        if (it != rows.end() && !it->second.dirty) {
+            it->second.dirty = true;
             ++episodes;
         }
     }
 
-    int64_t Flush()
+    /// Clears every dirty bit; returns the flushed rows' resource names in
+    /// ascending key order.
+    std::vector<std::string> Flush()
     {
-        int64_t flushed = 0;
-        // determinism-ok: order-independent count-and-clear
-        for (auto& [key, is_dirty] : dirty) {
-            if (is_dirty) {
-                is_dirty = false;
-                ++flushed;
+        std::vector<std::string> names;
+        for (auto& [key, row] : rows) {
+            if (row.dirty) {
+                row.dirty = false;
+                names.push_back(RowResource(key, row.generation));
             }
         }
-        writebacks += flushed;
-        return flushed;
+        writebacks += static_cast<int64_t>(names.size());
+        return names;
     }
 };
 
+/// Where a trial draws its keys. Both draw most keys from a hot pool
+/// ~1.5x capacity (real eviction churn), the rest from 500 cold ones.
+enum class KeyDraw {
+    kDense,   ///< node ids in [0, 500)
+    kSparse,  ///< the same ids scattered over all of int64, plus both ends
+};
+
 void
-RunRandomizedCacheTrial(EvictionPolicy policy, int64_t capacity_rows,
-                        uint64_t seed, int64_t num_ops)
+RunRandomizedCacheTrial(const DeviceCacheConfig& config, uint64_t seed,
+                        int64_t num_ops, KeyDraw key_draw = KeyDraw::kDense)
 {
-    const int64_t row_bytes = 64;
-    DeviceCache cache(Config(capacity_rows, policy, row_bytes));
+    DeviceCache cache(config);
+    const int64_t row_bytes = cache.RowBytes();
     ReferenceCache ref;
     ref.capacity_rows = cache.CapacityRows();
-    ref.lru = policy == EvictionPolicy::kLru;
+    ref.lru = cache.Eviction() == EvictionPolicy::kLru;
 
     Rng rng(seed);
-    // Skewed key mix: most draws from a hot pool ~1.5x capacity (real
-    // eviction churn), the rest from a wide cold range.
-    auto draw_key = [&]() {
-        if (rng.Bernoulli(0.7)) {
-            return rng.UniformInt(0, std::max<int64_t>(capacity_rows, 1) * 3 / 2);
+    const int64_t hot_pool =
+        std::clamp<int64_t>(cache.CapacityRows(), 1, 32) * 3 / 2;
+    auto draw_key = [&]() -> int64_t {
+        const int64_t id = rng.Bernoulli(0.7) ? rng.UniformInt(0, hot_pool)
+                                              : rng.UniformInt(0, 499);
+        if (key_draw == KeyDraw::kDense) {
+            return id;
         }
-        return rng.UniformInt(0, 499);
+        if (id == 0) {
+            return std::numeric_limits<int64_t>::min();
+        }
+        if (id == 1) {
+            return std::numeric_limits<int64_t>::max();
+        }
+        return static_cast<int64_t>(static_cast<uint64_t>(id) *
+                                    0xD1B54A32D192ED03ULL);
     };
 
+    GatherTrace trace;
     for (int64_t op = 0; op < num_ops; ++op) {
+        // Every other operation requests the trace and the flushed names.
+        const bool observe = op % 2 == 0;
         const int64_t kind = rng.UniformInt(0, 19);
         if (kind < 16) {  // Gather, sometimes dirty
             const int64_t batch = rng.UniformInt(1, 12);
@@ -622,10 +757,13 @@ RunRandomizedCacheTrial(EvictionPolicy policy, int64_t capacity_rows,
             for (int64_t i = 0; i < batch; ++i) {
                 keys.push_back(draw_key());  // duplicates allowed on purpose
             }
-            const GatherResult result = cache.Gather(keys, mark_dirty);
+            trace = GatherTrace{};
+            const GatherResult result =
+                cache.Gather(keys, mark_dirty, observe ? &trace : nullptr);
             const int64_t hits_before = ref.hits;
             const int64_t misses_before = ref.misses;
             const int64_t writebacks_before = ref.writebacks;
+            ref.trace = GatherTrace{};
             for (const int64_t key : keys) {
                 ref.Touch(key, mark_dirty);
             }
@@ -633,6 +771,12 @@ RunRandomizedCacheTrial(EvictionPolicy policy, int64_t capacity_rows,
             ASSERT_EQ(result.miss_rows, ref.misses - misses_before);
             ASSERT_EQ(result.writeback_rows,
                       ref.writebacks - writebacks_before);
+            if (observe) {
+                ASSERT_EQ(trace.hit_rows, ref.trace.hit_rows);
+                ASSERT_EQ(trace.inserted_rows, ref.trace.inserted_rows);
+                ASSERT_EQ(trace.evicted_dirty_rows,
+                          ref.trace.evicted_dirty_rows);
+            }
         } else if (kind < 18) {  // MarkDirty a few (possibly absent) keys
             std::vector<int64_t> keys = {draw_key(), draw_key()};
             cache.MarkDirty(keys);
@@ -640,16 +784,23 @@ RunRandomizedCacheTrial(EvictionPolicy policy, int64_t capacity_rows,
                 ref.MarkDirty(key);
             }
         } else if (kind == 18) {  // mid-run flush
-            ASSERT_EQ(cache.FlushDirty(), ref.Flush());
+            const std::vector<std::string> expected = ref.Flush();
+            std::vector<std::string> names;
+            ASSERT_EQ(cache.FlushDirty(observe ? &names : nullptr),
+                      static_cast<int64_t>(expected.size()));
+            if (observe) {
+                ASSERT_EQ(names, expected);
+            }
         } else {  // probe Contains on a sample key
             const int64_t key = draw_key();
-            ASSERT_EQ(cache.Contains(key), ref.dirty.count(key) > 0);
+            ASSERT_EQ(cache.Contains(key), ref.rows.count(key) > 0);
         }
 
         // Hard invariants after EVERY operation.
-        ASSERT_LE(cache.ResidentBytes(), capacity_rows * row_bytes);
+        ASSERT_LE(cache.ResidentRows(), cache.CapacityRows());
         ASSERT_EQ(cache.ResidentRows(),
                   static_cast<int64_t>(ref.order.size()));
+        ASSERT_EQ(cache.ResidentBytes(), cache.ResidentRows() * row_bytes);
         const cache::CacheStats& stats = cache.Stats();
         ASSERT_EQ(stats.hits, ref.hits);
         ASSERT_EQ(stats.misses, ref.misses);
@@ -669,28 +820,51 @@ RunRandomizedCacheTrial(EvictionPolicy policy, int64_t capacity_rows,
 
     // Conservation: drain the dirty set; every clean->dirty episode must
     // have paid exactly one write-back by now — no lost or double syncs.
-    ASSERT_EQ(cache.FlushDirty(), ref.Flush());
+    std::vector<std::string> names;
+    ASSERT_EQ(cache.FlushDirty(&names),
+              static_cast<int64_t>(ref.Flush().size()));
     EXPECT_EQ(cache.Stats().writeback_rows, ref.episodes);
     EXPECT_EQ(cache.FlushDirty(), 0);  // idempotent once drained
 }
 
 TEST(DeviceCacheRandomizedTest, LruMatchesReferenceModelOverRandomOps)
 {
-    RunRandomizedCacheTrial(EvictionPolicy::kLru, 32, 12345, 3000);
+    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kLru), 12345, 3000);
 }
 
 TEST(DeviceCacheRandomizedTest, FifoMatchesReferenceModelOverRandomOps)
 {
-    RunRandomizedCacheTrial(EvictionPolicy::kFifo, 32, 54321, 3000);
+    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kFifo), 54321, 3000);
 }
 
 TEST(DeviceCacheRandomizedTest, TinyAndDisabledCapacitiesStayConsistent)
 {
     // Capacity 1 maximizes eviction churn; capacity 0 exercises the
     // unretained-dirty write-back path on every mutating miss.
-    RunRandomizedCacheTrial(EvictionPolicy::kLru, 1, 99, 1500);
-    RunRandomizedCacheTrial(EvictionPolicy::kFifo, 1, 98, 1500);
-    RunRandomizedCacheTrial(EvictionPolicy::kLru, 0, 97, 1500);
+    RunRandomizedCacheTrial(Config(1, EvictionPolicy::kLru), 99, 1500);
+    RunRandomizedCacheTrial(Config(1, EvictionPolicy::kFifo), 98, 1500);
+    RunRandomizedCacheTrial(Config(0, EvictionPolicy::kLru), 97, 1500);
+}
+
+TEST(DeviceCacheRandomizedTest, SparseAndNegativeKeysMatchReferenceModel)
+{
+    // Keys hashed from all over int64 (both ends included) collide in the
+    // index's probe runs; evictions delete from the middle of those runs.
+    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kLru), 4242, 3000,
+                            KeyDraw::kSparse);
+    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kFifo), 2424, 3000,
+                            KeyDraw::kSparse);
+    RunRandomizedCacheTrial(Config(3, EvictionPolicy::kLru), 7, 1500,
+                            KeyDraw::kSparse);
+}
+
+TEST(DeviceCacheRandomizedTest, UnboundedCacheGrowsWithResidentRows)
+{
+    // No eviction ever: the index grows from empty to every drawn key.
+    RunRandomizedCacheTrial(DeviceCacheConfig::Unbounded(64), 31, 3000);
+    RunRandomizedCacheTrial(
+        DeviceCacheConfig::Unbounded(64, EvictionPolicy::kFifo), 13, 3000,
+        KeyDraw::kSparse);
 }
 
 TEST(ServingCacheTest, NodeBlindArrivalsFallBackToProbeStateVolume)
