@@ -4,6 +4,7 @@
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,19 +115,35 @@ RegisterHostGemmBenchmarks()
     }
 }
 
+/// Q queries over g slots each. Query i owns `distinct` kv rows; its first
+/// g - distinct + 1 slots share the first of them, as a sampler's empty
+/// slots do. {400, 20, 5} is the offline TGAT batch: 400 targets, 20 slots,
+/// about 5 distinct rows each.
 void
 BM_Attention(benchmark::State& state)
 {
-    const int64_t k = state.range(0);
+    const int64_t queries = state.range(0);
+    const int64_t g = state.range(1);
+    const int64_t distinct = state.range(2);
     Rng rng(2);
     nn::MultiHeadAttention mha(64, 2, rng);
-    const Tensor q = init::Normal(Shape({1, 64}), rng);
-    const Tensor kv = init::Normal(Shape({k, 64}), rng);
+    const Tensor q = init::Normal(Shape({queries, 64}), rng);
+    const Tensor kv = init::Normal(Shape({queries * distinct, 64}), rng);
+    std::vector<int64_t> slots;
+    for (int64_t i = 0; i < queries; ++i) {
+        for (int64_t s = 0; s < g; ++s) {
+            slots.push_back(i * distinct + std::max<int64_t>(0, s - (g - distinct)));
+        }
+    }
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mha.Forward(q, kv, kv));
+        benchmark::DoNotOptimize(mha.Forward(q, kv, slots, g));
     }
 }
-BENCHMARK(BM_Attention)->Arg(10)->Arg(50)->Arg(200);
+BENCHMARK(BM_Attention)
+    ->Args({1, 10, 10})
+    ->Args({1, 50, 50})
+    ->Args({1, 200, 200})
+    ->Args({400, 20, 5});
 
 void
 BM_GruCell(benchmark::State& state)

@@ -188,6 +188,24 @@ SampleOnCpu(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
 }
 
 void
+AppendNeighborRows(const Tensor& table, std::span<const int64_t> neighbors,
+                   std::vector<float>& kv, std::vector<int64_t>& slots)
+{
+    const int64_t d = table.Dim(1);
+    if (kv.empty()) {
+        kv.assign(static_cast<size_t>(d), 0.0f);
+    }
+    for (const int64_t nbr : neighbors) {
+        if (nbr < 0) {
+            slots.push_back(0);
+            continue;
+        }
+        slots.push_back(static_cast<int64_t>(kv.size()) / d);
+        kv.insert(kv.end(), table.Data() + nbr * d, table.Data() + (nbr + 1) * d);
+    }
+}
+
+void
 Checksum::Add(const Tensor& t)
 {
     sum_ += t.Sum();

@@ -15,6 +15,7 @@
 /// full code path is identical.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -234,5 +235,12 @@ std::vector<graph::SampledNeighborhood>
 SampleOnCpu(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
             const std::vector<int64_t>& nodes, const std::vector<double>& times,
             int64_t k);
+
+/// Appends one attention query's slots over sampled @p neighbors to
+/// @p slots, and the rows they name to @p kv, a flat [*, d] block read
+/// from @p table: each filled slot adds its neighbor's row, and every
+/// empty slot names row 0, the zero row the first call adds.
+void AppendNeighborRows(const Tensor& table, std::span<const int64_t> neighbors,
+                        std::vector<float>& kv, std::vector<int64_t>& slots);
 
 }  // namespace dgnn::models

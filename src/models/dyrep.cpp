@@ -54,7 +54,8 @@ AttendEndpoints(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
                 bool numeric)
 {
     const int64_t d = embeddings.Dim();
-    EndpointAttention out;
+    std::vector<float> kv;
+    std::vector<int64_t> slots;
     for (const int64_t node : {event.src, event.dst}) {
         const graph::SampledNeighborhood nbh = sampler.Sample(node, event.time, k);
         sim::KernelDesc attn;
@@ -65,18 +66,18 @@ AttendEndpoints(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
         runtime.Launch(attn);
 
         if (numeric) {
-            Tensor kv(Shape({k, d}));
-            for (int64_t j = 0; j < k; ++j) {
-                const int64_t nbr = nbh.neighbors[static_cast<size_t>(j)];
-                if (nbr >= 0) {
-                    kv.SetRow(j, embeddings.Row(nbr));
-                }
-            }
-            const Tensor q = embeddings.Row(node).Reshape(Shape({1, d}));
-            (node == event.src ? out.src : out.dst) = attention.Forward(q, kv, kv);
+            AppendNeighborRows(embeddings.Table(), nbh.neighbors, kv, slots);
         }
     }
-    return out;
+    if (!numeric) {
+        return {};
+    }
+    const std::vector<int64_t> endpoints = {event.src, event.dst};
+    const auto rows = static_cast<int64_t>(kv.size()) / d;
+    const Tensor attended =
+        attention.Forward(embeddings.Lookup(endpoints),
+                          Tensor(Shape({rows, d}), std::move(kv)), slots, k);
+    return {attended.RowSlice(0, 1), attended.RowSlice(1, 2)};
 }
 
 RunResult

@@ -69,8 +69,9 @@ struct EndpointAttention {
 /// DyRep's per-endpoint attention step, which LDG shares: for each of
 /// @p event's endpoints, samples its @p k most recent neighbors and
 /// launches one single-head attention kernel named @p kernel; with
-/// @p numeric set, also attends the endpoint's embedding over the
-/// neighbors' rows on the host (the result stays empty otherwise).
+/// @p numeric set, also attends both endpoints' embeddings over their
+/// neighbors' rows on the host, in one attention call (the result stays
+/// empty otherwise).
 EndpointAttention AttendEndpoints(sim::Runtime& runtime,
                                   graph::TemporalNeighborSampler& sampler,
                                   const nn::MultiHeadAttention& attention,

@@ -36,46 +36,130 @@ Tgat::WeightBytes() const
     return bytes;
 }
 
+namespace {
+
+/// One batch's sampled recursion, one level per layer. Level l lists its
+/// visits' nodes in depth-first pre-order; for l >= 1 it also holds each
+/// visit's sampled slots: the index of the child visit in level l - 1 (-1
+/// for an empty slot) and the time delta to the sampled time.
+struct VisitLevel {
+    std::vector<int64_t> nodes;
+    std::vector<int64_t> children;
+    std::vector<float> deltas;
+};
+
+/// Appends the visit of @p node at @p time to @p levels[layer] and samples
+/// its subtree in the order a per-target recursion would; returns the
+/// visit's index in its level.
+int64_t
+Descend(std::vector<VisitLevel>& levels, graph::TemporalNeighborSampler& sampler,
+        int64_t node, double time, size_t layer, int64_t top_k, int64_t inner_k)
+{
+    VisitLevel& level = levels[layer];
+    const auto index = static_cast<int64_t>(level.nodes.size());
+    level.nodes.push_back(node);
+    if (layer == 0) {
+        return index;
+    }
+    const int64_t k = layer + 1 == levels.size() ? top_k : inner_k;
+    const graph::SampledNeighborhood nbh = sampler.Sample(node, time, k);
+    for (size_t j = 0; j < static_cast<size_t>(k); ++j) {
+        // Children only grow lower levels, so `level` stays valid.
+        level.children.push_back(nbh.neighbors[j] < 0
+                                     ? -1
+                                     : Descend(levels, sampler, nbh.neighbors[j],
+                                               nbh.times[j], layer - 1, top_k, inner_k));
+        level.deltas.push_back(static_cast<float>(time - nbh.times[j]));
+    }
+    return index;
+}
+
+}  // namespace
+
+Tensor
+Tgat::ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
+                        std::span<const int64_t> nodes, std::span<const double> times,
+                        int64_t num_neighbors, int64_t layer) const
+{
+    DGNN_CHECK(nodes.size() == times.size(), "ComputeEmbeddings: ", nodes.size(),
+               " nodes but ", times.size(), " times");
+    std::vector<VisitLevel> levels(static_cast<size_t>(layer + 1));
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        Descend(levels, sampler, nodes[i], times[i], static_cast<size_t>(layer),
+                num_neighbors, config_.second_hop_neighbors);
+    }
+
+    // Every visited node's feature projection, once per distinct node.
+    std::vector<int64_t> distinct;
+    for (const VisitLevel& level : levels) {
+        distinct.insert(distinct.end(), level.nodes.begin(), level.nodes.end());
+    }
+    cache::SortUnique(distinct);
+    const Tensor projected =
+        feature_proj_->Forward(ops::GatherRows(dataset_.node_features, distinct));
+    const auto own_projections = [&](const VisitLevel& level) {
+        std::vector<int64_t> rows;
+        rows.reserve(level.nodes.size());
+        for (const int64_t node : level.nodes) {
+            rows.push_back(std::lower_bound(distinct.begin(), distinct.end(), node) -
+                           distinct.begin());
+        }
+        return ops::GatherRows(projected, rows);
+    };
+
+    const int64_t d = config_.embed_dim;
+    const Tensor enc_zero =
+        time_encoder_->Forward(Tensor(Shape({1}))).Reshape(Shape({d}));
+    Tensor below = own_projections(levels[0]);
+    for (size_t l = 1; l < levels.size(); ++l) {
+        const VisitLevel& level = levels[l];
+        // One kv row per filled slot. An empty slot holds a zero key at the
+        // sampler's empty-slot time, so a run of empty slots at one delta
+        // holds one row: a query's empty slots share it, and so do the next
+        // query's at the same time (an event's other endpoint).
+        std::vector<int64_t> slots(level.children.size());
+        std::vector<int64_t> keys;
+        std::vector<float> deltas;
+        int64_t shared = -1;
+        for (size_t j = 0; j < slots.size(); ++j) {
+            const int64_t child = level.children[j];
+            if (child < 0 && shared >= 0 &&
+                deltas[static_cast<size_t>(shared)] == level.deltas[j]) {
+                slots[j] = shared;
+                continue;
+            }
+            slots[j] = static_cast<int64_t>(keys.size());
+            if (child < 0) {
+                shared = slots[j];
+            }
+            keys.push_back(child);
+            deltas.push_back(level.deltas[j]);
+        }
+        const auto r_rows = static_cast<int64_t>(keys.size());
+        Tensor kv = time_encoder_->Forward(Tensor(Shape({r_rows}), std::move(deltas)));
+        for (int64_t r = 0; r < r_rows; ++r) {
+            const int64_t child = keys[static_cast<size_t>(r)];
+            float* row = kv.Data() + r * d;
+            for (int64_t c = 0; c < d; ++c) {
+                row[c] = (child < 0 ? 0.0f : below.Data()[child * d + c]) + row[c];
+            }
+        }
+
+        const Tensor own = own_projections(level);
+        const int64_t g =
+            l + 1 == levels.size() ? num_neighbors : config_.second_hop_neighbors;
+        const Tensor attended = attention_layers_[l - 1]->Forward(
+            ops::AddRowBroadcast(own, enc_zero), kv, slots, g);
+        below = ops::Relu(merge_layers_[l - 1]->Forward(ops::ConcatCols(attended, own)));
+    }
+    return below;
+}
+
 Tensor
 Tgat::ComputeEmbedding(graph::TemporalNeighborSampler& sampler, int64_t node,
                        double time, int64_t num_neighbors, int64_t layer) const
 {
-    const Tensor raw = dataset_.node_features.Row(node).Reshape(
-        Shape({1, dataset_.spec.edge_feature_dim}));
-    Tensor h = feature_proj_->Forward(raw);
-    if (layer == 0) {
-        return h;
-    }
-    const graph::SampledNeighborhood nbh = sampler.Sample(node, time, num_neighbors);
-
-    // Neighbor embeddings at the previous layer (recursive).
-    const int64_t k = num_neighbors;
-    Tensor keys(Shape({k, config_.embed_dim}));
-    Tensor deltas(Shape({k}));
-    const int64_t inner_k =
-        layer >= 2 ? config_.second_hop_neighbors : num_neighbors;
-    for (int64_t j = 0; j < k; ++j) {
-        const int64_t nb = nbh.neighbors[static_cast<size_t>(j)];
-        Tensor nb_embed;
-        if (nb < 0) {
-            nb_embed = Tensor(Shape({1, config_.embed_dim}));
-        } else {
-            nb_embed = ComputeEmbedding(sampler, nb, nbh.times[static_cast<size_t>(j)],
-                                        inner_k, layer - 1);
-        }
-        keys.SetRow(j, nb_embed.Reshape(Shape({config_.embed_dim})));
-        deltas.At(j) = static_cast<float>(time - nbh.times[static_cast<size_t>(j)]);
-    }
-    const Tensor time_feats = time_encoder_->Forward(deltas);
-    const Tensor kv = ops::Add(keys, time_feats);
-
-    Tensor zero_delta(Shape({1}));
-    const Tensor q = ops::Add(h, time_encoder_->Forward(zero_delta));
-    const size_t li = static_cast<size_t>(layer - 1);
-    const Tensor attended = attention_layers_[li]->Forward(q, kv, kv);
-    const Tensor merged =
-        merge_layers_[li]->Forward(ops::ConcatCols(attended, h));
-    return ops::Relu(merged);
+    return ComputeEmbeddings(sampler, {&node, 1}, {&time, 1}, num_neighbors, layer);
 }
 
 RunResult
@@ -289,14 +373,14 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
 
             // Real numerics for up to numeric_cap targets (0 = all).
-            const int64_t cap = Capped(n, run.numeric_cap);
+            const auto cap = static_cast<size_t>(Capped(n, run.numeric_cap));
             graph::TemporalNeighborSampler numeric_sampler(
                 adjacency_, graph::SamplingStrategy::kUniform, config_.seed + 2);
-            for (int64_t i = 0; i < cap; ++i) {
-                const Tensor emb = ComputeEmbedding(
-                    numeric_sampler, nodes[static_cast<size_t>(i)],
-                    times[static_cast<size_t>(i)], k, config_.num_layers);
-                checksum.Add(emb);
+            const Tensor emb = ComputeEmbeddings(
+                numeric_sampler, std::span(nodes).first(cap),
+                std::span(times).first(cap), k, config_.num_layers);
+            for (int64_t i = 0; i < emb.Dim(0); ++i) {
+                checksum.Add(emb.RowSlice(i, i + 1));
             }
         }
 

@@ -15,8 +15,16 @@
 /// The CPU-side sampling is the dominant cost (workload-imbalance
 /// bottleneck); attention work grows with the sampled-neighbor count, which
 /// drives the GPU-utilization trend of Fig 6(a).
+///
+/// The host numerics embed a whole batch at once (ComputeEmbeddings). They
+/// sample each target's neighborhood tree in the depth-first pre-order of a
+/// per-target recursion, project each distinct node once, then run one
+/// attention call and one merge GEMM per layer, bottom-up. Each query's
+/// empty slots share one key/value row. The result is bit-identical to
+/// embedding one target at a time.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/temporal_interactions.hpp"
@@ -48,7 +56,16 @@ class Tgat : public DgnnModel {
 
     RunResult RunInference(sim::Runtime& runtime, const RunConfig& config) override;
 
-    /// Pure host-math embedding of one node at one time (used by tests).
+    /// Pure host-math embeddings of @p nodes at @p times through @p layer
+    /// attention layers: [nodes.size(), embed_dim], one row per target.
+    /// The top layer samples @p num_neighbors slots per node, every lower
+    /// one second_hop_neighbors; layer 0 is the feature projection.
+    Tensor ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
+                             std::span<const int64_t> nodes,
+                             std::span<const double> times, int64_t num_neighbors,
+                             int64_t layer) const;
+
+    /// ComputeEmbeddings of one node at one time.
     Tensor ComputeEmbedding(graph::TemporalNeighborSampler& sampler, int64_t node,
                             double time, int64_t num_neighbors, int64_t layer) const;
 

@@ -268,26 +268,28 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
             (void)runtime.Synchronize();
 
-            // Numeric path for capped targets.
+            // Numeric path for capped targets: one attention call, one query
+            // per event's source.
             const int64_t ncap = Capped(nb, run.numeric_cap);
+            std::vector<int64_t> srcs;
+            std::vector<int64_t> dsts;
+            std::vector<int64_t> slots;
+            std::vector<float> kv;
             for (int64_t i = 0; i < ncap; ++i) {
                 const auto& e = batch[i];
-                const Tensor q =
-                    memory_->Row(e.src).Reshape(Shape({1, md}));
-                const graph::SampledNeighborhood nbh =
-                    sampler.Sample(e.src, e.time, k);
-                Tensor kv(Shape({k, md}));
-                for (int64_t j = 0; j < k; ++j) {
-                    const int64_t nbr = nbh.neighbors[static_cast<size_t>(j)];
-                    if (nbr >= 0) {
-                        kv.SetRow(j, memory_->Row(nbr));
-                    }
-                }
-                const Tensor emb = embedding_attention_->Forward(q, kv, kv);
-                const Tensor pair = ops::ConcatCols(
-                    emb, memory_->Row(e.dst).Reshape(Shape({1, md})));
-                const Tensor prob = ops::Sigmoid(edge_decoder_->Forward(pair));
-                checksum.Add(prob);
+                srcs.push_back(e.src);
+                dsts.push_back(e.dst);
+                AppendNeighborRows(memory_->Table(),
+                                   sampler.Sample(e.src, e.time, k).neighbors, kv, slots);
+            }
+            const auto kv_rows = static_cast<int64_t>(kv.size()) / md;
+            const Tensor emb = embedding_attention_->Forward(
+                memory_->Lookup(srcs), Tensor(Shape({kv_rows, md}), std::move(kv)),
+                slots, k);
+            const Tensor prob = ops::Sigmoid(edge_decoder_->Forward(
+                ops::ConcatCols(emb, memory_->Lookup(dsts))));
+            for (int64_t i = 0; i < ncap; ++i) {
+                checksum.Add(prob.RowSlice(i, i + 1));
             }
 
             // Predictions back to host.

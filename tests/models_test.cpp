@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -275,6 +276,66 @@ TEST(TgatTest, TwoLayerRecursionRuns)
     const RunResult r = model.RunInference(rt, run);
     EXPECT_GT(r.total_us, 0.0);
     EXPECT_NE(r.output_checksum, 0.0);
+}
+
+TEST(TgatTest, TwoLayerChecksumsArePinned)
+{
+    // Hex-float pins on 2-layer TGAT, generated with the per-target
+    // recursion the batched numerics replaced. The second run samples more
+    // slots than any node's history holds, so every neighborhood has empty
+    // slots.
+    const auto ds = TinyInteractions();
+    graph::TemporalAdjacency adj(ds.stream);
+    for (int64_t node = 0; node < ds.NumNodes(); ++node) {
+        ASSERT_LT(static_cast<int64_t>(adj.History(node).size()), 40) << node;
+    }
+    struct Pin {
+        TgatConfig config;
+        int64_t num_neighbors;
+        int64_t max_events;
+        double expected;
+    };
+    const std::array<Pin, 2> pins = {{
+        {TgatConfig{8, 2, 2, 2, 7}, 4, 32, 0x1.7b7b4530fb89p+7},
+        {TgatConfig{8, 2, 2, 40, 7}, 40, 48, 0x1.1924778f927c7p+8},
+    }};
+    for (const Pin& pin : pins) {
+        Tgat model(ds, pin.config);
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        RunConfig run = SmallRun(sim::ExecMode::kHybrid);
+        run.num_neighbors = pin.num_neighbors;
+        run.max_events = pin.max_events;
+        const RunResult r = model.RunInference(rt, run);
+        EXPECT_EQ(HexFloat(r.output_checksum), HexFloat(pin.expected))
+            << "k " << pin.num_neighbors;
+    }
+}
+
+TEST(TgatTest, BatchedEmbeddingsMatchOneTargetCalls)
+{
+    // A batch of targets embeds bit for bit as one call per target, on a
+    // uniform sampler of the same seed: the batch samples in the same order.
+    const auto ds = TinyInteractions();
+    graph::TemporalAdjacency adj(ds.stream);
+    std::vector<int64_t> nodes;
+    std::vector<double> times;
+    for (int64_t i = 60; i < 80; ++i) {
+        const graph::TemporalEvent& e = ds.stream.Event(i);
+        nodes.insert(nodes.end(), {e.src, e.dst});
+        times.insert(times.end(), {e.time, e.time});
+    }
+    for (const int64_t layers : {1, 2}) {
+        const Tgat model(ds, TgatConfig{16, 2, layers, 3, 7});
+        graph::TemporalNeighborSampler batched(adj, graph::SamplingStrategy::kUniform, 3);
+        graph::TemporalNeighborSampler single(adj, graph::SamplingStrategy::kUniform, 3);
+        const Tensor all = model.ComputeEmbeddings(batched, nodes, times, 5, layers);
+        ASSERT_EQ(all.GetShape(), Shape({static_cast<int64_t>(nodes.size()), 16}));
+        for (size_t i = 0; i < nodes.size(); ++i) {
+            const Tensor one = model.ComputeEmbedding(single, nodes[i], times[i], 5, layers);
+            EXPECT_EQ(std::memcmp(all.Data() + i * 16, one.Data(), 16 * sizeof(float)), 0)
+                << layers << " layers, target " << i;
+        }
+    }
 }
 
 TEST(TgatTest, EmbeddingIsTimeDependent)

@@ -1,6 +1,10 @@
 // Tests for the neural-module substrate.
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +142,72 @@ TEST(LstmCellTest, CellStateAccumulates)
     EXPECT_NE(s1.c.Sum(), s2.c.Sum());
 }
 
+/// Columns [begin, end) of a rank-2 tensor.
+Tensor
+HeadSlice(const Tensor& t, int64_t begin, int64_t end)
+{
+    Tensor out(Shape({t.Dim(0), end - begin}));
+    for (int64_t i = 0; i < t.Dim(0); ++i) {
+        for (int64_t j = begin; j < end; ++j) {
+            out.At(i, j - begin) = t.At(i, j);
+        }
+    }
+    return out;
+}
+
+/// The per-query composition the slot kernel replaced: query i gathers its
+/// slots' rows as key and value, then each head runs MatMulTransposed ->
+/// Scale -> SoftmaxRows -> MatMul, and wo maps the concatenated heads.
+/// Counts the softmax weights that are exactly 0 into @p zero_weights.
+Tensor
+ReferenceAttention(const MultiHeadAttention& mha, const Tensor& query, const Tensor& kv,
+                   const std::vector<int64_t>& slots, int64_t g,
+                   int64_t* zero_weights = nullptr)
+{
+    // wq, wk, wv, wo: a weight and a bias each, in construction order.
+    const std::vector<Parameter> params = mha.AllParameters();
+    const auto project = [&](const Tensor& x, size_t m) {
+        return ops::AddRowBroadcast(ops::MatMulTransposed(x, *params[2 * m].value),
+                                    *params[2 * m + 1].value);
+    };
+    const int64_t d = mha.ModelDim();
+    const int64_t head_dim = d / mha.NumHeads();
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    Tensor out(Shape({query.Dim(0), d}));
+    for (int64_t i = 0; i < query.Dim(0); ++i) {
+        const std::vector<int64_t> rows(slots.begin() + i * g, slots.begin() + (i + 1) * g);
+        const Tensor key = ops::GatherRows(kv, rows);
+        const Tensor q = project(query.RowSlice(i, i + 1), 0);
+        const Tensor k = project(key, 1);
+        const Tensor v = project(key, 2);
+        Tensor concat(Shape({1, d}));
+        for (int64_t begin = 0; begin < d; begin += head_dim) {
+            const int64_t end = begin + head_dim;
+            const Tensor weights = ops::SoftmaxRows(ops::Scale(
+                ops::MatMulTransposed(HeadSlice(q, begin, end), HeadSlice(k, begin, end)),
+                scale));
+            for (int64_t s = 0; zero_weights != nullptr && s < g; ++s) {
+                *zero_weights += weights.At(0, s) == 0.0f ? 1 : 0;
+            }
+            const Tensor head = ops::MatMul(weights, HeadSlice(v, begin, end));
+            for (int64_t j = begin; j < end; ++j) {
+                concat.At(0, j) = head.At(0, j - begin);
+            }
+        }
+        out.SetRow(i, project(concat, 3).Reshape(Shape({d})));
+    }
+    return out;
+}
+
+/// Compares two same-shape tensors bit for bit.
+bool
+BitIdentical(const Tensor& got, const Tensor& want)
+{
+    return got.GetShape() == want.GetShape() &&
+           std::memcmp(got.Data(), want.Data(),
+                       sizeof(float) * static_cast<size_t>(got.NumElements())) == 0;
+}
+
 TEST(AttentionTest, OutputShapeAndFinite)
 {
     Rng rng(11);
@@ -145,7 +215,8 @@ TEST(AttentionTest, OutputShapeAndFinite)
     Rng rx(12);
     const Tensor q = init::Normal(Shape({3, 8}), rx);
     const Tensor kv = init::Normal(Shape({5, 8}), rx);
-    const Tensor y = mha.Forward(q, kv, kv);
+    const std::vector<int64_t> slots = {0, 1, 2, 3, 4, 4, 4, 0, 1, 2, 3, 4, 0, 0, 0};
+    const Tensor y = mha.Forward(q, kv, slots, 5);
     EXPECT_EQ(y.GetShape(), Shape({3, 8}));
     EXPECT_TRUE(y.AllFinite());
 }
@@ -156,13 +227,65 @@ TEST(AttentionTest, SingleKeyAttendsFully)
     Rng rng(13);
     MultiHeadAttention mha(4, 1, rng);
     Rng rx(14);
-    const Tensor q1 = init::Normal(Shape({1, 4}), rx);
-    const Tensor q2 = init::Normal(Shape({1, 4}), rx);
+    const Tensor q = init::Normal(Shape({2, 4}), rx);
     const Tensor kv = init::Normal(Shape({1, 4}), rx);
-    const Tensor y1 = mha.Forward(q1, kv, kv);
-    const Tensor y2 = mha.Forward(q2, kv, kv);
-    for (int64_t i = 0; i < y1.NumElements(); ++i) {
-        EXPECT_NEAR(y1.At(i), y2.At(i), 1e-5f);
+    const std::vector<int64_t> slots = {0, 0};
+    const Tensor y = mha.Forward(q, kv, slots, 1);
+    for (int64_t j = 0; j < y.Dim(1); ++j) {
+        EXPECT_NEAR(y.At(0, j), y.At(1, j), 1e-5f);
+    }
+}
+
+TEST(AttentionTest, SlotKernelMatchesPerQueryReference)
+{
+    // Random slot tables share rows within and across queries; each query's
+    // first i % g slots repeat one row, as a sampler's empty slots do.
+    Rng rx(21);
+    for (const int64_t heads : {1, 2}) {
+        Rng rng(20);
+        const MultiHeadAttention mha(8, heads, rng);
+        for (const int64_t q_rows : {1, 3, 400}) {
+            for (const int64_t g : {1, 5, 20}) {
+                const int64_t kv_rows = 2 + q_rows * g / 4;
+                const Tensor query = init::Normal(Shape({q_rows, 8}), rx);
+                const Tensor kv = init::Normal(Shape({kv_rows, 8}), rx);
+                std::vector<int64_t> slots;
+                for (int64_t i = 0; i < q_rows; ++i) {
+                    const int64_t shared = rx.UniformInt(0, kv_rows - 1);
+                    for (int64_t s = 0; s < g; ++s) {
+                        slots.push_back(s < i % g ? shared
+                                                  : rx.UniformInt(0, kv_rows - 1));
+                    }
+                }
+                EXPECT_TRUE(BitIdentical(mha.Forward(query, kv, slots, g),
+                                         ReferenceAttention(mha, query, kv, slots, g)))
+                    << heads << " heads, Q " << q_rows << ", g " << g;
+            }
+        }
+
+        // One huge kv row: every other weight of its queries underflows to
+        // exactly 0, which MatMul skips.
+        const Tensor query = init::Normal(Shape({3, 8}), rx);
+        Tensor kv = init::Normal(Shape({4, 8}), rx);
+        for (int64_t j = 0; j < 8; ++j) {
+            kv.At(2, j) *= 1.0e4f;
+        }
+        const std::vector<int64_t> slots = {0, 1, 2, 3, 2, 2, 0, 0, 1, 2, 3, 3};
+        int64_t zero_weights = 0;
+        const Tensor want = ReferenceAttention(mha, query, kv, slots, 4, &zero_weights);
+        EXPECT_GT(zero_weights, 0) << heads << " heads";
+        EXPECT_TRUE(BitIdentical(mha.Forward(query, kv, slots, 4), want))
+            << heads << " heads, underflow";
+
+        // Self-attention is the dense table: query i attends rows 0..n-1.
+        const int64_t n = 12;
+        const Tensor x = init::Normal(Shape({n, 8}), rx);
+        std::vector<int64_t> dense;
+        for (int64_t i = 0; i < n * n; ++i) {
+            dense.push_back(i % n);
+        }
+        EXPECT_TRUE(BitIdentical(mha.SelfAttention(x), ReferenceAttention(mha, x, x, dense, n)))
+            << heads << " heads, self-attention";
     }
 }
 
@@ -172,12 +295,34 @@ TEST(AttentionTest, InvalidHeadDivisionThrows)
     EXPECT_THROW(MultiHeadAttention(6, 4, rng), Error);
 }
 
-TEST(AttentionTest, KeyValueShapeMismatchThrows)
+/// Expects @p call to throw a dgnn::Error whose message contains @p needle.
+void
+ExpectErrorNaming(const std::function<void()>& call, const std::string& needle)
+{
+    try {
+        call();
+        ADD_FAILURE() << "no error; expected one naming '" << needle << "'";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+}
+
+TEST(AttentionTest, InvalidSlotTableThrows)
 {
     Rng rng(16);
     MultiHeadAttention mha(4, 2, rng);
-    const Tensor q(Shape({1, 4}));
-    EXPECT_THROW(mha.Forward(q, Tensor(Shape({2, 4})), Tensor(Shape({3, 4}))), Error);
+    const Tensor q(Shape({2, 4}));
+    const Tensor kv(Shape({3, 4}));
+    const auto call = [&](std::vector<int64_t> slots, int64_t g) {
+        return [&mha, &q, &kv, slots, g] { (void)mha.Forward(q, kv, slots, g); };
+    };
+    ExpectErrorNaming(call({0, 1, 2, 3}, 2), "names kv row 3, outside [0, 3)");
+    ExpectErrorNaming(call({0, -1, 2, 1}, 2), "names kv row -1");
+    ExpectErrorNaming(call({0, 1, 2}, 2), "slot table holds 3 indices");
+    ExpectErrorNaming(call({}, 0), "got g = 0");
+    ExpectErrorNaming(
+        [&] { (void)mha.Forward(q, Tensor(Shape({3, 5})), std::vector<int64_t>{0, 0}, 1); },
+        "kv must be [*, 4]");
 }
 
 TEST(MlpTest, ShapesAndDepth)
