@@ -90,14 +90,17 @@ BM_LinearForward(benchmark::State& state, ops::detail::HostGemmKernel kernel)
 // and labelled with its kernel. The shapes: the square sweep, then the ones
 // the models run most (TGAT/TGN feature projection, key/value projection,
 // attention scores, the four-row and 945-row projections of the offline
-// profile) and the big GCN transform.
+// profile) and the big GCN transform. The last three and {300, 364, 192}
+// stand for the offline suite's heaviest GEMM classes (DESIGN section 2):
+// m > 512 x 64 x 64, m 65-512 x 64 x 64 and m > 512 x 172 x 64.
 void
 RegisterHostGemmBenchmarks()
 {
     const std::vector<std::vector<int64_t>> matmul_shapes = {
-        {32, 32, 32}, {64, 64, 64}, {128, 128, 128}, {1, 172, 64},    {4, 64, 64},
-        {10, 64, 64}, {20, 64, 64}, {945, 64, 64},   {1, 64, 64},     {1, 32, 20},
-        {300, 364, 192}};
+        {32, 32, 32},   {64, 64, 64},  {128, 128, 128}, {1, 172, 64},    {4, 64, 64},
+        {10, 64, 64},   {20, 64, 64},  {945, 64, 64},   {1, 64, 64},     {1, 32, 20},
+        {300, 364, 192},
+        {2048, 64, 64}, {400, 64, 64}, {4096, 172, 64}};
     const std::vector<std::vector<int64_t>> linear_shapes = {
         {1, 172, 64}, {4, 64, 64}, {10, 64, 64}, {945, 64, 64}, {1, 64, 64}, {300, 364, 192}};
     for (const ops::detail::HostGemmKernel& kernel : ops::detail::HostGemmKernels()) {

@@ -7,18 +7,30 @@
 
 namespace dgnn::nn {
 
+namespace {
+
+/// model_dim / num_heads, checked first: the initializer list divides
+/// before the constructor body could run a check.
+int64_t
+HeadDim(int64_t model_dim, int64_t num_heads)
+{
+    DGNN_CHECK(num_heads > 0 && model_dim % num_heads == 0, "model_dim ", model_dim,
+               " must be divisible by num_heads ", num_heads);
+    return model_dim / num_heads;
+}
+
+}  // namespace
+
 MultiHeadAttention::MultiHeadAttention(int64_t model_dim, int64_t num_heads, Rng& rng)
     : Module("mha"),
       model_dim_(model_dim),
       num_heads_(num_heads),
-      head_dim_(model_dim / num_heads),
+      head_dim_(HeadDim(model_dim, num_heads)),
       wq_(model_dim, model_dim, rng),
       wk_(model_dim, model_dim, rng),
       wv_(model_dim, model_dim, rng),
       wo_(model_dim, model_dim, rng)
 {
-    DGNN_CHECK(num_heads > 0 && model_dim % num_heads == 0, "model_dim ", model_dim,
-               " must be divisible by num_heads ", num_heads);
     RegisterChild(&wq_);
     RegisterChild(&wk_);
     RegisterChild(&wv_);

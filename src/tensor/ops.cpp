@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -185,6 +186,115 @@ Avx2FmaGemm(const float* a, int64_t m, const PackedRhs& b, float* c)
     }
 }
 
+/// Widens @p Rows rows of @p a to double, kk-major: wide[kk * Rows + r].
+template <int Rows>
+void
+WidenRows(const float* a, int64_t k, double* wide)
+{
+    for (int r = 0; r < Rows; ++r) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+            wide[kk * Rows + r] = static_cast<double>(a[r * k + kk]);
+        }
+    }
+}
+
+/// Avx2Tile's contract on 512-bit registers: Rows x (Panels * 8) outputs,
+/// with A read from WidenRows' buffer @p wide. One step kk of a panel is one
+/// zmm register, and each accumulator lane is one output's chain, starting
+/// at +0.0 and fed kk in ascending order.
+template <int Rows, int Panels>
+__attribute__((target("avx512f"))) void
+Avx512Tile(const double* wide, int64_t k, const double* panel, int64_t n_left, float* c,
+           int64_t ldc)
+{
+    constexpr int64_t kLanes = PackedRhs::kPanel;
+    __m512d acc[Rows][Panels];
+    for (int r = 0; r < Rows; ++r) {
+        for (int p = 0; p < Panels; ++p) {
+            acc[r][p] = _mm512_setzero_pd();
+        }
+    }
+    for (int64_t kk = 0; kk < k; ++kk) {
+        __m512d w[Panels];
+        for (int p = 0; p < Panels; ++p) {
+            w[p] = _mm512_loadu_pd(panel + (p * k + kk) * kLanes);
+        }
+        for (int r = 0; r < Rows; ++r) {
+            const __m512d x = _mm512_set1_pd(wide[kk * Rows + r]);
+            for (int p = 0; p < Panels; ++p) {
+                acc[r][p] = _mm512_fmadd_pd(x, w[p], acc[r][p]);
+            }
+        }
+    }
+    for (int r = 0; r < Rows; ++r) {
+        for (int p = 0; p < Panels; ++p) {
+            const int64_t cols = std::min(kLanes, n_left - p * kLanes);
+            float* out = c + r * ldc + p * kLanes;
+            // The all-lanes maskz form: GCC 12's _mm512_cvtpd_ps trips
+            // -Wuninitialized on its _mm256_undefined_ps source.
+            const __m256 lanes = _mm512_maskz_cvtpd_ps(0xFF, acc[r][p]);
+            if (cols == kLanes) {
+                _mm256_storeu_ps(out, lanes);
+                continue;
+            }
+            alignas(32) float rounded[kLanes];
+            _mm256_store_ps(rounded, lanes);
+            std::copy_n(rounded, cols, out);
+        }
+    }
+}
+
+/// @p Rows rows of A against all of B: widened once, then run against
+/// adjacent panel pairs and a 1-panel tile for an odd last panel.
+template <int Rows>
+__attribute__((target("avx512f"))) void
+Avx512Rows(const float* a, const PackedRhs& b, double* wide, float* c)
+{
+    constexpr int64_t kLanes = PackedRhs::kPanel;
+    const int64_t k = b.Cols();
+    const int64_t n = b.Rows();
+    WidenRows<Rows>(a, k, wide);
+    int64_t j = 0;
+    for (; j + kLanes < n; j += 2 * kLanes) {
+        Avx512Tile<Rows, 2>(wide, k, b.Panel(j / kLanes), n - j, c + j, n);
+    }
+    if (j < n) {
+        Avx512Tile<Rows, 1>(wide, k, b.Panel(j / kLanes), n - j, c + j, n);
+    }
+}
+
+/// The AVX-512 kernel: 8 x 16 tiles (16 independent FMA chains), then 4-,
+/// 2- and 1-row tiles for the row tails. Calls with m < 4 run avx2_fma's
+/// tiles instead: they are mostly m == 1 and bound by reading B, where
+/// widening A per call cost more than the wider FMA saved. The widened rows
+/// live in a per-call buffer, since shards may call the GEMM concurrently.
+__attribute__((target("avx512f"))) void
+Avx512Gemm(const float* a, int64_t m, const PackedRhs& b, float* c)
+{
+    if (m < 4) {
+        Avx2FmaGemm(a, m, b, c);
+        return;
+    }
+    const int64_t k = b.Cols();
+    const int64_t n = b.Rows();
+    std::vector<double> wide(static_cast<size_t>(8 * k));
+    int64_t i = 0;
+    for (; i + 8 <= m; i += 8) {
+        Avx512Rows<8>(a + i * k, b, wide.data(), c + i * n);
+    }
+    if (i + 4 <= m) {
+        Avx512Rows<4>(a + i * k, b, wide.data(), c + i * n);
+        i += 4;
+    }
+    if (i + 2 <= m) {
+        Avx512Rows<2>(a + i * k, b, wide.data(), c + i * n);
+        i += 2;
+    }
+    if (i < m) {
+        Avx512Rows<1>(a + i * k, b, wide.data(), c + i * n);
+    }
+}
+
 #endif  // __x86_64__
 
 }  // namespace
@@ -201,6 +311,9 @@ HostGemmKernels()
         __builtin_cpu_init();
         if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
             available.push_back({"avx2_fma", Avx2FmaGemm});
+            if (__builtin_cpu_supports("avx512f")) {
+                available.push_back({"avx512", Avx512Gemm});
+            }
         }
 #endif
         return available;

@@ -67,8 +67,9 @@ struct HostGemmKernel {
 };
 
 /// The host GEMM kernels this CPU runs, found once: "portable" everywhere,
-/// then "avx2_fma" on an x86-64 CPU with AVX2 and FMA. MatMulTransposed runs
-/// the last; tests and the micro-benchmark run each.
+/// then "avx2_fma" on an x86-64 CPU with AVX2 and FMA, then "avx512" if it
+/// also has AVX-512F. MatMulTransposed runs the last; tests and the
+/// micro-benchmark run each.
 const std::vector<HostGemmKernel>& HostGemmKernels();
 
 }  // namespace detail

@@ -628,6 +628,20 @@ TEST(AllModelsTest, SampledModelsRejectZeroNeighborsBeforeWarmup)
     }
 }
 
+TEST(AllModelsTest, AttentionModelsRejectZeroHeadsAtConstruction)
+{
+    const TinyZoo zoo;
+    TgatConfig tgat{16, 2, 1, 4, 7};
+    tgat.num_heads = 0;
+    EXPECT_THROW(Tgat(zoo.interactions, tgat), Error);
+    TgnConfig tgn{16, 16, 2, 11};
+    tgn.num_heads = 0;
+    EXPECT_THROW(Tgn(zoo.interactions, tgn), Error);
+    AstgnnConfig astgnn{8, 2, 1, 1, 23};
+    astgnn.num_heads = 0;
+    EXPECT_THROW(Astgnn(zoo.traffic, astgnn), Error);
+}
+
 TEST(AllModelsTest, NumericCapKeepsCostAccountingIdentical)
 {
     // With a numeric cap the simulated timing must not change — only the

@@ -295,6 +295,13 @@ TEST(AttentionTest, InvalidHeadDivisionThrows)
     EXPECT_THROW(MultiHeadAttention(6, 4, rng), Error);
 }
 
+TEST(AttentionTest, ZeroHeadsThrows)
+{
+    // The head width is model_dim / num_heads: checked before it divides.
+    Rng rng(15);
+    EXPECT_THROW(MultiHeadAttention(8, 0, rng), Error);
+}
+
 /// Expects @p call to throw a dgnn::Error whose message contains @p needle.
 void
 ExpectErrorNaming(const std::function<void()>& call, const std::string& needle)

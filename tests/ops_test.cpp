@@ -131,14 +131,17 @@ BitIdentical(const Tensor& got, const Tensor& want)
 TEST(MatMulTest, TransposedIsBitIdenticalToScalarReference)
 {
     // Every kernel this CPU runs, and the public calls through the selected
-    // one. m covers every row tile and tail (4, 2 and 1 rows; m == 1 takes
-    // panel pairs); n covers an empty B, partial first panels, exact panels,
-    // partial last panels and an odd last panel after a pair. For k >= 4 a
-    // huge product at kk = 1 is cancelled exactly at kk = k - 2, so the float
-    // result keeps the rounding of the double partial sums in between: a
-    // reordered sum flips low bits here, and k == 0 pins the +0.0 start.
-    // The list holds the portable kernel always and the AVX2+FMA kernel
-    // exactly where the CPU has both, last, so MatMulTransposed runs it.
+    // one. m covers every row tile and tail (8, 4, 2 and 1 rows; m == 1
+    // takes panel pairs; 10..17, 24 and 33 put each 4/2/1 tail after 8-row
+    // tiles); n covers an empty B, partial first panels, exact panels,
+    // partial last panels, panel pairs and an odd last panel after them.
+    // k = 364 is TGN's GRU width. For k >= 4 a huge product at kk = 1 is
+    // cancelled exactly at kk = k - 2, so the float result keeps the
+    // rounding of the double partial sums in between: a reordered sum flips
+    // low bits here, and k == 0 pins the +0.0 start. The list holds the
+    // portable kernel always, the AVX2+FMA kernel exactly where the CPU has
+    // both, and the AVX-512 kernel exactly where it also has AVX-512F. The
+    // last one is the one MatMulTransposed runs.
     const auto& kernels = ops::detail::HostGemmKernels();
     std::vector<std::string> names;
     for (const auto& kernel : kernels) {
@@ -148,13 +151,18 @@ TEST(MatMulTest, TransposedIsBitIdenticalToScalarReference)
 #if defined(__x86_64__)
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
         want_names.emplace_back("avx2_fma");
+        if (__builtin_cpu_supports("avx512f")) {
+            want_names.emplace_back("avx512");
+        }
     }
 #endif
     EXPECT_EQ(names, want_names);
     Rng rng(11);
-    for (const int64_t m : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 20}) {
-        for (const int64_t n : {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 64}) {
-            for (const int64_t k : {0, 1, 5, 172}) {
+    for (const int64_t m :
+         {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 24, 33}) {
+        for (const int64_t n :
+             {0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 64}) {
+            for (const int64_t k : {0, 1, 5, 172, 364}) {
                 const Tensor a = CancellingInput(m, k, rng);
                 Tensor b = SignedWithZeros(Shape({n, k}), rng);
                 for (int64_t j = 0; j < n && k >= 4; ++j) {
@@ -195,7 +203,7 @@ TEST(LinearForwardTest, MatchesScalarReferencePlusBias)
         {172, 64}, {64, 64}, {5, 9}, {32, 20}, {1, 1}};
     for (const auto& [in, out] : in_out) {
         const nn::Linear layer(in, out, rng);
-        for (const int64_t m : {0, 1, 2, 3, 4, 5, 7, 10, 20}) {
+        for (const int64_t m : {0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 16, 17, 20, 300}) {
             const Tensor x = SignedWithZeros(Shape({m, in}), rng);
             const Tensor want = ScalarMatMulTransposed(x, layer.Weight());
             Tensor want_biased(want.GetShape());
