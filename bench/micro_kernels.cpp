@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the real host kernels behind the
 // simulator: GEMM, attention, GRU, SpMM, temporal sampling, t-batching,
-// and the device cache's host bookkeeping.
+// and the device cache's host bookkeeping, plus the sharded cluster's set-up.
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.hpp"
 #include "cache/device_cache.hpp"
 #include "data/temporal_interactions.hpp"
 #include "graph/tbatch.hpp"
@@ -19,6 +20,8 @@
 #include "nn/gcn.hpp"
 #include "nn/linear.hpp"
 #include "nn/rnn_cell.hpp"
+#include "scenario/scenario.hpp"
+#include "shard/sharded_server.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/fusion.hpp"
 #include "tensor/ops.hpp"
@@ -326,6 +329,36 @@ BM_FusedChain(benchmark::State& state)
     state.counters["sim_speedup"] = unfused_us / fused_us;
 }
 BENCHMARK(BM_FusedChain)->Arg(1)->Arg(16)->Arg(256);
+
+// shard::Cluster set-up at the tgn_sharded4 shape: 640 nodes (512 users
+// + 128 items), 4 shards, greedy partition over a trace of arg requests
+// (100k and 200k edges). Times cluster construction plus one routing pass,
+// without serving.
+void
+BM_ShardedSetup(benchmark::State& state)
+{
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Tgn tgn(dataset, bench::kServingTgn);
+    scenario::Scenario trace;
+    trace.name = "sharded-setup";
+    trace.poisson_qps = 200000.0;
+    trace.poisson_seed = 1009;
+    const std::vector<serve::Request> requests =
+        scenario::GenerateRequests(trace, dataset, state.range(0));
+
+    shard::ShardedOptions options;
+    options.num_shards = 4;
+    options.partitioner = shard::PartitionerKind::kGreedy;
+    options.cache_config.capacity_bytes =
+        dataset.NumNodes() / 4 * tgn.CacheRowBytes();
+    for (auto _ : state) {
+        const shard::Cluster cluster(tgn, sim::ExecMode::kHybrid,
+                                     dataset.NumNodes(), requests, options);
+        benchmark::DoNotOptimize(cluster.Route(requests).edge_cut);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ShardedSetup)->Arg(100000)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -80,13 +80,16 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                 options.cache_config.eviction = cache::EvictionPolicy::kLru;
                 options.num_neighbors = 10;
 
-                const shard::ShardedReport report = shard::ServeSharded(
-                    model, sim::ExecMode::kHybrid, dataset.NumNodes(),
-                    requests, [] {
+                // One cluster per cell, partitioned on the trace it serves.
+                shard::Cluster cluster(model, sim::ExecMode::kHybrid,
+                                       dataset.NumNodes(), requests, options);
+                const shard::ShardedReport report = cluster.Serve(
+                    requests,
+                    [] {
                         return std::make_unique<serve::TimeoutPolicy>(
                             kServeBatch, kBatchTimeoutUs);
                     },
-                    options);
+                    serve::ServerOptions{});
 
                 const std::string link = sim::ToString(interconnect.kind);
                 table.AddRow(

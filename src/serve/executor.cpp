@@ -1,7 +1,6 @@
 #include "serve/executor.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "support/check.hpp"
 
@@ -94,23 +93,6 @@ HitGatherAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
     return access;
 }
 
-/// Declares a footprint only when an observer is attached: @p build runs
-/// lazily, so unobserved runs pay neither the declaration nor the
-/// resource-name construction.
-class MaybeAccess {
-  public:
-    template <typename BuildFn>
-    MaybeAccess(sim::Runtime& runtime, BuildFn&& build)
-    {
-        if (runtime.HasObserver()) {
-            scope_.emplace(runtime, build());
-        }
-    }
-
-  private:
-    std::optional<sim::AccessScope> scope_;
-};
-
 }  // namespace
 
 sim::SimTime
@@ -138,7 +120,7 @@ BatchExecutor::SubmitPlaced(dispatch::Placement placement,
     // host execution is program-ordered, so there is no reuse hazard with
     // the device slots, and the hazard checker sees a self-ordered chain.
     {
-        MaybeAccess access(runtime_, [&] {
+        sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
             set.writes.emplace_back("host_in#cpu");
             return set;
@@ -147,7 +129,7 @@ BatchExecutor::SubmitPlaced(dispatch::Placement placement,
     }
     const sim::SimTime host_done = runtime_.Now();
     {
-        MaybeAccess access(runtime_, [&] {
+        sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
             set.reads.emplace_back("host_in#cpu");
             set.writes.emplace_back("host_out#cpu");
@@ -178,7 +160,7 @@ SerialExecutor::Submit(const BatchProfile& profile,
     const SlotResources slot(0);
     const sim::SimTime dispatch = runtime_.Now();
     {
-        MaybeAccess access(runtime_, [&] {
+        sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
             set.writes.push_back(slot.host_in);
             return set;
@@ -192,20 +174,20 @@ SerialExecutor::Submit(const BatchProfile& profile,
     const int64_t h2d_total =
         profile.h2d_bytes + cache_cost.miss_rows * cache_cost.row_bytes;
     if (h2d_total > 0) {
-        MaybeAccess access(runtime_,
-                           [&] { return InputCopyAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return InputCopyAccess(slot, cache_cost); });
         runtime_.CopyToDevice(h2d_total, "serve_inputs_h2d");
     }
     const sim::SimTime h2d_done = runtime_.Now();
     if (cache_cost.hit_rows > 0) {
-        MaybeAccess access(runtime_,
-                           [&] { return HitGatherAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return HitGatherAccess(slot, cache_cost); });
         runtime_.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
                             "serve_state");
     }
     {
-        MaybeAccess access(runtime_,
-                           [&] { return KernelAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return KernelAccess(slot, cache_cost); });
         for (const sim::KernelDesc& kernel : profile.kernels) {
             runtime_.Launch(kernel);
         }
@@ -213,7 +195,7 @@ SerialExecutor::Submit(const BatchProfile& profile,
     (void)runtime_.Synchronize();
     const sim::SimTime compute_done = runtime_.Now();
     if (profile.d2h_bytes > 0) {
-        MaybeAccess access(runtime_, [&] {
+        sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
             set.reads.push_back(slot.dev_out);
             set.writes.push_back(slot.host_out);
@@ -222,7 +204,7 @@ SerialExecutor::Submit(const BatchProfile& profile,
         runtime_.CopyToHost(profile.d2h_bytes, "serve_results_d2h");
     }
     if (cache_cost.writeback_rows > 0) {
-        MaybeAccess access(runtime_, [&] {
+        sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
             set.reads = cache_cost.row_trace.evicted_dirty_rows;
             set.writes.emplace_back("host_store");
@@ -274,7 +256,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
 
     // Host stage for batch k+1 — overlaps whatever the device still runs.
     {
-        MaybeAccess access(runtime_, [&] {
+        sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
             set.writes.push_back(slot.host_in);
             return set;
@@ -290,24 +272,24 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
         profile.h2d_bytes + cache_cost.miss_rows * cache_cost.row_bytes;
     sim::SimTime inputs_ready_us = 0.0;  // resolved after clamping below
     if (h2d_total > 0) {
-        MaybeAccess access(runtime_,
-                           [&] { return InputCopyAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return InputCopyAccess(slot, cache_cost); });
         (void)runtime_.CopyToDeviceAsync(h2d_total, "serve_inputs_h2d");
         const sim::Event inputs_ready = runtime_.RecordEvent(sim::StreamId::kCopy);
         runtime_.StreamWaitEvent(sim::StreamId::kCompute, inputs_ready);
         inputs_ready_us = inputs_ready.ready_us;
     }
     if (cache_cost.hit_rows > 0) {
-        MaybeAccess access(runtime_,
-                           [&] { return HitGatherAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return HitGatherAccess(slot, cache_cost); });
         runtime_.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
                             "serve_state");
     }
 
     // Compute stage: kernels queue asynchronously behind the previous batch.
     {
-        MaybeAccess access(runtime_,
-                           [&] { return KernelAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return KernelAccess(slot, cache_cost); });
         for (const sim::KernelDesc& kernel : profile.kernels) {
             runtime_.Launch(kernel);
         }
@@ -319,8 +301,8 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     sim::Event batch_done = compute_done;
     const int64_t d2h_total = profile.d2h_bytes + cache_cost.WritebackBytes();
     if (d2h_total > 0) {
-        MaybeAccess access(runtime_,
-                           [&] { return ResultCopyAccess(slot, cache_cost); });
+        sim::MaybeAccess access(
+            runtime_, [&] { return ResultCopyAccess(slot, cache_cost); });
         runtime_.StreamWaitEvent(sim::StreamId::kCopy, compute_done);
         (void)runtime_.CopyToHostAsync(d2h_total, "serve_results_d2h");
         batch_done = runtime_.RecordEvent(sim::StreamId::kCopy);

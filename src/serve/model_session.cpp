@@ -15,7 +15,7 @@ constexpr std::string_view kCacheWritebackSuffix = ":cache_writeback_d2h";
 
 }  // namespace
 
-ModelSession::ModelSession(models::DgnnModel& model, sim::ExecMode mode,
+ProfileTable::ProfileTable(models::DgnnModel& model, sim::ExecMode mode,
                            int64_t num_neighbors,
                            cache::DeviceCacheConfig cache_config)
     : model_(model), mode_(mode), num_neighbors_(num_neighbors)
@@ -25,21 +25,21 @@ ModelSession::ModelSession(models::DgnnModel& model, sim::ExecMode mode,
     // request's own endpoints — the serving loop can only resolve src/dst
     // against the cache, so a model whose gathers reach further (TGAT's
     // sampled-neighbor features) would under-account transfers. Otherwise
-    // the session serves uncached — bit-identical to a cache-less session.
+    // the sessions serve uncached — bit-identical to a cache-less session.
     if (mode_ == sim::ExecMode::kHybrid && cache_config.capacity_bytes > 0 &&
         model_.CacheRowBytes() > 0 && model_.CacheKeysAreRequestEndpoints()) {
         cache_config.row_bytes = model_.CacheRowBytes();
-        cache_ = cache::DeviceCache(cache_config);
+        cache_config_ = cache_config;
     }
 }
 
 const BatchProfile&
-ModelSession::Profile(int64_t batch_size)
+ProfileTable::Profile(int64_t batch_size)
 {
     DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
-    auto it = cache_profiles_.find(batch_size);
-    if (it == cache_profiles_.end()) {
-        it = cache_profiles_
+    auto it = profiles_.find(batch_size);
+    if (it == profiles_.end()) {
+        it = profiles_
                  .emplace(batch_size, Capture(batch_size, /*fuse_kernels=*/false))
                  .first;
     }
@@ -47,7 +47,7 @@ ModelSession::Profile(int64_t batch_size)
 }
 
 const BatchProfile&
-ModelSession::FusedProfile(int64_t batch_size)
+ProfileTable::FusedProfile(int64_t batch_size)
 {
     DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
     auto it = fused_profiles_.find(batch_size);
@@ -60,7 +60,7 @@ ModelSession::FusedProfile(int64_t batch_size)
 }
 
 BatchProfile
-ModelSession::Capture(int64_t batch_size, bool fuse_kernels)
+ProfileTable::Capture(int64_t batch_size, bool fuse_kernels)
 {
     // Replay the model's batched entry on a scratch runtime of the same
     // mode; the trace then holds every op the batch issues, with enough
@@ -71,25 +71,25 @@ ModelSession::Capture(int64_t batch_size, bool fuse_kernels)
     models::RunConfig probe =
         models::SingleBatchProbe(mode_, batch_size, num_neighbors_);
     probe.fuse_kernels = fuse_kernels;
-    if (CacheEnabled()) {
+    if (Cached()) {
         // Probe through an unbounded scratch cache: every unique state row
         // misses exactly once and no eviction write-backs occur, so the
         // trace cleanly separates "per-node state" from everything else.
-        probe.cache = cache::DeviceCacheConfig::Unbounded(model_.CacheRowBytes(),
-                                                          cache_.Eviction());
+        probe.cache = cache::DeviceCacheConfig::Unbounded(
+            model_.CacheRowBytes(), cache_config_.eviction);
     }
     model_.RunInference(scratch, probe);
 
     BatchProfile profile;
     profile.batch_size = batch_size;
-    profile.state_row_bytes = CacheEnabled() ? model_.CacheRowBytes() : 0;
+    profile.state_row_bytes = Cached() ? model_.CacheRowBytes() : 0;
     for (const sim::TraceEvent& e : scratch.GetTrace().Events()) {
         switch (e.kind) {
           case sim::EventKind::kHostOp:
             profile.host_us += e.Duration();
             break;
           case sim::EventKind::kKernel: {
-            if (CacheEnabled() && e.name.ends_with(":cache_hit_gather")) {
+            if (Cached() && e.name.ends_with(":cache_hit_gather")) {
                 // The probe cache is fresh, so hits cannot occur; guard
                 // anyway — live gathers are re-issued by the executor.
                 break;
@@ -104,9 +104,9 @@ ModelSession::Capture(int64_t batch_size, bool fuse_kernels)
             break;
           }
           case sim::EventKind::kTransfer:
-            if (CacheEnabled() && e.name.ends_with(kCacheMissSuffix)) {
+            if (Cached() && e.name.ends_with(kCacheMissSuffix)) {
                 profile.state_rows += e.bytes / profile.state_row_bytes;
-            } else if (CacheEnabled() &&
+            } else if (Cached() &&
                        e.name.ends_with(kCacheWritebackSuffix)) {
                 // End-of-run flush of the probe; the live session keeps its
                 // rows resident instead.
@@ -129,6 +129,21 @@ ModelSession::Capture(int64_t batch_size, bool fuse_kernels)
                " recorded no device kernels — is the model issuing work "
                "through the runtime?");
     return profile;
+}
+
+ModelSession::ModelSession(models::DgnnModel& model, sim::ExecMode mode,
+                           int64_t num_neighbors,
+                           cache::DeviceCacheConfig cache_config)
+    : owned_(std::make_unique<ProfileTable>(model, mode, num_neighbors,
+                                            cache_config)),
+      profiles_(*owned_),
+      cache_(profiles_.CacheConfig())
+{
+}
+
+ModelSession::ModelSession(ProfileTable& profiles)
+    : profiles_(profiles), cache_(profiles_.CacheConfig())
+{
 }
 
 }  // namespace dgnn::serve

@@ -9,8 +9,9 @@
 /// batch build, framework overhead), H2D/D2H transfer volumes, and the
 /// ordered device-kernel descriptors. The serving executors then re-issue
 /// that profile per request batch, either serially (eager-mode semantics)
-/// or pipelined across streams. Profiles are memoized per batch size, so
-/// dynamic batching with variable sizes stays cheap.
+/// or pipelined across streams. Profiles are memoized per batch size in a
+/// ProfileTable, so dynamic batching with variable sizes stays cheap, and
+/// sessions serving one model the same way can share one table.
 ///
 /// Cache-aware serving: a session built with a positive cache capacity (and
 /// a model exposing cacheable per-node state) owns a cache::DeviceCache
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,34 +56,37 @@ struct BatchProfile {
     std::vector<sim::KernelDesc> kernels;
 };
 
-/// One served model: captures and memoizes BatchProfiles.
-class ModelSession {
+/// The captured BatchProfiles of one (model, mode, fan-out, cache config),
+/// memoized per batch size. A capture depends on nothing else, so every
+/// session serving that model the same way replays the same profiles and
+/// several sessions may share one table (a shard::Cluster's shards do); a
+/// session built from a model owns its own.
+class ProfileTable {
   public:
-    /// @param model          the model to serve (borrowed; must outlive the
-    ///                       session)
+    /// @param model          the model to capture (borrowed; must outlive
+    ///                       the table)
     /// @param mode           execution mode profiles are captured under
     /// @param num_neighbors  sampler fan-out forwarded to the probe config
-    /// @param cache_config   device cache shared by every batch this
-    ///                       session serves; capacity 0 (the default)
-    ///                       serves uncached. Only effective in hybrid mode
-    ///                       for models with cacheable state.
-    ModelSession(models::DgnnModel& model, sim::ExecMode mode,
+    /// @param cache_config   the device cache the table's sessions serve
+    ///                       through; capacity 0 (the default) serves
+    ///                       uncached. Only effective in hybrid mode for
+    ///                       models with cacheable state.
+    ProfileTable(models::DgnnModel& model, sim::ExecMode mode,
                  int64_t num_neighbors = 20,
                  cache::DeviceCacheConfig cache_config = {});
 
-    std::string ModelName() const { return model_.Name(); }
+    const models::DgnnModel& Model() const { return model_; }
     sim::ExecMode Mode() const { return mode_; }
 
-    /// Whether batches are served through the session's device cache.
-    bool CacheEnabled() const { return cache_.Enabled(); }
-
-    /// The session-lifetime cache (warm across batches AND across Serve
-    /// runs; Serve reports per-run deltas of its stats).
-    cache::DeviceCache& Cache() { return cache_; }
-    const cache::DeviceCache& Cache() const { return cache_; }
-
-    /// Whether cached rows are mutated per batch (write-back tracking).
-    bool CacheRowsMutable() const { return model_.CacheRowsMutable(); }
+    /// The cache each session over this table builds: the constructor's
+    /// config with the model's row width, or capacity 0 where a cache
+    /// cannot act honestly. Profiles separate per-node state exactly when
+    /// its capacity is positive.
+    const cache::DeviceCacheConfig& CacheConfig() const
+    {
+        return cache_config_;
+    }
+    bool Cached() const { return cache_config_.capacity_bytes > 0; }
 
     /// The (memoized) cost profile of a batch of @p batch_size requests.
     const BatchProfile& Profile(int64_t batch_size);
@@ -93,9 +98,9 @@ class ModelSession {
     const BatchProfile& FusedProfile(int64_t batch_size);
 
     /// Number of distinct batch sizes captured so far (unfused profiles).
-    int64_t CapturedProfiles() const
+    int64_t Captured() const
     {
-        return static_cast<int64_t>(cache_profiles_.size());
+        return static_cast<int64_t>(profiles_.size());
     }
 
   private:
@@ -104,9 +109,61 @@ class ModelSession {
     models::DgnnModel& model_;
     sim::ExecMode mode_;
     int64_t num_neighbors_;
-    cache::DeviceCache cache_;
-    std::map<int64_t, BatchProfile> cache_profiles_;
+    cache::DeviceCacheConfig cache_config_;
+    std::map<int64_t, BatchProfile> profiles_;
     std::map<int64_t, BatchProfile> fused_profiles_;
+};
+
+/// One served model: a profile table plus the session's own device cache.
+class ModelSession {
+  public:
+    /// A session owning its profile table; the arguments are
+    /// ProfileTable's. The cache is shared by every batch this session
+    /// serves.
+    ModelSession(models::DgnnModel& model, sim::ExecMode mode,
+                 int64_t num_neighbors = 20,
+                 cache::DeviceCacheConfig cache_config = {});
+
+    /// A session over @p profiles (borrowed; must outlive the session):
+    /// its captures are the table's, its cache its own, built from the
+    /// table's CacheConfig().
+    explicit ModelSession(ProfileTable& profiles);
+
+    std::string ModelName() const { return profiles_.Model().Name(); }
+    sim::ExecMode Mode() const { return profiles_.Mode(); }
+
+    /// Whether batches are served through the session's device cache.
+    bool CacheEnabled() const { return cache_.Enabled(); }
+
+    /// The session-lifetime cache (warm across batches AND across Serve
+    /// runs; Serve reports per-run deltas of its stats).
+    cache::DeviceCache& Cache() { return cache_; }
+    const cache::DeviceCache& Cache() const { return cache_; }
+
+    /// Whether cached rows are mutated per batch (write-back tracking).
+    bool CacheRowsMutable() const
+    {
+        return profiles_.Model().CacheRowsMutable();
+    }
+
+    /// See ProfileTable::Profile / FusedProfile.
+    const BatchProfile& Profile(int64_t batch_size)
+    {
+        return profiles_.Profile(batch_size);
+    }
+    const BatchProfile& FusedProfile(int64_t batch_size)
+    {
+        return profiles_.FusedProfile(batch_size);
+    }
+
+    /// Distinct batch sizes the session's table has captured (shared
+    /// tables count every sharing session's captures).
+    int64_t CapturedProfiles() const { return profiles_.Captured(); }
+
+  private:
+    std::unique_ptr<ProfileTable> owned_;
+    ProfileTable& profiles_;
+    cache::DeviceCache cache_;
 };
 
 }  // namespace dgnn::serve

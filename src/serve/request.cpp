@@ -76,4 +76,15 @@ TraceRequests(const graph::EventStream& stream, double target_qps, int64_t n)
     return requests;
 }
 
+double
+OfferedQps(const std::vector<Request>& requests)
+{
+    if (requests.empty() ||
+        requests.back().arrival_us <= requests.front().arrival_us) {
+        return 0.0;
+    }
+    return static_cast<double>(requests.size() - 1) /
+           (requests.back().arrival_us - requests.front().arrival_us) * 1e6;
+}
+
 }  // namespace dgnn::serve

@@ -47,4 +47,9 @@ std::vector<sim::SimTime> TraceArrivals(const graph::EventStream& stream,
 std::vector<Request> TraceRequests(const graph::EventStream& stream,
                                    double target_qps, int64_t n);
 
+/// The arrival rate @p requests (sorted) offer: n - 1 gaps over the span
+/// from the first to the last arrival, per second. 0 when that span is
+/// empty. Where the trace starts does not matter.
+[[nodiscard]] double OfferedQps(const std::vector<Request>& requests);
+
 }  // namespace dgnn::serve

@@ -103,12 +103,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     report.policy = policy.Name();
     report.executor = executor->Name();
     report.requests = static_cast<int64_t>(requests.size());
-    if (!requests.empty() &&
-        requests.back().arrival_us > requests.front().arrival_us) {
-        report.offered_qps =
-            static_cast<double>(requests.size() - 1) /
-            (requests.back().arrival_us - requests.front().arrival_us) * 1e6;
-    }
+    report.offered_qps = OfferedQps(requests);
 
     // Everything below runs in ABSOLUTE host time: rebasing arrivals once
     // keeps every comparison (admission, policy deadlines, idle targets) in

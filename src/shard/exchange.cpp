@@ -1,5 +1,6 @@
 #include "shard/exchange.hpp"
 
+#include <string>
 #include <utility>
 
 #include "support/check.hpp"
@@ -78,7 +79,6 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
     }
 
     const int64_t slot_index = round_ % kSlots;
-    const std::string slot = std::to_string(slot_index);
     const double link_before = runtime.PeerLinkTime();
     const int64_t bytes_per_row =
         config_.row_bytes * (config_.rows_mutable ? 2 : 1);
@@ -97,9 +97,10 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
             continue;
         }
         const int64_t bytes = rows * bytes_per_row;
-        sim::AccessScope scope(
-            runtime, sim::AccessSet{{"peer_store#" + std::to_string(peer)},
-                                    {"exchange_in#" + slot}});
+        sim::MaybeAccess access(runtime, [&] {
+            return sim::AccessSet{{"peer_store#" + std::to_string(peer)},
+                                  {"exchange_in#" + std::to_string(slot_index)}};
+        });
         (void)runtime.PeerCopyAsync(peer, bytes, "shard_exchange_pull");
         cost.remote_rows += rows;
         cost.bytes += bytes;
@@ -111,10 +112,11 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
         runtime.StreamWaitEvent(sim::StreamId::kCompute, exchange_ready);
     }
     {
-        sim::AccessScope scope(
-            runtime,
-            sim::AccessSet{{"exchange_in#" + slot},
-                           {"dev_state#" + std::to_string(self_shard_)}});
+        sim::MaybeAccess access(runtime, [&] {
+            return sim::AccessSet{
+                {"exchange_in#" + std::to_string(slot_index)},
+                {"dev_state#" + std::to_string(self_shard_)}};
+        });
         sim::KernelDesc unpack;
         unpack.name = "shard_unpack";
         unpack.flops = cost.remote_rows * config_.row_bytes / 4;

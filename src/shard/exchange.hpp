@@ -19,8 +19,9 @@
 ///   unpack       one irregular kernel scattering the staged rows into the
 ///                shard's device state
 ///
-/// Every operation is annotated for the hazard checker with the
-/// peer_store#<peer> / exchange_in#<slot> / dev_state#<self> resources.
+/// When an observer is attached, every operation is annotated for the
+/// hazard checker with the peer_store#<peer> / exchange_in#<slot> /
+/// dev_state#<self> resources (unobserved runs build no footprint).
 /// A batch with no remote rows issues ZERO runtime operations — the
 /// 1-shard bit-identity contract of the seam.
 

@@ -1,7 +1,6 @@
 #include "shard/partition_book.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "support/check.hpp"
 
@@ -54,18 +53,6 @@ PartitionBook::PartitionBook(int32_t num_shards,
     }
 }
 
-int32_t
-PartitionBook::ShardOf(int64_t node) const
-{
-    if (node >= 0 && node < NumNodes()) {
-        return assignment_[static_cast<size_t>(node)];
-    }
-    // Out-of-book fold: deterministic, id-only (no seed is stored), so
-    // node-blind requests (src = -1) and past-the-dataset ids still route.
-    const int64_t shards = num_shards_;
-    return static_cast<int32_t>(((node % shards) + shards) % shards);
-}
-
 std::vector<int64_t>
 PartitionBook::ShardSizes() const
 {
@@ -110,29 +97,30 @@ GreedyEdgeCutPartition(int64_t num_nodes, int32_t num_shards,
     DGNN_CHECK(num_nodes >= 0, "negative node count ", num_nodes);
     DGNN_CHECK(num_shards >= 1, "need >= 1 shard, got ", num_shards);
 
-    // CSR adjacency over the in-book endpoints (out-of-book endpoints carry
-    // no state rows to co-locate, so they do not steer placement).
-    std::vector<int64_t> degree(static_cast<size_t>(num_nodes), 0);
+    // Nodes are placed in id order, so a node's placed neighbors are
+    // exactly its lower-id ones: each in-book, non-self edge is stored once,
+    // as a lower-id neighbor list (CSR) at its higher endpoint. Out-of-book
+    // endpoints carry no state rows to co-locate, so they do not steer
+    // placement.
+    const auto in_book = [num_nodes](int64_t u, int64_t v) {
+        return u >= 0 && u < num_nodes && v >= 0 && v < num_nodes && u != v;
+    };
+    std::vector<int64_t> offset(static_cast<size_t>(num_nodes) + 1, 0);
     for (const auto& [u, v] : edges) {
-        if (u >= 0 && u < num_nodes && v >= 0 && v < num_nodes && u != v) {
-            ++degree[static_cast<size_t>(u)];
-            ++degree[static_cast<size_t>(v)];
+        if (in_book(u, v)) {
+            ++offset[static_cast<size_t>(std::max(u, v)) + 1];
         }
     }
-    std::vector<int64_t> offset(static_cast<size_t>(num_nodes) + 1, 0);
-    for (int64_t node = 0; node < num_nodes; ++node) {
-        offset[static_cast<size_t>(node) + 1] =
-            offset[static_cast<size_t>(node)] +
-            degree[static_cast<size_t>(node)];
+    for (size_t node = 0; node < static_cast<size_t>(num_nodes); ++node) {
+        offset[node + 1] += offset[node];
     }
-    std::vector<int64_t> adjacency(static_cast<size_t>(offset.back()));
-    std::vector<int64_t> cursor = offset;
+    std::vector<int64_t> lower(static_cast<size_t>(offset.back()));
+    std::vector<int64_t> cursor(offset.begin(), offset.end() - 1);
     for (const auto& [u, v] : edges) {
-        if (u >= 0 && u < num_nodes && v >= 0 && v < num_nodes && u != v) {
-            adjacency[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] =
-                v;
-            adjacency[static_cast<size_t>(cursor[static_cast<size_t>(v)]++)] =
-                u;
+        if (in_book(u, v)) {
+            lower[static_cast<size_t>(
+                cursor[static_cast<size_t>(std::max(u, v))]++)] =
+                std::min(u, v);
         }
     }
 
@@ -149,12 +137,8 @@ GreedyEdgeCutPartition(int64_t num_nodes, int32_t num_shards,
         std::fill(placed_neighbors.begin(), placed_neighbors.end(), 0);
         for (int64_t i = offset[static_cast<size_t>(node)];
              i < offset[static_cast<size_t>(node) + 1]; ++i) {
-            const int32_t owner =
-                assignment[static_cast<size_t>(adjacency[static_cast<size_t>(
-                    i)])];
-            if (owner >= 0) {
-                ++placed_neighbors[static_cast<size_t>(owner)];
-            }
+            ++placed_neighbors[static_cast<size_t>(
+                assignment[static_cast<size_t>(lower[static_cast<size_t>(i)])])];
         }
         int32_t best = -1;
         double best_score = 0.0;
@@ -197,7 +181,7 @@ EdgeCut(const PartitionBook& book,
 {
     int64_t cut = 0;
     for (const auto& [u, v] : edges) {
-        if (book.ShardOf(u) != book.ShardOf(v)) {
+        if (book.Cuts(u, v)) {
             ++cut;
         }
     }

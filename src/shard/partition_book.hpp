@@ -20,6 +20,7 @@
 /// endpoints land on different shards: the direct predictor of the
 /// alltoall exchange volume the serving bench measures.
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -51,7 +52,25 @@ class PartitionBook {
     /// Owning shard of @p node. Nodes outside the book (negative ids from
     /// node-blind generators, or ids past the dataset) fold deterministically
     /// onto a shard so routing never dead-ends.
-    [[nodiscard]] int32_t ShardOf(int64_t node) const;
+    [[nodiscard]] int32_t ShardOf(int64_t node) const
+    {
+        if (node >= 0 && node < NumNodes()) {
+            return assignment_[static_cast<size_t>(node)];
+        }
+        // Out-of-book fold: deterministic, id-only (no seed is stored), so
+        // node-blind requests (src = -1) and past-the-dataset ids still
+        // route.
+        const int64_t shards = num_shards_;
+        return static_cast<int32_t>(((node % shards) + shards) % shards);
+    }
+
+    /// Whether the interaction (@p u, @p v) crosses shards: the one
+    /// definition of a cut edge, shared by EdgeCut and the cluster's
+    /// routing pass.
+    [[nodiscard]] bool Cuts(int64_t u, int64_t v) const
+    {
+        return ShardOf(u) != ShardOf(v);
+    }
 
     /// Nodes owned by each shard, indexed by shard id.
     [[nodiscard]] std::vector<int64_t> ShardSizes() const;
@@ -82,7 +101,9 @@ class PartitionBook {
 /// with capacity = ceil(num_nodes/num_shards) * 1.1 slack. Ties (including
 /// the no-placed-neighbor case, where every score is 0) fall back to the
 /// node's HashPartition shard, unless that shard is full — then the lowest
-/// non-full shard. Deterministic in all arguments.
+/// non-full shard. Placed neighbors are counted with multiplicity over the
+/// in-book, non-self edges; in id order they are exactly the lower-id
+/// neighbors. Deterministic in all arguments.
 [[nodiscard]] PartitionBook GreedyEdgeCutPartition(
     int64_t num_nodes, int32_t num_shards,
     const std::vector<std::pair<int64_t, int64_t>>& edges, uint64_t seed);

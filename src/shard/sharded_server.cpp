@@ -15,20 +15,28 @@ RouteShard(const PartitionBook& book, const serve::Request& request)
     return book.ShardOf(request.src >= 0 ? request.src : request.id);
 }
 
+namespace {
+
+/// A request is a trace interaction edge when both endpoints are known.
+bool
+IsInteraction(const serve::Request& r)
+{
+    return r.src >= 0 && r.dst >= 0;
+}
+
+/// The trace's interaction edges, for the greedy partitioner.
 std::vector<std::pair<int64_t, int64_t>>
 TraceEdges(const std::vector<serve::Request>& requests)
 {
     std::vector<std::pair<int64_t, int64_t>> edges;
     edges.reserve(requests.size());
     for (const serve::Request& r : requests) {
-        if (r.src >= 0 && r.dst >= 0) {
+        if (IsInteraction(r)) {
             edges.emplace_back(r.src, r.dst);
         }
     }
     return edges;
 }
-
-namespace {
 
 PartitionBook
 BuildBook(int64_t num_nodes, const std::vector<serve::Request>& requests,
@@ -50,58 +58,78 @@ BuildBook(int64_t num_nodes, const std::vector<serve::Request>& requests,
 
 }  // namespace
 
-ShardedReport
-ServeSharded(
-    models::DgnnModel& model, sim::ExecMode mode, int64_t num_nodes,
-    const std::vector<serve::Request>& requests,
-    const std::function<std::unique_ptr<serve::BatchPolicy>()>& make_policy,
-    const ShardedOptions& options)
+Cluster::Cluster(models::DgnnModel& model, sim::ExecMode mode,
+                 int64_t num_nodes,
+                 const std::vector<serve::Request>& partition_trace,
+                 const ShardedOptions& options)
+    : partitioner_(options.partitioner),
+      interconnect_(options.interconnect.kind),
+      book_(BuildBook(num_nodes, partition_trace, options)),
+      topology_(sim::Topology::ScaleOut(options.num_shards,
+                                        options.interconnect)),
+      profiles_(std::make_unique<serve::ProfileTable>(
+          model, mode, options.num_neighbors, options.cache_config))
 {
-    DGNN_CHECK(options.num_shards >= 1, "need >= 1 shard, got ",
-               options.num_shards);
-    const PartitionBook book = BuildBook(num_nodes, requests, options);
-
-    std::vector<std::vector<serve::Request>> sub_streams(
-        static_cast<size_t>(options.num_shards));
-    for (const serve::Request& r : requests) {
-        sub_streams[static_cast<size_t>(RouteShard(book, r))].push_back(r);
+    exchange_config_.row_bytes = model.CacheRowBytes();
+    exchange_config_.rows_mutable = model.CacheRowsMutable();
+    sessions_.reserve(static_cast<size_t>(options.num_shards));
+    for (int32_t shard = 0; shard < options.num_shards; ++shard) {
+        sessions_.emplace_back(*profiles_);
     }
+}
+
+RoutedTrace
+Cluster::Route(const std::vector<serve::Request>& requests) const
+{
+    RoutedTrace routed;
+    std::vector<size_t> sizes(static_cast<size_t>(NumShards()), 0);
+    for (const serve::Request& r : requests) {
+        ++sizes[static_cast<size_t>(RouteShard(book_, r))];
+        if (IsInteraction(r) && book_.Cuts(r.src, r.dst)) {
+            ++routed.edge_cut;
+        }
+    }
+    routed.streams.resize(sizes.size());
+    for (size_t shard = 0; shard < sizes.size(); ++shard) {
+        routed.streams[shard].reserve(sizes[shard]);
+    }
+    for (const serve::Request& r : requests) {
+        routed.streams[static_cast<size_t>(RouteShard(book_, r))].push_back(r);
+    }
+    return routed;
+}
+
+ShardedReport
+Cluster::Serve(const std::vector<serve::Request>& requests,
+               const PolicyFactory& make_policy,
+               const serve::ServerOptions& server)
+{
+    const RoutedTrace routed = Route(requests);
 
     ShardedReport report;
-    report.model = model.Name();
-    report.partitioner = ToString(options.partitioner);
-    report.interconnect = ToString(options.interconnect.kind);
-    report.num_shards = options.num_shards;
-    report.edge_cut = EdgeCut(book, TraceEdges(requests));
-    report.balance_factor = book.BalanceFactor();
-    if (!requests.empty() && requests.back().arrival_us > 0.0) {
-        report.offered_qps = static_cast<double>(requests.size()) * 1e6 /
-                             requests.back().arrival_us;
-    }
+    report.model = profiles_->Model().Name();
+    report.partitioner = ToString(partitioner_);
+    report.interconnect = sim::ToString(interconnect_);
+    report.num_shards = NumShards();
+    report.edge_cut = routed.edge_cut;
+    report.balance_factor = book_.BalanceFactor();
+    report.offered_qps = serve::OfferedQps(requests);
 
-    const sim::Topology topology =
-        sim::Topology::ScaleOut(options.num_shards, options.interconnect);
     sim::SimTime makespan_sum_us = 0.0;
-    for (int32_t shard = 0; shard < options.num_shards; ++shard) {
+    for (int32_t shard = 0; shard < NumShards(); ++shard) {
         const std::vector<serve::Request>& stream =
-            sub_streams[static_cast<size_t>(shard)];
+            routed.streams[static_cast<size_t>(shard)];
         if (stream.empty()) {
             report.shards.emplace_back();
             continue;
         }
-        serve::ModelSession session(model, mode, options.num_neighbors,
-                                    options.cache_config);
         std::unique_ptr<serve::BatchPolicy> policy = make_policy();
-        ExchangeConfig exchange_config;
-        exchange_config.row_bytes = model.CacheRowBytes();
-        exchange_config.rows_mutable = model.CacheRowsMutable();
-        ShardExchangeHook hook(book, topology, shard, exchange_config);
+        ShardExchangeHook hook(book_, topology_, shard, exchange_config_);
+        serve::ServerOptions options = server;
+        options.shard_hook = &hook;
 
-        serve::ServerOptions server = options.server;
-        server.shard_hook = &hook;
-
-        report.shards.push_back(
-            serve::ServeRequests(session, *policy, stream, server));
+        report.shards.push_back(serve::ServeRequests(
+            sessions_[static_cast<size_t>(shard)], *policy, stream, options));
         const serve::ServingReport& shard_report = report.shards.back();
         report.requests += shard_report.requests;
         report.exchange += shard_report.exchange;
@@ -120,6 +148,15 @@ ServeSharded(
             100.0 * report.exchange.link_us / makespan_sum_us;
     }
     return report;
+}
+
+ShardedReport
+ServeSharded(models::DgnnModel& model, sim::ExecMode mode, int64_t num_nodes,
+             const std::vector<serve::Request>& requests,
+             const PolicyFactory& make_policy, const ShardedOptions& options)
+{
+    return Cluster(model, mode, num_nodes, requests, options)
+        .Serve(requests, make_policy, options.server);
 }
 
 }  // namespace dgnn::shard

@@ -1,17 +1,19 @@
 #pragma once
 
 /// @file
-/// Scale-out serving: one arrival trace partitioned across N device shards.
-/// A PartitionBook (built from the trace's interaction edges) assigns every
-/// node's state to one shard; each request routes to the shard owning its
-/// source endpoint; each shard runs the UNMODIFIED serving loop (its own
-/// ModelSession + cache + policy + runtime on a topology node) with a
-/// ShardExchangeHook pulling the batch's remote rows over the peer links.
-/// Shards serve their sub-streams independently — the simulated analogue of
-/// data-parallel serving replicas with partitioned state — so the cluster's
-/// sustained throughput is total completions over the SLOWEST shard's
-/// makespan, and the exchange volume (priced per interconnect) is the tax
-/// the partitioner's edge cut levies on it.
+/// Scale-out serving: arrival traces partitioned across N device shards.
+/// A Cluster is set up once: a PartitionBook (built from a partition
+/// trace's interaction edges) assigns every node's state to one shard, the
+/// topology gives each shard a device, and each shard gets a
+/// serve::ModelSession (its own cache) over ONE profile table the shards
+/// share. Each Cluster::Serve then routes one trace — every request to the
+/// shard owning its source endpoint — and runs the UNMODIFIED serving loop
+/// per shard with a ShardExchangeHook pulling the batch's remote rows over
+/// the peer links. Shards serve their sub-streams independently — the
+/// simulated analogue of data-parallel serving replicas with partitioned
+/// state — so the cluster's sustained throughput is total completions over
+/// the SLOWEST shard's makespan, and the exchange volume (priced per
+/// interconnect) is the tax the partitioner's edge cut levies on it.
 ///
 /// With num_shards == 1 the book owns everything, the hook never touches
 /// the runtime, and the single shard's run reproduces the unsharded
@@ -26,6 +28,7 @@
 #include "cache/device_cache.hpp"
 #include "models/dgnn_model.hpp"
 #include "serve/batch_policy.hpp"
+#include "serve/model_session.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
 #include "shard/exchange.hpp"
@@ -41,7 +44,8 @@ struct ShardedOptions {
     /// Peer-link class between every shard pair (PCIe vs NVLink-class).
     sim::LinkSpec interconnect = sim::LinkSpec::PcieGen4();
     uint64_t partition_seed = 1;
-    /// Per-shard serving knobs. shard_hook is OVERRIDDEN per shard: the
+    /// Per-shard serving knobs, read by ServeSharded only (a Cluster takes
+    /// them per Serve call). shard_hook is OVERRIDDEN per shard: the
     /// exchange hook, which also places the shard's runtime on its
     /// topology node. Everything else passes through.
     serve::ServerOptions server;
@@ -82,25 +86,73 @@ struct ShardedReport {
     std::vector<serve::ServingReport> shards;
 };
 
-/// Routes @p requests (relative arrival timestamps, sorted) across
-/// @p options.num_shards shards of @p model's node state and serves every
-/// sub-stream. @p num_nodes sizes the partition book (the model/dataset
-/// node-id space); @p make_policy builds one fresh policy per shard.
-/// Deterministic for fixed inputs.
+/// The sub-streams one trace routes to, and the trace's edge cut.
+struct RoutedTrace {
+    /// Requests per shard in arrival order, indexed by shard id.
+    std::vector<std::vector<serve::Request>> streams;
+    /// Trace interactions whose endpoints live on different shards.
+    int64_t edge_cut = 0;
+};
+
+/// Makes one fresh batch policy per shard per Serve call.
+using PolicyFactory = std::function<std::unique_ptr<serve::BatchPolicy>()>;
+
+/// A sharded deployment, set up once and served many times. Construction
+/// builds the partition book (from @p partition_trace's interaction edges
+/// for the greedy partitioner), the topology, and one session per shard
+/// over a shared profile table; Serve routes and serves one trace. Shard
+/// caches and captured profiles carry across Serve calls, as they do for a
+/// serve::ModelSession. Deterministic for fixed inputs.
+class Cluster {
+  public:
+    /// @p model (borrowed; must outlive the cluster) is served in @p mode;
+    /// @p num_nodes sizes the partition book (the model/dataset node-id
+    /// space). options.server is not read: Serve takes the serving knobs.
+    Cluster(models::DgnnModel& model, sim::ExecMode mode, int64_t num_nodes,
+            const std::vector<serve::Request>& partition_trace,
+            const ShardedOptions& options);
+
+    int32_t NumShards() const { return book_.NumShards(); }
+    const PartitionBook& Book() const { return book_; }
+    /// The profile table every shard's session shares.
+    const serve::ProfileTable& Profiles() const { return *profiles_; }
+    serve::ModelSession& Session(int32_t shard)
+    {
+        return sessions_.at(static_cast<size_t>(shard));
+    }
+
+    /// Routes every request of @p requests (RouteShard) and counts their
+    /// edge cut in one pass, then copies each shard's sub-stream once.
+    [[nodiscard]] RoutedTrace Route(
+        const std::vector<serve::Request>& requests) const;
+
+    /// Routes @p requests (relative arrival timestamps, sorted) and serves
+    /// every non-empty sub-stream on its shard under a fresh policy from
+    /// @p make_policy and @p server's knobs (shard_hook overridden).
+    [[nodiscard]] ShardedReport Serve(
+        const std::vector<serve::Request>& requests,
+        const PolicyFactory& make_policy, const serve::ServerOptions& server);
+
+  private:
+    PartitionerKind partitioner_;
+    sim::LinkKind interconnect_;
+    PartitionBook book_;
+    sim::Topology topology_;
+    ExchangeConfig exchange_config_;
+    std::unique_ptr<serve::ProfileTable> profiles_;
+    std::vector<serve::ModelSession> sessions_;
+};
+
+/// One-shot form: a Cluster partitioned on @p requests serves them once,
+/// under options.server.
 [[nodiscard]] ShardedReport ServeSharded(
     models::DgnnModel& model, sim::ExecMode mode, int64_t num_nodes,
     const std::vector<serve::Request>& requests,
-    const std::function<std::unique_ptr<serve::BatchPolicy>()>& make_policy,
-    const ShardedOptions& options);
+    const PolicyFactory& make_policy, const ShardedOptions& options);
 
 /// The routing rule: requests follow their source endpoint's owner
-/// (node-blind requests fold by id). Exposed for tests.
+/// (node-blind requests fold by id).
 [[nodiscard]] int32_t RouteShard(const PartitionBook& book,
                                  const serve::Request& request);
-
-/// The trace's interaction edges (both endpoints known), for the greedy
-/// partitioner and for edge-cut accounting. Exposed for tests.
-[[nodiscard]] std::vector<std::pair<int64_t, int64_t>> TraceEdges(
-    const std::vector<serve::Request>& requests);
 
 }  // namespace dgnn::shard

@@ -413,6 +413,23 @@ class AccessScope {
     Runtime& runtime_;
 };
 
+/// An AccessScope declared only when an observer is attached: @p build
+/// runs lazily, so unobserved runs pay neither the declaration nor the
+/// resource-name construction.
+class MaybeAccess {
+  public:
+    template <typename BuildFn>
+    MaybeAccess(Runtime& runtime, BuildFn&& build)
+    {
+        if (runtime.HasObserver()) {
+            scope_.emplace(runtime, build());
+        }
+    }
+
+  private:
+    std::optional<AccessScope> scope_;
+};
+
 /// RAII helper pushing a category for the duration of a scope.
 class CategoryScope {
   public:

@@ -5,21 +5,25 @@
 //     construction-time rejection of bad nodes, and the 1-device
 //     bit-identity contract (a ScaleOut(1) runtime must reproduce the
 //     default SinglePair() runtime exactly);
-//   * partition-book suite: round-trip serialization, seed determinism,
-//     exactly-one-shard coverage, balance bounds, edge-cut accounting
-//     against hand-computed cuts, and greedy-beats-hash on clustered
-//     graphs;
+//   * partition-book suite: seed determinism, exactly-one-shard
+//     coverage, balance bounds, edge-cut accounting against hand-computed
+//     cuts, greedy-beats-hash on clustered graphs, and the greedy book
+//     against a two-sided-adjacency reference on random traces;
 //   * exchange-hook unit checks: claim/plan splitting, peer-link pricing,
 //     and the zero-runtime-ops guarantee of an empty claim;
 //   * sharded serving: 1-shard bit-identity against the plain serving
-//     path, sustained-QPS scaling with shard count, hazard-freedom of the
-//     exchange schedule under the checker, and detection of a deleted
-//     exchange fence in the REAL serving path.
+//     path (across two traces on one cluster, caches warm), one capture
+//     per batch size for a whole cluster, the one-pass routing against
+//     RouteShard + EdgeCut, sustained-QPS scaling with shard count,
+//     hazard-freedom of the exchange schedule under the checker, and
+//     detection of a deleted exchange fence in the REAL serving path.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +38,7 @@
 #include "shard/partition_book.hpp"
 #include "shard/sharded_server.hpp"
 #include "sim/topology.hpp"
+#include "tensor/random.hpp"
 
 namespace dgnn::shard {
 namespace {
@@ -230,6 +235,125 @@ TEST(PartitionBookTest, GreedyRespectsCapacityAndBeatsHashOnClusters)
     EXPECT_LE(greedy.BalanceFactor(), 1.2);
 }
 
+/// The greedy partitioner as first written, kept as the reference: a
+/// two-sided CSR adjacency over the in-book, non-self edges, where only
+/// already-placed neighbors (assignment >= 0) count.
+PartitionBook
+TwoSidedGreedyReference(int64_t num_nodes, int32_t num_shards,
+                        const std::vector<std::pair<int64_t, int64_t>>& edges,
+                        uint64_t seed)
+{
+    const auto n = static_cast<size_t>(num_nodes);
+    const auto in_book = [num_nodes](int64_t u, int64_t v) {
+        return u >= 0 && u < num_nodes && v >= 0 && v < num_nodes && u != v;
+    };
+    std::vector<int64_t> offset(n + 1, 0);
+    for (const auto& [u, v] : edges) {
+        if (in_book(u, v)) {
+            ++offset[static_cast<size_t>(u) + 1];
+            ++offset[static_cast<size_t>(v) + 1];
+        }
+    }
+    for (size_t node = 0; node < n; ++node) {
+        offset[node + 1] += offset[node];
+    }
+    std::vector<int64_t> adjacency(static_cast<size_t>(offset.back()));
+    std::vector<int64_t> cursor = offset;
+    for (const auto& [u, v] : edges) {
+        if (in_book(u, v)) {
+            adjacency[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = v;
+            adjacency[static_cast<size_t>(cursor[static_cast<size_t>(v)]++)] = u;
+        }
+    }
+
+    const PartitionBook hashed = HashPartition(num_nodes, num_shards, seed);
+    const int64_t capacity = std::max<int64_t>(
+        1, static_cast<int64_t>(
+               static_cast<double>((num_nodes + num_shards - 1) / num_shards) *
+               1.1) +
+               1);
+    std::vector<int64_t> sizes(static_cast<size_t>(num_shards), 0);
+    std::vector<int32_t> assignment(n, -1);
+    for (size_t node = 0; node < n; ++node) {
+        std::vector<int64_t> placed(static_cast<size_t>(num_shards), 0);
+        for (int64_t i = offset[node]; i < offset[node + 1]; ++i) {
+            const int32_t owner =
+                assignment[static_cast<size_t>(adjacency[static_cast<size_t>(i)])];
+            if (owner >= 0) {
+                ++placed[static_cast<size_t>(owner)];
+            }
+        }
+        int32_t best = -1;
+        double best_score = 0.0;
+        for (int32_t shard = 0; shard < num_shards; ++shard) {
+            const auto s = static_cast<size_t>(shard);
+            if (sizes[s] >= capacity) {
+                continue;
+            }
+            const double score =
+                static_cast<double>(placed[s]) *
+                (1.0 - static_cast<double>(sizes[s]) /
+                           static_cast<double>(capacity));
+            if (best < 0 || score > best_score) {
+                best = shard;
+                best_score = score;
+            }
+        }
+        if (best_score == 0.0) {
+            const int32_t fallback =
+                hashed.ShardOf(static_cast<int64_t>(node));
+            if (sizes[static_cast<size_t>(fallback)] < capacity) {
+                best = fallback;
+            }
+        }
+        assignment[node] = best;
+        ++sizes[static_cast<size_t>(best)];
+    }
+    return PartitionBook(num_shards, std::move(assignment));
+}
+
+TEST(PartitionBookTest, GreedyMatchesTwoSidedReferenceOnRandomTraces)
+{
+    Rng rng(2027);
+    int64_t differs_from_hash = 0;
+    for (int32_t shards = 1; shards <= 8; ++shards) {
+        for (int trial = 0; trial < 24; ++trial) {
+            // Trial 0 has no edges; trial 1 has fewer nodes than shards.
+            const int64_t num_nodes = trial == 1 ? shards - 1
+                                                 : rng.UniformInt(0, 64);
+            const int64_t num_edges = trial == 0 ? 0 : rng.UniformInt(1, 400);
+            std::vector<std::pair<int64_t, int64_t>> edges;
+            for (int64_t e = 0; e < num_edges; ++e) {
+                const double kind = rng.Uniform();
+                if (kind < 0.15 && !edges.empty()) {
+                    // A duplicate of an earlier edge.
+                    edges.push_back(edges[static_cast<size_t>(rng.UniformInt(
+                        0, static_cast<int64_t>(edges.size()) - 1))]);
+                    continue;
+                }
+                // Endpoints reach -2 .. num_nodes + 2: node-blind (-1) and
+                // past-the-book ids included.
+                const int64_t u = rng.UniformInt(-2, num_nodes + 2);
+                const int64_t v =
+                    kind < 0.25 ? u : rng.UniformInt(-2, num_nodes + 2);
+                edges.emplace_back(u, v);
+            }
+            const auto seed = static_cast<uint64_t>(rng.UniformInt(0, 1 << 20));
+            const PartitionBook greedy =
+                GreedyEdgeCutPartition(num_nodes, shards, edges, seed);
+            EXPECT_TRUE(greedy ==
+                        TwoSidedGreedyReference(num_nodes, shards, edges, seed))
+                << shards << " shards, " << num_nodes << " nodes, "
+                << edges.size() << " edges, seed " << seed;
+            if (!(greedy == HashPartition(num_nodes, shards, seed))) {
+                ++differs_from_hash;
+            }
+        }
+    }
+    // The traces steer placement: most books are not the hash fallback.
+    EXPECT_GT(differs_from_hash, 100);
+}
+
 // ------------------------------------------------------------ exchange hook
 
 TEST(ExchangeTest, BuildPlanSplitsLocalFromRemotePreservingOrder)
@@ -341,13 +465,91 @@ BaseOptions(const data::InteractionDataset& dataset, models::Tgn& model,
     return options;
 }
 
-std::function<std::unique_ptr<serve::BatchPolicy>()>
+PolicyFactory
 MakeTimeoutPolicy()
 {
     return [] {
         return std::make_unique<serve::TimeoutPolicy>(/*batch_size=*/32,
                                                       /*timeout_us=*/5000.0);
     };
+}
+
+/// Every ServingReport field but the exchange (a cluster's hook counts
+/// the local rows a hookless session never sees), compared exactly.
+void
+ExpectSameServing(const serve::ServingReport& a, const serve::ServingReport& b)
+{
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.executor, b.executor);
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.offered_qps, b.offered_qps);
+    EXPECT_EQ(a.achieved_qps, b.achieved_qps);
+    EXPECT_EQ(a.makespan_us, b.makespan_us);
+    EXPECT_EQ(a.latency.Count(), b.latency.Count());
+    EXPECT_EQ(a.latency.Min(), b.latency.Min());
+    EXPECT_EQ(a.latency.Max(), b.latency.Max());
+    EXPECT_EQ(a.latency.Mean(), b.latency.Mean());
+    EXPECT_EQ(a.latency.P50(), b.latency.P50());
+    EXPECT_EQ(a.latency.P99(), b.latency.P99());
+    EXPECT_EQ(a.latency.OverflowCount(), b.latency.OverflowCount());
+    EXPECT_EQ(a.queue_depth.Count(), b.queue_depth.Count());
+    EXPECT_EQ(a.queue_depth.Sum(), b.queue_depth.Sum());
+    EXPECT_EQ(a.queue_depth.Variance(), b.queue_depth.Variance());
+    EXPECT_EQ(a.batch_size.Count(), b.batch_size.Count());
+    EXPECT_EQ(a.batch_size.Sum(), b.batch_size.Sum());
+    EXPECT_EQ(a.batch_size.Variance(), b.batch_size.Variance());
+    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+    EXPECT_EQ(a.cache_hit_bytes, b.cache_hit_bytes);
+    EXPECT_EQ(a.cache_stats.lookups, b.cache_stats.lookups);
+    EXPECT_EQ(a.cache_stats.hits, b.cache_stats.hits);
+    EXPECT_EQ(a.cache_stats.misses, b.cache_stats.misses);
+    EXPECT_EQ(a.cache_stats.insertions, b.cache_stats.insertions);
+    EXPECT_EQ(a.cache_stats.evictions, b.cache_stats.evictions);
+    EXPECT_EQ(a.cache_stats.writeback_rows, b.cache_stats.writeback_rows);
+    EXPECT_EQ(a.cache_stats.hit_bytes, b.cache_stats.hit_bytes);
+    EXPECT_EQ(a.cache_stats.miss_bytes, b.cache_stats.miss_bytes);
+    EXPECT_EQ(a.placement_batches, b.placement_batches);
+}
+
+void
+ExpectSameExchange(const serve::ExchangeCost& a, const serve::ExchangeCost& b)
+{
+    EXPECT_EQ(a.remote_rows, b.remote_rows);
+    EXPECT_EQ(a.local_rows, b.local_rows);
+    EXPECT_EQ(a.bytes, b.bytes);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.link_us, b.link_us);
+}
+
+void
+ExpectSameSharded(const ShardedReport& a, const ShardedReport& b)
+{
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.partitioner, b.partitioner);
+    EXPECT_EQ(a.interconnect, b.interconnect);
+    EXPECT_EQ(a.num_shards, b.num_shards);
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.edge_cut, b.edge_cut);
+    EXPECT_EQ(a.balance_factor, b.balance_factor);
+    EXPECT_EQ(a.offered_qps, b.offered_qps);
+    EXPECT_EQ(a.sustained_qps, b.sustained_qps);
+    EXPECT_EQ(a.makespan_us, b.makespan_us);
+    ExpectSameExchange(a.exchange, b.exchange);
+    EXPECT_EQ(a.comm_tax_pct, b.comm_tax_pct);
+    EXPECT_EQ(a.latency.Count(), b.latency.Count());
+    EXPECT_EQ(a.latency.Mean(), b.latency.Mean());
+    EXPECT_EQ(a.latency.P50(), b.latency.P50());
+    EXPECT_EQ(a.latency.P99(), b.latency.P99());
+    ASSERT_EQ(a.shards.size(), b.shards.size());
+    for (size_t shard = 0; shard < a.shards.size(); ++shard) {
+        SCOPED_TRACE("shard " + std::to_string(shard));
+        ExpectSameServing(a.shards[shard], b.shards[shard]);
+        ExpectSameExchange(a.shards[shard].exchange, b.shards[shard].exchange);
+    }
 }
 
 TEST(ShardedServingTest, OneShardReproducesPlainServingBitForBit)
@@ -358,9 +560,10 @@ TEST(ShardedServingTest, OneShardReproducesPlainServingBitForBit)
         ShardRequests(dataset, /*qps=*/4000.0, /*n=*/384);
 
     const ShardedOptions options = BaseOptions(dataset, model, /*shards=*/1);
+    Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                    requests, options);
     const ShardedReport sharded =
-        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
-                     requests, MakeTimeoutPolicy(), options);
+        cluster.Serve(requests, MakeTimeoutPolicy(), serve::ServerOptions{});
 
     serve::ModelSession session(model, sim::ExecMode::kHybrid,
                                 options.num_neighbors, options.cache_config);
@@ -369,19 +572,184 @@ TEST(ShardedServingTest, OneShardReproducesPlainServingBitForBit)
         session, policy, requests, serve::ServerOptions{});
 
     ASSERT_EQ(sharded.shards.size(), 1u);
-    const serve::ServingReport& lone = sharded.shards[0];
-    EXPECT_EQ(lone.requests, plain.requests);
-    EXPECT_EQ(lone.batches, plain.batches);
-    EXPECT_EQ(lone.makespan_us, plain.makespan_us);
-    EXPECT_EQ(lone.latency.P50(), plain.latency.P50());
-    EXPECT_EQ(lone.latency.P99(), plain.latency.P99());
-    EXPECT_EQ(lone.h2d_bytes, plain.h2d_bytes);
-    EXPECT_EQ(lone.d2h_bytes, plain.d2h_bytes);
-    EXPECT_EQ(lone.cache_stats.hits, plain.cache_stats.hits);
+    ExpectSameServing(sharded.shards[0], plain);
+    EXPECT_EQ(sharded.offered_qps, plain.offered_qps);
     // And no exchange ever fired.
     EXPECT_EQ(sharded.exchange.remote_rows, 0);
     EXPECT_EQ(sharded.exchange.bytes, 0);
     EXPECT_EQ(sharded.edge_cut, 0);
+}
+
+TEST(ShardedServingTest, OneShardClusterMatchesOneSessionAcrossTwoTraces)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    // The second trace replays the same endpoints at another rate, so a
+    // warm cache hits where a cold one misses.
+    const std::vector<serve::Request> first =
+        ShardRequests(dataset, /*qps=*/4000.0, /*n=*/384);
+    const std::vector<serve::Request> second =
+        ShardRequests(dataset, /*qps=*/9000.0, /*n=*/256);
+
+    const ShardedOptions options = BaseOptions(dataset, model, /*shards=*/1);
+    Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(), first,
+                    options);
+    const ShardedReport a =
+        cluster.Serve(first, MakeTimeoutPolicy(), serve::ServerOptions{});
+    const ShardedReport b =
+        cluster.Serve(second, MakeTimeoutPolicy(), serve::ServerOptions{});
+
+    serve::ModelSession session(model, sim::ExecMode::kHybrid,
+                                options.num_neighbors, options.cache_config);
+    serve::TimeoutPolicy policy_a(32, 5000.0);
+    const serve::ServingReport plain_a = serve::ServeRequests(
+        session, policy_a, first, serve::ServerOptions{});
+    serve::TimeoutPolicy policy_b(32, 5000.0);
+    const serve::ServingReport plain_b = serve::ServeRequests(
+        session, policy_b, second, serve::ServerOptions{});
+
+    ASSERT_EQ(a.shards.size(), 1u);
+    ASSERT_EQ(b.shards.size(), 1u);
+    {
+        SCOPED_TRACE("first trace");
+        ExpectSameServing(a.shards[0], plain_a);
+    }
+    {
+        SCOPED_TRACE("second trace");
+        ExpectSameServing(b.shards[0], plain_b);
+    }
+
+    // The cache stayed warm between the calls: a cold session serving
+    // the second trace alone hits less.
+    serve::ModelSession cold(model, sim::ExecMode::kHybrid,
+                             options.num_neighbors, options.cache_config);
+    serve::TimeoutPolicy policy_cold(32, 5000.0);
+    const serve::ServingReport cold_b = serve::ServeRequests(
+        cold, policy_cold, second, serve::ServerOptions{});
+    EXPECT_GT(b.shards[0].cache_stats.hits, cold_b.cache_stats.hits);
+}
+
+TEST(ShardedServingTest, OneShardClusterOffersTheLoneShardsRate)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    // A trace that starts late: its rate is set by its own span, not by
+    // the time before its first arrival.
+    std::vector<serve::Request> requests =
+        ShardRequests(dataset, /*qps=*/4000.0, /*n=*/384);
+    for (serve::Request& r : requests) {
+        r.arrival_us += 1e6;
+    }
+    Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                    requests, BaseOptions(dataset, model, /*shards=*/1));
+    const ShardedReport report =
+        cluster.Serve(requests, MakeTimeoutPolicy(), serve::ServerOptions{});
+    ASSERT_EQ(report.shards.size(), 1u);
+    EXPECT_EQ(report.offered_qps, report.shards[0].offered_qps);
+    EXPECT_EQ(report.offered_qps, serve::OfferedQps(requests));
+}
+
+/// Collects the batch sizes every shard of a run dispatched.
+class BatchSizeObserver final : public serve::ServingObserver {
+  public:
+    void OnBatch(const serve::BatchObservation& batch) override
+    {
+        sizes.insert(batch.profile->batch_size);
+    }
+    std::set<int64_t> sizes;
+};
+
+TEST(ShardedServingTest, ClusterCapturesEachBatchSizeOnce)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    const std::vector<serve::Request> first =
+        ShardRequests(dataset, /*qps=*/20000.0, /*n=*/512);
+    const std::vector<serve::Request> second =
+        ShardRequests(dataset, /*qps=*/5000.0, /*n=*/256);
+
+    Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(), first,
+                    BaseOptions(dataset, model, /*shards=*/4));
+    BatchSizeObserver observer;
+    serve::ServerOptions server;
+    server.observer = &observer;
+    for (const std::vector<serve::Request>* trace : {&first, &second}) {
+        (void)cluster.Serve(*trace, MakeTimeoutPolicy(), server);
+        // Several shards dispatched several sizes, and each size was
+        // captured once for the whole cluster.
+        EXPECT_GT(observer.sizes.size(), 1u);
+        EXPECT_EQ(cluster.Profiles().Captured(),
+                  static_cast<int64_t>(observer.sizes.size()));
+        for (int32_t shard = 0; shard < cluster.NumShards(); ++shard) {
+            EXPECT_EQ(cluster.Session(shard).CapturedProfiles(),
+                      cluster.Profiles().Captured());
+        }
+    }
+}
+
+TEST(ShardedServingTest, RouteMatchesRouteShardAndEdgeCut)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    std::vector<serve::Request> requests =
+        ShardRequests(dataset, /*qps=*/8000.0, /*n=*/512);
+    // Node-blind, half-known and past-the-book requests route too.
+    requests[3].src = -1;
+    requests[5].dst = -1;
+    requests[7].src = dataset.NumNodes() + 5;
+    requests[9].dst = dataset.NumNodes() + 2;
+
+    ShardedOptions options = BaseOptions(dataset, model, /*shards=*/4);
+    options.partitioner = PartitionerKind::kGreedy;
+    const Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                          requests, options);
+    const RoutedTrace routed = cluster.Route(requests);
+
+    ASSERT_EQ(routed.streams.size(), 4u);
+    std::vector<std::pair<int64_t, int64_t>> edges;
+    for (int32_t shard = 0; shard < 4; ++shard) {
+        std::vector<int64_t> expected;
+        for (const serve::Request& r : requests) {
+            if (RouteShard(cluster.Book(), r) == shard) {
+                expected.push_back(r.id);
+            }
+        }
+        std::vector<int64_t> ids;
+        for (const serve::Request& r :
+             routed.streams[static_cast<size_t>(shard)]) {
+            ids.push_back(r.id);
+        }
+        EXPECT_EQ(ids, expected) << "shard " << shard;
+    }
+    for (const serve::Request& r : requests) {
+        if (r.src >= 0 && r.dst >= 0) {
+            edges.emplace_back(r.src, r.dst);
+        }
+    }
+    EXPECT_EQ(routed.edge_cut, EdgeCut(cluster.Book(), edges));
+    EXPECT_GT(routed.edge_cut, 0);
+}
+
+TEST(ShardedServingTest, ServeShardedEqualsClusterServe)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    const std::vector<serve::Request> requests =
+        ShardRequests(dataset, /*qps=*/20000.0, /*n=*/512);
+    ShardedOptions options = BaseOptions(dataset, model, /*shards=*/4);
+    options.partitioner = PartitionerKind::kGreedy;
+
+    const ShardedReport wrapped =
+        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                     requests, MakeTimeoutPolicy(), options);
+    Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                    requests, options);
+    const ShardedReport served =
+        cluster.Serve(requests, MakeTimeoutPolicy(), options.server);
+
+    ExpectSameSharded(wrapped, served);
+    EXPECT_EQ(wrapped.partitioner, "greedy");
+    EXPECT_GT(wrapped.exchange.remote_rows, 0);
 }
 
 TEST(ShardedServingTest, SustainedQpsScalesWithShards)
@@ -392,14 +760,14 @@ TEST(ShardedServingTest, SustainedQpsScalesWithShards)
     const std::vector<serve::Request> requests =
         ShardRequests(dataset, /*qps=*/20000.0, /*n=*/512);
 
-    const ShardedReport one =
-        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
-                     requests, MakeTimeoutPolicy(),
-                     BaseOptions(dataset, model, 1));
-    const ShardedReport four =
-        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
-                     requests, MakeTimeoutPolicy(),
-                     BaseOptions(dataset, model, 4));
+    const auto serve_on = [&](int32_t shards) {
+        Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                        requests, BaseOptions(dataset, model, shards));
+        return cluster.Serve(requests, MakeTimeoutPolicy(),
+                             serve::ServerOptions{});
+    };
+    const ShardedReport one = serve_on(1);
+    const ShardedReport four = serve_on(4);
 
     EXPECT_EQ(one.requests, four.requests);
     EXPECT_GT(four.sustained_qps, one.sustained_qps);
@@ -420,17 +788,13 @@ TEST(ShardedServingTest, DeterministicAcrossRuns)
         ShardRequests(dataset, 8000.0, 256);
     const ShardedOptions options = BaseOptions(dataset, model, 2);
 
-    const ShardedReport a =
-        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
-                     requests, MakeTimeoutPolicy(), options);
-    const ShardedReport b =
-        ServeSharded(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
-                     requests, MakeTimeoutPolicy(), options);
-    EXPECT_EQ(a.sustained_qps, b.sustained_qps);
-    EXPECT_EQ(a.makespan_us, b.makespan_us);
-    EXPECT_EQ(a.exchange.bytes, b.exchange.bytes);
-    EXPECT_EQ(a.exchange.link_us, b.exchange.link_us);
-    EXPECT_EQ(a.edge_cut, b.edge_cut);
+    const auto serve_once = [&] {
+        Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
+                        requests, options);
+        return cluster.Serve(requests, MakeTimeoutPolicy(),
+                             serve::ServerOptions{});
+    };
+    ExpectSameSharded(serve_once(), serve_once());
 }
 
 /// Serves shard 0's sub-stream of a 2-shard split through the REAL serving
