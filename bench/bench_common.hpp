@@ -1,20 +1,15 @@
 #pragma once
 
 /// @file
-/// Shared plumbing for the table/figure reproduction harnesses: paper-scale
-/// dataset factories, run helpers, and printing conventions. Every bench
-/// prints the same rows/series the paper's corresponding exhibit reports.
+/// Shared plumbing for the bench harnesses: the interaction-stream
+/// factories, run helpers, and printing conventions.
 
 #include <cstdio>
 #include <iostream>
 #include <string>
 
 #include "core/table_writer.hpp"
-#include "data/molecular_gen.hpp"
-#include "data/snapshot_seq_gen.hpp"
-#include "data/social_evolution_gen.hpp"
 #include "data/temporal_interactions.hpp"
-#include "data/traffic_gen.hpp"
 #include "models/dgnn_model.hpp"
 #include "models/tgn.hpp"
 
@@ -44,48 +39,6 @@ inline data::InteractionDataset
 LastFmDataset()
 {
     return data::GenerateInteractions(data::InteractionSpec::LastFmLike(kStreamEvents));
-}
-
-inline data::SnapshotDataset
-RedditSnapshots()
-{
-    return data::GenerateSnapshots(data::SnapshotSpec::RedditHyperlinkLike());
-}
-
-inline data::SnapshotDataset
-BitcoinSnapshots()
-{
-    return data::GenerateSnapshots(data::SnapshotSpec::BitcoinAlphaLike());
-}
-
-inline data::TrafficDataset
-PemsDataset()
-{
-    return data::GenerateTraffic(data::TrafficSpec::PemsLike());
-}
-
-inline data::MolecularDataset
-Iso17Dataset(int64_t frames = 16384)
-{
-    data::MolecularSpec spec = data::MolecularSpec::Iso17Like();
-    spec.num_frames = frames;
-    return data::GenerateMolecular(spec);
-}
-
-inline data::PointProcessDataset
-SocialEvolutionDataset(int64_t events = 2000)
-{
-    data::PointProcessSpec spec = data::PointProcessSpec::SocialEvolutionLike();
-    spec.num_events = events;
-    return data::GeneratePointProcess(spec);
-}
-
-inline data::PointProcessDataset
-GithubDataset(int64_t events = 2000)
-{
-    data::PointProcessSpec spec = data::PointProcessSpec::GithubLike();
-    spec.num_events = events;
-    return data::GeneratePointProcess(spec);
 }
 
 /// The recurrent repeat-talker stream the serving benches share (gauntlet,
@@ -151,25 +104,6 @@ inline std::string
 Mb(int64_t bytes)
 {
     return core::TableWriter::Num(static_cast<double>(bytes) / 1024.0 / 1024.0, 1);
-}
-
-}  // namespace dgnn::bench
-
-namespace dgnn::bench {
-
-/// Formats one breakdown row: per-category "ms (pct%)" cells followed by the
-/// total, matching the annotation style of the paper's Fig 7.
-inline std::vector<std::string>
-BreakdownCells(const core::Breakdown& breakdown,
-               const std::vector<std::string>& categories)
-{
-    std::vector<std::string> cells;
-    for (const std::string& cat : categories) {
-        cells.push_back(core::TableWriter::TimeWithShare(
-            breakdown.TimeUs(cat) / 1000.0, breakdown.SharePct(cat)));
-    }
-    cells.push_back(core::TableWriter::Num(breakdown.TotalUs() / 1000.0, 2));
-    return cells;
 }
 
 }  // namespace dgnn::bench

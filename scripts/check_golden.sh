@@ -1,29 +1,29 @@
 #!/usr/bin/env bash
-# The golden-output gate. Runs one bench or example binary in its own
-# workdir and checks everything it writes against docs/expected/:
-#   1. its stdout must equal docs/expected/<binary>.txt byte for byte;
+# The golden-output gate. Runs one command in its own workdir and checks
+# everything it writes against the golden <name> in docs/expected/:
+#   1. its stdout must equal docs/expected/<name>.txt byte for byte;
 #   2. every BENCH_*.json it writes must equal the docs/expected/ file of
 #      the same name byte for byte (a JSON with no committed file fails);
-#   3. the optional assert script then runs in the workdir on the fresh
-#      JSON.
+#   3. where scripts/assert_<name>.py exists, it then runs in the workdir
+#      on the fresh JSON.
 # CMakeLists.txt registers one such test per docs/expected/*.txt (label
-# `golden`). Re-baselining means copying build/golden/<binary>/* over
+# `golden`). Re-baselining means copying build/golden/<name>/* over
 # docs/expected/ and saying why in the change.
 #
-# Usage: check_golden.sh <binary> <workdir> [assert-script]
+# Usage: check_golden.sh <name> <workdir> <command> [args...]
 set -euo pipefail
 
-binary=$1
+name=$1
 workdir=$2
-assert=${3:-}
-expected=$(cd "$(dirname "$0")/../docs/expected" && pwd)
-name=$(basename "$binary")
+shift 2
+scripts=$(cd "$(dirname "$0")" && pwd)
+expected=$(cd "$scripts/../docs/expected" && pwd)
 
 mkdir -p "$workdir"
 cd "$workdir"
 rm -f BENCH_*.json
 
-"$binary" > "$name.txt" || { echo "$name exited with status $?"; exit 1; }
+"$@" > "$name.txt" || { echo "$name exited with status $?"; exit 1; }
 diff -u "$expected/$name.txt" "$name.txt"
 
 for json in BENCH_*.json; do
@@ -35,8 +35,8 @@ for json in BENCH_*.json; do
     diff -u "$expected/$json" "$json"
 done
 
-if [ -n "$assert" ]; then
-    "$assert"
+if [ -e "$scripts/assert_$name.py" ]; then
+    "$scripts/assert_$name.py"
 fi
 
 echo "$name matches docs/expected/"
