@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the real host kernels behind the
 // simulator: GEMM, attention, GRU, SpMM, temporal sampling, t-batching,
-// and the device cache's host bookkeeping, plus the sharded cluster's set-up.
+// and the device cache's host bookkeeping, plus the sharded cluster's set-up
+// and the Normal feature initializer behind dataset generation.
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
@@ -30,6 +31,19 @@
 namespace {
 
 using namespace dgnn;
+
+// init::Normal at the Wikipedia-like stream's edge-feature shape, 16384
+// events x 172 features: the largest Normal table a dataset generator draws.
+void
+BM_InitNormal(benchmark::State& state)
+{
+    Rng rng(1);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(init::Normal(Shape({16384, 172}), rng, 0.3f));
+    }
+    state.SetItemsProcessed(state.iterations() * 16384 * 172);
+}
+BENCHMARK(BM_InitNormal)->Unit(benchmark::kMillisecond);
 
 void
 BM_MatMul(benchmark::State& state)

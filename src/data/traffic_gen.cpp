@@ -63,11 +63,11 @@ GenerateTraffic(const TrafficSpec& spec)
     for (int64_t t = 0; t < spec.num_timesteps; ++t) {
         const double day = static_cast<double>(t) /
                            static_cast<double>(spec.num_timesteps);
+        const double rush1 = 0.4 * std::exp(-std::pow((day - 0.33) * 12.0, 2.0));
+        const double rush2 = 0.5 * std::exp(-std::pow((day - 0.71) * 12.0, 2.0));
         for (int64_t s = 0; s < spec.num_sensors; ++s) {
             const double phase = sensor_phase[static_cast<size_t>(s)];
             const double base = 0.5 + 0.3 * std::sin(2.0 * M_PI * (day + phase));
-            const double rush1 = 0.4 * std::exp(-std::pow((day - 0.33) * 12.0, 2.0));
-            const double rush2 = 0.5 * std::exp(-std::pow((day - 0.71) * 12.0, 2.0));
             for (int64_t c = 0; c < spec.channels; ++c) {
                 const double v = base + rush1 + rush2 +
                                  0.05 * rng.Normal(0.0f, 1.0f) +

@@ -7,6 +7,8 @@ namespace dgnn {
 float
 Rng::Uniform(float lo, float hi)
 {
+    DGNN_CHECK(std::isfinite(lo) && std::isfinite(hi) && lo <= hi, "Uniform range [",
+               lo, ", ", hi, ") must be finite and ordered");
     std::uniform_real_distribution<float> dist(lo, hi);
     return dist(engine_);
 }
@@ -14,8 +16,9 @@ Rng::Uniform(float lo, float hi)
 float
 Rng::Normal(float mean, float stddev)
 {
-    std::normal_distribution<float> dist(mean, stddev);
-    return dist(engine_);
+    DGNN_CHECK(std::isfinite(mean) && stddev > 0.0f, "Normal needs a finite mean and a ",
+               "positive stddev, got mean ", mean, ", stddev ", stddev);
+    return normal_(engine_, std::normal_distribution<float>::param_type(mean, stddev));
 }
 
 int64_t
@@ -37,6 +40,7 @@ Rng::Exponential(double rate)
 bool
 Rng::Bernoulli(double p)
 {
+    DGNN_CHECK(p >= 0.0 && p <= 1.0, "Bernoulli p must lie in [0, 1], got ", p);
     std::bernoulli_distribution dist(p);
     return dist(engine_);
 }

@@ -20,7 +20,11 @@ class Rng {
     /// Uniform float in [lo, hi).
     float Uniform(float lo = 0.0f, float hi = 1.0f);
 
-    /// Standard normal float times @p stddev plus @p mean.
+    /// Standard normal float times @p stddev plus @p mean. Normals come in
+    /// pairs: the polar method draws two standard variates at once, and the
+    /// second is kept for the next call, which scales it by its own
+    /// @p mean and @p stddev. A copy of an Rng keeps the saved variate; a
+    /// Fork() starts without one.
     float Normal(float mean = 0.0f, float stddev = 1.0f);
 
     /// Uniform integer in [lo, hi] inclusive.
@@ -39,6 +43,7 @@ class Rng {
 
   private:
     std::mt19937_64 engine_;
+    std::normal_distribution<float> normal_;  ///< holds the saved variate
 };
 
 namespace init {

@@ -22,6 +22,7 @@
 #include "models/moldgnn.hpp"
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
+#include "tensor/random.hpp"
 
 namespace dgnn::models {
 namespace {
@@ -281,9 +282,11 @@ TEST(TgatTest, TwoLayerRecursionRuns)
 TEST(TgatTest, TwoLayerChecksumsArePinned)
 {
     // Hex-float pins on 2-layer TGAT, generated with the per-target
-    // recursion the batched numerics replaced. The second run samples more
-    // slots than any node's history holds, so every neighborhood has empty
-    // slots.
+    // recursion the batched numerics replaced, then re-pinned from the
+    // batched build when Rng::Normal began to draw normals in pairs (which
+    // moved the weights and features, not the numerics). The second run
+    // samples more slots than any node's history holds, so every
+    // neighborhood has empty slots.
     const auto ds = TinyInteractions();
     graph::TemporalAdjacency adj(ds.stream);
     for (int64_t node = 0; node < ds.NumNodes(); ++node) {
@@ -296,8 +299,8 @@ TEST(TgatTest, TwoLayerChecksumsArePinned)
         double expected;
     };
     const std::array<Pin, 2> pins = {{
-        {TgatConfig{8, 2, 2, 2, 7}, 4, 32, 0x1.7b7b4530fb89p+7},
-        {TgatConfig{8, 2, 2, 40, 7}, 40, 48, 0x1.1924778f927c7p+8},
+        {TgatConfig{8, 2, 2, 2, 7}, 4, 32, 0x1.a9d2a10585507p+7},
+        {TgatConfig{8, 2, 2, 40, 7}, 40, 48, 0x1.2ffd0694d6089p+8},
     }};
     for (const Pin& pin : pins) {
         Tgat model(ds, pin.config);
@@ -712,25 +715,67 @@ TEST(AllModelsTest, HybridChecksumsArePinned)
     const auto wide = data::GenerateInteractions(wide_spec);
     ASSERT_EQ(wide.edge_features.Dim(1), 172);
 
-    // Literals generated with the plain scalar GEMM loop, before blocking.
+    // Literals generated with the plain scalar GEMM loop, before blocking,
+    // then re-pinned when Rng::Normal began to draw normals in pairs (which
+    // moved the weights and features; every GEMM kernel matches that loop
+    // bit for bit).
     // JODIE, TGAT, TGN, DyRep, LDG-MLP, EvolveGCN-O, ASTGNN, MolDGNN.
     const std::array<double, 8> tiny_pins = {
-        0x1.6205ba6a835d1p+4,  0x1.2f595db1aa1efp+10, 0x1.b07b95bf93a3bp+8,
-        0x1.382882bb1e4e9p+5,  0x1.762fe24b1988ap+5,  0x1.d932d38c78343p-1,
-        -0x1.f440d58ef62c3p+4, 0x1.68f3e72c7f933p+8};
+        0x1.c5242f859f192p+4,  0x1.3fec128b5fc88p+10, 0x1.a332ac551c888p+7,
+        0x1.9c1d91d073674p+5,  -0x1.25e87a7005553p+4, 0x1.9235896f71693p-1,
+        -0x1.02060a3f8d6b6p+5, 0x1.68f4acd591844p+8};
     std::vector<std::pair<std::unique_ptr<DgnnModel>, double>> pins;
     auto tiny = zoo.Models();
     ASSERT_EQ(tiny.size(), tiny_pins.size());
     for (size_t i = 0; i < tiny.size(); ++i) {
         pins.emplace_back(std::move(tiny[i]), tiny_pins[i]);
     }
-    pins.emplace_back(std::make_unique<Tgat>(wide, TgatConfig{}), 0x1.b8dee9f28204p+11);
-    pins.emplace_back(std::make_unique<Tgn>(wide, TgnConfig{}), 0x1.728bfc924cd86p+7);
+    pins.emplace_back(std::make_unique<Tgat>(wide, TgatConfig{}), 0x1.c7082e6fa8c64p+11);
+    pins.emplace_back(std::make_unique<Tgn>(wide, TgnConfig{}), -0x1.14763679966e1p+8);
 
     for (const auto& [model, expected] : pins) {
         sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
         const RunResult r = model->RunInference(rt, SmallRun(sim::ExecMode::kHybrid));
         EXPECT_EQ(HexFloat(r.output_checksum), HexFloat(expected)) << model->Name();
+    }
+}
+
+TEST(AllModelsTest, FeatureValuesNeverReachTheSimulatedClock)
+{
+    // The generators draw structure (events, edges, atom motion) before
+    // their Normal features, so a change in how normals are drawn moves
+    // feature values only. This holds the other half: no model lets a
+    // feature value reach the simulated clock. Every feature tensor is
+    // redrawn from another seed at the same shape; every RunResult field
+    // but the output checksum must stay bit-identical.
+    const TinyZoo zoo;
+    TinyZoo redrawn;
+    Rng rng(2027);
+    for (Tensor* features :
+         {&redrawn.interactions.edge_features, &redrawn.interactions.node_features,
+          &redrawn.snapshots.node_features, &redrawn.traffic.signal,
+          &redrawn.molecular.atom_features}) {
+        *features = init::Normal(features->GetShape(), rng, 0.3f);
+    }
+
+    for (const sim::ExecMode mode : {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
+        const auto base = zoo.Models();
+        const auto other = redrawn.Models();
+        ASSERT_EQ(base.size(), 8u);
+        for (size_t i = 0; i < base.size(); ++i) {
+            sim::Runtime rt_base = MakeRuntime(mode);
+            sim::Runtime rt_other = MakeRuntime(mode);
+            RunResult a = base[i]->RunInference(rt_base, SmallRun(mode));
+            RunResult b = other[i]->RunInference(rt_other, SmallRun(mode));
+            // JODIE, DyRep and LDG read no dataset features; every other
+            // model must see the redrawn values, or this test proves nothing.
+            const bool reads_features = i != 0 && i != 3 && i != 4;
+            EXPECT_EQ(a.output_checksum != b.output_checksum, reads_features)
+                << a.model << " " << a.mode;
+            a.output_checksum = 0.0;
+            b.output_checksum = 0.0;
+            EXPECT_EQ(RenderRun(a), RenderRun(b));
+        }
     }
 }
 
@@ -765,7 +810,7 @@ compute util_pct 0x1.58bd29d58f378p+6 busy_us 0x1.0602ecfb9c86ap+11
 peak_bytes compute 7552 cpu 7552
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.77050ap+12 per_run 0x1.80028f5c28f5cp+1
-checksum 0x1.6205ba6a835d1p+4
+checksum 0x1.c5242f859f192p+4
 breakdown 0x1.3002ecfb9c86ap+11
   Load Embedding 0x1.f926e978d4fdfp+10 0x1.4c53088458586p+6
   Update Embedding 0x1.c75e802572fb9p+7 0x1.2b92de04cae85p+3
@@ -780,7 +825,7 @@ compute util_pct 0x1.8a75d7c2655d5p+6 busy_us 0x1.1cd355d728331p+12
 peak_bytes compute 32512 cpu 32512
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.77069p+12 per_run 0x1.800a3d70a3d71p+1
-checksum 0x1.2f595db1aa1efp+10
+checksum 0x1.3fec128b5fc88p+10
 breakdown 0x1.20d355d728331p+12
   Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.835ea07e8d48bp+6
   Attention Layer 0x1.01076e6a9cef7p+7 0x1.63f6e427742bap+1
@@ -794,7 +839,7 @@ compute util_pct 0x1.857ed372cf6f9p+6 busy_us 0x1.28a0fc820f662p+11
 peak_bytes compute 40900 cpu 40900
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.7713a1fp+12 per_run 0x1.8008f5c28f5c3p+1
-checksum 0x1.b07b95bf93a3bp+8
+checksum 0x1.a332ac551c888p+7
 breakdown 0x1.30a0fc820f664p+11
   Update Memory 0x1.b9469675b1158p+9 0x1.21b6b3debad7ap+5
   Compute Embedding 0x1.a05e583356271p+9 0x1.115c7724d58fbp+5
@@ -808,7 +853,7 @@ compute util_pct 0x1.dc3494345cf16p+2 busy_us 0x1.81dd7a0095cbcp+5
 peak_bytes compute 2820 cpu 2820
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.7702247p+12 per_run 0x1.8001333333333p+1
-checksum 0x1.382882bb1e4e9p+5
+checksum 0x1.9c1d91d073674p+5
 breakdown 0x1.441dd7a0095d1p+9
   Temporal Attention 0x1.10cdf864a502dp+8 0x1.50acb4eadc77p+5
   Node Embedding Update 0x1.fdd7a0095ccp+7 0x1.3a9ab165a1cb9p+5
@@ -822,7 +867,7 @@ compute util_pct 0x1.06bb4e0a6b5e2p+3 busy_us 0x1.019bf0c94a065p+6
 peak_bytes compute 3408 cpu 3408
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.7702ae4p+12 per_run 0x1.8001333333333p+1
-checksum 0x1.762fe24b1988ap+5
+checksum -0x1.25e87a7005553p+4
 breakdown 0x1.88337e192940cp+9
   Temporal Attention 0x1.10cdf864a502dp+8 0x1.163aafeb16c17p+5
   Node Embedding Update 0x1.f6d210f819bf7p+7 0x1.0068d78e6bd08p+5
@@ -837,7 +882,7 @@ compute util_pct 0x1.7e2c13ba73044p+6 busy_us 0x1.013df774f855ap+10
 peak_bytes compute 8016 cpu 8016
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.770438p+12 per_run 0x1.8008851eb851fp+1
-checksum 0x1.d932d38c78343p-1
+checksum 0x1.9235896f71693p-1
 breakdown 0x1.0d3df774f855ap+10
   Memory Copy 0x1.f4p+9 0x1.7369ba53a3c71p+6
   GNN 0x1.7ee362f299a89p+5 0x1.1c6b59435042bp+2
@@ -851,7 +896,7 @@ compute util_pct 0x1.83b20fbfebd6fp+6 busy_us 0x1.7a1a54d880bb4p+9
 peak_bytes compute 199176 cpu 199176
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.770188dp+12 per_run 0x1.81eb851eb851fp+1
-checksum -0x1.f440d58ef62c3p+4
+checksum -0x1.02060a3f8d6b6p+5
 breakdown 0x1.861a54d880bb4p+9
   Etc(data loading, cuda sync) 0x1.01c28f5c28f5cp+9 0x1.084cadb254de5p+6
   Temporal Attention 0x1.bd4d880bb3ee7p+7 0x1.c899b78d2988bp+4
@@ -866,7 +911,7 @@ compute util_pct 0x1.875305c4ed455p+6 busy_us 0x1.0ea28c634f422p+9
 peak_bytes compute 80132 cpu 80132
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.773435fp+12 per_run 0x1.8039c28f5c28fp+1
-checksum 0x1.68f3e72c7f933p+8
+checksum 0x1.68f4acd591844p+8
 breakdown 0x1.14a28c634f422p+9
   Memory Copy 0x1.fb77318fc5047p+8 0x1.6ee278c63aadp+6
   LSTM 0x1.69b87edbe58d4p+4 0x1.0583ca7a90cd3p+2
@@ -881,7 +926,7 @@ compute util_pct 0x1.4f1f31c192b79p-2 busy_us 0x1.55e9e1b0899fep+3
 peak_bytes compute 7552 cpu 0
 transfer h2d 15360 d2h 15360 count 16 time_us 0x1.451eb851fp+7
 warmup one_time 0x1.6e36e6ccacb6fp+22 per_run 0x1.4b464p+12
-checksum 0x1.6205ba6a835d1p+4
+checksum 0x1.c5242f859f192p+4
 breakdown 0x1.981b4a232fffp+11
   Load Embedding 0x1.06bc6a7ef9ffp+11 0x1.01845c264a651p+6
   Update Embedding 0x1.033dbf486cp+10 0x1.fc2eecf3656c6p+4
@@ -896,7 +941,7 @@ compute util_pct 0x1.968f4f7d44ffap-2 busy_us 0x1.3658644523f6ap+4
 peak_bytes compute 32512 cpu 0
 transfer h2d 17280 d2h 15360 count 16 time_us 0x1.4570a3d7p+7
 warmup one_time 0x1.6e37207bab597p+22 per_run 0x1.4b59p+12
-checksum 0x1.2f595db1aa1efp+10
+checksum 0x1.3fec128b5fc88p+10
 breakdown 0x1.31567fb6988ecp+12
   Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.6e6bcc518ec1fp+6
   Memory Copy 0x1.4570a3d7p+7 0x1.aa5591ae2103bp+1
@@ -912,7 +957,7 @@ compute util_pct 0x1.9f67eca217644p-1 busy_us 0x1.5ad527e521579p+4
 peak_bytes compute 40900 cpu 0
 transfer h2d 63360 d2h 9120 count 32 time_us 0x1.460a3d70ap+8
 warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
-checksum 0x1.b07b95bf93a3bp+8
+checksum 0x1.a332ac551c888p+7
 breakdown 0x1.4df846c764708p+11
   Compute Embedding 0x1.f80d8d09f4258p+9 0x1.2ddaf98a6aadbp+5
   Aggregate Messages Passing 0x1.a94ff513d047p+9 0x1.fd66f02472fe6p+4
@@ -926,7 +971,7 @@ compute util_pct 0x1.8f63995c1f7bbp-2 busy_us 0x1.d9a02752545ffp+2
 peak_bytes compute 2820 cpu 0
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.6e36791e16148p+22 per_run 0x1.4b42eep+12
-checksum 0x1.382882bb1e4e9p+5
+checksum 0x1.9c1d91d073674p+5
 breakdown 0x1.da59a0276cp+10
   Conditional Intensity 0x1.8059a0276cp+10 0x1.441b4fec7731cp+6
   Node Embedding Update 0x1.68p+7 0x1.2f92c04e23391p+3
@@ -940,7 +985,7 @@ compute util_pct 0x1.8a87ab3d87bdfp-2 busy_us 0x1.167a0f9096ba8p+3
 peak_bytes compute 3408 cpu 0
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.6e368d803b22dp+22 per_run 0x1.4b42eep+12
-checksum 0x1.762fe24b1988ap+5
+checksum -0x1.25e87a7005553p+4
 breakdown 0x1.1a567a0f8cp+11
   Bilinear Decoder 0x1.c42cf41f18p+10 0x1.404ee7ef0b018p+6
   Node Embedding Update 0x1.68p+7 0x1.fe07006c865cep+2
@@ -955,7 +1000,7 @@ compute util_pct 0x1.746e0b5abd47ep-2 busy_us 0x1.2284dfce3150dp+2
 peak_bytes compute 8016 cpu 0
 transfer h2d 13632 d2h 5120 count 8 time_us 0x1.46402bb0cp+6
 warmup one_time 0x1.6e36c7bd374bcp+22 per_run 0x1.4b54cdp+12
-checksum 0x1.d932d38c78343p-1
+checksum 0x1.9235896f71693p-1
 breakdown 0x1.3806879adcp+10
   Memory Copy 0x1.0e6402bb0cp+10 0x1.5aa0595a3231dp+6
   GNN 0x1.a75ca6cap+6 0x1.0f5d18ed1ccaep+3
@@ -969,7 +1014,7 @@ compute util_pct 0x1.aebd9539d14e8p+0 busy_us 0x1.67c17b6b40227p+3
 peak_bytes compute 199176 cpu 0
 transfer h2d 115200 d2h 57600 count 4 time_us 0x1.b33333334p+5
 warmup one_time 0x1.6e3662197cc75p+22 per_run 0x1.4ffp+12
-checksum -0x1.f440d58ef62c3p+4
+checksum -0x1.02060a3f8d6b6p+5
 breakdown 0x1.4e14c87d08f5cp+9
   Etc(data loading, cuda sync) 0x1.01c28f5c28f5cp+9 0x1.349e9dd2ca554p+6
   Temporal Attention 0x1.ec45b4304p+5 0x1.26b3c2a10bb57p+3
@@ -985,7 +1030,7 @@ compute util_pct 0x1.412984888863fp-1 busy_us 0x1.a46b1cd569d99p+2
 peak_bytes compute 80132 cpu 0
 transfer h2d 63840 d2h 34656 count 48 time_us 0x1.e8353f7dp+8
 warmup one_time 0x1.6e3de0e90bab6p+22 per_run 0x1.4bcd04p+12
-checksum 0x1.68f3e72c7f933p+8
+checksum 0x1.68f4acd591844p+8
 breakdown 0x1.05cf876007412p+10
   Memory Copy 0x1.f1d6388662824p+9 0x1.7c4d8c99bee93p+6
   GCN 0x1.2afb7e91p+4 0x1.c8cab2cfae699p+0
@@ -1000,7 +1045,7 @@ compute util_pct 0x1.643580dec0fa6p-2 busy_us 0x1.7126e978d4fdap+3
 peak_bytes compute 8832 cpu 0
 transfer h2d 3776 d2h 3776 count 16 time_us 0x1.96f60876fp+7
 warmup one_time 0x1.6e36e6ccacb6fp+22 per_run 0x1.4b464p+12
-checksum 0x1.6205ba6a835d1p+4
+checksum 0x1.c5242f859f192p+4
 breakdown 0x1.9e88bf257fffp+11
   Load Embedding 0x1.160f6b73a2ffp+11 0x1.0c4fa04fa5c86p+6
   Update Embedding 0x1.ddd7a7869ap+9 0x1.cd16ab8e0c95ap+4
@@ -1016,7 +1061,7 @@ compute util_pct 0x1.9085d62a25eb1p-2 busy_us 0x1.3726d4801f753p+4
 peak_bytes compute 32128 cpu 0
 transfer h2d 22944 d2h 15360 count 24 time_us 0x1.e6624dd2e8p+7
 warmup one_time 0x1.6e37207bab597p+22 per_run 0x1.4b59p+12
-checksum 0x1.2f595db1aa1efp+10
+checksum 0x1.3fec128b5fc88p+10
 breakdown 0x1.36bedb76b2cecp+12
   Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.680b684fb56fdp+6
   Memory Copy 0x1.e9624dd2e8p+7 0x1.3af95f8b22efbp+2
@@ -1032,7 +1077,7 @@ compute util_pct 0x1.9b955eaf77222p-1 busy_us 0x1.6873abc947067p+4
 peak_bytes compute 42180 cpu 0
 transfer h2d 36416 d2h 4256 count 40 time_us 0x1.be3d93979cp+8
 warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
-checksum 0x1.b07b95bf93a3bp+8
+checksum 0x1.a332ac551c888p+7
 breakdown 0x1.5e4eb18c43f08p+11
   Aggregate Messages Passing 0x1.06fc10ee1b238p+10 0x1.2c4a45e4d59c2p+5
   Compute Embedding 0x1.f80d8d09f4258p+9 0x1.1fc70a34ef6b5p+5

@@ -1,6 +1,8 @@
 // Tests for the deterministic RNG and tensor initializers.
 
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -73,6 +75,85 @@ TEST(RngTest, NormalMoments)
     const double var = sq / n - mean * mean;
     EXPECT_NEAR(mean, 1.0, 0.1);
     EXPECT_NEAR(var, 4.0, 0.3);
+}
+
+// The first six Normal(0, 1) draws at seed 42. Generated by printing, with
+// "%a", six calls of ONE std::normal_distribution<float> over
+// std::mt19937_64(42) (libstdc++'s Marsaglia polar method). A distribution
+// built per draw returns only the first variate of each pair, so its second
+// value would be -0x1.25efc2p-1, this list's third.
+constexpr std::array<float, 6> kSeed42Normals = {
+    0x1.68f44p-1f, 0x1.4b37d2p+0f,  -0x1.25efc2p-1f,
+    0x1.97876p-2f, -0x1.e81c8ap+0f, 0x1.1e59ap+0f};
+
+TEST(RngTest, NormalsComeInPairs)
+{
+    Rng rng(42);
+    for (const float expected : kSeed42Normals) {
+        EXPECT_EQ(rng.Normal(), expected);
+    }
+}
+
+TEST(RngTest, SavedNormalTakesTheParametersOfItsCall)
+{
+    // z1 is saved by the first call and scaled by the second call's
+    // (mean, stddev); 2 * z1 is exact, so 5 + 2 * z1 rounds once either way.
+    Rng rng(42);
+    EXPECT_EQ(rng.Normal(0.0f, 1.0f), kSeed42Normals[0]);
+    EXPECT_EQ(rng.Normal(5.0f, 2.0f), 5.0f + 2.0f * kSeed42Normals[1]);
+    EXPECT_EQ(rng.Normal(-1.0f, 0.5f), -1.0f + 0.5f * kSeed42Normals[2]);
+}
+
+TEST(RngTest, CopyTakenMidPairReplaysTheSavedNormal)
+{
+    Rng rng(42);
+    EXPECT_EQ(rng.Normal(), kSeed42Normals[0]);
+    Rng copy = rng;
+    for (size_t i = 1; i < kSeed42Normals.size(); ++i) {
+        EXPECT_EQ(copy.Normal(), kSeed42Normals[i]) << "draw " << i;
+    }
+    for (size_t i = 1; i < kSeed42Normals.size(); ++i) {
+        EXPECT_EQ(rng.Normal(), kSeed42Normals[i]) << "draw " << i;
+    }
+}
+
+TEST(RngTest, ForkStartsWithoutASavedNormal)
+{
+    Rng rng(42);
+    EXPECT_EQ(rng.Normal(), kSeed42Normals[0]);
+    // The child is seeded by the parent's next engine draw, which a copy
+    // of the parent reads too.
+    Rng probe = rng;
+    Rng expected(probe.Engine()());
+    Rng child = rng.Fork();
+    const float first = child.Normal();
+    EXPECT_EQ(first, expected.Normal());
+    EXPECT_NE(first, kSeed42Normals[1]);
+    // The parent keeps its own saved variate across the fork.
+    EXPECT_EQ(rng.Normal(), kSeed42Normals[1]);
+}
+
+TEST(RngTest, RejectsBadDistributionParameters)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(16);
+    EXPECT_THROW(rng.Normal(0.0f, 0.0f), Error);
+    EXPECT_THROW(rng.Normal(0.0f, -1.0f), Error);
+    EXPECT_THROW(rng.Normal(0.0f, nan), Error);
+    EXPECT_THROW(rng.Normal(inf, 1.0f), Error);
+    EXPECT_THROW(rng.Normal(nan, 1.0f), Error);
+    EXPECT_THROW(rng.Uniform(1.0f, 0.0f), Error);
+    EXPECT_THROW(rng.Uniform(-inf, 0.0f), Error);
+    EXPECT_THROW(rng.Uniform(0.0f, nan), Error);
+    EXPECT_THROW(rng.Bernoulli(-0.1), Error);
+    EXPECT_THROW(rng.Bernoulli(1.5), Error);
+    EXPECT_THROW(rng.Bernoulli(std::numeric_limits<double>::quiet_NaN()), Error);
+    EXPECT_THROW(init::Normal(Shape({2, 2}), rng, 0.0f), Error);
+    // The edges of each range are valid.
+    EXPECT_EQ(rng.Uniform(2.0f, 2.0f), 2.0f);
+    EXPECT_FALSE(rng.Bernoulli(0.0));
+    EXPECT_TRUE(rng.Bernoulli(1.0));
 }
 
 TEST(RngTest, ExponentialPositiveWithMean)
