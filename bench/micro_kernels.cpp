@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks of the real host kernels behind the
 // simulator: GEMM, attention, GRU, SpMM, temporal sampling, t-batching,
-// and the device cache's host bookkeeping, plus the sharded cluster's set-up
-// and the Normal feature initializer behind dataset generation.
+// and the device cache's host bookkeeping, plus the sharded cluster's set-up,
+// the Normal feature initializer behind dataset generation, the random
+// engine, and the request-stream generation behind every serving run.
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +46,56 @@ BM_InitNormal(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 16384 * 172);
 }
 BENCHMARK(BM_InitNormal)->Unit(benchmark::kMillisecond);
+
+// Raw 64-bit draws: libstdc++'s std::mt19937_64 against dgnn::Mt19937_64,
+// which yields the same sequence. Registered per engine by
+// RegisterRngEngineBenchmarks.
+template <typename Engine>
+void
+BM_RngEngine(benchmark::State& state)
+{
+    Engine engine(static_cast<uint64_t>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
+RegisterRngEngineBenchmarks()
+{
+    benchmark::RegisterBenchmark("BM_RngEngine/std_mt19937_64",
+                                 BM_RngEngine<std::mt19937_64>)
+        ->Arg(1009);
+    benchmark::RegisterBenchmark("BM_RngEngine/dgnn", BM_RngEngine<Mt19937_64>)
+        ->Arg(1009);
+}
+
+// One serving capacity probe's request stream: 100k Poisson requests over
+// the gauntlet dataset, with endpoints from trace replay or from community
+// churn over eight communities.
+void
+BM_GenerateRequests(benchmark::State& state, scenario::AccessKind access)
+{
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    scenario::Scenario s;
+    s.access = access;
+    s.poisson_qps = 100000.0;
+    s.poisson_seed = 1009;
+    s.churn.num_communities = 8;
+    s.churn.community_size = dataset.NumNodes() / 8;
+    s.churn.churn_every = 512;
+    constexpr int64_t kRequests = 100000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(scenario::GenerateRequests(s, dataset, kRequests));
+    }
+    state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK_CAPTURE(BM_GenerateRequests, trace_replay, scenario::AccessKind::kTraceReplay)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateRequests, community_churn,
+                  scenario::AccessKind::kCommunityChurn)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_MatMul(benchmark::State& state)
@@ -380,6 +432,7 @@ int
 main(int argc, char** argv)
 {
     RegisterHostGemmBenchmarks();
+    RegisterRngEngineBenchmarks();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
         return 1;

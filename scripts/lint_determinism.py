@@ -51,7 +51,7 @@ BANNED = [
                 r"high_resolution_clock)\b"),
      "chrono wall clock; simulated time must come from sim::SimTime"),
     (re.compile(r"\brand\s*\(\s*\)|\bsrand\s*\("),
-     "unseeded C randomness; use an explicitly seeded std engine"),
+     "unseeded C randomness; draw from an explicitly seeded dgnn::Rng"),
     (re.compile(r"\bstd::random_device\b|\brandom_device\b"),
      "std::random_device is nondeterministic; derive seeds from config"),
 ]

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/runtime.hpp"
+#include "tensor/random.hpp"
 
 namespace dgnn::analysis {
 
@@ -32,7 +33,7 @@ HazardReport
 RunMutatedPipeline(SyncEdge drop, uint64_t seed, int64_t batches)
 {
     constexpr int64_t kDepth = 2;
-    std::mt19937_64 rng(seed);
+    Mt19937_64 rng(seed);
     std::uniform_int_distribution<int64_t> bytes_dist(1 << 18, 1 << 22);
 
     sim::RuntimeConfig config;
@@ -115,7 +116,7 @@ RunMutatedExchange(SyncEdge drop, uint64_t seed, int64_t rounds)
 {
     constexpr int64_t kSlots = 2;
     constexpr int64_t kRowBytes = 256;
-    std::mt19937_64 rng(seed);
+    Mt19937_64 rng(seed);
     std::uniform_int_distribution<int64_t> rows_dist(64, 1024);
 
     sim::RuntimeConfig config;

@@ -10,6 +10,12 @@ namespace dgnn::scenario {
 
 namespace {
 
+bool
+IsPositiveFinite(double v)
+{
+    return std::isfinite(v) && v > 0.0;
+}
+
 /// Thinning (Lewis & Shedler): candidates at the envelope rate
 /// @p peak_qps, accepted with probability rate(t)/peak. Exact for any
 /// rate(t) <= peak and deterministic in the Rng draw order.
@@ -38,11 +44,14 @@ ThinnedArrivals(double peak_qps, int64_t n, uint64_t seed, RateFn rate_qps_at)
 std::vector<sim::SimTime>
 DiurnalArrivals(const DiurnalSpec& spec, int64_t n)
 {
-    DGNN_CHECK(spec.base_qps > 0.0, "base rate must be positive, got ",
+    DGNN_CHECK(IsPositiveFinite(spec.base_qps),
+               "diurnal base rate must be positive and finite, got ",
                spec.base_qps);
-    DGNN_CHECK(spec.peak_ratio >= 1.0, "peak ratio must be >= 1, got ",
+    DGNN_CHECK(std::isfinite(spec.peak_ratio) && spec.peak_ratio >= 1.0,
+               "diurnal peak ratio must be finite and >= 1, got ",
                spec.peak_ratio);
-    DGNN_CHECK(spec.period_s > 0.0, "period must be positive, got ",
+    DGNN_CHECK(IsPositiveFinite(spec.period_s),
+               "diurnal period must be positive and finite, got ",
                spec.period_s);
     const double amp = (spec.peak_ratio - 1.0) / (spec.peak_ratio + 1.0);
     const double period_us = spec.period_s * 1e6;
@@ -56,13 +65,19 @@ DiurnalArrivals(const DiurnalSpec& spec, int64_t n)
 std::vector<sim::SimTime>
 FlashCrowdArrivals(const FlashCrowdSpec& spec, int64_t n)
 {
-    DGNN_CHECK(spec.base_qps > 0.0, "base rate must be positive, got ",
+    DGNN_CHECK(IsPositiveFinite(spec.base_qps),
+               "flash-crowd base rate must be positive and finite, got ",
                spec.base_qps);
-    DGNN_CHECK(spec.spike_factor >= 1.0, "spike factor must be >= 1, got ",
+    DGNN_CHECK(std::isfinite(spec.spike_factor) && spec.spike_factor >= 1.0,
+               "flash-crowd spike factor must be finite and >= 1, got ",
                spec.spike_factor);
-    DGNN_CHECK(spec.spike_duration_s >= 0.0,
-               "spike duration must be non-negative, got ",
-               spec.spike_duration_s);
+    DGNN_CHECK(std::isfinite(spec.spike_start_s),
+               "flash-crowd spike start must be finite, got ",
+               spec.spike_start_s);
+    DGNN_CHECK(std::isfinite(spec.spike_duration_s) &&
+                   spec.spike_duration_s >= 0.0,
+               "flash-crowd spike duration must be finite and non-negative, "
+               "got ", spec.spike_duration_s);
     const double start_us = spec.spike_start_s * 1e6;
     const double end_us = start_us + spec.spike_duration_s * 1e6;
     return ThinnedArrivals(spec.base_qps * spec.spike_factor, n, spec.seed,
@@ -77,10 +92,13 @@ FlashCrowdArrivals(const FlashCrowdSpec& spec, int64_t n)
 std::vector<sim::SimTime>
 MmppArrivals(const MmppSpec& spec, int64_t n)
 {
-    DGNN_CHECK(spec.on_qps > 0.0 && spec.off_qps > 0.0,
-               "MMPP phase rates must be positive");
-    DGNN_CHECK(spec.mean_on_s > 0.0 && spec.mean_off_s > 0.0,
-               "MMPP dwell times must be positive");
+    DGNN_CHECK(IsPositiveFinite(spec.on_qps) && IsPositiveFinite(spec.off_qps),
+               "MMPP phase rates must be positive and finite, got on ",
+               spec.on_qps, ", off ", spec.off_qps);
+    DGNN_CHECK(IsPositiveFinite(spec.mean_on_s) &&
+                   IsPositiveFinite(spec.mean_off_s),
+               "MMPP dwell times must be positive and finite, got on ",
+               spec.mean_on_s, " s, off ", spec.mean_off_s, " s");
     DGNN_CHECK(n >= 0, "request count must be non-negative, got ", n);
 
     Rng rng(spec.seed);

@@ -1,5 +1,7 @@
 #include "serve/request.hpp"
 
+#include <cmath>
+
 #include "support/check.hpp"
 #include "tensor/random.hpp"
 
@@ -8,7 +10,8 @@ namespace dgnn::serve {
 std::vector<sim::SimTime>
 PoissonArrivals(double rate_qps, int64_t n, uint64_t seed)
 {
-    DGNN_CHECK(rate_qps > 0.0, "arrival rate must be positive, got ", rate_qps);
+    DGNN_CHECK(std::isfinite(rate_qps) && rate_qps > 0.0,
+               "arrival rate must be positive and finite, got ", rate_qps);
     DGNN_CHECK(n >= 0, "request count must be non-negative, got ", n);
     // Rng::Exponential takes a rate in events per time unit; ours is per
     // second while the timeline is microseconds.
@@ -27,8 +30,8 @@ PoissonArrivals(double rate_qps, int64_t n, uint64_t seed)
 std::vector<sim::SimTime>
 TraceArrivals(const graph::EventStream& stream, double target_qps, int64_t n)
 {
-    DGNN_CHECK(target_qps > 0.0, "target rate must be positive, got ",
-               target_qps);
+    DGNN_CHECK(std::isfinite(target_qps) && target_qps > 0.0,
+               "target rate must be positive and finite, got ", target_qps);
     DGNN_CHECK(n >= 0, "request count must be non-negative, got ", n);
     DGNN_CHECK(stream.NumEvents() >= 2,
                "trace-driven arrivals need a stream with at least 2 events");

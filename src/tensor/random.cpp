@@ -4,6 +4,56 @@
 
 namespace dgnn {
 
+namespace {
+
+constexpr size_t kM = 156;  ///< offset of the word each twist step XORs in
+constexpr uint64_t kTwistMatrix = 0xb5026f5aa96619e9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+/// One twist step: the upper bit of @p hi joined to the lower 31 of @p lo,
+/// shifted, with the twist matrix XORed in when the joined word is odd.
+inline uint64_t
+Twist(uint64_t far, uint64_t hi, uint64_t lo)
+{
+    const uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kTwistMatrix);
+}
+
+}  // namespace
+
+Mt19937_64::Mt19937_64(result_type seed)
+{
+    state_[0] = seed;
+    for (size_t i = 1; i < kN; ++i) {
+        const uint64_t prev = state_[i - 1];
+        state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    }
+}
+
+void
+Mt19937_64::Refill()
+{
+    uint64_t* x = state_.data();
+    for (size_t i = 0; i < kN - kM; ++i) {
+        x[i] = Twist(x[i + kM], x[i], x[i + 1]);
+    }
+    for (size_t i = kN - kM; i < kN - 1; ++i) {
+        x[i] = Twist(x[i + kM - kN], x[i], x[i + 1]);
+    }
+    x[kN - 1] = Twist(x[kM - 1], x[kN - 1], x[0]);
+
+    for (size_t i = 0; i < kN; ++i) {
+        uint64_t z = x[i];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        z ^= z >> 43;
+        block_[i] = z;
+    }
+    next_ = 0;
+}
+
 float
 Rng::Uniform(float lo, float hi)
 {
@@ -32,7 +82,8 @@ Rng::UniformInt(int64_t lo, int64_t hi)
 double
 Rng::Exponential(double rate)
 {
-    DGNN_CHECK(rate > 0.0, "Exponential rate must be positive, got ", rate);
+    DGNN_CHECK(std::isfinite(rate) && rate > 0.0,
+               "Exponential rate must be positive and finite, got ", rate);
     std::exponential_distribution<double> dist(rate);
     return dist(engine_);
 }

@@ -5,6 +5,9 @@
 /// Every stochastic component in dgnn (weights, datasets, samplers) takes an
 /// explicit Rng so whole experiments replay bit-for-bit.
 
+#include <array>
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -12,7 +15,45 @@
 
 namespace dgnn {
 
-/// Seeded pseudo-random source (mt19937_64 under the hood).
+/// The 64-bit Mersenne Twister: the seeding, twist and tempering of
+/// std::mt19937_64, so it yields that engine's exact sequence for every
+/// seed, through every std distribution. It is faster in two ways.
+/// Refill() twists with a mask instead of libstdc++'s branch on each state
+/// word's low bit, which a CPU mispredicts about half the time. It also
+/// tempers all 312 words in one pass into a block, so a draw is a bounds
+/// check and a load.
+class Mt19937_64 {
+  public:
+    using result_type = uint64_t;
+
+    static constexpr size_t kN = 312;  ///< state words, one output block
+
+    explicit Mt19937_64(result_type seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    result_type operator()()
+    {
+        if (next_ == kN) {
+            Refill();
+        }
+        return block_[next_++];
+    }
+
+  private:
+    /// Twists the whole state once and tempers it into block_.
+    void Refill();
+
+    std::array<uint64_t, kN> state_{};
+    std::array<uint64_t, kN> block_{};  ///< tempered output of the last twist
+    size_t next_ = kN;  ///< next block_ index; kN = drawn out
+};
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+
+/// Seeded pseudo-random source over Mt19937_64. Each draw goes through a
+/// std distribution, so a seed gives the values std::mt19937_64 would.
 class Rng {
   public:
     explicit Rng(uint64_t seed) : engine_(seed) {}
@@ -39,10 +80,10 @@ class Rng {
     /// Derives an independent child generator (for parallel-safe seeding).
     Rng Fork();
 
-    std::mt19937_64& Engine() { return engine_; }
+    Mt19937_64& Engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
     std::normal_distribution<float> normal_;  ///< holds the saved variate
 };
 

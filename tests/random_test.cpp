@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -133,6 +134,87 @@ TEST(RngTest, ForkStartsWithoutASavedNormal)
     EXPECT_EQ(rng.Normal(), kSeed42Normals[1]);
 }
 
+// One instance of each distribution per engine, kept across calls, so the
+// state a distribution carries between calls (the saved normal) counts.
+struct Distributions {
+    std::normal_distribution<float> normal{0.5f, 2.0f};
+    std::exponential_distribution<double> exponential{3.0};
+    std::bernoulli_distribution bernoulli{0.3};
+    std::uniform_int_distribution<int64_t> small_int{-3, 9};
+    // 2^63 + 1 values: about half of the raw draws are rejected.
+    std::uniform_int_distribution<int64_t> rejecting_int{-(int64_t{1} << 62),
+                                                         int64_t{1} << 62};
+    std::uniform_real_distribution<float> real{-2.0f, 3.0f};
+};
+
+// Mt19937_64 must replay std::mt19937_64, the oracle here, draw for draw:
+// every dataset, weight and request stream rests on that sequence.
+TEST(RngTest, EngineMatchesStdMt19937_64)
+{
+    constexpr int kDraws = 12 * static_cast<int>(Mt19937_64::kN) + 7;
+    const uint64_t seeds[] = {0, 1, 42, 5489, ~uint64_t{0}};
+    for (const uint64_t seed : seeds) {
+        SCOPED_TRACE(seed);
+        Mt19937_64 engine(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < kDraws; ++i) {
+            ASSERT_EQ(engine(), oracle()) << "draw " << i;
+        }
+    }
+
+    // A copy taken in the middle of a block continues where it was taken.
+    Mt19937_64 engine(7);
+    std::mt19937_64 oracle(7);
+    for (int i = 0; i < 100; ++i) {
+        ASSERT_EQ(engine(), oracle());
+    }
+    Mt19937_64 copy = engine;
+    std::mt19937_64 oracle_copy = oracle;
+    for (int i = 0; i < 2 * static_cast<int>(Mt19937_64::kN); ++i) {
+        ASSERT_EQ(copy(), oracle_copy()) << "copy draw " << i;
+        ASSERT_EQ(engine(), oracle()) << "draw " << i;
+    }
+
+    // Fork() seeds its child from the parent's next draw.
+    Rng parent(42);
+    std::mt19937_64 parent_oracle(42);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(parent.Engine()(), parent_oracle());
+    }
+    Rng child = parent.Fork();
+    std::mt19937_64 child_oracle(parent_oracle());
+    EXPECT_EQ(parent.Engine()(), parent_oracle());
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_EQ(child.Engine()(), child_oracle());
+    }
+
+    // Each distribution gives equal values over both engines.
+    engine = Mt19937_64(2024);
+    oracle = std::mt19937_64(2024);
+    Distributions a;
+    Distributions b;
+    constexpr int kCalls = 2000;
+    for (int i = 0; i < kCalls; ++i) {
+        SCOPED_TRACE(i);
+        ASSERT_EQ(a.normal(engine), b.normal(oracle));
+        ASSERT_EQ(a.exponential(engine), b.exponential(oracle));
+        ASSERT_EQ(a.bernoulli(engine), b.bernoulli(oracle));
+        ASSERT_EQ(a.small_int(engine), b.small_int(oracle));
+        ASSERT_EQ(a.rejecting_int(engine), b.rejecting_int(oracle));
+        ASSERT_EQ(a.real(engine), b.real(oracle));
+    }
+    EXPECT_EQ(engine(), oracle());
+
+    // The wide range does reject: kCalls calls take more than kCalls draws.
+    std::mt19937_64 rejecting_oracle(2024);
+    for (int i = 0; i < kCalls; ++i) {
+        (void)a.rejecting_int(rejecting_oracle);
+    }
+    std::mt19937_64 one_draw_per_call(2024);
+    one_draw_per_call.discard(kCalls);
+    EXPECT_NE(rejecting_oracle, one_draw_per_call);
+}
+
 TEST(RngTest, RejectsBadDistributionParameters)
 {
     const float inf = std::numeric_limits<float>::infinity();
@@ -150,6 +232,10 @@ TEST(RngTest, RejectsBadDistributionParameters)
     EXPECT_THROW(rng.Bernoulli(1.5), Error);
     EXPECT_THROW(rng.Bernoulli(std::numeric_limits<double>::quiet_NaN()), Error);
     EXPECT_THROW(init::Normal(Shape({2, 2}), rng, 0.0f), Error);
+    EXPECT_THROW(rng.Exponential(0.0), Error);
+    EXPECT_THROW(rng.Exponential(-1.0), Error);
+    EXPECT_THROW(rng.Exponential(std::numeric_limits<double>::infinity()), Error);
+    EXPECT_THROW(rng.Exponential(std::numeric_limits<double>::quiet_NaN()), Error);
     // The edges of each range are valid.
     EXPECT_EQ(rng.Uniform(2.0f, 2.0f), 2.0f);
     EXPECT_FALSE(rng.Bernoulli(0.0));

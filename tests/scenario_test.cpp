@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/bench_json_writer.hpp"
 #include "data/temporal_interactions.hpp"
@@ -143,6 +144,41 @@ TEST(ArrivalPatternsTest, InvalidSpecsThrow)
     MmppSpec mmpp;
     mmpp.mean_on_s = 0.0;
     EXPECT_THROW(MmppArrivals(mmpp, 10), Error);
+
+    // An infinite rate passes a "> 0" check and would make every gap 0.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(serve::PoissonArrivals(inf, 5, 1), Error);
+    EXPECT_THROW(serve::PoissonArrivals(nan, 5, 1), Error);
+    const auto dataset = TinyInteractions();
+    EXPECT_THROW(serve::TraceArrivals(dataset.stream, inf, 5), Error);
+    EXPECT_THROW(serve::TraceArrivals(dataset.stream, nan, 5), Error);
+
+    for (const double bad : {inf, nan}) {
+        SCOPED_TRACE(bad);
+        for (double DiurnalSpec::*field :
+             {&DiurnalSpec::base_qps, &DiurnalSpec::peak_ratio,
+              &DiurnalSpec::period_s}) {
+            DiurnalSpec spec;
+            spec.*field = bad;
+            EXPECT_THROW(DiurnalArrivals(spec, 10), Error);
+        }
+        for (double FlashCrowdSpec::*field :
+             {&FlashCrowdSpec::base_qps, &FlashCrowdSpec::spike_factor,
+              &FlashCrowdSpec::spike_start_s,
+              &FlashCrowdSpec::spike_duration_s}) {
+            FlashCrowdSpec spec;
+            spec.*field = bad;
+            EXPECT_THROW(FlashCrowdArrivals(spec, 10), Error);
+        }
+        for (double MmppSpec::*field :
+             {&MmppSpec::on_qps, &MmppSpec::off_qps, &MmppSpec::mean_on_s,
+              &MmppSpec::mean_off_s}) {
+            MmppSpec spec;
+            spec.*field = bad;
+            EXPECT_THROW(MmppArrivals(spec, 10), Error);
+        }
+    }
 }
 
 TEST(ArrivalPatternsTest, CharacterizeUniformSpacingIsFlat)
@@ -329,6 +365,72 @@ TEST(ScenarioTest, DifferentRegistrySeedsDiffer)
             same_times = same_times && a[j].arrival_us == b[j].arrival_us;
         }
         EXPECT_FALSE(same_times);
+    }
+}
+
+TEST(ScenarioTest, GeneratedStreamsArePinned)
+{
+    // Literal request streams for every arrival kind x access kind at one
+    // seed, so a drift in any generator or in the Rng under it fails here
+    // and not only in a golden. Arrival times depend only on the arrival
+    // kind and endpoints only on the access kind.
+    struct ArrivalPin {
+        ArrivalKind kind;
+        sim::SimTime at[4];  // arrival_us at kPinnedIndices
+    };
+    struct AccessPin {
+        AccessKind kind;
+        int64_t src_sum;
+        int64_t dst_sum;
+    };
+    constexpr size_t kPinnedIndices[4] = {0, 1, 255, 511};
+    const ArrivalPin arrival_pins[] = {
+        {ArrivalKind::kPoisson,
+         {0x1.0cd2918ce5e6bp+7, 0x1.daa7120604f2cp+8, 0x1.03251e559d6aap+17,
+          0x1.1ab3f0cbecb45p+18}},
+        {ArrivalKind::kDiurnal,
+         {0x1.8b0e9b9bc521ep+8, 0x1.e48ddeb3864b9p+8, 0x1.4fc0e7d49eb74p+16,
+          0x1.d4b6cb33f8508p+17}},
+        {ArrivalKind::kFlashCrowd,
+         {0x1.8248ecda2e156p+8, 0x1.477a7130284cfp+9, 0x1.38c019d173473p+16,
+          0x1.56d644f2e722ap+16}},
+        {ArrivalKind::kMmpp,
+         {0x1.83114567daed9p+7, 0x1.e1e697d298f95p+7, 0x1.b2fd48dac0c6dp+16,
+          0x1.68f0a90f01bb2p+17}},
+    };
+    const AccessPin access_pins[] = {
+        {AccessKind::kTraceReplay, 4835, 13357},
+        {AccessKind::kDriftingHotSet, 8084, 7940},
+        {AccessKind::kPreferentialBursts, 7332, 6914},
+        {AccessKind::kCommunityChurn, 6751, 6724},
+    };
+
+    const auto dataset = TinyInteractions();
+    const Scenario base =
+        GauntletScenarios(2000.0, 512, dataset.NumNodes(), 77).front();
+    for (const ArrivalPin& arrival : arrival_pins) {
+        for (const AccessPin& access : access_pins) {
+            Scenario s = base;
+            s.arrival = arrival.kind;
+            s.access = access.kind;
+            SCOPED_TRACE(std::string(ToString(s.arrival)) + "/" +
+                         ToString(s.access));
+            const auto requests = GenerateRequests(s, dataset, 512);
+            ASSERT_EQ(requests.size(), 512u);
+            for (size_t k = 0; k < 4; ++k) {
+                EXPECT_EQ(requests[kPinnedIndices[k]].arrival_us,
+                          arrival.at[k])
+                    << "index " << kPinnedIndices[k];
+            }
+            int64_t src_sum = 0;
+            int64_t dst_sum = 0;
+            for (const serve::Request& r : requests) {
+                src_sum += r.src;
+                dst_sum += r.dst;
+            }
+            EXPECT_EQ(src_sum, access.src_sum);
+            EXPECT_EQ(dst_sum, access.dst_sum);
+        }
     }
 }
 
