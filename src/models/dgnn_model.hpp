@@ -7,12 +7,14 @@
 /// runtime; DESIGN.md section 2 says which steps share one call.
 ///
 /// Numeric fidelity: models accept a `numeric_cap` — when positive, only the
-/// first `numeric_cap` items of a batch are numerically evaluated (outputs
-/// for the rest reuse computed rows cyclically) while cost accounting always
-/// covers the full batch. Tests and examples run with numeric_cap = 0 (full
-/// math); large benchmark sweeps set a cap to keep wall-clock reasonable.
-/// This is an explicit performance knob, not a simulation shortcut — the
-/// full code path is identical.
+/// first `numeric_cap` items of a batch are numerically evaluated (the
+/// output checksum covers those alone) while cost accounting always covers
+/// the full batch: every RunResult field but output_checksum is the same at
+/// any cap, for all eight models in both modes
+/// (AllModelsTest.NumericCapKeepsCostAccountingIdentical). Tests and
+/// examples run with numeric_cap = 0 (full math); large benchmark sweeps set
+/// a cap to keep wall-clock reasonable. This is an explicit performance
+/// knob, not a simulation shortcut — the full code path is identical.
 
 #include <cstdint>
 #include <span>
@@ -51,12 +53,6 @@ struct RunConfig {
     /// is the pre-cache baseline bit-for-bit. The model overrides
     /// cache.row_bytes with its own state row width.
     cache::DeviceCacheConfig cache;
-    /// Launch the model's registered hot chains (models/fusion_catalog) as
-    /// single collapsed kernels (sim/fusion). Cost-shape only: the host
-    /// numerics are untouched, so checksums are identical; false — the
-    /// default — reproduces the historical unfused launch sequence
-    /// bit-for-bit.
-    bool fuse_kernels = false;
 };
 
 /// Everything a measured inference run produces.

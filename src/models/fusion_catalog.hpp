@@ -1,40 +1,56 @@
 #pragma once
 
 /// @file
-/// Registered fusion plans for the hot per-model kernel chains. Each plan
-/// names the collapsed launch and the exact unfused kernels (in order) it
-/// replaces; models build the concrete FusedKernelDesc per batch through
-/// MakeRegisteredChain, which validates the parts against the registry so a
-/// model refactor cannot silently fuse a different chain than the one the
-/// docs, bench, and dispatcher reason about.
+/// Registered fusion plans for the hot per-model kernel chains, and the one
+/// pass that applies them. Fusion is a pass over a captured kernel list:
+/// FuseRegisteredChains collapses each of a model's registered chains into
+/// one launch wherever the chain's parts appear consecutively, by name.
+/// Models launch only their unfused kernels and their numerics never see
+/// fusion; a fused profile is derived from the one recorded batch
+/// (serve::ProfileTable::FusedProfile).
 ///
-/// The chains (see DESIGN.md §13 for the cost derivations):
+/// The chains (see DESIGN.md §13 for the cost derivations), each with the
+/// bytes its part boundaries keep on-chip:
 ///
-///   TGN    tgn_memory_fused   aggregate_last + gru_memory_update
-///          tgn_embed_fused    temporal_attention + edge_decoder
-///   TGAT   tgat_encode_fused  time_encoding + feature_projection
+///   TGN    tgn_memory_fused      aggregate_last + gru_memory_update
+///                                {agg.parallel_items·4}
+///          tgn_embed_fused       temporal_attention + edge_decoder
+///                                {decoder.parallel_items·2·memory row bytes}
+///   TGAT   tgat_encode_fused     time_encoding + feature_projection  {0}
 ///          tgat_attention_fused  attention + merge_ffn  (per layer)
-///   JODIE  jodie_tbatch_fused project_user + predict_item + 2x rnn_update
-///                             (per t-batch: 4 launches -> 1)
+///                                {merge.parallel_items·4}
+///   JODIE  jodie_tbatch_fused    project_user + predict_item + 2x rnn_update
+///                                {proj.parallel_items·4, 0, 0}
+///                                (per t-batch: 4 launches -> 1)
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "models/dgnn_model.hpp"
 #include "sim/fusion.hpp"
 
 namespace dgnn::models {
 
 /// One registered fusion opportunity: a named chain of kernels in one model.
 struct FusionPlan {
-    /// Model the chain belongs to ("TGN", "TGAT", "JODIE").
+    /// Model the chain belongs to (DgnnModel::Name(): "TGN", "TGAT",
+    /// "JODIE").
     std::string model;
 
     /// Collapsed launch name, e.g. "tgn_memory_fused".
     std::string chain;
 
-    /// Unfused kernel names, in execution order.
+    /// Unfused kernel names, in execution order. JODIE's recurrent cells
+    /// repeat a part name; the plan lists each repetition explicitly.
     std::vector<std::string> parts;
+
+    /// The bytes each part boundary keeps on-chip (parts.size() - 1
+    /// entries), from the matched @p parts and the model's state row width
+    /// (DgnnModel::CacheRowBytes()).
+    std::vector<int64_t> (*boundary_bytes)(std::span<const sim::KernelDesc> parts,
+                                           int64_t row_bytes);
 };
 
 /// The full registry, fixed order (TGN, TGAT, JODIE).
@@ -43,11 +59,11 @@ struct FusionPlan {
 /// Lookup by chain name; nullptr when not registered.
 [[nodiscard]] const FusionPlan* FindFusionPlan(const std::string& chain);
 
-/// Build the FusedKernelDesc for a registered chain, checking that the given
-/// parts match the plan's kernel names and order. JODIE's recurrent cells
-/// repeat a part name; the plan lists each repetition explicitly.
-[[nodiscard]] sim::FusedKernelDesc MakeRegisteredChain(
-    const std::string& chain, std::vector<sim::KernelDesc> parts,
-    std::vector<int64_t> intermediate_bytes);
+/// @p kernels, a list @p model launched, with each of the model's
+/// registered chains collapsed (sim::Collapse) wherever its parts appear
+/// consecutively; every other kernel is kept as it is, in order. Another
+/// model's chains and partial chains are left alone.
+[[nodiscard]] std::vector<sim::KernelDesc> FuseRegisteredChains(
+    const DgnnModel& model, std::span<const sim::KernelDesc> kernels);
 
 }  // namespace dgnn::models

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/tbatch.hpp"
-#include "models/fusion_catalog.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -129,13 +128,6 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
             Tensor u = user_embeddings_->Lookup(users);
             Tensor v = item_embeddings_->Lookup(items);
 
-            // Hot-chain fusion (run.fuse_kernels): the whole t-batch —
-            // project + predict + both RNN updates — collapses into ONE
-            // launch (jodie_tbatch_fused) issued in the update phase, so
-            // the early descriptors outlive their phase scopes.
-            sim::KernelDesc proj;
-            sim::KernelDesc pred;
-
             // [Project User Embedding]: u' = (1 + Δt*w) ⊙ u.
             Tensor projected(u.GetShape());
             {
@@ -148,13 +140,12 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                             u.At(i, j);
                     }
                 }
+                sim::KernelDesc proj;
                 proj.name = "project_user";
                 proj.flops = 3 * m * d;
                 proj.bytes = 2 * m * d * 4;
                 proj.parallel_items = m * d;
-                if (!run.fuse_kernels) {
-                    runtime.Launch(proj);
-                }
+                runtime.Launch(proj);
             }
 
             // [Predict Item Embedding]: linear head on projected users.
@@ -162,13 +153,12 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
             {
                 sim::CategoryScope scope(runtime, "Predict Item Embedding");
                 predicted = item_predictor_->Forward(projected);
+                sim::KernelDesc pred;
                 pred.name = "predict_item";
                 pred.flops = item_predictor_->ForwardFlops(m);
                 pred.bytes = 2 * m * d * 4 + item_predictor_->ParameterBytes();
                 pred.parallel_items = m * d;
-                if (!run.fuse_kernels) {
-                    runtime.Launch(pred);
-                }
+                runtime.Launch(pred);
             }
 
             // [Update Embedding]: mutually-recursive user and item RNNs.
@@ -181,27 +171,13 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 checksum.Add(predicted);
                 checksum.Add(new_u);
 
-                std::vector<sim::KernelDesc> rnns;
                 for (const nn::RnnCell* cell : {user_rnn_.get(), item_rnn_.get()}) {
                     sim::KernelDesc rnn;
                     rnn.name = "rnn_update";
                     rnn.flops = cell->ForwardFlops(m);
                     rnn.bytes = 3 * m * d * 4 + cell->ParameterBytes();
                     rnn.parallel_items = m * d;
-                    rnns.push_back(rnn);
-                }
-                if (run.fuse_kernels) {
-                    // The whole t-batch as one launch: the projected user
-                    // rows feed the predictor on-chip; the RNNs read the
-                    // already-gathered u/v rows (boundary bytes 0). Tiny
-                    // t-batches are exactly the paper's launch-bound cell:
-                    // 4 launches -> 1.
-                    runtime.Launch(sim::Collapse(MakeRegisteredChain(
-                        "jodie_tbatch_fused", {proj, pred, rnns[0], rnns[1]},
-                        {m * d * 4, 0, 0})));
-                } else {
-                    runtime.Launch(rnns[0]);
-                    runtime.Launch(rnns[1]);
+                    runtime.Launch(rnn);
                 }
                 // The next t-batch depends on these updates: hard sync.
                 (void)runtime.Synchronize();

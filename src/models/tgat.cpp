@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "models/fusion_catalog.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -10,7 +9,11 @@ namespace dgnn::models {
 Tgat::Tgat(const data::InteractionDataset& dataset, TgatConfig config)
     : dataset_(dataset), config_(config), adjacency_(dataset.stream)
 {
-    DGNN_CHECK(config_.num_layers >= 1, "TGAT needs at least one layer");
+    // The charged path samples at most two hops and prices every inner
+    // layer at n*k query rows, so deeper stacks would be mispriced.
+    DGNN_CHECK(config_.num_layers >= 1 && config_.num_layers <= 2,
+               "TGAT needs one or two layers (TgatConfig::num_layers), got ",
+               config_.num_layers);
     Rng rng(config_.seed);
     const int64_t feat_dim = dataset_.spec.edge_feature_dim;
     feature_proj_ =
@@ -83,6 +86,8 @@ Tgat::ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
 {
     DGNN_CHECK(nodes.size() == times.size(), "ComputeEmbeddings: ", nodes.size(),
                " nodes but ", times.size(), " times");
+    DGNN_CHECK(layer >= 0 && layer <= config_.num_layers, "ComputeEmbeddings: layer ",
+               layer, " outside 0..", config_.num_layers, " (TgatConfig::num_layers)");
     std::vector<VisitLevel> levels(static_cast<size_t>(layer + 1));
     for (size_t i = 0; i < nodes.size(); ++i) {
         Descend(levels, sampler, nodes[i], times[i], static_cast<size_t>(layer),
@@ -293,19 +298,15 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
         }
 
-        // --- Time Encoding: one kernel over all deltas. Under fusion the
-        // launch is deferred into the projection launch (tgat_encode_fused),
-        // so the descriptor outlives this phase scope.
-        sim::KernelDesc tenc;
+        // --- Time Encoding: one kernel over all deltas.
         {
             sim::CategoryScope scope(runtime, "Time Encoding");
+            sim::KernelDesc tenc;
             tenc.name = "time_encoding";
             tenc.flops = time_encoder_->ForwardFlops(n * k);
             tenc.bytes = n * k * (8 + d * 4);
             tenc.parallel_items = n * k * d;
-            if (!run.fuse_kernels) {
-                runtime.Launch(tenc);
-            }
+            runtime.Launch(tenc);
             (void)runtime.Synchronize();
         }
 
@@ -321,15 +322,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                          feature_proj_->ParameterBytes();
             proj.parallel_items = gathered_nodes * d;
             proj.irregular = true;  // gather from the resident table
-            if (run.fuse_kernels) {
-                // Horizontal fusion: the encoding and projection read
-                // disjoint inputs, so one launch covers both (no shared
-                // intermediate, boundary bytes 0).
-                runtime.Launch(sim::Collapse(MakeRegisteredChain(
-                    "tgat_encode_fused", {tenc, proj}, {0})));
-            } else {
-                runtime.Launch(proj);
-            }
+            runtime.Launch(proj);
 
             for (int64_t l = 0; l < config_.num_layers; ++l) {
                 // Layers apply bottom-up: inner layers embed every sampled
@@ -346,6 +339,12 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                                  1, kv_per_target);
                 attn.bytes = q_rows * (kv_per_target + 1) * d * 4 * 3;
                 attn.parallel_items = q_rows * kv_per_target * d;
+                runtime.Launch(attn);
+
+                // Attention execution is attributed to this module scope
+                // (PyTorch-profiler convention); the merge FFN drains later
+                // in the explicit synchronization phase.
+                (void)runtime.Synchronize();
 
                 sim::KernelDesc merge;
                 merge.name = "merge_ffn";
@@ -353,23 +352,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     merge_layers_[static_cast<size_t>(l)]->ForwardFlops(q_rows);
                 merge.bytes = q_rows * 3 * d * 4;
                 merge.parallel_items = q_rows * d;
-
-                if (run.fuse_kernels) {
-                    // Attention + merge FFN in one launch; the attended
-                    // rows stay on-chip at the boundary.
-                    runtime.Launch(sim::Collapse(MakeRegisteredChain(
-                        "tgat_attention_fused", {attn, merge},
-                        {q_rows * d * 4})));
-                    (void)runtime.Synchronize();
-                } else {
-                    runtime.Launch(attn);
-
-                    // Attention execution is attributed to this module scope
-                    // (PyTorch-profiler convention); the merge FFN drains
-                    // later in the explicit synchronization phase.
-                    (void)runtime.Synchronize();
-                    runtime.Launch(merge);
-                }
+                runtime.Launch(merge);
             }
 
             // Real numerics for up to numeric_cap targets (0 = all).

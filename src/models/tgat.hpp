@@ -36,7 +36,7 @@ namespace dgnn::models {
 struct TgatConfig {
     int64_t embed_dim = 64;
     int64_t num_heads = 2;
-    int64_t num_layers = 1;          ///< attention hops (2 enables recursion)
+    int64_t num_layers = 1;          ///< attention hops: 1, or 2 for recursion
     int64_t second_hop_neighbors = 10;  ///< neighbors per node at layer >= 2
     uint64_t seed = 7;
 
@@ -59,7 +59,8 @@ class Tgat : public DgnnModel {
     /// Pure host-math embeddings of @p nodes at @p times through @p layer
     /// attention layers: [nodes.size(), embed_dim], one row per target.
     /// The top layer samples @p num_neighbors slots per node, every lower
-    /// one second_hop_neighbors; layer 0 is the feature projection.
+    /// one second_hop_neighbors; layer 0 is the feature projection. Throws
+    /// a dgnn::Error unless 0 <= layer <= num_layers.
     Tensor ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
                              std::span<const int64_t> nodes,
                              std::span<const double> times, int64_t num_neighbors,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "models/fusion_catalog.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::models {
@@ -98,11 +97,6 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             2 * nb * MessageDim() * 4 + 2 * nb * (k + 1) * md * 4,
             "tgn_batch_activations");
 
-        // Hot-chain fusion (run.fuse_kernels): the aggregation launch is
-        // deferred into the GRU update launch (tgn_memory_fused), so the
-        // descriptor outlives the aggregation phase scope.
-        sim::KernelDesc agg;
-
         // --- Aggregate Messages Passing ---------------------------------
         {
             sim::CategoryScope scope(runtime, "Aggregate Messages Passing");
@@ -136,14 +130,13 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
 
             // Per-node "last" aggregation kernel (scatter, irregular).
+            sim::KernelDesc agg;
             agg.name = "aggregate_last";
             agg.flops = un * MessageDim();
             agg.bytes = (2 * nb + un) * MessageDim() * 4;
             agg.parallel_items = un * MessageDim();
             agg.irregular = true;
-            if (!run.fuse_kernels) {
-                runtime.Launch(agg);
-            }
+            runtime.Launch(agg);
             (void)runtime.Synchronize();
         }
 
@@ -196,14 +189,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             upd.bytes = un * (MessageDim() + 2 * md) * 4 +
                         memory_updater_->ParameterBytes();
             upd.parallel_items = un * md;
-            if (run.fuse_kernels) {
-                // One launch for aggregate + GRU update; the aggregated
-                // per-node message tensor stays on-chip at the boundary.
-                runtime.Launch(sim::Collapse(MakeRegisteredChain(
-                    "tgn_memory_fused", {agg, upd}, {un * MessageDim() * 4})));
-            } else {
-                runtime.Launch(upd);
-            }
+            runtime.Launch(upd);
             (void)runtime.Synchronize();
 
             // Fig 5b: updated memory rows flow back to the host-side store.
@@ -234,7 +220,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 nodes.push_back(batch[i].dst);
                 times.push_back(batch[i].time);
             }
-            SampleOnCpu(runtime, sampler, nodes, times, k);
+            const auto hoods = SampleOnCpu(runtime, sampler, nodes, times, k);
 
             // Neighbor indices H2D; the node memory itself is resident on
             // the device (memory_buf), so only the batch's lookup structure
@@ -250,6 +236,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 n_targets * embedding_attention_->ForwardFlops(1, k);
             attn.bytes = n_targets * (k + 1) * md * 4 * 3;
             attn.parallel_items = n_targets * k * md;
+            runtime.Launch(attn);
 
             // Edge probability decoder.
             sim::KernelDesc dec;
@@ -257,19 +244,13 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             dec.flops = edge_decoder_->ForwardFlops(nb);
             dec.bytes = nb * 2 * md * 4 + edge_decoder_->ParameterBytes();
             dec.parallel_items = nb;
-            if (run.fuse_kernels) {
-                // Attention + decoder in one launch; the src/dst embedding
-                // pairs the decoder consumes stay on-chip.
-                runtime.Launch(sim::Collapse(MakeRegisteredChain(
-                    "tgn_embed_fused", {attn, dec}, {nb * 2 * md * 4})));
-            } else {
-                runtime.Launch(attn);
-                runtime.Launch(dec);
-            }
+            runtime.Launch(dec);
             (void)runtime.Synchronize();
 
             // Numeric path for capped targets: one attention call, one query
-            // per event's source.
+            // per event's source over the neighborhood sampled above (event
+            // i's source is target 2i), so the numerics sample nothing the
+            // next batch would be charged for.
             const int64_t ncap = Capped(nb, run.numeric_cap);
             std::vector<int64_t> srcs;
             std::vector<int64_t> dsts;
@@ -280,7 +261,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 srcs.push_back(e.src);
                 dsts.push_back(e.dst);
                 AppendNeighborRows(memory_->Table(),
-                                   sampler.Sample(e.src, e.time, k).neighbors, kv, slots);
+                                   hoods[static_cast<size_t>(2 * i)].neighbors, kv, slots);
             }
             const auto kv_rows = static_cast<int64_t>(kv.size()) / md;
             const Tensor emb = embedding_attention_->Forward(

@@ -1,7 +1,9 @@
 #include "serve/model_session.hpp"
 
 #include <string_view>
+#include <utility>
 
+#include "models/fusion_catalog.hpp"
 #include "support/check.hpp"
 
 namespace dgnn::serve {
@@ -39,9 +41,7 @@ ProfileTable::Profile(int64_t batch_size)
     DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
     auto it = profiles_.find(batch_size);
     if (it == profiles_.end()) {
-        it = profiles_
-                 .emplace(batch_size, Capture(batch_size, /*fuse_kernels=*/false))
-                 .first;
+        it = profiles_.emplace(batch_size, Capture(batch_size)).first;
     }
     return it->second;
 }
@@ -49,18 +49,17 @@ ProfileTable::Profile(int64_t batch_size)
 const BatchProfile&
 ProfileTable::FusedProfile(int64_t batch_size)
 {
-    DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
     auto it = fused_profiles_.find(batch_size);
     if (it == fused_profiles_.end()) {
-        it = fused_profiles_
-                 .emplace(batch_size, Capture(batch_size, /*fuse_kernels=*/true))
-                 .first;
+        BatchProfile fused = Profile(batch_size);
+        fused.kernels = models::FuseRegisteredChains(model_, fused.kernels);
+        it = fused_profiles_.emplace(batch_size, std::move(fused)).first;
     }
     return it->second;
 }
 
 BatchProfile
-ProfileTable::Capture(int64_t batch_size, bool fuse_kernels)
+ProfileTable::Capture(int64_t batch_size)
 {
     // Replay the model's batched entry on a scratch runtime of the same
     // mode; the trace then holds every op the batch issues, with enough
@@ -70,7 +69,6 @@ ProfileTable::Capture(int64_t batch_size, bool fuse_kernels)
     sim::Runtime scratch = models::MakeRuntime(mode_);
     models::RunConfig probe =
         models::SingleBatchProbe(mode_, batch_size, num_neighbors_);
-    probe.fuse_kernels = fuse_kernels;
     if (Cached()) {
         // Probe through an unbounded scratch cache: every unique state row
         // misses exactly once and no eviction write-backs occur, so the

@@ -91,10 +91,11 @@ class ProfileTable {
     /// The (memoized) cost profile of a batch of @p batch_size requests.
     const BatchProfile& Profile(int64_t batch_size);
 
-    /// The same batch captured with the model's registered fusion chains
-    /// collapsed (probe runs with fuse_kernels on): fewer, fatter kernels,
-    /// identical host work and transfer volumes. Memoized separately; used
-    /// by the hybrid dispatcher's GPU-fused placement.
+    /// Profile(batch_size) with the model's registered fusion chains
+    /// collapsed (models::FuseRegisteredChains): fewer, fatter kernels,
+    /// identical host work and transfer volumes, and no further run of the
+    /// model. Memoized separately; used by the hybrid dispatcher's
+    /// GPU-fused placement.
     const BatchProfile& FusedProfile(int64_t batch_size);
 
     /// Number of distinct batch sizes captured so far (unfused profiles).
@@ -104,7 +105,7 @@ class ProfileTable {
     }
 
   private:
-    BatchProfile Capture(int64_t batch_size, bool fuse_kernels);
+    BatchProfile Capture(int64_t batch_size);
 
     models::DgnnModel& model_;
     sim::ExecMode mode_;

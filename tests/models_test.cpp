@@ -647,24 +647,26 @@ TEST(AllModelsTest, AttentionModelsRejectZeroHeadsAtConstruction)
 
 TEST(AllModelsTest, NumericCapKeepsCostAccountingIdentical)
 {
-    // With a numeric cap the simulated timing must not change — only the
-    // host-side math volume does.
-    const auto ds = TinyInteractions();
-    RunConfig full = SmallRun(sim::ExecMode::kHybrid);
-    RunConfig capped = full;
-    capped.numeric_cap = 2;
-
-    Tgat m1(ds, TgatConfig{16, 2, 1, 4, 7});
-    sim::Runtime r1 = MakeRuntime(sim::ExecMode::kHybrid);
-    const RunResult a = m1.RunInference(r1, full);
-
-    Tgat m2(ds, TgatConfig{16, 2, 1, 4, 7});
-    sim::Runtime r2 = MakeRuntime(sim::ExecMode::kHybrid);
-    const RunResult b = m2.RunInference(r2, capped);
-
-    EXPECT_DOUBLE_EQ(a.total_us, b.total_us);
-    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
-    EXPECT_EQ(a.iterations, b.iterations);
+    // With a numeric cap the simulated run must not change — only the
+    // host-side math volume does: every RunResult field but the checksum is
+    // identical, for all eight models in both modes.
+    const TinyZoo zoo;
+    for (const sim::ExecMode mode : {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
+        RunConfig capped = SmallRun(mode);
+        capped.numeric_cap = 1;
+        const auto full_models = zoo.Models();
+        const auto capped_models = zoo.Models();
+        ASSERT_EQ(full_models.size(), 8u);
+        for (size_t i = 0; i < full_models.size(); ++i) {
+            sim::Runtime rt_full = MakeRuntime(mode);
+            sim::Runtime rt_capped = MakeRuntime(mode);
+            RunResult a = full_models[i]->RunInference(rt_full, SmallRun(mode));
+            RunResult b = capped_models[i]->RunInference(rt_capped, capped);
+            a.output_checksum = 0.0;
+            b.output_checksum = 0.0;
+            EXPECT_EQ(RenderRun(a), RenderRun(b));
+        }
+    }
 }
 
 TEST(AllModelsTest, CategoryTimesPartitionElapsedWindow)
@@ -785,7 +787,9 @@ TEST(AllModelsTest, SimulatedWindowsArePinned)
     // them; these pins catch it. Rows: the eight models CPU-only, then
     // hybrid, then cached hybrid runs of JODIE, TGAT and TGN. A 20-row
     // cache holds fewer rows than the 32 nodes, so gathers hit, miss and
-    // evict, and the two mutable caches write back.
+    // evict, and the two mutable caches write back. TGN's rows were
+    // re-pinned when its numerics stopped re-sampling neighborhoods that the
+    // next batch's sampling kernel was charged for.
     const TinyZoo zoo;
     std::vector<std::string> runs;
     for (const sim::ExecMode mode : {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
@@ -834,16 +838,16 @@ cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
 cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
 )",
     R"(TGN tiny CPU
-window 0x1.30a0fc820f65ap+11 per_iteration 0x1.30a0fc820f65ap+8 iterations 8
-compute util_pct 0x1.857ed372cf6f9p+6 busy_us 0x1.28a0fc820f662p+11
+window 0x1.2f3d8e535da16p+11 per_iteration 0x1.2f3d8e535da16p+8 iterations 8
+compute util_pct 0x1.8572837290131p+6 busy_us 0x1.273d8e535da2p+11
 peak_bytes compute 40900 cpu 40900
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.7713a1fp+12 per_run 0x1.8008f5c28f5c3p+1
 checksum 0x1.a332ac551c888p+7
-breakdown 0x1.30a0fc820f664p+11
-  Update Memory 0x1.b9469675b1158p+9 0x1.21b6b3debad7ap+5
-  Compute Embedding 0x1.a05e583356271p+9 0x1.115c7724d58fbp+5
-  Aggregate Messages Passing 0x1.68df035f365c5p+9 0x1.d9d9a9f8df313p+4
+breakdown 0x1.2f3d8e535da2p+11
+  Update Memory 0x1.b9469675b1158p+9 0x1.230a473756eb4p+5
+  Compute Embedding 0x1.9ad09f788f163p+9 0x1.0ef330290c1eap+5
+  Aggregate Messages Passing 0x1.68df035f365c5p+9 0x1.dc05113f39ec5p+4
 cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
 cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
 )",
@@ -952,16 +956,16 @@ cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
 cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
 )",
     R"(TGN tiny GPU
-window 0x1.4df846c75fp+11 per_iteration 0x1.4df846c75fp+8 iterations 8
-compute util_pct 0x1.9f67eca217644p-1 busy_us 0x1.5ad527e521579p+4
+window 0x1.4c94d898aep+11 per_iteration 0x1.4c94d898aep+8 iterations 8
+compute util_pct 0x1.a123de95cf504p-1 busy_us 0x1.5ad527e521579p+4
 peak_bytes compute 40900 cpu 0
 transfer h2d 63360 d2h 9120 count 32 time_us 0x1.460a3d70ap+8
 warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
 checksum 0x1.a332ac551c888p+7
-breakdown 0x1.4df846c764708p+11
-  Compute Embedding 0x1.f80d8d09f4258p+9 0x1.2ddaf98a6aadbp+5
-  Aggregate Messages Passing 0x1.a94ff513d047p+9 0x1.fd66f02472fe6p+4
-  Update Memory 0x1.968398ffcd556p+9 0x1.e6e31cc6b7a62p+4
+breakdown 0x1.4c94d898b2ac4p+11
+  Compute Embedding 0x1.f27fd44f2d14ap+9 0x1.2bc69b4e68a31p+5
+  Aggregate Messages Passing 0x1.a94ff513d047p+9 0x1.ff8756484e3b9p+4
+  Update Memory 0x1.968398ffcd556p+9 0x1.e8eb731ae07e6p+4
 cache lookups 0 hits 0 misses 0 insertions 0 evictions 0
 cache writeback_rows 0 hit_bytes 0 miss_bytes 0 runtime_hit_bytes 0
 )",
@@ -1072,17 +1076,17 @@ cache lookups 186 hits 9 misses 177 insertions 177 evictions 157
 cache writeback_rows 0 hit_bytes 288 miss_bytes 5664 runtime_hit_bytes 288
 )",
     R"(TGN tiny GPU
-window 0x1.5e4eb18c3e8p+11 per_iteration 0x1.5e4eb18c3e8p+8 iterations 8
-compute util_pct 0x1.9b955eaf77222p-1 busy_us 0x1.6873abc947067p+4
+window 0x1.5ceb435d8d8p+11 per_iteration 0x1.5ceb435d8d8p+8 iterations 8
+compute util_pct 0x1.9d38a258be904p-1 busy_us 0x1.6873abc947067p+4
 peak_bytes compute 42180 cpu 0
 transfer h2d 36416 d2h 4256 count 40 time_us 0x1.be3d93979cp+8
 warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
 checksum 0x1.a332ac551c888p+7
-breakdown 0x1.5e4eb18c43f08p+11
-  Aggregate Messages Passing 0x1.06fc10ee1b238p+10 0x1.2c4a45e4d59c2p+5
-  Compute Embedding 0x1.f80d8d09f4258p+9 0x1.1fc70a34ef6b5p+5
-  Update Memory 0x1.6e27700a0b556p+9 0x1.a21835eb1db12p+4
-  Uncategorized 0x1.4369d0368p+3 0x1.714a78560ffa7p-2
+breakdown 0x1.5ceb435d922c4p+11
+  Aggregate Messages Passing 0x1.06fc10ee1b238p+10 0x1.2d7c2ac47a8e1p+5
+  Compute Embedding 0x1.f27fd44f2d14ap+9 0x1.1dbd422a09dc8p+5
+  Update Memory 0x1.6e27700a0b556p+9 0x1.a3c21b86c41ecp+4
+  Uncategorized 0x1.4369d0368p+3 0x1.72c2a70cc30dep-2
 cache lookups 135 hits 76 misses 59 insertions 59 evictions 39
 cache writeback_rows 59 hit_bytes 4864 miss_bytes 3776 runtime_hit_bytes 4864
 )",

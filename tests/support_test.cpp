@@ -72,6 +72,16 @@ TEST(FailureInjectionTest, InvalidModelConfigRejected)
     // Zero attention layers is a configuration error, caught at build time.
     EXPECT_THROW(models::Tgat(ds, models::TgatConfig{16, 2, 0, 4, 7, false}),
                  Error);
+    // The charged path samples two hops at most, so a third layer is too.
+    EXPECT_THROW(models::Tgat(ds, models::TgatConfig{16, 2, 3, 4, 7, false}),
+                 Error);
+    // Embedding through more layers than the model holds.
+    const models::Tgat one_layer(ds, models::TgatConfig{16, 2, 1, 4, 7, false});
+    const graph::TemporalAdjacency adjacency(ds.stream);
+    graph::TemporalNeighborSampler sampler(adjacency,
+                                           graph::SamplingStrategy::kUniform, 3);
+    EXPECT_THROW((void)one_layer.ComputeEmbedding(sampler, 0, 1.0, 4, 2), Error);
+    EXPECT_THROW((void)one_layer.ComputeEmbedding(sampler, 0, 1.0, 4, -1), Error);
     // Attention head count must divide the embedding dimension.
     EXPECT_THROW(models::Tgat(ds, models::TgatConfig{10, 4, 1, 4, 7, false}),
                  Error);
