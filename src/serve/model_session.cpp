@@ -1,6 +1,5 @@
 #include "serve/model_session.hpp"
 
-#include <string_view>
 #include <utility>
 
 #include "models/fusion_catalog.hpp"
@@ -10,10 +9,46 @@ namespace dgnn::serve {
 
 namespace {
 
-/// Trace-name markers the runtime's cache-aware helpers attach (see
-/// sim::Runtime::GatherToDevice / WriteBackToHost).
-constexpr std::string_view kCacheMissSuffix = ":cache_miss_h2d";
-constexpr std::string_view kCacheWritebackSuffix = ":cache_writeback_d2h";
+/// Accumulates one probe batch's BatchProfile from the runtime's op
+/// records: the descriptor of every kernel, the host time of every host op,
+/// and the copies, with the cache's state traffic told apart by its tag.
+struct ProfileRecorder final : sim::RuntimeObserver {
+    BatchProfile profile;
+
+    void OnOp(const sim::OpRecord& op) override
+    {
+        switch (op.cache) {
+          case sim::CacheTag::kMissH2D:
+            profile.state_rows += op.bytes / profile.state_row_bytes;
+            return;
+          case sim::CacheTag::kHitGather:
+            // The probe cache is fresh, so hits cannot occur; live gathers
+            // are re-issued by the executor anyway.
+          case sim::CacheTag::kWritebackD2H:
+            // End-of-run flush of the probe; the live session keeps its
+            // rows resident instead.
+            return;
+          case sim::CacheTag::kNone:
+            break;
+        }
+        switch (op.kind) {
+          case sim::OpKind::kHostOp:
+            profile.host_us += op.end_us - op.start_us;
+            break;
+          case sim::OpKind::kKernel:
+            profile.kernels.push_back(*op.kernel);
+            break;
+          case sim::OpKind::kCopyH2D:
+            profile.h2d_bytes += op.bytes;
+            break;
+          case sim::OpKind::kCopyD2H:
+            profile.d2h_bytes += op.bytes;
+            break;
+          case sim::OpKind::kCopyPeer:
+            break;
+        }
+    }
+};
 
 }  // namespace
 
@@ -62,71 +97,33 @@ BatchProfile
 ProfileTable::Capture(int64_t batch_size)
 {
     // Replay the model's batched entry on a scratch runtime of the same
-    // mode; the trace then holds every op the batch issues, with enough
-    // descriptor detail (flops/bytes/parallelism/irregularity) to re-issue
-    // it. Warm-up is off, numerics are capped — cost accounting is
-    // identical either way (the numeric_cap contract).
+    // mode and record every op it issues; the trace stays off. Warm-up is
+    // off, numerics are capped — cost accounting is identical either way
+    // (the numeric_cap contract).
+    ProfileRecorder recorder;
+    recorder.profile.batch_size = batch_size;
+    recorder.profile.state_row_bytes = Cached() ? model_.CacheRowBytes() : 0;
     sim::Runtime scratch = models::MakeRuntime(mode_);
+    scratch.SetTracing(false);
+    scratch.SetObserver(&recorder);
     models::RunConfig probe =
         models::SingleBatchProbe(mode_, batch_size, num_neighbors_);
     if (Cached()) {
         // Probe through an unbounded scratch cache: every unique state row
         // misses exactly once and no eviction write-backs occur, so the
-        // trace cleanly separates "per-node state" from everything else.
+        // cache tags cleanly separate "per-node state" from everything else.
         probe.cache = cache::DeviceCacheConfig::Unbounded(
             model_.CacheRowBytes(), cache_config_.eviction);
     }
     model_.RunInference(scratch, probe);
-
-    BatchProfile profile;
-    profile.batch_size = batch_size;
-    profile.state_row_bytes = Cached() ? model_.CacheRowBytes() : 0;
-    for (const sim::TraceEvent& e : scratch.GetTrace().Events()) {
-        switch (e.kind) {
-          case sim::EventKind::kHostOp:
-            profile.host_us += e.Duration();
-            break;
-          case sim::EventKind::kKernel: {
-            if (Cached() && e.name.ends_with(":cache_hit_gather")) {
-                // The probe cache is fresh, so hits cannot occur; guard
-                // anyway — live gathers are re-issued by the executor.
-                break;
-            }
-            sim::KernelDesc k;
-            k.name = e.name;
-            k.flops = e.flops;
-            k.bytes = e.bytes;
-            k.parallel_items = e.parallel_items;
-            k.irregular = e.irregular;
-            profile.kernels.push_back(std::move(k));
-            break;
-          }
-          case sim::EventKind::kTransfer:
-            if (Cached() && e.name.ends_with(kCacheMissSuffix)) {
-                profile.state_rows += e.bytes / profile.state_row_bytes;
-            } else if (Cached() &&
-                       e.name.ends_with(kCacheWritebackSuffix)) {
-                // End-of-run flush of the probe; the live session keeps its
-                // rows resident instead.
-            } else if (e.direction == sim::CopyDirection::kHostToDevice) {
-                profile.h2d_bytes += e.bytes;
-            } else if (e.direction == sim::CopyDirection::kDeviceToHost) {
-                profile.d2h_bytes += e.bytes;
-            }
-            break;
-          case sim::EventKind::kSync:
-          case sim::EventKind::kMarker:
-            break;
-        }
-    }
     // In CPU-only mode kernels run as synchronous host ops through
-    // Launch(); they still surface as kKernel events, so the profile is
-    // never empty for a real model.
-    DGNN_CHECK(!profile.kernels.empty(),
+    // Launch(); they still report as kKernel ops, so the profile is never
+    // empty for a real model.
+    DGNN_CHECK(!recorder.profile.kernels.empty(),
                "batch capture for ", model_.Name(),
                " recorded no device kernels — is the model issuing work "
                "through the runtime?");
-    return profile;
+    return std::move(recorder.profile);
 }
 
 ModelSession::ModelSession(models::DgnnModel& model, sim::ExecMode mode,

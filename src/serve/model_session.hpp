@@ -4,12 +4,13 @@
 /// Bridges the offline model layer to the online server. A ModelSession
 /// wraps one DgnnModel and captures, per batch size, the model's exact
 /// per-batch cost profile: it replays the model's batched inference entry
-/// (models::SingleBatchProbe) against a scratch runtime and distills the
-/// recorded trace into a BatchProfile — total host-side work (sampling,
-/// batch build, framework overhead), H2D/D2H transfer volumes, and the
-/// ordered device-kernel descriptors. The serving executors then re-issue
-/// that profile per request batch, either serially (eager-mode semantics)
-/// or pipelined across streams. Profiles are memoized per batch size in a
+/// (models::SingleBatchProbe) against a scratch runtime and builds a
+/// BatchProfile from the runtime's op records (sim::OpRecord, through a
+/// RuntimeObserver) — total host-side work (sampling, batch build,
+/// framework overhead), H2D/D2H transfer volumes, and the ordered
+/// device-kernel descriptors. The serving executors then re-issue that
+/// profile per request batch, either serially (eager-mode semantics) or
+/// pipelined across streams. Profiles are memoized per batch size in a
 /// ProfileTable, so dynamic batching with variable sizes stays cheap, and
 /// sessions serving one model the same way can share one table.
 ///
@@ -18,10 +19,9 @@
 /// that stays WARM ACROSS BATCHES — the locality the offline benches cannot
 /// express. Profiles are then captured with an unbounded probe cache so the
 /// per-node state gather is separated out (state_rows / state_row_bytes,
-/// recognized by the runtime's ":cache_miss_h2d"/":cache_writeback_d2h"
-/// trace markers); at dispatch time the serving loop runs the batch's
-/// actual request nodes through the live cache and the executor re-issues
-/// the gather with the real hit/miss split.
+/// told apart by the records' sim::CacheTag); at dispatch time the serving
+/// loop runs the batch's actual request nodes through the live cache and
+/// the executor re-issues the gather with the real hit/miss split.
 
 #include <cstdint>
 #include <map>

@@ -1,13 +1,23 @@
 #include "sim/runtime.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "support/check.hpp"
 
 namespace dgnn::sim {
 
 namespace {
+
 const std::string kUncategorized = "Uncategorized";
+
+/// The trace device of a peer copy over a link of @p kind.
+std::string_view
+PeerDevice(LinkKind kind)
+{
+    return kind == LinkKind::kNvlink ? "peer:nvlink" : "peer:pcie";
+}
+
 }  // namespace
 
 const char*
@@ -129,24 +139,36 @@ Runtime::CurrentAccess() const
 }
 
 void
-Runtime::NotifyOp(OpKind kind, const std::string& name, bool on_host,
-                  StreamId stream, bool blocking, SimTime start, SimTime end,
-                  int64_t bytes)
+Runtime::Report(OpRecord op, std::string_view device, double occupancy)
 {
-    if (observer_ == nullptr) {
-        return;
+    if (tracing_) {
+        TraceEvent e = MakeEvent(EventKind::kTransfer, *op.name,
+                                 std::string(device), op.start_us, op.end_us);
+        switch (op.kind) {
+          case OpKind::kHostOp:
+            e.kind = EventKind::kHostOp;
+            break;
+          case OpKind::kKernel:
+            e.kind = EventKind::kKernel;
+            break;
+          case OpKind::kCopyH2D:
+            e.direction = CopyDirection::kHostToDevice;
+            break;
+          case OpKind::kCopyD2H:
+            e.direction = CopyDirection::kDeviceToHost;
+            break;
+          case OpKind::kCopyPeer:
+            break;
+        }
+        e.occupancy = occupancy;
+        e.flops = op.kernel != nullptr ? op.kernel->flops : 0;
+        e.bytes = op.bytes;
+        trace_.Add(std::move(e));
     }
-    OpRecord record;
-    record.kind = kind;
-    record.name = &name;
-    record.on_host = on_host;
-    record.stream = stream;
-    record.blocking = blocking;
-    record.start_us = start;
-    record.end_us = end;
-    record.bytes = bytes;
-    record.access = CurrentAccess();
-    observer_->OnOp(record);
+    if (observer_ != nullptr) {
+        op.access = CurrentAccess();
+        observer_->OnOp(op);
+    }
 }
 
 void
@@ -179,19 +201,9 @@ Runtime::RunHost(const KernelDesc& kernel)
     const SimTime start = host_time_;
     AdvanceHost(duration);
     cpu_.AddBusy(duration, occ);
-
-    if (tracing_) {
-        TraceEvent e = MakeEvent(EventKind::kHostOp, kernel.name, cpu_.Name(),
-                                 start, host_time_);
-        e.occupancy = occ;
-        e.flops = kernel.flops;
-        e.bytes = kernel.bytes;
-        e.parallel_items = kernel.parallel_items;
-        e.irregular = kernel.irregular;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kHostOp, kernel.name, /*on_host=*/true, StreamId::kCompute,
-             /*blocking=*/true, start, host_time_, kernel.bytes);
+    Report({.kind = OpKind::kHostOp, .name = &kernel.name, .start_us = start,
+            .end_us = host_time_, .bytes = kernel.bytes, .kernel = &kernel},
+           cpu_.Name(), occ);
     return host_time_;
 }
 
@@ -202,17 +214,14 @@ Runtime::RunHostFor(const std::string& name, SimTime duration_us)
     const SimTime start = host_time_;
     AdvanceHost(duration_us);
     cpu_.AddBusy(duration_us, cpu_.Spec().occupancy_floor);
-    if (tracing_) {
-        trace_.Add(
-            MakeEvent(EventKind::kHostOp, name, cpu_.Name(), start, host_time_));
-    }
-    NotifyOp(OpKind::kHostOp, name, /*on_host=*/true, StreamId::kCompute,
-             /*blocking=*/true, start, host_time_, 0);
+    Report({.kind = OpKind::kHostOp, .name = &name, .start_us = start,
+            .end_us = host_time_},
+           cpu_.Name());
     return host_time_;
 }
 
 SimTime
-Runtime::Launch(const KernelDesc& kernel)
+Runtime::Launch(const KernelDesc& kernel, CacheTag cache)
 {
     Device& dev = ComputeDevice();
     const SimTime duration = KernelDuration(dev.Spec(), kernel);
@@ -239,25 +248,16 @@ Runtime::Launch(const KernelDesc& kernel)
     // idle time (this is what nvidia-smi-style utilization measures).
     dev.AddBusy(execution, occ);
 
-    // The trace event spans the execution interval, after the launch gap.
-    if (tracing_) {
-        TraceEvent e = MakeEvent(EventKind::kKernel, kernel.name, dev.Name(),
-                                 end - execution, end);
-        e.occupancy = occ;
-        e.flops = kernel.flops;
-        e.bytes = kernel.bytes;
-        e.parallel_items = kernel.parallel_items;
-        e.irregular = kernel.irregular;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kKernel, kernel.name, /*on_host=*/!HasGpu(),
-             StreamId::kCompute, /*blocking=*/!HasGpu(), end - execution, end,
-             kernel.bytes);
+    // The op spans the execution interval, after the launch gap.
+    Report({.kind = OpKind::kKernel, .name = &kernel.name, .on_host = !HasGpu(),
+            .blocking = !HasGpu(), .start_us = end - execution, .end_us = end,
+            .bytes = kernel.bytes, .kernel = &kernel, .cache = cache},
+           dev.Name(), occ);
     return end;
 }
 
 SimTime
-Runtime::CopyToDevice(int64_t bytes, const std::string& what)
+Runtime::CopyToDevice(int64_t bytes, const std::string& what, CacheTag cache)
 {
     if (!HasGpu()) {
         return host_time_;
@@ -272,21 +272,14 @@ Runtime::CopyToDevice(int64_t bytes, const std::string& what)
     // was issued after this copy before the copy ends. Enqueue a zero-length
     // fence at the copy end.
     compute_stream_.Enqueue(iv.end, 0.0);
-
-    if (tracing_) {
-        TraceEvent e =
-            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-        e.bytes = bytes;
-        e.direction = CopyDirection::kHostToDevice;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kCopyH2D, what, /*on_host=*/true, StreamId::kCompute,
-             /*blocking=*/true, iv.start, iv.end, bytes);
+    Report({.kind = OpKind::kCopyH2D, .name = &what, .start_us = iv.start,
+            .end_us = iv.end, .bytes = bytes, .cache = cache},
+           "PCIe");
     return host_time_;
 }
 
 SimTime
-Runtime::CopyToHost(int64_t bytes, const std::string& what)
+Runtime::CopyToHost(int64_t bytes, const std::string& what, CacheTag cache)
 {
     if (!HasGpu()) {
         return host_time_;
@@ -299,16 +292,9 @@ Runtime::CopyToHost(int64_t bytes, const std::string& what)
     d2h_bytes_ += bytes;
     ++transfer_count_;
     transfer_time_us_ += host_time_ - start;
-
-    if (tracing_) {
-        TraceEvent e =
-            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-        e.bytes = bytes;
-        e.direction = CopyDirection::kDeviceToHost;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kCopyD2H, what, /*on_host=*/true, StreamId::kCompute,
-             /*blocking=*/true, iv.start, iv.end, bytes);
+    Report({.kind = OpKind::kCopyD2H, .name = &what, .start_us = iv.start,
+            .end_us = iv.end, .bytes = bytes, .cache = cache},
+           "PCIe");
     return host_time_;
 }
 
@@ -342,7 +328,8 @@ Runtime::GatherToDevice(int64_t hit_rows, int64_t miss_rows, int64_t row_bytes,
         return host_time_;
     }
     if (miss_rows > 0) {
-        CopyToDevice(miss_rows * row_bytes, what + ":cache_miss_h2d");
+        CopyToDevice(miss_rows * row_bytes, what + ":cache_miss_h2d",
+                     CacheTag::kMissH2D);
     }
     GatherHits(hit_rows, row_bytes, what);
     return host_time_;
@@ -357,7 +344,8 @@ Runtime::GatherHits(int64_t hit_rows, int64_t row_bytes, const std::string& what
         return host_time_;
     }
     cache_hit_bytes_ += hit_rows * row_bytes;
-    return Launch(CacheHitGatherKernel(hit_rows, row_bytes, what));
+    return Launch(CacheHitGatherKernel(hit_rows, row_bytes, what),
+                  CacheTag::kHitGather);
 }
 
 SimTime
@@ -368,7 +356,8 @@ Runtime::WriteBackToHost(int64_t rows, int64_t row_bytes, const std::string& wha
     if (!HasGpu() || rows == 0) {
         return host_time_;
     }
-    return CopyToHost(rows * row_bytes, what + ":cache_writeback_d2h");
+    return CopyToHost(rows * row_bytes, what + ":cache_writeback_d2h",
+                      CacheTag::kWritebackD2H);
 }
 
 Stream&
@@ -403,16 +392,10 @@ Runtime::CopyToDeviceAsync(int64_t bytes, const std::string& what)
     copy_stream_.Enqueue(iv.end, 0.0);
     h2d_bytes_ += bytes;
     ++transfer_count_;
-
-    if (tracing_) {
-        TraceEvent e =
-            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-        e.bytes = bytes;
-        e.direction = CopyDirection::kHostToDevice;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kCopyH2D, what, /*on_host=*/false, StreamId::kCopy,
-             /*blocking=*/false, iv.start, iv.end, bytes);
+    Report({.kind = OpKind::kCopyH2D, .name = &what, .on_host = false,
+            .stream = StreamId::kCopy, .blocking = false, .start_us = iv.start,
+            .end_us = iv.end, .bytes = bytes},
+           "PCIe");
     return iv.end;
 }
 
@@ -428,16 +411,10 @@ Runtime::CopyToHostAsync(int64_t bytes, const std::string& what)
     copy_stream_.Enqueue(iv.end, 0.0);
     d2h_bytes_ += bytes;
     ++transfer_count_;
-
-    if (tracing_) {
-        TraceEvent e =
-            MakeEvent(EventKind::kTransfer, what, "PCIe", iv.start, iv.end);
-        e.bytes = bytes;
-        e.direction = CopyDirection::kDeviceToHost;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kCopyD2H, what, /*on_host=*/false, StreamId::kCopy,
-             /*blocking=*/false, iv.start, iv.end, bytes);
+    Report({.kind = OpKind::kCopyD2H, .name = &what, .on_host = false,
+            .stream = StreamId::kCopy, .blocking = false, .start_us = iv.start,
+            .end_us = iv.end, .bytes = bytes},
+           "PCIe");
     return iv.end;
 }
 
@@ -463,17 +440,10 @@ Runtime::PeerCopyAsync(int32_t peer, int64_t bytes, const std::string& what)
     peer_bytes_ += bytes;
     ++peer_copy_count_;
     peer_link_time_us_ += iv.end - iv.start;
-
-    if (tracing_) {
-        TraceEvent e = MakeEvent(EventKind::kTransfer, what,
-                                 std::string("peer:") +
-                                     ToString(PeerLinkSpec(peer).kind),
-                                 iv.start, iv.end);
-        e.bytes = bytes;
-        trace_.Add(std::move(e));
-    }
-    NotifyOp(OpKind::kCopyPeer, what, /*on_host=*/false, StreamId::kCopy,
-             /*blocking=*/false, iv.start, iv.end, bytes);
+    Report({.kind = OpKind::kCopyPeer, .name = &what, .on_host = false,
+            .stream = StreamId::kCopy, .blocking = false, .start_us = iv.start,
+            .end_us = iv.end, .bytes = bytes},
+           PeerDevice(PeerLinkSpec(peer).kind));
     return iv.end;
 }
 

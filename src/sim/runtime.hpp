@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/device.hpp"
@@ -185,13 +186,17 @@ class Runtime {
 
     /// Launches a compute kernel on the compute device. Asynchronous when a
     /// GPU is present. Returns the kernel completion time on its stream.
-    SimTime Launch(const KernelDesc& kernel);
+    /// @p cache tags the op for observers (OpRecord::cache); only the
+    /// cache-aware helpers below pass one.
+    SimTime Launch(const KernelDesc& kernel, CacheTag cache = CacheTag::kNone);
 
     /// Blocking host->device copy. No-op (returns Now()) in CPU-only mode.
-    SimTime CopyToDevice(int64_t bytes, const std::string& what);
+    SimTime CopyToDevice(int64_t bytes, const std::string& what,
+                         CacheTag cache = CacheTag::kNone);
 
     /// Blocking device->host copy; waits for the compute stream first.
-    SimTime CopyToHost(int64_t bytes, const std::string& what);
+    SimTime CopyToHost(int64_t bytes, const std::string& what,
+                       CacheTag cache = CacheTag::kNone);
 
     /// --- Cache-aware transfers (cache::DeviceCache cost surface) --------
 
@@ -356,10 +361,10 @@ class Runtime {
     /// category. Every host-time mutation funnels through here.
     void AdvanceHost(SimTime delta_us);
 
-    /// Reports one issued operation to the observer (no-op when detached).
-    void NotifyOp(OpKind kind, const std::string& name, bool on_host,
-                  StreamId stream, bool blocking, SimTime start, SimTime end,
-                  int64_t bytes);
+    /// Reports one issued operation, once: into the trace while tracing
+    /// (as an event on @p device with @p occupancy) and to the observer
+    /// when one is attached. Does nothing when neither is on.
+    void Report(OpRecord op, std::string_view device, double occupancy = 0.0);
 
     TraceEvent MakeEvent(EventKind kind, std::string name, std::string device,
                          SimTime start, SimTime end) const;

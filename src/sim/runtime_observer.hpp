@@ -3,12 +3,14 @@
 /// @file
 /// The runtime observability seam. sim::Runtime reports every issued
 /// operation and every synchronization action through this passive
-/// interface so an analysis layer (src/analysis/ — the happens-before
-/// hazard checker) can reconstruct the exact concurrency structure of a
-/// run WITHOUT perturbing it: hooks fire after the corresponding simulated
-/// work was scheduled, carry read-only state, and a null observer (the
-/// default) short-circuits everything, leaving the simulated timeline and
-/// all committed expected outputs bit-identical.
+/// interface, once per op, so a reader can reconstruct what a run issued
+/// WITHOUT perturbing it: the happens-before hazard checker
+/// (src/analysis/) rebuilds the concurrency structure, and serving's batch
+/// capture (serve::ProfileTable) rebuilds the batch's cost profile from
+/// the kernel descriptors and cache tags. Hooks fire after the
+/// corresponding simulated work was scheduled, carry read-only state, and
+/// a null observer (the default) short-circuits everything, leaving the
+/// simulated timeline and all committed expected outputs bit-identical.
 ///
 /// Alongside the hooks, AccessSet/AccessScope let call sites declare the
 /// LOGICAL RESOURCES an operation reads and writes (staging buffers,
@@ -27,6 +29,7 @@ namespace dgnn::sim {
 
 enum class StreamId;
 struct Event;
+struct KernelDesc;
 
 /// The logical-resource footprint of one or more operations. Resource
 /// names are free-form strings; by convention a trailing "#<instance>"
@@ -47,6 +50,15 @@ enum class OpKind {
     kCopyH2D,   ///< host->device transfer
     kCopyD2H,   ///< device->host transfer
     kCopyPeer,  ///< device->device transfer over a topology peer link
+};
+
+/// Which device-cache transfer an op is, if any (sim::Runtime's cache-aware
+/// helpers set it; every other op is kNone).
+enum class CacheTag {
+    kNone,
+    kMissH2D,       ///< GatherToDevice's miss rows over the host link
+    kHitGather,     ///< the device-side gather kernel of cached hit rows
+    kWritebackD2H,  ///< WriteBackToHost's dirty rows over the host link
 };
 
 /// One issued operation, as reported to the observer. Timeline semantics
@@ -76,6 +88,11 @@ struct OpRecord {
     /// The innermost declared footprint, or nullptr when none is active.
     /// Borrowed; valid only for the duration of the hook.
     const AccessSet* access = nullptr;
+    /// What a capture needs and the hazard checker ignores: the issuing
+    /// descriptor of a kKernel or a RunHost kHostOp (nullptr for RunHostFor
+    /// and copies; borrowed, valid only for the hook) and the cache tag.
+    const KernelDesc* kernel = nullptr;
+    CacheTag cache = CacheTag::kNone;
 };
 
 /// Passive observer of one Runtime. All hooks default to no-ops. Hooks are

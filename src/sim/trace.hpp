@@ -3,7 +3,10 @@
 /// @file
 /// Event trace recorded by the runtime — the simulated equivalent of an
 /// NVIDIA Nsight Systems timeline. Analysis utilities (breakdowns,
-/// utilization timelines, chrome-trace export) live in core/.
+/// utilization timelines, chrome-trace export) live in core/. The trace is
+/// for timelines and people: code that needs what a run issued (a kernel's
+/// descriptor, which copy was cache traffic) reads sim::OpRecord through a
+/// RuntimeObserver instead, and no code parses an event name.
 
 #include <cstdint>
 #include <string>
@@ -34,7 +37,8 @@ enum class CopyDirection {
 /// One timeline entry.
 struct TraceEvent {
     EventKind kind = EventKind::kMarker;
-    /// Kernel/op name ("gemm", "h2d", "sampling_bisect", ...).
+    /// Kernel/op name ("gemm", "h2d", "sampling_bisect", ...). The
+    /// runtime's cache-aware copies append a ":cache_*" label.
     std::string name;
     /// Module category (sim::CategoryScope) active at issue time ("GNN", ...).
     std::string category;
@@ -46,12 +50,6 @@ struct TraceEvent {
     double occupancy = 0.0;
     int64_t flops = 0;
     int64_t bytes = 0;
-    /// Parallel work items and access-pattern flag of the issuing
-    /// KernelDesc (kKernel/kHostOp only). Together with flops/bytes these
-    /// make the descriptor reconstructible from the trace, which is what
-    /// serve::ModelSession relies on to replay captured batches.
-    int64_t parallel_items = 1;
-    bool irregular = false;
     CopyDirection direction = CopyDirection::kNone;
 
     SimTime Duration() const { return end_us - start_us; }

@@ -5,6 +5,7 @@
 
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "support/check.hpp"
@@ -367,17 +368,50 @@ TEST(RuntimeTest, IdleUntilAdvancesClockWithoutBusyTime)
     EXPECT_DOUBLE_EQ(rt.Now(), now);
 }
 
-TEST(RuntimeTest, TraceCarriesKernelDescriptorFields)
+TEST(RuntimeTest, OpRecordsCarryTheDescriptorAndTheCacheTag)
 {
+    struct Seen {
+        std::string name;
+        int64_t parallel_items;  ///< of the record's descriptor; 0 without one
+        bool irregular;
+        CacheTag cache;
+    };
+    struct Recorder final : RuntimeObserver {
+        void OnOp(const OpRecord& op) override
+        {
+            seen.push_back({*op.name, op.kernel ? op.kernel->parallel_items : 0,
+                            op.kernel && op.kernel->irregular, op.cache});
+        }
+        std::vector<Seen> seen;
+    } recorder;
     Runtime rt(HybridConfig());
+    rt.SetObserver(&recorder);
     KernelDesc k = SmallKernel();
     k.parallel_items = 777;
     k.irregular = true;
     rt.Launch(k);
-    const TraceEvent& e = rt.GetTrace().Events().back();
-    EXPECT_EQ(e.kind, EventKind::kKernel);
-    EXPECT_EQ(e.parallel_items, 777);
-    EXPECT_TRUE(e.irregular);
+    rt.RunHost(k);
+    rt.RunHostFor("load", 1.0);
+    rt.CopyToDevice(64, "h2d");
+    rt.GatherToDevice(3, 5, 256, "state");
+    rt.WriteBackToHost(2, 256, "state");
+
+    const std::vector<std::tuple<int64_t, bool, CacheTag>> expected = {
+        {777, true, CacheTag::kNone},               // k
+        {777, true, CacheTag::kNone},               // k
+        {0, false, CacheTag::kNone},                // load
+        {0, false, CacheTag::kNone},                // h2d
+        {0, false, CacheTag::kMissH2D},             // state:cache_miss_h2d
+        {3 * 256 / 4, true, CacheTag::kHitGather},  // state:cache_hit_gather
+        {0, false, CacheTag::kWritebackD2H},        // state:cache_writeback_d2h
+    };
+    ASSERT_EQ(recorder.seen.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        const Seen& op = recorder.seen[i];
+        EXPECT_EQ(std::make_tuple(op.parallel_items, op.irregular, op.cache),
+                  expected[i])
+            << op.name;
+    }
 }
 
 TEST(RuntimeTest, WarmupAdvancesClockOnce)
@@ -453,6 +487,7 @@ struct ObservedOp {
     SimTime start_us = 0.0;
     SimTime end_us = 0.0;
     int64_t bytes = 0;
+    int cache = 0;
 
     bool operator==(const ObservedOp&) const = default;
 };
@@ -463,7 +498,7 @@ class RecordingObserver final : public RuntimeObserver {
     {
         ops.push_back({"op", *op.name, static_cast<int>(op.kind), op.on_host,
                        static_cast<int>(op.stream), op.blocking, op.start_us,
-                       op.end_us, op.bytes});
+                       op.end_us, op.bytes, static_cast<int>(op.cache)});
     }
     void OnEventRecorded(const Event& event, StreamId stream) override
     {
