@@ -12,8 +12,17 @@ namespace {
 /// Accumulates one probe batch's BatchProfile from the runtime's op
 /// records: the descriptor of every kernel, the host time of every host op,
 /// and the copies, with the cache's state traffic told apart by its tag.
+/// Only the measured window counts: the set-up before it (a model's
+/// one-time resident-table upload) is not paid per served batch.
 struct ProfileRecorder final : sim::RuntimeObserver {
     BatchProfile profile;
+
+    void OnWindowReset() override
+    {
+        profile = {.batch_size = profile.batch_size,
+                   .state_row_bytes = profile.state_row_bytes,
+                   .kernels = {}};
+    }
 
     void OnOp(const sim::OpRecord& op) override
     {

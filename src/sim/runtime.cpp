@@ -625,6 +625,9 @@ Runtime::ResetMeasurementWindow()
     sync_wait_us_ = 0.0;
     transfer_time_us_ = 0.0;
     category_time_.clear();
+    if (observer_ != nullptr) {
+        observer_->OnWindowReset();
+    }
 }
 
 double

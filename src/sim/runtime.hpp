@@ -309,7 +309,8 @@ class Runtime {
     /// --- Measurement ----------------------------------------------------
 
     /// Starts a measurement window: resets device busy counters and peak
-    /// watermarks; utilization and busy times report from this point.
+    /// watermarks; utilization and busy times report from this point. The
+    /// observer hears RuntimeObserver::OnWindowReset.
     void ResetMeasurementWindow();
 
     SimTime MeasureStart() const { return measure_start_; }

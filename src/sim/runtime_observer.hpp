@@ -122,6 +122,10 @@ class RuntimeObserver {
 
     /// Synchronize: the host drained every device stream.
     virtual void OnSynchronize() {}
+
+    /// ResetMeasurementWindow: a new measurement window starts here (after
+    /// the Synchronize it performs); ops issued earlier were set-up.
+    virtual void OnWindowReset() {}
 };
 
 }  // namespace dgnn::sim

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "support/check.hpp"
 
 #include "data/temporal_interactions.hpp"
 #include "models/jodie.hpp"
+#include "models/tgat.hpp"
 #include "models/tgn.hpp"
 #include "serve/server.hpp"
 
@@ -235,6 +238,69 @@ TEST(ModelSessionTest, CpuOnlyProfilesHaveNoTransfers)
     EXPECT_EQ(p.h2d_bytes, 0);
     EXPECT_EQ(p.d2h_bytes, 0);
     EXPECT_FALSE(p.kernels.empty());
+}
+
+TEST(ModelSessionTest, CaptureChargesExactlyTheProbeWindowsTransfers)
+{
+    // A profile moves what the probe's measured window moved, no more: its
+    // bytes plus the per-node state it separates out (miss rows in,
+    // write-back rows out) equal the window's counters of the same probe.
+    // Set-up before the window (TGAT's one-time resident-table upload) is
+    // paid once per session, not once per served batch.
+    const auto ds = TinyInteractions();
+    using Factory = std::unique_ptr<models::DgnnModel> (*)(
+        const data::InteractionDataset&);
+    const std::vector<Factory> factories = {
+        [](const data::InteractionDataset& d) -> std::unique_ptr<models::DgnnModel> {
+            return std::make_unique<models::Tgn>(d, models::TgnConfig{});
+        },
+        [](const data::InteractionDataset& d) -> std::unique_ptr<models::DgnnModel> {
+            return std::make_unique<models::Tgat>(d, models::TgatConfig{});
+        },
+        [](const data::InteractionDataset& d) -> std::unique_ptr<models::DgnnModel> {
+            return std::make_unique<models::Jodie>(d, models::JodieConfig{});
+        },
+    };
+    constexpr int64_t kNeighbors = 20;
+    for (const Factory make : factories) {
+        for (const sim::ExecMode mode :
+             {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
+            for (const int64_t capacity : {int64_t{0}, int64_t{1} << 20}) {
+                for (const int64_t b : {1, 7, 64}) {
+                    const auto captured = make(ds);
+                    cache::DeviceCacheConfig cache;
+                    cache.capacity_bytes = capacity;
+                    ProfileTable table(*captured, mode, kNeighbors, cache);
+                    const BatchProfile& p = table.Profile(b);
+
+                    const auto rerun = make(ds);
+                    models::RunConfig probe =
+                        models::SingleBatchProbe(mode, b, kNeighbors);
+                    if (table.Cached()) {
+                        probe.cache = cache::DeviceCacheConfig::Unbounded(
+                            rerun->CacheRowBytes(), table.CacheConfig().eviction);
+                    }
+                    sim::Runtime runtime = models::MakeRuntime(mode);
+                    const models::RunResult r = rerun->RunInference(runtime, probe);
+
+                    SCOPED_TRACE(captured->Name() + " " + sim::ToString(mode) +
+                                 " capacity " + std::to_string(capacity) +
+                                 " b " + std::to_string(b));
+                    EXPECT_EQ(p.h2d_bytes + p.state_rows * p.state_row_bytes,
+                              r.h2d_bytes);
+                    EXPECT_EQ(p.d2h_bytes +
+                                  r.cache_stats.writeback_rows * p.state_row_bytes,
+                              r.d2h_bytes);
+                    if (captured->Name() == "TGAT" &&
+                        mode == sim::ExecMode::kHybrid && b == 1) {
+                        // n = 2 targets, k = 20: n(1+k) gathered node
+                        // indices plus n*k time deltas, 8 bytes each.
+                        EXPECT_EQ(p.h2d_bytes, 656);
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------- serving
