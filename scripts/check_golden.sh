@@ -6,6 +6,8 @@
 #      the same name byte for byte (a JSON with no committed file fails);
 #   3. where scripts/assert_<name>.py exists, it then runs in the workdir
 #      on the fresh JSON.
+# Every check runs even when an earlier one fails, so one run reports every
+# difference; the gate fails at the end if any check failed.
 # CMakeLists.txt registers one such test per docs/expected/*.txt (label
 # `golden`). Re-baselining means copying build/golden/<name>/* over
 # docs/expected/ and saying why in the change.
@@ -24,19 +26,25 @@ cd "$workdir"
 rm -f BENCH_*.json
 
 "$@" > "$name.txt" || { echo "$name exited with status $?"; exit 1; }
-diff -u "$expected/$name.txt" "$name.txt"
+failed=0
+diff -u "$expected/$name.txt" "$name.txt" || failed=1
 
 for json in BENCH_*.json; do
     [ -e "$json" ] || continue
     if [ ! -e "$expected/$json" ]; then
         echo "$name wrote $json, which has no committed docs/expected/$json"
-        exit 1
+        failed=1
+    else
+        diff -u "$expected/$json" "$json" || failed=1
     fi
-    diff -u "$expected/$json" "$json"
 done
 
 if [ -e "$scripts/assert_$name.py" ]; then
-    "$scripts/assert_$name.py"
+    "$scripts/assert_$name.py" || failed=1
 fi
 
+if [ "$failed" -ne 0 ]; then
+    echo "$name does not match docs/expected/"
+    exit 1
+fi
 echo "$name matches docs/expected/"

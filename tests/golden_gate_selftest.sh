@@ -2,7 +2,8 @@
 # Proves the golden gate catches drift. A stand-in replays the committed
 # outputs of bench_shard_scaling through scripts/check_golden.sh: the exact
 # replay must pass; replaying it with one digit of the text changed, or one
-# byte of the BENCH json changed, must fail. Given the offline exhibit
+# byte of the BENCH json changed, must fail, and with both changed one run
+# must show both diffs. Given the offline exhibit
 # driver, the same holds for a golden run by exhibit name: the exact run of
 # one exhibit must pass, and the same run with one digit changed, or an
 # unknown exhibit name, must fail. Registered as the `golden_gate_selftest`
@@ -46,7 +47,17 @@ passes bench_shard_scaling "$workdir/replay" '' '' ||
     fail "the gate passes a one-digit change to bench_shard_scaling.txt"
 ! passes bench_shard_scaling "$workdir/replay" '' "$perturb" ||
     fail "the gate passes a one-byte change to BENCH_shard_scaling.json"
-echo "golden gate passes an exact replay and catches text and json drift"
+# A run whose text and json both drift reports both diffs: a failing check
+# does not stop the ones after it.
+rm -rf "$workdir/run"
+both=$("$repo/scripts/check_golden.sh" bench_shard_scaling "$workdir/run" \
+    "$workdir/replay" "$perturb" "$perturb" 2>&1) &&
+    fail "the gate passes a change to both bench_shard_scaling files"
+grep -q '^+++ bench_shard_scaling.txt' <<< "$both" &&
+    grep -q '^+++ BENCH_shard_scaling.json' <<< "$both" ||
+    fail "the gate stops at the first failing diff"
+echo "golden gate passes an exact replay and catches text and json drift," \
+    "reporting both in one run"
 
 if [ -n "$driver" ]; then
     golden=bench_table1_model_summary
