@@ -781,6 +781,87 @@ TEST(AllModelsTest, FeatureValuesNeverReachTheSimulatedClock)
     }
 }
 
+/// Records every op a run issues without its timing: kind, name, bytes,
+/// stream, blocking flag, cache tag and issuing descriptor, one line each.
+struct OpStructureRecorder final : sim::RuntimeObserver {
+    void OnOp(const sim::OpRecord& op) override
+    {
+        std::ostringstream line;
+        line << static_cast<int>(op.kind) << " " << *op.name << " " << op.bytes
+             << " host " << op.on_host << " stream "
+             << static_cast<int>(op.stream) << " blocking " << op.blocking
+             << " cache " << static_cast<int>(op.cache);
+        if (op.kernel != nullptr) {
+            line << " {" << op.kernel->name << " " << op.kernel->flops << " "
+                 << op.kernel->bytes << " " << op.kernel->parallel_items << " "
+                 << op.kernel->irregular << "}";
+        }
+        ops.push_back(line.str());
+    }
+    std::vector<std::string> ops;
+};
+
+TEST(AllModelsTest, OpStructureNeverDependsOnCost)
+{
+    // Structure never depends on cost (DESIGN.md §2): every model issues
+    // the same ops — kind, name, bytes, stream, blocking flag, cache tag and
+    // descriptor — under any hardware description; only the timing moves.
+    // Two perturbed nodes against the default, in both modes, with the
+    // cache off and on (the pins' 20-row cache: hits, misses, evictions and
+    // write-backs).
+    std::vector<sim::TopologyNode> nodes(3);
+    nodes[1].gpu.peak_gflops *= 2.0;
+    nodes[1].host_link.bandwidth_gbps *= 0.5;
+    nodes[1].cpu.launch_overhead_us *= 3.0;
+    nodes[2].gpu.launch_overhead_us *= 4.0;
+    nodes[2].cpu.peak_gflops *= 0.3;
+    nodes[2].gpu.irregular_penalty *= 2.0;
+    nodes[2].host_link.latency_us *= 3.0;
+
+    const TinyZoo zoo;
+    for (const sim::ExecMode mode : {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
+        for (const bool cached : {false, true}) {
+            std::vector<std::vector<std::string>> default_ops;
+            std::vector<double> default_windows;
+            for (size_t n = 0; n < nodes.size(); ++n) {
+                sim::RuntimeConfig config;
+                config.mode = mode;
+                config.topology = sim::Topology{};
+                config.topology.AddNode(nodes[n]);
+                const auto models = zoo.Models();
+                size_t moved = 0;
+                for (size_t i = 0; i < models.size(); ++i) {
+                    RunConfig run = SmallRun(mode);
+                    run.numeric_cap = 1;
+                    run.cache.capacity_bytes =
+                        cached ? 20 * models[i]->CacheRowBytes() : 0;
+                    sim::Runtime rt(config);
+                    OpStructureRecorder recorder;
+                    rt.SetObserver(&recorder);
+                    const double window = models[i]->RunInference(rt, run).total_us;
+                    if (n == 0) {
+                        default_ops.push_back(std::move(recorder.ops));
+                        default_windows.push_back(window);
+                        continue;
+                    }
+                    SCOPED_TRACE(models[i]->Name() + " " + sim::ToString(mode) +
+                                 (cached ? " cached" : "") + " node " +
+                                 std::to_string(n));
+                    EXPECT_FALSE(recorder.ops.empty());
+                    EXPECT_EQ(recorder.ops, default_ops[i]);
+                    moved += window != default_windows[i] ? 1 : 0;
+                }
+                // The perturbation bites: the same ops take other times in
+                // most runs (DyRep's and LDG's launch-bound hybrid windows
+                // ignore the first node's changes).
+                if (n > 0) {
+                    EXPECT_GE(moved, models.size() / 2) << "node " << n;
+                }
+            }
+        }
+    }
+}
+
 TEST(AllModelsTest, SimulatedWindowsArePinned)
 {
     // Goldens print 2-decimal ms, so drift below print precision slips past
