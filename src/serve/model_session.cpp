@@ -10,9 +10,7 @@ namespace dgnn::serve {
 namespace {
 
 /// Accumulates one probe batch's BatchProfile from the runtime's op
-/// records: the descriptor of every kernel, the host time of every host op,
-/// and the copies, with the cache's state traffic told apart by its tag.
-/// Only the measured window counts: the set-up before it (a model's
+/// records. Only the measured window counts: set-up before it (a model's
 /// one-time resident-table upload) is not paid per served batch.
 struct ProfileRecorder final : sim::RuntimeObserver {
     BatchProfile profile;
@@ -106,9 +104,8 @@ BatchProfile
 ProfileTable::Capture(int64_t batch_size)
 {
     // Replay the model's batched entry on a scratch runtime of the same
-    // mode and record every op it issues; the trace stays off. Warm-up is
-    // off, numerics are capped — cost accounting is identical either way
-    // (the numeric_cap contract).
+    // mode and record its ops. Warm-up is off, numerics are capped — cost
+    // accounting is identical either way (the numeric_cap contract).
     ProfileRecorder recorder;
     recorder.profile.batch_size = batch_size;
     recorder.profile.state_row_bytes = Cached() ? model_.CacheRowBytes() : 0;

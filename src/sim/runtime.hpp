@@ -186,8 +186,7 @@ class Runtime {
 
     /// Launches a compute kernel on the compute device. Asynchronous when a
     /// GPU is present. Returns the kernel completion time on its stream.
-    /// @p cache tags the op for observers (OpRecord::cache); only the
-    /// cache-aware helpers below pass one.
+    /// @p cache tags the op for observers; only the cache helpers set it.
     SimTime Launch(const KernelDesc& kernel, CacheTag cache = CacheTag::kNone);
 
     /// Blocking host->device copy. No-op (returns Now()) in CPU-only mode.
@@ -309,8 +308,7 @@ class Runtime {
     /// --- Measurement ----------------------------------------------------
 
     /// Starts a measurement window: resets device busy counters and peak
-    /// watermarks; utilization and busy times report from this point. The
-    /// observer hears RuntimeObserver::OnWindowReset.
+    /// watermarks; utilization and busy times report from this point.
     void ResetMeasurementWindow();
 
     SimTime MeasureStart() const { return measure_start_; }

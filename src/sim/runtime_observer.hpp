@@ -3,14 +3,12 @@
 /// @file
 /// The runtime observability seam. sim::Runtime reports every issued
 /// operation and every synchronization action through this passive
-/// interface, once per op, so a reader can reconstruct what a run issued
-/// WITHOUT perturbing it: the happens-before hazard checker
-/// (src/analysis/) rebuilds the concurrency structure, and serving's batch
-/// capture (serve::ProfileTable) rebuilds the batch's cost profile from
-/// the kernel descriptors and cache tags. Hooks fire after the
-/// corresponding simulated work was scheduled, carry read-only state, and
-/// a null observer (the default) short-circuits everything, leaving the
-/// simulated timeline and all committed expected outputs bit-identical.
+/// interface so an analysis layer (src/analysis/ — the happens-before
+/// hazard checker) can reconstruct the exact concurrency structure of a
+/// run, and serving's batch capture its cost profile, WITHOUT perturbing
+/// it: hooks fire after the corresponding simulated work was scheduled,
+/// carry read-only state, and a null observer (the default) short-circuits
+/// everything, leaving the simulated timeline bit-identical.
 ///
 /// Alongside the hooks, AccessSet/AccessScope let call sites declare the
 /// LOGICAL RESOURCES an operation reads and writes (staging buffers,
@@ -52,8 +50,7 @@ enum class OpKind {
     kCopyPeer,  ///< device->device transfer over a topology peer link
 };
 
-/// Which device-cache transfer an op is, if any (sim::Runtime's cache-aware
-/// helpers set it; every other op is kNone).
+/// Which device-cache transfer an op is; set by Runtime's cache helpers.
 enum class CacheTag {
     kNone,
     kMissH2D,       ///< GatherToDevice's miss rows over the host link
@@ -88,9 +85,9 @@ struct OpRecord {
     /// The innermost declared footprint, or nullptr when none is active.
     /// Borrowed; valid only for the duration of the hook.
     const AccessSet* access = nullptr;
-    /// What a capture needs and the hazard checker ignores: the issuing
-    /// descriptor of a kKernel or a RunHost kHostOp (nullptr for RunHostFor
-    /// and copies; borrowed, valid only for the hook) and the cache tag.
+    /// Read by the batch capture, ignored by the hazard checker: the issuing
+    /// descriptor of a kernel or RunHost op (else nullptr; borrowed, valid
+    /// only for the hook) and the cache tag.
     const KernelDesc* kernel = nullptr;
     CacheTag cache = CacheTag::kNone;
 };

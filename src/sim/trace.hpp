@@ -3,10 +3,8 @@
 /// @file
 /// Event trace recorded by the runtime — the simulated equivalent of an
 /// NVIDIA Nsight Systems timeline. Analysis utilities (breakdowns,
-/// utilization timelines, chrome-trace export) live in core/. The trace is
-/// for timelines and people: code that needs what a run issued (a kernel's
-/// descriptor, which copy was cache traffic) reads sim::OpRecord through a
-/// RuntimeObserver instead, and no code parses an event name.
+/// utilization timelines, chrome-trace export) live in core/. Code that
+/// needs what a run issued reads sim::OpRecord through a RuntimeObserver.
 
 #include <cstdint>
 #include <string>
@@ -37,8 +35,7 @@ enum class CopyDirection {
 /// One timeline entry.
 struct TraceEvent {
     EventKind kind = EventKind::kMarker;
-    /// Kernel/op name ("gemm", "h2d", "sampling_bisect", ...). The
-    /// runtime's cache-aware copies append a ":cache_*" label.
+    /// Kernel/op name ("gemm", "h2d", "gather:cache_miss_h2d", ...).
     std::string name;
     /// Module category (sim::CategoryScope) active at issue time ("GNN", ...).
     std::string category;
@@ -51,8 +48,6 @@ struct TraceEvent {
     int64_t flops = 0;
     int64_t bytes = 0;
     CopyDirection direction = CopyDirection::kNone;
-
-    SimTime Duration() const { return end_us - start_us; }
 };
 
 /// Append-only event log for one run.
