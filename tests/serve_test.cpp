@@ -246,7 +246,8 @@ TEST(ModelSessionTest, CaptureChargesExactlyTheProbeWindowsTransfers)
     // bytes plus the per-node state it separates out (miss rows in,
     // write-back rows out) equal the window's counters of the same probe.
     // Set-up before the window (TGAT's one-time resident-table upload) is
-    // paid once per session, not once per served batch.
+    // load-time work, like the weights a server loads before it serves,
+    // not a per-batch cost.
     const auto ds = TinyInteractions();
     using Factory = std::unique_ptr<models::DgnnModel> (*)(
         const data::InteractionDataset&);
