@@ -8,7 +8,8 @@
 ///
 /// and reports the cluster's sustained QPS (completions over the slowest
 /// shard's makespan), merged tail latency, the partition's edge cut and
-/// balance, and the cross-shard communication tax (peer-link occupancy as
+/// node balance, the routed load's imbalance (busiest shard's requests over
+/// the mean), and the cross-shard communication tax (peer-link occupancy as
 /// a share of total shard serving time). The 1-shard rows reproduce the
 /// unsharded serving path bit-for-bit — the scale-out seam's identity
 /// contract.
@@ -64,7 +65,8 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
 
     core::TableWriter table({"partitioner", "link", "shards", "sustained qps",
                              "p50 ms", "p99 ms", "edge cut", "balance",
-                             "remote rows", "exchange MB", "comm tax %"});
+                             "load", "remote rows", "exchange MB",
+                             "comm tax %"});
     for (const shard::PartitionerKind partitioner :
          {shard::PartitionerKind::kHash, shard::PartitionerKind::kGreedy}) {
         for (const sim::LinkSpec& interconnect :
@@ -100,6 +102,7 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                      core::TableWriter::Num(
                          static_cast<double>(report.edge_cut), 0),
                      core::TableWriter::Num(report.balance_factor, 3),
+                     core::TableWriter::Num(report.load_imbalance, 3),
                      core::TableWriter::Num(
                          static_cast<double>(report.exchange.remote_rows), 0),
                      bench::Mb(report.exchange.bytes),
@@ -116,6 +119,7 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                 json.Field("p99_ms", report.latency.P99() / 1000.0, 3);
                 json.Field("edge_cut", report.edge_cut);
                 json.Field("balance_factor", report.balance_factor, 3);
+                json.Field("load_imbalance", report.load_imbalance, 3);
                 json.Field("remote_rows", report.exchange.remote_rows);
                 json.Field("exchange_mb",
                            static_cast<double>(report.exchange.bytes) / 1024.0 /

@@ -12,11 +12,14 @@
 ///   compute  = device kernel execution (incl. the cache hit-gather)
 ///
 /// The batch is classified by its largest component. Aggregating the
-/// classifications over a run yields the scenario's bottleneck profile:
-/// a flash crowd drives batches queueing-dominated, a cache-adversarial
-/// node stream (hit rate collapsed, every batch re-staging state over
-/// PCIe) drives them transfer-dominated — the online analogue of the
-/// paper's offline breakdown flip between CPU- and GPU-side bottlenecks.
+/// classifications over a run yields the scenario's bottleneck profile —
+/// the online analogue of the paper's offline breakdown. A flash crowd
+/// drives batches queueing-dominated; otherwise CPU-side sampling keeps
+/// TGN and TGAT batches host-dominated over the testbed's PCIe link, even
+/// on cache-adversarial node streams (bench_serving_observability's
+/// hotset-drift and community-churn cells). Batches turn
+/// transfer-dominated when the host link itself is slow: a node whose link
+/// is 1000x slower than PCIe gen4 does it.
 
 #include <array>
 #include <cstdint>

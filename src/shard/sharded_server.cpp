@@ -6,15 +6,6 @@
 
 namespace dgnn::shard {
 
-int32_t
-RouteShard(const PartitionBook& book, const serve::Request& request)
-{
-    // State follows the source endpoint (the node whose memory/embedding
-    // row the interaction updates); node-blind requests fold by id so a
-    // blind stream still spreads across the cluster deterministically.
-    return book.ShardOf(request.src >= 0 ? request.src : request.id);
-}
-
 namespace {
 
 /// A request is a trace interaction edge when both endpoints are known.
@@ -56,6 +47,23 @@ BuildBook(int64_t num_nodes, const std::vector<serve::Request>& requests,
                          options.partition_seed);
 }
 
+/// Busiest sub-stream over the mean sub-stream (1.0 = balanced).
+double
+LoadImbalance(const std::vector<std::vector<serve::Request>>& streams)
+{
+    size_t total = 0;
+    size_t busiest = 0;
+    for (const std::vector<serve::Request>& stream : streams) {
+        total += stream.size();
+        busiest = std::max(busiest, stream.size());
+    }
+    if (total == 0) {
+        return 1.0;
+    }
+    return static_cast<double>(busiest) *
+           static_cast<double>(streams.size()) / static_cast<double>(total);
+}
+
 }  // namespace
 
 Cluster::Cluster(models::DgnnModel& model, sim::ExecMode mode,
@@ -82,19 +90,27 @@ RoutedTrace
 Cluster::Route(const std::vector<serve::Request>& requests) const
 {
     RoutedTrace routed;
-    std::vector<size_t> sizes(static_cast<size_t>(NumShards()), 0);
+    routed.streams.resize(static_cast<size_t>(NumShards()));
     for (const serve::Request& r : requests) {
-        ++sizes[static_cast<size_t>(RouteShard(book_, r))];
+        // State follows the source endpoint (the node whose memory or
+        // embedding row the interaction updates); node-blind requests fold
+        // by id so a blind stream still spreads across the cluster.
+        int32_t shard = book_.ShardOf(r.src >= 0 ? r.src : r.id);
         if (IsInteraction(r) && book_.Cuts(r.src, r.dst)) {
             ++routed.edge_cut;
+            // A cut interaction needs a remote row wherever it runs, so it
+            // may run at either owner: the one that has taken fewer of this
+            // trace's requests so far (ties stay with the source's).
+            // Out-of-book endpoints have no owner, only a fold.
+            if (r.src < book_.NumNodes() && r.dst < book_.NumNodes()) {
+                const int32_t dst_owner = book_.ShardOf(r.dst);
+                if (routed.streams[static_cast<size_t>(dst_owner)].size() <
+                    routed.streams[static_cast<size_t>(shard)].size()) {
+                    shard = dst_owner;
+                }
+            }
         }
-    }
-    routed.streams.resize(sizes.size());
-    for (size_t shard = 0; shard < sizes.size(); ++shard) {
-        routed.streams[shard].reserve(sizes[shard]);
-    }
-    for (const serve::Request& r : requests) {
-        routed.streams[static_cast<size_t>(RouteShard(book_, r))].push_back(r);
+        routed.streams[static_cast<size_t>(shard)].push_back(r);
     }
     return routed;
 }
@@ -113,6 +129,7 @@ Cluster::Serve(const std::vector<serve::Request>& requests,
     report.num_shards = NumShards();
     report.edge_cut = routed.edge_cut;
     report.balance_factor = book_.BalanceFactor();
+    report.load_imbalance = LoadImbalance(routed.streams);
     report.offered_qps = serve::OfferedQps(requests);
 
     sim::SimTime makespan_sum_us = 0.0;

@@ -6,14 +6,16 @@
 /// trace's interaction edges) assigns every node's state to one shard, the
 /// topology gives each shard a device, and each shard gets a
 /// serve::ModelSession (its own cache) over ONE profile table the shards
-/// share. Each Cluster::Serve then routes one trace — every request to the
-/// shard owning its source endpoint — and runs the UNMODIFIED serving loop
-/// per shard with a ShardExchangeHook pulling the batch's remote rows over
-/// the peer links. Shards serve their sub-streams independently — the
-/// simulated analogue of data-parallel serving replicas with partitioned
-/// state — so the cluster's sustained throughput is total completions over
-/// the SLOWEST shard's makespan, and the exchange volume (priced per
-/// interconnect) is the tax the partitioner's edge cut levies on it.
+/// share. Each Cluster::Serve then routes one trace — every request to a
+/// shard owning one of its endpoints, a cut interaction to whichever of its
+/// two owners has taken fewer of the trace's requests so far — and runs the
+/// UNMODIFIED serving loop per shard with a ShardExchangeHook pulling the
+/// batch's remote rows over the peer links. Shards serve their sub-streams
+/// independently — the simulated analogue of data-parallel serving replicas
+/// with partitioned state — so the cluster's sustained throughput is total
+/// completions over the SLOWEST shard's makespan, and the exchange volume
+/// (priced per interconnect) is the tax the partitioner's edge cut levies
+/// on it.
 ///
 /// With num_shards == 1 the book owns everything, the hook never touches
 /// the runtime, and the single shard's run reproduces the unsharded
@@ -65,8 +67,12 @@ struct ShardedReport {
     int64_t requests = 0;
     /// Trace interactions whose endpoints live on different shards.
     int64_t edge_cut = 0;
-    /// Largest shard over the ideal size (1.0 = perfectly balanced).
+    /// Largest shard's node count over the ideal size (1.0 = perfectly
+    /// balanced).
     double balance_factor = 1.0;
+    /// Busiest shard's routed requests x num_shards / requests (1.0 =
+    /// every shard got the same load).
+    double load_imbalance = 1.0;
     double offered_qps = 0.0;
     /// Total completions over the slowest shard's makespan — the cluster
     /// rate an open-loop load balancer would sustain.
@@ -121,8 +127,13 @@ class Cluster {
         return sessions_.at(static_cast<size_t>(shard));
     }
 
-    /// Routes every request of @p requests (RouteShard) and counts their
-    /// edge cut in one pass, then copies each shard's sub-stream once.
+    /// Routes every request of @p requests and counts their edge cut in
+    /// one pass. A request goes to the owner of its source endpoint (a
+    /// node-blind one folds by id), except that an interaction cut between
+    /// two in-book owners goes to whichever of them has been routed fewer
+    /// requests so far (ties: the source's owner). Every request thus runs
+    /// on a shard owning one of its endpoints, and a 1-shard book, which
+    /// cuts nothing, routes everything to shard 0.
     [[nodiscard]] RoutedTrace Route(
         const std::vector<serve::Request>& requests) const;
 
@@ -149,10 +160,5 @@ class Cluster {
     models::DgnnModel& model, sim::ExecMode mode, int64_t num_nodes,
     const std::vector<serve::Request>& requests,
     const PolicyFactory& make_policy, const ShardedOptions& options);
-
-/// The routing rule: requests follow their source endpoint's owner
-/// (node-blind requests fold by id).
-[[nodiscard]] int32_t RouteShard(const PartitionBook& book,
-                                 const serve::Request& request);
 
 }  // namespace dgnn::shard

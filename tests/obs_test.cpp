@@ -1,7 +1,8 @@
 // Tests for the serving observability layer (src/obs/): the labeled
 // metrics registry and its deterministic exports, per-request span
 // tracing with the conservation invariant, windowed aggregation,
-// bottleneck attribution, the merged chrome-trace export, and — most
+// bottleneck attribution (including a real served run whose slow host
+// link makes it transfer-bound), the merged chrome-trace export, and — most
 // importantly — the property that attaching an observer NEVER changes
 // the simulation.
 
@@ -23,6 +24,8 @@
 #include "obs/windowed_metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/server.hpp"
+#include "serve/shard_hook.hpp"
+#include "sim/topology.hpp"
 
 namespace dgnn::obs {
 namespace {
@@ -289,6 +292,76 @@ ServeScenario(const scenario::Scenario& s,
     options.observer = obs;
     return serve::ServeRequests(session, policy,
                                 scenario::GenerateRequests(s, dataset, n), options);
+}
+
+/// A shard hook that claims nothing and places the serving runtime on a
+/// one-node topology whose host link is 1000x slower than PCIe gen4 in
+/// both bandwidth and latency: every batch's input staging and cache
+/// traffic crosses that link, and no peer exchange ever runs.
+class SlowHostLinkHook final : public serve::BatchShardHook {
+  public:
+    SlowHostLinkHook()
+    {
+        sim::TopologyNode node;
+        node.host_link.bandwidth_gbps /= 1000.0;
+        node.host_link.latency_us *= 1000.0;
+        topology_.AddNode(node);
+    }
+    const sim::Topology& Topology() const override { return topology_; }
+    int32_t DeviceIndex() const override { return 0; }
+    int64_t ClaimRemote(std::vector<int64_t>& /*nodes*/) override { return 0; }
+    serve::ExchangeCost IssueExchange(sim::Runtime& /*runtime*/) override
+    {
+        return {};
+    }
+
+  private:
+    sim::Topology topology_;
+};
+
+TEST(ObservabilityTest, SlowHostLinkDrivesServedBatchesTransferDominated)
+{
+    const auto dataset = TinyInteractions();
+    // Arrivals far enough apart that even the slow link keeps up, so no
+    // backlog turns the run queueing-bound.
+    scenario::Scenario s;
+    s.name = "slow-link";
+    s.poisson_qps = 10.0;
+    s.poisson_seed = 9;
+    const std::vector<serve::Request> requests =
+        scenario::GenerateRequests(s, dataset, 120);
+    models::Tgn tgn(dataset, models::TgnConfig{16, 16, 2, 11});
+    cache::DeviceCacheConfig cache_config;
+    cache_config.capacity_bytes = dataset.NumNodes() / 4 * tgn.CacheRowBytes();
+
+    const auto serve_over = [&](serve::BatchShardHook* hook) {
+        serve::ModelSession session(tgn, sim::ExecMode::kHybrid,
+                                    /*num_neighbors=*/4, cache_config);
+        serve::TimeoutPolicy policy(8, 2000.0);
+        ServingObservability obs;
+        serve::ServerOptions options;
+        options.executor = serve::ExecutorKind::kPipelined;
+        options.observer = &obs;
+        options.shard_hook = hook;
+        const serve::ServingReport report =
+            serve::ServeRequests(session, policy, requests, options);
+        EXPECT_GT(report.cache_stats.lookups, 0);
+        EXPECT_EQ(report.exchange.remote_rows, 0);
+        return obs.Attribution().Summary();
+    };
+
+    // Over the testbed's PCIe link the same session is not transfer-bound,
+    // so the verdict below comes from the link.
+    const AttributionSummary pcie = serve_over(nullptr);
+    EXPECT_NE(pcie.Dominant(), BottleneckCategory::kTransfer);
+
+    SlowHostLinkHook hook;
+    const AttributionSummary slow = serve_over(&hook);
+    ASSERT_GT(slow.total_batches, 0);
+    EXPECT_EQ(slow.Dominant(), BottleneckCategory::kTransfer);
+    EXPECT_EQ(slow.DominantByTime(), BottleneckCategory::kTransfer);
+    EXPECT_EQ(slow.batches[static_cast<size_t>(BottleneckCategory::kTransfer)],
+              slow.total_batches);
 }
 
 TEST(ObservabilityTest, SpanConservationHoldsForEveryGauntletScenario)

@@ -13,10 +13,12 @@
 //     and the zero-runtime-ops guarantee of an empty claim;
 //   * sharded serving: 1-shard bit-identity against the plain serving
 //     path (across two traces on one cluster, caches warm), one capture
-//     per batch size for a whole cluster, the one-pass routing against
-//     RouteShard + EdgeCut, sustained-QPS scaling with shard count,
-//     hazard-freedom of the exchange schedule under the checker, and
-//     detection of a deleted exchange fence in the REAL serving path.
+//     per batch size for a whole cluster, the one-pass load-aware routing
+//     (endpoint ownership, source-owner fallback, edge cut, pinned loads,
+//     a flatter busiest shard than source-only routing), sustained-QPS
+//     scaling with shard count, hazard-freedom of the exchange schedule
+//     under the checker, and detection of a deleted exchange fence in the
+//     REAL serving path.
 
 #include <gtest/gtest.h>
 
@@ -687,7 +689,27 @@ TEST(ShardedServingTest, ClusterCapturesEachBatchSizeOnce)
     }
 }
 
-TEST(ShardedServingTest, RouteMatchesRouteShardAndEdgeCut)
+/// The owner of a request's source endpoint, folding a node-blind one by
+/// id: where a request goes unless its interaction is cut in-book.
+int32_t
+SourceOwner(const PartitionBook& book, const serve::Request& r)
+{
+    return book.ShardOf(r.src >= 0 ? r.src : r.id);
+}
+
+/// Whether @p r is an interaction whose two in-book endpoints live on
+/// different shards: the requests load-aware routing may send to either
+/// owner.
+bool
+CutInBook(const PartitionBook& book, const serve::Request& r)
+{
+    const auto in_book = [&book](int64_t node) {
+        return node >= 0 && node < book.NumNodes();
+    };
+    return in_book(r.src) && in_book(r.dst) && book.Cuts(r.src, r.dst);
+}
+
+TEST(ShardedServingTest, RouteSendsCutInteractionsToTheLessLoadedOwner)
 {
     const auto dataset = ShardDataset();
     models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
@@ -703,31 +725,85 @@ TEST(ShardedServingTest, RouteMatchesRouteShardAndEdgeCut)
     options.partitioner = PartitionerKind::kGreedy;
     const Cluster cluster(model, sim::ExecMode::kHybrid, dataset.NumNodes(),
                           requests, options);
+    const PartitionBook& book = cluster.Book();
     const RoutedTrace routed = cluster.Route(requests);
 
     ASSERT_EQ(routed.streams.size(), 4u);
-    std::vector<std::pair<int64_t, int64_t>> edges;
+    std::vector<int64_t> shard_of(requests.size(), -1);
+    std::vector<size_t> sizes;
     for (int32_t shard = 0; shard < 4; ++shard) {
-        std::vector<int64_t> expected;
-        for (const serve::Request& r : requests) {
-            if (RouteShard(cluster.Book(), r) == shard) {
-                expected.push_back(r.id);
+        const std::vector<serve::Request>& stream =
+            routed.streams[static_cast<size_t>(shard)];
+        sizes.push_back(stream.size());
+        for (size_t i = 0; i < stream.size(); ++i) {
+            // Arrival order survives within a sub-stream.
+            if (i > 0) {
+                EXPECT_LT(stream[i - 1].id, stream[i].id);
             }
+            const auto id = static_cast<size_t>(stream[i].id);
+            ASSERT_LT(id, requests.size());
+            EXPECT_EQ(shard_of[id], -1) << "request " << id << " routed twice";
+            shard_of[id] = shard;
         }
-        std::vector<int64_t> ids;
-        for (const serve::Request& r :
-             routed.streams[static_cast<size_t>(shard)]) {
-            ids.push_back(r.id);
-        }
-        EXPECT_EQ(ids, expected) << "shard " << shard;
     }
+
+    int64_t to_dst_owner = 0;
+    std::vector<std::pair<int64_t, int64_t>> edges;
     for (const serve::Request& r : requests) {
+        const int64_t shard = shard_of[static_cast<size_t>(r.id)];
+        ASSERT_NE(shard, -1) << "request " << r.id << " never routed";
+        if (CutInBook(book, r)) {
+            // A cut request runs on an owner of one of its endpoints.
+            EXPECT_TRUE(shard == book.ShardOf(r.src) ||
+                        shard == book.ShardOf(r.dst))
+                << "request " << r.id;
+            to_dst_owner += shard != book.ShardOf(r.src) ? 1 : 0;
+        } else {
+            // Uncut, half-known, node-blind and out-of-book requests
+            // follow their source's owner.
+            EXPECT_EQ(shard, SourceOwner(book, r)) << "request " << r.id;
+        }
         if (r.src >= 0 && r.dst >= 0) {
             edges.emplace_back(r.src, r.dst);
         }
     }
-    EXPECT_EQ(routed.edge_cut, EdgeCut(cluster.Book(), edges));
+    // The rule moved real load, and moving it left the cut as it was.
+    EXPECT_GT(to_dst_owner, 0);
+    EXPECT_EQ(routed.edge_cut, EdgeCut(book, edges));
     EXPECT_GT(routed.edge_cut, 0);
+    EXPECT_EQ(sizes, (std::vector<size_t>{131, 126, 123, 132}));
+}
+
+TEST(ShardedServingTest, LoadAwareRoutingFlattensTheBusiestShard)
+{
+    const auto dataset = ShardDataset();
+    models::Tgn model(dataset, models::TgnConfig{64, 32, 1, 11});
+    // Popularity-skewed replay: a few hot sources dominate the trace.
+    const std::vector<serve::Request> requests =
+        ShardRequests(dataset, /*qps=*/20000.0, /*n=*/2048);
+
+    for (const PartitionerKind partitioner :
+         {PartitionerKind::kHash, PartitionerKind::kGreedy}) {
+        SCOPED_TRACE(ToString(partitioner));
+        ShardedOptions options = BaseOptions(dataset, model, /*shards=*/4);
+        options.partitioner = partitioner;
+        const Cluster cluster(model, sim::ExecMode::kHybrid,
+                              dataset.NumNodes(), requests, options);
+
+        std::vector<size_t> source_only(4, 0);
+        for (const serve::Request& r : requests) {
+            ++source_only[static_cast<size_t>(
+                SourceOwner(cluster.Book(), r))];
+        }
+        size_t routed_busiest = 0;
+        for (const std::vector<serve::Request>& stream :
+             cluster.Route(requests).streams) {
+            routed_busiest = std::max(routed_busiest, stream.size());
+        }
+        const size_t source_only_busiest =
+            *std::max_element(source_only.begin(), source_only.end());
+        EXPECT_LT(routed_busiest, source_only_busiest);
+    }
 }
 
 TEST(ShardedServingTest, ServeShardedEqualsClusterServe)
@@ -797,8 +873,8 @@ TEST(ShardedServingTest, DeterministicAcrossRuns)
     ExpectSameSharded(serve_once(), serve_once());
 }
 
-/// Serves shard 0's sub-stream of a 2-shard split through the REAL serving
-/// loop with an exchange hook and a hazard checker attached.
+/// Serves the requests whose source shard 0 owns in a 2-shard split through
+/// the REAL serving loop with an exchange hook and a hazard checker attached.
 analysis::HazardReport
 CheckedShardRun(bool install_fence, int64_t* rounds_out)
 {
@@ -810,7 +886,7 @@ CheckedShardRun(bool install_fence, int64_t* rounds_out)
     const PartitionBook book = HashPartition(dataset.NumNodes(), 2, 1);
     std::vector<serve::Request> shard0;
     for (const serve::Request& r : requests) {
-        if (RouteShard(book, r) == 0) {
+        if (book.ShardOf(r.src) == 0) {
             shard0.push_back(r);
         }
     }
