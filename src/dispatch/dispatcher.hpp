@@ -17,6 +17,12 @@
 /// launches), dense batches go to the device, and irregular byte-bound
 /// chains pick fused vs unfused per batch.
 ///
+/// It is the one mechanism that chooses a hybrid batch's chain. Serving
+/// without a configured dispatcher uses a kHybrid one with the CPU masked
+/// (the device-only decision), so every hybrid batch runs the cheaper of
+/// its unfused and fused chains; kStaticGpu is the explicit unfused
+/// baseline.
+///
 /// Decide() is a pure function of the WorkEstimate, the node and the mode —
 /// no clocks, no RNG, no mutable state — so dispatch decisions are
 /// seed-deterministic by construction.

@@ -122,8 +122,9 @@ struct PlacementBucket {
 /// Audits the hybrid dispatcher through the observation seam: how batches
 /// were routed and how the cost-model predictions the routing was based on
 /// compare against the measured executor spans (predict-then-place, then
-/// verify). Ignores batches without a decision, so it composes with
-/// dispatcherless runs.
+/// verify). Every batch of a hybrid session carries a decision, the
+/// device-only one when no dispatcher is set; batches without one (CPU-only
+/// sessions) are ignored.
 class DispatchLedger {
   public:
     void OnBatch(const serve::BatchObservation& ob);

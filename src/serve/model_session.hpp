@@ -94,8 +94,8 @@ class ProfileTable {
     /// Profile(batch_size) with the model's registered fusion chains
     /// collapsed (models::FuseRegisteredChains): fewer, fatter kernels,
     /// identical host work and transfer volumes, and no further run of the
-    /// model. Memoized separately; used by the hybrid dispatcher's
-    /// GPU-fused placement.
+    /// model. Memoized separately; the chain a hybrid batch runs when it
+    /// is placed on kGpuFused.
     const BatchProfile& FusedProfile(int64_t batch_size);
 
     /// Number of distinct batch sizes captured so far (unfused profiles).

@@ -59,10 +59,11 @@ struct BatchObservation {
     /// hook — i.e. in every unsharded run).
     ExchangeCost exchange;
     /// The captured cost profile the executor issued (the FUSED profile
-    /// when the dispatcher placed the batch on kGpuFused).
+    /// when the batch was placed on kGpuFused).
     const BatchProfile* profile = nullptr;
-    /// The hybrid dispatcher's routing verdict with the predictions it was
-    /// based on; absent in dispatcherless runs.
+    /// The routing verdict with the predictions it was based on (the
+    /// configured dispatcher's, or the device-only decision when none is
+    /// set); absent for CPU-only sessions.
     std::optional<dispatch::PlacementDecision> decision;
     /// The member requests, oldest first, with ABSOLUTE arrival timestamps.
     std::vector<Request> requests;

@@ -33,6 +33,37 @@ MakeExecutor(sim::Runtime& runtime, const ServerOptions& options)
     return std::make_unique<SerialExecutor>(runtime);
 }
 
+/// One batch size's placement and the profile that placement runs.
+struct PricedBatch {
+    dispatch::PlacementDecision decision;
+    const BatchProfile* profile = nullptr;
+};
+
+/// Prices a batch of @p profile's size on @p node. The device placements
+/// are charged the worst-case all-miss state volume, the same bound the
+/// executors pay for uncached sessions.
+PricedBatch
+PriceBatch(const dispatch::HybridDispatcher& dispatcher, ModelSession& session,
+           const BatchProfile& profile, const sim::TopologyNode& node,
+           bool allow_cpu)
+{
+    const BatchProfile& fused_profile = session.FusedProfile(profile.batch_size);
+    dispatch::WorkEstimate estimate;
+    estimate.batch_size = profile.batch_size;
+    estimate.host_us = profile.host_us;
+    estimate.h2d_bytes =
+        profile.h2d_bytes + profile.state_rows * profile.state_row_bytes;
+    estimate.d2h_bytes = profile.d2h_bytes;
+    estimate.kernels = &profile.kernels;
+    estimate.fused_kernels = &fused_profile.kernels;
+    PricedBatch priced;
+    priced.decision = dispatcher.Decide(estimate, node, allow_cpu);
+    priced.profile = priced.decision.placement == dispatch::Placement::kGpuFused
+                         ? &fused_profile
+                         : &profile;
+    return priced;
+}
+
 }  // namespace
 
 ServingReport
@@ -83,6 +114,22 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     runtime.EnsureWarm(0);
     runtime.ResetMeasurementWindow();
     const sim::SimTime window_start = runtime.Now();
+
+    // Every hybrid batch is placed by the one pricing mechanism: the
+    // configured dispatcher, or else the device-only decision, which runs
+    // whichever of the unfused and fused chains prices cheaper on this
+    // node's GPU. Cache-enabled sessions never go to the host (their state
+    // rows are device-resident; a host run would bypass them). A decision
+    // is a pure function of the batch size's profiles and the node, so it
+    // is priced once per batch size.
+    const dispatch::HybridDispatcher device_only;
+    const dispatch::HybridDispatcher* dispatcher = options.dispatcher;
+    if (dispatcher == nullptr && session.Mode() == sim::ExecMode::kHybrid) {
+        dispatcher = &device_only;
+    }
+    const bool allow_cpu =
+        options.dispatcher != nullptr && !session.CacheEnabled();
+    std::vector<std::optional<PricedBatch>> placements;
 
     ServingObserver* observer = options.observer;
     if (observer != nullptr) {
@@ -150,36 +197,26 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
 
             const BatchProfile& profile = session.Profile(decision.dispatch);
 
-            // Predict-then-place (src/dispatch/): price the batch on this
-            // runtime's node — CPU, GPU, and GPU-fused from the captured
-            // profiles — and route it.
-            // The estimate charges the device placements the worst-case
-            // all-miss state volume — the same bound the executors pay for
-            // uncached sessions. Cache-enabled sessions keep their batches
-            // on the device (state rows are device-resident; a host run
-            // would bypass them), so CPU placement is masked for them.
+            // Predict-then-place (src/dispatch/): every batch of a hybrid
+            // session is priced on this runtime's node and runs the chain
+            // its placement names — the unfused or the fused profile, or
+            // the unfused one on the host.
             const BatchProfile* exec_profile = &profile;
             dispatch::Placement placement = dispatch::Placement::kGpu;
-            std::optional<dispatch::PlacementDecision> placed;
-            if (options.dispatcher != nullptr) {
-                const BatchProfile& fused_profile =
-                    session.FusedProfile(decision.dispatch);
-                dispatch::WorkEstimate estimate;
-                estimate.batch_size = profile.batch_size;
-                estimate.host_us = profile.host_us;
-                estimate.h2d_bytes =
-                    profile.h2d_bytes +
-                    profile.state_rows * profile.state_row_bytes;
-                estimate.d2h_bytes = profile.d2h_bytes;
-                estimate.kernels = &profile.kernels;
-                estimate.fused_kernels = &fused_profile.kernels;
-                placed = options.dispatcher->Decide(
-                    estimate, runtime.Node(),
-                    /*allow_cpu=*/!session.CacheEnabled());
-                placement = placed->placement;
-                if (placement == dispatch::Placement::kGpuFused) {
-                    exec_profile = &fused_profile;
+            const dispatch::PlacementDecision* placed = nullptr;
+            if (dispatcher != nullptr) {
+                const auto size = static_cast<size_t>(decision.dispatch);
+                if (placements.size() <= size) {
+                    placements.resize(size + 1);
                 }
+                std::optional<PricedBatch>& memo = placements[size];
+                if (!memo.has_value()) {
+                    memo = PriceBatch(*dispatcher, session, profile,
+                                      runtime.Node(), allow_cpu);
+                }
+                placed = &memo->decision;
+                placement = placed->placement;
+                exec_profile = memo->profile;
                 ++report.placement_batches[static_cast<size_t>(placement)];
             }
 
@@ -271,7 +308,9 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 ob.cache_cost = cache_cost;
                 ob.exchange = exchange;
                 ob.profile = exec_profile;
-                ob.decision = placed;
+                if (placed != nullptr) {
+                    ob.decision = *placed;
+                }
                 ob.requests.assign(queue.begin(),
                                    queue.begin() + decision.dispatch);
             }

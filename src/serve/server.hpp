@@ -63,9 +63,13 @@ struct ServerOptions {
     /// the batch accordingly (predict-then-place). Hybrid sessions only:
     /// a run on any other session throws before it starts.
     /// CPU routing is masked for cache-enabled sessions (their state is
-    /// device-resident). Null — the default — keeps every batch on the
-    /// executor's device path with the unfused profile, bit-identical to
-    /// dispatcherless serving. Borrowed; must outlive the run.
+    /// device-resident). Null — the default — still prices every batch of
+    /// a hybrid session, with the device-only decision (a kHybrid
+    /// dispatcher with the CPU masked): each batch runs whichever of its
+    /// unfused and fused profiles is cheaper on the node's GPU. Set
+    /// DispatchMode::kStaticGpu for the unfused baseline. Decisions are
+    /// memoized per batch size within one run. Borrowed; must outlive the
+    /// run.
     const dispatch::HybridDispatcher* dispatcher = nullptr;
 };
 
@@ -103,8 +107,10 @@ struct ServingReport {
     /// Cross-shard exchange totals across the run's batches (all-zero
     /// without a shard hook — every unsharded run).
     ExchangeCost exchange;
-    /// Batches the dispatcher routed to each placement, indexed by
-    /// dispatch::Placement (all-zero without a dispatcher).
+    /// Batches routed to each placement, indexed by dispatch::Placement:
+    /// by the configured dispatcher, or by the device-only decision when
+    /// none is set. Every batch of a hybrid session is counted; all-zero
+    /// for CPU-only sessions.
     std::array<int64_t, dispatch::kNumPlacements> placement_batches{};
 };
 

@@ -18,6 +18,12 @@
 ///                    byte-bound chains and why placement stays a per-batch
 ///                    decision (src/dispatch/) instead of a global switch
 ///
+/// Fusion is not monotone in general. "Never slower" in
+/// ModelFusionTest.*FusedProfileHasFewerLaunchesNeverSlower holds only for
+/// the configs those tests pin (k = 4, small dims): at the serving benches'
+/// TGN (k = 10) the fused chain loses for a 1-3 request batch and wins from
+/// 4 requests, so serving prices both chains per batch.
+///
 /// Collapse() is device-independent: the same collapsed descriptor prices on
 /// any DeviceSpec via the unchanged KernelDuration(), so fused launches flow
 /// through Runtime::Launch, tracing, and profile capture with zero runtime

@@ -1,12 +1,14 @@
 // Kernel fusion + hybrid dispatch: the Collapse algebra over the analytic
 // cost model, the registered per-model chains (identical numerics, fewer
 // launches), the predict-then-place dispatcher, and its serving integration
-// (placement accounting, identity with the dispatcherless path, hazard
-// freedom). Labelled `fusion` in CTest.
+// (placement accounting, dispatcher-less serving as the device-only
+// decision, hazard freedom). Labelled `fusion` in CTest.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "analysis/hazard_checker.hpp"
 #include "dispatch/dispatcher.hpp"
@@ -20,6 +22,8 @@
 #include "serve/server.hpp"
 #include "shard/exchange.hpp"
 #include "shard/partition_book.hpp"
+#include "sim/runtime_observer.hpp"
+#include "sim/topology.hpp"
 #include "support/check.hpp"
 
 namespace dgnn {
@@ -295,6 +299,11 @@ TEST(ModelFusionTest, FusedProfilesArePinned)
 
 /// Fusion attacks launch overhead: every captured batch of @p model fuses
 /// to fewer launches whose GPU chain time is no longer than the unfused.
+/// "Never slower" holds for the configs these tests pin (k = 4, the small
+/// dims below), not in general: at the serving benches' TGN (k = 10) the
+/// fused chain is the slower one for a single request, which is why
+/// serving prices the two chains per batch
+/// (DispatchServingTest.DispatcherlessServingPicksTheCheaperChainPerBatch).
 void
 ExpectFewerLaunchesNeverSlower(models::DgnnModel& model)
 {
@@ -611,37 +620,202 @@ TEST(DispatchServingTest, HybridRoutesEveryBatchAndReportsTheMix)
     }
 }
 
-TEST(DispatchServingTest, StaticGpuDispatcherIsIdenticalToDispatcherless)
+/// Counts the kernel launches a serving run issues inside its window.
+class LaunchCounter final : public sim::RuntimeObserver {
+  public:
+    void OnOp(const sim::OpRecord& op) override
+    {
+        if (op.kind == sim::OpKind::kKernel) {
+            ++launches;
+        }
+    }
+    void OnWindowReset() override { launches = 0; }
+
+    int64_t launches = 0;
+};
+
+/// Every ServingReport field of @p a equals @p b's, bit for bit.
+void
+ExpectReportsIdentical(const serve::ServingReport& a,
+                       const serve::ServingReport& b)
 {
-    // kGpu placement forwards to the plain Submit with the unfused profile,
-    // so a static-GPU dispatcher must reproduce the dispatcherless run
-    // bit-for-bit — the identity contract of the SubmitPlaced seam.
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.mode, b.mode);
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.executor, b.executor);
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.offered_qps, b.offered_qps);
+    EXPECT_EQ(a.achieved_qps, b.achieved_qps);
+    EXPECT_EQ(a.makespan_us, b.makespan_us);
+
+    EXPECT_EQ(a.latency.Count(), b.latency.Count());
+    EXPECT_EQ(a.latency.Min(), b.latency.Min());
+    EXPECT_EQ(a.latency.Max(), b.latency.Max());
+    EXPECT_EQ(a.latency.Mean(), b.latency.Mean());
+    EXPECT_EQ(a.latency.OverflowCount(), b.latency.OverflowCount());
+    // Every percentile, so every occupied bucket, matches.
+    for (int q = 0; q <= 100; ++q) {
+        EXPECT_EQ(a.latency.Quantile(q / 100.0), b.latency.Quantile(q / 100.0))
+            << "q" << q;
+    }
+    for (const auto& [x, y] : {std::pair{&a.queue_depth, &b.queue_depth},
+                               std::pair{&a.batch_size, &b.batch_size}}) {
+        EXPECT_EQ(x->Count(), y->Count());
+        EXPECT_EQ(x->Sum(), y->Sum());
+        EXPECT_EQ(x->Min(), y->Min());
+        EXPECT_EQ(x->Max(), y->Max());
+        EXPECT_EQ(x->Variance(), y->Variance());
+    }
+
+    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+    EXPECT_EQ(a.cache_hit_bytes, b.cache_hit_bytes);
+    EXPECT_EQ(a.cache_stats.lookups, b.cache_stats.lookups);
+    EXPECT_EQ(a.cache_stats.hits, b.cache_stats.hits);
+    EXPECT_EQ(a.cache_stats.misses, b.cache_stats.misses);
+    EXPECT_EQ(a.cache_stats.insertions, b.cache_stats.insertions);
+    EXPECT_EQ(a.cache_stats.evictions, b.cache_stats.evictions);
+    EXPECT_EQ(a.cache_stats.writeback_rows, b.cache_stats.writeback_rows);
+    EXPECT_EQ(a.cache_stats.hit_bytes, b.cache_stats.hit_bytes);
+    EXPECT_EQ(a.cache_stats.miss_bytes, b.cache_stats.miss_bytes);
+    EXPECT_EQ(a.exchange.remote_rows, b.exchange.remote_rows);
+    EXPECT_EQ(a.exchange.local_rows, b.exchange.local_rows);
+    EXPECT_EQ(a.exchange.bytes, b.exchange.bytes);
+    EXPECT_EQ(a.exchange.messages, b.exchange.messages);
+    EXPECT_EQ(a.exchange.link_us, b.exchange.link_us);
+    EXPECT_EQ(a.placement_batches, b.placement_batches);
+}
+
+TEST(DispatchServingTest, DispatcherlessServingEqualsTheHybridDispatcher)
+{
+    // One pricing mechanism: without a dispatcher, a cached hybrid session
+    // is placed exactly as a kHybrid dispatcher places it (the cache masks
+    // the CPU either way), so the two runs are one run.
     const auto dataset = ServingDataset();
     const auto requests = ServingRequests(dataset, 256);
     models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    const dispatch::HybridDispatcher hybrid;
+
+    for (models::DgnnModel* model :
+         std::vector<models::DgnnModel*>{&tgn, &jodie}) {
+        cache::DeviceCacheConfig cache_config;
+        cache_config.capacity_bytes =
+            dataset.NumNodes() / 4 * model->CacheRowBytes();
+        cache_config.eviction = cache::EvictionPolicy::kLru;
+        for (const serve::ExecutorKind kind :
+             {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
+            SCOPED_TRACE(model->Name() + " " + serve::ToString(kind));
+            const auto serve_with = [&](const dispatch::HybridDispatcher* d) {
+                serve::ModelSession session(*model, sim::ExecMode::kHybrid,
+                                            /*num_neighbors=*/4, cache_config);
+                EXPECT_TRUE(session.CacheEnabled());
+                serve::TimeoutPolicy policy(32, 5000.0);
+                serve::ServerOptions options;
+                options.executor = kind;
+                options.dispatcher = d;
+                return serve::ServeRequests(session, policy, requests,
+                                            options);
+            };
+            const serve::ServingReport dispatcherless = serve_with(nullptr);
+            const serve::ServingReport routed = serve_with(&hybrid);
+            ExpectReportsIdentical(dispatcherless, routed);
+            EXPECT_EQ(dispatcherless.placement_batches[static_cast<size_t>(
+                          dispatch::Placement::kCpu)],
+                      0);
+            EXPECT_GT(dispatcherless.placement_batches[static_cast<size_t>(
+                          dispatch::Placement::kGpuFused)],
+                      0);
+        }
+    }
+}
+
+TEST(DispatchServingTest, StaticGpuStaysTheUnfusedBaseline)
+{
+    // kStaticGpu is the explicit unfused baseline: on launch-bound JODIE it
+    // issues more kernels than dispatcher-less serving and never finishes
+    // sooner.
+    const auto dataset = ServingDataset();
+    const auto requests = ServingRequests(dataset, 256);
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    const dispatch::HybridDispatcher static_gpu(
+        dispatch::DispatchMode::kStaticGpu);
 
     for (const serve::ExecutorKind kind :
          {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
-        const serve::ServingReport baseline =
-            ServeWith(tgn, requests, kind, nullptr);
-        const dispatch::HybridDispatcher dispatcher(
-            dispatch::DispatchMode::kStaticGpu);
-        const serve::ServingReport routed =
-            ServeWith(tgn, requests, kind, &dispatcher);
+        SCOPED_TRACE(serve::ToString(kind));
+        LaunchCounter plain_launches;
+        const serve::ServingReport plain = ServeWith(
+            jodie, requests, kind, nullptr, nullptr, &plain_launches);
+        LaunchCounter unfused_launches;
+        const serve::ServingReport unfused = ServeWith(
+            jodie, requests, kind, &static_gpu, nullptr, &unfused_launches);
 
-        EXPECT_DOUBLE_EQ(routed.makespan_us, baseline.makespan_us);
-        EXPECT_DOUBLE_EQ(routed.achieved_qps, baseline.achieved_qps);
-        EXPECT_EQ(routed.batches, baseline.batches);
-        EXPECT_EQ(routed.h2d_bytes, baseline.h2d_bytes);
-        EXPECT_EQ(routed.d2h_bytes, baseline.d2h_bytes);
-        EXPECT_DOUBLE_EQ(routed.latency.P99(), baseline.latency.P99());
-        // The only difference is the placement accounting.
-        EXPECT_EQ(routed.placement_batches[static_cast<size_t>(
+        EXPECT_EQ(unfused.batches, plain.batches);
+        EXPECT_EQ(unfused.placement_batches[static_cast<size_t>(
                       dispatch::Placement::kGpu)],
-                  routed.batches);
-        for (const int64_t n : baseline.placement_batches) {
-            EXPECT_EQ(n, 0);
+                  unfused.batches);
+        EXPECT_GT(unfused_launches.launches, plain_launches.launches);
+        EXPECT_GE(unfused.makespan_us, plain.makespan_us);
+        EXPECT_EQ(unfused.h2d_bytes, plain.h2d_bytes);
+        EXPECT_EQ(unfused.d2h_bytes, plain.d2h_bytes);
+    }
+}
+
+TEST(DispatchServingTest, DispatcherlessServingPicksTheCheaperChainPerBatch)
+{
+    // At the serving benches' TGN (k = 10) the fused chain is the slower
+    // one for a single request and the faster one for a full batch of 64,
+    // so the choice has to be priced per batch, not switched globally.
+    data::InteractionSpec spec;
+    spec.name = "crossover";
+    spec.num_users = 512;
+    spec.num_items = 128;
+    spec.num_events = 4096;
+    spec.edge_feature_dim = 64;
+    spec.popularity_alpha = 2.5;
+    spec.repeat_prob = 0.9;
+    spec.seed = 31;
+    const auto dataset = data::GenerateInteractions(spec);
+    models::Tgn tgn(dataset, models::TgnConfig{172, 64, 2, 11});
+    serve::ModelSession session(tgn, sim::ExecMode::kHybrid,
+                                /*num_neighbors=*/10);
+
+    const sim::TopologyNode node = sim::Topology::SinglePair().NodeAt(0);
+    const auto chain_us = [&](const std::vector<sim::KernelDesc>& kernels) {
+        sim::SimTime total = 0.0;
+        for (const sim::KernelDesc& k : kernels) {
+            total += sim::KernelDuration(node.gpu, k);
         }
+        return total;
+    };
+
+    for (const int64_t batch : {1, 64}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        const serve::BatchProfile& unfused = session.Profile(batch);
+        const serve::BatchProfile& fused = session.FusedProfile(batch);
+        ASSERT_LT(fused.kernels.size(), unfused.kernels.size());
+        const bool fused_cheaper =
+            chain_us(fused.kernels) < chain_us(unfused.kernels);
+        EXPECT_EQ(fused_cheaper, batch == 64);
+
+        // One batch of exactly `batch` requests, all due at once.
+        serve::TimeoutPolicy policy(/*batch_size=*/64, /*timeout_us=*/5000.0);
+        LaunchCounter counter;
+        serve::ServerOptions options;
+        options.executor = serve::ExecutorKind::kSerial;
+        options.runtime_observer = &counter;
+        const serve::ServingReport report = serve::Serve(
+            session, policy, std::vector<sim::SimTime>(batch, 0.0), options);
+        ASSERT_EQ(report.batches, 1);
+        const serve::BatchProfile& cheaper = fused_cheaper ? fused : unfused;
+        EXPECT_EQ(counter.launches,
+                  static_cast<int64_t>(cheaper.kernels.size()));
+        EXPECT_EQ(report.placement_batches[static_cast<size_t>(
+                      fused_cheaper ? dispatch::Placement::kGpuFused
+                                    : dispatch::Placement::kGpu)],
+                  1);
     }
 }
 
@@ -894,11 +1068,16 @@ TEST(DispatchServingTest, LedgerAccountsEveryRoutedBatch)
     // overheads); a wildly wrong prediction means the seam broke.
     EXPECT_LT(ledger.MeanRelativeError(), 0.5);
 
-    // A dispatcherless run routes nothing through the ledger.
-    LedgerObserver idle;
-    (void)ServeWith(tgn, requests, serve::ExecutorKind::kSerial, nullptr,
-                    &idle);
-    EXPECT_EQ(idle.Ledger().RoutedBatches(), 0);
+    // A dispatcher-less run is priced too: every batch reaches the ledger,
+    // and none runs on the host.
+    LedgerObserver device_only;
+    const serve::ServingReport plain = ServeWith(
+        tgn, requests, serve::ExecutorKind::kSerial, nullptr, &device_only);
+    EXPECT_EQ(device_only.Ledger().RoutedBatches(), plain.batches);
+    EXPECT_EQ(device_only.Ledger()
+                  .Buckets()[static_cast<size_t>(dispatch::Placement::kCpu)]
+                  .batches,
+              0);
 }
 
 TEST(DispatchServingTest, FusedAndRoutedServingIsHazardFree)
