@@ -162,7 +162,6 @@ class DeviceCache {
 
     /// Lifetime counters (never reset by Gather/Flush).
     const CacheStats& Stats() const { return stats_; }
-    void ResetStats() { stats_ = CacheStats{}; }
 
   private:
     static constexpr int32_t kNoSlot = -1;

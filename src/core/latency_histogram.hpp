@@ -56,9 +56,6 @@ class LatencyHistogram {
     /// same bucket layout (min/max/growth).
     void Merge(const LatencyHistogram& other);
 
-    /// Number of buckets (layout introspection, used by tests and Merge).
-    int64_t BucketCount() const { return static_cast<int64_t>(counts_.size()); }
-
   private:
     int64_t BucketIndex(double value_us) const;
     double BucketUpperEdge(int64_t index) const;

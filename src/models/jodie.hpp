@@ -54,7 +54,6 @@ class Jodie : public DgnnModel {
     bool CacheKeysAreRequestEndpoints() const override { return true; }
 
     const nn::Embedding& UserEmbeddings() const { return *user_embeddings_; }
-    const nn::Embedding& ItemEmbeddings() const { return *item_embeddings_; }
 
   private:
     const data::InteractionDataset& dataset_;

@@ -41,58 +41,60 @@ Tgat::WeightBytes() const
 
 namespace {
 
-/// One batch's sampled recursion, one level per layer. Level l lists its
-/// visits' nodes in depth-first pre-order; for l >= 1 it also holds each
-/// visit's sampled slots: the index of the child visit in level l - 1 (-1
-/// for an empty slot) and the time delta to the sampled time.
-struct VisitLevel {
+/// The filled slots of @p hoods in sampling order, target by target and
+/// slot by slot: the targets of the next hop's sampling, cache keys of the
+/// batch's feature gather, and the visits of the numerics' level below.
+struct FilledSlots {
     std::vector<int64_t> nodes;
-    std::vector<int64_t> children;
-    std::vector<float> deltas;
+    std::vector<double> times;
 };
 
-/// Appends the visit of @p node at @p time to @p levels[layer] and samples
-/// its subtree in the order a per-target recursion would; returns the
-/// visit's index in its level.
-int64_t
-Descend(std::vector<VisitLevel>& levels, graph::TemporalNeighborSampler& sampler,
-        int64_t node, double time, size_t layer, int64_t top_k, int64_t inner_k)
+FilledSlots
+Filled(std::span<const graph::SampledNeighborhood> hoods)
 {
-    VisitLevel& level = levels[layer];
-    const auto index = static_cast<int64_t>(level.nodes.size());
-    level.nodes.push_back(node);
-    if (layer == 0) {
-        return index;
+    FilledSlots filled;
+    for (const graph::SampledNeighborhood& h : hoods) {
+        for (size_t j = 0; j < h.neighbors.size(); ++j) {
+            if (h.neighbors[j] >= 0) {
+                filled.nodes.push_back(h.neighbors[j]);
+                filled.times.push_back(h.times[j]);
+            }
+        }
     }
-    const int64_t k = layer + 1 == levels.size() ? top_k : inner_k;
-    const graph::SampledNeighborhood nbh = sampler.Sample(node, time, k);
-    for (size_t j = 0; j < static_cast<size_t>(k); ++j) {
-        // Children only grow lower levels, so `level` stays valid.
-        level.children.push_back(nbh.neighbors[j] < 0
-                                     ? -1
-                                     : Descend(levels, sampler, nbh.neighbors[j],
-                                               nbh.times[j], layer - 1, top_k, inner_k));
-        level.deltas.push_back(static_cast<float>(time - nbh.times[j]));
-    }
-    return index;
+    return filled;
 }
+
+/// One level of a batch's sampled neighborhoods. Level 0 lists only the
+/// visited nodes; every higher level's queries attend their neighborhoods,
+/// whose filled slots are the level below's visits, in order.
+struct VisitLevel {
+    std::span<const int64_t> nodes;
+    std::span<const double> times;
+    std::span<const graph::SampledNeighborhood> hoods;
+};
 
 }  // namespace
 
 Tensor
-Tgat::ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
-                        std::span<const int64_t> nodes, std::span<const double> times,
-                        int64_t num_neighbors, int64_t layer) const
+Tgat::ComputeEmbeddings(std::span<const int64_t> nodes, std::span<const double> times,
+                        std::span<const graph::SampledNeighborhood> hoods,
+                        std::span<const graph::SampledNeighborhood> inner_hoods) const
 {
-    DGNN_CHECK(nodes.size() == times.size(), "ComputeEmbeddings: ", nodes.size(),
-               " nodes but ", times.size(), " times");
-    DGNN_CHECK(layer >= 0 && layer <= config_.num_layers, "ComputeEmbeddings: layer ",
-               layer, " outside 0..", config_.num_layers, " (TgatConfig::num_layers)");
-    std::vector<VisitLevel> levels(static_cast<size_t>(layer + 1));
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        Descend(levels, sampler, nodes[i], times[i], static_cast<size_t>(layer),
-                num_neighbors, config_.second_hop_neighbors);
-    }
+    DGNN_CHECK(nodes.size() == times.size() && nodes.size() == hoods.size(),
+               "ComputeEmbeddings: ", nodes.size(), " nodes, ", times.size(),
+               " times, ", hoods.size(), " neighborhoods");
+    const FilledSlots first = Filled(hoods);
+    const FilledSlots second = Filled(inner_hoods);
+    const size_t expected_inner = config_.num_layers == 1 ? 0 : first.nodes.size();
+    DGNN_CHECK(inner_hoods.size() == expected_inner, "ComputeEmbeddings: ",
+               inner_hoods.size(), " second-hop neighborhoods for ", expected_inner,
+               " filled first-hop slots at ", config_.num_layers, " layers");
+    const std::vector<VisitLevel> levels =
+        config_.num_layers == 1
+            ? std::vector<VisitLevel>{{first.nodes, {}, {}}, {nodes, times, hoods}}
+            : std::vector<VisitLevel>{{second.nodes, {}, {}},
+                                      {first.nodes, first.times, inner_hoods},
+                                      {nodes, times, hoods}};
 
     // Every visited node's feature projection, once per distinct node.
     std::vector<int64_t> distinct;
@@ -118,27 +120,32 @@ Tgat::ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
     Tensor below = own_projections(levels[0]);
     for (size_t l = 1; l < levels.size(); ++l) {
         const VisitLevel& level = levels[l];
-        // One kv row per filled slot. An empty slot holds a zero key at the
-        // sampler's empty-slot time, so a run of empty slots at one delta
-        // holds one row: a query's empty slots share it, and so do the next
-        // query's at the same time (an event's other endpoint).
-        std::vector<int64_t> slots(level.children.size());
+        // One kv row per filled slot, whose child is the next visit of the
+        // level below. An empty slot holds a zero key at the sampler's
+        // empty-slot time, so a run of empty slots at one delta holds one
+        // row: a query's empty slots share it, and so do the next query's
+        // at the same time (an event's other endpoint).
+        std::vector<int64_t> slots;
         std::vector<int64_t> keys;
         std::vector<float> deltas;
+        int64_t next_child = 0;
         int64_t shared = -1;
-        for (size_t j = 0; j < slots.size(); ++j) {
-            const int64_t child = level.children[j];
-            if (child < 0 && shared >= 0 &&
-                deltas[static_cast<size_t>(shared)] == level.deltas[j]) {
-                slots[j] = shared;
-                continue;
+        for (size_t q = 0; q < level.nodes.size(); ++q) {
+            const graph::SampledNeighborhood& h = level.hoods[q];
+            for (size_t j = 0; j < h.neighbors.size(); ++j) {
+                const auto delta = static_cast<float>(level.times[q] - h.times[j]);
+                const bool empty = h.neighbors[j] < 0;
+                if (empty && shared >= 0 && deltas[static_cast<size_t>(shared)] == delta) {
+                    slots.push_back(shared);
+                    continue;
+                }
+                slots.push_back(static_cast<int64_t>(keys.size()));
+                if (empty) {
+                    shared = slots.back();
+                }
+                keys.push_back(empty ? -1 : next_child++);
+                deltas.push_back(delta);
             }
-            slots[j] = static_cast<int64_t>(keys.size());
-            if (child < 0) {
-                shared = slots[j];
-            }
-            keys.push_back(child);
-            deltas.push_back(level.deltas[j]);
         }
         const auto r_rows = static_cast<int64_t>(keys.size());
         Tensor kv = time_encoder_->Forward(Tensor(Shape({r_rows}), std::move(deltas)));
@@ -150,21 +157,16 @@ Tgat::ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
             }
         }
 
-        const Tensor own = own_projections(level);
+        // Every query of a level samples the same slot count (Forward
+        // checks the table); a level without queries attends nothing.
         const int64_t g =
-            l + 1 == levels.size() ? num_neighbors : config_.second_hop_neighbors;
+            level.hoods.empty() ? 1 : std::ssize(level.hoods.front().neighbors);
+        const Tensor own = own_projections(level);
         const Tensor attended = attention_layers_[l - 1]->Forward(
             ops::AddRowBroadcast(own, enc_zero), kv, slots, g);
         below = ops::Relu(merge_layers_[l - 1]->Forward(ops::ConcatCols(attended, own)));
     }
     return below;
-}
-
-Tensor
-Tgat::ComputeEmbedding(graph::TemporalNeighborSampler& sampler, int64_t node,
-                       double time, int64_t num_neighbors, int64_t layer) const
-{
-    return ComputeEmbeddings(sampler, {&node, 1}, {&time, 1}, num_neighbors, layer);
 }
 
 RunResult
@@ -228,53 +230,27 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         }
         const int64_t n = static_cast<int64_t>(nodes.size());
 
-        // --- Sampling (CPU): L1 neighborhoods; L2 recursion samples for
-        // every sampled neighbor. With the cache on, `touched` accumulates
-        // every node whose feature row the batch reads (targets + all
-        // sampled hops) — the cache-key set of the gather below.
+        // --- Sampling (CPU): the targets' neighborhoods, then (two layers)
+        // one per filled first-hop slot. With the cache on, `touched`
+        // collects every node whose feature row the batch reads (targets +
+        // all sampled hops) — the cache-key set of the gather below.
         std::vector<graph::SampledNeighborhood> hoods;
+        std::vector<graph::SampledNeighborhood> inner_hoods;
         std::vector<int64_t> touched;
-        if (feature_cache.Enabled()) {
-            touched = nodes;
-        }
         {
             sim::CategoryScope scope(runtime, "Sampling (CPU)");
             ChargeBatchOverhead(runtime);
             hoods = SampleOnCpu(runtime, sampler, nodes, times, k);
-            if (feature_cache.Enabled()) {
-                for (const auto& h : hoods) {
-                    for (const int64_t nbr : h.neighbors) {
-                        if (nbr >= 0) {
-                            touched.push_back(nbr);
-                        }
-                    }
-                }
+            const FilledSlots first = Filled(hoods);
+            if (config_.num_layers >= 2 && !first.nodes.empty()) {
+                inner_hoods = SampleOnCpu(runtime, sampler, first.nodes, first.times,
+                                          config_.second_hop_neighbors);
             }
-            if (config_.num_layers >= 2) {
-                std::vector<int64_t> inner_nodes;
-                std::vector<double> inner_times;
-                for (const auto& h : hoods) {
-                    for (size_t j = 0; j < h.neighbors.size(); ++j) {
-                        if (h.neighbors[j] >= 0) {
-                            inner_nodes.push_back(h.neighbors[j]);
-                            inner_times.push_back(h.times[j]);
-                        }
-                    }
-                }
-                if (!inner_nodes.empty()) {
-                    const auto inner_hoods = SampleOnCpu(
-                        runtime, sampler, inner_nodes, inner_times,
-                        config_.second_hop_neighbors);
-                    if (feature_cache.Enabled()) {
-                        for (const auto& h : inner_hoods) {
-                            for (const int64_t nbr : h.neighbors) {
-                                if (nbr >= 0) {
-                                    touched.push_back(nbr);
-                                }
-                            }
-                        }
-                    }
-                }
+            if (feature_cache.Enabled()) {
+                const std::vector<int64_t> second = Filled(inner_hoods).nodes;
+                touched = nodes;
+                touched.insert(touched.end(), first.nodes.begin(), first.nodes.end());
+                touched.insert(touched.end(), second.begin(), second.end());
             }
         }
 
@@ -355,13 +331,14 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 runtime.Launch(merge);
             }
 
-            // Real numerics for up to numeric_cap targets (0 = all).
+            // Real numerics for up to numeric_cap targets (0 = all), over
+            // the neighborhoods sampled above.
             const auto cap = static_cast<size_t>(Capped(n, run.numeric_cap));
-            graph::TemporalNeighborSampler numeric_sampler(
-                adjacency_, graph::SamplingStrategy::kUniform, config_.seed + 2);
+            const auto top = std::span(hoods).first(cap);
+            const size_t inner_cap = inner_hoods.empty() ? 0 : Filled(top).nodes.size();
             const Tensor emb = ComputeEmbeddings(
-                numeric_sampler, std::span(nodes).first(cap),
-                std::span(times).first(cap), k, config_.num_layers);
+                std::span(nodes).first(cap), std::span(times).first(cap), top,
+                std::span(inner_hoods).first(inner_cap));
             for (int64_t i = 0; i < emb.Dim(0); ++i) {
                 checksum.Add(emb.RowSlice(i, i + 1));
             }

@@ -16,12 +16,12 @@
 /// bottleneck); attention work grows with the sampled-neighbor count, which
 /// drives the GPU-utilization trend of Fig 6(a).
 ///
-/// The host numerics embed a whole batch at once (ComputeEmbeddings). They
-/// sample each target's neighborhood tree in the depth-first pre-order of a
-/// per-target recursion, project each distinct node once, then run one
-/// attention call and one merge GEMM per layer, bottom-up. Each query's
-/// empty slots share one key/value row. The result is bit-identical to
-/// embedding one target at a time.
+/// The host numerics embed a whole batch at once (ComputeEmbeddings) over
+/// the neighborhoods the charged sampling returned, so the checksum covers
+/// exactly what the cost model priced. They project each distinct node
+/// once, then run one attention call and one merge GEMM per layer,
+/// bottom-up. Each query's empty slots share one key/value row. The result
+/// is bit-identical to embedding one target at a time.
 
 #include <memory>
 #include <span>
@@ -36,7 +36,7 @@ namespace dgnn::models {
 struct TgatConfig {
     int64_t embed_dim = 64;
     int64_t num_heads = 2;
-    int64_t num_layers = 1;          ///< attention hops: 1, or 2 for recursion
+    int64_t num_layers = 1;          ///< attention hops: 1 or 2
     int64_t second_hop_neighbors = 10;  ///< neighbors per node at layer >= 2
     uint64_t seed = 7;
 
@@ -56,19 +56,15 @@ class Tgat : public DgnnModel {
 
     RunResult RunInference(sim::Runtime& runtime, const RunConfig& config) override;
 
-    /// Pure host-math embeddings of @p nodes at @p times through @p layer
-    /// attention layers: [nodes.size(), embed_dim], one row per target.
-    /// The top layer samples @p num_neighbors slots per node, every lower
-    /// one second_hop_neighbors; layer 0 is the feature projection. Throws
-    /// a dgnn::Error unless 0 <= layer <= num_layers.
-    Tensor ComputeEmbeddings(graph::TemporalNeighborSampler& sampler,
-                             std::span<const int64_t> nodes,
-                             std::span<const double> times, int64_t num_neighbors,
-                             int64_t layer) const;
-
-    /// ComputeEmbeddings of one node at one time.
-    Tensor ComputeEmbedding(graph::TemporalNeighborSampler& sampler, int64_t node,
-                            double time, int64_t num_neighbors, int64_t layer) const;
+    /// Pure host-math embeddings of @p nodes at @p times through every
+    /// attention layer: [nodes.size(), embed_dim], one row per target.
+    /// @p hoods holds each target's sampled neighborhood; with two layers
+    /// @p inner_hoods holds one per filled slot of @p hoods, in order (one
+    /// layer: none). Throws a dgnn::Error if the counts disagree.
+    Tensor ComputeEmbeddings(std::span<const int64_t> nodes,
+                             std::span<const double> times,
+                             std::span<const graph::SampledNeighborhood> hoods,
+                             std::span<const graph::SampledNeighborhood> inner_hoods) const;
 
     int64_t WeightBytes() const;
 

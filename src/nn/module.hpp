@@ -32,9 +32,6 @@ class Module {
 
     const std::string& Name() const { return name_; }
 
-    /// This module's own parameters (children excluded).
-    const std::vector<Parameter>& OwnParameters() const { return parameters_; }
-
     /// All parameters including registered children, depth-first.
     std::vector<Parameter> AllParameters() const;
 

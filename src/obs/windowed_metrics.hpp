@@ -49,8 +49,6 @@ class WindowedMetrics {
     /// @param window_us  window length; must be positive.
     explicit WindowedMetrics(sim::SimTime window_us);
 
-    sim::SimTime WindowUs() const { return window_us_; }
-
     /// Sets the time origin (window 0 starts here). Call once, before the
     /// first observation; timestamps earlier than the origin clamp into
     /// window 0.

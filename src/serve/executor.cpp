@@ -8,6 +8,10 @@ namespace dgnn::serve {
 
 namespace {
 
+/// Batches the pipelined executor allows in flight before the host blocks
+/// (classic double buffering).
+constexpr int64_t kMaxInFlight = 2;
+
 /// The four per-slot staging buffers a batch flows through (hazard-checker
 /// resources; see DESIGN.md §11). Serial execution always stages through
 /// slot 0 — every stage blocks the host, so reuse is host-ordered. The
@@ -226,29 +230,22 @@ SerialExecutor::Submit(const BatchProfile& profile,
     return runtime_.Now();
 }
 
-PipelinedExecutor::PipelinedExecutor(sim::Runtime& runtime, int64_t max_in_flight)
-    : BatchExecutor(runtime), max_in_flight_(max_in_flight)
-{
-    DGNN_CHECK(max_in_flight_ >= 1, "pipeline depth must be >= 1, got ",
-               max_in_flight_);
-}
-
 sim::SimTime
 PipelinedExecutor::Submit(const BatchProfile& profile,
                           const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
-    const SlotResources slot(submitted_ % max_in_flight_);
+    const SlotResources slot(submitted_ % kMaxInFlight);
     ++submitted_;
     const sim::SimTime dispatch = runtime_.Now();
 
-    // Throttle: with max_in_flight_ batches outstanding the host blocks on
+    // Throttle: with kMaxInFlight batches outstanding the host blocks on
     // the oldest one before building the next (bounded staging memory).
     // The wait is also this slot's reuse fence: it is the happens-before
     // edge that orders this batch's staging writes after the previous slot
     // owner's reads (the hazard mutation suite drops exactly this edge to
     // prove the checker sees the WAR).
-    while (static_cast<int64_t>(in_flight_.size()) >= max_in_flight_) {
+    while (static_cast<int64_t>(in_flight_.size()) >= kMaxInFlight) {
         (void)runtime_.WaitEvent(in_flight_.front());
         in_flight_.pop_front();
     }

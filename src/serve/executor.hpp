@@ -113,8 +113,6 @@ class BatchExecutor {
     /// Blocks the host until every in-flight batch completes.
     virtual sim::SimTime Drain();
 
-    sim::Runtime& GetRuntime() { return runtime_; }
-
   protected:
     sim::Runtime& runtime_;
 };
@@ -133,9 +131,7 @@ class SerialExecutor : public BatchExecutor {
 /// Multi-stream pipelined executor with bounded in-flight depth.
 class PipelinedExecutor : public BatchExecutor {
   public:
-    /// @param max_in_flight batches allowed in flight before the host
-    ///                      blocks (2 = classic double buffering)
-    explicit PipelinedExecutor(sim::Runtime& runtime, int64_t max_in_flight = 2);
+    using BatchExecutor::BatchExecutor;
 
     std::string Name() const override { return "pipelined"; }
     sim::SimTime Submit(const BatchProfile& profile,
@@ -143,13 +139,10 @@ class PipelinedExecutor : public BatchExecutor {
                         BatchSpans* spans = nullptr) override;
     sim::SimTime Drain() override;
 
-    int64_t InFlight() const { return static_cast<int64_t>(in_flight_.size()); }
-
   private:
-    int64_t max_in_flight_;
     std::deque<sim::Event> in_flight_;
     /// Batches submitted so far; batch k stages through slot
-    /// k % max_in_flight_ (the double-buffer rotation the hazard
+    /// k % kMaxInFlight (the double-buffer rotation the hazard
     /// annotations describe).
     int64_t submitted_ = 0;
 };

@@ -21,14 +21,11 @@ ToString(ExecutorKind kind)
 
 namespace {
 
-/// In-flight batches the pipelined executor allows (double buffering).
-constexpr int64_t kPipelineDepth = 2;
-
 std::unique_ptr<BatchExecutor>
 MakeExecutor(sim::Runtime& runtime, const ServerOptions& options)
 {
     if (options.executor == ExecutorKind::kPipelined) {
-        return std::make_unique<PipelinedExecutor>(runtime, kPipelineDepth);
+        return std::make_unique<PipelinedExecutor>(runtime);
     }
     return std::make_unique<SerialExecutor>(runtime);
 }

@@ -26,7 +26,6 @@ class MemoryPool {
 
     int64_t LiveBytes() const { return live_; }
     int64_t PeakBytes() const { return peak_; }
-    int64_t CapacityBytes() const { return capacity_; }
     int64_t LiveAllocationCount() const { return static_cast<int64_t>(blocks_.size()); }
 
     /// Cumulative bytes ever allocated (allocator traffic).
@@ -57,7 +56,6 @@ class Device {
 
     const DeviceSpec& Spec() const { return spec_; }
     const std::string& Name() const { return spec_.name; }
-    DeviceKind Kind() const { return spec_.kind; }
 
     MemoryPool& Memory() { return memory_; }
     const MemoryPool& Memory() const { return memory_; }

@@ -68,9 +68,8 @@ class Tensor {
     /// Convenience rank-1 constructor from a list of values.
     static Tensor FromVector(std::vector<float> values);
 
-    /// Tensor of shape filled with zeros / ones.
+    /// Tensor of shape filled with zeros.
     static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
-    static Tensor Ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
 
     /// Identity matrix of size n x n.
     static Tensor Eye(int64_t n);

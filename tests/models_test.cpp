@@ -3,10 +3,12 @@
 // numerics, produces a deterministic checksum, and reports the breakdown
 // categories the paper's Fig 7 names.
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -284,9 +286,12 @@ TEST(TgatTest, TwoLayerChecksumsArePinned)
     // Hex-float pins on 2-layer TGAT, generated with the per-target
     // recursion the batched numerics replaced, then re-pinned from the
     // batched build when Rng::Normal began to draw normals in pairs (which
-    // moved the weights and features, not the numerics). The second run
-    // samples more slots than any node's history holds, so every
-    // neighborhood has empty slots.
+    // moved the weights and features, not the numerics). The first pin
+    // moved again when the numerics began to read the neighborhoods the
+    // charged sampling returned instead of sampling their own. The second
+    // run samples more slots than any node's history holds, so every
+    // neighborhood has empty slots and the whole history, whatever the
+    // sampler draws (its pin held across that change).
     const auto ds = TinyInteractions();
     graph::TemporalAdjacency adj(ds.stream);
     for (int64_t node = 0; node < ds.NumNodes(); ++node) {
@@ -299,7 +304,7 @@ TEST(TgatTest, TwoLayerChecksumsArePinned)
         double expected;
     };
     const std::array<Pin, 2> pins = {{
-        {TgatConfig{8, 2, 2, 2, 7}, 4, 32, 0x1.a9d2a10585507p+7},
+        {TgatConfig{8, 2, 2, 2, 7}, 4, 32, 0x1.adf80a80e1989p+7},
         {TgatConfig{8, 2, 2, 40, 7}, 40, 48, 0x1.2ffd0694d6089p+8},
     }};
     for (const Pin& pin : pins) {
@@ -314,10 +319,95 @@ TEST(TgatTest, TwoLayerChecksumsArePinned)
     }
 }
 
+/// TGAT's neighborhoods sampled in its charged path's order: the targets'
+/// first, then, with two layers, one per filled first-hop slot, target by
+/// target. inner_begin[i] is target i's first second-hop neighborhood.
+struct TgatHoods {
+    std::vector<graph::SampledNeighborhood> hoods;
+    std::vector<graph::SampledNeighborhood> inner;
+    std::vector<size_t> inner_begin{0};
+
+    TgatHoods(graph::TemporalNeighborSampler& sampler, const std::vector<int64_t>& nodes,
+              const std::vector<double>& times, int64_t k, const TgatConfig& config)
+        : hoods(sampler.SampleBatch(nodes, times, k))
+    {
+        std::vector<int64_t> filled;
+        std::vector<double> filled_times;
+        for (const graph::SampledNeighborhood& h : hoods) {
+            for (size_t j = 0; j < h.neighbors.size(); ++j) {
+                if (h.neighbors[j] >= 0) {
+                    filled.push_back(h.neighbors[j]);
+                    filled_times.push_back(h.times[j]);
+                }
+            }
+            inner_begin.push_back(filled.size());
+        }
+        if (config.num_layers == 2 && !filled.empty()) {
+            inner = sampler.SampleBatch(filled, filled_times, config.second_hop_neighbors);
+        }
+    }
+
+    /// The second-hop neighborhoods of targets [first, last).
+    std::span<const graph::SampledNeighborhood> Inner(size_t first, size_t last) const
+    {
+        if (inner.empty()) {
+            return {};
+        }
+        return std::span(inner).subspan(inner_begin[first],
+                                        inner_begin[last] - inner_begin[first]);
+    }
+};
+
+TEST(TgatTest, ChecksumCoversTheChargedNeighborhoods)
+{
+    // RunInference embeds the neighborhoods its charged sampling returned:
+    // replaying that sampling on an independent sampler (seed + 1,
+    // uniform, batch by batch) and embedding the first numeric_cap targets
+    // over it reproduces the run's checksum bit for bit.
+    const auto ds = TinyInteractions();
+    const graph::TemporalAdjacency adj(ds.stream);
+    for (const int64_t layers : {1, 2}) {
+        for (const int64_t numeric_cap : {0, 5}) {
+            const TgatConfig config{16, 2, layers, 3, 7};
+            Tgat model(ds, config);
+            sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+            RunConfig run = SmallRun(sim::ExecMode::kHybrid);
+            run.numeric_cap = numeric_cap;
+            ASSERT_LT(numeric_cap, 2 * run.batch_size);
+            const RunResult r = model.RunInference(rt, run);
+
+            graph::TemporalNeighborSampler sampler(
+                adj, graph::SamplingStrategy::kUniform, config.seed + 1);
+            Checksum checksum;
+            for (int64_t begin = 0; begin < ds.stream.NumEvents();
+                 begin += run.batch_size) {
+                std::vector<int64_t> nodes;
+                std::vector<double> times;
+                for (const graph::TemporalEvent& e : ds.stream.Slice(
+                         begin, std::min(begin + run.batch_size, ds.stream.NumEvents()))) {
+                    nodes.insert(nodes.end(), {e.src, e.dst});
+                    times.insert(times.end(), {e.time, e.time});
+                }
+                const TgatHoods sampled(sampler, nodes, times, run.num_neighbors, config);
+                const auto cap = static_cast<size_t>(Capped(
+                    static_cast<int64_t>(nodes.size()), run.numeric_cap));
+                const Tensor emb = model.ComputeEmbeddings(
+                    std::span(nodes).first(cap), std::span(times).first(cap),
+                    std::span(sampled.hoods).first(cap), sampled.Inner(0, cap));
+                for (int64_t i = 0; i < emb.Dim(0); ++i) {
+                    checksum.Add(emb.RowSlice(i, i + 1));
+                }
+            }
+            EXPECT_EQ(HexFloat(r.output_checksum), HexFloat(checksum.Value()))
+                << layers << " layers, numeric_cap " << numeric_cap;
+        }
+    }
+}
+
 TEST(TgatTest, BatchedEmbeddingsMatchOneTargetCalls)
 {
-    // A batch of targets embeds bit for bit as one call per target, on a
-    // uniform sampler of the same seed: the batch samples in the same order.
+    // A batch of targets embeds bit for bit as one call per target over
+    // the same sampled neighborhoods.
     const auto ds = TinyInteractions();
     graph::TemporalAdjacency adj(ds.stream);
     std::vector<int64_t> nodes;
@@ -328,13 +418,17 @@ TEST(TgatTest, BatchedEmbeddingsMatchOneTargetCalls)
         times.insert(times.end(), {e.time, e.time});
     }
     for (const int64_t layers : {1, 2}) {
-        const Tgat model(ds, TgatConfig{16, 2, layers, 3, 7});
-        graph::TemporalNeighborSampler batched(adj, graph::SamplingStrategy::kUniform, 3);
-        graph::TemporalNeighborSampler single(adj, graph::SamplingStrategy::kUniform, 3);
-        const Tensor all = model.ComputeEmbeddings(batched, nodes, times, 5, layers);
+        const TgatConfig config{16, 2, layers, 3, 7};
+        const Tgat model(ds, config);
+        graph::TemporalNeighborSampler sampler(adj, graph::SamplingStrategy::kUniform, 3);
+        const TgatHoods sampled(sampler, nodes, times, 5, config);
+        const Tensor all = model.ComputeEmbeddings(nodes, times, sampled.hoods,
+                                                   sampled.Inner(0, nodes.size()));
         ASSERT_EQ(all.GetShape(), Shape({static_cast<int64_t>(nodes.size()), 16}));
         for (size_t i = 0; i < nodes.size(); ++i) {
-            const Tensor one = model.ComputeEmbedding(single, nodes[i], times[i], 5, layers);
+            const Tensor one = model.ComputeEmbeddings(
+                std::span(nodes).subspan(i, 1), std::span(times).subspan(i, 1),
+                std::span(sampled.hoods).subspan(i, 1), sampled.Inner(i, i + 1));
             EXPECT_EQ(std::memcmp(all.Data() + i * 16, one.Data(), 16 * sizeof(float)), 0)
                 << layers << " layers, target " << i;
         }
@@ -348,10 +442,14 @@ TEST(TgatTest, EmbeddingIsTimeDependent)
     graph::TemporalAdjacency adj(ds.stream);
     graph::TemporalNeighborSampler sampler(
         adj, graph::SamplingStrategy::kMostRecent, 3);
+    const auto embed = [&](double time) {
+        const std::vector<int64_t> node = {0};
+        const std::vector<double> at = {time};
+        return model.ComputeEmbeddings(node, at, sampler.SampleBatch(node, at, 4), {});
+    };
     const double t_mid = (ds.stream.StartTime() + ds.stream.EndTime()) / 2.0;
-    const Tensor early = model.ComputeEmbedding(sampler, 0, t_mid, 4, 1);
-    const Tensor late =
-        model.ComputeEmbedding(sampler, 0, ds.stream.EndTime() + 1.0, 4, 1);
+    const Tensor early = embed(t_mid);
+    const Tensor late = embed(ds.stream.EndTime() + 1.0);
     EXPECT_EQ(early.GetShape(), late.GetShape());
     // A node's temporal embedding must evolve as history accumulates.
     double diff = 0.0;
@@ -723,7 +821,7 @@ TEST(AllModelsTest, HybridChecksumsArePinned)
     // bit for bit).
     // JODIE, TGAT, TGN, DyRep, LDG-MLP, EvolveGCN-O, ASTGNN, MolDGNN.
     const std::array<double, 8> tiny_pins = {
-        0x1.c5242f859f192p+4,  0x1.3fec128b5fc88p+10, 0x1.a332ac551c888p+7,
+        0x1.c5242f859f192p+4,  0x1.40337e656dd3ep+10, 0x1.a332ac551c888p+7,
         0x1.9c1d91d073674p+5,  -0x1.25e87a7005553p+4, 0x1.9235896f71693p-1,
         -0x1.02060a3f8d6b6p+5, 0x1.68f4acd591844p+8};
     std::vector<std::pair<std::unique_ptr<DgnnModel>, double>> pins;
@@ -732,7 +830,7 @@ TEST(AllModelsTest, HybridChecksumsArePinned)
     for (size_t i = 0; i < tiny.size(); ++i) {
         pins.emplace_back(std::move(tiny[i]), tiny_pins[i]);
     }
-    pins.emplace_back(std::make_unique<Tgat>(wide, TgatConfig{}), 0x1.c7082e6fa8c64p+11);
+    pins.emplace_back(std::make_unique<Tgat>(wide, TgatConfig{}), 0x1.c53b9a16dff2ep+11);
     pins.emplace_back(std::make_unique<Tgn>(wide, TgnConfig{}), -0x1.14763679966e1p+8);
 
     for (const auto& [model, expected] : pins) {
@@ -910,7 +1008,7 @@ compute util_pct 0x1.8a75d7c2655d5p+6 busy_us 0x1.1cd355d728331p+12
 peak_bytes compute 32512 cpu 32512
 transfer h2d 0 d2h 0 count 0 time_us 0x0p+0
 warmup one_time 0x1.77069p+12 per_run 0x1.800a3d70a3d71p+1
-checksum 0x1.3fec128b5fc88p+10
+checksum 0x1.40337e656dd3ep+10
 breakdown 0x1.20d355d728331p+12
   Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.835ea07e8d48bp+6
   Attention Layer 0x1.01076e6a9cef7p+7 0x1.63f6e427742bap+1
@@ -1026,7 +1124,7 @@ compute util_pct 0x1.968f4f7d44ffap-2 busy_us 0x1.3658644523f6ap+4
 peak_bytes compute 32512 cpu 0
 transfer h2d 17280 d2h 15360 count 16 time_us 0x1.4570a3d7p+7
 warmup one_time 0x1.6e37207bab597p+22 per_run 0x1.4b59p+12
-checksum 0x1.3fec128b5fc88p+10
+checksum 0x1.40337e656dd3ep+10
 breakdown 0x1.31567fb6988ecp+12
   Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.6e6bcc518ec1fp+6
   Memory Copy 0x1.4570a3d7p+7 0x1.aa5591ae2103bp+1
@@ -1146,7 +1244,7 @@ compute util_pct 0x1.9085d62a25eb1p-2 busy_us 0x1.3726d4801f753p+4
 peak_bytes compute 32128 cpu 0
 transfer h2d 22944 d2h 15360 count 24 time_us 0x1.e6624dd2e8p+7
 warmup one_time 0x1.6e37207bab597p+22 per_run 0x1.4b59p+12
-checksum 0x1.3fec128b5fc88p+10
+checksum 0x1.40337e656dd3ep+10
 breakdown 0x1.36bedb76b2cecp+12
   Sampling (CPU) 0x1.17b4a2339c0ecp+12 0x1.680b684fb56fdp+6
   Memory Copy 0x1.e9624dd2e8p+7 0x1.3af95f8b22efbp+2

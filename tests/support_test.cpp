@@ -2,6 +2,8 @@
 // library: user-facing precondition violations must throw dgnn::Error with
 // actionable messages, and resource exhaustion must surface cleanly.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "models/tgat.hpp"
@@ -75,13 +77,17 @@ TEST(FailureInjectionTest, InvalidModelConfigRejected)
     // The charged path samples two hops at most, so a third layer is too.
     EXPECT_THROW(models::Tgat(ds, models::TgatConfig{16, 2, 3, 4, 7, false}),
                  Error);
-    // Embedding through more layers than the model holds.
+    // Neighborhoods that do not match the targets, or second-hop ones for
+    // a one-layer model.
     const models::Tgat one_layer(ds, models::TgatConfig{16, 2, 1, 4, 7, false});
     const graph::TemporalAdjacency adjacency(ds.stream);
     graph::TemporalNeighborSampler sampler(adjacency,
                                            graph::SamplingStrategy::kUniform, 3);
-    EXPECT_THROW((void)one_layer.ComputeEmbedding(sampler, 0, 1.0, 4, 2), Error);
-    EXPECT_THROW((void)one_layer.ComputeEmbedding(sampler, 0, 1.0, 4, -1), Error);
+    const std::vector<int64_t> node = {0};
+    const std::vector<double> time = {1.0};
+    const auto hoods = sampler.SampleBatch(node, time, 4);
+    EXPECT_THROW((void)one_layer.ComputeEmbeddings(node, time, {}, {}), Error);
+    EXPECT_THROW((void)one_layer.ComputeEmbeddings(node, time, hoods, hoods), Error);
     // Attention head count must divide the embedding dimension.
     EXPECT_THROW(models::Tgat(ds, models::TgatConfig{10, 4, 1, 4, 7, false}),
                  Error);
