@@ -43,12 +43,10 @@ RunMutatedPipeline(SyncEdge drop, uint64_t seed, int64_t batches)
     rt.SetObserver(&checker);
 
     auto kernel = [](int64_t bytes) {
-        sim::KernelDesc k;
-        k.name = "batch_kernel";
-        k.flops = bytes;
-        k.bytes = bytes;
-        k.parallel_items = bytes / 4;
-        return k;
+        return sim::KernelDesc{.name = "batch_kernel",
+                               .flops = bytes,
+                               .bytes = bytes,
+                               .parallel_items = bytes / 4};
     };
 
     std::deque<sim::Event> in_flight;
@@ -153,13 +151,11 @@ RunMutatedExchange(SyncEdge drop, uint64_t seed, int64_t rounds)
         {
             sim::AccessScope scope(
                 rt, sim::AccessSet{{"exchange_in#" + slot}, {"dev_state#0"}});
-            sim::KernelDesc unpack;
-            unpack.name = "exchange_unpack";
-            unpack.flops = rows * kRowBytes / 4;
-            unpack.bytes = 2 * rows * kRowBytes;
-            unpack.parallel_items = rows;
-            unpack.irregular = true;
-            rt.Launch(unpack);
+            rt.Launch({.name = "exchange_unpack",
+                       .flops = rows * kRowBytes / 4,
+                       .bytes = 2 * rows * kRowBytes,
+                       .parallel_items = rows,
+                       .irregular = true});
         }
         unpack_done = rt.RecordEvent(sim::StreamId::kCompute);
         have_unpack_done = true;

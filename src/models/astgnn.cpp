@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "models/evolvegcn.hpp"  // ToNormalizedCsr
-#include "tensor/ops.hpp"
 
 namespace dgnn::models {
 
@@ -36,17 +35,11 @@ Astgnn::TemporalAttentionPhase(sim::Runtime& runtime, int64_t batch, int64_t ste
     sim::CategoryScope scope(runtime, "Temporal Attention");
     const int64_t sensors = dataset_.spec.num_sensors;
     const int64_t channels = dataset_.spec.channels;
-    const int64_t d = config_.model_dim;
 
     // One batched kernel: every (window, sensor) pair runs self-attention
     // over its `steps` history positions.
-    sim::KernelDesc attn;
-    attn.name = "temporal_attention";
-    attn.flops =
-        batch * sensors * temporal_attention_->ForwardFlops(steps, steps);
-    attn.bytes = batch * sensors * steps * d * 4 * 4;
-    attn.parallel_items = batch * sensors * steps * d;
-    runtime.Launch(attn);
+    runtime.Launch(temporal_attention_->SelfAttentionCost("temporal_attention",
+                                                          batch * sensors, steps));
     (void)runtime.Synchronize();
 
     // Numeric path: real attention over real sensor histories, capped.
@@ -76,15 +69,11 @@ Astgnn::SpatialGcnPhase(sim::Runtime& runtime, int64_t batch, int64_t steps,
     const int64_t cap = Capped(steps, numeric_cap);
 
     // Cost: one fused aggregate+transform kernel over all (window, step)
-    // pairs. The road graph is static and preprocessed, so accesses are
-    // coalesced (no irregular derating).
-    sim::KernelDesc gcn;
-    gcn.name = "spatial_gcn";
-    gcn.flops = batch * steps *
-                (2 * road_csr_.Nnz() * d + ops::MatMulFlops(road_csr_.n, d, d));
-    gcn.bytes = batch * steps *
-                (road_csr_.Nnz() * 12 + 2 * road_csr_.n * d * 4);
-    gcn.parallel_items = batch * steps * road_csr_.n * d;
+    // pairs. Override (DESIGN.md section 2): the road graph is static and
+    // preprocessed, so accesses are coalesced (no irregular derating).
+    sim::KernelDesc gcn = spatial_gcn_->FusedCost("spatial_gcn", batch * steps,
+                                                  road_csr_.n, road_csr_.Nnz());
+    gcn.irregular = false;
     runtime.Launch(gcn);
     (void)runtime.Synchronize();
 
@@ -138,12 +127,7 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Etc(data loading, cuda sync)");
             ChargeBatchOverhead(runtime);
-            sim::KernelDesc load;
-            load.name = "window_gather";
-            load.flops = 0;
-            load.bytes = 2 * nb * window_bytes;
-            load.parallel_items = 1;
-            runtime.RunHost(load);
+            runtime.RunHost({.name = "window_gather", .bytes = 2 * nb * window_bytes});
         }
 
         // --- Memory Copy: windows H2D.
@@ -157,12 +141,10 @@ Astgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Position Encoding.
         {
             sim::CategoryScope scope(runtime, "Position Encoding");
-            sim::KernelDesc pe;
-            pe.name = "position_encoding";
-            pe.flops = nb * sensors * hist * d * 3;
-            pe.bytes = nb * sensors * hist * d * 4 * 2;
-            pe.parallel_items = nb * sensors * hist * d;
-            runtime.Launch(pe);
+            runtime.Launch({.name = "position_encoding",
+                            .flops = nb * sensors * hist * d * 3,
+                            .bytes = nb * sensors * hist * d * 4 * 2,
+                            .parallel_items = nb * sensors * hist * d});
         }
 
         // --- Encoder.

@@ -17,6 +17,10 @@
 ///
 /// Temporal attention totals > 3x the spatial GCN (paper 4.2.2); large
 /// batches saturate the GPU and delay the next iteration's encoder (Fig 9).
+///
+/// The one exception to numeric_cap = 0 meaning full numerics: whatever the
+/// cap, temporal attention evaluates at most 4 sensors and the spatial GCN
+/// one step per block, while the charge covers the whole batch.
 
 #include <memory>
 #include <vector>

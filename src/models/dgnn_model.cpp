@@ -157,21 +157,18 @@ SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
     // amplification); the most-recent lookup is a contiguous tail slice.
     const int64_t gather_amplification = uniform ? 8 : 1;
     const int64_t per_candidate_bytes = uniform ? 64 : 8;
-    sim::KernelDesc desc;
-    desc.name = "temporal_sampling";
-    // Probes and sort comparisons execute a handful of scalar ops each.
-    desc.flops = cost.bisection_probes * 16 + cost.sort_ops * 8;
     // Uniform (TGAT-style) sampling materializes padded [targets, k]
     // NumPy arrays, so its traffic scales with the requested k even when
     // node histories are shorter than k.
     const int64_t padded_slot_bytes = uniform ? targets * k * 96 : 0;
-    desc.bytes = cost.gathered_bytes * gather_amplification +
-                 cost.bisection_probes * 64 + targets * per_target_bytes +
-                 cost.candidates_scanned * per_candidate_bytes + padded_slot_bytes;
-    // The reference samplers are single-threaded Python/NumPy.
-    desc.parallel_items = 1;
-    desc.irregular = true;
-    return desc;
+    // Probes and sort comparisons execute a handful of scalar ops each. The
+    // reference samplers are single-threaded Python/NumPy: one parallel item.
+    return {.name = "temporal_sampling",
+            .flops = cost.bisection_probes * 16 + cost.sort_ops * 8,
+            .bytes = cost.gathered_bytes * gather_amplification +
+                     cost.bisection_probes * 64 + targets * per_target_bytes +
+                     cost.candidates_scanned * per_candidate_bytes + padded_slot_bytes,
+            .irregular = true};
 }
 
 std::vector<graph::SampledNeighborhood>

@@ -12,9 +12,10 @@
 /// the full batch: every RunResult field but output_checksum is the same at
 /// any cap, for all eight models in both modes
 /// (AllModelsTest.NumericCapKeepsCostAccountingIdentical). Tests and
-/// examples run with numeric_cap = 0 (full math); large benchmark sweeps set
-/// a cap to keep wall-clock reasonable. This is an explicit performance
-/// knob, not a simulation shortcut — the full code path is identical.
+/// examples run with numeric_cap = 0 (full math, except ASTGNN's fixed
+/// sample: astgnn.hpp); large benchmark sweeps set a cap to keep wall-clock
+/// reasonable. This is an explicit performance knob, not a simulation
+/// shortcut — the full code path is identical.
 
 #include <cstdint>
 #include <span>

@@ -58,9 +58,9 @@ AttendEndpoints(sim::Runtime& runtime, graph::TemporalNeighborSampler& sampler,
     std::vector<int64_t> slots;
     for (const int64_t node : {event.src, event.dst}) {
         const graph::SampledNeighborhood nbh = sampler.Sample(node, event.time, k);
-        sim::KernelDesc attn;
-        attn.name = kernel;
-        attn.flops = attention.ForwardFlops(1, k);
+        // Audit override (DESIGN.md section 2): k + 2 rows each of q, k and
+        // v, and only the k slots run in parallel.
+        sim::KernelDesc attn = attention.Cost(kernel, 1, k);
         attn.bytes = (k + 2) * d * 4 * 3;
         attn.parallel_items = k;
         runtime.Launch(attn);
@@ -120,11 +120,10 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Node Embedding Update");
             for (const int64_t node : {e.src, e.dst}) {
-                sim::KernelDesc rnn;
-                rnn.name = "embedding_rnn";
-                rnn.flops = update_rnn_->ForwardFlops(1);
-                rnn.bytes = 4 * d * 4 + update_rnn_->ParameterBytes();
-                rnn.parallel_items = d;
+                // Audit override (DESIGN.md section 2): 4 x d floats for a
+                // 3d -> d cell, which moves 5 x d.
+                sim::KernelDesc rnn = update_rnn_->Cost("embedding_rnn", 1);
+                rnn.bytes -= d * 4;
                 runtime.Launch(rnn);
 
                 if (numeric) {
@@ -147,11 +146,11 @@ DyRep::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // depends on this one's updates.
         {
             sim::CategoryScope scope(runtime, "Conditional Intensity");
-            sim::KernelDesc head;
-            head.name = "conditional_intensity";
-            head.flops = intensity_head_->ForwardFlops(1) + 4;
-            head.bytes = 2 * d * 4 + intensity_head_->ParameterBytes();
-            head.parallel_items = 1;
+            // Audit override (DESIGN.md section 2): 4 flops of softplus on
+            // top, and its bytes leave out the output row.
+            sim::KernelDesc head = intensity_head_->Cost("conditional_intensity", 1);
+            head.flops += 4;
+            head.bytes -= intensity_head_->OutFeatures() * 4;
             runtime.Launch(head);
             (void)runtime.Synchronize();
 

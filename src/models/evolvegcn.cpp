@@ -4,55 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "tensor/ops.hpp"
-
 namespace dgnn::models {
-
-namespace {
-
-/// h' = cell(x, h) on the host, launched as one device kernel.
-Tensor
-GruStep(sim::Runtime& runtime, const nn::GruCell& cell, const Tensor& x,
-        const Tensor& h)
-{
-    Tensor y = cell.Forward(x, h);
-    sim::KernelDesc k;
-    k.name = "gru_cell";
-    k.flops = cell.ForwardFlops(x.Dim(0));
-    k.bytes = x.NumBytes() + h.NumBytes() + y.NumBytes() + cell.ParameterBytes();
-    k.parallel_items = x.Dim(0) * cell.HiddenSize();
-    runtime.Launch(k);
-    return y;
-}
-
-/// One GCN layer with evolved weights on the host, launched as the
-/// irregular SpMM aggregation kernel plus the dense transform kernel.
-Tensor
-GcnStep(sim::Runtime& runtime, const nn::GcnLayer& layer,
-        const nn::SparseMatrix& a_hat, const Tensor& h, const Tensor& weight)
-{
-    Tensor y = layer.ForwardWithWeight(a_hat, h, weight);
-    // The aggregated intermediate A_hat · h is [n, h.Dim(1)].
-    const int64_t aggregated_bytes =
-        a_hat.n * h.Dim(1) * static_cast<int64_t>(sizeof(float));
-    sim::KernelDesc spmm;
-    spmm.name = "spmm";
-    spmm.flops = 2 * a_hat.Nnz() * h.Dim(1);
-    spmm.bytes = h.NumBytes() + aggregated_bytes +
-                 a_hat.Nnz() * static_cast<int64_t>(sizeof(int64_t) + sizeof(float));
-    spmm.parallel_items = a_hat.n * h.Dim(1);
-    spmm.irregular = true;
-    runtime.Launch(spmm);
-    sim::KernelDesc transform;
-    transform.name = "gcn_transform";
-    transform.flops = ops::MatMulFlops(a_hat.n, weight.Dim(1), weight.Dim(0));
-    transform.bytes = aggregated_bytes + y.NumBytes() + weight.NumBytes();
-    transform.parallel_items = a_hat.n * weight.Dim(0);
-    runtime.Launch(transform);
-    return y;
-}
-
-}  // namespace
 
 const char*
 ToString(EvolveGcnVariant variant)
@@ -138,15 +90,14 @@ EvolveGcn::EvolveWeights(sim::Runtime& runtime, const Tensor& node_embeddings)
             // [top-k]: score nodes, pick out_l rows to drive the GRU. The
             // paper singles this phase out as a sampling-style overhead.
             sim::CategoryScope scope(runtime, "top-k");
-            const Tensor& x = l == 0 ? node_embeddings : node_embeddings;
-            const int64_t n = x.Dim(0);
+            const int64_t n = node_embeddings.Dim(0);
             const int64_t k = layer_out_[l];
+            const int64_t w = std::min<int64_t>(node_embeddings.Dim(1), layer_in_[l]);
             std::vector<float> scores(static_cast<size_t>(n));
             for (int64_t i = 0; i < n; ++i) {
                 double s = 0.0;
-                const int64_t w = std::min<int64_t>(x.Dim(1), layer_in_[l]);
                 for (int64_t j = 0; j < w; ++j) {
-                    s += x.At(i, j) * topk_scorer_[l].At(j);
+                    s += node_embeddings.At(i, j) * topk_scorer_[l].At(j);
                 }
                 scores[static_cast<size_t>(i)] = static_cast<float>(s);
             }
@@ -161,27 +112,20 @@ EvolveGcn::EvolveWeights(sim::Runtime& runtime, const Tensor& node_embeddings)
             rnn_input = Tensor(Shape({layer_out_[l], layer_in_[l]}));
             for (int64_t r = 0; r < std::min<int64_t>(k, n); ++r) {
                 const int64_t src = order[static_cast<size_t>(r)];
-                const int64_t w = std::min<int64_t>(x.Dim(1), layer_in_[l]);
                 for (int64_t j = 0; j < w; ++j) {
-                    rnn_input.At(r, j) = x.At(src, j);
+                    rnn_input.At(r, j) = node_embeddings.At(src, j);
                 }
             }
             // Host-side scoring + partial sort cost.
-            sim::KernelDesc topk;
-            topk.name = "topk_select";
-            topk.flops = 2 * n * layer_in_[l];
-            topk.bytes = n * (layer_in_[l] * 4 + 64);
-            topk.parallel_items = 1;
-            topk.irregular = true;
-            runtime.RunHost(topk);
+            runtime.RunHost({.name = "topk_select",
+                             .flops = 2 * n * layer_in_[l],
+                             .bytes = n * (layer_in_[l] * 4 + 64),
+                             .irregular = true});
             // Gather kernel for the selected rows.
-            sim::KernelDesc gather;
-            gather.name = "topk_gather";
-            gather.flops = 0;
-            gather.bytes = 2 * k * layer_in_[l] * 4;
-            gather.parallel_items = k;
-            gather.irregular = true;
-            runtime.Launch(gather);
+            runtime.Launch({.name = "topk_gather",
+                            .bytes = 2 * k * layer_in_[l] * 4,
+                            .parallel_items = k,
+                            .irregular = true});
         } else {
             rnn_input = weights_[l];
         }
@@ -190,7 +134,8 @@ EvolveGcn::EvolveWeights(sim::Runtime& runtime, const Tensor& node_embeddings)
             sim::CategoryScope scope(runtime, "RNN");
             // GRU expects matching row counts: -O uses the weight itself,
             // -H uses the top-k rows (shaped [out_l, in_l] above).
-            weights_[l] = GruStep(runtime, *weight_rnn_[l], rnn_input, weights_[l]);
+            weights_[l] = weight_rnn_[l]->Forward(rnn_input, weights_[l]);
+            runtime.Launch(weight_rnn_[l]->Cost("gru_cell", layer_out_[l]));
             // GCN needs the fresh weights (Fig 2a). The in-order compute
             // stream already enforces the data dependency; the baseline
             // additionally stalls the host here (eager-mode behaviour),
@@ -261,7 +206,10 @@ EvolveGcn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             sim::CategoryScope scope(runtime, "GNN");
             const nn::SparseMatrix a_hat = ToNormalizedCsr(snap);
             for (size_t l = 0; l < gcn_layers_.size(); ++l) {
-                h = GcnStep(runtime, *gcn_layers_[l], a_hat, h, weights_[l]);
+                h = gcn_layers_[l]->ForwardWithWeight(a_hat, h, weights_[l]);
+                const nn::GcnCost cost = gcn_layers_[l]->Cost(a_hat.n, a_hat.Nnz());
+                runtime.Launch(cost.spmm);
+                runtime.Launch(cost.transform);
             }
             if (!config_.pipelined) {
                 (void)runtime.Synchronize();

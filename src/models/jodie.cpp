@@ -83,13 +83,11 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                     tbatches[static_cast<size_t>(i - begin)].event_indices = {i};
                 }
             }
-            sim::KernelDesc build;
-            build.name = "tbatch_build";
-            build.flops = chunk_events * 8;
-            build.bytes = chunk_events * 128;  // hash-map traffic per event
-            build.parallel_items = 1;
-            build.irregular = true;
-            runtime.RunHost(build);
+            // 128 bytes of hash-map traffic per event.
+            runtime.RunHost({.name = "tbatch_build",
+                             .flops = chunk_events * 8,
+                             .bytes = chunk_events * 128,
+                             .irregular = true});
             // Embedding rows for every event endpoint. Cached: unique rows
             // come through the device cache (hits stay resident across
             // chunks — LastFM-style streams revisit the same users/items).
@@ -140,12 +138,10 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                             u.At(i, j);
                     }
                 }
-                sim::KernelDesc proj;
-                proj.name = "project_user";
-                proj.flops = 3 * m * d;
-                proj.bytes = 2 * m * d * 4;
-                proj.parallel_items = m * d;
-                runtime.Launch(proj);
+                runtime.Launch({.name = "project_user",
+                                .flops = 3 * m * d,
+                                .bytes = 2 * m * d * 4,
+                                .parallel_items = m * d});
             }
 
             // [Predict Item Embedding]: linear head on projected users.
@@ -153,12 +149,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
             {
                 sim::CategoryScope scope(runtime, "Predict Item Embedding");
                 predicted = item_predictor_->Forward(projected);
-                sim::KernelDesc pred;
-                pred.name = "predict_item";
-                pred.flops = item_predictor_->ForwardFlops(m);
-                pred.bytes = 2 * m * d * 4 + item_predictor_->ParameterBytes();
-                pred.parallel_items = m * d;
-                runtime.Launch(pred);
+                runtime.Launch(item_predictor_->Cost("predict_item", m));
             }
 
             // [Update Embedding]: mutually-recursive user and item RNNs.
@@ -172,12 +163,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 checksum.Add(new_u);
 
                 for (const nn::RnnCell* cell : {user_rnn_.get(), item_rnn_.get()}) {
-                    sim::KernelDesc rnn;
-                    rnn.name = "rnn_update";
-                    rnn.flops = cell->ForwardFlops(m);
-                    rnn.bytes = 3 * m * d * 4 + cell->ParameterBytes();
-                    rnn.parallel_items = m * d;
-                    runtime.Launch(rnn);
+                    runtime.Launch(cell->Cost("rnn_update", m));
                 }
                 // The next t-batch depends on these updates: hard sync.
                 (void)runtime.Synchronize();

@@ -94,19 +94,16 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Encoder (NRI)");
             if (config_.encoder == LdgEncoder::kMlp) {
-                sim::KernelDesc enc;
-                enc.name = "nri_encoder";
-                enc.flops = nri_encoder_->ForwardFlops(1 + k);
-                enc.bytes = (1 + k) * 2 * d * 4 + nri_encoder_->ParameterBytes();
-                enc.parallel_items = (1 + k) * config_.latent_edge_dim;
+                // Audit override (DESIGN.md section 2): its bytes leave out
+                // the output rows.
+                sim::KernelDesc enc = nri_encoder_->Cost("nri_encoder", 1 + k);
+                enc.bytes -= (1 + k) * nri_encoder_->OutFeatures() * 4;
                 runtime.Launch(enc);
             } else {
-                sim::KernelDesc enc;
-                enc.name = "bilinear_encoder";
-                enc.flops = (1 + k) * 2 * d * d;
-                enc.bytes = (1 + k) * 2 * d * 4 + bilinear_w_.NumBytes();
-                enc.parallel_items = 1 + k;
-                runtime.Launch(enc);
+                runtime.Launch({.name = "bilinear_encoder",
+                                .flops = (1 + k) * 2 * d * d,
+                                .bytes = (1 + k) * 2 * d * 4 + bilinear_w_.NumBytes(),
+                                .parallel_items = 1 + k});
             }
             if (numeric && config_.encoder == LdgEncoder::kMlp) {
                 const Tensor pair = ops::ConcatCols(
@@ -130,12 +127,7 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Node Embedding Update");
             for (const int64_t node : {e.src, e.dst}) {
-                sim::KernelDesc rnn;
-                rnn.name = "embedding_rnn";
-                rnn.flops = update_rnn_->ForwardFlops(1);
-                rnn.bytes = 4 * d * 4 + update_rnn_->ParameterBytes();
-                rnn.parallel_items = d;
-                runtime.Launch(rnn);
+                runtime.Launch(update_rnn_->Cost("embedding_rnn", 1));
 
                 if (numeric) {
                     const int64_t other = node == e.src ? e.dst : e.src;
@@ -153,12 +145,10 @@ Ldg::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Bilinear Decoder + per-event sync.
         {
             sim::CategoryScope scope(runtime, "Bilinear Decoder");
-            sim::KernelDesc dec;
-            dec.name = "bilinear_decoder";
-            dec.flops = 2 * d * d + 2 * d;
-            dec.bytes = 2 * d * 4 + bilinear_w_.NumBytes();
-            dec.parallel_items = d;
-            runtime.Launch(dec);
+            runtime.Launch({.name = "bilinear_decoder",
+                            .flops = 2 * d * d + 2 * d,
+                            .bytes = 2 * d * 4 + bilinear_w_.NumBytes(),
+                            .parallel_items = d});
             (void)runtime.Synchronize();
 
             if (numeric) {

@@ -78,12 +78,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Memory Copy");
             ChargeBatchOverhead(runtime);
-            sim::KernelDesc concat;
-            concat.name = "concat_adjacency";
-            concat.flops = 0;
-            concat.bytes = 2 * nf * frame_bytes;
-            concat.parallel_items = 1;
-            runtime.RunHost(concat);
+            runtime.RunHost({.name = "concat_adjacency", .bytes = 2 * nf * frame_bytes});
             // The reference implementation moves every frame's adjacency
             // (plus its feature view) as an individual pageable copy; the
             // per-transfer latency is what makes MolDGNN movement-bound.
@@ -107,12 +102,10 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 frame_embeddings.push_back(
                     ops::MeanRows(h).Reshape(Shape({1, config_.gcn_dim})));
             }
-            sim::KernelDesc gcn;
-            gcn.name = "gcn_frames";
-            gcn.flops = nf * gcn_->ForwardFlops(atoms, atoms * 4);
+            // Audit override (DESIGN.md section 2): each frame reads its
+            // dense adjacency and writes the output, not the input features.
+            sim::KernelDesc gcn = gcn_->FusedCost("gcn_frames", nf, atoms, atoms * 4);
             gcn.bytes = nf * (frame_bytes + atoms * config_.gcn_dim * 4);
-            gcn.parallel_items = nf * atoms * config_.gcn_dim;
-            gcn.irregular = true;
             runtime.Launch(gcn);
             (void)runtime.Synchronize();
         }
@@ -127,13 +120,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 state = lstm_->Forward(
                     frame_embeddings[static_cast<size_t>(f)], state);
             }
-            sim::KernelDesc seq;
-            seq.name = "lstm_sequence";
-            seq.flops = nf * lstm_->ForwardFlops(1);
-            seq.bytes = nf * (config_.gcn_dim + 2 * config_.lstm_dim) * 4 +
-                        lstm_->ParameterBytes();
-            seq.parallel_items = config_.lstm_dim;
-            runtime.Launch(seq);
+            runtime.Launch(lstm_->SequenceCost("lstm_sequence", nf));
             (void)runtime.Synchronize();
         }
 
@@ -142,13 +129,7 @@ MolDgnn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             sim::CategoryScope scope(runtime, "FFN");
             const Tensor pred = ffn_->Forward(state.h);
             checksum.Add(ops::Sigmoid(pred));
-            sim::KernelDesc ffn;
-            ffn.name = "ffn_predict";
-            ffn.flops = ffn_->ForwardFlops(nf);
-            ffn.bytes = nf * (config_.lstm_dim + atoms * atoms) * 4 +
-                        ffn_->ParameterBytes();
-            ffn.parallel_items = nf * atoms * atoms;
-            runtime.Launch(ffn);
+            runtime.Launch(ffn_->Cost("ffn_predict", nf));
             (void)runtime.Synchronize();
         }
 

@@ -277,12 +277,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         // --- Time Encoding: one kernel over all deltas.
         {
             sim::CategoryScope scope(runtime, "Time Encoding");
-            sim::KernelDesc tenc;
-            tenc.name = "time_encoding";
-            tenc.flops = time_encoder_->ForwardFlops(n * k);
-            tenc.bytes = n * k * (8 + d * 4);
-            tenc.parallel_items = n * k * d;
-            runtime.Launch(tenc);
+            runtime.Launch(time_encoder_->Cost("time_encoding", n * k));
             (void)runtime.Synchronize();
         }
 
@@ -290,13 +285,8 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Attention Layer");
             // Feature projection of all gathered nodes (one GEMM).
-            sim::KernelDesc proj;
-            proj.name = "feature_projection";
-            proj.flops = feature_proj_->ForwardFlops(gathered_nodes);
-            proj.bytes = gathered_nodes *
-                             (dataset_.spec.edge_feature_dim + d) * 4 +
-                         feature_proj_->ParameterBytes();
-            proj.parallel_items = gathered_nodes * d;
+            sim::KernelDesc proj =
+                feature_proj_->Cost("feature_projection", gathered_nodes);
             proj.irregular = true;  // gather from the resident table
             runtime.Launch(proj);
 
@@ -308,26 +298,19 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 const int64_t q_rows = is_final ? n : n * k;
                 const int64_t kv_per_target =
                     is_final ? k : config_.second_hop_neighbors;
-                sim::KernelDesc attn;
-                attn.name = "attention";
-                attn.flops =
-                    q_rows * attention_layers_[static_cast<size_t>(l)]->ForwardFlops(
-                                 1, kv_per_target);
-                attn.bytes = q_rows * (kv_per_target + 1) * d * 4 * 3;
-                attn.parallel_items = q_rows * kv_per_target * d;
-                runtime.Launch(attn);
+                runtime.Launch(attention_layers_[static_cast<size_t>(l)]->Cost(
+                    "attention", q_rows, kv_per_target));
 
                 // Attention execution is attributed to this module scope
                 // (PyTorch-profiler convention); the merge FFN drains later
                 // in the explicit synchronization phase.
                 (void)runtime.Synchronize();
 
-                sim::KernelDesc merge;
-                merge.name = "merge_ffn";
-                merge.flops =
-                    merge_layers_[static_cast<size_t>(l)]->ForwardFlops(q_rows);
+                // Audit override (DESIGN.md section 2): its bytes leave out
+                // the parameters.
+                sim::KernelDesc merge =
+                    merge_layers_[static_cast<size_t>(l)]->Cost("merge_ffn", q_rows);
                 merge.bytes = q_rows * 3 * d * 4;
-                merge.parallel_items = q_rows * d;
                 runtime.Launch(merge);
             }
 

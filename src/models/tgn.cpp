@@ -102,14 +102,12 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             sim::CategoryScope scope(runtime, "Aggregate Messages Passing");
             runtime.RunHostFor("framework_overhead",
                                kFrameworkBatchOverheadUs / 3.0);
-            // CPU builds the raw-message batch (gather + concat, irregular).
-            sim::KernelDesc build;
-            build.name = "build_raw_messages";
-            build.flops = 2 * nb * MessageDim();
-            build.bytes = 2 * nb * MessageDim() * 4;
-            build.parallel_items = 1;  // python-side loop in the reference
-            build.irregular = true;
-            runtime.RunHost(build);
+            // CPU builds the raw-message batch (gather + concat, irregular)
+            // in one python-side loop, as the reference does.
+            runtime.RunHost({.name = "build_raw_messages",
+                             .flops = 2 * nb * MessageDim(),
+                             .bytes = 2 * nb * MessageDim() * 4,
+                             .irregular = true});
 
             // Batched H2D of messages + edge features (Fig 5b "one batch").
             if (memory_cache.Enabled()) {
@@ -130,13 +128,11 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             }
 
             // Per-node "last" aggregation kernel (scatter, irregular).
-            sim::KernelDesc agg;
-            agg.name = "aggregate_last";
-            agg.flops = un * MessageDim();
-            agg.bytes = (2 * nb + un) * MessageDim() * 4;
-            agg.parallel_items = un * MessageDim();
-            agg.irregular = true;
-            runtime.Launch(agg);
+            runtime.Launch({.name = "aggregate_last",
+                            .flops = un * MessageDim(),
+                            .bytes = (2 * nb + un) * MessageDim() * 4,
+                            .parallel_items = un * MessageDim(),
+                            .irregular = true});
             (void)runtime.Synchronize();
         }
 
@@ -182,14 +178,7 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             const Tensor new_memory = memory_updater_->Forward(messages, old_memory);
             memory_->Update(cap_nodes, new_memory);
             checksum.Add(new_memory);
-
-            sim::KernelDesc upd;
-            upd.name = "gru_memory_update";
-            upd.flops = memory_updater_->ForwardFlops(un);
-            upd.bytes = un * (MessageDim() + 2 * md) * 4 +
-                        memory_updater_->ParameterBytes();
-            upd.parallel_items = un * md;
-            runtime.Launch(upd);
+            runtime.Launch(memory_updater_->Cost("gru_memory_update", un));
             (void)runtime.Synchronize();
 
             // Fig 5b: updated memory rows flow back to the host-side store.
@@ -230,20 +219,13 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             runtime.CopyToDevice(n_targets * (k + 1) * 8, "tgn_neighbor_idx_h2d");
 
             // Attention kernel over each target's neighborhood.
-            sim::KernelDesc attn;
-            attn.name = "temporal_attention";
-            attn.flops =
-                n_targets * embedding_attention_->ForwardFlops(1, k);
-            attn.bytes = n_targets * (k + 1) * md * 4 * 3;
-            attn.parallel_items = n_targets * k * md;
-            runtime.Launch(attn);
+            runtime.Launch(
+                embedding_attention_->Cost("temporal_attention", n_targets, k));
 
-            // Edge probability decoder.
-            sim::KernelDesc dec;
-            dec.name = "edge_decoder";
-            dec.flops = edge_decoder_->ForwardFlops(nb);
-            dec.bytes = nb * 2 * md * 4 + edge_decoder_->ParameterBytes();
-            dec.parallel_items = nb;
+            // Edge probability decoder. Audit override (DESIGN.md section 2):
+            // its bytes leave out the output rows.
+            sim::KernelDesc dec = edge_decoder_->Cost("edge_decoder", nb);
+            dec.bytes -= nb * edge_decoder_->OutFeatures() * 4;
             runtime.Launch(dec);
             (void)runtime.Synchronize();
 

@@ -57,6 +57,9 @@ MultiHeadAttention::Forward(const Tensor& query, const Tensor& kv,
                    slots[s], ", outside [0, ", num_rows, ")");
     }
 
+    // Each slot's score and weights x V products, d MACs each over the heads,
+    // as charged: a reused score and a skipped zero weight count too.
+    ops::CountMacs(2 * num_queries * g * model_dim_);
     const Tensor q = wq_.Forward(query);
     const Tensor k = wk_.Forward(kv);
     const Tensor v = wv_.Forward(kv);

@@ -37,6 +37,26 @@ class MultiHeadAttention : public Module {
     /// FLOPs for q queries against k keys.
     int64_t ForwardFlops(int64_t q, int64_t k) const;
 
+    /// Forward for @p queries queries over g slots each, as one kernel:
+    /// queries x ForwardFlops(1, g); each query moves its own row and its
+    /// g slot rows three times (q, k, v), d floats each, and exposes g x d
+    /// parallel items. The parameters are not counted.
+    sim::KernelDesc Cost(std::string name, int64_t queries, int64_t g) const
+    {
+        return RowCost(std::move(name), queries, queries * ForwardFlops(1, g),
+                       (g + 1) * model_dim_ * 4 * 3, g * model_dim_, 0);
+    }
+
+    /// SelfAttention over @p sequences sequences of @p length rows, as one
+    /// kernel: sequences x ForwardFlops(length, length); each row moves
+    /// q, k, v and the output, d floats each, and exposes d parallel items.
+    sim::KernelDesc SelfAttentionCost(std::string name, int64_t sequences,
+                                      int64_t length) const
+    {
+        return RowCost(std::move(name), sequences, sequences * ForwardFlops(length, length),
+                       length * model_dim_ * 4 * 4, length * model_dim_, 0);
+    }
+
   private:
     int64_t model_dim_;
     int64_t num_heads_;

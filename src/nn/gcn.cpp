@@ -1,5 +1,7 @@
 #include "nn/gcn.hpp"
 
+#include <utility>
+
 #include "tensor/ops.hpp"
 
 namespace dgnn::nn {
@@ -12,6 +14,7 @@ Spmm(const SparseMatrix& a, const Tensor& x)
     DGNN_CHECK(static_cast<int64_t>(a.row_offsets.size()) == a.n + 1,
                "CSR row_offsets size ", a.row_offsets.size(), " != n+1 = ", a.n + 1);
     const int64_t d = x.Dim(1);
+    ops::CountMacs(a.Nnz() * d);
     Tensor y(Shape({a.n, d}));
     for (int64_t i = 0; i < a.n; ++i) {
         float* yrow = y.Data() + i * d;
@@ -64,6 +67,30 @@ GcnLayer::ForwardFlops(int64_t n, int64_t nnz) const
     const int64_t spmm = 2 * nnz * in_features_;
     const int64_t transform = ops::MatMulFlops(n, in_features_, out_features_);
     return spmm + transform;
+}
+
+GcnCost
+GcnLayer::Cost(int64_t n, int64_t nnz) const
+{
+    GcnCost cost{
+        RowCost("spmm", n, 2 * nnz * in_features_, 2 * in_features_ * 4, in_features_,
+                nnz * 12),
+        RowCost("gcn_transform", n, ops::MatMulFlops(n, in_features_, out_features_),
+                (in_features_ + out_features_) * 4, out_features_,
+                in_features_ * out_features_ * 4),
+    };
+    cost.spmm.irregular = true;
+    return cost;
+}
+
+sim::KernelDesc
+GcnLayer::FusedCost(std::string name, int64_t graphs, int64_t n, int64_t nnz) const
+{
+    sim::KernelDesc fused =
+        RowCost(std::move(name), graphs, graphs * ForwardFlops(n, nnz),
+                nnz * 12 + n * (in_features_ + out_features_) * 4, n * out_features_, 0);
+    fused.irregular = true;
+    return fused;
 }
 
 void

@@ -27,6 +27,13 @@ struct SparseMatrix {
 /// y = A · x for CSR A [n, n] and dense x [n, d].
 Tensor Spmm(const SparseMatrix& a, const Tensor& x);
 
+/// A GCN layer's forward as its two kernels: the irregular SpMM
+/// aggregation, then the dense transform.
+struct GcnCost {
+    sim::KernelDesc spmm;
+    sim::KernelDesc transform;
+};
+
 /// One GCN layer (Kipf & Welling style with an external normalized A_hat).
 class GcnLayer : public Module {
   public:
@@ -46,6 +53,21 @@ class GcnLayer : public Module {
 
     /// FLOPs for n nodes and nnz edges.
     int64_t ForwardFlops(int64_t n, int64_t nnz) const;
+
+    /// ForwardWithWeight over n nodes and nnz edges as two kernels whose
+    /// flops sum to ForwardFlops(n, nnz). "spmm" reads h and each edge's
+    /// 8-byte index and 4-byte value and writes the aggregate A_hat · h, one
+    /// parallel item per aggregate element; "gcn_transform" reads the
+    /// aggregate and the [out, in] weight and writes the output, one item
+    /// per output element.
+    GcnCost Cost(int64_t n, int64_t nnz) const;
+
+    /// Forward over @p graphs graphs of n nodes and nnz edges each, as one
+    /// irregular kernel: graphs x ForwardFlops(n, nnz); each graph reads its
+    /// edges (12 bytes each) and the input and writes the output, the
+    /// aggregate staying on-chip; one parallel item per output element.
+    sim::KernelDesc FusedCost(std::string name, int64_t graphs, int64_t n,
+                              int64_t nnz) const;
 
   private:
     int64_t in_features_;

@@ -22,6 +22,15 @@ class Linear : public Module {
     /// FLOPs of one forward pass with @p batch rows.
     int64_t ForwardFlops(int64_t batch) const;
 
+    /// Forward over @p rows rows as one kernel: ForwardFlops(rows); each row
+    /// reads in and writes out floats, and the parameters are read once;
+    /// one parallel item per output element.
+    sim::KernelDesc Cost(std::string name, int64_t rows) const
+    {
+        return RowCost(std::move(name), rows, ForwardFlops(rows),
+                       (in_features_ + out_features_) * 4, out_features_, ParameterBytes());
+    }
+
     const Tensor& Weight() const { return weight_; }
     const Tensor& Bias() const { return bias_; }
 

@@ -26,6 +26,14 @@ class Mlp : public Module {
     int64_t OutFeatures() const { return dims_.back(); }
     int64_t ForwardFlops(int64_t batch) const;
 
+    /// Forward over @p rows rows as one kernel, costed like Linear::Cost
+    /// from dims.front() to dims.back(): hidden activations stay on-chip.
+    sim::KernelDesc Cost(std::string name, int64_t rows) const
+    {
+        return RowCost(std::move(name), rows, ForwardFlops(rows),
+                       (InFeatures() + OutFeatures()) * 4, OutFeatures(), ParameterBytes());
+    }
+
   private:
     std::vector<int64_t> dims_;
     Activation act_;

@@ -1,5 +1,7 @@
 #include "nn/module.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace dgnn::nn {
@@ -49,6 +51,17 @@ Module::RegisterChild(Module* child)
 {
     DGNN_CHECK(child != nullptr, "null child module");
     children_.push_back(child);
+}
+
+sim::KernelDesc
+RowCost(std::string name, int64_t rows, int64_t flops, int64_t row_bytes,
+        int64_t items_per_row, int64_t weight_bytes)
+{
+    DGNN_CHECK(rows >= 0, "kernel '", name, "' over ", rows, " rows");
+    return {.name = std::move(name),
+            .flops = flops,
+            .bytes = rows * row_bytes + weight_bytes,
+            .parallel_items = std::max<int64_t>(1, rows * items_per_row)};
 }
 
 }  // namespace dgnn::nn

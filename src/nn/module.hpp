@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/kernel.hpp"
 #include "tensor/random.hpp"
 #include "tensor/tensor.hpp"
 
@@ -54,5 +55,13 @@ class Module {
     std::vector<Parameter> parameters_;
     std::vector<Module*> children_;
 };
+
+/// The kernel @p name over @p rows independent rows: @p flops in all,
+/// @p row_bytes read and written per row plus @p weight_bytes read once, and
+/// @p items_per_row parallel items per row, at least one in all, so zero
+/// rows is a valid kernel. Throws if rows < 0. Every module's Cost is this
+/// with its own per-row terms (DESIGN.md section 2).
+sim::KernelDesc RowCost(std::string name, int64_t rows, int64_t flops, int64_t row_bytes,
+                        int64_t items_per_row, int64_t weight_bytes);
 
 }  // namespace dgnn::nn

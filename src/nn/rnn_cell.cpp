@@ -1,5 +1,7 @@
 #include "nn/rnn_cell.hpp"
 
+#include <utility>
+
 #include "tensor/ops.hpp"
 
 namespace dgnn::nn {
@@ -23,15 +25,21 @@ ColSlice(const Tensor& t, int64_t begin, int64_t end)
 
 }  // namespace
 
-RnnCell::RnnCell(int64_t input_size, int64_t hidden_size, Rng& rng)
-    : Module("rnn_cell"),
+RecurrentCell::RecurrentCell(std::string name, int64_t input_size, int64_t hidden_size,
+                             int64_t gates, Rng& rng)
+    : Module(std::move(name)),
       input_size_(input_size),
       hidden_size_(hidden_size),
-      ih_(input_size, hidden_size, rng),
-      hh_(hidden_size, hidden_size, rng)
+      ih_(input_size, gates * hidden_size, rng),
+      hh_(hidden_size, gates * hidden_size, rng)
 {
     RegisterChild(&ih_);
     RegisterChild(&hh_);
+}
+
+RnnCell::RnnCell(int64_t input_size, int64_t hidden_size, Rng& rng)
+    : RecurrentCell("rnn_cell", input_size, hidden_size, 1, rng)
+{
 }
 
 Tensor
@@ -47,14 +55,8 @@ RnnCell::ForwardFlops(int64_t batch) const
 }
 
 GruCell::GruCell(int64_t input_size, int64_t hidden_size, Rng& rng)
-    : Module("gru_cell"),
-      input_size_(input_size),
-      hidden_size_(hidden_size),
-      ih_(input_size, 3 * hidden_size, rng),
-      hh_(hidden_size, 3 * hidden_size, rng)
+    : RecurrentCell("gru_cell", input_size, hidden_size, 3, rng)
 {
-    RegisterChild(&ih_);
-    RegisterChild(&hh_);
 }
 
 Tensor
@@ -89,14 +91,8 @@ GruCell::ForwardFlops(int64_t batch) const
 }
 
 LstmCell::LstmCell(int64_t input_size, int64_t hidden_size, Rng& rng)
-    : Module("lstm_cell"),
-      input_size_(input_size),
-      hidden_size_(hidden_size),
-      ih_(input_size, 4 * hidden_size, rng),
-      hh_(hidden_size, 4 * hidden_size, rng)
+    : RecurrentCell("lstm_cell", input_size, hidden_size, 4, rng)
 {
-    RegisterChild(&ih_);
-    RegisterChild(&hh_);
 }
 
 LstmState
@@ -130,6 +126,14 @@ LstmCell::ForwardFlops(int64_t batch) const
 {
     return ih_.ForwardFlops(batch) + hh_.ForwardFlops(batch) +
            12 * batch * hidden_size_;
+}
+
+sim::KernelDesc
+LstmCell::SequenceCost(std::string name, int64_t steps) const
+{
+    sim::KernelDesc seq = Cost(std::move(name), steps);
+    seq.parallel_items = hidden_size_;
+    return seq;
 }
 
 }  // namespace dgnn::nn

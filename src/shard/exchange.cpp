@@ -117,13 +117,11 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
                 {"exchange_in#" + std::to_string(slot_index)},
                 {"dev_state#" + std::to_string(self_shard_)}};
         });
-        sim::KernelDesc unpack;
-        unpack.name = "shard_unpack";
-        unpack.flops = cost.remote_rows * config_.row_bytes / 4;
-        unpack.bytes = 2 * cost.remote_rows * config_.row_bytes;
-        unpack.parallel_items = cost.remote_rows;
-        unpack.irregular = true;
-        runtime.Launch(unpack);
+        runtime.Launch({.name = "shard_unpack",
+                        .flops = cost.remote_rows * config_.row_bytes / 4,
+                        .bytes = 2 * cost.remote_rows * config_.row_bytes,
+                        .parallel_items = cost.remote_rows,
+                        .irregular = true});
     }
     unpack_done_[slot_index] = runtime.RecordEvent(sim::StreamId::kCompute);
     slot_used_[slot_index] = true;

@@ -20,12 +20,7 @@ Collapse(const FusedKernelDesc& fused)
                    "' has a negative intermediate (", bytes, " bytes)");
     }
 
-    KernelDesc out;
-    out.name = fused.name;
-    out.flops = 0;
-    out.bytes = 0;
-    out.parallel_items = 1;
-    out.irregular = false;
+    KernelDesc out{.name = fused.name};
     for (size_t i = 0; i < n; ++i) {
         const KernelDesc& part = fused.parts[i];
         DGNN_CHECK(part.flops >= 0 && part.bytes >= 0, "fused chain '",

@@ -306,13 +306,11 @@ namespace {
 KernelDesc
 CacheHitGatherKernel(int64_t hit_rows, int64_t row_bytes, const std::string& what)
 {
-    KernelDesc k;
-    k.name = what + ":cache_hit_gather";
-    k.flops = hit_rows * row_bytes / 4;
-    k.bytes = 2 * hit_rows * row_bytes;
-    k.parallel_items = std::max<int64_t>(1, hit_rows * row_bytes / 4);
-    k.irregular = true;
-    return k;
+    return {.name = what + ":cache_hit_gather",
+            .flops = hit_rows * row_bytes / 4,
+            .bytes = 2 * hit_rows * row_bytes,
+            .parallel_items = std::max<int64_t>(1, hit_rows * row_bytes / 4),
+            .irregular = true};
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #if defined(__x86_64__)
@@ -12,6 +13,8 @@
 namespace dgnn::ops {
 
 namespace {
+
+MacHook mac_hook;
 
 /// Applies @p fn to every element of @p a into a fresh tensor.
 template <typename Fn>
@@ -323,6 +326,20 @@ HostGemmKernels()
 
 }  // namespace detail
 
+void
+SetMacHook(MacHook hook)
+{
+    mac_hook = std::move(hook);
+}
+
+void
+CountMacs(int64_t macs)
+{
+    if (mac_hook) {
+        mac_hook(macs);
+    }
+}
+
 Tensor
 MatMul(const Tensor& a, const Tensor& b)
 {
@@ -333,6 +350,7 @@ MatMul(const Tensor& a, const Tensor& b)
     const int64_t n = b.Dim(1);
     DGNN_CHECK(b.Dim(0) == k, "MatMul inner-dimension mismatch: ",
                a.GetShape().ToString(), " x ", b.GetShape().ToString());
+    CountMacs(m * k * n);
     Tensor c(Shape({m, n}));
     const float* pa = a.Data();
     const float* pb = b.Data();
@@ -385,6 +403,7 @@ MatMulTransposed(const Tensor& a, const PackedRhs& b)
     const int64_t n = b.Rows();
     DGNN_CHECK(b.Cols() == k, "MatMulTransposed inner-dimension mismatch: ",
                a.GetShape().ToString(), " x ", Shape({n, b.Cols()}).ToString(), "^T");
+    CountMacs(m * k * n);
     Tensor c(Shape({m, n}));
     detail::HostGemmKernels().back().fn(a.Data(), m, b, c.Data());
     return c;

@@ -5,9 +5,21 @@
 /// fresh output) unless the name says otherwise. These are the host-side
 /// numerics behind every simulated device kernel.
 
+#include <functional>
+
 #include "tensor/tensor.hpp"
 
 namespace dgnn::ops {
+
+/// Receives the multiply-accumulates of each host GEMM (MatMul,
+/// MatMulTransposed), nn::Spmm and nn::MultiHeadAttention::Forward call.
+/// Null by default, when a call pays one branch; the work audit (AuditTest)
+/// and the nn Cost tests point it at a counter.
+using MacHook = std::function<void(int64_t macs)>;
+void SetMacHook(MacHook hook);
+
+/// Reports @p macs to the MAC hook, if one is set.
+void CountMacs(int64_t macs);
 
 /// C = A x B for rank-2 A [m,k] and B [k,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);

@@ -140,6 +140,7 @@ TEST(BottleneckShapes, TgatSamplingDominatesInference)
 TEST(BottleneckShapes, MolDgnnMemoryCopyDominates)
 {
     // Fig 7(b): memory copy is ~80-90% of MolDGNN time at any batch size.
+    // The simulator sits above the band (95-98%), so only its floor holds.
     data::MolecularSpec spec = data::MolecularSpec::Iso17Like();
     spec.num_frames = 256;
     const auto ds = data::GenerateMolecular(spec);
@@ -148,7 +149,7 @@ TEST(BottleneckShapes, MolDgnnMemoryCopyDominates)
         sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
         const RunResult r =
             model.RunInference(rt, MakeRun(sim::ExecMode::kHybrid, batch));
-        EXPECT_GT(r.breakdown.SharePct("Memory Copy"), 50.0)
+        EXPECT_GT(r.breakdown.SharePct("Memory Copy"), 80.0)
             << "batch " << batch;
     }
 }
@@ -204,6 +205,8 @@ TEST(BottleneckShapes, TgatUtilizationGrowsWithNeighborCount)
 TEST(BottleneckShapes, LowGpuUtilizationAcrossSequentialModels)
 {
     // Section 4.1: EvolveGCN / MolDGNN < 1%, JODIE ~1.5-2.5%, DyRep < 2%.
+    // The simulator sits above both bounds (EvolveGCN 5.3%, DyRep 4.4%), so
+    // these stay loose.
     {
         const auto ds = data::GenerateSnapshots(data::SnapshotSpec::SbmLike());
         EvolveGcn model(ds, EvolveGcnConfig{});
@@ -224,13 +227,14 @@ TEST(BottleneckShapes, LowGpuUtilizationAcrossSequentialModels)
 
 TEST(WarmupShapes, OneTimeWarmupManyIterationsOfInference)
 {
-    // Section 4.4: warm-up is 33x - 86x one mini-batch of inference.
+    // Section 4.4: warm-up is 33x - 86x one mini-batch of inference. The
+    // simulator overshoots the band (about 1255x), so only its floor holds.
     const auto ds = MidInteractions(2000);
     Tgat model(ds, TgatConfig{});
     sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
     const RunResult r = model.RunInference(rt, MakeRun(sim::ExecMode::kHybrid, 200, 20));
     const double ratio = r.warmup_one_time_us / r.per_iteration_us;
-    EXPECT_GT(ratio, 10.0);
+    EXPECT_GT(ratio, 33.0);
 }
 
 TEST(WarmupShapes, WarmupShareGrowsWithBatchSize)

@@ -25,75 +25,10 @@
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
 #include "tensor/random.hpp"
+#include "tiny_datasets.hpp"
 
 namespace dgnn::models {
 namespace {
-
-data::InteractionDataset
-TinyInteractions()
-{
-    data::InteractionSpec spec;
-    spec.name = "tiny";
-    spec.num_users = 20;
-    spec.num_items = 12;
-    spec.num_events = 120;
-    spec.edge_feature_dim = 8;
-    spec.seed = 5;
-    return data::GenerateInteractions(spec);
-}
-
-data::SnapshotDataset
-TinySnapshots()
-{
-    data::SnapshotSpec spec;
-    spec.name = "tiny";
-    spec.num_nodes = 40;
-    spec.num_steps = 4;
-    spec.edges_per_step = 150;
-    spec.node_feature_dim = 8;
-    spec.seed = 6;
-    return data::GenerateSnapshots(spec);
-}
-
-data::MolecularDataset
-TinyMolecular()
-{
-    data::MolecularSpec spec;
-    spec.num_frames = 24;
-    spec.seed = 7;
-    return data::GenerateMolecular(spec);
-}
-
-data::TrafficDataset
-TinyTraffic()
-{
-    data::TrafficSpec spec;
-    spec.num_sensors = 16;
-    spec.num_timesteps = 48;
-    spec.seed = 8;
-    return data::GenerateTraffic(spec);
-}
-
-data::PointProcessDataset
-TinyPointProcess()
-{
-    data::PointProcessSpec spec;
-    spec.num_actors = 15;
-    spec.num_events = 60;
-    spec.seed = 9;
-    return data::GeneratePointProcess(spec);
-}
-
-RunConfig
-SmallRun(sim::ExecMode mode)
-{
-    RunConfig run;
-    run.mode = mode;
-    run.batch_size = 16;
-    run.num_neighbors = 4;
-    run.numeric_cap = 0;  // full numerics
-    return run;
-}
 
 /// Runs a model twice with fresh runtimes; both runs must agree exactly.
 template <typename ModelFactory>

@@ -17,6 +17,7 @@
 #include "nn/module.hpp"
 #include "nn/rnn_cell.hpp"
 #include "nn/time_encoding.hpp"
+#include "sim/kernel.hpp"
 #include "tensor/ops.hpp"
 
 namespace dgnn::nn {
@@ -442,6 +443,205 @@ TEST(GcnTest, ExternalWeightMatchesOwnWeight)
     // ForwardWithWeight uses no bias, so compare with the weight-only path.
     const Tensor y2 = layer.ForwardWithWeight(a, h, layer.Weight());
     EXPECT_EQ(y1.GetShape(), y2.GetShape());
+}
+
+// --- Cost: each module's kernel is the work its Forward does -------------
+
+/// Multiply-accumulates the MAC hook counts while @p forward runs.
+int64_t
+CountedMacs(const std::function<void()>& forward)
+{
+    int64_t macs = 0;
+    ops::SetMacHook([&macs](int64_t n) { macs += n; });
+    forward();
+    ops::SetMacHook(nullptr);
+    return macs;
+}
+
+/// Every Cost's edges: zero rows is a valid kernel without arithmetic, and
+/// negative rows throw.
+void
+ExpectRowEdges(const std::function<sim::KernelDesc(int64_t)>& cost)
+{
+    const sim::KernelDesc zero = cost(0);
+    EXPECT_EQ(zero.flops, 0);
+    EXPECT_GE(zero.parallel_items, 1);
+    EXPECT_GT(sim::KernelDuration(sim::DeviceSpec::RtxA6000(), zero), 0.0);
+    EXPECT_THROW(cost(-1), Error);
+}
+
+constexpr int64_t kCostRows = 5;
+
+TEST(CostTest, LinearChargesItsForward)
+{
+    for (const int64_t d : {8, 16, 32}) {
+        Rng rng(40);
+        const Linear layer(d, 2 * d, rng);
+        const sim::KernelDesc cost = layer.Cost("proj", kCostRows);
+        EXPECT_EQ(cost.name, "proj");
+        EXPECT_EQ(cost.flops, layer.ForwardFlops(kCostRows));
+        EXPECT_EQ(cost.bytes, kCostRows * 3 * d * 4 + layer.ParameterBytes());
+        EXPECT_EQ(cost.parallel_items, kCostRows * 2 * d);
+        const Tensor x = init::Normal(Shape({kCostRows, d}), rng);
+        const int64_t macs = CountedMacs([&] { (void)layer.Forward(x); });
+        EXPECT_EQ(cost.flops, 2 * macs + kCostRows * 2 * d);  // + one bias add each
+        ExpectRowEdges([&](int64_t rows) { return layer.Cost("proj", rows); });
+    }
+}
+
+TEST(CostTest, MlpChargesItsForward)
+{
+    for (const int64_t d : {8, 16, 32}) {
+        Rng rng(41);
+        const Mlp mlp({2 * d, d, 3}, rng);
+        const sim::KernelDesc cost = mlp.Cost("mlp", kCostRows);
+        EXPECT_EQ(cost.flops, mlp.ForwardFlops(kCostRows));
+        // Hidden activations stay on-chip: in and out rows plus parameters.
+        EXPECT_EQ(cost.bytes, kCostRows * (2 * d + 3) * 4 + mlp.ParameterBytes());
+        EXPECT_EQ(cost.parallel_items, kCostRows * 3);
+        const Tensor x = init::Normal(Shape({kCostRows, 2 * d}), rng);
+        const int64_t macs = CountedMacs([&] { (void)mlp.Forward(x); });
+        EXPECT_EQ(cost.flops, 2 * macs + kCostRows * (d + 3));  // + the bias adds
+        ExpectRowEdges([&](int64_t rows) { return mlp.Cost("mlp", rows); });
+    }
+}
+
+TEST(CostTest, RecurrentCellsChargeOneStep)
+{
+    for (const int64_t d : {8, 16, 32}) {
+        const int64_t in = 3 * d;
+        Rng rng(42);
+        const RnnCell rnn(in, d, rng);
+        const GruCell gru(in, d, rng);
+        const LstmCell lstm(in, d, rng);
+        const Tensor x = init::Normal(Shape({kCostRows, in}), rng);
+        const Tensor h = init::Normal(Shape({kCostRows, d}), rng);
+        // Per hidden unit of a row, on top of the MACs: one bias add per gate
+        // of each projection, then the cell's own elementwise work.
+        struct Case {
+            const RecurrentCell& cell;
+            std::function<void()> forward;
+            int64_t elementwise_per_unit;
+        };
+        const std::vector<Case> cases = {
+            {rnn, [&] { (void)rnn.Forward(x, h); }, 2 * 1 + 2},
+            {gru, [&] { (void)gru.Forward(x, h); }, 2 * 3 + 10},
+            {lstm, [&] { (void)lstm.Forward(x, {h, h}); }, 2 * 4 + 12},
+        };
+        for (const Case& c : cases) {
+            SCOPED_TRACE(c.cell.Name());
+            const sim::KernelDesc cost = c.cell.Cost("cell", kCostRows);
+            EXPECT_EQ(cost.flops, c.cell.ForwardFlops(kCostRows));
+            EXPECT_EQ(cost.bytes, kCostRows * (in + 2 * d) * 4 + c.cell.ParameterBytes());
+            EXPECT_EQ(cost.parallel_items, kCostRows * d);
+            EXPECT_EQ(cost.flops,
+                      2 * CountedMacs(c.forward) + kCostRows * d * c.elementwise_per_unit);
+            ExpectRowEdges([&](int64_t rows) { return c.cell.Cost("cell", rows); });
+        }
+        // A sequence is one kernel of its steps, parallel only over hidden.
+        const sim::KernelDesc seq = lstm.SequenceCost("seq", kCostRows);
+        EXPECT_EQ(seq.flops, kCostRows * lstm.ForwardFlops(1));
+        EXPECT_EQ(seq.bytes, lstm.Cost("seq", kCostRows).bytes);
+        EXPECT_EQ(seq.parallel_items, d);
+        ExpectRowEdges([&](int64_t steps) { return lstm.SequenceCost("seq", steps); });
+    }
+}
+
+TEST(CostTest, AttentionChargesItsSlotsAndSelfAttention)
+{
+    for (const int64_t d : {8, 16, 32}) {
+        Rng rng(43);
+        const MultiHeadAttention mha(d, 2, rng);
+        const int64_t g = 3;
+        const sim::KernelDesc cost = mha.Cost("attn", kCostRows, g);
+        EXPECT_EQ(cost.flops, kCostRows * mha.ForwardFlops(1, g));
+        EXPECT_EQ(cost.bytes, kCostRows * (g + 1) * d * 4 * 3);
+        EXPECT_EQ(cost.parallel_items, kCostRows * g * d);
+        // One distinct kv row per slot: the rows the charge assumes.
+        std::vector<int64_t> slots(static_cast<size_t>(kCostRows * g));
+        for (size_t s = 0; s < slots.size(); ++s) {
+            slots[s] = static_cast<int64_t>(s);
+        }
+        const Tensor query = init::Normal(Shape({kCostRows, d}), rng);
+        const Tensor kv = init::Normal(Shape({kCostRows * g, d}), rng);
+        const int64_t macs =
+            CountedMacs([&] { (void)mha.Forward(query, kv, slots, g); });
+        // + the four projections' bias adds and 4 softmax flops per slot
+        // and head.
+        EXPECT_EQ(cost.flops,
+                  2 * macs + kCostRows * (2 + 2 * g) * d + kCostRows * g * 4 * 2);
+        ExpectRowEdges([&](int64_t rows) { return mha.Cost("attn", rows, g); });
+
+        const int64_t length = 4;
+        const sim::KernelDesc self = mha.SelfAttentionCost("self", kCostRows, length);
+        EXPECT_EQ(self.flops, kCostRows * mha.ForwardFlops(length, length));
+        EXPECT_EQ(self.bytes, kCostRows * length * d * 4 * 4);
+        EXPECT_EQ(self.parallel_items, kCostRows * length * d);
+        const Tensor x = init::Normal(Shape({length, d}), rng);
+        const int64_t self_macs = CountedMacs([&] { (void)mha.SelfAttention(x); });
+        EXPECT_EQ(self.flops, kCostRows * (2 * self_macs + 4 * length * d +
+                                           length * length * 4 * 2));
+        ExpectRowEdges(
+            [&](int64_t rows) { return mha.SelfAttentionCost("self", rows, length); });
+    }
+}
+
+TEST(CostTest, GcnChargesItsSpmmAndTransform)
+{
+    SparseMatrix a;
+    a.n = 4;
+    a.row_offsets = {0, 2, 3, 5, 6};
+    a.col_indices = {0, 1, 2, 1, 3, 0};
+    a.values = {0.5f, 0.5f, 1.0f, 0.5f, 0.5f, 1.0f};
+    for (const int64_t d : {8, 16, 32}) {
+        Rng rng(44);
+        const GcnLayer layer(d, 2 * d, rng);
+        const GcnCost cost = layer.Cost(a.n, a.Nnz());
+        EXPECT_EQ(cost.spmm.name, "spmm");
+        EXPECT_EQ(cost.transform.name, "gcn_transform");
+        EXPECT_EQ(cost.spmm.flops + cost.transform.flops,
+                  layer.ForwardFlops(a.n, a.Nnz()));
+        // spmm: h and the aggregate, plus 12 bytes per edge; transform: the
+        // aggregate, the output and the [out, in] weight.
+        EXPECT_EQ(cost.spmm.bytes, a.n * d * 4 * 2 + a.Nnz() * 12);
+        EXPECT_EQ(cost.spmm.parallel_items, a.n * d);
+        EXPECT_TRUE(cost.spmm.irregular);
+        EXPECT_EQ(cost.transform.bytes, a.n * 3 * d * 4 + 2 * d * d * 4);
+        EXPECT_EQ(cost.transform.parallel_items, a.n * 2 * d);
+        EXPECT_FALSE(cost.transform.irregular);
+        const Tensor h = init::Normal(Shape({a.n, d}), rng);
+        const Tensor weight = init::Normal(Shape({2 * d, d}), rng);
+        const int64_t macs =
+            CountedMacs([&] { (void)layer.ForwardWithWeight(a, h, weight); });
+        EXPECT_EQ(cost.spmm.flops + cost.transform.flops, 2 * macs);
+        ExpectRowEdges([&](int64_t rows) { return layer.Cost(rows, 0).spmm; });
+        ExpectRowEdges([&](int64_t rows) { return layer.Cost(rows, 0).transform; });
+
+        const sim::KernelDesc fused = layer.FusedCost("gcn", 3, a.n, a.Nnz());
+        EXPECT_EQ(fused.flops, 3 * layer.ForwardFlops(a.n, a.Nnz()));
+        EXPECT_EQ(fused.bytes, 3 * (a.Nnz() * 12 + a.n * 3 * d * 4));
+        EXPECT_EQ(fused.parallel_items, 3 * a.n * 2 * d);
+        EXPECT_TRUE(fused.irregular);
+        ExpectRowEdges(
+            [&](int64_t graphs) { return layer.FusedCost("gcn", graphs, a.n, a.Nnz()); });
+    }
+}
+
+TEST(CostTest, TimeEncodingChargesItsCosines)
+{
+    for (const int64_t d : {8, 16, 32}) {
+        Rng rng(45);
+        const BochnerTimeEncoder encoder(d, rng);
+        const sim::KernelDesc cost = encoder.Cost("enc", kCostRows);
+        EXPECT_EQ(cost.flops, encoder.ForwardFlops(kCostRows));
+        EXPECT_EQ(cost.bytes, kCostRows * (8 + d * 4));
+        EXPECT_EQ(cost.parallel_items, kCostRows * d);
+        const int64_t macs =
+            CountedMacs([&] { (void)encoder.Forward(Tensor(Shape({kCostRows}))); });
+        // No MACs: a multiply, an add and a cosine per output element.
+        EXPECT_EQ(cost.flops, 2 * macs + kCostRows * d * 3);
+        ExpectRowEdges([&](int64_t rows) { return encoder.Cost("enc", rows); });
+    }
 }
 
 /// Property: GRU/LSTM parameter counts follow the gate formulas.
