@@ -2,7 +2,8 @@
 // simulator: GEMM, attention, GRU, SpMM, temporal sampling, t-batching,
 // and the device cache's host bookkeeping, plus the sharded cluster's set-up,
 // the Normal feature initializer behind dataset generation, the random
-// engine, and the request-stream generation behind every serving run.
+// engine, the request-stream generation behind every serving run, and the
+// serving loop itself.
 // These measure actual wall-clock performance of the numeric substrate
 // (unlike the fig/table harnesses, which report simulated device time).
 
@@ -24,6 +25,7 @@
 #include "nn/linear.hpp"
 #include "nn/rnn_cell.hpp"
 #include "scenario/scenario.hpp"
+#include "serve/server.hpp"
 #include "shard/sharded_server.hpp"
 #include "sim/device_spec.hpp"
 #include "sim/fusion.hpp"
@@ -425,6 +427,40 @@ BM_ShardedSetup(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ShardedSetup)->Arg(100000)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+// One serving run at the tgn_cached shape: the gauntlet stream replayed
+// as 20k requests at arg qps (50k: the loop mostly waits on arrivals; 150k:
+// it mostly dispatches full batches), served by a cached TGN session under
+// TimeoutPolicy(64, 5 ms) on the pipelined executor. The session's profiles
+// are captured before timing starts, so this times the serving loop alone.
+void
+BM_ServeRequests(benchmark::State& state)
+{
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Tgn tgn(dataset, bench::kServingTgn);
+    cache::DeviceCacheConfig cache_config;
+    cache_config.capacity_bytes = dataset.NumNodes() / 4 * tgn.CacheRowBytes();
+    serve::ModelSession session(tgn, sim::ExecMode::kHybrid, 10, cache_config);
+    scenario::Scenario s;
+    s.name = "serve-requests";
+    s.poisson_qps = static_cast<double>(state.range(0));
+    s.poisson_seed = 1009;
+    constexpr int64_t kRequests = 20000;
+    const std::vector<serve::Request> requests =
+        scenario::GenerateRequests(s, dataset, kRequests);
+    serve::ServerOptions options;
+    options.executor = serve::ExecutorKind::kPipelined;
+    const auto serve_once = [&] {
+        serve::TimeoutPolicy policy(64, 5000.0);
+        return serve::ServeRequests(session, policy, requests, options);
+    };
+    benchmark::DoNotOptimize(serve_once().batches);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serve_once().batches);
+    }
+    state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_ServeRequests)->Arg(50000)->Arg(150000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

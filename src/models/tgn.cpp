@@ -102,29 +102,30 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             sim::CategoryScope scope(runtime, "Aggregate Messages Passing");
             runtime.RunHostFor("framework_overhead",
                                kFrameworkBatchOverheadUs / 3.0);
-            // CPU builds the raw-message batch (gather + concat, irregular)
-            // in one python-side loop, as the reference does.
+            // With the cache, memory rows route through the device cache:
+            // the message tensor's two memory slices per event are
+            // assembled on-device, so the host builds and ships only the
+            // non-memory payload (time encoding + edge features); missed
+            // rows cross PCIe in the gather below, unbuilt.
+            const int64_t staged_dim =
+                memory_cache.Enabled()
+                    ? config_.time_dim + dataset_.spec.edge_feature_dim
+                    : MessageDim();
+            // CPU builds the staged message batch (gather + concat,
+            // irregular) in one python-side loop, as the reference does.
             runtime.RunHost({.name = "build_raw_messages",
-                             .flops = 2 * nb * MessageDim(),
-                             .bytes = 2 * nb * MessageDim() * 4,
+                             .flops = 2 * nb * staged_dim,
+                             .bytes = 2 * nb * staged_dim * 4,
                              .irregular = true});
 
             // Batched H2D of messages + edge features (Fig 5b "one batch").
+            runtime.CopyToDevice(2 * nb * staged_dim * 4, "tgn_messages_h2d");
             if (memory_cache.Enabled()) {
-                // Memory rows route through the device cache: the message
-                // tensor's two memory slices per event are assembled
-                // on-device, so only missed rows and the non-memory payload
-                // (time encoding + edge features) cross PCIe. Every
-                // gathered row is about to be rewritten by the GRU update,
-                // so it is marked dirty here (rows evicted before the
-                // batch ends still owe their write-back).
-                runtime.CopyToDevice(
-                    2 * nb * (config_.time_dim + dataset_.spec.edge_feature_dim) * 4,
-                    "tgn_messages_h2d");
+                // Every gathered row is about to be rewritten by the GRU
+                // update, so it is marked dirty here (rows evicted before
+                // the batch ends still owe their write-back).
                 GatherThroughCache(runtime, memory_cache, unique_nodes,
                                    /*mark_dirty=*/true, "tgn_memory");
-            } else {
-                runtime.CopyToDevice(2 * nb * MessageDim() * 4, "tgn_messages_h2d");
             }
 
             // Per-node "last" aggregation kernel (scatter, irregular).

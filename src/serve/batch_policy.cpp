@@ -29,7 +29,7 @@ FixedSizePolicy::Decide(const std::deque<Request>& queue, sim::SimTime /*now_us*
     if (stream_ended && depth > 0) {
         return {depth, kNoWake};
     }
-    return {0, kNoWake};
+    return {0, kNoWake, batch_size_};
 }
 
 TimeoutPolicy::TimeoutPolicy(int64_t batch_size, sim::SimTime timeout_us)
@@ -57,13 +57,13 @@ TimeoutPolicy::Decide(const std::deque<Request>& queue, sim::SimTime now_us,
         return {batch_size_, kNoWake};
     }
     if (depth == 0) {
-        return {0, kNoWake};
+        return {0, kNoWake, 1};
     }
     const sim::SimTime deadline = queue.front().arrival_us + timeout_us_;
     if (stream_ended || now_us >= deadline) {
         return {depth, kNoWake};
     }
-    return {0, deadline};
+    return {0, deadline, batch_size_};
 }
 
 AdaptivePolicy::AdaptivePolicy(int64_t min_batch, int64_t max_batch,

@@ -4,8 +4,8 @@
 /// Dynamic batching policies for the serving queue. The server loop asks
 /// the policy what to do given the current queue and clock; the policy
 /// answers with either "dispatch the first K requests now" or "wait, and
-/// re-evaluate no later than wake_us" (arrivals always trigger an earlier
-/// re-evaluation). Three classic points in the design space:
+/// re-evaluate no later than wake_us, or once arrivals lift the queue to
+/// min_depth". Three classic points in the design space:
 ///
 ///   * FixedSizePolicy    — dispatch only full batches of B; maximum
 ///                          throughput, unbounded queueing delay at low load
@@ -40,6 +40,12 @@ struct BatchDecision {
     /// When dispatch == 0: absolute time to re-evaluate (kNoWake = only on
     /// arrival).
     sim::SimTime wake_us = kNoWake;
+    /// When dispatch == 0: the queue depth below which arrivals alone
+    /// cannot make the policy dispatch before wake_us, so the server skips
+    /// re-evaluating on them. 0 (or anything <= the current depth) means
+    /// "re-evaluate on every arrival". The end of the arrival stream always
+    /// re-triggers the policy.
+    int64_t min_depth = 0;
 };
 
 /// Strategy deciding when the queue becomes a batch.
@@ -62,7 +68,7 @@ class BatchPolicy {
 };
 
 /// Dispatches only full batches of @p batch_size (flushes leftovers once
-/// the arrival stream ends).
+/// the arrival stream ends). Its min_depth is @p batch_size.
 class FixedSizePolicy : public BatchPolicy {
   public:
     explicit FixedSizePolicy(int64_t batch_size);
@@ -76,7 +82,8 @@ class FixedSizePolicy : public BatchPolicy {
 };
 
 /// Dispatches a full batch of @p batch_size, or whatever is queued once the
-/// oldest request has waited @p timeout_us.
+/// oldest request has waited @p timeout_us. Its min_depth is @p batch_size
+/// (1 on an empty queue: the next arrival starts the timeout).
 class TimeoutPolicy : public BatchPolicy {
   public:
     TimeoutPolicy(int64_t batch_size, sim::SimTime timeout_us);
@@ -93,7 +100,8 @@ class TimeoutPolicy : public BatchPolicy {
 /// Size x deadline adaptive batching: keeps an EWMA estimate of the
 /// inter-arrival gap and, whenever filling up to @p max_batch would blow
 /// the oldest request's queueing deadline, dispatches what is queued (once
-/// at least @p min_batch deep, or unconditionally at the deadline).
+/// at least @p min_batch deep, or unconditionally at the deadline). Every
+/// arrival moves its rate estimate, so its min_depth is 0.
 class AdaptivePolicy : public BatchPolicy {
   public:
     AdaptivePolicy(int64_t min_batch, int64_t max_batch,

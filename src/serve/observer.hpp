@@ -85,7 +85,7 @@ class ServingObserver {
 
     /// The loop had nothing to dispatch and idles until the wake time; the
     /// bool distinguishes policy re-evaluation deadlines (timeout flushes,
-    /// true) from waits for the next arrival (false).
+    /// true) from waits for the next arrival that can form a batch (false).
     virtual void OnIdleWake(sim::SimTime /*wake_us*/, bool /*policy_wake*/) {}
 
     /// A batch was dispatched and its completion time is known.

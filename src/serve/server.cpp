@@ -322,19 +322,28 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             continue;
         }
 
-        // Nothing to dispatch: idle to the next actionable instant. Both
-        // candidate wake targets are strictly in the future (admission
-        // consumed arrivals <= now; policies only schedule wakes beyond
-        // now), so the idle below always advances the clock.
+        // Nothing to dispatch: idle to the next actionable instant, the
+        // policy's wake or the arrival that lifts the queue to its
+        // min_depth (the stream's last arrival ends it, so it counts too).
+        // Arrivals before that one cannot change the decision; admission
+        // above still takes each of them in order. Both candidate wake
+        // targets are strictly in the future (admission consumed arrivals
+        // <= now; policies only schedule wakes beyond now), so the idle
+        // below always advances the clock.
         sim::SimTime wake = decision.wake_us;
         if (next_arrival < n) {
-            wake = std::min(wake, due[static_cast<size_t>(next_arrival)]);
+            const int64_t short_by = std::max<int64_t>(
+                decision.min_depth - static_cast<int64_t>(queue.size()), 1);
+            const int64_t forming =
+                next_arrival + std::min(short_by, n - next_arrival) - 1;
+            wake = std::min(wake, due[static_cast<size_t>(forming)]);
         }
         DGNN_CHECK(wake < kNoWake,
                    "batch policy stalled: no dispatch and nothing to wake for");
         if (observer != nullptr) {
             // A wake at the policy's own deadline is a timeout flush in the
-            // making; a wake at the next arrival is the server going idle.
+            // making; a wake at a batch-forming arrival is the server going
+            // idle.
             observer->OnIdleWake(wake, wake == decision.wake_us);
         }
         sim::CategoryScope idle_scope(runtime, "Serving Idle");

@@ -6,7 +6,8 @@
 /// BatchExecutor issues each batch's captured cost profile to a fresh
 /// simulated runtime. The loop is a discrete-event simulation on the
 /// runtime's host clock — when there is nothing to dispatch the host idles
-/// to the next arrival or policy wake-up. Produces a ServingReport with the
+/// to the next arrival that can form a batch (BatchDecision::min_depth) or
+/// to the policy's wake-up. Produces a ServingReport with the
 /// tail-latency histogram, queue/batch statistics, and sustained
 /// throughput; FindMaxQpsUnderSlo searches for the highest offered rate
 /// whose p99 stays under an SLO.

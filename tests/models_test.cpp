@@ -430,6 +430,50 @@ TEST(TgnTest, MessageDimComposition)
     EXPECT_GT(model.WeightBytes(), 0);
 }
 
+/// The bytes of every host message build and every message H2D copy a TGN
+/// run issues, in issue order.
+struct TgnMessageBytes final : sim::RuntimeObserver {
+    void OnOp(const sim::OpRecord& op) override
+    {
+        if (*op.name == "build_raw_messages") {
+            built.push_back(op.bytes);
+        } else if (*op.name == "tgn_messages_h2d") {
+            shipped.push_back(op.bytes);
+        }
+    }
+    std::vector<int64_t> built;
+    std::vector<int64_t> shipped;
+};
+
+TEST(TgnTest, HostBuildsOnlyTheMessagesItShips)
+{
+    // Each batch's host message build covers exactly the payload it ships:
+    // the full message uncached; with the device cache only the time
+    // encoding and edge features, since the two memory slices are
+    // assembled on the device from cache-resident rows. The numerics do not
+    // change.
+    const auto ds = TinyInteractions();
+    const auto run_with = [&](int64_t cache_rows) {
+        Tgn model(ds, TgnConfig{16, 16, 2, 11});
+        RunConfig run = SmallRun(sim::ExecMode::kHybrid);
+        run.cache.capacity_bytes = cache_rows * model.CacheRowBytes();
+        TgnMessageBytes bytes;
+        sim::Runtime rt = MakeRuntime(sim::ExecMode::kHybrid);
+        rt.SetObserver(&bytes);
+        const RunResult result = model.RunInference(rt, run);
+        EXPECT_EQ(static_cast<int64_t>(bytes.built.size()), result.iterations);
+        EXPECT_EQ(bytes.built, bytes.shipped);
+        return std::pair{bytes.built, result.output_checksum};
+    };
+    const auto [uncached, uncached_checksum] = run_with(0);
+    const auto [cached, cached_checksum] = run_with(20);
+    ASSERT_EQ(uncached.size(), cached.size());
+    for (size_t batch = 0; batch < cached.size(); ++batch) {
+        EXPECT_LT(cached[batch], uncached[batch]) << "batch " << batch;
+    }
+    EXPECT_EQ(cached_checksum, uncached_checksum);
+}
+
 TEST(JodieTest, RunsWithPaperCategories)
 {
     const auto ds = TinyInteractions();
@@ -903,7 +947,9 @@ TEST(AllModelsTest, SimulatedWindowsArePinned)
     // cache holds fewer rows than the 32 nodes, so gathers hit, miss and
     // evict, and the two mutable caches write back. TGN's rows were
     // re-pinned when its numerics stopped re-sampling neighborhoods that the
-    // next batch's sampling kernel was charged for.
+    // next batch's sampling kernel was charged for; its cached row again
+    // when the host stopped building the memory slices the cache assembles
+    // on the device.
     const TinyZoo zoo;
     std::vector<std::string> runs;
     for (const sim::ExecMode mode : {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
@@ -1190,17 +1236,17 @@ cache lookups 186 hits 9 misses 177 insertions 177 evictions 157
 cache writeback_rows 0 hit_bytes 288 miss_bytes 5664 runtime_hit_bytes 288
 )",
     R"(TGN tiny GPU
-window 0x1.5ceb435d8d8p+11 per_iteration 0x1.5ceb435d8d8p+8 iterations 8
-compute util_pct 0x1.9d38a258be904p-1 busy_us 0x1.6873abc947067p+4
+window 0x1.5bc459e4b98p+11 per_iteration 0x1.5bc459e4b98p+8 iterations 8
+compute util_pct 0x1.9e970d6a73b9ep-1 busy_us 0x1.6873abc947067p+4
 peak_bytes compute 42180 cpu 0
 transfer h2d 36416 d2h 4256 count 40 time_us 0x1.be3d93979cp+8
 warmup one_time 0x1.6e390f5e8b53fp+22 per_run 0x1.4b55ep+12
 checksum 0x1.a332ac551c888p+7
-breakdown 0x1.5ceb435d922c4p+11
-  Aggregate Messages Passing 0x1.06fc10ee1b238p+10 0x1.2d7c2ac47a8e1p+5
-  Compute Embedding 0x1.f27fd44f2d14ap+9 0x1.1dbd422a09dc8p+5
-  Update Memory 0x1.6e27700a0b556p+9 0x1.a3c21b86c41ecp+4
-  Uncategorized 0x1.4369d0368p+3 0x1.72c2a70cc30dep-2
+breakdown 0x1.5bc459e4bd2e6p+11
+  Aggregate Messages Passing 0x1.04ae3dfc7127ap+10 0x1.2bd56b1955f73p+5
+  Compute Embedding 0x1.f27fd44f2d14ap+9 0x1.1eaf91e917774p+5
+  Update Memory 0x1.6e27700a0b556p+9 0x1.a52611ba5857ap+4
+  Uncategorized 0x1.4369d0368p+3 0x1.73fd103332d2cp-2
 cache lookups 135 hits 76 misses 59 insertions 59 evictions 39
 cache writeback_rows 59 hit_bytes 4864 miss_bytes 3776 runtime_hit_bytes 4864
 )",

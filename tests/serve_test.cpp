@@ -4,20 +4,28 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
 
 #include "data/temporal_interactions.hpp"
+#include "dispatch/dispatcher.hpp"
 #include "models/jodie.hpp"
 #include "models/tgat.hpp"
 #include "models/tgn.hpp"
+#include "scenario/scenario.hpp"
 #include "serve/server.hpp"
+#include "shard/sharded_server.hpp"
+#include "tensor/random.hpp"
 
 // The serving benches' stream and TGN.
 #include "../bench/bench_common.hpp"
+#include "serving_reports.hpp"
 
 namespace dgnn::serve {
 namespace {
@@ -203,6 +211,53 @@ TEST(BatchPolicyTest, InvalidConfigurationsThrow)
     EXPECT_THROW(FixedSizePolicy(0), Error);
     EXPECT_THROW(TimeoutPolicy(4, -1.0), Error);
     EXPECT_THROW(AdaptivePolicy(8, 4, 100.0), Error);
+}
+
+TEST(BatchPolicyTest, MinDepthIsAFloor)
+{
+    // The serving loop sleeps through arrivals that leave the queue below a
+    // waiting decision's min_depth, so no such queue may dispatch before
+    // the decision's wake.
+    Rng rng(41);
+    for (int trial = 0; trial < 400; ++trial) {
+        const int64_t batch = rng.UniformInt(1, 16);
+        const double timeout = static_cast<double>(rng.UniformInt(0, 3)) * 500.0;
+        TimeoutPolicy timeout_policy(batch, timeout);
+        FixedSizePolicy fixed_policy(batch);
+        for (BatchPolicy* policy :
+             {static_cast<BatchPolicy*>(&timeout_policy),
+              static_cast<BatchPolicy*>(&fixed_policy)}) {
+            SCOPED_TRACE(policy->Name() + " trial " + std::to_string(trial));
+            std::deque<Request> queue;
+            double t = 0.0;
+            for (int64_t i = rng.UniformInt(0, batch); i > 0; --i) {
+                t += rng.Exponential(1e-2);
+                queue.push_back(Request{static_cast<int64_t>(queue.size()), t});
+            }
+            const BatchDecision wait = policy->Decide(queue, t, false);
+            if (wait.dispatch > 0) {
+                continue;
+            }
+            // Arrivals up to one short of min_depth, at times before the
+            // wake, and every decision on the way keeps waiting.
+            while (static_cast<int64_t>(queue.size()) + 1 < wait.min_depth) {
+                const double next = t + rng.Exponential(1e-2);
+                if (next >= wait.wake_us) {
+                    break;
+                }
+                t = next;
+                queue.push_back(Request{static_cast<int64_t>(queue.size()), t});
+                const double now =
+                    t + (std::min(wait.wake_us, t + 1e4) - t) * rng.Uniform();
+                if (now >= wait.wake_us) {
+                    break;
+                }
+                EXPECT_EQ(policy->Decide(queue, now, false).dispatch, 0)
+                    << "dispatched at depth " << queue.size() << " < min_depth "
+                    << wait.min_depth;
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- model session
@@ -493,6 +548,160 @@ TEST(ServeTest, TimeoutWakesAPartialBatchDuringALull)
     EXPECT_EQ(report.latency.Count(), 2);
     EXPECT_GE(report.latency.Max(), 5000.0);   // first waited its deadline
     EXPECT_LT(report.latency.Max(), 20000.0);  // but not until the lull ended
+}
+
+/// Forwards every call to a policy but zeroes min_depth: the serving loop
+/// re-evaluates it on every arrival, as it would without the idle skip.
+class EveryArrival final : public BatchPolicy {
+  public:
+    explicit EveryArrival(std::unique_ptr<BatchPolicy> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    std::string Name() const override { return inner_->Name(); }
+    void OnArrival(sim::SimTime arrival_us) override
+    {
+        inner_->OnArrival(arrival_us);
+    }
+    BatchDecision Decide(const std::deque<Request>& queue, sim::SimTime now_us,
+                         bool stream_ended) override
+    {
+        BatchDecision decision = inner_->Decide(queue, now_us, stream_ended);
+        decision.min_depth = 0;
+        return decision;
+    }
+
+  private:
+    std::unique_ptr<BatchPolicy> inner_;
+};
+
+/// Every served request's latency, in dispatch order.
+class LatencyLog final : public ServingObserver {
+  public:
+    void OnBatch(const BatchObservation& ob) override
+    {
+        for (const Request& r : ob.requests) {
+            latencies.push_back(ob.spans.complete_us - r.arrival_us);
+        }
+    }
+
+    std::vector<sim::SimTime> latencies;
+};
+
+TEST(ServeTest, IdleSkipIsExact)
+{
+    // Skipping the arrivals that cannot form a batch changes no simulated
+    // outcome: every report field and every request's latency equal those
+    // of the loop that re-evaluates the policy on each arrival. The rates
+    // span timeout flushes (a lull) and full batches (a backlog).
+    const auto ds = TinyInteractions();
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
+    models::Jodie jodie(ds, models::JodieConfig{16, 13});
+    models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
+    const dispatch::HybridDispatcher dispatcher;
+    const auto quarter = [&](const models::DgnnModel& model) {
+        cache::DeviceCacheConfig config;
+        config.capacity_bytes = ds.NumNodes() / 4 * model.CacheRowBytes();
+        return config;
+    };
+    const auto churn = [&](double qps) {
+        scenario::Scenario s;
+        s.name = "churn";
+        s.access = scenario::AccessKind::kCommunityChurn;
+        s.poisson_qps = qps;
+        s.poisson_seed = 7;
+        s.churn.num_communities = 4;
+        s.churn.community_size = 8;
+        s.churn.churn_every = 64;
+        return scenario::GenerateRequests(s, ds, 384);
+    };
+    const std::vector<std::function<std::unique_ptr<BatchPolicy>()>> policies{
+        [] { return std::make_unique<TimeoutPolicy>(16, 1500.0); },
+        [] { return std::make_unique<FixedSizePolicy>(16); }};
+
+    struct Case {
+        std::string name;
+        models::DgnnModel* model;
+        cache::DeviceCacheConfig cache;
+        const dispatch::HybridDispatcher* dispatcher;
+        bool churn;
+    };
+    const std::vector<Case> cases{
+        {"TGN cached", &tgn, quarter(tgn), nullptr, false},
+        {"TGN uncached", &tgn, {}, nullptr, false},
+        {"JODIE churn", &jodie, quarter(jodie), nullptr, true},
+        {"TGAT dispatcher", &tgat, {}, &dispatcher, false}};
+    for (const Case& c : cases) {
+        for (const double qps : {2000.0, 60000.0}) {
+            const std::vector<Request> requests =
+                c.churn ? churn(qps) : TraceRequests(ds.stream, qps, 384);
+            for (const ExecutorKind kind :
+                 {ExecutorKind::kSerial, ExecutorKind::kPipelined}) {
+                for (const auto& make_policy : policies) {
+                    const auto serve = [&](bool skip) {
+                        ModelSession session(*c.model, sim::ExecMode::kHybrid,
+                                             4, c.cache);
+                        LatencyLog log;
+                        ServerOptions options = Options(kind);
+                        options.dispatcher = c.dispatcher;
+                        options.observer = &log;
+                        std::unique_ptr<BatchPolicy> policy = make_policy();
+                        if (!skip) {
+                            policy = std::make_unique<EveryArrival>(std::move(policy));
+                        }
+                        ServingReport report =
+                            ServeRequests(session, *policy, requests, options);
+                        return std::pair{std::move(report), log.latencies};
+                    };
+                    const auto [skipped, skipped_latencies] = serve(true);
+                    const auto [every, every_latencies] = serve(false);
+                    SCOPED_TRACE(c.name + " " + std::to_string(qps) + " qps " +
+                                 ToString(kind) + " " + skipped.policy);
+                    ExpectReportsIdentical(skipped, every);
+                    EXPECT_EQ(skipped_latencies, every_latencies);
+                    EXPECT_EQ(skipped_latencies.size(), requests.size());
+                }
+            }
+        }
+    }
+
+    // A 4-shard cluster: every shard's run is one run either way.
+    const auto sharded = [&](bool skip) {
+        shard::ShardedOptions options;
+        options.num_shards = 4;
+        options.partitioner = shard::PartitionerKind::kGreedy;
+        options.cache_config = quarter(tgn);
+        options.num_neighbors = 4;
+        const std::vector<Request> requests = TraceRequests(ds.stream, 20000.0, 384);
+        shard::Cluster cluster(tgn, sim::ExecMode::kHybrid, ds.NumNodes(),
+                               requests, options);
+        LatencyLog log;
+        ServerOptions server = Options(ExecutorKind::kPipelined);
+        server.observer = &log;
+        shard::ShardedReport report = cluster.Serve(
+            requests,
+            [skip]() -> std::unique_ptr<BatchPolicy> {
+                auto policy = std::make_unique<TimeoutPolicy>(16, 1500.0);
+                if (skip) {
+                    return policy;
+                }
+                return std::make_unique<EveryArrival>(std::move(policy));
+            },
+            server);
+        return std::pair{std::move(report), log.latencies};
+    };
+    const auto [skipped, skipped_latencies] = sharded(true);
+    const auto [every, every_latencies] = sharded(false);
+    ASSERT_EQ(skipped.shards.size(), 4u);
+    ASSERT_EQ(every.shards.size(), 4u);
+    for (size_t shard = 0; shard < skipped.shards.size(); ++shard) {
+        SCOPED_TRACE("shard " + std::to_string(shard));
+        EXPECT_GT(skipped.shards[shard].requests, 0);
+        ExpectReportsIdentical(skipped.shards[shard], every.shards[shard]);
+    }
+    EXPECT_EQ(skipped.sustained_qps, every.sustained_qps);
+    EXPECT_EQ(skipped_latencies, every_latencies);
 }
 
 TEST(ServeTest, QpsSearchFindsSustainedRate)

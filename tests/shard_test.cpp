@@ -42,8 +42,13 @@
 #include "sim/topology.hpp"
 #include "tensor/random.hpp"
 
+#include "serving_reports.hpp"
+
 namespace dgnn::shard {
 namespace {
+
+using serve::ExpectSameExchange;
+using serve::ExpectSameServing;
 
 // ----------------------------------------------------------------- topology
 
@@ -474,57 +479,6 @@ MakeTimeoutPolicy()
         return std::make_unique<serve::TimeoutPolicy>(/*batch_size=*/32,
                                                       /*timeout_us=*/5000.0);
     };
-}
-
-/// Every ServingReport field but the exchange (a cluster's hook counts
-/// the local rows a hookless session never sees), compared exactly.
-void
-ExpectSameServing(const serve::ServingReport& a, const serve::ServingReport& b)
-{
-    EXPECT_EQ(a.model, b.model);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.executor, b.executor);
-    EXPECT_EQ(a.requests, b.requests);
-    EXPECT_EQ(a.batches, b.batches);
-    EXPECT_EQ(a.offered_qps, b.offered_qps);
-    EXPECT_EQ(a.achieved_qps, b.achieved_qps);
-    EXPECT_EQ(a.makespan_us, b.makespan_us);
-    EXPECT_EQ(a.latency.Count(), b.latency.Count());
-    EXPECT_EQ(a.latency.Min(), b.latency.Min());
-    EXPECT_EQ(a.latency.Max(), b.latency.Max());
-    EXPECT_EQ(a.latency.Mean(), b.latency.Mean());
-    EXPECT_EQ(a.latency.P50(), b.latency.P50());
-    EXPECT_EQ(a.latency.P99(), b.latency.P99());
-    EXPECT_EQ(a.latency.OverflowCount(), b.latency.OverflowCount());
-    EXPECT_EQ(a.queue_depth.Count(), b.queue_depth.Count());
-    EXPECT_EQ(a.queue_depth.Sum(), b.queue_depth.Sum());
-    EXPECT_EQ(a.queue_depth.Variance(), b.queue_depth.Variance());
-    EXPECT_EQ(a.batch_size.Count(), b.batch_size.Count());
-    EXPECT_EQ(a.batch_size.Sum(), b.batch_size.Sum());
-    EXPECT_EQ(a.batch_size.Variance(), b.batch_size.Variance());
-    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
-    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
-    EXPECT_EQ(a.cache_hit_bytes, b.cache_hit_bytes);
-    EXPECT_EQ(a.cache_stats.lookups, b.cache_stats.lookups);
-    EXPECT_EQ(a.cache_stats.hits, b.cache_stats.hits);
-    EXPECT_EQ(a.cache_stats.misses, b.cache_stats.misses);
-    EXPECT_EQ(a.cache_stats.insertions, b.cache_stats.insertions);
-    EXPECT_EQ(a.cache_stats.evictions, b.cache_stats.evictions);
-    EXPECT_EQ(a.cache_stats.writeback_rows, b.cache_stats.writeback_rows);
-    EXPECT_EQ(a.cache_stats.hit_bytes, b.cache_stats.hit_bytes);
-    EXPECT_EQ(a.cache_stats.miss_bytes, b.cache_stats.miss_bytes);
-    EXPECT_EQ(a.placement_batches, b.placement_batches);
-}
-
-void
-ExpectSameExchange(const serve::ExchangeCost& a, const serve::ExchangeCost& b)
-{
-    EXPECT_EQ(a.remote_rows, b.remote_rows);
-    EXPECT_EQ(a.local_rows, b.local_rows);
-    EXPECT_EQ(a.bytes, b.bytes);
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.link_us, b.link_us);
 }
 
 void
