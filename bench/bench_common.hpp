@@ -42,8 +42,8 @@ LastFmDataset()
 }
 
 /// The recurrent repeat-talker stream the serving benches share (gauntlet,
-/// hazard audit, shard scaling, fusion + dispatch), so their cells are
-/// comparable across benches.
+/// shard scaling, fusion + dispatch), so their cells are comparable across
+/// benches.
 inline data::InteractionSpec
 GauntletSpec()
 {

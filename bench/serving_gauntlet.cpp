@@ -9,12 +9,21 @@
 /// device cache and reports tail latency, sustained throughput, PCIe
 /// volumes, and cache hit rate per cell.
 ///
+/// Every cell also runs under the happens-before checker
+/// (analysis::HazardChecker, DESIGN §11), which only observes: the overlap
+/// the pipelined executor buys is proved race-free on the very runs whose
+/// latencies the tables report. One hazard table per model lists the
+/// concurrency-structure counters, so a sync edge silently disappearing
+/// shows up as a counter drift even while the run stays hazard-free.
+///
 /// Two outputs, both deterministic and byte-checked against docs/expected/
 /// by the `serving_gauntlet_diff` golden test:
 ///   * this text summary, and
 ///   * BENCH_serving_gauntlet.json (core::BenchJsonWriter) — the repo's
-///     perf-trajectory record. The gate is byte identity: any move of a
-///     cell fails the golden test and shows in its diff.
+///     perf-trajectory record, one record per cell with its hazard
+///     counters and verdict. Any move of a cell fails the golden test and
+///     shows in its diff; scripts/assert_bench_serving_gauntlet.py then
+///     checks the acceptance claims, every cell CLEAN among them.
 
 #include <algorithm>
 #include <iostream>
@@ -24,6 +33,7 @@
 #include <tuple>
 #include <vector>
 
+#include "analysis/hazard_checker.hpp"
 #include "bench_common.hpp"
 #include "core/bench_json_writer.hpp"
 #include "models/jodie.hpp"
@@ -108,6 +118,13 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                              "sustained qps", "p50 (ms)", "p99 (ms)",
                              "overflow", "h2d (MB)", "d2h (MB)", "hit rate",
                              "saved (MB)"});
+    core::TableWriter hazard_table(
+        {"scenario", "executor", "ops", "reads", "writes", "resources",
+         "events", "stream waits", "host waits", "syncs", "hazards",
+         "verdict"});
+    const auto num = [](int64_t v) {
+        return core::TableWriter::Num(static_cast<double>(v), 0);
+    };
     for (const scenario::Scenario& s : scenarios) {
         const std::vector<serve::Request> requests =
             scenario::GenerateRequests(s, dataset, n);
@@ -122,11 +139,14 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
             serve::ModelSession session(model, sim::ExecMode::kHybrid,
                                         /*num_neighbors=*/10, cache_config);
             serve::TimeoutPolicy policy(kServeBatch, kBatchTimeoutUs);
+            analysis::HazardChecker checker;
             serve::ServerOptions options;
             options.executor = kind;
+            options.runtime_observer = &checker;
 
             const serve::ServingReport report =
                 serve::ServeRequests(session, policy, requests, options);
+            const analysis::HazardReport audit = checker.Report();
 
             const double hit_rate = report.cache_stats.HitRate();
             hit_rates[CellKey{s.name, model_name,
@@ -143,6 +163,13 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                           bench::Mb(report.h2d_bytes),
                           bench::Mb(report.d2h_bytes), bench::Pct(hit_rate),
                           bench::Mb(report.cache_hit_bytes)});
+            hazard_table.AddRow(
+                {s.name, serve::ToString(kind), num(audit.ops),
+                 num(audit.reads), num(audit.writes), num(audit.resources),
+                 num(audit.events_recorded), num(audit.stream_waits),
+                 num(audit.host_waits), num(audit.synchronizes),
+                 num(static_cast<int64_t>(audit.hazards.size())),
+                 audit.Verdict()});
 
             json.BeginRecord();
             json.Field("scenario", s.name);
@@ -167,9 +194,14 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                        static_cast<double>(report.cache_hit_bytes) /
                            (1024.0 * 1024.0),
                        4);
+            audit.AppendJsonFields(json);
         }
     }
     std::cout << table.ToString();
+
+    bench::Banner("Hazard audit: " + model_name + " (hybrid)",
+                  "happens-before check of every gauntlet serving cell");
+    std::cout << hazard_table.ToString();
 }
 
 void

@@ -9,7 +9,9 @@
   (c) for every cacheable model (one with a non-zero hit rate anywhere),
       on each executor, the worst hit rate across the cache-adversarial
       access regimes (every scenario whose access part is not "recurrent")
-      is below the poisson/recurrent baseline's.
+      is below the poisson/recurrent baseline's; and
+  (d) every cell ran under the happens-before checker (ops > 0) and came
+      back CLEAN: the overlap the pipelined executor buys is race-free.
 
 Run by scripts/check_golden.sh in the bench's workdir.
 """
@@ -23,6 +25,10 @@ cells = {}
 for r in records:
     where = f"{r['scenario']} {r['model']} {r['executor']}"
     assert r["overflow"] == 0, f"{where}: overflow {r['overflow']}"
+    assert r["ops"] > 0, f"{where}: the hazard checker saw no operation"
+    assert r["verdict"] == "CLEAN", (
+        f"{where}: {r['hazards']} hazards ({r['hazard_occurrences']} "
+        f"occurrences)")
     cells.setdefault((r["scenario"], r["model"]), {})[r["executor"]] = r
 
 for (scenario, model), by_executor in cells.items():
@@ -52,6 +58,6 @@ for model in cacheable:
             f"{adversarial[worst]} ({worst}) is not below the "
             f"{BASELINE} baseline {baseline}")
 
-print(f"acceptance ok: 0 overflow, pipelined >= serial in {len(cells)} "
-      f"cells, adversarial hit rate below baseline for "
-      f"{', '.join(cacheable)}")
+print(f"acceptance ok: 0 overflow and CLEAN in all {len(records)} cells, "
+      f"pipelined >= serial in {len(cells)} cells, adversarial hit rate "
+      f"below baseline for {', '.join(cacheable)}")

@@ -77,7 +77,7 @@ std::string HazardReport::ToText() const
     out += std::to_string(HazardOccurrences());
     out += " occurrences)\n";
     out += "  verdict ........... ";
-    out += Clean() ? "CLEAN" : "HAZARDOUS";
+    out += Verdict();
     out += '\n';
     for (size_t i = 0; i < hazards.size(); ++i) {
         const Hazard& hazard = hazards[i];
@@ -97,14 +97,8 @@ std::string HazardReport::ToText() const
     return out;
 }
 
-void HazardReport::AppendJsonRecord(
-    core::BenchJsonWriter& json,
-    const std::vector<std::pair<std::string, std::string>>& labels) const
+void HazardReport::AppendJsonFields(core::BenchJsonWriter& json) const
 {
-    json.BeginRecord();
-    for (const auto& [key, value] : labels) {
-        json.Field(key, value);
-    }
     json.Field("ops", ops);
     json.Field("reads", reads);
     json.Field("writes", writes);
@@ -115,7 +109,7 @@ void HazardReport::AppendJsonRecord(
     json.Field("synchronizes", synchronizes);
     json.Field("hazards", static_cast<int64_t>(hazards.size()));
     json.Field("hazard_occurrences", HazardOccurrences());
-    json.Field("verdict", Clean() ? "CLEAN" : "HAZARDOUS");
+    json.Field("verdict", Verdict());
 }
 
 }  // namespace dgnn::analysis

@@ -72,6 +72,9 @@ struct HazardReport {
 
     bool Clean() const { return hazards.empty(); }
 
+    /// "CLEAN" or "HAZARDOUS".
+    const char* Verdict() const { return Clean() ? "CLEAN" : "HAZARDOUS"; }
+
     /// Total conflict occurrences across all deduplicated hazards.
     int64_t HazardOccurrences() const;
 
@@ -79,12 +82,11 @@ struct HazardReport {
     /// paragraph per hazard.
     std::string ToText() const;
 
-    /// Appends one flat record (the summary counters plus the hazard
-    /// count) tagged with @p labels to @p json. Hazard details stay in the
-    /// text rendering; the JSON record is the machine-readable gate.
-    void AppendJsonRecord(
-        core::BenchJsonWriter& json,
-        const std::vector<std::pair<std::string, std::string>>& labels) const;
+    /// Appends the summary counters, the hazard count and the verdict to
+    /// @p json's open record (after the caller's own fields). Hazard
+    /// details stay in the text rendering; the JSON fields are the
+    /// machine-readable gate.
+    void AppendJsonFields(core::BenchJsonWriter& json) const;
 };
 
 }  // namespace dgnn::analysis

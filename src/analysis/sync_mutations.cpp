@@ -23,8 +23,6 @@ ToString(SyncEdge edge)
         return "throttle-wait";
       case SyncEdge::kFinalDrain:
         return "final-drain";
-      case SyncEdge::kExchangeFence:
-        return "exchange-fence";
     }
     return "?";
 }
@@ -106,61 +104,6 @@ RunMutatedPipeline(SyncEdge drop, uint64_t seed, int64_t batches)
             rt, sim::AccessSet{{"host_out#0", "host_out#1"}, {}});
         rt.RunHostFor("consume_results", 10.0);
     }
-    return checker.Report();
-}
-
-HazardReport
-RunMutatedExchange(SyncEdge drop, uint64_t seed, int64_t rounds)
-{
-    constexpr int64_t kSlots = 2;
-    constexpr int64_t kRowBytes = 256;
-    Mt19937_64 rng(seed);
-    std::uniform_int_distribution<int64_t> rows_dist(64, 1024);
-
-    sim::RuntimeConfig config;
-    config.mode = sim::ExecMode::kHybrid;
-    config.topology = sim::Topology::ScaleOut(2, sim::LinkSpec::PcieGen4());
-    config.device_index = 0;
-    sim::Runtime rt(config);
-    HazardChecker checker;
-    rt.SetObserver(&checker);
-
-    // The back-fence: round k's peer pull must not overwrite a staging slot
-    // the previous unpack still reads (the serving executors provide this
-    // edge through their per-batch compute->copy fences). It is part of the
-    // intact schedule, not a deletable mutation target.
-    bool have_unpack_done = false;
-    sim::Event unpack_done;
-    for (int64_t round = 0; round < rounds; ++round) {
-        const std::string slot = std::to_string(round % kSlots);
-        const int64_t rows = rows_dist(rng);
-
-        if (have_unpack_done) {
-            rt.StreamWaitEvent(sim::StreamId::kCopy, unpack_done);
-        }
-        {
-            sim::AccessScope scope(
-                rt, sim::AccessSet{{"peer_store#1"}, {"exchange_in#" + slot}});
-            (void)rt.PeerCopyAsync(1, rows * kRowBytes, "shard_exchange_pull");
-        }
-        const sim::Event exchange_ready =
-            rt.RecordEvent(sim::StreamId::kCopy);
-        if (drop != SyncEdge::kExchangeFence) {
-            rt.StreamWaitEvent(sim::StreamId::kCompute, exchange_ready);
-        }
-        {
-            sim::AccessScope scope(
-                rt, sim::AccessSet{{"exchange_in#" + slot}, {"dev_state#0"}});
-            rt.Launch({.name = "exchange_unpack",
-                       .flops = rows * kRowBytes / 4,
-                       .bytes = 2 * rows * kRowBytes,
-                       .parallel_items = rows,
-                       .irregular = true});
-        }
-        unpack_done = rt.RecordEvent(sim::StreamId::kCompute);
-        have_unpack_done = true;
-    }
-    (void)rt.Synchronize();
     return checker.Report();
 }
 

@@ -6,9 +6,11 @@
 /// each happens-before edge can be individually deleted. Running the intact
 /// schedule through the HazardChecker must come back clean; deleting any
 /// edge must surface a hazard of a known kind on a known resource family.
-/// The mutation wall (tests/analysis_test.cpp) and the hazard-audit bench
-/// both drive this schedule — it is the checker's own regression fixture:
-/// a detector that stops firing on a deleted edge fails the wall.
+/// The mutation wall (tests/analysis_test.cpp) drives this schedule — it
+/// is the checker's own regression fixture: a detector that stops firing
+/// on a deleted edge fails the wall. The scale-out exchange fence is
+/// deleted in the real serving loop instead (ExchangeConfig::install_fence,
+/// tests/shard_test.cpp).
 
 #include <cstdint>
 
@@ -25,9 +27,6 @@ enum class SyncEdge {
     kComputeFence,   ///< StreamWaitEvent(copy, compute_done)
     kThrottleWait,   ///< WaitEvent on the oldest batch before slot reuse
     kFinalDrain,     ///< WaitEvent sweep before the host reads results
-    kExchangeFence,  ///< StreamWaitEvent(compute, exchange_ready) — the
-                     ///< alltoall fence ordering the unpack kernel after
-                     ///< the peer pulls (RunMutatedExchange only)
 };
 
 const char* ToString(SyncEdge edge);
@@ -39,17 +38,5 @@ const char* ToString(SyncEdge edge);
 /// in (drop, seed, batches).
 HazardReport RunMutatedPipeline(SyncEdge drop, uint64_t seed,
                                 int64_t batches = 6);
-
-/// The scale-out analogue of RunMutatedPipeline: a 2-device topology
-/// runtime where each round pulls seeded row counts from the peer over the
-/// peer link into the exchange staging buffer (slot = round % 2), fences
-/// the compute stream on the copy-stream exchange event, and launches the
-/// unpack kernel scattering the staged rows into device state. Deleting
-/// kExchangeFence lets the unpack read exchange_in#<slot> concurrently
-/// with the peer pull writing it — the expected RAW on the exchange
-/// buffer. Only kNone and kExchangeFence are deletable here; other edges
-/// run the intact schedule. Deterministic in (drop, seed, rounds).
-HazardReport RunMutatedExchange(SyncEdge drop, uint64_t seed,
-                                int64_t rounds = 6);
 
 }  // namespace dgnn::analysis

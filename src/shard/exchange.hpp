@@ -13,9 +13,9 @@
 ///                priced through that peer's link model; mutable-state
 ///                models (TGN memory, JODIE embeddings) pay 2x bytes for
 ///                the piggybacked return delta
-///   fence        StreamWaitEvent(compute, exchange_ready) — the deletable
-///                edge of the hazard mutation wall (analysis::SyncEdge::
-///                kExchangeFence)
+///   fence        StreamWaitEvent(compute, exchange_ready) — deletable
+///                through ExchangeConfig::install_fence, so a test can
+///                show the hazard checker catching its absence
 ///   unpack       one irregular kernel scattering the staged rows into the
 ///                shard's device state
 ///
@@ -42,8 +42,9 @@ struct ExchangeConfig {
     /// Mutable rows pay the piggybacked return delta: 2x bytes per pull.
     bool rows_mutable = false;
     /// Install the exchange->unpack fence. ALWAYS true in real serving;
-    /// exposed only so the hazard mutation wall can delete the edge and
-    /// assert the checker catches the resulting RAW.
+    /// exposed only so a serving test can delete the edge and assert the
+    /// hazard checker catches the resulting RAW on the exchange buffer
+    /// (ShardedServingTest.DeletedExchangeFenceIsCaughtInServing).
     bool install_fence = true;
 };
 
