@@ -9,8 +9,7 @@ namespace dgnn::analysis {
 std::string
 ResourceFamily(const std::string& resource)
 {
-    const size_t hash = resource.find('#');
-    return hash == std::string::npos ? resource : resource.substr(0, hash);
+    return resource.substr(0, resource.find_first_of(":#"));
 }
 
 int

@@ -126,8 +126,9 @@ class HazardChecker final : public sim::RuntimeObserver {
     int64_t synchronizes_ = 0;
 };
 
-/// The resource family of @p resource: the name with any "#<instance>"
-/// suffix removed (see sim::AccessSet).
+/// The resource family of @p resource: the name with any ":<key>" and
+/// "#<instance>" suffix removed, so every cache row is one family, "row"
+/// (see sim::AccessSet).
 std::string ResourceFamily(const std::string& resource);
 
 }  // namespace dgnn::analysis

@@ -100,7 +100,9 @@ struct GatherResult {
 /// generation-tagged ("row:<key>#g<gen>"): an insertion opens a new
 /// residency episode with a fresh generation, so an evict-then-reinsert of
 /// the same key yields a NEW resource and the checker never manufactures
-/// false ordering requirements between unrelated episodes. Purely
+/// false ordering requirements between unrelated episodes. Every row is
+/// one resource family ("row"), so a missing edge reports once per shape
+/// however many rows the batches touch. Purely
 /// observational — requesting a trace never changes cache state or stats.
 struct GatherTrace {
     /// Resident rows the batch hit — read by the device-side hit-gather.

@@ -51,7 +51,6 @@
 // Happens-before hazard analysis over the simulated runtime
 #include "analysis/hazard_checker.hpp"
 #include "analysis/hazard_report.hpp"
-#include "analysis/sync_mutations.hpp"
 
 // Profiling / bottleneck-analysis core
 #include "core/bench_json_writer.hpp"

@@ -84,9 +84,9 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
         config_.row_bytes * (config_.rows_mutable ? 2 : 1);
 
     // Back-fence: the slot's previous unpack must finish before the pulls
-    // overwrite the staging buffer (the serving executors' own fences order
-    // this too under the pipelined executor, but the serial executor's
-    // blocking D2H only joins the host with the copy stream).
+    // overwrite the staging buffer. Both serving executors order this too
+    // (the pipelined compute->copy fence, the serial Synchronize); the hook
+    // keeps its own edge so it does not depend on the executor.
     if (slot_used_[slot_index]) {
         runtime.StreamWaitEvent(sim::StreamId::kCopy,
                                 unpack_done_[slot_index]);
@@ -108,9 +108,7 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
     }
     const sim::Event exchange_ready =
         runtime.RecordEvent(sim::StreamId::kCopy);
-    if (config_.install_fence) {
-        runtime.StreamWaitEvent(sim::StreamId::kCompute, exchange_ready);
-    }
+    runtime.StreamWaitEvent(sim::StreamId::kCompute, exchange_ready);
     {
         sim::MaybeAccess access(runtime, [&] {
             return sim::AccessSet{

@@ -13,15 +13,19 @@
 ///                priced through that peer's link model; mutable-state
 ///                models (TGN memory, JODIE embeddings) pay 2x bytes for
 ///                the piggybacked return delta
-///   fence        StreamWaitEvent(compute, exchange_ready) — deletable
-///                through ExchangeConfig::install_fence, so a test can
-///                show the hazard checker catching its absence
+///   fence        StreamWaitEvent(compute, exchange_ready) — the unpack
+///                reads only rows the pulls have landed
 ///   unpack       one irregular kernel scattering the staged rows into the
 ///                shard's device state
 ///
 /// When an observer is attached, every operation is annotated for the
 /// hazard checker with the peer_store#<peer> / exchange_in#<slot> /
-/// dev_state#<self> resources (unobserved runs build no footprint).
+/// dev_state#<self> resources (unobserved runs build no footprint). The
+/// hazard mutation wall (tests/analysis_test.cpp) withholds each fence's
+/// waits from the checker through that observer seam: a dropped fence is a
+/// RAW on exchange_in, while a dropped back-fence stays clean because both
+/// serving executors already order the previous unpack before the next
+/// pulls.
 /// A batch with no remote rows issues ZERO runtime operations — the
 /// 1-shard bit-identity contract of the seam.
 
@@ -41,11 +45,6 @@ struct ExchangeConfig {
     int64_t row_bytes = 0;
     /// Mutable rows pay the piggybacked return delta: 2x bytes per pull.
     bool rows_mutable = false;
-    /// Install the exchange->unpack fence. ALWAYS true in real serving;
-    /// exposed only so a serving test can delete the edge and assert the
-    /// hazard checker catches the resulting RAW on the exchange buffer
-    /// (ShardedServingTest.DeletedExchangeFenceIsCaughtInServing).
-    bool install_fence = true;
 };
 
 /// Rows a batch needs from each peer shard. Built per batch by the claim;

@@ -30,10 +30,10 @@ struct Event;
 struct KernelDesc;
 
 /// The logical-resource footprint of one or more operations. Resource
-/// names are free-form strings; by convention a trailing "#<instance>"
-/// suffix separates an instance (a staging slot, a cache-row residency
-/// generation) from its family, and hazard reports deduplicate on the
-/// family (see analysis::HazardChecker).
+/// names are free-form strings; by convention a ":<key>" (a cache row's
+/// node) and a trailing "#<instance>" suffix (a staging slot, a cache-row
+/// residency generation) separate an instance from its family, and hazard
+/// reports deduplicate on the family (see analysis::HazardChecker).
 struct AccessSet {
     std::vector<std::string> reads;
     std::vector<std::string> writes;
