@@ -8,9 +8,11 @@
 //     gauntlet scenario under either executor;
 //   * the mutation wall: real serve::ServeRequests runs (the pipelined
 //     executor, and a 2-shard ShardExchangeHook) with one sync edge's
-//     waits withheld from the checker by an observer decorator — every
-//     intact run must be clean, and every dropped edge must be detected
-//     with the expected hazard kind on the expected resource family.
+//     waits withheld from the checker by an observer decorator (the final
+//     drain by one of its own, with the caller's read of the results
+//     declared after the run) — every intact run must be clean, and every
+//     dropped edge must be detected with the expected hazard kind on the
+//     expected resource family.
 
 #include <gtest/gtest.h>
 
@@ -538,6 +540,96 @@ class EdgeDropper final : public sim::RuntimeObserver {
     int64_t dropped_ = 0;
 };
 
+/// Forwards every hook to @p inner except the final drain: the host waits
+/// and the Synchronize PipelinedExecutor::Drain issues back to back once
+/// the serving loop ends. Throttle waits are followed by the next batch's
+/// build and the measurement window's Synchronize by its reset, so a run
+/// of host waits ending in a Synchronize that anything but a window reset
+/// follows is the drain. Sync hooks are held until the next hook shows
+/// which they were.
+class DrainDropper final : public sim::RuntimeObserver {
+  public:
+    explicit DrainDropper(sim::RuntimeObserver& inner) : inner_(inner) {}
+
+    /// Sync hooks withheld from the inner observer so far.
+    int64_t Dropped() const { return dropped_; }
+
+    void OnOp(const sim::OpRecord& op) override
+    {
+        Settle();
+        inner_.OnOp(op);
+    }
+    void OnEventRecorded(const sim::Event& event, sim::StreamId stream) override
+    {
+        Settle();
+        inner_.OnEventRecorded(event, stream);
+    }
+    void OnStreamWaitEvent(sim::StreamId stream, const sim::Event& event) override
+    {
+        Settle();
+        inner_.OnStreamWaitEvent(stream, event);
+    }
+    void OnHostWaitEvent(const sim::Event& event) override
+    {
+        if (synced_) {
+            Settle();
+        }
+        waits_.push_back(event);
+    }
+    void OnSynchronize() override
+    {
+        if (synced_) {
+            Settle();
+        }
+        synced_ = true;
+    }
+    void OnWindowReset() override
+    {
+        Forward();
+        inner_.OnWindowReset();
+    }
+
+  private:
+    /// Drops the held hooks if they were a drain, else forwards them.
+    void Settle()
+    {
+        if (synced_) {
+            dropped_ += static_cast<int64_t>(waits_.size()) + 1;
+            waits_.clear();
+            synced_ = false;
+        }
+        Forward();
+    }
+    void Forward()
+    {
+        for (const sim::Event& event : waits_) {
+            inner_.OnHostWaitEvent(event);
+        }
+        waits_.clear();
+        if (synced_) {
+            inner_.OnSynchronize();
+            synced_ = false;
+        }
+    }
+
+    sim::RuntimeObserver& inner_;
+    std::vector<sim::Event> waits_;
+    bool synced_ = false;
+    int64_t dropped_ = 0;
+};
+
+/// The wall's request stream: the sweep dataset's poisson/recurrent
+/// scenario, 512 requests.
+std::vector<serve::Request>
+WallRequests(const data::InteractionDataset& dataset)
+{
+    const int64_t n = 512;
+    const scenario::Scenario poisson_recurrent =
+        scenario::GauntletScenarios(20000.0, n, dataset.NumNodes(), 1009)
+            .front();
+    return scenario::GenerateRequests(poisson_recurrent, dataset, n);
+}
+
 /// What one wall run saw.
 struct WallRun {
     HazardReport report;
@@ -554,12 +646,7 @@ WallRun
 RunWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
         bool two_shards, const std::string& edge)
 {
-    const int64_t n = 512;
-    const scenario::Scenario poisson_recurrent =
-        scenario::GauntletScenarios(20000.0, n, dataset.NumNodes(), 1009)
-            .front();
-    std::vector<serve::Request> requests =
-        scenario::GenerateRequests(poisson_recurrent, dataset, n);
+    std::vector<serve::Request> requests = WallRequests(dataset);
 
     const shard::PartitionBook book =
         shard::HashPartition(dataset.NumNodes(), 2, 1);
@@ -580,6 +667,30 @@ RunWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
     (void)ServeCell(model, requests, dataset, serve::ExecutorKind::kPipelined,
                     &dropper, two_shards ? &hook : nullptr);
     return {checker.Report(), dropper.Dropped(), hook.Rounds()};
+}
+
+/// One drain wall run: the wall's stream served on @p model through the
+/// pipelined executor on one device, with the final drain withheld from
+/// the checker when @p drop_drain. Serving hands its results to the caller
+/// once the loop returns, so the caller's host read of both slots' result
+/// staging is declared to the checker after the run.
+WallRun
+RunDrainWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
+             bool drop_drain)
+{
+    HazardChecker checker;
+    DrainDropper dropper(checker);
+    sim::RuntimeObserver& observer =
+        drop_drain ? static_cast<sim::RuntimeObserver&>(dropper) : checker;
+    (void)ServeCell(model, WallRequests(dataset), dataset,
+                    serve::ExecutorKind::kPipelined, &observer);
+    const std::string name = "consume_results";
+    const sim::AccessSet results = Reads({"host_out#0", "host_out#1"});
+    sim::OpRecord consume;
+    consume.name = &name;
+    consume.access = &results;
+    observer.OnOp(consume);
+    return {checker.Report(), dropper.Dropped(), 0};
 }
 
 /// Every hazard in @p report must sit on one of @p allowed families.
@@ -663,6 +774,34 @@ TEST(MutationWallTest, DroppedThrottleWaitIsWarOnHostStaging)
     EXPECT_TRUE(HasHazard(report, HazardKind::kWar, "host_in"))
         << report.ToText();
     ExpectFamiliesWithin(report, {"host_in"});
+}
+
+TEST(MutationWallTest, DroppedFinalDrainIsRawOnHostResults)
+{
+    const auto dataset = SweepDataset();
+    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    for (models::DgnnModel* model :
+         std::initializer_list<models::DgnnModel*>{&tgn, &tgat, &jodie}) {
+        const WallRun intact = RunDrainWall(*model, dataset, false);
+        EXPECT_TRUE(intact.report.Clean())
+            << model->Name() << "\n" << intact.report.ToText();
+        EXPECT_GT(intact.report.ops, 0);
+
+        const WallRun dropped = RunDrainWall(*model, dataset, true);
+        // Only the drain: at most one wait per in-flight batch (two) and
+        // its Synchronize.
+        EXPECT_GT(dropped.dropped, 0) << model->Name();
+        EXPECT_LE(dropped.dropped, 3) << model->Name();
+        // The caller reads results the last batches' async D2H may not
+        // have landed yet. Collateral for memory models: the end-of-run
+        // flush's write-back may race the last batch's in-flight one on
+        // the host store.
+        EXPECT_TRUE(HasHazard(dropped.report, HazardKind::kRaw, "host_out"))
+            << model->Name() << "\n" << dropped.report.ToText();
+        ExpectFamiliesWithin(dropped.report, {"host_out", "host_store"});
+    }
 }
 
 TEST(MutationWallTest, DroppedExchangeFenceIsRawOnExchangeInputs)
