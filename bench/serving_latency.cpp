@@ -4,8 +4,9 @@
 ///
 /// For each model x execution mode x batching policy x executor the harness
 /// replays a deterministic Poisson request stream through serve::Serve and
-/// reports the latency percentiles, queue/batch statistics, and the maximum
-/// Poisson rate whose p99 stays under the SLO (serve::FindMaxQpsUnderSlo).
+/// reports the latency percentiles, queue/batch statistics, and the capacity:
+/// the highest Poisson rate sustained under the p99 SLO (serve::FindCapacity,
+/// 16,384-request probes; see DESIGN §7).
 /// The punchline mirrors the paper's bottleneck analysis: overlapping host
 /// batch-build with device compute (the pipelined executor) lifts sustained
 /// QPS in hybrid mode, because the host-side sampling/batching stage — the
@@ -15,7 +16,6 @@
 /// docs/expected/bench_serving_latency.txt by the `serving_latency_diff`
 /// golden test.
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -33,7 +33,6 @@ namespace {
 using serve::ExecutorKind;
 
 constexpr uint64_t kArrivalSeed = 997;
-constexpr sim::SimTime kSloUs = 20000.0;  // 20 ms p99 SLO
 constexpr int64_t kRequests = 1024;
 
 struct PolicySpec {
@@ -64,6 +63,13 @@ Qps(double v)
     return core::TableWriter::Num(v, 0);
 }
 
+/// The capacity search's p99 SLO in whole milliseconds.
+std::string
+SloMs()
+{
+    return core::TableWriter::Num(serve::kCapacitySloUs / 1000.0, 0);
+}
+
 void
 SweepModel(const std::string& title, models::DgnnModel& model,
            double offered_qps, double& serial_hybrid_qps,
@@ -78,7 +84,8 @@ SweepModel(const std::string& title, models::DgnnModel& model,
 
     core::TableWriter table({"mode", "policy", "executor", "offered qps",
                              "achieved qps", "p50 (ms)", "p99 (ms)", "max (ms)",
-                             "batch avg", "queue avg", "maxQPS@20ms"});
+                             "batch avg", "queue avg",
+                             "maxQPS@" + SloMs() + "ms"});
 
     for (const sim::ExecMode mode :
          {sim::ExecMode::kCpuOnly, sim::ExecMode::kHybrid}) {
@@ -93,9 +100,8 @@ SweepModel(const std::string& title, models::DgnnModel& model,
                 const serve::ServingReport report =
                     serve::Serve(session, *policy, arrivals, options);
 
-                const serve::QpsSearchResult search = serve::FindMaxQpsUnderSlo(
-                    session, spec.make, options, kSloUs,
-                    std::max<int64_t>(1, n / 2), kArrivalSeed);
+                const serve::QpsSearchResult search = serve::FindCapacity(
+                    session, spec.make, options, kArrivalSeed);
 
                 if (mode == sim::ExecMode::kHybrid &&
                     spec.label == "timeout(32,5ms)") {
@@ -119,10 +125,14 @@ SweepModel(const std::string& title, models::DgnnModel& model,
         }
     }
     std::cout << table.ToString();
-    std::cout << "(fixed-size batching reports n/a when no rate meets the SLO:\n"
-                 " at low load the batch never fills, so waiting time alone\n"
-                 " blows the p99 budget — the tail-latency case for dynamic\n"
-                 " batching.)\n";
+    std::cout << "(n/a: the capacity search needs a sustained "
+              << Qps(serve::kCapacityFloorQps)
+              << " qps floor, and fixed(32) never\n"
+                 " fills a batch within the "
+              << SloMs()
+              << " ms SLO at that rate, so waiting time alone\n"
+                 " blows the p99 budget — the tail-latency case for dynamic "
+                 "batching.)\n";
 }
 
 }  // namespace
@@ -137,7 +147,11 @@ main()
                  "Xeon Gold 6226R + RTX A6000)\n"
               << "Requests per sweep: " << kRequests
               << "; arrival process: Poisson (seed " << kArrivalSeed
-              << "); SLO: p99 <= 20 ms\n";
+              << "); SLO: p99 <= " << SloMs() << " ms\n"
+              << "Capacity probes: " << serve::kCapacityProbeRequests
+              << " Poisson requests, sustained at >= "
+              << Qps(100.0 * serve::kCapacityKeepUpShare)
+              << "% of the probe's offered rate\n";
 
     const auto wikipedia = bench::WikipediaDataset();
     const auto reddit = bench::RedditDataset();

@@ -98,15 +98,23 @@ main()
                  "structure at any target\n rate; a burstier production "
                  "trace would stretch the p99/max rows)\n";
 
-    std::cout << "\n-- 3. How much traffic fits under a 20 ms p99 SLO? --\n";
+    std::cout << "\n-- 3. How much traffic fits under a "
+              << core::TableWriter::Num(serve::kCapacitySloUs / 1000.0, 0)
+              << " ms p99 SLO? --\n"
+                 "(capacity: the highest Poisson rate whose "
+              << serve::kCapacityProbeRequests
+              << "-request probe keeps p99 under\n the SLO and completes "
+                 "at >= "
+              << core::TableWriter::Num(100.0 * serve::kCapacityKeepUpShare, 0)
+              << "% of the probe's offered rate)\n";
     for (const serve::ExecutorKind kind :
          {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
         serve::ServerOptions options;
         options.executor = kind;
-        const serve::QpsSearchResult found = serve::FindMaxQpsUnderSlo(
+        const serve::QpsSearchResult found = serve::FindCapacity(
             session,
             [] { return std::make_unique<serve::TimeoutPolicy>(32, 5000.0); },
-            options, 20000.0, 1024, 42);
+            options, 42);
         std::cout << "  " << serve::ToString(kind) << ": "
                   << core::TableWriter::Num(found.max_qps, 0)
                   << " qps sustained (p99 " << Ms(found.p99_us) << ", "

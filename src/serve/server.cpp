@@ -383,72 +383,43 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
 }
 
 QpsSearchResult
-FindMaxQpsUnderSlo(ModelSession& session,
-                   const std::function<std::unique_ptr<BatchPolicy>()>& make_policy,
-                   const ServerOptions& options, sim::SimTime slo_us,
-                   int64_t num_requests, uint64_t seed, double lo_qps)
+FindCapacity(ModelSession& session,
+             const std::function<std::unique_ptr<BatchPolicy>()>& make_policy,
+             const ServerOptions& options, uint64_t seed)
 {
-    DGNN_CHECK(slo_us > 0.0, "SLO must be positive, got ", slo_us);
-    DGNN_CHECK(num_requests > 0, "need at least one request for the search");
-    DGNN_CHECK(lo_qps > 0.0, "search floor must be positive, got ", lo_qps);
-
     QpsSearchResult result;
-    struct Probe {
-        bool sustained;
-        sim::SimTime p99;
-    };
-    // "Sustained" needs both halves: the tail meets the SLO AND the server
-    // keeps up with the offered rate. The second half matters because a
-    // finite workload bounds p99 even past saturation (the last batch
-    // always completes eventually); requiring completions to track
-    // arrivals restores the steady-state meaning of the search.
-    auto probe_at = [&](double rate) {
-        const std::vector<sim::SimTime> arrivals =
-            PoissonArrivals(rate, num_requests, seed);
+    // Both halves of the definition (server.hpp). Every sustained probe
+    // raises the bracket's floor, so the last one is the answer.
+    auto sustained = [&](double rate) {
         std::unique_ptr<BatchPolicy> policy = make_policy();
-        const ServingReport report = Serve(session, *policy, arrivals, options);
+        const ServingReport report = Serve(
+            session, *policy,
+            PoissonArrivals(rate, kCapacityProbeRequests, seed), options);
         ++result.evaluations;
-        const bool keeps_up = report.achieved_qps >= 0.95 * rate;
-        return Probe{report.latency.P99() <= slo_us && keeps_up,
-                     report.latency.P99()};
+        const bool ok =
+            report.latency.P99() <= kCapacitySloUs &&
+            report.achieved_qps >= kCapacityKeepUpShare * report.offered_qps;
+        if (ok) {
+            result.max_qps = rate;
+            result.p99_us = report.latency.P99();
+        }
+        return ok;
     };
 
-    // Phase 1: geometric probe upward from the floor until it breaks.
-    double lo = lo_qps;
-    Probe at_lo = probe_at(lo);
-    if (!at_lo.sustained) {
-        return result;  // even the floor misses the SLO
+    // Double from the floor until a probe breaks, then bisect the bracket.
+    double lo = kCapacityFloorQps;
+    double hi = 2.0 * lo;
+    if (!sustained(lo)) {
+        return result;  // even the floor is not sustained: n/a
     }
-    double hi = lo;
-    constexpr int kMaxDoublings = 24;
-    bool bracketed = false;
-    for (int i = 0; i < kMaxDoublings; ++i) {
-        hi = lo * 2.0;
-        const Probe p = probe_at(hi);
-        if (!p.sustained) {
-            bracketed = true;
-            break;
-        }
+    for (int steps = 1; steps < kCapacityMaxSteps && sustained(hi); ++steps) {
         lo = hi;
-        at_lo = p;
+        hi *= 2.0;
     }
-
-    // Phase 2: fixed-round bisection of (sustained lo, unsustained hi).
-    if (bracketed) {
-        constexpr int kBisections = 12;
-        for (int i = 0; i < kBisections; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            const Probe p = probe_at(mid);
-            if (p.sustained) {
-                lo = mid;
-                at_lo = p;
-            } else {
-                hi = mid;
-            }
-        }
+    while (hi - lo > kCapacityResolution * lo) {
+        const double mid = 0.5 * (lo + hi);
+        (sustained(mid) ? lo : hi) = mid;
     }
-    result.max_qps = lo;
-    result.p99_us = at_lo.p99;
     return result;
 }
 

@@ -9,8 +9,8 @@
 /// to the next arrival that can form a batch (BatchDecision::min_depth) or
 /// to the policy's wake-up. Produces a ServingReport with the
 /// tail-latency histogram, queue/batch statistics, and sustained
-/// throughput; FindMaxQpsUnderSlo searches for the highest offered rate
-/// whose p99 stays under an SLO.
+/// throughput; FindCapacity searches for the highest Poisson rate the
+/// server sustains under a p99 SLO.
 
 #include <array>
 #include <cstdint>
@@ -134,11 +134,25 @@ ServingReport ServeRequests(ModelSession& session, BatchPolicy& policy,
                             const std::vector<Request>& requests,
                             const ServerOptions& options);
 
-/// Result of the sustained-throughput search.
+/// The capacity definition, shared by every caller: a probe is sustained
+/// when its p99 is at most the SLO and completions keep at least the
+/// keep-up share of the probe stream's own measured rate (a finite stream
+/// bounds p99 even past saturation, so the latency half alone never
+/// breaks). The probe must be long enough that the 2% keep-up slack
+/// exceeds the drain tail of its last batches; shorter probes measure that
+/// tail, not saturation (DESIGN §7).
+inline constexpr sim::SimTime kCapacitySloUs = 20000.0;
+inline constexpr double kCapacityKeepUpShare = 0.98;
+/// The search stops once the bracket is within this share of its floor.
+inline constexpr double kCapacityResolution = 0.005;
+inline constexpr double kCapacityFloorQps = 50.0;
+/// Probes spent doubling, the floor's included.
+inline constexpr int kCapacityMaxSteps = 24;
+inline constexpr int64_t kCapacityProbeRequests = 16384;
+
+/// Result of the capacity search.
 struct QpsSearchResult {
-    /// Highest offered rate the server sustained — p99 under the SLO while
-    /// completions keep pace with arrivals (0 when even the lowest probed
-    /// rate failed).
+    /// Highest Poisson rate found sustained (0 when the floor is not).
     double max_qps = 0.0;
     /// p99 latency at that rate, us.
     sim::SimTime p99_us = 0.0;
@@ -146,17 +160,15 @@ struct QpsSearchResult {
     int64_t evaluations = 0;
 };
 
-/// Binary-searches the maximum sustained Poisson arrival rate: p99 <=
-/// @p slo_us and completions keeping pace with arrivals (>= 95% of the
-/// offered rate — a finite workload bounds p99 even past saturation, so
-/// the latency criterion alone would not saturate). Doubles from
-/// @p lo_qps until the criterion breaks, then bisects a fixed number of
-/// rounds. Policies are recreated per evaluation via @p make_policy;
-/// arrivals are regenerated per rate from @p seed. Deterministic.
-QpsSearchResult FindMaxQpsUnderSlo(
+/// Searches the highest sustained Poisson rate: doubles from
+/// kCapacityFloorQps until a probe breaks, then bisects until the bracket
+/// is within kCapacityResolution of its sustained floor, which it returns.
+/// A floor that is not sustained returns 0 after one probe. Each probe is
+/// kCapacityProbeRequests arrivals drawn from @p seed, served under a
+/// fresh policy from @p make_policy. Deterministic.
+QpsSearchResult FindCapacity(
     ModelSession& session,
     const std::function<std::unique_ptr<BatchPolicy>()>& make_policy,
-    const ServerOptions& options, sim::SimTime slo_us, int64_t num_requests,
-    uint64_t seed, double lo_qps = 50.0);
+    const ServerOptions& options, uint64_t seed);
 
 }  // namespace dgnn::serve

@@ -1,6 +1,6 @@
 // Tests for the online-serving subsystem: arrival generators, dynamic
 // batching policies, batch-cost capture, the serial vs pipelined
-// executors, the serving loop, and the sustained-QPS search.
+// executors, the serving loop, and the capacity search.
 
 #include <gtest/gtest.h>
 
@@ -704,26 +704,47 @@ TEST(ServeTest, IdleSkipIsExact)
     EXPECT_EQ(skipped_latencies, every_latencies);
 }
 
-TEST(ServeTest, QpsSearchFindsSustainedRate)
+TEST(ServeTest, CapacityIsSustainedOnReplay)
+{
+    const auto ds = TinyInteractions();
+    models::Jodie jodie(ds, models::JodieConfig{16, 13});
+    ModelSession session(jodie, sim::ExecMode::kHybrid, 4);
+    const auto make = [] { return std::make_unique<TimeoutPolicy>(16, 2000.0); };
+
+    const QpsSearchResult found =
+        FindCapacity(session, make, Options(ExecutorKind::kPipelined), 5);
+    // Pinned: a change to the SLO, the keep-up share, the resolution, the
+    // floor or the probe length moves one of these.
+    EXPECT_EQ(found.max_qps, 60200.0);
+    EXPECT_EQ(found.evaluations, 20);
+    EXPECT_LE(found.p99_us, kCapacitySloUs);
+
+    // Replaying the found rate meets both halves of the criterion.
+    TimeoutPolicy policy(16, 2000.0);
+    const ServingReport report = Serve(
+        session, policy,
+        PoissonArrivals(found.max_qps, kCapacityProbeRequests, 5),
+        Options(ExecutorKind::kPipelined));
+    EXPECT_EQ(report.latency.P99(), found.p99_us);
+    EXPECT_LE(report.latency.P99(), kCapacitySloUs);
+    EXPECT_GE(report.achieved_qps, kCapacityKeepUpShare * report.offered_qps);
+}
+
+TEST(ServeTest, CapacityIsZeroWhenTheFloorIsNotSustained)
 {
     const auto ds = TinyInteractions();
     models::Jodie jodie(ds, models::JodieConfig{16, 13});
     ModelSession session(jodie, sim::ExecMode::kHybrid, 4);
 
-    const QpsSearchResult found = FindMaxQpsUnderSlo(
-        session, [] { return std::make_unique<TimeoutPolicy>(16, 2000.0); },
-        Options(ExecutorKind::kPipelined), 10000.0, 256, 5);
-
-    EXPECT_GT(found.max_qps, 0.0);
-    EXPECT_LE(found.p99_us, 10000.0);
-    EXPECT_GT(found.evaluations, 0);
-
-    // The found rate is actually servable: replaying it meets the SLO.
-    const auto arrivals = PoissonArrivals(found.max_qps, 256, 5);
-    TimeoutPolicy policy(16, 2000.0);
-    const ServingReport report =
-        Serve(session, policy, arrivals, Options(ExecutorKind::kPipelined));
-    EXPECT_LE(report.latency.P99(), 10000.0);
+    // At the floor rate a batch of 32 takes far longer than the SLO to
+    // fill, so the first probe fails and the search stops there.
+    ASSERT_GT(32.0 / kCapacityFloorQps * 1e6, kCapacitySloUs);
+    const QpsSearchResult found = FindCapacity(
+        session, [] { return std::make_unique<FixedSizePolicy>(32); },
+        Options(ExecutorKind::kPipelined), 5);
+    EXPECT_EQ(found.max_qps, 0.0);
+    EXPECT_EQ(found.p99_us, 0.0);
+    EXPECT_EQ(found.evaluations, 1);
 }
 
 }  // namespace
