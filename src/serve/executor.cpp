@@ -17,7 +17,8 @@ constexpr int64_t kMaxInFlight = 2;
 /// slot 0 — every stage blocks the host, so reuse is host-ordered. The
 /// pipelined executor rotates slots like its double-buffered staging
 /// memory: batch k owns slot k % depth until the throttle wait on its
-/// completion event releases it.
+/// completion event releases it. Built only inside sim::MaybeAccess
+/// lambdas, so unobserved runs never build the names.
 struct SlotResources {
     std::string host_in;   ///< pinned host input staging
     std::string dev_in;    ///< device-side batch input buffer
@@ -161,12 +162,12 @@ SerialExecutor::Submit(const BatchProfile& profile,
                        const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
-    const SlotResources slot(0);
+    const int64_t slot = 0;
     const sim::SimTime dispatch = runtime_.Now();
     {
         sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
-            set.writes.push_back(slot.host_in);
+            set.writes.push_back(SlotResources(slot).host_in);
             return set;
         });
         runtime_.RunHostFor("batch_build", profile.host_us);
@@ -179,19 +180,19 @@ SerialExecutor::Submit(const BatchProfile& profile,
         profile.h2d_bytes + cache_cost.miss_rows * cache_cost.row_bytes;
     if (h2d_total > 0) {
         sim::MaybeAccess access(
-            runtime_, [&] { return InputCopyAccess(slot, cache_cost); });
+            runtime_, [&] { return InputCopyAccess(SlotResources(slot), cache_cost); });
         runtime_.CopyToDevice(h2d_total, "serve_inputs_h2d");
     }
     const sim::SimTime h2d_done = runtime_.Now();
     if (cache_cost.hit_rows > 0) {
         sim::MaybeAccess access(
-            runtime_, [&] { return HitGatherAccess(slot, cache_cost); });
+            runtime_, [&] { return HitGatherAccess(SlotResources(slot), cache_cost); });
         runtime_.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
                             "serve_state");
     }
     {
         sim::MaybeAccess access(
-            runtime_, [&] { return KernelAccess(slot, cache_cost); });
+            runtime_, [&] { return KernelAccess(SlotResources(slot), cache_cost); });
         for (const sim::KernelDesc& kernel : profile.kernels) {
             runtime_.Launch(kernel);
         }
@@ -200,9 +201,10 @@ SerialExecutor::Submit(const BatchProfile& profile,
     const sim::SimTime compute_done = runtime_.Now();
     if (profile.d2h_bytes > 0) {
         sim::MaybeAccess access(runtime_, [&] {
+            const SlotResources names(slot);
             sim::AccessSet set;
-            set.reads.push_back(slot.dev_out);
-            set.writes.push_back(slot.host_out);
+            set.reads.push_back(names.dev_out);
+            set.writes.push_back(names.host_out);
             return set;
         });
         runtime_.CopyToHost(profile.d2h_bytes, "serve_results_d2h");
@@ -235,7 +237,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
                           const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
-    const SlotResources slot(submitted_ % kMaxInFlight);
+    const int64_t slot = submitted_ % kMaxInFlight;
     ++submitted_;
     const sim::SimTime dispatch = runtime_.Now();
 
@@ -255,7 +257,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     {
         sim::MaybeAccess access(runtime_, [&] {
             sim::AccessSet set;
-            set.writes.push_back(slot.host_in);
+            set.writes.push_back(SlotResources(slot).host_in);
             return set;
         });
         runtime_.RunHostFor("batch_build", profile.host_us);
@@ -270,7 +272,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     sim::SimTime inputs_ready_us = 0.0;  // resolved after clamping below
     if (h2d_total > 0) {
         sim::MaybeAccess access(
-            runtime_, [&] { return InputCopyAccess(slot, cache_cost); });
+            runtime_, [&] { return InputCopyAccess(SlotResources(slot), cache_cost); });
         (void)runtime_.CopyToDeviceAsync(h2d_total, "serve_inputs_h2d");
         const sim::Event inputs_ready = runtime_.RecordEvent(sim::StreamId::kCopy);
         runtime_.StreamWaitEvent(sim::StreamId::kCompute, inputs_ready);
@@ -278,7 +280,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     }
     if (cache_cost.hit_rows > 0) {
         sim::MaybeAccess access(
-            runtime_, [&] { return HitGatherAccess(slot, cache_cost); });
+            runtime_, [&] { return HitGatherAccess(SlotResources(slot), cache_cost); });
         runtime_.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
                             "serve_state");
     }
@@ -286,7 +288,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     // Compute stage: kernels queue asynchronously behind the previous batch.
     {
         sim::MaybeAccess access(
-            runtime_, [&] { return KernelAccess(slot, cache_cost); });
+            runtime_, [&] { return KernelAccess(SlotResources(slot), cache_cost); });
         for (const sim::KernelDesc& kernel : profile.kernels) {
             runtime_.Launch(kernel);
         }
@@ -299,7 +301,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     const int64_t d2h_total = profile.d2h_bytes + cache_cost.WritebackBytes();
     if (d2h_total > 0) {
         sim::MaybeAccess access(
-            runtime_, [&] { return ResultCopyAccess(slot, cache_cost); });
+            runtime_, [&] { return ResultCopyAccess(SlotResources(slot), cache_cost); });
         runtime_.StreamWaitEvent(sim::StreamId::kCopy, compute_done);
         (void)runtime_.CopyToHostAsync(d2h_total, "serve_results_d2h");
         batch_done = runtime_.RecordEvent(sim::StreamId::kCopy);

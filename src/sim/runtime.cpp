@@ -103,7 +103,7 @@ Runtime::Gpu() const
 void
 Runtime::PushCategory(std::string category)
 {
-    category_stack_.push_back(std::move(category));
+    category_stack_.push_back({.name = std::move(category)});
 }
 
 void
@@ -116,7 +116,7 @@ Runtime::PopCategory()
 const std::string&
 Runtime::CurrentCategory() const
 {
-    return category_stack_.empty() ? kUncategorized : category_stack_.back();
+    return category_stack_.empty() ? kUncategorized : category_stack_.back().name;
 }
 
 void
@@ -176,7 +176,12 @@ Runtime::AdvanceHost(SimTime delta_us)
 {
     DGNN_ASSERT(delta_us >= 0.0);
     host_time_ += delta_us;
-    category_time_[CurrentCategory()] += delta_us;
+    SimTime*& slot = category_stack_.empty() ? uncategorized_slot_
+                                             : category_stack_.back().slot;
+    if (slot == nullptr) {
+        slot = &category_time_[CurrentCategory()];
+    }
+    *slot += delta_us;
 }
 
 TraceEvent
@@ -623,6 +628,10 @@ Runtime::ResetMeasurementWindow()
     sync_wait_us_ = 0.0;
     transfer_time_us_ = 0.0;
     category_time_.clear();
+    uncategorized_slot_ = nullptr;
+    for (OpenCategory& open : category_stack_) {
+        open.slot = nullptr;
+    }
     if (observer_ != nullptr) {
         observer_->OnWindowReset();
     }

@@ -115,6 +115,13 @@ class Runtime {
   public:
     explicit Runtime(RuntimeConfig config = RuntimeConfig{});
 
+    // The category stack caches pointers into this runtime's own
+    // CategoryTimes() map, so a copy would write into the original's.
+    Runtime(const Runtime&) = delete;
+    Runtime& operator=(const Runtime&) = delete;
+    Runtime(Runtime&&) = default;
+    Runtime& operator=(Runtime&&) = default;
+
     ExecMode Mode() const { return config_.mode; }
     bool HasGpu() const { return config_.mode == ExecMode::kHybrid; }
 
@@ -384,7 +391,17 @@ class Runtime {
     RuntimeObserver* observer_ = nullptr;
     std::vector<AccessSet> access_stack_;
     int64_t next_event_id_ = 0;
-    std::vector<std::string> category_stack_;
+    /// One open CategoryScope. @c slot is its category_time_ entry, looked
+    /// up at the scope's first host advance so AdvanceHost does no map
+    /// lookup after that; ResetMeasurementWindow clears the map and with it
+    /// every cached slot.
+    struct OpenCategory {
+        std::string name;
+        SimTime* slot = nullptr;
+    };
+    std::vector<OpenCategory> category_stack_;
+    /// The "Uncategorized" entry, cached like OpenCategory::slot.
+    SimTime* uncategorized_slot_ = nullptr;
     std::map<std::string, SimTime> category_time_;
     std::optional<OneTimeWarmup> one_time_warmup_;
     Trace trace_;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -186,12 +187,21 @@ TEST(RuntimeTest, MeasurementWindowResets)
     Runtime rt(HybridConfig());
     rt.RunHostFor("setup", 100.0);
     rt.CopyToDevice(1000, "w");
+    rt.PushCategory("open");
+    rt.RunHostFor("before", 20.0);
     rt.ResetMeasurementWindow();
     EXPECT_DOUBLE_EQ(rt.ElapsedInWindow(), 0.0);
     EXPECT_EQ(rt.BytesToDevice(), 0);
     EXPECT_DOUBLE_EQ(rt.Cpu().BusyTime(), 0.0);
+    EXPECT_TRUE(rt.CategoryTimes().empty());
     rt.RunHostFor("work", 50.0);
-    EXPECT_DOUBLE_EQ(rt.ElapsedInWindow(), 50.0);
+    rt.PopCategory();
+    rt.RunHostFor("after", 5.0);
+    EXPECT_DOUBLE_EQ(rt.ElapsedInWindow(), 55.0);
+    // A scope open across the reset, and uncategorized time, count from
+    // the reset on.
+    EXPECT_EQ(rt.CategoryTimes(), (std::map<std::string, SimTime>{
+                                      {"Uncategorized", 5.0}, {"open", 50.0}}));
 }
 
 TEST(RuntimeTest, UtilizationReflectsBusyFraction)
