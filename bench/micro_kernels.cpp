@@ -364,31 +364,44 @@ BM_CacheGather(benchmark::State& state)
 BENCHMARK(BM_CacheGather)->Args({1, 0})->Args({1, 1})->Args({0, 0})->Args({0, 1});
 
 // A JODIE-style launch-bound t-batch chain (4 narrow launches -> 1 fused)
-// at the given t-batch width. Wall-clock measures the collapse + pricing
-// path itself; the counters report what the simulator charges for the chain
-// fused vs unfused on the GPU spec (sim_speedup is the launch-overhead
-// reduction the fusion layer buys per t-batch).
+// at the given t-batch width, run for the given number of t-batches: one
+// t-batch prices the chain alone, more collapse the chain launches into one
+// device-side loop (jodie_tbatch_run, a sim::FusedShape::kRun). Wall-clock
+// measures the collapse + pricing path itself; the counters report what
+// the simulator charges for the t-batches fused vs unfused on the GPU spec
+// (sim_speedup is the launch-overhead reduction fusion buys).
 void
 BM_FusedChain(benchmark::State& state)
 {
-    const int64_t m = state.range(0);  // t-batch rows
-    const int64_t d = 64;              // embed dim
-    sim::FusedKernelDesc fused;
-    fused.name = "jodie_tbatch_fused";
-    fused.parts = {
+    const int64_t m = state.range(0);      // t-batch rows
+    const int64_t steps = state.range(1);  // t-batches in the batch
+    const int64_t d = 64;                  // embed dim
+    sim::FusedKernelDesc tbatch;
+    tbatch.name = "jodie_tbatch_fused";
+    tbatch.parts = {
         {"project_user", m * d, m * d * 8, m, false},
         {"predict_item", 2 * m * d * d, m * d * 8, m, false},
         {"rnn_update", 6 * m * d * d, m * d * 12, m, false},
         {"rnn_update", 6 * m * d * d, m * d * 12, m, false},
     };
-    fused.intermediate_bytes = {m * d * 4, 0, 0};
+    tbatch.intermediate_bytes = {m * d * 4, 0, 0};
 
     const sim::DeviceSpec gpu = sim::DeviceSpec::RtxA6000();
     double fused_us = 0.0;
     double unfused_us = 0.0;
     for (auto _ : state) {
-        fused_us = sim::FusedDuration(gpu, fused);
-        unfused_us = sim::UnfusedDuration(gpu, fused);
+        if (steps == 1) {
+            fused_us = sim::FusedDuration(gpu, tbatch);
+        } else {
+            const sim::FusedKernelDesc run{
+                "jodie_tbatch_run",
+                std::vector<sim::KernelDesc>(static_cast<size_t>(steps),
+                                             sim::Collapse(tbatch)),
+                std::vector<int64_t>(static_cast<size_t>(steps - 1), 0),
+                sim::FusedShape::kRun};
+            fused_us = sim::FusedDuration(gpu, run);
+        }
+        unfused_us = static_cast<double>(steps) * sim::UnfusedDuration(gpu, tbatch);
         benchmark::DoNotOptimize(fused_us);
         benchmark::DoNotOptimize(unfused_us);
     }
@@ -396,7 +409,7 @@ BM_FusedChain(benchmark::State& state)
     state.counters["sim_fused_us"] = fused_us;
     state.counters["sim_speedup"] = unfused_us / fused_us;
 }
-BENCHMARK(BM_FusedChain)->Arg(1)->Arg(16)->Arg(256);
+BENCHMARK(BM_FusedChain)->Args({1, 1})->Args({16, 1})->Args({256, 1})->Args({16, 11});
 
 // shard::Cluster set-up at the tgn_sharded4 shape: 640 nodes (512 users
 // + 128 items), 4 shards, greedy partition over a trace of arg requests

@@ -35,6 +35,12 @@ FusionCatalog()
          [](Parts p, int64_t) -> std::vector<int64_t> {
              return {p[0].parallel_items * 4, 0, 0};
          }},
+        // The batch's t-batches in one device-side loop. Each step reads the
+        // rows the previous one wrote back to device memory: nothing stays
+        // on-chip.
+        {"JODIE", "jodie_tbatch_run", {"jodie_tbatch_fused"},
+         [](Parts p, int64_t) { return std::vector<int64_t>(p.size() - 1, 0); },
+         sim::FusedShape::kRun},
     };
     return catalog;
 }
@@ -50,37 +56,57 @@ FindFusionPlan(const std::string& chain)
     return nullptr;
 }
 
+namespace {
+
+/// How many kernels from the front of @p rest @p plan collapses; 0 when it
+/// does not match there.
+size_t
+MatchLength(const FusionPlan& plan, std::span<const sim::KernelDesc> rest)
+{
+    const auto named = [](const std::string& part, const sim::KernelDesc& k) {
+        return k.name == part;
+    };
+    if (plan.shape == sim::FusedShape::kRun) {
+        const auto end = std::find_if(rest.begin(), rest.end(), [&](const auto& k) {
+            return !named(plan.parts[0], k);
+        });
+        const auto steps = static_cast<size_t>(end - rest.begin());
+        return steps >= 2 ? steps : 0;
+    }
+    const bool starts =
+        rest.size() >= plan.parts.size() &&
+        std::equal(plan.parts.begin(), plan.parts.end(), rest.begin(), named);
+    return starts ? plan.parts.size() : 0;
+}
+
+}  // namespace
+
 std::vector<sim::KernelDesc>
 FuseRegisteredChains(const DgnnModel& model, std::span<const sim::KernelDesc> kernels)
 {
-    const std::string name = model.Name();
-    const auto starts = [](const FusionPlan& plan,
-                           std::span<const sim::KernelDesc> rest) {
-        return rest.size() >= plan.parts.size() &&
-               std::equal(plan.parts.begin(), plan.parts.end(), rest.begin(),
-                          [](const std::string& part, const sim::KernelDesc& k) {
-                              return k.name == part;
-                          });
-    };
-
-    std::vector<sim::KernelDesc> out;
-    out.reserve(kernels.size());
-    size_t i = 0;
-    while (i < kernels.size()) {
-        const auto rest = kernels.subspan(i);
-        const auto plan = std::find_if(
-            FusionCatalog().begin(), FusionCatalog().end(),
-            [&](const FusionPlan& p) { return p.model == name && starts(p, rest); });
-        if (plan == FusionCatalog().end()) {
-            out.push_back(kernels[i]);
-            ++i;
+    std::vector<sim::KernelDesc> out(kernels.begin(), kernels.end());
+    for (const FusionPlan& plan : FusionCatalog()) {
+        if (plan.model != model.Name()) {
             continue;
         }
-        const auto parts = rest.first(plan->parts.size());
-        out.push_back(sim::Collapse(sim::FusedKernelDesc{
-            plan->chain, {parts.begin(), parts.end()},
-            plan->boundary_bytes(parts, model.CacheRowBytes())}));
-        i += parts.size();
+        std::vector<sim::KernelDesc> fused;
+        fused.reserve(out.size());
+        size_t i = 0;
+        while (i < out.size()) {
+            const auto rest = std::span<const sim::KernelDesc>(out).subspan(i);
+            const size_t length = MatchLength(plan, rest);
+            if (length == 0) {
+                fused.push_back(std::move(out[i]));
+                ++i;
+                continue;
+            }
+            const auto parts = rest.first(length);
+            fused.push_back(sim::Collapse(sim::FusedKernelDesc{
+                plan.chain, {parts.begin(), parts.end()},
+                plan.boundary_bytes(parts, model.CacheRowBytes()), plan.shape}));
+            i += length;
+        }
+        out = std::move(fused);
     }
     return out;
 }

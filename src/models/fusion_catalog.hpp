@@ -3,8 +3,9 @@
 /// @file
 /// Registered fusion plans for the hot per-model kernel chains, and the one
 /// pass that applies them. Fusion is a pass over a captured kernel list:
-/// FuseRegisteredChains collapses each of a model's registered chains into
-/// one launch wherever the chain's parts appear consecutively, by name.
+/// FuseRegisteredChains applies a model's plans in catalog order, each
+/// collapsing its chain into one launch wherever the chain's parts appear
+/// consecutively, by name; a later plan sees the earlier plans' launches.
 /// Models launch only their unfused kernels and their numerics never see
 /// fusion; a fused profile is derived from the one recorded batch
 /// (serve::ProfileTable::FusedProfile).
@@ -22,6 +23,9 @@
 ///   JODIE  jodie_tbatch_fused    project_user + predict_item + 2x rnn_update
 ///                                {proj.parallel_items·4, 0, 0}
 ///                                (per t-batch: 4 launches -> 1)
+///          jodie_tbatch_run      n >= 2 consecutive jodie_tbatch_fused
+///                                {0, ...}  (a kRun: the batch's n
+///                                t-batches, n launches -> 1)
 
 #include <cstdint>
 #include <span>
@@ -51,9 +55,14 @@ struct FusionPlan {
     /// (DgnnModel::CacheRowBytes()).
     std::vector<int64_t> (*boundary_bytes)(std::span<const sim::KernelDesc> parts,
                                            int64_t row_bytes);
+
+    /// kChain matches @p parts exactly. kRun has one part and matches every
+    /// run of 2 or more consecutive launches of it (sim::FusedShape).
+    sim::FusedShape shape = sim::FusedShape::kChain;
 };
 
-/// The full registry, fixed order (TGN, TGAT, JODIE).
+/// The full registry, fixed order (TGN, TGAT, JODIE); the order in which
+/// FuseRegisteredChains applies a model's plans.
 [[nodiscard]] const std::vector<FusionPlan>& FusionCatalog();
 
 /// Lookup by chain name; nullptr when not registered.
@@ -61,8 +70,9 @@ struct FusionPlan {
 
 /// @p kernels, a list @p model launched, with each of the model's
 /// registered chains collapsed (sim::Collapse) wherever its parts appear
-/// consecutively; every other kernel is kept as it is, in order. Another
-/// model's chains and partial chains are left alone.
+/// consecutively, plan by plan in catalog order; every other kernel is kept
+/// as it is, in order. Another model's chains and partial chains are left
+/// alone.
 [[nodiscard]] std::vector<sim::KernelDesc> FuseRegisteredChains(
     const DgnnModel& model, std::span<const sim::KernelDesc> kernels);
 

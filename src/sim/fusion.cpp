@@ -20,7 +20,8 @@ Collapse(const FusedKernelDesc& fused)
                    "' has a negative intermediate (", bytes, " bytes)");
     }
 
-    KernelDesc out{.name = fused.name};
+    const bool run = fused.shape == FusedShape::kRun;
+    KernelDesc out{.name = fused.name, .parallel_items = fused.parts[0].parallel_items};
     for (size_t i = 0; i < n; ++i) {
         const KernelDesc& part = fused.parts[i];
         DGNN_CHECK(part.flops >= 0 && part.bytes >= 0, "fused chain '",
@@ -40,7 +41,8 @@ Collapse(const FusedKernelDesc& fused)
             on_chip += fused.intermediate_bytes[i];
         }
         out.bytes += std::max<int64_t>(0, part.bytes - on_chip);
-        out.parallel_items = std::max(out.parallel_items, part.parallel_items);
+        out.parallel_items = run ? std::min(out.parallel_items, part.parallel_items)
+                                 : std::max(out.parallel_items, part.parallel_items);
         out.irregular = out.irregular || part.irregular;
     }
     return out;

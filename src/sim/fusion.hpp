@@ -11,7 +11,9 @@
 ///                    (an intermediate is counted out of BOTH the producer's
 ///                    write bytes and the consumer's read bytes)
 ///   parallel_items   max over parts (the chain occupies the device as well
-///                    as its widest stage)
+///                    as its widest stage); a kRun, whose steps run one
+///                    after another behind a device-wide barrier, takes the
+///                    min instead (see FusedShape)
 ///   irregular        any irregular part poisons the whole chain: the fused
 ///                    kernel inherits the worst access pattern, which is why
 ///                    fusing a regular GEMM behind a gather can LOSE on
@@ -40,6 +42,19 @@
 
 namespace dgnn::sim {
 
+/// How the parts of a collapsed launch share the device.
+enum class FusedShape {
+    /// Producer->consumer stages that stream through one pass: the launch
+    /// occupies the device like its widest stage.
+    kChain,
+    /// Dependent steps of a device-side loop: each step finishes (a grid
+    /// barrier, left unpriced) before the next starts, so only the launch
+    /// is shared. The launch is priced at the occupancy of its narrowest
+    /// step, which keeps its execution near the sum of its steps' (the
+    /// widest-stage rule would price a 43-step JODIE run at 0.39x of it).
+    kRun,
+};
+
 /// A chain of kernels composed into one launch. parts run in order; the
 /// boundary between parts[i] and parts[i+1] keeps intermediate_bytes[i]
 /// bytes on-chip (never touching device memory or PCIe).
@@ -54,6 +69,9 @@ struct FusedKernelDesc {
     /// parts.size() - 1 and every entry non-negative. An entry of 0 models
     /// horizontal fusion (no producer/consumer tensor, just a shared launch).
     std::vector<int64_t> intermediate_bytes;
+
+    /// How the parts share the device; sets the collapsed parallel_items.
+    FusedShape shape = FusedShape::kChain;
 };
 
 /// Collapse the chain into a single KernelDesc priced by the unchanged cost

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/hazard_checker.hpp"
 #include "dispatch/dispatcher.hpp"
@@ -26,6 +28,7 @@
 #include "sim/topology.hpp"
 #include "support/check.hpp"
 
+#include "../bench/bench_common.hpp"
 #include "serving_reports.hpp"
 
 namespace dgnn {
@@ -63,6 +66,22 @@ TEST(CollapseTest, SumsWorkAndKeepsWidestStage)
     EXPECT_EQ(collapsed.bytes, 2700);
     EXPECT_EQ(collapsed.parallel_items, 64);
     EXPECT_FALSE(collapsed.irregular);
+}
+
+TEST(CollapseTest, RunKeepsNarrowestStep)
+{
+    sim::FusedKernelDesc run;
+    run.name = "run";
+    run.parts = {Desc("a", 100, 1000, 64), Desc("b", 200, 2000, 8),
+                 Desc("c", 400, 500, 16, /*irregular=*/true)};
+    run.intermediate_bytes = {0, 0};
+    run.shape = sim::FusedShape::kRun;
+
+    const sim::KernelDesc collapsed = sim::Collapse(run);
+    EXPECT_EQ(collapsed.flops, 700);
+    EXPECT_EQ(collapsed.bytes, 3500);
+    EXPECT_EQ(collapsed.parallel_items, 8);
+    EXPECT_TRUE(collapsed.irregular);
 }
 
 TEST(CollapseTest, IntermediateLargerThanPartBytesClampsAtZero)
@@ -195,10 +214,10 @@ TEST(CostModelEdgeTest, NonPositiveParallelismThrows)
 
 // ----------------------------------------------------------- the catalog
 
-TEST(FusionCatalogTest, RegistersTheFiveChains)
+TEST(FusionCatalogTest, RegistersTheSixChains)
 {
     const std::vector<models::FusionPlan>& catalog = models::FusionCatalog();
-    ASSERT_EQ(catalog.size(), 5u);
+    ASSERT_EQ(catalog.size(), 6u);
     EXPECT_NE(models::FindFusionPlan("tgn_memory_fused"), nullptr);
     EXPECT_NE(models::FindFusionPlan("tgn_embed_fused"), nullptr);
     EXPECT_NE(models::FindFusionPlan("tgat_encode_fused"), nullptr);
@@ -209,6 +228,13 @@ TEST(FusionCatalogTest, RegistersTheFiveChains)
     const models::FusionPlan* jodie =
         models::FindFusionPlan("jodie_tbatch_fused");
     ASSERT_EQ(jodie->parts.size(), 4u);  // 4 launches -> 1 per t-batch
+
+    // The batch's t-batches -> 1, applied after the per-t-batch chain.
+    const models::FusionPlan* run = models::FindFusionPlan("jodie_tbatch_run");
+    ASSERT_NE(run, nullptr);
+    EXPECT_EQ(run->shape, sim::FusedShape::kRun);
+    EXPECT_EQ(run->parts, std::vector<std::string>{"jodie_tbatch_fused"});
+    EXPECT_GT(run, jodie);
 }
 
 // ------------------------------------------- the pass over a captured batch
@@ -262,12 +288,43 @@ TEST(FusionCatalogTest, FusePassLeavesPartialAndForeignChainsAlone)
     EXPECT_EQ(Render(models::FuseRegisteredChains(tgn, with_chain)), Render(expected));
 }
 
+TEST(FusionCatalogTest, TBatchRunNeedsTwoConsecutiveSteps)
+{
+    const auto ds = TinyInteractions();
+    const models::Jodie jodie(ds, models::JodieConfig{});
+    const std::vector<sim::KernelDesc> tbatch = {
+        Desc("project_user", 10, 100, 16), Desc("predict_item", 20, 100, 8),
+        Desc("rnn_update", 30, 100, 8), Desc("rnn_update", 30, 100, 8)};
+    // Step: the projected rows (16 items x 4 bytes) leave both sides of the
+    // first boundary.
+    const sim::KernelDesc step = Desc("jodie_tbatch_fused", 90, 400 - 2 * 64, 16);
+
+    // One t-batch, or two split by another launch: no run.
+    EXPECT_EQ(Render(models::FuseRegisteredChains(jodie, tbatch)), Render({step}));
+    std::vector<sim::KernelDesc> split = tbatch;
+    split.push_back(Desc("other", 1, 1, 1));
+    split.insert(split.end(), tbatch.begin(), tbatch.end());
+    EXPECT_EQ(Render(models::FuseRegisteredChains(jodie, split)),
+              Render({step, Desc("other", 1, 1, 1), step}));
+
+    // Three consecutive t-batches: one launch with the steps' summed work,
+    // nothing kept on-chip between them.
+    std::vector<sim::KernelDesc> three;
+    for (int i = 0; i < 3; ++i) {
+        three.insert(three.end(), tbatch.begin(), tbatch.end());
+    }
+    EXPECT_EQ(Render(models::FuseRegisteredChains(jodie, three)),
+              Render({Desc("jodie_tbatch_run", 3 * 90, 3 * 272, 16)}));
+}
+
 TEST(ModelFusionTest, FusedProfilesArePinned)
 {
     // Literals captured when TGN, TGAT and JODIE still launched their fused
     // chains themselves: the pass over the unfused capture must rebuild
     // every collapsed descriptor exactly, boundary bytes included. Batch 16,
     // 4 neighbors, hybrid; the two-layer TGAT prices both attention chains.
+    // JODIE's nine t-batch chains then collapse into one run: their summed
+    // work at the narrowest step's 64 items.
     const auto ds = TinyInteractions();
     models::Tgn tgn(ds, models::TgnConfig{64, 32, 1, 11});
     models::Tgat tgat(ds, models::TgatConfig{16, 2, 2, 3, 7});
@@ -280,22 +337,43 @@ TEST(ModelFusionTest, FusedProfilesArePinned)
          "tgat_encode_fused 49664 25152 2560 1\n"
          "tgat_attention_fused 701440 106496 6144 0\n"
          "tgat_attention_fused 211456 32768 2048 0\n"},
-        {&jodie,
-         "jodie_tbatch_fused 208640 93440 320 0\n"
-         "jodie_tbatch_fused 83456 87296 128 0\n"
-         "jodie_tbatch_fused 83456 87296 128 0\n"
-         "jodie_tbatch_fused 83456 87296 128 0\n"
-         "jodie_tbatch_fused 41728 85248 64 0\n"
-         "jodie_tbatch_fused 41728 85248 64 0\n"
-         "jodie_tbatch_fused 41728 85248 64 0\n"
-         "jodie_tbatch_fused 41728 85248 64 0\n"
-         "jodie_tbatch_fused 41728 85248 64 0\n"},
+        {&jodie, "jodie_tbatch_run 667648 781568 64 0\n"},
     };
     for (const auto& [model, expected] : pins) {
         serve::ModelSession session(*model, sim::ExecMode::kHybrid,
                                     /*num_neighbors=*/4);
         EXPECT_EQ(Render(session.FusedProfile(16).kernels), expected)
             << model->Name();
+    }
+}
+
+TEST(ModelFusionTest, TBatchRunPricesNearItsStepSum)
+{
+    // The run's steps are dependent, so its execution must cost what its
+    // steps cost one after another. Narrowest-step occupancy lands within
+    // a few percent of that sum at every serving batch size; the chain
+    // rule (widest step) prices the 43-step run at b = 256 at 0.39x of it.
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    serve::ModelSession session(jodie, sim::ExecMode::kHybrid, 10);
+    const models::FusionPlan& tbatch = *models::FindFusionPlan("jodie_tbatch_fused");
+    const sim::DeviceSpec gpu = sim::DeviceSpec::RtxA6000();
+    for (int64_t batch = 1; batch <= 256; ++batch) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        const std::span<const sim::KernelDesc> unfused = session.Profile(batch).kernels;
+        ASSERT_EQ(unfused.size() % tbatch.parts.size(), 0u);
+        sim::SimTime steps_us = 0.0;
+        for (size_t i = 0; i < unfused.size(); i += tbatch.parts.size()) {
+            const auto parts = unfused.subspan(i, tbatch.parts.size());
+            steps_us += sim::ComputeTime(
+                gpu, sim::Collapse({tbatch.chain, {parts.begin(), parts.end()},
+                                    tbatch.boundary_bytes(parts, jodie.CacheRowBytes())}));
+        }
+        const std::vector<sim::KernelDesc>& fused = session.FusedProfile(batch).kernels;
+        ASSERT_EQ(fused.size(), 1u);
+        const double ratio = sim::ComputeTime(gpu, fused[0]) / steps_us;
+        EXPECT_GE(ratio, 0.97);
+        EXPECT_LE(ratio, 1.05);
     }
 }
 

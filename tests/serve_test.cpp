@@ -459,9 +459,13 @@ TEST(ServeTest, PipelinedOverlapsBatchesOnTheGauntletStream)
     // A saturating replay of the serving benches' stream: the pipelined
     // executor builds the next batch while the device still runs the last,
     // so it sustains clearly more than the serial one. An executor that
-    // blocked the host on every batch's completion would tie it.
+    // blocked the host on every batch's completion would tie it. The rate
+    // sits well above both executors' capacity, so the ratio compares
+    // capacities and not the offered rate: at 200k qps pipelined JODIE
+    // (about 235k qps since its t-batches run as one launch) kept up with
+    // the replay and read only 1.01x serial.
     const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
-    const auto requests = TraceRequests(dataset.stream, 200000.0, 1024);
+    const auto requests = TraceRequests(dataset.stream, 400000.0, 1024);
     models::Tgn tgn(dataset, bench::kServingTgn);
     models::Jodie jodie(dataset, models::JodieConfig{});
     for (models::DgnnModel* model : {static_cast<models::DgnnModel*>(&tgn),
@@ -473,6 +477,9 @@ TEST(ServeTest, PipelinedOverlapsBatchesOnTheGauntletStream)
         TimeoutPolicy p2(64, 5000.0);
         const ServingReport pipelined =
             ServeRequests(session, p2, requests, Options(ExecutorKind::kPipelined));
+        EXPECT_LT(serial.achieved_qps, 0.98 * serial.offered_qps) << model->Name();
+        EXPECT_LT(pipelined.achieved_qps, 0.75 * pipelined.offered_qps)
+            << model->Name();
         EXPECT_GE(pipelined.achieved_qps, 1.10 * serial.achieved_qps)
             << model->Name() << ": pipelined " << pipelined.achieved_qps
             << " qps, serial " << serial.achieved_qps;
@@ -715,7 +722,7 @@ TEST(ServeTest, CapacityIsSustainedOnReplay)
         FindCapacity(session, make, Options(ExecutorKind::kPipelined), 5);
     // Pinned: a change to the SLO, the keep-up share, the resolution, the
     // floor or the probe length moves one of these.
-    EXPECT_EQ(found.max_qps, 60200.0);
+    EXPECT_EQ(found.max_qps, 63000.0);
     EXPECT_EQ(found.evaluations, 20);
     EXPECT_LE(found.p99_us, kCapacitySloUs);
 
