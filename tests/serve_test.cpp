@@ -460,10 +460,9 @@ TEST(ServeTest, PipelinedOverlapsBatchesOnTheGauntletStream)
     // executor builds the next batch while the device still runs the last,
     // so it sustains clearly more than the serial one. An executor that
     // blocked the host on every batch's completion would tie it. The rate
-    // sits well above both executors' capacity, so the ratio compares
-    // capacities and not the offered rate: at 200k qps pipelined JODIE
-    // (about 235k qps since its t-batches run as one launch) kept up with
-    // the replay and read only 1.01x serial.
+    // sits well above both executors' capacity (pipelined JODIE sustains
+    // about 235k qps), so the ratio compares capacities and not the offered
+    // rate: a replay the pipelined executor keeps up with reads near 1.0x.
     const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
     const auto requests = TraceRequests(dataset.stream, 400000.0, 1024);
     models::Tgn tgn(dataset, bench::kServingTgn);
