@@ -1,19 +1,22 @@
 /// Device-cache ablation — the transfer-bottleneck lever the paper's Fig
-/// 6/7 breakdowns motivate: CPU->GPU movement of node features and node
-/// memory dominates hybrid DGNN inference, and it is exactly the traffic a
-/// device-resident cache with temporal locality can absorb.
+/// 6/7 breakdowns motivate: CPU->GPU movement of mutable node state (TGN
+/// memory, JODIE embeddings) and its per-batch sync-back weigh on hybrid
+/// DGNN inference, and it is exactly the traffic a device-resident LRU
+/// cache with temporal locality can absorb. TGAT is absent: its node
+/// features are read-only and the table stays resident, so a cache has
+/// nothing to hold.
 ///
 /// Two exhibits:
-///   1. Offline capacity x recurrence sweep (TGN / TGAT / JODIE, hybrid):
-///      the same stream replayed with the cache off and at 1/8, 1/2 and
-///      full state capacity, on a heavy repeat-talker stream vs a diffuse
-///      one. Reports hit rate, PCIe volumes, transfer time and verifies the
-///      cache never changes numerics (identical checksums).
+///   1. Offline capacity x recurrence sweep (TGN / JODIE, hybrid): the same
+///      stream replayed with the cache off and at 1/8, 1/2 and full state
+///      capacity, on a heavy repeat-talker stream vs a diffuse one. Reports
+///      hit rate, PCIe volumes, transfer time and verifies the cache never
+///      changes numerics (identical checksums).
 ///   2. Online serving with a warm cache (TGN, trace-replay arrivals with
 ///      recurrent nodes): the session cache stays warm ACROSS batches, a
 ///      locality regime the offline benches cannot express. A warm cache
 ///      must show strictly lower H2D bytes and lower p99 than the uncached
-///      baseline; LRU and FIFO eviction are compared.
+///      baseline.
 ///
 /// Deterministic; diffed against docs/expected/bench_cache_ablation.txt in
 /// CI like the serving bench.
@@ -26,7 +29,6 @@
 
 #include "bench_common.hpp"
 #include "models/jodie.hpp"
-#include "models/tgat.hpp"
 #include "models/tgn.hpp"
 #include "serve/server.hpp"
 
@@ -90,7 +92,6 @@ OfflineSweep(const std::string& title,
         models::RunConfig run =
             bench::BenchRun(sim::ExecMode::kHybrid, kBatch, kNeighbors);
         run.cache.capacity_bytes = p.rows * model->CacheRowBytes();
-        run.cache.eviction = cache::EvictionPolicy::kLru;
         const models::RunResult r = model->RunInference(runtime, run);
         if (p.rows == 0) {
             baseline_checksum = r.output_checksum;
@@ -140,12 +141,10 @@ ServingSection()
     struct Variant {
         const char* label;
         int64_t capacity_bytes;
-        cache::EvictionPolicy eviction;
     };
     const Variant variants[] = {
-        {"uncached", 0, cache::EvictionPolicy::kLru},
-        {"cache 1/2 LRU", capacity, cache::EvictionPolicy::kLru},
-        {"cache 1/2 FIFO", capacity, cache::EvictionPolicy::kFifo},
+        {"uncached", 0},
+        {"cache 1/2 LRU", capacity},
     };
 
     core::TableWriter table({"session", "p50 (ms)", "p99 (ms)", "overflow",
@@ -158,7 +157,6 @@ ServingSection()
     for (const Variant& v : variants) {
         cache::DeviceCacheConfig cache_config;
         cache_config.capacity_bytes = v.capacity_bytes;
-        cache_config.eviction = v.eviction;
         serve::ModelSession session(tgn, sim::ExecMode::kHybrid, kNeighbors,
                                     cache_config);
         serve::FixedSizePolicy policy(kServeBatch);
@@ -174,7 +172,7 @@ ServingSection()
         if (std::string(v.label) == "uncached") {
             uncached_p99 = report.latency.P99();
             uncached_h2d = report.h2d_bytes;
-        } else if (std::string(v.label) == "cache 1/2 LRU") {
+        } else {
             cached_p99 = report.latency.P99();
             cached_h2d = report.h2d_bytes;
         }
@@ -222,18 +220,6 @@ main()
                  [&] {
                      return std::make_unique<models::Tgn>(diffuse,
                                                           models::TgnConfig{});
-                 },
-                 diffuse);
-    OfflineSweep("TGAT / recurrent stream",
-                 [&] {
-                     return std::make_unique<models::Tgat>(recurrent,
-                                                           models::TgatConfig{});
-                 },
-                 recurrent);
-    OfflineSweep("TGAT / diffuse stream",
-                 [&] {
-                     return std::make_unique<models::Tgat>(diffuse,
-                                                           models::TgatConfig{});
                  },
                  diffuse);
     OfflineSweep("JODIE / recurrent stream",

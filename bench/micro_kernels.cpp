@@ -336,12 +336,10 @@ BENCHMARK(BM_SortUnique)->Arg(0)->Arg(1);
 
 // DeviceCache::Gather of one serving batch's unique endpoints into a
 // 160-row cache over 640 nodes (the tgn_cached shape: ~75 evictions per
-// batch), args {lru, mark_dirty}.
+// batch).
 void
 BM_CacheGather(benchmark::State& state)
 {
-    const bool lru = state.range(0) != 0;
-    const bool mark_dirty = state.range(1) != 0;
     auto batches = ServingKeyBatches(1);
     for (std::vector<int64_t>& keys : batches) {
         cache::SortUnique(keys);
@@ -349,19 +347,17 @@ BM_CacheGather(benchmark::State& state)
     cache::DeviceCacheConfig config;
     config.row_bytes = 256;
     config.capacity_bytes = 160 * config.row_bytes;
-    config.eviction = lru ? cache::EvictionPolicy::kLru : cache::EvictionPolicy::kFifo;
     cache::DeviceCache device_cache(config);
     int64_t keys_gathered = 0;
     size_t i = 0;
     for (auto _ : state) {
         const std::vector<int64_t>& keys = batches[i++ % batches.size()];
-        benchmark::DoNotOptimize(device_cache.Gather(keys, mark_dirty));
+        benchmark::DoNotOptimize(device_cache.Gather(keys));
         keys_gathered += static_cast<int64_t>(keys.size());
     }
     state.SetItemsProcessed(keys_gathered);
-    state.SetLabel(std::string(lru ? "lru" : "fifo") + (mark_dirty ? "/dirty" : ""));
 }
-BENCHMARK(BM_CacheGather)->Args({1, 0})->Args({1, 1})->Args({0, 0})->Args({0, 1});
+BENCHMARK(BM_CacheGather);
 
 // A JODIE-style launch-bound t-batch chain (4 narrow launches -> 1 fused)
 // at the given t-batch width, run for the given number of t-batches: one

@@ -135,7 +135,6 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
             // sweep order.
             cache::DeviceCacheConfig cache_config;
             cache_config.capacity_bytes = capacity;
-            cache_config.eviction = cache::EvictionPolicy::kLru;
             serve::ModelSession session(model, sim::ExecMode::kHybrid,
                                         /*num_neighbors=*/10, cache_config);
             serve::TimeoutPolicy policy(kServeBatch, kBatchTimeoutUs);

@@ -89,7 +89,6 @@ RunCell(models::DgnnModel& model, const scenario::Scenario& s,
     cache::DeviceCacheConfig cache_config;
     cache_config.capacity_bytes =
         dataset.NumNodes() / 4 * model.CacheRowBytes();
-    cache_config.eviction = cache::EvictionPolicy::kLru;
     serve::ModelSession session(model, sim::ExecMode::kHybrid,
                                 /*num_neighbors=*/10, cache_config);
     serve::TimeoutPolicy policy(kServeBatch, kBatchTimeoutUs);

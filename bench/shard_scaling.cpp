@@ -79,7 +79,6 @@ SweepModel(const std::string& model_name, models::DgnnModel& model,
                 options.partition_seed = kPartitionSeed;
                 options.cache_config.capacity_bytes =
                     dataset.NumNodes() / 4 * model.CacheRowBytes();
-                options.cache_config.eviction = cache::EvictionPolicy::kLru;
                 options.num_neighbors = 10;
 
                 // One cluster per cell, partitioned on the trace it serves.

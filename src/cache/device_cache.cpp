@@ -92,12 +92,11 @@ operator-(CacheStats lhs, const CacheStats& rhs)
 }
 
 DeviceCacheConfig
-DeviceCacheConfig::Unbounded(int64_t row_bytes, EvictionPolicy eviction)
+DeviceCacheConfig::Unbounded(int64_t row_bytes)
 {
     DeviceCacheConfig config;
     config.capacity_bytes = std::numeric_limits<int64_t>::max();
     config.row_bytes = row_bytes;
-    config.eviction = eviction;
     return config;
 }
 
@@ -120,8 +119,7 @@ DeviceCache::DeviceCache(DeviceCacheConfig config) : config_(config)
 }
 
 GatherResult
-DeviceCache::Gather(const std::vector<int64_t>& keys, bool mark_dirty,
-                    GatherTrace* trace)
+DeviceCache::Gather(const std::vector<int64_t>& keys, GatherTrace* trace)
 {
     GatherResult result;
     for (const int64_t key : keys) {
@@ -132,8 +130,8 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, bool mark_dirty,
             ++stats_.hits;
             stats_.hit_bytes += config_.row_bytes;
             Slot& slot = At(hit);
-            slot.dirty = slot.dirty || mark_dirty;
-            if (config_.eviction == EvictionPolicy::kLru && hit != tail_) {
+            slot.dirty = true;
+            if (hit != tail_) {
                 Unlink(hit);
                 Append(hit);
             }
@@ -148,17 +146,15 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, bool mark_dirty,
         if (capacity_rows_ == 0) {
             // Disabled: nothing is retained, but a mutated row still owes
             // its sync-back to the host store.
-            if (mark_dirty) {
-                ++result.writeback_rows;
-                ++stats_.writeback_rows;
-            }
+            ++result.writeback_rows;
+            ++stats_.writeback_rows;
             continue;
         }
         while (resident_rows_ >= capacity_rows_) {
             EvictOne(result, trace);
         }
         const int64_t generation = next_generation_++;
-        Insert(key, generation, mark_dirty);
+        Insert(key, generation);
         ++stats_.insertions;
         if (trace != nullptr) {
             trace->inserted_rows.push_back(RowResource(key, generation));
@@ -191,7 +187,7 @@ DeviceCache::FindSlot(int64_t key) const
 }
 
 void
-DeviceCache::Insert(int64_t key, int64_t generation, bool dirty)
+DeviceCache::Insert(int64_t key, int64_t generation)
 {
     if (2 * (resident_rows_ + 1) > static_cast<int64_t>(table_.size())) {
         GrowTable();
@@ -210,7 +206,7 @@ DeviceCache::Insert(int64_t key, int64_t generation, bool dirty)
     Slot& slot = At(index);
     slot.key = key;
     slot.generation = generation;
-    slot.dirty = dirty;
+    slot.dirty = true;
     Append(index);
     const size_t mask = table_.size() - 1;
     size_t b = HomeBucket(key);
@@ -297,17 +293,6 @@ DeviceCache::EvictOne(GatherResult& result, GatherTrace* trace)
     free_ = victim;
     --resident_rows_;
     ++stats_.evictions;
-}
-
-void
-DeviceCache::MarkDirty(const std::vector<int64_t>& keys)
-{
-    for (const int64_t key : keys) {
-        const int32_t index = FindSlot(key);
-        if (index != kNoSlot) {
-            At(index).dirty = true;
-        }
-    }
 }
 
 int64_t

@@ -2,12 +2,13 @@
 
 /// @file
 /// Device-resident row cache for hybrid inference. The paper's Fig 6/7
-/// breakdowns show CPU->GPU data movement — node features and, for the
-/// memory-based models (TGN/JODIE/DyRep), mutable node-memory rows shipped
-/// over PCIe every mini-batch — as a first-order bottleneck. Interaction
-/// streams have heavy temporal locality (repeat talkers on Wikipedia/Reddit
-/// style graphs), so keeping recently touched rows resident on the device
-/// converts repeat gathers into on-device hits.
+/// breakdowns show CPU->GPU data movement as a first-order bottleneck; for
+/// the memory-based models (TGN memory, JODIE embeddings) that movement is
+/// mutable per-node state shipped over PCIe every mini-batch and synced
+/// back after it. Interaction streams have heavy temporal locality (repeat
+/// talkers on Wikipedia/Reddit style graphs), so keeping recently touched
+/// state rows resident on the device converts repeat gathers into
+/// on-device hits and defers each row's sync-back to its eviction.
 ///
 /// The cache is an *index*, not storage: it decides, deterministically,
 /// which row keys are device-resident and which must move. The matching
@@ -34,10 +35,11 @@
 
 namespace dgnn::cache {
 
-/// Which resident row a full cache sacrifices for a new one.
+/// Which resident row a full cache sacrifices for a new one. LRU is the
+/// only policy; the enum and DeviceCacheConfig::eviction remain for the
+/// callers that still name it, and the cache never reads them.
 enum class EvictionPolicy {
-    kLru,   ///< least-recently-touched row leaves first
-    kFifo,  ///< oldest-inserted row leaves first (no touch promotion)
+    kLru,  ///< least-recently-touched row leaves first
 };
 
 /// Canonicalizes a cache-key list in place: ascending, duplicates removed.
@@ -75,16 +77,16 @@ struct DeviceCacheConfig {
     /// (every gather reports a miss and nothing is retained). A positive
     /// capacity must hold at least one row.
     int64_t capacity_bytes = 0;
-    /// Width of one cached row in bytes (a node's feature or memory row).
+    /// Width of one cached row in bytes (a node's memory or embedding row).
     /// Set by the owning model; must be positive when the cache is enabled.
     int64_t row_bytes = 0;
+    /// Never read: LRU is the only policy (see EvictionPolicy).
     EvictionPolicy eviction = EvictionPolicy::kLru;
 
     /// A cache that never evicts — used when capturing serving cost
     /// profiles, where every unique row of the probe batch must miss
     /// exactly once.
-    static DeviceCacheConfig Unbounded(int64_t row_bytes,
-                                       EvictionPolicy eviction = EvictionPolicy::kLru);
+    static DeviceCacheConfig Unbounded(int64_t row_bytes);
 };
 
 /// Outcome of admitting one batch of row keys.
@@ -116,7 +118,8 @@ struct GatherTrace {
 /// The hazard-checker resource name of one residency episode of @p key.
 std::string RowResource(int64_t key, int64_t generation);
 
-/// Deterministic device-resident row cache (LRU or FIFO over row keys).
+/// Deterministic device-resident cache of mutable state rows (LRU over row
+/// keys).
 class DeviceCache {
   public:
     /// Disabled cache: every Gather is all-miss, nothing is retained.
@@ -131,31 +134,27 @@ class DeviceCache {
     int64_t CapacityRows() const { return capacity_rows_; }
     int64_t ResidentRows() const { return resident_rows_; }
     int64_t ResidentBytes() const { return ResidentRows() * config_.row_bytes; }
-    EvictionPolicy Eviction() const { return config_.eviction; }
 
-    /// Looks up every key in order: residents count as hits (LRU promotes
-    /// them), absences count as misses and are inserted, evicting per
-    /// policy once capacity is reached. Duplicate keys within one call hit
-    /// after their first occurrence. Deterministic in the key order.
+    /// Looks up every key in order: residents count as hits and become
+    /// the most recently touched, absences count as misses and are
+    /// inserted, evicting the least recently touched row once capacity is
+    /// reached. Duplicate keys within one call hit after their first
+    /// occurrence. Deterministic in the key order.
     ///
-    /// @p mark_dirty stamps every gathered row dirty at touch/insert time
-    /// — the contract for mutable state (the batch WILL update these rows
-    /// on the device). Marking at gather time rather than after the update
-    /// keeps the accounting honest when the batch's working set exceeds
-    /// capacity: a row inserted and evicted within the same batch still
-    /// owes its write-back, which a later MarkDirty (absent keys ignored)
-    /// would silently drop.
+    /// Every gathered row is mutable state the batch WILL update on the
+    /// device, so the gather stamps it dirty at touch/insert time. Marking
+    /// at gather time rather than after the update keeps the accounting
+    /// honest when the batch's working set exceeds capacity: a row inserted
+    /// and evicted within the same batch still owes its write-back. A
+    /// disabled cache retains nothing, so each of its misses owes one.
     /// When @p trace is non-null the touched rows' generation-tagged
     /// resource names are appended to it (observational only).
     GatherResult Gather(const std::vector<int64_t>& keys,
-                        bool mark_dirty = false, GatherTrace* trace = nullptr);
-
-    /// Marks resident rows dirty (mutated on the device; a write-back is
-    /// owed when they leave). Absent keys are ignored.
-    void MarkDirty(const std::vector<int64_t>& keys);
+                        GatherTrace* trace = nullptr);
 
     /// Clears every dirty bit and returns how many rows need writing back
-    /// (end-of-run synchronization of the host-side store). When
+    /// (end-of-run synchronization of the host-side store). A flushed row
+    /// stays resident and clean until a gather touches it again. When
     /// @p flushed_resources is non-null the flushed rows' resource names
     /// are appended in ascending key order.
     int64_t FlushDirty(std::vector<std::string>* flushed_resources = nullptr);
@@ -187,9 +186,9 @@ class DeviceCache {
 
     /// The slot holding @p key, or kNoSlot.
     int32_t FindSlot(int64_t key) const;
-    /// Takes a slot for @p key, indexes it and appends it to the list.
-    void Insert(int64_t key, int64_t generation, bool dirty);
-    /// Evicts the policy's victim row; accounts a write-back if dirty.
+    /// Takes a dirty slot for @p key, indexes it and appends it to the list.
+    void Insert(int64_t key, int64_t generation);
+    /// Evicts the least recently touched row; accounts a write-back if dirty.
     void EvictOne(GatherResult& result, GatherTrace* trace);
     /// Removes @p key from the table, shifting its probe run back.
     void EraseFromTable(int64_t key);
@@ -204,8 +203,8 @@ class DeviceCache {
     int64_t capacity_rows_ = 0;
     int64_t resident_rows_ = 0;
     std::vector<Slot> slots_;
-    /// Eviction order: head_ = next victim, tail_ = most recently
-    /// inserted/touched (touches promote only under LRU).
+    /// Recency order: head_ = next victim, tail_ = most recently
+    /// inserted or touched.
     int32_t head_ = kNoSlot;
     int32_t tail_ = kNoSlot;
     int32_t free_ = kNoSlot;

@@ -82,10 +82,9 @@ AllocCacheBuffer(sim::Runtime& runtime, const cache::DeviceCache& cache,
 
 void
 GatherThroughCache(sim::Runtime& runtime, cache::DeviceCache& cache,
-                   const std::vector<int64_t>& keys, bool mark_dirty,
-                   const std::string& what)
+                   const std::vector<int64_t>& keys, const std::string& what)
 {
-    const cache::GatherResult g = cache.Gather(keys, mark_dirty);
+    const cache::GatherResult g = cache.Gather(keys);
     runtime.GatherToDevice(g.hit_rows, g.miss_rows, cache.RowBytes(), what);
     runtime.WriteBackToHost(g.writeback_rows, cache.RowBytes(), what);
 }

@@ -105,24 +105,19 @@ class DgnnModel {
     /// Runs inference over the model's dataset under @p config.
     virtual RunResult RunInference(sim::Runtime& runtime, const RunConfig& config) = 0;
 
-    /// Width in bytes of one cacheable per-node state row (memory rows for
-    /// TGN, embedding rows for JODIE, feature rows for TGAT); 0 = the model
-    /// has no per-node state the device cache can hold.
+    /// Width in bytes of one per-node row the model moves to the device:
+    /// memory rows for TGN, embedding rows for JODIE, feature rows for
+    /// TGAT; 0 = the model has no per-node rows. The shard exchange ships
+    /// remote-owned rows of this width; the device cache holds them only
+    /// when they are mutable.
     virtual int64_t CacheRowBytes() const { return 0; }
 
-    /// Whether cached rows are mutated on the device (node memory /
-    /// embeddings => dirty tracking and write-backs) or read-only
-    /// (feature tables).
+    /// Whether the rows are state the device mutates every batch (TGN
+    /// memory, JODIE embeddings: the device cache holds them, dirty until
+    /// written back, and the shard exchange returns their deltas) or
+    /// read-only (TGAT features: the table stays resident, no cache, and
+    /// the exchange moves them one way).
     virtual bool CacheRowsMutable() const { return false; }
-
-    /// Whether the rows a batch gathers are exactly the batch's event
-    /// endpoints (src/dst). True for the endpoint-state models (TGN
-    /// memory, JODIE embeddings); false when gathers extend beyond the
-    /// request's nodes (TGAT pulls sampled-neighbor feature rows the
-    /// serving layer cannot see), in which case cache-aware *serving*
-    /// would under-account transfers and is disabled — the offline cache
-    /// path is unaffected.
-    virtual bool CacheKeysAreRequestEndpoints() const { return false; }
 };
 
 /// Builds a runtime for the requested execution mode with paper presets.
@@ -174,13 +169,11 @@ cache::DeviceCache MakeRunCache(const sim::Runtime& runtime, const RunConfig& ru
 sim::DeviceBuffer AllocCacheBuffer(sim::Runtime& runtime, const cache::DeviceCache& cache,
                                    int64_t table_rows, const std::string& what);
 
-/// Moves the rows of @p keys to the device through @p cache: hits gather
-/// on-device, misses cross PCIe, and dirty rows the admission evicted are
-/// written back. @p mark_dirty marks every gathered row as about to be
-/// rewritten on the device.
+/// Moves the state rows of @p keys to the device through @p cache: hits
+/// gather on-device, misses cross PCIe, and dirty rows the admission
+/// evicted are written back. Every gathered row is dirty until flushed.
 void GatherThroughCache(sim::Runtime& runtime, cache::DeviceCache& cache,
-                        const std::vector<int64_t>& keys, bool mark_dirty,
-                        const std::string& what);
+                        const std::vector<int64_t>& keys, const std::string& what);
 
 /// End-of-run flush: the host-side store sees every device-resident update
 /// once (one bulk write-back, not one per batch). No-op when disabled.

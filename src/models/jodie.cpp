@@ -96,7 +96,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 // dirty at gather time, so same-chunk evictions still owe
                 // their write-back.
                 GatherThroughCache(runtime, embedding_cache, chunk_nodes,
-                                   /*mark_dirty=*/true, "jodie_embeddings");
+                                   "jodie_embeddings");
             } else {
                 runtime.CopyToDevice(2 * chunk_events * d * 4,
                                      "jodie_embeddings_h2d");

@@ -51,7 +51,6 @@ class Jodie : public DgnnModel {
     /// chunk gathers are exactly its event endpoints.
     int64_t CacheRowBytes() const override { return config_.embed_dim * 4; }
     bool CacheRowsMutable() const override { return true; }
-    bool CacheKeysAreRequestEndpoints() const override { return true; }
 
     const nn::Embedding& UserEmbeddings() const { return *user_embeddings_; }
 

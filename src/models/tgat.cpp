@@ -42,8 +42,8 @@ Tgat::WeightBytes() const
 namespace {
 
 /// The filled slots of @p hoods in sampling order, target by target and
-/// slot by slot: the targets of the next hop's sampling, cache keys of the
-/// batch's feature gather, and the visits of the numerics' level below.
+/// slot by slot: the targets of the next hop's sampling and the visits of
+/// the numerics' level below.
 struct FilledSlots {
     std::vector<int64_t> nodes;
     std::vector<double> times;
@@ -181,26 +181,14 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         WarmUp(runtime, run, WeightBytes(),
                run.batch_size * run.num_neighbors * config_.embed_dim * 4);
 
-    // Device-resident node-feature cache. Uncached baseline: the whole
-    // node-feature table is assumed resident (it fits comfortably), paid
-    // once before the measurement window. Cached: the node table does NOT
-    // reside; each batch gathers its touched node rows through the cache
-    // instead — the realistic regime once feature tables outgrow device
-    // memory. The edge-feature table is keyed per event, not per node, so
-    // it stays resident either way.
-    cache::DeviceCache feature_cache =
-        MakeRunCache(runtime, run, CacheRowBytes());
-
-    // Model weights and resident tables occupy the device for the whole
-    // run; the one-time transfers happen before the measurement window.
+    // Model weights and the node- and edge-feature tables occupy the
+    // device for the whole run (the tables fit comfortably, and they are
+    // read-only, so RunConfig::cache has nothing to hold); the one-time
+    // transfers happen before the measurement window.
     sim::DeviceBuffer weights =
         runtime.AllocDevice(WeightBytes(), "tgat_weights");
-    int64_t resident_table_bytes = dataset_.edge_features.NumBytes();
-    sim::DeviceBuffer cache_buf = AllocCacheBuffer(
-        runtime, feature_cache, dataset_.NumNodes(), "tgat_feature_cache");
-    if (!feature_cache.Enabled()) {
-        resident_table_bytes += dataset_.node_features.NumBytes();
-    }
+    const int64_t resident_table_bytes =
+        dataset_.edge_features.NumBytes() + dataset_.node_features.NumBytes();
     sim::DeviceBuffer feature_tables =
         runtime.AllocDevice(resident_table_bytes, "tgat_feature_tables");
     runtime.CopyToDevice(resident_table_bytes, "tgat_feature_tables_h2d");
@@ -231,12 +219,9 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         const int64_t n = static_cast<int64_t>(nodes.size());
 
         // --- Sampling (CPU): the targets' neighborhoods, then (two layers)
-        // one per filled first-hop slot. With the cache on, `touched`
-        // collects every node whose feature row the batch reads (targets +
-        // all sampled hops) — the cache-key set of the gather below.
+        // one per filled first-hop slot.
         std::vector<graph::SampledNeighborhood> hoods;
         std::vector<graph::SampledNeighborhood> inner_hoods;
-        std::vector<int64_t> touched;
         {
             sim::CategoryScope scope(runtime, "Sampling (CPU)");
             ChargeBatchOverhead(runtime);
@@ -245,12 +230,6 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             if (config_.num_layers >= 2 && !first.nodes.empty()) {
                 inner_hoods = SampleOnCpu(runtime, sampler, first.nodes, first.times,
                                           config_.second_hop_neighbors);
-            }
-            if (feature_cache.Enabled()) {
-                const std::vector<int64_t> second = Filled(inner_hoods).nodes;
-                touched = nodes;
-                touched.insert(touched.end(), first.nodes.begin(), first.nodes.end());
-                touched.insert(touched.end(), second.begin(), second.end());
             }
         }
 
@@ -264,14 +243,6 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
         {
             sim::CategoryScope scope(runtime, "Memory Copy");
             runtime.CopyToDevice(index_bytes + delta_bytes, "tgat_batch_h2d");
-            if (feature_cache.Enabled()) {
-                // Feature rows of every touched node (targets + every
-                // sampled hop, deduplicated) come through the cache.
-                // Read-only rows: nothing is dirty, so nothing writes back.
-                cache::SortUnique(touched);
-                GatherThroughCache(runtime, feature_cache, touched,
-                                   /*mark_dirty=*/false, "tgat_features");
-            }
         }
 
         // --- Time Encoding: one kernel over all deltas.
@@ -348,7 +319,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
     }
 
     return CollectRunStats(runtime, Name(), dataset_.spec.name, iterations, warmup,
-                           checksum, feature_cache);
+                           checksum);
 }
 
 }  // namespace dgnn::models

@@ -68,9 +68,9 @@ class Tgat : public DgnnModel {
 
     int64_t WeightBytes() const;
 
-    /// One node-feature row — read-only, so cached rows never write back.
-    /// With the cache enabled the feature table is NOT assumed resident;
-    /// the capacity sweep spans "nothing fits" to "the table fits".
+    /// One node-feature row: what the shard exchange moves for a
+    /// remote-owned node. The rows are read-only and the table stays
+    /// resident, so the device cache never holds them.
     int64_t CacheRowBytes() const override
     {
         return dataset_.spec.edge_feature_dim * 4;

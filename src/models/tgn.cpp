@@ -122,10 +122,9 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             runtime.CopyToDevice(2 * nb * staged_dim * 4, "tgn_messages_h2d");
             if (memory_cache.Enabled()) {
                 // Every gathered row is about to be rewritten by the GRU
-                // update, so it is marked dirty here (rows evicted before
+                // update, so the gather marks it dirty (rows evicted before
                 // the batch ends still owe their write-back).
-                GatherThroughCache(runtime, memory_cache, unique_nodes,
-                                   /*mark_dirty=*/true, "tgn_memory");
+                GatherThroughCache(runtime, memory_cache, unique_nodes, "tgn_memory");
             }
 
             // Per-node "last" aggregation kernel (scatter, irregular).

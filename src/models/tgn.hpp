@@ -53,7 +53,6 @@ class Tgn : public DgnnModel {
     /// batch gathers are exactly its event endpoints.
     int64_t CacheRowBytes() const override { return config_.memory_dim * 4; }
     bool CacheRowsMutable() const override { return true; }
-    bool CacheKeysAreRequestEndpoints() const override { return true; }
 
     /// Read access to the node memory (tests assert update semantics).
     const nn::Embedding& Memory() const { return *memory_; }

@@ -1,10 +1,27 @@
 #include "serve/batch_policy.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <iomanip>
+#include <sstream>
 
 #include "support/check.hpp"
 
 namespace dgnn::serve {
+
+namespace {
+
+/// @p us truncated toward zero, as policy names print a wait, without an
+/// integer cast (one of 2^63 or more is undefined); + 0.0 prints -0.0 as 0.
+std::string
+WholeMicroseconds(sim::SimTime us)
+{
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(0) << std::trunc(us) + 0.0;
+    return out.str();
+}
+
+}  // namespace
 
 FixedSizePolicy::FixedSizePolicy(int64_t batch_size) : batch_size_(batch_size)
 {
@@ -37,15 +54,15 @@ TimeoutPolicy::TimeoutPolicy(int64_t batch_size, sim::SimTime timeout_us)
 {
     DGNN_CHECK(batch_size_ > 0, "batch size must be positive, got ",
                batch_size_);
-    DGNN_CHECK(timeout_us_ >= 0.0, "timeout must be non-negative, got ",
-               timeout_us_);
+    DGNN_CHECK(std::isfinite(timeout_us_) && timeout_us_ >= 0.0,
+               "timeout must be finite and non-negative, got ", timeout_us_);
 }
 
 std::string
 TimeoutPolicy::Name() const
 {
     return "timeout(" + std::to_string(batch_size_) + "," +
-           std::to_string(static_cast<int64_t>(timeout_us_)) + "us)";
+           WholeMicroseconds(timeout_us_) + "us)";
 }
 
 BatchDecision
@@ -73,8 +90,8 @@ AdaptivePolicy::AdaptivePolicy(int64_t min_batch, int64_t max_batch,
     DGNN_CHECK(min_batch_ > 0, "min batch must be positive, got ", min_batch_);
     DGNN_CHECK(max_batch_ >= min_batch_,
                "max batch must be >= min batch, got ", max_batch_);
-    DGNN_CHECK(deadline_us_ >= 0.0, "deadline must be non-negative, got ",
-               deadline_us_);
+    DGNN_CHECK(std::isfinite(deadline_us_) && deadline_us_ >= 0.0,
+               "deadline must be finite and non-negative, got ", deadline_us_);
 }
 
 std::string
@@ -82,7 +99,7 @@ AdaptivePolicy::Name() const
 {
     return "adaptive(" + std::to_string(min_batch_) + ".." +
            std::to_string(max_batch_) + "," +
-           std::to_string(static_cast<int64_t>(deadline_us_)) + "us)";
+           WholeMicroseconds(deadline_us_) + "us)";
 }
 
 void

@@ -50,22 +50,20 @@ InputCopyAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
 }
 
 /// Footprint of the batch's compute kernels: consume the staged inputs,
-/// produce the staged results, and (for memory models) update the batch's
-/// gathered state rows in place.
+/// produce the staged results, and update the batch's gathered state rows
+/// in place.
 sim::AccessSet
 KernelAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
     access.reads.push_back(slot.dev_in);
     access.writes.push_back(slot.dev_out);
-    if (cache_cost.rows_mutable) {
-        access.writes.insert(access.writes.end(),
-                             cache_cost.row_trace.hit_rows.begin(),
-                             cache_cost.row_trace.hit_rows.end());
-        access.writes.insert(access.writes.end(),
-                             cache_cost.row_trace.inserted_rows.begin(),
-                             cache_cost.row_trace.inserted_rows.end());
-    }
+    access.writes.insert(access.writes.end(),
+                         cache_cost.row_trace.hit_rows.begin(),
+                         cache_cost.row_trace.hit_rows.end());
+    access.writes.insert(access.writes.end(),
+                         cache_cost.row_trace.inserted_rows.begin(),
+                         cache_cost.row_trace.inserted_rows.end());
     return access;
 }
 

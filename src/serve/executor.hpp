@@ -41,10 +41,6 @@ struct CacheBatchCost {
     int64_t row_bytes = 0;
     int64_t writeback_rows = 0;
 
-    /// Whether the cached rows are mutable state (the batch's kernels
-    /// update them on the device) — TGN/JODIE/DyRep memory rows.
-    bool rows_mutable = false;
-
     /// Generation-tagged row resources for the hazard checker
     /// (cache::GatherTrace semantics). Filled by the serving loop only
     /// when the runtime has an observer attached; empty otherwise.

@@ -64,14 +64,12 @@ ProfileTable::ProfileTable(models::DgnnModel& model, sim::ExecMode mode,
                            cache::DeviceCacheConfig cache_config)
     : model_(model), mode_(mode), num_neighbors_(num_neighbors)
 {
-    // The cache only exists where it can act honestly: hybrid mode,
-    // positive capacity, cacheable per-node state, AND state keyed by the
-    // request's own endpoints — the serving loop can only resolve src/dst
-    // against the cache, so a model whose gathers reach further (TGAT's
-    // sampled-neighbor features) would under-account transfers. Otherwise
-    // the sessions serve uncached — bit-identical to a cache-less session.
+    // The cache only exists where it acts: hybrid mode, positive capacity
+    // and mutable per-node state (TGN memory, JODIE embeddings, keyed by
+    // the request's endpoints); TGAT's read-only features stay resident.
+    // Otherwise the sessions serve uncached, bit-identical to no cache.
     if (mode_ == sim::ExecMode::kHybrid && cache_config.capacity_bytes > 0 &&
-        model_.CacheRowBytes() > 0 && model_.CacheKeysAreRequestEndpoints()) {
+        model_.CacheRowsMutable()) {
         cache_config.row_bytes = model_.CacheRowBytes();
         cache_config_ = cache_config;
     }
@@ -118,8 +116,7 @@ ProfileTable::Capture(int64_t batch_size)
         // Probe through an unbounded scratch cache: every unique state row
         // misses exactly once and no eviction write-backs occur, so the
         // cache tags cleanly separate "per-node state" from everything else.
-        probe.cache = cache::DeviceCacheConfig::Unbounded(
-            model_.CacheRowBytes(), cache_config_.eviction);
+        probe.cache = cache::DeviceCacheConfig::Unbounded(model_.CacheRowBytes());
     }
     model_.RunInference(scratch, probe);
     // In CPU-only mode kernels run as synchronous host ops through

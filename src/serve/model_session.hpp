@@ -15,7 +15,7 @@
 /// sessions serving one model the same way can share one table.
 ///
 /// Cache-aware serving: a session built with a positive cache capacity (and
-/// a model exposing cacheable per-node state) owns a cache::DeviceCache
+/// a model with mutable per-node state) owns a cache::DeviceCache
 /// that stays WARM ACROSS BATCHES — the locality the offline benches cannot
 /// express. Profiles are then captured with an unbounded probe cache so the
 /// per-node state gather is separated out (state_rows / state_row_bytes,
@@ -70,7 +70,7 @@ class ProfileTable {
     /// @param cache_config   the device cache the table's sessions serve
     ///                       through; capacity 0 (the default) serves
     ///                       uncached. Only effective in hybrid mode for
-    ///                       models with cacheable state.
+    ///                       models with mutable per-node state.
     ProfileTable(models::DgnnModel& model, sim::ExecMode mode,
                  int64_t num_neighbors = 20,
                  cache::DeviceCacheConfig cache_config = {});
@@ -140,12 +140,6 @@ class ModelSession {
     /// runs; Serve reports per-run deltas of its stats).
     cache::DeviceCache& Cache() { return cache_; }
     const cache::DeviceCache& Cache() const { return cache_; }
-
-    /// Whether cached rows are mutated per batch (write-back tracking).
-    bool CacheRowsMutable() const
-    {
-        return profiles_.Model().CacheRowsMutable();
-    }
 
     /// See ProfileTable::Profile / FusedProfile.
     const BatchProfile& Profile(int64_t batch_size)

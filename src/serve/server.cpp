@@ -253,12 +253,10 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             }
             if (session.CacheEnabled()) {
                 cache_cost.row_bytes = profile.state_row_bytes;
-                cache_cost.rows_mutable = session.CacheRowsMutable();
                 if (!nodes.empty()) {
                     const cache::GatherResult g = session.Cache().Gather(
-                        nodes, session.CacheRowsMutable(),
-                        runtime.HasObserver() ? &cache_cost.row_trace
-                                              : nullptr);
+                        nodes, runtime.HasObserver() ? &cache_cost.row_trace
+                                                     : nullptr);
                     cache_cost.hit_rows = g.hit_rows;
                     cache_cost.miss_rows = g.miss_rows;
                     cache_cost.writeback_rows = g.writeback_rows;
@@ -267,9 +265,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 // cannot see (the probe's state_rows cover a full batch's
                 // 2 * batch_size endpoints' worth of unique state);
                 // ceiling division so a small blind share never truncates
-                // to a free ride. Mutable rows the cache never admitted
-                // also pay their sync-back per batch, like the uncached
-                // baseline.
+                // to a free ride. Rows the cache never admitted also pay
+                // their sync-back per batch, like the uncached baseline.
                 const int64_t blind_rows =
                     blind_endpoints == 0
                         ? 0
@@ -277,9 +274,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                            2 * profile.batch_size - 1) /
                               (2 * profile.batch_size);
                 cache_cost.miss_rows += blind_rows;
-                if (session.CacheRowsMutable()) {
-                    cache_cost.writeback_rows += blind_rows;
-                }
+                cache_cost.writeback_rows += blind_rows;
             }
 
             if (options.shard_hook != nullptr) {
@@ -356,7 +351,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     // flush: every dirty row still resident pays its write-back exactly
     // once (DESIGN.md §8 — on eviction or here). The rows stay resident,
     // so a follow-up run over the same session starts warm and clean.
-    if (session.CacheEnabled() && session.CacheRowsMutable()) {
+    if (session.CacheEnabled()) {
         std::vector<std::string> flushed;
         const int64_t flushed_rows = session.Cache().FlushDirty(
             runtime.HasObserver() ? &flushed : nullptr);

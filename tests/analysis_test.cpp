@@ -429,7 +429,6 @@ ServeCell(models::DgnnModel& model, const std::vector<serve::Request>& requests,
 {
     cache::DeviceCacheConfig cache_config;
     cache_config.capacity_bytes = dataset.NumNodes() / 4 * model.CacheRowBytes();
-    cache_config.eviction = cache::EvictionPolicy::kLru;
     serve::ModelSession session(model, sim::ExecMode::kHybrid,
                                 /*num_neighbors=*/10, cache_config);
     serve::TimeoutPolicy policy(/*max_batch=*/32, /*timeout_us=*/5000.0);

@@ -1,6 +1,6 @@
-// Tests for the device-resident cache: eviction policies, dirty-row
-// write-back, stats accounting, the runtime's cache-aware transfer helpers,
-// and the invariant the whole design rests on — the cache reshapes the cost
+// Tests for the device-resident cache: LRU eviction, dirty-row write-back,
+// stats accounting, the runtime's cache-aware transfer helpers, and the
+// invariant the whole design rests on — the cache reshapes the cost
 // model (fewer PCIe bytes) without ever touching numerics.
 
 #include <gtest/gtest.h>
@@ -20,25 +20,23 @@
 #include "models/tgn.hpp"
 #include "serve/server.hpp"
 #include "tensor/random.hpp"
+#include "tiny_datasets.hpp"
 
 namespace dgnn {
 namespace {
 
 using cache::DeviceCache;
 using cache::DeviceCacheConfig;
-using cache::EvictionPolicy;
 using cache::GatherResult;
 using cache::GatherTrace;
 using cache::RowResource;
 
 DeviceCacheConfig
-Config(int64_t capacity_rows, EvictionPolicy eviction = EvictionPolicy::kLru,
-       int64_t row_bytes = 64)
+Config(int64_t capacity_rows, int64_t row_bytes = 64)
 {
     DeviceCacheConfig config;
     config.capacity_bytes = capacity_rows * row_bytes;
     config.row_bytes = row_bytes;
-    config.eviction = eviction;
     return config;
 }
 
@@ -46,7 +44,7 @@ Config(int64_t capacity_rows, EvictionPolicy eviction = EvictionPolicy::kLru,
 
 TEST(DeviceCacheTest, CapacityIsExpressedInBytes)
 {
-    DeviceCache cache(Config(4, EvictionPolicy::kLru, 256));
+    DeviceCache cache(Config(4, 256));
     EXPECT_TRUE(cache.Enabled());
     EXPECT_EQ(cache.CapacityRows(), 4);
     EXPECT_EQ(cache.RowBytes(), 256);
@@ -69,17 +67,6 @@ TEST(DeviceCacheTest, LruEvictsLeastRecentlyTouched)
     EXPECT_TRUE(cache.Contains(3));
 }
 
-TEST(DeviceCacheTest, FifoEvictsOldestInsertedDespiteTouches)
-{
-    DeviceCache cache(Config(2, EvictionPolicy::kFifo));
-    cache.Gather({1, 2});
-    cache.Gather({1});  // touching 1 must NOT promote it under FIFO
-    cache.Gather({3});
-    EXPECT_FALSE(cache.Contains(1));
-    EXPECT_TRUE(cache.Contains(2));
-    EXPECT_TRUE(cache.Contains(3));
-}
-
 TEST(DeviceCacheTest, DuplicateKeysWithinOneGatherHitAfterFirst)
 {
     DeviceCache cache(Config(8));
@@ -91,36 +78,22 @@ TEST(DeviceCacheTest, DuplicateKeysWithinOneGatherHitAfterFirst)
 TEST(DeviceCacheTest, DirtyRowsOweWritebackOnEviction)
 {
     DeviceCache cache(Config(2));
-    cache.Gather({1, 2});
-    cache.MarkDirty({1});
-    // Insert two new rows: both residents leave, but only row 1 was dirty.
+    cache.Gather({1, 2});  // every gathered row is dirty
+    // Insert two new rows: both residents leave, and both write back.
     const GatherResult g = cache.Gather({3, 4});
-    EXPECT_EQ(g.writeback_rows, 1);
+    EXPECT_EQ(g.writeback_rows, 2);
     EXPECT_EQ(cache.Stats().evictions, 2);
-    EXPECT_EQ(cache.Stats().writeback_rows, 1);
-}
-
-TEST(DeviceCacheTest, GatherMarkDirtyStampsRowsAtTouchTime)
-{
-    DeviceCache cache(Config(4));
-    cache.Gather({1, 2}, /*mark_dirty=*/true);
-    EXPECT_EQ(cache.FlushDirty(), 2);
-
-    // A dirty hit on a clean row upgrades it.
-    cache.Gather({1});
-    cache.Gather({1}, /*mark_dirty=*/true);
-    EXPECT_EQ(cache.FlushDirty(), 1);
+    EXPECT_EQ(cache.Stats().writeback_rows, 2);
 }
 
 TEST(DeviceCacheTest, SameBatchEvictionStillOwesWriteback)
 {
-    // A mutable-state batch whose unique-row count exceeds capacity: rows
-    // inserted and evicted within ONE gather must still pay their
-    // write-back — this is the thrashing case a deferred MarkDirty would
-    // silently drop (the updates would simply vanish from the accounting).
+    // A batch whose unique-row count exceeds capacity: rows inserted and
+    // evicted within ONE gather must still pay their write-back — the
+    // thrashing case a dirty mark deferred past the gather would silently
+    // drop (the updates would simply vanish from the accounting).
     DeviceCache cache(Config(2));
-    const GatherResult g =
-        cache.Gather({1, 2, 3, 4, 5}, /*mark_dirty=*/true);
+    const GatherResult g = cache.Gather({1, 2, 3, 4, 5});
     EXPECT_EQ(g.miss_rows, 5);
     EXPECT_EQ(g.writeback_rows, 3);  // 1, 2, 3 evicted dirty
     EXPECT_EQ(cache.FlushDirty(), 2);  // 4, 5 still resident and dirty
@@ -128,13 +101,20 @@ TEST(DeviceCacheTest, SameBatchEvictionStillOwesWriteback)
 
 TEST(DeviceCacheTest, FlushDirtyCountsAndClears)
 {
-    DeviceCache cache(Config(4));
+    DeviceCache cache(Config(3));
     cache.Gather({1, 2, 3});
-    cache.MarkDirty({1, 3});
-    cache.MarkDirty({99});  // absent keys are ignored
-    EXPECT_EQ(cache.FlushDirty(), 2);
+    EXPECT_EQ(cache.FlushDirty(), 3);
     EXPECT_EQ(cache.FlushDirty(), 0);  // bits cleared
-    EXPECT_EQ(cache.Stats().writeback_rows, 2);
+
+    // A flushed row is the only clean row a cache holds: evicting it owes
+    // no write-back...
+    cache.Gather({1});  // re-dirties 1; LRU order is now 2, 3, 1
+    EXPECT_EQ(cache.Gather({4}).writeback_rows, 0);  // evicts clean 2
+    // ...while gathering it again made it dirty again.
+    EXPECT_EQ(cache.Gather({5, 6}).writeback_rows, 1);  // evicts 3, dirty 1
+    EXPECT_EQ(cache.Stats().evictions, 3);
+    EXPECT_EQ(cache.Stats().writeback_rows, 4);
+    EXPECT_EQ(cache.FlushDirty(), 3);  // 4, 5 and 6
 }
 
 TEST(DeviceCacheTest, DisabledCacheMissesEverythingAndRetainsNothing)
@@ -156,7 +136,7 @@ TEST(DeviceCacheTest, DisabledCacheMissesEverythingAndRetainsNothing)
 
 TEST(DeviceCacheTest, StatsAccountBytesAndHitRate)
 {
-    DeviceCache cache(Config(8, EvictionPolicy::kLru, 100));
+    DeviceCache cache(Config(8, 100));
     cache.Gather({1, 2});
     cache.Gather({1, 2});
     const cache::CacheStats& s = cache.Stats();
@@ -442,11 +422,19 @@ TEST(ModelCacheTest, CpuOnlyRunBypassesTheCacheUntouched)
     const models::RunResult with = run_cpu(ds.NumNodes());
 
     // A configured cache must leave a CPU-only run bit-identical.
-    EXPECT_DOUBLE_EQ(with.output_checksum, without.output_checksum);
-    EXPECT_DOUBLE_EQ(with.total_us, without.total_us);
+    EXPECT_EQ(models::RenderRun(with), models::RenderRun(without));
     EXPECT_EQ(with.h2d_bytes, 0);
     EXPECT_EQ(with.cache_stats.lookups, 0);
-    EXPECT_EQ(with.cache_hit_bytes, 0);
+
+    // So must it leave a hybrid TGAT run: its feature rows are read-only
+    // and the whole table stays resident, so the cache has nothing to hold.
+    auto run_tgat = [&](int64_t capacity_rows) {
+        models::Tgat model(ds, models::TgatConfig{16, 2, 1, 4, 7});
+        sim::Runtime runtime = models::MakeRuntime(sim::ExecMode::kHybrid);
+        return models::RenderRun(model.RunInference(
+            runtime, HybridRun(capacity_rows * model.CacheRowBytes())));
+    };
+    EXPECT_EQ(run_tgat(ds.NumNodes()), run_tgat(0));
 }
 
 TEST(ModelCacheTest, CachedRunsAreDeterministic)
@@ -533,12 +521,12 @@ TEST(ServingCacheTest, CachedServingIsDeterministic)
     EXPECT_EQ(a.cache_stats.misses, b.cache_stats.misses);
 }
 
-TEST(ServingCacheTest, NonEndpointKeyedModelsServeUncached)
+TEST(ServingCacheTest, ReadOnlyRowsServeUncached)
 {
-    // TGAT's per-batch gathers reach sampled-neighbor feature rows the
-    // serving loop cannot see from src/dst alone — a cache it cannot
-    // resolve honestly. The session must fall back to uncached serving
-    // (full transfer volume in the profile) rather than under-account.
+    // TGAT's per-node rows are read-only features whose table stays
+    // resident, so only mutable state is cached. The session must serve
+    // uncached (full transfer volume in the profile) whatever capacity it
+    // is given.
     const auto ds = TinyInteractions();
     models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
     cache::DeviceCacheConfig cache_config;
@@ -611,12 +599,13 @@ TEST(ServingCacheTest, MixedBlindBatchesStillChargeBlindStateMovement)
 /// Independent reference model of the DeviceCache contract, built on a
 /// vector recency order and an ordered map (not the cache's slot pool and
 /// hash table) so a shared bug can't hide in a shared data structure.
-/// Victim = front of `order`; LRU promotes touched rows to the back, FIFO
-/// never promotes. It numbers residency generations itself and records the
+/// Victim = front of `order`; a touch moves its row to the back and marks
+/// it dirty. It numbers residency generations itself and records the
 /// resource names a GatherTrace must hold. `episodes` counts clean->dirty
-/// transitions — the conservation law says every such episode is paid for
-/// by exactly one write-back (dirty eviction, mid-run flush, or the final
-/// flush), so after a final FlushDirty, writebacks == episodes.
+/// transitions (an insertion, or a touch of a flushed row) — the
+/// conservation law says every such episode is paid for by exactly one
+/// write-back (dirty eviction, mid-run flush, or the final flush), so after
+/// a final FlushDirty, writebacks == episodes.
 struct ReferenceCache {
     struct Row {
         int64_t generation = 0;
@@ -624,7 +613,6 @@ struct ReferenceCache {
     };
 
     int64_t capacity_rows = 0;
-    bool lru = true;
     std::vector<int64_t> order;
     std::map<int64_t, Row> rows;
     int64_t next_generation = 0;
@@ -636,30 +624,26 @@ struct ReferenceCache {
     int64_t writebacks = 0;
     int64_t episodes = 0;
 
-    void Touch(int64_t key, bool mark_dirty)
+    void Touch(int64_t key)
     {
         const auto it = rows.find(key);
         if (it != rows.end()) {
             ++hits;
             trace.hit_rows.push_back(RowResource(key, it->second.generation));
-            if (mark_dirty && !it->second.dirty) {
+            if (!it->second.dirty) {
                 it->second.dirty = true;
                 ++episodes;
             }
-            if (lru) {
-                order.erase(std::find(order.begin(), order.end(), key));
-                order.push_back(key);
-            }
+            order.erase(std::find(order.begin(), order.end(), key));
+            order.push_back(key);
             return;
         }
         ++misses;
         if (capacity_rows == 0) {
-            if (mark_dirty) {
-                // Mutated but unretainable: a degenerate dirty episode,
-                // opened and paid for in the same lookup.
-                ++writebacks;
-                ++episodes;
-            }
+            // Mutated but unretainable: a degenerate dirty episode, opened
+            // and paid for in the same lookup.
+            ++writebacks;
+            ++episodes;
             return;
         }
         while (static_cast<int64_t>(order.size()) >= capacity_rows) {
@@ -676,21 +660,10 @@ struct ReferenceCache {
         }
         const int64_t generation = next_generation++;
         order.push_back(key);
-        rows.emplace(key, Row{generation, mark_dirty});
+        rows.emplace(key, Row{generation, true});
         trace.inserted_rows.push_back(RowResource(key, generation));
         ++insertions;
-        if (mark_dirty) {
-            ++episodes;
-        }
-    }
-
-    void MarkDirty(int64_t key)
-    {
-        const auto it = rows.find(key);
-        if (it != rows.end() && !it->second.dirty) {
-            it->second.dirty = true;
-            ++episodes;
-        }
+        ++episodes;
     }
 
     /// Clears every dirty bit; returns the flushed rows' resource names in
@@ -724,7 +697,6 @@ RunRandomizedCacheTrial(const DeviceCacheConfig& config, uint64_t seed,
     const int64_t row_bytes = cache.RowBytes();
     ReferenceCache ref;
     ref.capacity_rows = cache.CapacityRows();
-    ref.lru = cache.Eviction() == EvictionPolicy::kLru;
 
     Rng rng(seed);
     const int64_t hot_pool =
@@ -750,22 +722,21 @@ RunRandomizedCacheTrial(const DeviceCacheConfig& config, uint64_t seed,
         // Every other operation requests the trace and the flushed names.
         const bool observe = op % 2 == 0;
         const int64_t kind = rng.UniformInt(0, 19);
-        if (kind < 16) {  // Gather, sometimes dirty
+        if (kind < 16) {  // Gather
             const int64_t batch = rng.UniformInt(1, 12);
-            const bool mark_dirty = rng.Bernoulli(0.4);
             std::vector<int64_t> keys;
             for (int64_t i = 0; i < batch; ++i) {
                 keys.push_back(draw_key());  // duplicates allowed on purpose
             }
             trace = GatherTrace{};
             const GatherResult result =
-                cache.Gather(keys, mark_dirty, observe ? &trace : nullptr);
+                cache.Gather(keys, observe ? &trace : nullptr);
             const int64_t hits_before = ref.hits;
             const int64_t misses_before = ref.misses;
             const int64_t writebacks_before = ref.writebacks;
             ref.trace = GatherTrace{};
             for (const int64_t key : keys) {
-                ref.Touch(key, mark_dirty);
+                ref.Touch(key);
             }
             ASSERT_EQ(result.hit_rows, ref.hits - hits_before);
             ASSERT_EQ(result.miss_rows, ref.misses - misses_before);
@@ -777,13 +748,7 @@ RunRandomizedCacheTrial(const DeviceCacheConfig& config, uint64_t seed,
                 ASSERT_EQ(trace.evicted_dirty_rows,
                           ref.trace.evicted_dirty_rows);
             }
-        } else if (kind < 18) {  // MarkDirty a few (possibly absent) keys
-            std::vector<int64_t> keys = {draw_key(), draw_key()};
-            cache.MarkDirty(keys);
-            for (const int64_t key : keys) {
-                ref.MarkDirty(key);
-            }
-        } else if (kind == 18) {  // mid-run flush
+        } else if (kind < 18) {  // mid-run flush: its rows turn clean
             const std::vector<std::string> expected = ref.Flush();
             std::vector<std::string> names;
             ASSERT_EQ(cache.FlushDirty(observe ? &names : nullptr),
@@ -829,42 +794,31 @@ RunRandomizedCacheTrial(const DeviceCacheConfig& config, uint64_t seed,
 
 TEST(DeviceCacheRandomizedTest, LruMatchesReferenceModelOverRandomOps)
 {
-    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kLru), 12345, 3000);
-}
-
-TEST(DeviceCacheRandomizedTest, FifoMatchesReferenceModelOverRandomOps)
-{
-    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kFifo), 54321, 3000);
+    RunRandomizedCacheTrial(Config(32), 12345, 3000);
 }
 
 TEST(DeviceCacheRandomizedTest, TinyAndDisabledCapacitiesStayConsistent)
 {
     // Capacity 1 maximizes eviction churn; capacity 0 exercises the
-    // unretained-dirty write-back path on every mutating miss.
-    RunRandomizedCacheTrial(Config(1, EvictionPolicy::kLru), 99, 1500);
-    RunRandomizedCacheTrial(Config(1, EvictionPolicy::kFifo), 98, 1500);
-    RunRandomizedCacheTrial(Config(0, EvictionPolicy::kLru), 97, 1500);
+    // unretained-dirty write-back path on every miss.
+    RunRandomizedCacheTrial(Config(1), 99, 1500);
+    RunRandomizedCacheTrial(Config(0), 97, 1500);
 }
 
 TEST(DeviceCacheRandomizedTest, SparseAndNegativeKeysMatchReferenceModel)
 {
     // Keys hashed from all over int64 (both ends included) collide in the
     // index's probe runs; evictions delete from the middle of those runs.
-    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kLru), 4242, 3000,
-                            KeyDraw::kSparse);
-    RunRandomizedCacheTrial(Config(32, EvictionPolicy::kFifo), 2424, 3000,
-                            KeyDraw::kSparse);
-    RunRandomizedCacheTrial(Config(3, EvictionPolicy::kLru), 7, 1500,
-                            KeyDraw::kSparse);
+    RunRandomizedCacheTrial(Config(32), 4242, 3000, KeyDraw::kSparse);
+    RunRandomizedCacheTrial(Config(3), 7, 1500, KeyDraw::kSparse);
 }
 
 TEST(DeviceCacheRandomizedTest, UnboundedCacheGrowsWithResidentRows)
 {
     // No eviction ever: the index grows from empty to every drawn key.
     RunRandomizedCacheTrial(DeviceCacheConfig::Unbounded(64), 31, 3000);
-    RunRandomizedCacheTrial(
-        DeviceCacheConfig::Unbounded(64, EvictionPolicy::kFifo), 13, 3000,
-        KeyDraw::kSparse);
+    RunRandomizedCacheTrial(DeviceCacheConfig::Unbounded(64), 13, 3000,
+                            KeyDraw::kSparse);
 }
 
 TEST(ServingCacheTest, NodeBlindArrivalsFallBackToProbeStateVolume)

@@ -464,10 +464,6 @@ class CountingModel : public models::DgnnModel {
     }
     int64_t CacheRowBytes() const override { return inner_.CacheRowBytes(); }
     bool CacheRowsMutable() const override { return inner_.CacheRowsMutable(); }
-    bool CacheKeysAreRequestEndpoints() const override
-    {
-        return inner_.CacheKeysAreRequestEndpoints();
-    }
 
     int64_t Runs() const { return runs_; }
 
@@ -730,7 +726,6 @@ TEST(DispatchServingTest, DispatcherlessServingEqualsTheHybridDispatcher)
         cache::DeviceCacheConfig cache_config;
         cache_config.capacity_bytes =
             dataset.NumNodes() / 4 * model->CacheRowBytes();
-        cache_config.eviction = cache::EvictionPolicy::kLru;
         for (const serve::ExecutorKind kind :
              {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
             SCOPED_TRACE(model->Name() + " " + serve::ToString(kind));
@@ -886,7 +881,6 @@ TEST(DispatchServingTest, CacheEnabledSessionNeverRoutesToCpu)
     cache::DeviceCacheConfig cache_config;
     cache_config.capacity_bytes =
         dataset.NumNodes() / 4 * tgn.CacheRowBytes();
-    cache_config.eviction = cache::EvictionPolicy::kLru;
     serve::ModelSession session(tgn, sim::ExecMode::kHybrid,
                                 /*num_neighbors=*/4, cache_config);
     ASSERT_TRUE(session.CacheEnabled());

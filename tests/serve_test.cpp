@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -211,6 +212,17 @@ TEST(BatchPolicyTest, InvalidConfigurationsThrow)
     EXPECT_THROW(FixedSizePolicy(0), Error);
     EXPECT_THROW(TimeoutPolicy(4, -1.0), Error);
     EXPECT_THROW(AdaptivePolicy(8, 4, 100.0), Error);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    for (const double wait : {kInf, -kInf, kNan}) {
+        EXPECT_THROW(TimeoutPolicy(4, wait), Error) << wait;
+        EXPECT_THROW(AdaptivePolicy(4, 8, wait), Error) << wait;
+    }
+    // A finite wait past 2^63 us is valid, and its name prints it whole.
+    EXPECT_EQ(TimeoutPolicy(4, 1e19).Name(), "timeout(4,10000000000000000000us)");
+    EXPECT_EQ(AdaptivePolicy(4, 8, 1e19).Name(),
+              "adaptive(4..8,10000000000000000000us)");
+    EXPECT_EQ(TimeoutPolicy(4, 2500.9).Name(), "timeout(4,2500us)");
 }
 
 TEST(BatchPolicyTest, MinDepthIsAFloor)
@@ -336,8 +348,8 @@ TEST(ModelSessionTest, CaptureChargesExactlyTheProbeWindowsTransfers)
                     models::RunConfig probe =
                         models::SingleBatchProbe(mode, b, kNeighbors);
                     if (table.Cached()) {
-                        probe.cache = cache::DeviceCacheConfig::Unbounded(
-                            rerun->CacheRowBytes(), table.CacheConfig().eviction);
+                        probe.cache =
+                            cache::DeviceCacheConfig::Unbounded(rerun->CacheRowBytes());
                     }
                     sim::Runtime runtime = models::MakeRuntime(mode);
                     const models::RunResult r = rerun->RunInference(runtime, probe);

@@ -467,7 +467,6 @@ BaseOptions(const data::InteractionDataset& dataset, models::Tgn& model,
     options.num_shards = shards;
     options.cache_config.capacity_bytes =
         dataset.NumNodes() / 4 * model.CacheRowBytes();
-    options.cache_config.eviction = cache::EvictionPolicy::kLru;
     options.num_neighbors = 10;
     return options;
 }
@@ -855,7 +854,6 @@ TEST(ShardedServingTest, ExchangeScheduleIsHazardFree)
     cache::DeviceCacheConfig cache_config;
     cache_config.capacity_bytes =
         dataset.NumNodes() / 4 * model.CacheRowBytes();
-    cache_config.eviction = cache::EvictionPolicy::kLru;
     serve::ModelSession session(model, sim::ExecMode::kHybrid, 10,
                                 cache_config);
     serve::TimeoutPolicy policy(32, 5000.0);
