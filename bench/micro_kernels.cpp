@@ -18,8 +18,10 @@
 #include "bench_common.hpp"
 #include "cache/device_cache.hpp"
 #include "data/temporal_interactions.hpp"
+#include "dispatch/dispatcher.hpp"
 #include "graph/tbatch.hpp"
 #include "graph/temporal_sampler.hpp"
+#include "models/tgat.hpp"
 #include "nn/attention.hpp"
 #include "nn/gcn.hpp"
 #include "nn/linear.hpp"
@@ -437,19 +439,16 @@ BM_ShardedSetup(benchmark::State& state)
 }
 BENCHMARK(BM_ShardedSetup)->Arg(100000)->Arg(200000)->Unit(benchmark::kMillisecond);
 
-// One serving run at the tgn_cached shape: the gauntlet stream replayed
-// as 20k requests at arg qps (50k: the loop mostly waits on arrivals; 150k:
-// it mostly dispatches full batches), served by a cached TGN session under
-// TimeoutPolicy(64, 5 ms) on the pipelined executor. The session's profiles
-// are captured before timing starts, so this times the serving loop alone.
+// Times @p options' serving runs of 20k gauntlet-stream requests at arg
+// qps through @p session under TimeoutPolicy(64, 5 ms). The session's
+// profiles are captured before timing starts, so a row times the serving
+// loop alone.
 void
-BM_ServeRequests(benchmark::State& state)
+TimeServeRequests(benchmark::State& state,
+                  const data::InteractionDataset& dataset,
+                  serve::ModelSession& session,
+                  const serve::ServerOptions& options)
 {
-    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
-    models::Tgn tgn(dataset, bench::kServingTgn);
-    cache::DeviceCacheConfig cache_config;
-    cache_config.capacity_bytes = dataset.NumNodes() / 4 * tgn.CacheRowBytes();
-    serve::ModelSession session(tgn, sim::ExecMode::kHybrid, 10, cache_config);
     scenario::Scenario s;
     s.name = "serve-requests";
     s.poisson_qps = static_cast<double>(state.range(0));
@@ -457,8 +456,6 @@ BM_ServeRequests(benchmark::State& state)
     constexpr int64_t kRequests = 20000;
     const std::vector<serve::Request> requests =
         scenario::GenerateRequests(s, dataset, kRequests);
-    serve::ServerOptions options;
-    options.executor = serve::ExecutorKind::kPipelined;
     const auto serve_once = [&] {
         serve::TimeoutPolicy policy(64, 5000.0);
         return serve::ServeRequests(session, policy, requests, options);
@@ -469,7 +466,43 @@ BM_ServeRequests(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations() * kRequests);
 }
+
+// The tgn_cached shape: a cached TGN session on the pipelined executor
+// (50k qps: the loop mostly waits on arrivals; 150k: it mostly dispatches
+// full batches).
+void
+BM_ServeRequests(benchmark::State& state)
+{
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Tgn tgn(dataset, bench::kServingTgn);
+    cache::DeviceCacheConfig cache_config;
+    cache_config.capacity_bytes = dataset.NumNodes() / 4 * tgn.CacheRowBytes();
+    serve::ModelSession session(tgn, sim::ExecMode::kHybrid, 10, cache_config);
+    serve::ServerOptions options;
+    options.executor = serve::ExecutorKind::kPipelined;
+    TimeServeRequests(state, dataset, session, options);
+}
 BENCHMARK(BM_ServeRequests)->Arg(50000)->Arg(150000)->Unit(benchmark::kMillisecond);
+
+// The tgat_dispatch shape: an uncached TGAT session on the serial executor
+// with the hybrid dispatcher (2k qps: every request is sampled alone while
+// the host idles; 30k: about half the host's time is idle).
+void
+BM_ServeRequestsTgatDispatch(benchmark::State& state)
+{
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    serve::ModelSession session(tgat, sim::ExecMode::kHybrid, 10);
+    const dispatch::HybridDispatcher dispatcher;
+    serve::ServerOptions options;
+    options.executor = serve::ExecutorKind::kSerial;
+    options.dispatcher = &dispatcher;
+    TimeServeRequests(state, dataset, session, options);
+}
+BENCHMARK(BM_ServeRequestsTgatDispatch)
+    ->Arg(2000)
+    ->Arg(30000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -162,7 +162,7 @@ SamplingKernel(const graph::SamplingCost& cost, int64_t targets, int64_t k,
     const int64_t padded_slot_bytes = uniform ? targets * k * 96 : 0;
     // Probes and sort comparisons execute a handful of scalar ops each. The
     // reference samplers are single-threaded Python/NumPy: one parallel item.
-    return {.name = "temporal_sampling",
+    return {.name = std::string(kSamplingKernelName),
             .flops = cost.bisection_probes * 16 + cost.sort_ops * 8,
             .bytes = cost.gathered_bytes * gather_amplification +
                      cost.bisection_probes * 64 + targets * per_target_bytes +

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/device_cache.hpp"
@@ -209,6 +210,12 @@ RunResult CollectRunStats(sim::Runtime& runtime, const std::string& model,
                           const std::string& dataset, int64_t iterations,
                           const RunWarmup& warmup, const Checksum& checksum,
                           const cache::DeviceCache& cache = cache::DeviceCache{});
+
+/// Name of the host kernel SamplingKernel describes: the one op through
+/// which SampleOnCpu charges a batch's neighbour sampling, and by which
+/// serve::ProfileTable tells that work apart from the rest of the batch's
+/// host work.
+inline constexpr std::string_view kSamplingKernelName = "temporal_sampling";
 
 /// Converts an accumulated sampling cost into a host kernel descriptor.
 /// Calibration: each bisection probe and each gathered neighbor entry is a

@@ -134,7 +134,9 @@ DispatchLedger::OnBatch(const serve::BatchObservation& ob)
     }
     // In-executor service time: everything after the throttle stall. The
     // prediction models exactly this window (host build + transfers +
-    // kernels), not the queue wait in front of it.
+    // kernels), not the queue wait in front of it, and it prices the full
+    // host build: the sampling done before dispatch is not in the window.
+    predicted -= ob.prep_credit_us;
     const double actual = ob.spans.complete_us - ob.spans.stall_done_us;
     ++bucket.batches;
     bucket.predicted_us += predicted;

@@ -112,7 +112,8 @@ class BottleneckAttributor {
 struct PlacementBucket {
     int64_t batches = 0;
     /// Sum of the dispatcher's predicted service time for batches routed
-    /// here, us.
+    /// here, less each batch's prep credit (the sampling its members had
+    /// done before dispatch), us.
     double predicted_us = 0.0;
     /// Sum of the measured in-executor service time (stall_done ->
     /// complete, i.e. excluding queue wait), us.

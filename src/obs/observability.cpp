@@ -92,6 +92,10 @@ ServingObservability::OnBatch(const serve::BatchObservation& ob)
                         static_cast<double>(h2d_bytes), run_labels_);
     metrics_.CounterAdd("dgnn_serve_d2h_bytes_total",
                         static_cast<double>(d2h_bytes), run_labels_);
+    metrics_.CounterAdd("dgnn_serve_prepped_requests_total",
+                        static_cast<double>(ob.prepped_requests), run_labels_);
+    metrics_.CounterAdd("dgnn_serve_prep_us_total", ob.prep_credit_us,
+                        run_labels_);
     metrics_.CounterAdd("dgnn_cache_hit_rows_total",
                         static_cast<double>(ob.cache_cost.hit_rows),
                         run_labels_);

@@ -106,11 +106,11 @@ BatchExecutor::Drain()
 
 sim::SimTime
 BatchExecutor::SubmitPlaced(dispatch::Placement placement,
-                            const BatchProfile& profile,
+                            const BatchProfile& profile, sim::SimTime host_us,
                             const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     if (placement != dispatch::Placement::kCpu) {
-        return Submit(profile, cache_cost, spans);
+        return Submit(profile, host_us, cache_cost, spans);
     }
     // CPU-placed batches bypass the device entirely; a cached session's
     // state is device-resident, so the serving loop never routes it here.
@@ -128,7 +128,7 @@ BatchExecutor::SubmitPlaced(dispatch::Placement placement,
             set.writes.emplace_back("host_in#cpu");
             return set;
         });
-        runtime_.RunHostFor("batch_build", profile.host_us);
+        runtime_.RunHostFor("batch_build", host_us);
     }
     const sim::SimTime host_done = runtime_.Now();
     {
@@ -156,7 +156,7 @@ BatchExecutor::SubmitPlaced(dispatch::Placement placement,
 }
 
 sim::SimTime
-SerialExecutor::Submit(const BatchProfile& profile,
+SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
                        const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
@@ -168,7 +168,7 @@ SerialExecutor::Submit(const BatchProfile& profile,
             set.writes.push_back(SlotResources(slot).host_in);
             return set;
         });
-        runtime_.RunHostFor("batch_build", profile.host_us);
+        runtime_.RunHostFor("batch_build", host_us);
     }
     const sim::SimTime host_done = runtime_.Now();
     // Missed state rows ride the batch's single staged input copy (one
@@ -231,7 +231,7 @@ SerialExecutor::Submit(const BatchProfile& profile,
 }
 
 sim::SimTime
-PipelinedExecutor::Submit(const BatchProfile& profile,
+PipelinedExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
                           const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
@@ -258,7 +258,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
             set.writes.push_back(SlotResources(slot).host_in);
             return set;
         });
-        runtime_.RunHostFor("batch_build", profile.host_us);
+        runtime_.RunHostFor("batch_build", host_us);
     }
 
     // Input stage: pinned async H2D on the copy stream; compute kernels of

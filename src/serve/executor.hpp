@@ -83,13 +83,16 @@ class BatchExecutor {
     virtual std::string Name() const = 0;
 
     /// Issues one batch; returns its absolute completion time (when its
-    /// results are back on the host). @p cache_cost carries the batch's
-    /// resolved hit/miss split when the session serves through a device
-    /// cache (all-zero for uncached sessions). When @p spans is non-null
-    /// the executor records the batch's stage boundaries into it; the
-    /// capture only reads the clock, so passing nullptr vs a target is
-    /// simulation-identical.
+    /// results are back on the host). @p host_us is the batch's host stage:
+    /// the profile's host_us less the sampling its requests already had
+    /// done while the server idled (the profile's own host_us when none
+    /// had). @p cache_cost carries the batch's resolved hit/miss split when
+    /// the session serves through a device cache (all-zero for uncached
+    /// sessions). When @p spans is non-null the executor records the
+    /// batch's stage boundaries into it; the capture only reads the clock,
+    /// so passing nullptr vs a target is simulation-identical.
     virtual sim::SimTime Submit(const BatchProfile& profile,
+                                sim::SimTime host_us,
                                 const CacheBatchCost& cache_cost,
                                 BatchSpans* spans = nullptr) = 0;
 
@@ -97,12 +100,13 @@ class BatchExecutor {
     /// executors). kGpu and kGpuFused forward to Submit with the profile
     /// the caller selected (the serving loop passes the fused profile for
     /// kGpuFused — the kernels arrive pre-collapsed). kCpu runs the batch
-    /// synchronously on the host: build, then every kernel as a host op —
-    /// nothing crosses PCIe, no streams, the host store stays
-    /// authoritative. CPU placement requires an inactive cache_cost
+    /// synchronously on the host: the @p host_us build, then every kernel
+    /// as a host op — nothing crosses PCIe, no streams, the host store
+    /// stays authoritative. CPU placement requires an inactive cache_cost
     /// (serving only routes uncached sessions to the host).
     [[nodiscard]] sim::SimTime SubmitPlaced(dispatch::Placement placement,
                                             const BatchProfile& profile,
+                                            sim::SimTime host_us,
                                             const CacheBatchCost& cache_cost,
                                             BatchSpans* spans = nullptr);
 
@@ -119,7 +123,7 @@ class SerialExecutor : public BatchExecutor {
     using BatchExecutor::BatchExecutor;
 
     std::string Name() const override { return "serial"; }
-    sim::SimTime Submit(const BatchProfile& profile,
+    sim::SimTime Submit(const BatchProfile& profile, sim::SimTime host_us,
                         const CacheBatchCost& cache_cost,
                         BatchSpans* spans = nullptr) override;
 };
@@ -130,7 +134,7 @@ class PipelinedExecutor : public BatchExecutor {
     using BatchExecutor::BatchExecutor;
 
     std::string Name() const override { return "pipelined"; }
-    sim::SimTime Submit(const BatchProfile& profile,
+    sim::SimTime Submit(const BatchProfile& profile, sim::SimTime host_us,
                         const CacheBatchCost& cache_cost,
                         BatchSpans* spans = nullptr) override;
     sim::SimTime Drain() override;

@@ -1,5 +1,6 @@
 #include "serve/model_session.hpp"
 
+#include <bit>
 #include <utility>
 
 #include "models/fusion_catalog.hpp"
@@ -41,6 +42,10 @@ struct ProfileRecorder final : sim::RuntimeObserver {
         switch (op.kind) {
           case sim::OpKind::kHostOp:
             profile.host_us += op.end_us - op.start_us;
+            if (op.kernel != nullptr &&
+                op.kernel->name == models::kSamplingKernelName) {
+                profile.prep_us += op.end_us - op.start_us;
+            }
             break;
           case sim::OpKind::kKernel:
             profile.kernels.push_back(*op.kernel);
@@ -81,7 +86,11 @@ ProfileTable::Profile(int64_t batch_size)
     DGNN_CHECK(batch_size > 0, "batch size must be positive, got ", batch_size);
     auto it = profiles_.find(batch_size);
     if (it == profiles_.end()) {
-        it = profiles_.emplace(batch_size, Capture(batch_size)).first;
+        auto priced = prepped_.extract(batch_size);
+        it = profiles_
+                 .emplace(batch_size, priced ? std::move(priced.mapped())
+                                             : Capture(batch_size))
+                 .first;
     }
     return it->second;
 }
@@ -96,6 +105,34 @@ ProfileTable::FusedProfile(int64_t batch_size)
         it = fused_profiles_.emplace(batch_size, std::move(fused)).first;
     }
     return it->second;
+}
+
+sim::SimTime
+ProfileTable::PrepUs(int64_t group_size)
+{
+    DGNN_CHECK(group_size > 0, "group size must be positive, got ", group_size);
+    const auto lo = static_cast<int64_t>(
+        std::bit_floor(static_cast<uint64_t>(group_size)));
+    const sim::SimTime at_lo = CapturedPrepUs(lo);
+    if (lo == group_size) {
+        return at_lo;
+    }
+    return at_lo + (CapturedPrepUs(2 * lo) - at_lo) *
+                       static_cast<double>(group_size - lo) /
+                       static_cast<double>(lo);
+}
+
+sim::SimTime
+ProfileTable::CapturedPrepUs(int64_t size)
+{
+    if (const auto it = profiles_.find(size); it != profiles_.end()) {
+        return it->second.prep_us;
+    }
+    auto [it, inserted] = prepped_.try_emplace(size);
+    if (inserted) {
+        it->second = Capture(size);
+    }
+    return it->second.prep_us;
 }
 
 BatchProfile

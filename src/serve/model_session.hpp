@@ -7,12 +7,12 @@
 /// (models::SingleBatchProbe) against a scratch runtime and builds a
 /// BatchProfile from the runtime's op records (sim::OpRecord, through a
 /// RuntimeObserver) — total host-side work (sampling, batch build,
-/// framework overhead), H2D/D2H transfer volumes, and the ordered
-/// device-kernel descriptors. The serving executors then re-issue that
-/// profile per request batch, either serially (eager-mode semantics) or
-/// pipelined across streams. Profiles are memoized per batch size in a
-/// ProfileTable, so dynamic batching with variable sizes stays cheap, and
-/// sessions serving one model the same way can share one table.
+/// framework overhead) with its sampling share, H2D/D2H transfer volumes,
+/// and the ordered device-kernel descriptors. The serving executors then
+/// re-issue that profile per request batch, either serially (eager-mode
+/// semantics) or pipelined across streams. Profiles are memoized per batch
+/// size in a ProfileTable, so dynamic batching with variable sizes stays
+/// cheap, and sessions serving one model the same way can share one table.
 ///
 /// Cache-aware serving: a session built with a positive cache capacity (and
 /// a model with mutable per-node state) owns a cache::DeviceCache
@@ -42,6 +42,11 @@ struct BatchProfile {
     /// Total host-side work per batch (sampling + batch build + framework
     /// overhead), us.
     sim::SimTime host_us = 0.0;
+    /// The part of host_us that is neighbour sampling (the host ops named
+    /// models::kSamplingKernelName), us: the per-request work the serving
+    /// loop can do ahead of dispatch. 0 for models that sample nothing on
+    /// the host; never above host_us.
+    sim::SimTime prep_us = 0.0;
     /// Input bytes moved host->device per batch. When the session cache is
     /// enabled this EXCLUDES per-node state (tracked by state_rows below).
     int64_t h2d_bytes = 0;
@@ -98,6 +103,16 @@ class ProfileTable {
     /// is placed on kGpuFused.
     const BatchProfile& FusedProfile(int64_t batch_size);
 
+    /// The host sampling work of @p group_size requests, which the serving
+    /// loop does ahead of dispatch: Profile(group_size).prep_us when
+    /// @p group_size is a power of two, else linear between the two powers
+    /// of two around it. Only powers of two are captured, and a capture
+    /// made here does not count as a captured batch size: a fresh table
+    /// (every shard::ServeSharded call builds one) would otherwise pay a
+    /// full model probe for each group size it meets. Sampling cost is
+    /// close to linear in the group size, and the price rises with it.
+    sim::SimTime PrepUs(int64_t group_size);
+
     /// Number of distinct batch sizes captured so far (unfused profiles).
     int64_t Captured() const
     {
@@ -106,6 +121,8 @@ class ProfileTable {
 
   private:
     BatchProfile Capture(int64_t batch_size);
+    /// Profile(size).prep_us, capturing into prepped_ if need be.
+    sim::SimTime CapturedPrepUs(int64_t size);
 
     models::DgnnModel& model_;
     sim::ExecMode mode_;
@@ -113,6 +130,9 @@ class ProfileTable {
     cache::DeviceCacheConfig cache_config_;
     std::map<int64_t, BatchProfile> profiles_;
     std::map<int64_t, BatchProfile> fused_profiles_;
+    /// Captures PrepUs made that Profile has not asked for yet; Profile
+    /// moves one into profiles_ instead of capturing it again.
+    std::map<int64_t, BatchProfile> prepped_;
 };
 
 /// One served model: a profile table plus the session's own device cache.
@@ -141,7 +161,7 @@ class ModelSession {
     cache::DeviceCache& Cache() { return cache_; }
     const cache::DeviceCache& Cache() const { return cache_; }
 
-    /// See ProfileTable::Profile / FusedProfile.
+    /// See ProfileTable::Profile / FusedProfile / PrepUs.
     const BatchProfile& Profile(int64_t batch_size)
     {
         return profiles_.Profile(batch_size);
@@ -149,6 +169,10 @@ class ModelSession {
     const BatchProfile& FusedProfile(int64_t batch_size)
     {
         return profiles_.FusedProfile(batch_size);
+    }
+    sim::SimTime PrepUs(int64_t group_size)
+    {
+        return profiles_.PrepUs(group_size);
     }
 
     /// Distinct batch sizes the session's table has captured (shared

@@ -61,6 +61,12 @@ struct BatchObservation {
     /// The captured cost profile the executor issued (the FUSED profile
     /// when the batch was placed on kGpuFused).
     const BatchProfile* profile = nullptr;
+    /// Members whose neighbour sampling the host did while it idled before
+    /// the dispatch, and the host time that spared the batch's host stage,
+    /// us: ProfileTable::PrepUs of the batch size less that of the members
+    /// still unsampled (both 0 when no member was sampled early).
+    int64_t prepped_requests = 0;
+    sim::SimTime prep_credit_us = 0.0;
     /// The routing verdict with the predictions it was based on (the
     /// configured dispatcher's, or the device-only decision when none is
     /// set); absent for CPU-only sessions.

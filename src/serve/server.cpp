@@ -30,6 +30,9 @@ MakeExecutor(sim::Runtime& runtime, const ServerOptions& options)
     return std::make_unique<SerialExecutor>(runtime);
 }
 
+/// The host op a prep group runs as.
+const std::string kPrepOpName = "request_prep";
+
 /// One batch size's placement and the profile that placement runs.
 struct PricedBatch {
     dispatch::PlacementDecision decision;
@@ -168,11 +171,10 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
     const sim::SimTime first_due = n > 0 ? due.front() : window_start;
     sim::SimTime last_completion = first_due;
 
-    while (next_arrival < n || !queue.empty()) {
-        const sim::SimTime now = runtime.Now();
-
-        // Admit everything that has arrived by the current host time.
-        while (next_arrival < n && due[static_cast<size_t>(next_arrival)] <= now) {
+    // Admits every request that has arrived by @p until, in arrival order.
+    const auto admit = [&](sim::SimTime until) {
+        while (next_arrival < n &&
+               due[static_cast<size_t>(next_arrival)] <= until) {
             const sim::SimTime t = due[static_cast<size_t>(next_arrival)];
             const Request& r = requests[static_cast<size_t>(next_arrival)];
             queue.push_back(Request{next_arrival, t, r.src, r.dst});
@@ -182,6 +184,31 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             }
             ++next_arrival;
         }
+    };
+
+    // Request prep: a model that samples neighbours on the host (TGN, TGAT)
+    // has each request sampled while the host would otherwise idle, so its
+    // batch pays host_us(b) - PrepUs(b) + PrepUs(u) at dispatch, u members
+    // still unsampled. Requests with an id below prepped_end are sampled or
+    // dispatched; the rest are not. Prep cost is memoized per group size.
+    const bool prep_requests = session.PrepUs(1) > 0.0;
+    int64_t prepped_end = 0;
+    std::vector<sim::SimTime> prep_costs;
+    const auto prep_us = [&](int64_t group) {
+        const auto size = static_cast<size_t>(group);
+        if (prep_costs.size() <= size) {
+            prep_costs.resize(size + 1, -1.0);
+        }
+        if (prep_costs[size] < 0.0) {
+            prep_costs[size] = session.PrepUs(group);
+        }
+        return prep_costs[size];
+    };
+
+    while (next_arrival < n || !queue.empty()) {
+        const sim::SimTime now = runtime.Now();
+
+        admit(now);
 
         const bool stream_ended = next_arrival >= n;
         const BatchDecision decision = policy.Decide(queue, now, stream_ended);
@@ -285,10 +312,24 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 report.exchange += exchange;
             }
 
+            // Requests are sampled in arrival order, so the members sampled
+            // ahead of dispatch are the batch's first `prepped`; the host
+            // stage samples only the rest.
+            const int64_t first_id = queue.front().id;
+            const int64_t prepped = std::clamp<int64_t>(
+                prepped_end - first_id, 0, decision.dispatch);
+            prepped_end = std::max(prepped_end, first_id + decision.dispatch);
+            sim::SimTime prep_credit = 0.0;
+            if (prepped > 0) {
+                const int64_t unsampled = decision.dispatch - prepped;
+                prep_credit = prep_us(decision.dispatch) -
+                              (unsampled > 0 ? prep_us(unsampled) : 0.0);
+            }
+
             BatchSpans spans;
             const sim::SimTime completion = executor->SubmitPlaced(
-                placement, *exec_profile, cache_cost,
-                observer != nullptr ? &spans : nullptr);
+                placement, *exec_profile, exec_profile->host_us - prep_credit,
+                cache_cost, observer != nullptr ? &spans : nullptr);
             last_completion = std::max(last_completion, completion);
             BatchObservation ob;
             if (observer != nullptr) {
@@ -300,6 +341,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 ob.cache_cost = cache_cost;
                 ob.exchange = exchange;
                 ob.profile = exec_profile;
+                ob.prepped_requests = prepped;
+                ob.prep_credit_us = prep_credit;
                 if (placed != nullptr) {
                     ob.decision = *placed;
                 }
@@ -341,7 +384,24 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
             // idle.
             observer->OnIdleWake(wake, wake == decision.wake_us);
         }
+        // Until the wake, the free host samples every queued request not
+        // yet sampled as one group, admitting the window's arrivals as each
+        // group starts. No group starts at or after the wake: there the
+        // policy decides first, and the loop that wakes on every arrival
+        // runs exactly these groups. A group may run past the wake.
         sim::CategoryScope idle_scope(runtime, "Serving Idle");
+        while (prep_requests && prepped_end < n) {
+            const sim::SimTime start = std::max(
+                runtime.Now(), due[static_cast<size_t>(prepped_end)]);
+            if (start >= wake) {
+                break;
+            }
+            admit(start);
+            runtime.IdleUntil(start);
+            sim::CategoryScope prep_scope(runtime, "Serving Prep");
+            runtime.RunHostFor(kPrepOpName, prep_us(next_arrival - prepped_end));
+            prepped_end = next_arrival;
+        }
         runtime.IdleUntil(wake);
         DGNN_CHECK(runtime.Now() > now, "serving loop failed to advance");
     }

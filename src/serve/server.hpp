@@ -7,7 +7,8 @@
 /// simulated runtime. The loop is a discrete-event simulation on the
 /// runtime's host clock — when there is nothing to dispatch the host idles
 /// to the next arrival that can form a batch (BatchDecision::min_depth) or
-/// to the policy's wake-up. Produces a ServingReport with the
+/// to the policy's wake-up, sampling queued requests ahead of dispatch
+/// meanwhile when the model samples neighbours on the host. Produces a ServingReport with the
 /// tail-latency histogram, queue/batch statistics, and sustained
 /// throughput; FindCapacity searches for the highest Poisson rate the
 /// server sustains under a p99 SLO.

@@ -29,17 +29,6 @@ MemoryPool::Free(int64_t id)
     blocks_.erase(it);
 }
 
-void
-Device::AddBusy(SimTime duration_us, double occupancy)
-{
-    DGNN_CHECK(duration_us >= 0.0, "negative busy time ", duration_us);
-    DGNN_CHECK(occupancy >= 0.0 && occupancy <= 1.0, "occupancy ", occupancy,
-               " out of [0,1]");
-    busy_us_ += duration_us;
-    weighted_busy_us_ += duration_us * occupancy;
-    ++kernel_count_;
-}
-
 double
 Device::UtilizationPct(SimTime elapsed_us) const
 {

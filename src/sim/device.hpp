@@ -10,6 +10,7 @@
 
 #include "sim/device_spec.hpp"
 #include "sim/sim_time.hpp"
+#include "support/check.hpp"
 
 namespace dgnn::sim {
 
@@ -61,7 +62,15 @@ class Device {
     const MemoryPool& Memory() const { return memory_; }
 
     /// Accumulates kernel busy time: raw (wall) and occupancy-weighted.
-    void AddBusy(SimTime duration_us, double occupancy);
+    void AddBusy(SimTime duration_us, double occupancy)
+    {
+        DGNN_CHECK(duration_us >= 0.0, "negative busy time ", duration_us);
+        DGNN_CHECK(occupancy >= 0.0 && occupancy <= 1.0, "occupancy ",
+                   occupancy, " out of [0,1]");
+        busy_us_ += duration_us;
+        weighted_busy_us_ += duration_us * occupancy;
+        ++kernel_count_;
+    }
 
     /// Total time the device had a kernel resident, us.
     SimTime BusyTime() const { return busy_us_; }

@@ -101,22 +101,20 @@ Runtime::Gpu() const
 }
 
 void
-Runtime::PushCategory(std::string category)
+Runtime::OpenFrame(std::string_view category)
 {
-    category_stack_.push_back({.name = std::move(category)});
-}
-
-void
-Runtime::PopCategory()
-{
-    DGNN_CHECK(!category_stack_.empty(), "PopCategory on empty category stack");
-    category_stack_.pop_back();
+    if (category_depth_ == category_stack_.size()) {
+        category_stack_.push_back({.name = std::string(category)});
+    } else {
+        category_stack_[category_depth_] = {.name = std::string(category)};
+    }
 }
 
 const std::string&
 Runtime::CurrentCategory() const
 {
-    return category_stack_.empty() ? kUncategorized : category_stack_.back().name;
+    return category_depth_ == 0 ? kUncategorized
+                                : category_stack_[category_depth_ - 1].name;
 }
 
 void
@@ -139,7 +137,7 @@ Runtime::CurrentAccess() const
 }
 
 void
-Runtime::Report(OpRecord op, std::string_view device, double occupancy)
+Runtime::ReportOp(OpRecord op, std::string_view device, double occupancy)
 {
     if (tracing_) {
         TraceEvent e = MakeEvent(EventKind::kTransfer, *op.name,
@@ -171,19 +169,6 @@ Runtime::Report(OpRecord op, std::string_view device, double occupancy)
     }
 }
 
-void
-Runtime::AdvanceHost(SimTime delta_us)
-{
-    DGNN_ASSERT(delta_us >= 0.0);
-    host_time_ += delta_us;
-    SimTime*& slot = category_stack_.empty() ? uncategorized_slot_
-                                             : category_stack_.back().slot;
-    if (slot == nullptr) {
-        slot = &category_time_[CurrentCategory()];
-    }
-    *slot += delta_us;
-}
-
 TraceEvent
 Runtime::MakeEvent(EventKind kind, std::string name, std::string device, SimTime start,
                    SimTime end) const
@@ -209,19 +194,6 @@ Runtime::RunHost(const KernelDesc& kernel)
     Report({.kind = OpKind::kHostOp, .name = &kernel.name, .start_us = start,
             .end_us = host_time_, .bytes = kernel.bytes, .kernel = &kernel},
            cpu_.Name(), occ);
-    return host_time_;
-}
-
-SimTime
-Runtime::RunHostFor(const std::string& name, SimTime duration_us)
-{
-    DGNN_CHECK(duration_us >= 0.0, "negative host duration ", duration_us);
-    const SimTime start = host_time_;
-    AdvanceHost(duration_us);
-    cpu_.AddBusy(duration_us, cpu_.Spec().occupancy_floor);
-    Report({.kind = OpKind::kHostOp, .name = &name, .start_us = start,
-            .end_us = host_time_},
-           cpu_.Name());
     return host_time_;
 }
 
@@ -497,20 +469,6 @@ Runtime::WaitEvent(const Event& event)
     // The ordering edge exists even when the event had already completed.
     if (observer_ != nullptr) {
         observer_->OnHostWaitEvent(event);
-    }
-    return host_time_;
-}
-
-SimTime
-Runtime::IdleUntil(SimTime until_us)
-{
-    if (until_us > host_time_) {
-        const SimTime start = host_time_;
-        AdvanceHost(until_us - host_time_);
-        if (tracing_) {
-            trace_.Add(MakeEvent(EventKind::kHostOp, "idle", cpu_.Name(), start,
-                                 host_time_));
-        }
     }
     return host_time_;
 }

@@ -36,6 +36,7 @@
 #include "sim/topology.hpp"
 #include "sim/trace.hpp"
 #include "sim/warmup.hpp"
+#include "support/check.hpp"
 
 namespace dgnn::sim {
 
@@ -159,8 +160,21 @@ class Runtime {
     SimTime Now() const { return host_time_; }
 
     /// --- Category stack -------------------------------------------------
-    void PushCategory(std::string category);
-    void PopCategory();
+    /// Opens @p category (see CategoryScope). Inline: a frame re-opened at
+    /// the same depth under the same name keeps its cached slot.
+    void PushCategory(std::string_view category)
+    {
+        if (category_depth_ == category_stack_.size() ||
+            category_stack_[category_depth_].name != category) {
+            OpenFrame(category);
+        }
+        ++category_depth_;
+    }
+    void PopCategory()
+    {
+        DGNN_CHECK(category_depth_ > 0, "PopCategory on empty category stack");
+        --category_depth_;
+    }
     const std::string& CurrentCategory() const;
 
     /// --- Observer seam (src/analysis/) ----------------------------------
@@ -364,13 +378,35 @@ class Runtime {
 
   private:
     /// Advances the host clock, attributing the delta to the current
-    /// category. Every host-time mutation funnels through here.
-    void AdvanceHost(SimTime delta_us);
+    /// category. Every host-time mutation funnels through here, so it is
+    /// inline.
+    void AdvanceHost(SimTime delta_us)
+    {
+        DGNN_ASSERT(delta_us >= 0.0);
+        host_time_ += delta_us;
+        SimTime*& slot = category_depth_ == 0
+                             ? uncategorized_slot_
+                             : category_stack_[category_depth_ - 1].slot;
+        if (slot == nullptr) {
+            slot = &category_time_[CurrentCategory()];
+        }
+        *slot += delta_us;
+    }
+
+    /// Sets the frame at category_depth_ to @p category with no slot yet.
+    void OpenFrame(std::string_view category);
 
     /// Reports one issued operation, once: into the trace while tracing
     /// (as an event on @p device with @p occupancy) and to the observer
-    /// when one is attached. Does nothing when neither is on.
-    void Report(OpRecord op, std::string_view device, double occupancy = 0.0);
+    /// when one is attached. Does nothing when neither is on, inline: most
+    /// serving runtimes neither trace nor carry an observer.
+    void Report(OpRecord op, std::string_view device, double occupancy = 0.0)
+    {
+        if (tracing_ || observer_ != nullptr) {
+            ReportOp(op, device, occupancy);
+        }
+    }
+    void ReportOp(OpRecord op, std::string_view device, double occupancy);
 
     TraceEvent MakeEvent(EventKind kind, std::string name, std::string device,
                          SimTime start, SimTime end) const;
@@ -391,7 +427,7 @@ class Runtime {
     RuntimeObserver* observer_ = nullptr;
     std::vector<AccessSet> access_stack_;
     int64_t next_event_id_ = 0;
-    /// One open CategoryScope. @c slot is its category_time_ entry, looked
+    /// One CategoryScope frame. @c slot is its category_time_ entry, looked
     /// up at the scope's first host advance so AdvanceHost does no map
     /// lookup after that; ResetMeasurementWindow clears the map and with it
     /// every cached slot.
@@ -399,7 +435,12 @@ class Runtime {
         std::string name;
         SimTime* slot = nullptr;
     };
+    /// The open scopes are the first category_depth_ frames. A closed frame
+    /// stays behind with its slot, so a scope re-opened at the same depth
+    /// under the same name (one per served batch or prep group) skips the
+    /// map lookup.
     std::vector<OpenCategory> category_stack_;
+    size_t category_depth_ = 0;
     /// The "Uncategorized" entry, cached like OpenCategory::slot.
     SimTime* uncategorized_slot_ = nullptr;
     std::map<std::string, SimTime> category_time_;
@@ -451,12 +492,42 @@ class MaybeAccess {
     std::optional<AccessScope> scope_;
 };
 
+// The serving loop issues one of each per idle window and per prep group,
+// so both are inline.
+inline SimTime
+Runtime::RunHostFor(const std::string& name, SimTime duration_us)
+{
+    DGNN_CHECK(duration_us >= 0.0, "negative host duration ", duration_us);
+    const SimTime start = host_time_;
+    AdvanceHost(duration_us);
+    cpu_.AddBusy(duration_us, cpu_.Spec().occupancy_floor);
+    Report({.kind = OpKind::kHostOp, .name = &name, .start_us = start,
+            .end_us = host_time_},
+           cpu_.Name());
+    return host_time_;
+}
+
+inline SimTime
+Runtime::IdleUntil(SimTime until_us)
+{
+    if (until_us > host_time_) {
+        const SimTime start = host_time_;
+        AdvanceHost(until_us - host_time_);
+        if (tracing_) {
+            trace_.Add(MakeEvent(EventKind::kHostOp, "idle", cpu_.Name(), start,
+                                 host_time_));
+        }
+    }
+    return host_time_;
+}
+
 /// RAII helper pushing a category for the duration of a scope.
 class CategoryScope {
   public:
-    CategoryScope(Runtime& runtime, std::string category) : runtime_(runtime)
+    CategoryScope(Runtime& runtime, std::string_view category)
+        : runtime_(runtime)
     {
-        runtime_.PushCategory(std::move(category));
+        runtime_.PushCategory(category);
     }
     ~CategoryScope() { runtime_.PopCategory(); }
 

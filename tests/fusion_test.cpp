@@ -1024,7 +1024,7 @@ TEST(DispatchServingTest, DispatcherPricesTheRuntimesOwnNode)
             const serve::BatchProfile& profile = *ob.profile;
             if (decision.placement == dispatch::Placement::kCpu) {
                 ++cpu_batches;
-                EXPECT_NEAR(decision.predicted_cpu_us,
+                EXPECT_NEAR(decision.predicted_cpu_us - ob.prep_credit_us,
                             spans.complete_us - spans.dispatch_us, 1e-6)
                     << ob.batch_index;
                 continue;

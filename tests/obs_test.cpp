@@ -273,6 +273,32 @@ TEST(AttributionTest, BatchDecompositionAndSummary)
                 100.0 * 60.0 / 155.0, 1e-9);
 }
 
+TEST(AttributionTest, LedgerCreditsSamplingDoneBeforeDispatch)
+{
+    // A batch whose members were sampled while the host idled runs a host
+    // stage shorter than the full build the dispatcher priced, by exactly
+    // the batch's prep credit: the ledger takes the credit off the
+    // prediction, so an exact cost model reads zero error.
+    serve::BatchObservation ob = SyntheticBatch();
+    ob.prepped_requests = 2;
+    ob.prep_credit_us = 45.0;
+    dispatch::PlacementDecision decision;
+    decision.placement = dispatch::Placement::kGpuFused;
+    // The full build (20 us measured + 45 us credited) plus 90 us of
+    // transfers and kernels: stall_done -> complete is 110 us.
+    decision.predicted_gpu_fused_us = 155.0;
+    ob.decision = decision;
+
+    DispatchLedger ledger;
+    ledger.OnBatch(ob);
+    const PlacementBucket& bucket =
+        ledger.Bucket(dispatch::Placement::kGpuFused);
+    EXPECT_EQ(bucket.batches, 1);
+    EXPECT_DOUBLE_EQ(bucket.predicted_us, 110.0);
+    EXPECT_DOUBLE_EQ(bucket.actual_us, 110.0);
+    EXPECT_DOUBLE_EQ(ledger.MeanRelativeError(), 0.0);
+}
+
 // --------------------------------------------- serving-loop integration
 
 serve::ServingReport
@@ -480,6 +506,49 @@ TEST(ObservabilityTest, MetricsAgreeWithTheServingReport)
     EXPECT_DOUBLE_EQ(batch_size->Mean(), report.batch_size.Mean());
 
     EXPECT_EQ(obs.RunsObserved(), 1);
+}
+
+/// Sums the prep fields of every batch observation.
+class PrepTally final : public serve::ServingObserver {
+  public:
+    void OnBatch(const serve::BatchObservation& ob) override
+    {
+        prepped += ob.prepped_requests;
+        prep_us += ob.prep_credit_us;
+    }
+
+    int64_t prepped = 0;
+    double prep_us = 0.0;
+};
+
+TEST(ObservabilityTest, PrepMetricsSumTheBatchObservations)
+{
+    // Light load leaves the host idle between batches, so TGN samples most
+    // requests ahead of dispatch; both prep counters carry the run labels
+    // and sum exactly what the batch observations report. Observers never
+    // perturb the run, so the two serves are the same run.
+    const auto dataset = TinyInteractions();
+    const auto scenarios =
+        scenario::GauntletScenarios(4000.0, 120, dataset.NumNodes(), 9);
+    ServingObservability obs;
+    const serve::ServingReport report = ServeScenario(
+        scenarios.front(), dataset, serve::ExecutorKind::kSerial, 120, &obs);
+    PrepTally tally;
+    (void)ServeScenario(scenarios.front(), dataset, serve::ExecutorKind::kSerial,
+                        120, &tally);
+
+    const Labels labels = {{"model", report.model},
+                           {"mode", report.mode},
+                           {"policy", report.policy},
+                           {"executor", report.executor}};
+    EXPECT_GT(tally.prepped, 0);
+    EXPECT_GT(tally.prep_us, 0.0);
+    EXPECT_DOUBLE_EQ(obs.Metrics().CounterValue(
+                         "dgnn_serve_prepped_requests_total", labels),
+                     static_cast<double>(tally.prepped));
+    EXPECT_DOUBLE_EQ(
+        obs.Metrics().CounterValue("dgnn_serve_prep_us_total", labels),
+        tally.prep_us);
 }
 
 /// A serving observer that reads the runtime's trace but never asks for it.

@@ -374,6 +374,82 @@ TEST(ModelSessionTest, CaptureChargesExactlyTheProbeWindowsTransfers)
     }
 }
 
+/// Sums the host ops a runtime charges as neighbour sampling inside its
+/// measured window, the way a reader of the op records would.
+class SamplingHostTime final : public sim::RuntimeObserver {
+  public:
+    void OnWindowReset() override { us = 0.0; }
+    void OnOp(const sim::OpRecord& op) override
+    {
+        if (op.kind == sim::OpKind::kHostOp && *op.name == "temporal_sampling") {
+            us += op.end_us - op.start_us;
+        }
+    }
+    sim::SimTime us = 0.0;
+};
+
+TEST(ModelSessionTest, PrepIsTheProbesSamplingHostTime)
+{
+    // prep_us is the probe window's temporal_sampling host time: positive
+    // for the models that sample on the host (TGN, TGAT), cached or not,
+    // zero for JODIE, and never above the batch's host work. PrepUs prices
+    // a power-of-two group at exactly that, without counting it as a
+    // captured batch size, and a size in between on the chord of the two
+    // powers of two around it.
+    const auto ds = TinyInteractions();
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
+    models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
+    models::Jodie jodie(ds, models::JodieConfig{16, 13});
+    constexpr int64_t kNeighbors = 4;
+    for (models::DgnnModel* model :
+         std::vector<models::DgnnModel*>{&tgn, &tgat, &jodie}) {
+        for (const int64_t capacity : {int64_t{0}, int64_t{1} << 20}) {
+            cache::DeviceCacheConfig cache;
+            cache.capacity_bytes = capacity;
+            for (const int64_t b : {1, 8, 16}) {
+                ProfileTable table(*model, sim::ExecMode::kHybrid, kNeighbors,
+                                   cache);
+                SCOPED_TRACE(model->Name() + " capacity " +
+                             std::to_string(capacity) + " b " +
+                             std::to_string(b));
+                const sim::SimTime priced = table.PrepUs(b);
+                EXPECT_EQ(table.Captured(), 0);
+                const BatchProfile& p = table.Profile(b);
+                EXPECT_EQ(p.prep_us, priced);
+                EXPECT_LE(p.prep_us, p.host_us);
+                EXPECT_EQ(table.Captured(), 1);
+
+                models::RunConfig probe =
+                    models::SingleBatchProbe(sim::ExecMode::kHybrid, b, kNeighbors);
+                if (table.Cached()) {
+                    probe.cache =
+                        cache::DeviceCacheConfig::Unbounded(model->CacheRowBytes());
+                }
+                SamplingHostTime sampling;
+                sim::Runtime runtime = models::MakeRuntime(sim::ExecMode::kHybrid);
+                runtime.SetObserver(&sampling);
+                (void)model->RunInference(runtime, probe);
+                EXPECT_EQ(p.prep_us, sampling.us);
+                if (model == &jodie) {
+                    EXPECT_EQ(p.prep_us, 0.0);
+                } else {
+                    EXPECT_GT(p.prep_us, 0.0);
+                }
+            }
+            if (model != &jodie) {
+                // 7 takes the chord from 4 to 8, three quarters of the way.
+                ProfileTable table(*model, sim::ExecMode::kHybrid, kNeighbors,
+                                   cache);
+                const sim::SimTime at4 = table.PrepUs(4);
+                const sim::SimTime at8 = table.PrepUs(8);
+                EXPECT_LT(at4, at8);
+                EXPECT_DOUBLE_EQ(table.PrepUs(7), at4 + (at8 - at4) * 0.75);
+                EXPECT_EQ(table.Captured(), 0);
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------- serving
 
 ServerOptions
@@ -606,6 +682,130 @@ class LatencyLog final : public ServingObserver {
 
     std::vector<sim::SimTime> latencies;
 };
+
+/// Every batch observation of a run, in dispatch order.
+class BatchLog final : public ServingObserver {
+  public:
+    void OnBatch(const BatchObservation& ob) override { batches.push_back(ob); }
+
+    std::vector<BatchObservation> batches;
+};
+
+TEST(ServeTest, PrepShortensOnlyTheHostStage)
+{
+    // While the host idles it samples queued requests ahead of dispatch. A
+    // batch's host stage is then its profile's host_us less its prep
+    // credit: never more than host_us, and exactly host_us when none of
+    // its members was sampled early. JODIE samples nothing on the host and
+    // gets no credit. Serial runs, so the host stage is the whole
+    // stall_done -> host_done span.
+    const auto ds = TinyInteractions();
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
+    models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
+    models::Jodie jodie(ds, models::JodieConfig{16, 13});
+    const dispatch::HybridDispatcher dispatcher;
+    cache::DeviceCacheConfig quarter;
+    quarter.capacity_bytes = ds.NumNodes() / 4 * tgn.CacheRowBytes();
+    struct Case {
+        std::string name;
+        models::DgnnModel* model;
+        cache::DeviceCacheConfig cache;
+        const dispatch::HybridDispatcher* dispatcher;
+    };
+    const std::vector<Case> cases{{"TGN cached", &tgn, quarter, nullptr},
+                                  {"TGN uncached", &tgn, {}, nullptr},
+                                  {"TGAT dispatcher", &tgat, {}, &dispatcher},
+                                  {"JODIE", &jodie, {}, nullptr}};
+    for (const Case& c : cases) {
+        for (const double qps : {2000.0, 20000.0}) {
+            SCOPED_TRACE(c.name + " " + std::to_string(qps) + " qps");
+            ModelSession session(*c.model, sim::ExecMode::kHybrid, 4, c.cache);
+            BatchLog log;
+            ServerOptions options = Options(ExecutorKind::kSerial);
+            options.dispatcher = c.dispatcher;
+            options.observer = &log;
+            TimeoutPolicy policy(16, 1500.0);
+            (void)ServeRequests(session, policy,
+                                TraceRequests(ds.stream, qps, 384), options);
+            int64_t prepped = 0;
+            for (const BatchObservation& ob : log.batches) {
+                const sim::SimTime host_stage =
+                    ob.spans.host_done_us - ob.spans.stall_done_us;
+                EXPECT_LE(host_stage, ob.profile->host_us + 1e-9);
+                EXPECT_NEAR(host_stage, ob.profile->host_us - ob.prep_credit_us,
+                            1e-6);
+                EXPECT_GE(ob.prep_credit_us, 0.0);
+                EXPECT_LE(ob.prepped_requests,
+                          static_cast<int64_t>(ob.requests.size()));
+                if (ob.prepped_requests == 0) {
+                    EXPECT_EQ(ob.prep_credit_us, 0.0);
+                    EXPECT_NEAR(host_stage, ob.profile->host_us, 1e-6);
+                }
+                prepped += ob.prepped_requests;
+            }
+            if (c.model == &jodie) {
+                EXPECT_EQ(prepped, 0);
+            } else {
+                EXPECT_GT(prepped, 0);
+            }
+        }
+    }
+}
+
+TEST(ServeTest, AReplayAboveCapacitySamplesNothingEarly)
+{
+    // Far above capacity the host never idles once the first batch is
+    // out: a full batch is always queued when the previous one completes.
+    // Only the first batch, which fills from an empty queue, can hold
+    // requests sampled early.
+    const auto ds = TinyInteractions();
+    models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
+    const dispatch::HybridDispatcher dispatcher;
+    for (const ExecutorKind kind :
+         {ExecutorKind::kSerial, ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(ToString(kind));
+        ModelSession session(tgat, sim::ExecMode::kHybrid, 4);
+        BatchLog log;
+        ServerOptions options = Options(kind);
+        options.dispatcher = &dispatcher;
+        options.observer = &log;
+        TimeoutPolicy policy(16, 1500.0);
+        const ServingReport report = ServeRequests(
+            session, policy, TraceRequests(ds.stream, 2e6, 384), options);
+        ASSERT_GT(log.batches.size(), 2u);
+        EXPECT_LT(report.achieved_qps, 0.5 * report.offered_qps);
+        for (size_t i = 1; i < log.batches.size(); ++i) {
+            EXPECT_EQ(log.batches[i].prepped_requests, 0) << i;
+        }
+    }
+}
+
+TEST(ServeTest, ABatchDispatchesAtItsFormingArrival)
+{
+    // Arrivals 5 ms apart leave the host idle at every arrival, so each
+    // request is sampled alone as it arrives, except the one that fills
+    // its batch: no group starts at the loop's wake, the policy decides
+    // there first, and the batch dispatches at that arrival with one
+    // member still unsampled.
+    const auto ds = TinyInteractions();
+    models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
+    ModelSession session(tgat, sim::ExecMode::kHybrid, 4);
+    std::vector<sim::SimTime> arrivals;
+    for (int i = 0; i < 64; ++i) {
+        arrivals.push_back(5000.0 * i);
+    }
+    BatchLog log;
+    ServerOptions options = Options(ExecutorKind::kSerial);
+    options.observer = &log;
+    FixedSizePolicy policy(8);
+    (void)Serve(session, policy, arrivals, options);
+    ASSERT_EQ(log.batches.size(), 8u);
+    for (const BatchObservation& ob : log.batches) {
+        EXPECT_EQ(ob.spans.dispatch_us, ob.requests.back().arrival_us);
+        EXPECT_EQ(ob.prepped_requests, 7);
+        EXPECT_EQ(ob.prep_credit_us, ob.profile->prep_us - session.PrepUs(1));
+    }
+}
 
 TEST(ServeTest, IdleSkipIsExact)
 {
