@@ -18,7 +18,8 @@
 ///   * flash-crowd arrivals drive EVERY model queueing-dominated — the
 ///     burst outruns service capacity and wait time swamps all stages.
 ///
-/// Four sections: span ledger (conservation check on one cell),
+/// Four sections: span ledger (conservation check on one cell, and how
+/// long the cell's copies and kernels ran beside their spans),
 /// attribution sweep (scenario x model x executor), windowed series for
 /// the flash crowd (the scalar report averages the burst away; the window
 /// series shows the regime transition), and a Prometheus exposition of
@@ -135,6 +136,26 @@ SpanLedgerSection(models::DgnnModel& model,
               << (timeline.MaxConservationErrorUs() <= 1e-6 ? "<= 1e-6"
                                                             : "EXCEEDS 1e-6")
               << " us\n";
+
+    // The span chain counts device work that ran under a later host stage
+    // as host; the busy times say how long the copies and kernels ran.
+    core::TableWriter busy_table(
+        {"device stage", "span per batch (us)", "busy per batch (us)"});
+    for (const char* stage : {"h2d", "compute"}) {
+        const obs::Labels labels = {{"model", report.model},
+                                    {"mode", report.mode},
+                                    {"policy", report.policy},
+                                    {"executor", report.executor},
+                                    {"stage", stage}};
+        const obs::MetricsRegistry& metrics = observability.Metrics();
+        busy_table.AddRow(
+            {stage,
+             core::TableWriter::Num(
+                 metrics.Summary("dgnn_serve_stage_us", labels)->Mean(), 2),
+             core::TableWriter::Num(
+                 metrics.Summary("dgnn_serve_busy_us", labels)->Mean(), 2)});
+    }
+    std::cout << busy_table.ToString();
 }
 
 void

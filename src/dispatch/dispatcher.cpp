@@ -1,6 +1,7 @@
 #include "dispatch/dispatcher.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "support/check.hpp"
 
@@ -16,8 +17,7 @@ CopyTime(int64_t bytes, const sim::LinkSpec& link)
 }
 
 sim::SimTime
-ChainTime(const sim::DeviceSpec& spec,
-          const std::vector<sim::KernelDesc>& kernels)
+ChainTime(const sim::DeviceSpec& spec, std::span<const sim::KernelDesc> kernels)
 {
     sim::SimTime total = 0.0;
     for (const sim::KernelDesc& kernel : kernels) {
@@ -26,7 +26,61 @@ ChainTime(const sim::DeviceSpec& spec,
     return total;
 }
 
+/// The stage critical path the executors replay on @p node's GPU: each
+/// stage's input copy and kernels start at the later of the end of its host
+/// stage and the end of the previous stage's device work, a stage's host
+/// work starts once the host has issued the previous stage's copy and
+/// kernels, and the result copy follows the last kernel. The last stage
+/// adds its input copy and the result copy as one sum, so a one-stage batch
+/// prices exactly as host + transfers + chain.
+sim::SimTime
+StagedDeviceTime(const WorkEstimate& estimate, const sim::TopologyNode& node,
+                 const std::vector<sim::KernelDesc>& kernels, bool fused)
+{
+    sim::SimTime host_free = 0.0;
+    sim::SimTime device_end = 0.0;
+    size_t next = 0;
+    for (size_t s = 0; s < estimate.stages.size(); ++s) {
+        const StageEstimate& stage = estimate.stages[s];
+        const auto launches =
+            static_cast<size_t>(fused ? stage.fused_launches : stage.launches);
+        const auto chain =
+            std::span<const sim::KernelDesc>(kernels).subspan(next, launches);
+        next += launches;
+        const sim::SimTime host_end = host_free + stage.host_us;
+        sim::SimTime copies = CopyTime(stage.h2d_bytes, node.host_link);
+        if (s + 1 == estimate.stages.size()) {
+            copies += CopyTime(estimate.d2h_bytes, node.host_link);
+        }
+        device_end = std::max(host_end, device_end) + copies +
+                     ChainTime(node.gpu, chain);
+        host_free = host_end + stage.copy_issue_us +
+                    static_cast<double>(launches) * estimate.launch_issue_us;
+    }
+    return device_end;
+}
+
 }  // namespace
+
+sim::SimTime
+WorkEstimate::HostUs() const
+{
+    sim::SimTime total = 0.0;
+    for (const StageEstimate& stage : stages) {
+        total += stage.host_us;
+    }
+    return total;
+}
+
+int64_t
+WorkEstimate::H2dBytes() const
+{
+    int64_t total = 0;
+    for (const StageEstimate& stage : stages) {
+        total += stage.h2d_bytes;
+    }
+    return total;
+}
 
 const char*
 ToString(DispatchMode mode)
@@ -56,7 +110,7 @@ HybridDispatcher::Stats(const WorkEstimate& estimate)
         estimate.fused_kernels != nullptr
             ? static_cast<int64_t>(estimate.fused_kernels->size())
             : stats.launches;
-    stats.transfer_bytes = estimate.h2d_bytes + estimate.d2h_bytes;
+    stats.transfer_bytes = estimate.H2dBytes() + estimate.d2h_bytes;
     int64_t total_bytes = 0;
     int64_t irregular_bytes = 0;
     for (const sim::KernelDesc& kernel : *estimate.kernels) {
@@ -84,21 +138,18 @@ HybridDispatcher::Decide(const WorkEstimate& estimate,
     // CPU: the host already owns the inputs and keeps the outputs — no PCIe,
     // but every kernel runs at host throughput and host launch cost.
     decision.predicted_cpu_us =
-        estimate.host_us + ChainTime(node.cpu, *estimate.kernels);
+        estimate.HostUs() + ChainTime(node.cpu, *estimate.kernels);
 
-    // GPU: pay both blocking transfers around the kernel chain. The serial
-    // executor additionally pays per-launch submit and sync costs the model
-    // omits, so these predictions are optimistic for the device — the CPU
-    // placement is only chosen when it wins against a flattering GPU bound.
-    const sim::SimTime transfers =
-        CopyTime(estimate.h2d_bytes, node.host_link) +
-        CopyTime(estimate.d2h_bytes, node.host_link);
+    // GPU: the stages' transfers and kernels, each behind its host stage.
+    // The executors additionally pay per-launch submit and sync costs the
+    // model omits, so these predictions are optimistic for the device — the
+    // CPU placement is only chosen when it wins against a flattering GPU
+    // bound.
     decision.predicted_gpu_us =
-        estimate.host_us + transfers + ChainTime(node.gpu, *estimate.kernels);
+        StagedDeviceTime(estimate, node, *estimate.kernels, false);
     decision.predicted_gpu_fused_us =
         estimate.fused_kernels != nullptr
-            ? estimate.host_us + transfers +
-                  ChainTime(node.gpu, *estimate.fused_kernels)
+            ? StagedDeviceTime(estimate, node, *estimate.fused_kernels, true)
             : decision.predicted_gpu_us;
 
     // No fused chain offered: kGpuFused collapses into kGpu (the static

@@ -6,10 +6,13 @@
 /// link's transfers), and on the GPU with the registered fusion chains
 /// collapsed, then routes the batch to the cheapest placement. The
 /// predictor IS the analytic cost model (sim/kernel.hpp, sim/fusion.hpp,
-/// sim::LinkSpec) — the same formulas the runtime charges — so on the
-/// serial executor the decision is exact up to per-launch submit/sync
-/// overheads, which only make the GPU predictions optimistic (CPU is
-/// chosen conservatively).
+/// sim::LinkSpec) — the same formulas the runtime charges — priced over the
+/// batch's stages the way the executors replay them (a stage's device work
+/// starts once its host stage and the previous stage's device work are
+/// done, and a stage's host work once the host has issued the previous
+/// stage's copy and kernels), so the decision is exact up to the last
+/// stage's issue and sync overheads, which only make the GPU predictions
+/// optimistic (CPU is chosen conservatively).
 ///
 /// This reproduces the Dynasparse-style dynamic placement and the
 /// embedding-dimension CPU/GPU crossover of Adiletta et al. (PAPERS.md):
@@ -55,22 +58,47 @@ enum class DispatchMode {
 
 const char* ToString(DispatchMode mode);
 
+/// One stage of a batch, in issue order (a serve::BatchStage): the host
+/// work of a run of host ops, then the device work issued before the next
+/// one.
+struct StageEstimate {
+    /// Host-side work (batch build, sampling, framework overhead), us.
+    sim::SimTime host_us = 0.0;
+    /// Bytes the stage's input copy moves if the batch runs on the device,
+    /// including the state rows it would stage (worst-case all-miss).
+    int64_t h2d_bytes = 0;
+    /// Kernels the stage launches from WorkEstimate::kernels and from
+    /// WorkEstimate::fused_kernels: the next entries after the earlier
+    /// stages' launches.
+    int64_t launches = 0;
+    int64_t fused_launches = 0;
+    /// Host time the executor spends issuing the stage's input copy before
+    /// it goes on (submit and fence costs, or a blocking copy's wait), us.
+    sim::SimTime copy_issue_us = 0.0;
+};
+
 /// Everything the dispatcher may inspect about one batch. Borrowed kernel
 /// vectors (typically a captured serve::BatchProfile's); fused_kernels may
 /// be null when no fused profile exists, collapsing kGpuFused into kGpu.
 struct WorkEstimate {
     int64_t batch_size = 0;
 
-    /// Host-side work (batch build, sampling, framework overhead), us.
-    sim::SimTime host_us = 0.0;
+    /// The batch's stages, in issue order.
+    std::vector<StageEstimate> stages;
 
-    /// Bytes that must cross PCIe if the batch runs on the device. Includes
-    /// state rows a device run would have to stage (worst-case all-miss).
-    int64_t h2d_bytes = 0;
+    /// Result bytes returned after the last kernel.
     int64_t d2h_bytes = 0;
 
     const std::vector<sim::KernelDesc>* kernels = nullptr;
     const std::vector<sim::KernelDesc>* fused_kernels = nullptr;
+
+    /// Host time the executor spends submitting one kernel, us. With each
+    /// stage's copy_issue_us it delays the next stage's host work.
+    sim::SimTime launch_issue_us = 0.0;
+
+    /// The stages' host work and input bytes, summed.
+    [[nodiscard]] sim::SimTime HostUs() const;
+    [[nodiscard]] int64_t H2dBytes() const;
 };
 
 /// Decision features derived from the estimate — the "batch stats" the

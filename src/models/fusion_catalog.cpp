@@ -1,6 +1,7 @@
 #include "models/fusion_catalog.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dgnn::models {
 
@@ -82,21 +83,27 @@ MatchLength(const FusionPlan& plan, std::span<const sim::KernelDesc> rest)
 }  // namespace
 
 std::vector<sim::KernelDesc>
-FuseRegisteredChains(const DgnnModel& model, std::span<const sim::KernelDesc> kernels)
+FuseRegisteredChains(const DgnnModel& model, std::span<const sim::KernelDesc> kernels,
+                     std::vector<size_t>& last_member)
 {
     std::vector<sim::KernelDesc> out(kernels.begin(), kernels.end());
+    last_member.resize(out.size());
+    std::iota(last_member.begin(), last_member.end(), size_t{0});
     for (const FusionPlan& plan : FusionCatalog()) {
         if (plan.model != model.Name()) {
             continue;
         }
         std::vector<sim::KernelDesc> fused;
+        std::vector<size_t> fused_last;
         fused.reserve(out.size());
+        fused_last.reserve(out.size());
         size_t i = 0;
         while (i < out.size()) {
             const auto rest = std::span<const sim::KernelDesc>(out).subspan(i);
             const size_t length = MatchLength(plan, rest);
             if (length == 0) {
                 fused.push_back(std::move(out[i]));
+                fused_last.push_back(last_member[i]);
                 ++i;
                 continue;
             }
@@ -104,11 +111,20 @@ FuseRegisteredChains(const DgnnModel& model, std::span<const sim::KernelDesc> ke
             fused.push_back(sim::Collapse(sim::FusedKernelDesc{
                 plan.chain, {parts.begin(), parts.end()},
                 plan.boundary_bytes(parts, model.CacheRowBytes()), plan.shape}));
+            fused_last.push_back(last_member[i + length - 1]);
             i += length;
         }
         out = std::move(fused);
+        last_member = std::move(fused_last);
     }
     return out;
+}
+
+std::vector<sim::KernelDesc>
+FuseRegisteredChains(const DgnnModel& model, std::span<const sim::KernelDesc> kernels)
+{
+    std::vector<size_t> last_member;
+    return FuseRegisteredChains(model, kernels, last_member);
 }
 
 }  // namespace dgnn::models

@@ -76,4 +76,12 @@ struct FusionPlan {
 [[nodiscard]] std::vector<sim::KernelDesc> FuseRegisteredChains(
     const DgnnModel& model, std::span<const sim::KernelDesc> kernels);
 
+/// FuseRegisteredChains, also telling where each output kernel came from:
+/// @p last_member[i] is the index in @p kernels of the last kernel output
+/// i covers (its own index when it was kept as it is), so the entries
+/// rise strictly.
+[[nodiscard]] std::vector<sim::KernelDesc> FuseRegisteredChains(
+    const DgnnModel& model, std::span<const sim::KernelDesc> kernels,
+    std::vector<size_t>& last_member);
+
 }  // namespace dgnn::models

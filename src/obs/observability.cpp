@@ -25,18 +25,22 @@ ServingObservability::OnRunBegin(const serve::RunContext& ctx)
                    {"mode", ctx.mode},
                    {"policy", ctx.policy},
                    {"executor", ctx.executor}};
-    // A serving runtime records no trace until something reads it: turn
-    // tracing on before any serving-window op is issued, then plant the
-    // cursor past whatever warm-up left so the run's device scan covers
-    // only serving-window events.
-    ctx.runtime->SetTracing(true);
-    trace_cursor_ = ctx.runtime->GetTrace().Size();
+    // A serving runtime records no trace until something reads it: only a
+    // kept device trace does, so turn tracing on for it before any
+    // serving-window op is issued, then plant the cursor past whatever
+    // warm-up left so the copy covers only serving-window events.
+    if (options_.keep_device_trace) {
+        ctx.runtime->SetTracing(true);
+        trace_cursor_ = ctx.runtime->GetTrace().Size();
+    }
     cache_before_ =
         ctx.cache != nullptr ? ctx.cache->Stats() : cache::CacheStats{};
     h2d_bytes_before_ = ctx.runtime->BytesToDevice();
     d2h_bytes_before_ = ctx.runtime->BytesToHost();
     sync_wait_before_ = ctx.runtime->SyncWaitTime();
     transfer_time_before_ = ctx.runtime->TransferTime();
+    kernels_before_ = ctx.runtime->KernelLaunches();
+    occupancy_before_ = ctx.runtime->KernelOccupancySum();
     windows_.SetOrigin(ctx.window_start_us);
 }
 
@@ -80,6 +84,17 @@ ServingObservability::OnBatch(const serve::BatchObservation& ob)
         Labels labels = run_labels_;
         labels.emplace_back("stage", stage);
         metrics_.SummaryObserve("dgnn_serve_stage_us", duration, labels);
+    }
+    // How long the batch's input copies and kernels ran, beside the stage
+    // chain that counts the part of them under later host stages as host.
+    const std::array<std::pair<const char*, double>, 2> busy = {{
+        {"h2d", s.h2d_busy_us},
+        {"compute", s.compute_busy_us},
+    }};
+    for (const auto& [stage, duration] : busy) {
+        Labels labels = run_labels_;
+        labels.emplace_back("stage", stage);
+        metrics_.SummaryObserve("dgnn_serve_busy_us", duration, labels);
     }
 
     const int64_t h2d_bytes =
@@ -142,19 +157,18 @@ ServingObservability::OnRunEnd()
                       runtime.TransferTime() - transfer_time_before_,
                       run_labels_);
 
-    // Device-trace scan from the cursor: kernel launches and occupancy.
-    const std::vector<sim::TraceEvent>& events = runtime.GetTrace().Events();
-    int64_t kernels = 0;
-    double occupancy_sum = 0.0;
-    for (size_t i = trace_cursor_; i < events.size(); ++i) {
-        const sim::TraceEvent& e = events[i];
-        if (e.kind == sim::EventKind::kKernel) {
-            ++kernels;
-            occupancy_sum += e.occupancy;
-        }
-        if (options_.keep_device_trace) {
-            device_events_.push_back(e);
-        }
+    // Kernel launches and occupancy from the runtime's counters, and the
+    // kept device trace from the cursor.
+    const int64_t kernels = runtime.KernelLaunches() - kernels_before_;
+    const double occupancy_sum =
+        runtime.KernelOccupancySum() - occupancy_before_;
+    if (options_.keep_device_trace) {
+        const std::vector<sim::TraceEvent>& events =
+            runtime.GetTrace().Events();
+        device_events_.insert(
+            device_events_.end(),
+            events.begin() + static_cast<std::ptrdiff_t>(trace_cursor_),
+            events.end());
     }
     metrics_.CounterAdd("dgnn_sim_kernel_launches_total",
                         static_cast<double>(kernels), run_labels_);

@@ -14,12 +14,12 @@
 /// Attach one instance through ServerOptions::observer. The observer only
 /// READS serving state: the lower layers (sim/, cache/) never depend on
 /// obs/ — instead the observer pulls from them, snapshotting the runtime's
-/// counters and cache stats at run begin and diffing at run end, and
-/// scanning the runtime's event trace from a cursor planted at run begin
-/// (so warm-up events stay out of the run's figures). A serving runtime
-/// records no trace unless asked, so OnRunBegin turns its tracing on —
-/// the one write the observer makes, and one that changes no simulated
-/// figure. One instance may observe several sequential runs; run-scoped
+/// counters and cache stats at run begin and diffing at run end (so
+/// warm-up stays out of the run's figures). A serving runtime records no
+/// trace unless asked; only a kept device trace (keep_device_trace) needs
+/// one, so only then does OnRunBegin turn its tracing on and plant a
+/// cursor to copy the run's events from — the one write the observer
+/// makes, and one that changes no simulated figure. One instance may observe several sequential runs; run-scoped
 /// metric labels (model, mode, policy, executor) keep the series apart.
 
 #include <cstdint>
@@ -38,8 +38,9 @@ namespace dgnn::obs {
 struct ObservabilityOptions {
     /// Windowed-aggregation interval, us.
     sim::SimTime window_us = 100000.0;
-    /// Copy the runtime's device trace events at run end (needed for the
-    /// merged chrome-trace export).
+    /// Trace the run and copy the runtime's device trace events at run end
+    /// (needed for the merged chrome-trace export). Every metric reads the
+    /// same either way; off, the run records no per-op trace.
     bool keep_device_trace = true;
 };
 
@@ -85,6 +86,8 @@ class ServingObservability : public serve::ServingObserver {
     int64_t d2h_bytes_before_ = 0;
     sim::SimTime sync_wait_before_ = 0.0;
     sim::SimTime transfer_time_before_ = 0.0;
+    int64_t kernels_before_ = 0;
+    double occupancy_before_ = 0.0;
 
     MetricsRegistry metrics_;
     RequestTimeline timeline_;

@@ -1,6 +1,9 @@
 #include "serve/executor.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <span>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -12,58 +15,119 @@ namespace {
 /// (classic double buffering).
 constexpr int64_t kMaxInFlight = 2;
 
-/// The four per-slot staging buffers a batch flows through (hazard-checker
-/// resources; see DESIGN.md §11). Serial execution always stages through
-/// slot 0 — every stage blocks the host, so reuse is host-ordered. The
+/// The hazard-checker name of one staging buffer (see DESIGN.md §11):
+/// "<family>#<slot>" for a batch's first stage, "<family>#<slot>.<stage>"
+/// for a later one. The families are host_in (pinned host input staging),
+/// dev_in (device-side batch inputs), dev_out (device-side batch results)
+/// and host_out (pinned host result staging); the input pair is per stage,
+/// since a stage's host build fills its staging while the previous stage's
+/// copy may still read its own. Serial execution always stages through
+/// slot 0 — every batch ends on a host block, so reuse is host-ordered. The
 /// pipelined executor rotates slots like its double-buffered staging
 /// memory: batch k owns slot k % depth until the throttle wait on its
 /// completion event releases it. Built only inside sim::MaybeAccess
 /// lambdas, so unobserved runs never build the names.
-struct SlotResources {
-    std::string host_in;   ///< pinned host input staging
-    std::string dev_in;    ///< device-side batch input buffer
-    std::string dev_out;   ///< device-side batch result buffer
-    std::string host_out;  ///< pinned host result staging
-
-    explicit SlotResources(int64_t slot)
-        : host_in("host_in#" + std::to_string(slot)),
-          dev_in("dev_in#" + std::to_string(slot)),
-          dev_out("dev_out#" + std::to_string(slot)),
-          host_out("host_out#" + std::to_string(slot))
-    {
+std::string
+Staging(const char* family, int64_t slot, size_t stage = 0)
+{
+    std::string name(family);
+    name += '#';
+    name += std::to_string(slot);
+    if (stage > 0) {
+        name += '.';
+        name += std::to_string(stage);
     }
+    return name;
+}
+
+/// One stage as an executor issues it.
+struct StageWork {
+    /// Host build, less the prep credit on the stage holding the sampling.
+    sim::SimTime host_us = 0.0;
+    /// Input bytes, the batch's missed state rows included on the stage
+    /// that gathered them.
+    int64_t h2d_bytes = 0;
+    std::span<const sim::KernelDesc> kernels;
+    /// The stage gathers the batch's state rows: its input copy carries the
+    /// misses and it runs the hit gather.
+    bool gathers_state = false;
+    /// The stage's kernels update the gathered state rows in place (every
+    /// stage from the gathering one on).
+    bool updates_state = false;
 };
 
-/// Footprint of the staged input copy: consumes the host staging buffer,
-/// lands the device input buffer, and opens the residency episode of every
-/// row the gather inserted (missed rows ride this copy).
+/// How many stages a device executor replays for @p profile: its captured
+/// stages, or one flat stage on a runtime without a GPU, which has no
+/// device to overlap.
+size_t
+StageCount(const sim::Runtime& runtime, const BatchProfile& profile)
+{
+    return runtime.HasGpu() ? profile.stages.size() : 1;
+}
+
+/// Stage @p s of StageCount(runtime, profile) as the executor issues it. The
+/// flat stage is the whole host build, then every kernel.
+StageWork
+StageToIssue(const sim::Runtime& runtime, const BatchProfile& profile, size_t s,
+             sim::SimTime prep_credit_us, const CacheBatchCost& cache_cost)
+{
+    const int64_t miss_bytes = cache_cost.miss_rows * cache_cost.row_bytes;
+    if (!runtime.HasGpu()) {
+        return {.host_us = profile.host_us - prep_credit_us,
+                .h2d_bytes = profile.h2d_bytes + miss_bytes,
+                .kernels = profile.kernels,
+                .gathers_state = true,
+                .updates_state = true};
+    }
+    const BatchStage& stage = profile.stages[s];
+    const size_t state_stage = profile.StateStage();
+    return {.host_us = s == profile.PrepStage() ? stage.host_us - prep_credit_us
+                                                : stage.host_us,
+            .h2d_bytes = stage.h2d_bytes + (s == state_stage ? miss_bytes : 0),
+            .kernels = profile.StageKernels(s),
+            .gathers_state = s == state_stage,
+            .updates_state = s >= state_stage};
+}
+
+/// Footprint of a stage's staged input copy: consumes the stage's host
+/// staging buffer, lands its device input buffer, and, on the stage that
+/// gathers state, opens the residency episode of every row the gather
+/// inserted (missed rows ride this copy).
 sim::AccessSet
-InputCopyAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
+InputCopyAccess(int64_t slot, size_t stage, const StageWork& work,
+                const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
-    access.reads.push_back(slot.host_in);
-    access.writes.push_back(slot.dev_in);
-    access.writes.insert(access.writes.end(),
-                         cache_cost.row_trace.inserted_rows.begin(),
-                         cache_cost.row_trace.inserted_rows.end());
+    access.reads.push_back(Staging("host_in", slot, stage));
+    access.writes.push_back(Staging("dev_in", slot, stage));
+    if (work.gathers_state) {
+        access.writes.insert(access.writes.end(),
+                             cache_cost.row_trace.inserted_rows.begin(),
+                             cache_cost.row_trace.inserted_rows.end());
+    }
     return access;
 }
 
-/// Footprint of the batch's compute kernels: consume the staged inputs,
-/// produce the staged results, and update the batch's gathered state rows
-/// in place.
+/// Footprint of a stage's compute kernels: consume the staged inputs of
+/// this and every earlier stage, produce the staged results, and update the
+/// batch's gathered state rows in place from the gathering stage on.
 sim::AccessSet
-KernelAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
+KernelAccess(int64_t slot, size_t stage, const StageWork& work,
+             const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
-    access.reads.push_back(slot.dev_in);
-    access.writes.push_back(slot.dev_out);
-    access.writes.insert(access.writes.end(),
-                         cache_cost.row_trace.hit_rows.begin(),
-                         cache_cost.row_trace.hit_rows.end());
-    access.writes.insert(access.writes.end(),
-                         cache_cost.row_trace.inserted_rows.begin(),
-                         cache_cost.row_trace.inserted_rows.end());
+    for (size_t earlier = 0; earlier <= stage; ++earlier) {
+        access.reads.push_back(Staging("dev_in", slot, earlier));
+    }
+    access.writes.push_back(Staging("dev_out", slot));
+    if (work.updates_state) {
+        access.writes.insert(access.writes.end(),
+                             cache_cost.row_trace.hit_rows.begin(),
+                             cache_cost.row_trace.hit_rows.end());
+        access.writes.insert(access.writes.end(),
+                             cache_cost.row_trace.inserted_rows.begin(),
+                             cache_cost.row_trace.inserted_rows.end());
+    }
     return access;
 }
 
@@ -71,14 +135,14 @@ KernelAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
 /// evicted-dirty rows riding the transfer, lands the host staging buffer
 /// and (for write-backs) the host-side state store.
 sim::AccessSet
-ResultCopyAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
+ResultCopyAccess(int64_t slot, const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
-    access.reads.push_back(slot.dev_out);
+    access.reads.push_back(Staging("dev_out", slot));
     access.reads.insert(access.reads.end(),
                         cache_cost.row_trace.evicted_dirty_rows.begin(),
                         cache_cost.row_trace.evicted_dirty_rows.end());
-    access.writes.push_back(slot.host_out);
+    access.writes.push_back(Staging("host_out", slot));
     if (cache_cost.writeback_rows > 0) {
         access.writes.emplace_back("host_store");
     }
@@ -86,14 +150,80 @@ ResultCopyAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
 }
 
 /// Footprint of the device-side hit-gather kernel: reads the resident rows
-/// the batch hit and appends them to the staged device inputs.
+/// the batch hit and appends them to the stage's device inputs.
 sim::AccessSet
-HitGatherAccess(const SlotResources& slot, const CacheBatchCost& cache_cost)
+HitGatherAccess(int64_t slot, size_t stage, const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
     access.reads = cache_cost.row_trace.hit_rows;
-    access.writes.push_back(slot.dev_in);
+    access.writes.push_back(Staging("dev_in", slot, stage));
     return access;
+}
+
+/// What replaying a batch's stages left for its spans.
+struct StagesIssued {
+    /// Clock when the last stage's host build ended.
+    sim::SimTime host_done_us = 0.0;
+    /// When the last input copy's inputs were ready; unset when no stage
+    /// moved bytes.
+    std::optional<sim::SimTime> inputs_ready_us;
+    sim::SimTime h2d_busy_us = 0.0;
+    sim::SimTime compute_busy_us = 0.0;
+};
+
+/// Replays @p profile's stages on @p runtime in order, through staging slot
+/// @p slot: per stage one host build, one staged input copy when the stage
+/// moves bytes (@p copy_in issues it and returns when its inputs are
+/// ready), the hit gather on the stage that gathers state, then the stage's
+/// kernels.
+template <typename CopyIn>
+StagesIssued
+IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
+            sim::SimTime prep_credit_us, const CacheBatchCost& cache_cost,
+            int64_t slot, CopyIn&& copy_in)
+{
+    StagesIssued issued;
+    const sim::Device& device = runtime.ComputeDevice();
+    for (size_t s = 0; s < StageCount(runtime, profile); ++s) {
+        const StageWork stage =
+            StageToIssue(runtime, profile, s, prep_credit_us, cache_cost);
+        {
+            sim::MaybeAccess access(runtime, [&] {
+                sim::AccessSet set;
+                set.writes.push_back(Staging("host_in", slot, s));
+                return set;
+            });
+            runtime.RunHostFor("batch_build", stage.host_us);
+        }
+        issued.host_done_us = runtime.Now();
+        if (stage.h2d_bytes > 0) {
+            sim::MaybeAccess access(runtime, [&] {
+                return InputCopyAccess(slot, s, stage, cache_cost);
+            });
+            issued.inputs_ready_us = copy_in(stage.h2d_bytes);
+            if (runtime.HasGpu()) {
+                issued.h2d_busy_us += runtime.Pcie().TransferTime(stage.h2d_bytes);
+            }
+        }
+        const sim::SimTime busy_before = device.BusyTime();
+        if (stage.gathers_state && cache_cost.hit_rows > 0) {
+            sim::MaybeAccess access(runtime, [&] {
+                return HitGatherAccess(slot, s, cache_cost);
+            });
+            runtime.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
+                               "serve_state");
+        }
+        {
+            sim::MaybeAccess access(runtime, [&] {
+                return KernelAccess(slot, s, stage, cache_cost);
+            });
+            for (const sim::KernelDesc& kernel : stage.kernels) {
+                runtime.Launch(kernel);
+            }
+        }
+        issued.compute_busy_us += device.BusyTime() - busy_before;
+    }
+    return issued;
 }
 
 }  // namespace
@@ -106,11 +236,12 @@ BatchExecutor::Drain()
 
 sim::SimTime
 BatchExecutor::SubmitPlaced(dispatch::Placement placement,
-                            const BatchProfile& profile, sim::SimTime host_us,
+                            const BatchProfile& profile,
+                            sim::SimTime prep_credit_us,
                             const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     if (placement != dispatch::Placement::kCpu) {
-        return Submit(profile, host_us, cache_cost, spans);
+        return Submit(profile, prep_credit_us, cache_cost, spans);
     }
     // CPU-placed batches bypass the device entirely; a cached session's
     // state is device-resident, so the serving loop never routes it here.
@@ -128,7 +259,7 @@ BatchExecutor::SubmitPlaced(dispatch::Placement placement,
             set.writes.emplace_back("host_in#cpu");
             return set;
         });
-        runtime_.RunHostFor("batch_build", host_us);
+        runtime_.RunHostFor("batch_build", profile.host_us - prep_credit_us);
     }
     const sim::SimTime host_done = runtime_.Now();
     {
@@ -151,58 +282,33 @@ BatchExecutor::SubmitPlaced(dispatch::Placement placement,
         spans->h2d_done_us = host_done;
         spans->compute_done_us = runtime_.Now();
         spans->complete_us = runtime_.Now();
+        spans->compute_busy_us = runtime_.Now() - host_done;
     }
     return runtime_.Now();
 }
 
 sim::SimTime
-SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
+SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime prep_credit_us,
                        const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
     const int64_t slot = 0;
     const sim::SimTime dispatch = runtime_.Now();
-    {
-        sim::MaybeAccess access(runtime_, [&] {
-            sim::AccessSet set;
-            set.writes.push_back(SlotResources(slot).host_in);
-            return set;
+    // Each stage's inputs (with the missed state rows on the stage that
+    // gathered them) ride one blocking staged copy; cache hits cost only
+    // the device-side gather kernel. Kernels are async, so a stage's
+    // kernels run while the host builds the next stage.
+    const StagesIssued issued = IssueStages(
+        runtime_, profile, prep_credit_us, cache_cost, slot, [&](int64_t bytes) {
+            return runtime_.CopyToDevice(bytes, "serve_inputs_h2d");
         });
-        runtime_.RunHostFor("batch_build", host_us);
-    }
-    const sim::SimTime host_done = runtime_.Now();
-    // Missed state rows ride the batch's single staged input copy (one
-    // pinned buffer, one PCIe transaction); cache hits cost only the
-    // device-side gather kernel.
-    const int64_t h2d_total =
-        profile.h2d_bytes + cache_cost.miss_rows * cache_cost.row_bytes;
-    if (h2d_total > 0) {
-        sim::MaybeAccess access(
-            runtime_, [&] { return InputCopyAccess(SlotResources(slot), cache_cost); });
-        runtime_.CopyToDevice(h2d_total, "serve_inputs_h2d");
-    }
-    const sim::SimTime h2d_done = runtime_.Now();
-    if (cache_cost.hit_rows > 0) {
-        sim::MaybeAccess access(
-            runtime_, [&] { return HitGatherAccess(SlotResources(slot), cache_cost); });
-        runtime_.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
-                            "serve_state");
-    }
-    {
-        sim::MaybeAccess access(
-            runtime_, [&] { return KernelAccess(SlotResources(slot), cache_cost); });
-        for (const sim::KernelDesc& kernel : profile.kernels) {
-            runtime_.Launch(kernel);
-        }
-    }
     (void)runtime_.Synchronize();
     const sim::SimTime compute_done = runtime_.Now();
     if (profile.d2h_bytes > 0) {
         sim::MaybeAccess access(runtime_, [&] {
-            const SlotResources names(slot);
             sim::AccessSet set;
-            set.reads.push_back(names.dev_out);
-            set.writes.push_back(names.host_out);
+            set.reads.push_back(Staging("dev_out", slot));
+            set.writes.push_back(Staging("host_out", slot));
             return set;
         });
         runtime_.CopyToHost(profile.d2h_bytes, "serve_results_d2h");
@@ -218,20 +324,25 @@ SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
                                  "serve_state");
     }
     if (spans != nullptr) {
-        // Every stage blocks the host, so the boundaries are plain clock
-        // reads: already monotone, no clamping needed.
+        // Every copy and the final sync block the host, so the boundaries
+        // are plain clock reads: already monotone, no clamping needed.
         spans->dispatch_us = dispatch;
         spans->stall_done_us = dispatch;  // no pipeline throttle
-        spans->host_done_us = host_done;
-        spans->h2d_done_us = h2d_done;
+        spans->host_done_us = issued.host_done_us;
+        spans->h2d_done_us = std::max(
+            issued.host_done_us,
+            issued.inputs_ready_us.value_or(issued.host_done_us));
         spans->compute_done_us = compute_done;
         spans->complete_us = runtime_.Now();
+        spans->h2d_busy_us = issued.h2d_busy_us;
+        spans->compute_busy_us = issued.compute_busy_us;
     }
     return runtime_.Now();
 }
 
 sim::SimTime
-PipelinedExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
+PipelinedExecutor::Submit(const BatchProfile& profile,
+                          sim::SimTime prep_credit_us,
                           const CacheBatchCost& cache_cost, BatchSpans* spans)
 {
     sim::CategoryScope scope(runtime_, "Serving Batch");
@@ -251,46 +362,20 @@ PipelinedExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
     }
     const sim::SimTime stall_done = runtime_.Now();
 
-    // Host stage for batch k+1 — overlaps whatever the device still runs.
-    {
-        sim::MaybeAccess access(runtime_, [&] {
-            sim::AccessSet set;
-            set.writes.push_back(SlotResources(slot).host_in);
-            return set;
+    // Host stages overlap whatever the device still runs, this batch's
+    // earlier stages included. Each stage's inputs move by pinned async H2D
+    // on the copy stream (missed state rows ride the copy of the stage that
+    // gathered them: one pinned buffer, one DMA), and the compute stream
+    // waits on that copy's event, not the host; the hit-gather kernel and
+    // the stage's kernels queue behind the fence.
+    const StagesIssued issued = IssueStages(
+        runtime_, profile, prep_credit_us, cache_cost, slot, [&](int64_t bytes) {
+            (void)runtime_.CopyToDeviceAsync(bytes, "serve_inputs_h2d");
+            const sim::Event inputs_ready =
+                runtime_.RecordEvent(sim::StreamId::kCopy);
+            runtime_.StreamWaitEvent(sim::StreamId::kCompute, inputs_ready);
+            return inputs_ready.ready_us;
         });
-        runtime_.RunHostFor("batch_build", host_us);
-    }
-
-    // Input stage: pinned async H2D on the copy stream; compute kernels of
-    // this batch wait on its completion event, not the host. Missed state
-    // rows ride the same staged copy (one pinned buffer, one DMA); the
-    // hit-gather kernel queues on the compute stream behind the fence.
-    const int64_t h2d_total =
-        profile.h2d_bytes + cache_cost.miss_rows * cache_cost.row_bytes;
-    sim::SimTime inputs_ready_us = 0.0;  // resolved after clamping below
-    if (h2d_total > 0) {
-        sim::MaybeAccess access(
-            runtime_, [&] { return InputCopyAccess(SlotResources(slot), cache_cost); });
-        (void)runtime_.CopyToDeviceAsync(h2d_total, "serve_inputs_h2d");
-        const sim::Event inputs_ready = runtime_.RecordEvent(sim::StreamId::kCopy);
-        runtime_.StreamWaitEvent(sim::StreamId::kCompute, inputs_ready);
-        inputs_ready_us = inputs_ready.ready_us;
-    }
-    if (cache_cost.hit_rows > 0) {
-        sim::MaybeAccess access(
-            runtime_, [&] { return HitGatherAccess(SlotResources(slot), cache_cost); });
-        runtime_.GatherHits(cache_cost.hit_rows, cache_cost.row_bytes,
-                            "serve_state");
-    }
-
-    // Compute stage: kernels queue asynchronously behind the previous batch.
-    {
-        sim::MaybeAccess access(
-            runtime_, [&] { return KernelAccess(SlotResources(slot), cache_cost); });
-        for (const sim::KernelDesc& kernel : profile.kernels) {
-            runtime_.Launch(kernel);
-        }
-    }
 
     // Result stage: D2H (results + evicted-dirty-row write-backs) behind
     // the batch's compute event.
@@ -299,7 +384,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
     const int64_t d2h_total = profile.d2h_bytes + cache_cost.WritebackBytes();
     if (d2h_total > 0) {
         sim::MaybeAccess access(
-            runtime_, [&] { return ResultCopyAccess(SlotResources(slot), cache_cost); });
+            runtime_, [&] { return ResultCopyAccess(slot, cache_cost); });
         runtime_.StreamWaitEvent(sim::StreamId::kCopy, compute_done);
         (void)runtime_.CopyToHostAsync(d2h_total, "serve_results_d2h");
         batch_done = runtime_.RecordEvent(sim::StreamId::kCopy);
@@ -322,13 +407,31 @@ PipelinedExecutor::Submit(const BatchProfile& profile, sim::SimTime host_us,
         spans->host_done_us =
             std::clamp(host_done, spans->stall_done_us, complete);
         spans->h2d_done_us =
-            std::clamp(h2d_total > 0 ? inputs_ready_us : spans->host_done_us,
+            std::clamp(issued.inputs_ready_us.value_or(spans->host_done_us),
                        spans->host_done_us, complete);
         spans->compute_done_us =
             std::clamp(compute_done.ready_us, spans->h2d_done_us, complete);
         spans->complete_us = complete;
+        spans->h2d_busy_us = issued.h2d_busy_us;
+        spans->compute_busy_us = issued.compute_busy_us;
     }
     return batch_done.ready_us;
+}
+
+sim::SimTime
+SerialExecutor::CopyIssueUs(int64_t bytes) const
+{
+    return bytes > 0 && runtime_.HasGpu() ? runtime_.Pcie().TransferTime(bytes)
+                                          : 0.0;
+}
+
+sim::SimTime
+PipelinedExecutor::CopyIssueUs(int64_t bytes) const
+{
+    const sim::RuntimeConfig& config = runtime_.Config();
+    return bytes > 0 && runtime_.HasGpu()
+               ? config.submit_overhead_us + 2.0 * config.event_overhead_us
+               : 0.0;
 }
 
 sim::SimTime

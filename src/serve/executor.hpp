@@ -5,9 +5,10 @@
 /// runtime.
 ///
 ///   * SerialExecutor     — eager-mode semantics, exactly what the offline
-///                          models do: host build, blocking H2D, kernels,
-///                          synchronize, blocking D2H. One batch owns the
-///                          whole machine at a time.
+///                          models do: per stage a host build, a blocking
+///                          H2D and async kernels; then synchronize and a
+///                          blocking D2H. One batch owns the whole machine
+///                          at a time.
 ///   * PipelinedExecutor  — the serving optimization the paper's bottleneck
 ///                          analysis motivates: host build for batch k+1
 ///                          overlaps device compute for batch k. Inputs move
@@ -17,8 +18,11 @@
 ///                          A depth bound (default 2 = double buffering)
 ///                          throttles the host when it runs too far ahead.
 ///
-/// Submit returns the batch's absolute completion time, which for the
-/// pipelined executor generally lies beyond the host clock.
+/// Both replay a batch's captured stages (BatchStage) in order, so a
+/// stage's copies and kernels run while the host does the next stage; a
+/// runtime without a GPU has no device to overlap and runs the batch as one
+/// flat stage. Submit returns the batch's absolute completion time, which
+/// for the pipelined executor generally lies beyond the host clock.
 
 #include <cstdint>
 #include <deque>
@@ -56,15 +60,19 @@ struct CacheBatchCost {
 /// in-executor latency exactly:
 ///
 ///   dispatch -> stall    pipeline-depth throttle wait (0 for serial)
-///   stall    -> host     host-side batch build (+ async submit overheads)
-///   host     -> h2d      input H2D landed on the device
+///   stall    -> host     host-side batch build of every stage, with the
+///                        copies and kernel submits issued between stages
+///                        (pipelined: also the last stage's submits)
+///   host     -> h2d      the last input copy landed on the device
 ///   h2d      -> compute  device kernels (incl. the cache hit-gather) done
 ///   compute  -> complete results (+ dirty write-backs) back on the host
 ///
-/// For the pipelined executor the device-side boundaries are event
+/// Device work that ran under a later host stage counts as host in this
+/// chain. For the pipelined executor the device-side boundaries are event
 /// completion times clamped into [host_done, complete]: a batch's H2D may
 /// queue behind the previous batch's D2H on the copy stream, and that wait
-/// is attributed to the H2D stage.
+/// is attributed to the H2D stage. The busy times say how long the batch's
+/// input copies and kernels actually ran, wherever the chain put them.
 struct BatchSpans {
     sim::SimTime dispatch_us = 0.0;
     sim::SimTime stall_done_us = 0.0;
@@ -72,6 +80,11 @@ struct BatchSpans {
     sim::SimTime h2d_done_us = 0.0;
     sim::SimTime compute_done_us = 0.0;
     sim::SimTime complete_us = 0.0;
+    /// Summed link time of the batch's input copies, us (0 when nothing
+    /// crossed PCIe).
+    sim::SimTime h2d_busy_us = 0.0;
+    /// Summed execution time of the batch's kernels and hit gather, us.
+    sim::SimTime compute_busy_us = 0.0;
 };
 
 /// Issues batches to the simulated runtime.
@@ -83,16 +96,18 @@ class BatchExecutor {
     virtual std::string Name() const = 0;
 
     /// Issues one batch; returns its absolute completion time (when its
-    /// results are back on the host). @p host_us is the batch's host stage:
-    /// the profile's host_us less the sampling its requests already had
-    /// done while the server idled (the profile's own host_us when none
-    /// had). @p cache_cost carries the batch's resolved hit/miss split when
-    /// the session serves through a device cache (all-zero for uncached
-    /// sessions). When @p spans is non-null the executor records the
-    /// batch's stage boundaries into it; the capture only reads the clock,
-    /// so passing nullptr vs a target is simulation-identical.
+    /// results are back on the host). @p prep_credit_us is the sampling the
+    /// batch's requests already had done while the server idled (0 when
+    /// none had); it comes off the host work of the stage holding the
+    /// sampling ops. @p cache_cost carries the batch's resolved hit/miss
+    /// split when the session serves through a device cache (all-zero for
+    /// uncached sessions); its misses ride the input copy, and its hit
+    /// gather runs, in the stage that gathered state in the capture. When
+    /// @p spans is non-null the executor records the batch's stage
+    /// boundaries into it; the capture only reads the clock, so passing
+    /// nullptr vs a target is simulation-identical.
     virtual sim::SimTime Submit(const BatchProfile& profile,
-                                sim::SimTime host_us,
+                                sim::SimTime prep_credit_us,
                                 const CacheBatchCost& cache_cost,
                                 BatchSpans* spans = nullptr) = 0;
 
@@ -100,15 +115,21 @@ class BatchExecutor {
     /// executors). kGpu and kGpuFused forward to Submit with the profile
     /// the caller selected (the serving loop passes the fused profile for
     /// kGpuFused — the kernels arrive pre-collapsed). kCpu runs the batch
-    /// synchronously on the host: the @p host_us build, then every kernel
-    /// as a host op — nothing crosses PCIe, no streams, the host store
-    /// stays authoritative. CPU placement requires an inactive cache_cost
-    /// (serving only routes uncached sessions to the host).
+    /// synchronously on the host: the whole host build less
+    /// @p prep_credit_us, then every kernel as a host op — nothing crosses
+    /// PCIe, no streams, the host store stays authoritative. CPU placement
+    /// requires an inactive cache_cost (serving only routes uncached
+    /// sessions to the host).
     [[nodiscard]] sim::SimTime SubmitPlaced(dispatch::Placement placement,
                                             const BatchProfile& profile,
-                                            sim::SimTime host_us,
+                                            sim::SimTime prep_credit_us,
                                             const CacheBatchCost& cache_cost,
                                             BatchSpans* spans = nullptr);
+
+    /// Host time Submit spends issuing a stage's input copy of @p bytes
+    /// before it goes on to the stage's kernels (0 when nothing moves): what
+    /// the dispatcher charges between one host stage and the next.
+    [[nodiscard]] virtual sim::SimTime CopyIssueUs(int64_t bytes) const = 0;
 
     /// Blocks the host until every in-flight batch completes.
     virtual sim::SimTime Drain();
@@ -123,9 +144,11 @@ class SerialExecutor : public BatchExecutor {
     using BatchExecutor::BatchExecutor;
 
     std::string Name() const override { return "serial"; }
-    sim::SimTime Submit(const BatchProfile& profile, sim::SimTime host_us,
+    sim::SimTime Submit(const BatchProfile& profile, sim::SimTime prep_credit_us,
                         const CacheBatchCost& cache_cost,
                         BatchSpans* spans = nullptr) override;
+    /// The blocking copy: the host waits out the transfer.
+    sim::SimTime CopyIssueUs(int64_t bytes) const override;
 };
 
 /// Multi-stream pipelined executor with bounded in-flight depth.
@@ -134,9 +157,12 @@ class PipelinedExecutor : public BatchExecutor {
     using BatchExecutor::BatchExecutor;
 
     std::string Name() const override { return "pipelined"; }
-    sim::SimTime Submit(const BatchProfile& profile, sim::SimTime host_us,
+    sim::SimTime Submit(const BatchProfile& profile, sim::SimTime prep_credit_us,
                         const CacheBatchCost& cache_cost,
                         BatchSpans* spans = nullptr) override;
+    /// The async copy's submit, its event record and the compute stream's
+    /// wait on it.
+    sim::SimTime CopyIssueUs(int64_t bytes) const override;
     sim::SimTime Drain() override;
 
   private:

@@ -6,10 +6,11 @@
 /// per-batch cost profile: it replays the model's batched inference entry
 /// (models::SingleBatchProbe) against a scratch runtime and builds a
 /// BatchProfile from the runtime's op records (sim::OpRecord, through a
-/// RuntimeObserver) — total host-side work (sampling, batch build,
-/// framework overhead) with its sampling share, H2D/D2H transfer volumes,
-/// and the ordered device-kernel descriptors. The serving executors then
-/// re-issue that profile per request batch, either serially (eager-mode
+/// RuntimeObserver) — the probe's ordered stages, each the host-side work
+/// of a run of host ops (sampling, batch build, framework overhead) with
+/// its sampling share, then the H2D/D2H volumes and device kernels issued
+/// before the next host op. The serving executors then re-issue that
+/// profile per request batch, stage by stage, either serially (eager-mode
 /// semantics) or pipelined across streams. Profiles are memoized per batch
 /// size in a ProfileTable, so dynamic batching with variable sizes stays
 /// cheap, and sessions serving one model the same way can share one table.
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,16 +38,43 @@
 
 namespace dgnn::serve {
 
-/// Everything one inference batch costs, in issue order.
-struct BatchProfile {
-    int64_t batch_size = 0;
-    /// Total host-side work per batch (sampling + batch build + framework
+/// One stage of a batch, in issue order: the host time of a run of
+/// consecutive host ops, then the device work the probe issued before its
+/// next host op. The executors replay a batch stage by stage, so a stage's
+/// device work runs while the host does the next stage.
+struct BatchStage {
+    /// Host time of the stage's host ops (sampling, batch build, framework
     /// overhead), us.
     sim::SimTime host_us = 0.0;
     /// The part of host_us that is neighbour sampling (the host ops named
-    /// models::kSamplingKernelName), us: the per-request work the serving
-    /// loop can do ahead of dispatch. 0 for models that sample nothing on
-    /// the host; never above host_us.
+    /// models::kSamplingKernelName), us.
+    sim::SimTime prep_us = 0.0;
+    /// Input bytes the stage moved host->device, per-node state excluded.
+    int64_t h2d_bytes = 0;
+    /// Result bytes the stage moved device->host (the executors return a
+    /// batch's results in one copy after its last kernel).
+    int64_t d2h_bytes = 0;
+    /// Unique per-node state rows the probe gathered in this stage; a live
+    /// batch's cache misses and hit gather belong to the stage that holds
+    /// them.
+    int64_t state_rows = 0;
+    /// Kernels the stage launches: the next `launches` entries of
+    /// BatchProfile::kernels after the earlier stages' launches.
+    int64_t launches = 0;
+};
+
+/// Everything one inference batch costs, in issue order. The stages are
+/// the record; every total below is the sum over them, and `kernels` is
+/// the stages' launches concatenated.
+struct BatchProfile {
+    int64_t batch_size = 0;
+    std::vector<BatchStage> stages;
+    /// Total host-side work per batch (sampling + batch build + framework
+    /// overhead), us.
+    sim::SimTime host_us = 0.0;
+    /// The part of host_us that is neighbour sampling: the per-request
+    /// work the serving loop can do ahead of dispatch. 0 for models that
+    /// sample nothing on the host; never above host_us.
     sim::SimTime prep_us = 0.0;
     /// Input bytes moved host->device per batch. When the session cache is
     /// enabled this EXCLUDES per-node state (tracked by state_rows below).
@@ -59,6 +88,15 @@ struct BatchProfile {
     int64_t state_row_bytes = 0;
     /// Device kernels, in launch order.
     std::vector<sim::KernelDesc> kernels;
+
+    /// The stage that gathered the per-node state rows (the first with any),
+    /// or 0 when none did.
+    size_t StateStage() const;
+    /// The stage that holds the sampling ops (the first with prep time), or
+    /// 0 when none does: the stage a prep credit comes off.
+    size_t PrepStage() const;
+    /// The kernels stage @p stage launches.
+    std::span<const sim::KernelDesc> StageKernels(size_t stage) const;
 };
 
 /// The captured BatchProfiles of one (model, mode, fan-out, cache config),
@@ -98,6 +136,7 @@ class ProfileTable {
 
     /// Profile(batch_size) with the model's registered fusion chains
     /// collapsed (models::FuseRegisteredChains): fewer, fatter kernels,
+    /// each fused kernel in the stage of its chain's last member,
     /// identical host work and transfer volumes, and no further run of the
     /// model. Memoized separately; the chain a hybrid batch runs when it
     /// is placed on kGpuFused.

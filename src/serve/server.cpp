@@ -39,25 +39,37 @@ struct PricedBatch {
     const BatchProfile* profile = nullptr;
 };
 
-/// Prices a batch of @p profile's size on @p node. The device placements
-/// are charged the worst-case all-miss state volume, the same bound the
-/// executors pay for uncached sessions.
+/// Prices a batch of @p profile's size on @p runtime's node, stage by
+/// stage, with @p executor's costs of issuing each stage's device work. The
+/// device placements are charged the worst-case all-miss state volume on
+/// the stage that gathers it, the same bound the executors pay for
+/// uncached sessions.
 PricedBatch
 PriceBatch(const dispatch::HybridDispatcher& dispatcher, ModelSession& session,
-           const BatchProfile& profile, const sim::TopologyNode& node,
-           bool allow_cpu)
+           const BatchProfile& profile, const sim::Runtime& runtime,
+           const BatchExecutor& executor, bool allow_cpu)
 {
     const BatchProfile& fused_profile = session.FusedProfile(profile.batch_size);
     dispatch::WorkEstimate estimate;
     estimate.batch_size = profile.batch_size;
-    estimate.host_us = profile.host_us;
-    estimate.h2d_bytes =
-        profile.h2d_bytes + profile.state_rows * profile.state_row_bytes;
+    estimate.stages.reserve(profile.stages.size());
+    for (size_t s = 0; s < profile.stages.size(); ++s) {
+        const BatchStage& stage = profile.stages[s];
+        const int64_t h2d_bytes =
+            stage.h2d_bytes + stage.state_rows * profile.state_row_bytes;
+        estimate.stages.push_back(
+            {.host_us = stage.host_us,
+             .h2d_bytes = h2d_bytes,
+             .launches = stage.launches,
+             .fused_launches = fused_profile.stages[s].launches,
+             .copy_issue_us = executor.CopyIssueUs(h2d_bytes)});
+    }
     estimate.d2h_bytes = profile.d2h_bytes;
     estimate.kernels = &profile.kernels;
     estimate.fused_kernels = &fused_profile.kernels;
+    estimate.launch_issue_us = runtime.Config().submit_overhead_us;
     PricedBatch priced;
-    priced.decision = dispatcher.Decide(estimate, node, allow_cpu);
+    priced.decision = dispatcher.Decide(estimate, runtime.Node(), allow_cpu);
     priced.profile = priced.decision.placement == dispatch::Placement::kGpuFused
                          ? &fused_profile
                          : &profile;
@@ -235,8 +247,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                 }
                 std::optional<PricedBatch>& memo = placements[size];
                 if (!memo.has_value()) {
-                    memo = PriceBatch(*dispatcher, session, profile,
-                                      runtime.Node(), allow_cpu);
+                    memo = PriceBatch(*dispatcher, session, profile, runtime,
+                                      *executor, allow_cpu);
                 }
                 placed = &memo->decision;
                 placement = placed->placement;
@@ -328,8 +340,8 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
 
             BatchSpans spans;
             const sim::SimTime completion = executor->SubmitPlaced(
-                placement, *exec_profile, exec_profile->host_us - prep_credit,
-                cache_cost, observer != nullptr ? &spans : nullptr);
+                placement, *exec_profile, prep_credit, cache_cost,
+                observer != nullptr ? &spans : nullptr);
             last_completion = std::max(last_completion, completion);
             BatchObservation ob;
             if (observer != nullptr) {

@@ -224,6 +224,8 @@ Runtime::Launch(const KernelDesc& kernel, CacheTag cache)
     // Only the execution portion keeps the device busy; the launch gap is
     // idle time (this is what nvidia-smi-style utilization measures).
     dev.AddBusy(execution, occ);
+    ++kernel_launches_;
+    kernel_occupancy_sum_ += occ;
 
     // The op spans the execution interval, after the launch gap.
     Report({.kind = OpKind::kKernel, .name = &kernel.name, .on_host = !HasGpu(),
@@ -580,6 +582,8 @@ Runtime::ResetMeasurementWindow()
     d2h_bytes_ = 0;
     cache_hit_bytes_ = 0;
     transfer_count_ = 0;
+    kernel_launches_ = 0;
+    kernel_occupancy_sum_ = 0.0;
     peer_bytes_ = 0;
     peer_copy_count_ = 0;
     peer_link_time_us_ = 0.0;

@@ -124,6 +124,7 @@ class Runtime {
     Runtime& operator=(Runtime&&) = default;
 
     ExecMode Mode() const { return config_.mode; }
+    const RuntimeConfig& Config() const { return config_; }
     bool HasGpu() const { return config_.mode == ExecMode::kHybrid; }
 
     Device& Cpu() { return cpu_; }
@@ -350,6 +351,12 @@ class Runtime {
     /// Time the peer links spent occupied by this window's peer copies.
     SimTime PeerLinkTime() const { return peer_link_time_us_; }
 
+    /// Kernels launched in this measurement window (cache hit gathers
+    /// included), and the sum of their occupancies: the figures a scan of
+    /// the window's kernel trace events would add up, without a trace.
+    int64_t KernelLaunches() const { return kernel_launches_; }
+    double KernelOccupancySum() const { return kernel_occupancy_sum_; }
+
     /// Host time spent blocked in Synchronize() since window reset.
     SimTime SyncWaitTime() const { return sync_wait_us_; }
 
@@ -451,6 +458,8 @@ class Runtime {
     int64_t d2h_bytes_ = 0;
     int64_t cache_hit_bytes_ = 0;
     int64_t transfer_count_ = 0;
+    int64_t kernel_launches_ = 0;
+    double kernel_occupancy_sum_ = 0.0;
     int64_t peer_bytes_ = 0;
     int64_t peer_copy_count_ = 0;
     SimTime peer_link_time_us_ = 0.0;

@@ -852,9 +852,11 @@ TEST(MutationWallTest, EachDroppedEdgePinsItsHazards)
         {false, "", 0, 0, "-"},
         // One hazard per shape: the cache rows the input copy opens are
         // one family however many rows the batches touch.
-        {false, "dev_in", 4, 593, "RAW on dev_in#0"},
-        {false, "dev_out", 4, 539, "RAW on dev_out#0"},
-        {false, "host_out", 1, 14, "WAR on host_in#0"},
+        {false, "dev_in", 4, 609, "RAW on dev_in#0"},
+        {false, "dev_out", 4, 553, "RAW on dev_out#0"},
+        // Two stages of a TGN batch copy inputs, each from its own host
+        // staging: two WARs per reused slot.
+        {false, "host_out", 1, 28, "WAR on host_in#0"},
         {true, "", 0, 0, "-"},
         {true, "exchange_in", 1, 8, "RAW on exchange_in#0"},
         // The exchange back-fence is redundant under both executors: the

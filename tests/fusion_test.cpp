@@ -501,8 +501,13 @@ Estimate(const std::vector<sim::KernelDesc>& kernels,
 {
     dispatch::WorkEstimate estimate;
     estimate.batch_size = batch;
-    estimate.host_us = host_us;
-    estimate.h2d_bytes = h2d;
+    estimate.stages = {
+        {.host_us = host_us,
+         .h2d_bytes = h2d,
+         .launches = static_cast<int64_t>(kernels.size()),
+         .fused_launches = fused_kernels != nullptr
+                               ? static_cast<int64_t>(fused_kernels->size())
+                               : 0}};
     estimate.d2h_bytes = d2h;
     estimate.kernels = &kernels;
     estimate.fused_kernels = fused_kernels;
@@ -610,6 +615,46 @@ TEST(DispatcherTest, StaticModesForceThePlacement)
     EXPECT_EQ(decide(no_fused, dispatch::DispatchMode::kHybrid, false)
                   .placement,
               dispatch::Placement::kGpu);
+}
+
+TEST(DispatcherTest, StagesOverlapDeviceWorkWithLaterHostStages)
+{
+    // Two stages: the first stage's copy and kernel run while the host
+    // issues them and then does the second stage's host work; the second
+    // stage's device work starts once both are done. A one-stage batch
+    // prices exactly as host + transfers + chain.
+    const dispatch::HybridDispatcher dispatcher;
+    const std::vector<sim::KernelDesc> kernels = {
+        Desc("first", 2000000000, 64000000, 200000),
+        Desc("second", 1000000, 250000, 512)};
+    const sim::LinkSpec& link = kTestbed.host_link;
+    const auto gpu = [](const sim::KernelDesc& k) {
+        return sim::KernelDuration(kTestbed.gpu, k);
+    };
+
+    dispatch::WorkEstimate staged =
+        Estimate(kernels, nullptr, 64, 0.0, 0, 4096);
+    staged.launch_issue_us = 1.5;
+    staged.stages = {
+        {.host_us = 10.0, .h2d_bytes = 1 << 20, .launches = 1, .copy_issue_us = 2.5},
+        {.host_us = 40.0, .h2d_bytes = 8192, .launches = 1}};
+    const sim::SimTime first_done =
+        10.0 + link.TransferTime(1 << 20) + gpu(kernels[0]);
+    const sim::SimTime second_host = 10.0 + 2.5 + 1.5 + 40.0;
+    const sim::SimTime expected =
+        std::max(second_host, first_done) +
+        (link.TransferTime(8192) + link.TransferTime(4096)) + gpu(kernels[1]);
+    EXPECT_DOUBLE_EQ(dispatcher.Decide(staged, kTestbed).predicted_gpu_us,
+                     expected);
+
+    const dispatch::WorkEstimate flat =
+        Estimate(kernels, nullptr, 64, 50.0, (1 << 20) + 8192, 4096);
+    EXPECT_EQ(dispatcher.Decide(flat, kTestbed).predicted_gpu_us,
+              50.0 + (link.TransferTime((1 << 20) + 8192) +
+                      link.TransferTime(4096)) +
+                  (gpu(kernels[0]) + gpu(kernels[1])));
+    EXPECT_LT(dispatcher.Decide(staged, kTestbed).predicted_gpu_us,
+              dispatcher.Decide(flat, kTestbed).predicted_gpu_us);
 }
 
 TEST(DispatcherTest, StatsExposeSparsityAndLaunchSignals)

@@ -629,6 +629,100 @@ TEST(ObservabilityTest, KernelLaunchCounterSeesEveryServingKernel)
     }
 }
 
+/// ServingObservability that also counts the trace events its run's
+/// runtime recorded.
+class TraceCounting final : public ServingObservability {
+  public:
+    using ServingObservability::ServingObservability;
+    void OnRunBegin(const serve::RunContext& ctx) override
+    {
+        runtime_ = ctx.runtime;
+        ServingObservability::OnRunBegin(ctx);
+    }
+    void OnRunEnd() override
+    {
+        events = runtime_->GetTrace().Size();
+        ServingObservability::OnRunEnd();
+    }
+    size_t events = 0;
+
+  private:
+    sim::Runtime* runtime_ = nullptr;
+};
+
+TEST(ObservabilityTest, MetricsNeedNoDeviceTrace)
+{
+    // The kernel counter and the occupancy gauge read runtime counters, so
+    // a facade that keeps no device trace records no trace and exports the
+    // same bytes as one that does.
+    const auto dataset = TinyInteractions();
+    const auto scenarios =
+        scenario::GauntletScenarios(4000.0, 120, dataset.NumNodes(), 9);
+    for (const serve::ExecutorKind kind :
+         {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(serve::ToString(kind));
+        TraceCounting traced;
+        ObservabilityOptions untraced_options;
+        untraced_options.keep_device_trace = false;
+        TraceCounting untraced(untraced_options);
+        (void)ServeScenario(scenarios.front(), dataset, kind, 120, &traced);
+        (void)ServeScenario(scenarios.front(), dataset, kind, 120, &untraced);
+        EXPECT_GT(traced.events, 0u);
+        EXPECT_EQ(untraced.events, 0u);
+        EXPECT_EQ(untraced.Metrics().PrometheusText(),
+                  traced.Metrics().PrometheusText());
+        EXPECT_GT(untraced.Metrics().CounterValue(
+                      "dgnn_sim_kernel_launches_total",
+                      {{"model", "TGN"},
+                       {"mode", "GPU"},
+                       {"policy", "timeout(8,2000us)"},
+                       {"executor", serve::ToString(kind)}}),
+                  0.0);
+    }
+}
+
+/// Sums the batches' busy times and reads the run's device busy time.
+class BusyLedger final : public serve::ServingObserver {
+  public:
+    void OnRunBegin(const serve::RunContext& ctx) override { runtime_ = ctx.runtime; }
+    void OnBatch(const serve::BatchObservation& ob) override
+    {
+        compute_busy_us += ob.spans.compute_busy_us;
+        h2d_busy_us += ob.spans.h2d_busy_us;
+    }
+    void OnRunEnd() override
+    {
+        device_busy_us = runtime_->ComputeDevice().BusyTime();
+    }
+    double compute_busy_us = 0.0;
+    double h2d_busy_us = 0.0;
+    double device_busy_us = 0.0;
+
+  private:
+    sim::Runtime* runtime_ = nullptr;
+};
+
+TEST(ObservabilityTest, BusyTimesCoverEveryKernel)
+{
+    // The batches' compute busy times add up to everything the device ran
+    // in the window, however much of it the stage chain counts as host (a
+    // cached TGN batch's memory update runs under its embedding stage's
+    // host work).
+    const auto dataset = TinyInteractions();
+    const auto scenarios =
+        scenario::GauntletScenarios(4000.0, 120, dataset.NumNodes(), 9);
+    for (const serve::ExecutorKind kind :
+         {serve::ExecutorKind::kSerial, serve::ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(serve::ToString(kind));
+        BusyLedger ledger;
+        (void)ServeScenario(scenarios.front(), dataset, kind, 120, &ledger);
+        EXPECT_GT(ledger.h2d_busy_us, 0.0);
+        EXPECT_GT(ledger.compute_busy_us, 0.0);
+        EXPECT_NEAR(ledger.compute_busy_us, ledger.device_busy_us,
+                    1e-9 * ledger.device_busy_us);
+    }
+}
+
 TEST(ObservabilityTest, MergedChromeTraceContainsAllLanes)
 {
     const auto dataset = TinyInteractions();
