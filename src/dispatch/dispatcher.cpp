@@ -27,33 +27,37 @@ ChainTime(const sim::DeviceSpec& spec, std::span<const sim::KernelDesc> kernels)
 }
 
 /// The stage critical path the executors replay on @p node's GPU: each
-/// stage's input copy and kernels start at the later of the end of its host
-/// stage and the end of the previous stage's device work, a stage's host
-/// work starts once the host has issued the previous stage's copy and
-/// kernels, and the result copy follows the last kernel. The last stage
-/// adds its input copy and the result copy as one sum, so a one-stage batch
-/// prices exactly as host + transfers + chain.
+/// stage's input copy starts once its host stage is done and the link is
+/// free, its kernels once that copy and the previous stage's device work
+/// are done, and a stage's host work once the host has issued the previous
+/// stage's copy and kernels; the result copy follows the last kernel. When
+/// a stage's kernels wait on its own copy, its copies are added as one sum,
+/// so a one-stage batch prices exactly as host + transfers + chain.
 sim::SimTime
 StagedDeviceTime(const WorkEstimate& estimate, const sim::TopologyNode& node,
                  const std::vector<sim::KernelDesc>& kernels, bool fused)
 {
     sim::SimTime host_free = 0.0;
+    sim::SimTime link_end = 0.0;
     sim::SimTime device_end = 0.0;
     size_t next = 0;
     for (size_t s = 0; s < estimate.stages.size(); ++s) {
         const StageEstimate& stage = estimate.stages[s];
         const auto launches =
             static_cast<size_t>(fused ? stage.fused_launches : stage.launches);
-        const auto chain =
-            std::span<const sim::KernelDesc>(kernels).subspan(next, launches);
+        const sim::SimTime chain = ChainTime(
+            node.gpu,
+            std::span<const sim::KernelDesc>(kernels).subspan(next, launches));
         next += launches;
         const sim::SimTime host_end = host_free + stage.host_us;
-        sim::SimTime copies = CopyTime(stage.h2d_bytes, node.host_link);
-        if (s + 1 == estimate.stages.size()) {
-            copies += CopyTime(estimate.d2h_bytes, node.host_link);
-        }
-        device_end = std::max(host_end, device_end) + copies +
-                     ChainTime(node.gpu, chain);
+        const sim::SimTime h2d = CopyTime(stage.h2d_bytes, node.host_link);
+        const sim::SimTime d2h = s + 1 == estimate.stages.size()
+                                     ? CopyTime(estimate.d2h_bytes, node.host_link)
+                                     : 0.0;
+        const sim::SimTime copy_start = std::max(host_end, link_end);
+        link_end = copy_start + h2d;
+        device_end = link_end >= device_end ? copy_start + (h2d + d2h) + chain
+                                            : device_end + chain + d2h;
         host_free = host_end + stage.copy_issue_us +
                     static_cast<double>(launches) * estimate.launch_issue_us;
     }

@@ -7,10 +7,11 @@
 /// collapsed, then routes the batch to the cheapest placement. The
 /// predictor IS the analytic cost model (sim/kernel.hpp, sim/fusion.hpp,
 /// sim::LinkSpec) — the same formulas the runtime charges — priced over the
-/// batch's stages the way the executors replay them (a stage's device work
-/// starts once its host stage and the previous stage's device work are
-/// done, and a stage's host work once the host has issued the previous
-/// stage's copy and kernels), so the decision is exact up to the last
+/// batch's stages the way the executors replay them (a stage's input copy
+/// starts once its host stage is done, its kernels once that copy and the
+/// previous stage's device work are done, and a stage's host work once the
+/// host has issued the previous stage's copy and kernels), so the decision
+/// is exact up to the kernel and async-copy submit gaps and the last
 /// stage's issue and sync overheads, which only make the GPU predictions
 /// optimistic (CPU is chosen conservatively).
 ///

@@ -56,31 +56,14 @@ struct StageWork {
     bool updates_state = false;
 };
 
-/// How many stages a device executor replays for @p profile: its captured
-/// stages, or one flat stage on a runtime without a GPU, which has no
-/// device to overlap.
-size_t
-StageCount(const sim::Runtime& runtime, const BatchProfile& profile)
-{
-    return runtime.HasGpu() ? profile.stages.size() : 1;
-}
-
-/// Stage @p s of StageCount(runtime, profile) as the executor issues it. The
-/// flat stage is the whole host build, then every kernel.
+/// Stage @p s of @p profile as the executor issues it.
 StageWork
-StageToIssue(const sim::Runtime& runtime, const BatchProfile& profile, size_t s,
-             sim::SimTime prep_credit_us, const CacheBatchCost& cache_cost)
+StageToIssue(const BatchProfile& profile, size_t s, sim::SimTime prep_credit_us,
+             const CacheBatchCost& cache_cost)
 {
-    const int64_t miss_bytes = cache_cost.miss_rows * cache_cost.row_bytes;
-    if (!runtime.HasGpu()) {
-        return {.host_us = profile.host_us - prep_credit_us,
-                .h2d_bytes = profile.h2d_bytes + miss_bytes,
-                .kernels = profile.kernels,
-                .gathers_state = true,
-                .updates_state = true};
-    }
     const BatchStage& stage = profile.stages[s];
     const size_t state_stage = profile.StateStage();
+    const int64_t miss_bytes = cache_cost.miss_rows * cache_cost.row_bytes;
     return {.host_us = s == profile.PrepStage() ? stage.host_us - prep_credit_us
                                                 : stage.host_us,
             .h2d_bytes = stage.h2d_bytes + (s == state_stage ? miss_bytes : 0),
@@ -167,6 +150,8 @@ struct StagesIssued {
     /// When the last input copy's inputs were ready; unset when no stage
     /// moved bytes.
     std::optional<sim::SimTime> inputs_ready_us;
+    /// Host time spent issuing the input copies.
+    sim::SimTime copy_issue_us = 0.0;
     sim::SimTime h2d_busy_us = 0.0;
     sim::SimTime compute_busy_us = 0.0;
 };
@@ -184,9 +169,8 @@ IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
 {
     StagesIssued issued;
     const sim::Device& device = runtime.ComputeDevice();
-    for (size_t s = 0; s < StageCount(runtime, profile); ++s) {
-        const StageWork stage =
-            StageToIssue(runtime, profile, s, prep_credit_us, cache_cost);
+    for (size_t s = 0; s < profile.stages.size(); ++s) {
+        const StageWork stage = StageToIssue(profile, s, prep_credit_us, cache_cost);
         {
             sim::MaybeAccess access(runtime, [&] {
                 sim::AccessSet set;
@@ -200,7 +184,9 @@ IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
             sim::MaybeAccess access(runtime, [&] {
                 return InputCopyAccess(slot, s, stage, cache_cost);
             });
+            const sim::SimTime issue_start = runtime.Now();
             issued.inputs_ready_us = copy_in(stage.h2d_bytes);
+            issued.copy_issue_us += runtime.Now() - issue_start;
             if (runtime.HasGpu()) {
                 issued.h2d_busy_us += runtime.Pcie().TransferTime(stage.h2d_bytes);
             }
@@ -334,6 +320,7 @@ SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime prep_credit_us,
             issued.inputs_ready_us.value_or(issued.host_done_us));
         spans->compute_done_us = compute_done;
         spans->complete_us = runtime_.Now();
+        spans->copy_issue_us = issued.copy_issue_us;
         spans->h2d_busy_us = issued.h2d_busy_us;
         spans->compute_busy_us = issued.compute_busy_us;
     }
@@ -412,6 +399,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
         spans->compute_done_us =
             std::clamp(compute_done.ready_us, spans->h2d_done_us, complete);
         spans->complete_us = complete;
+        spans->copy_issue_us = issued.copy_issue_us;
         spans->h2d_busy_us = issued.h2d_busy_us;
         spans->compute_busy_us = issued.compute_busy_us;
     }

@@ -19,10 +19,11 @@
 ///                          throttles the host when it runs too far ahead.
 ///
 /// Both replay a batch's captured stages (BatchStage) in order, so a
-/// stage's copies and kernels run while the host does the next stage; a
-/// runtime without a GPU has no device to overlap and runs the batch as one
-/// flat stage. Submit returns the batch's absolute completion time, which
-/// for the pipelined executor generally lies beyond the host clock.
+/// stage's copies and kernels run while the host does the next stage. On a
+/// runtime without a GPU the copies are no-ops and every kernel runs on the
+/// host, so the same replay costs what all host work followed by all
+/// kernels would. Submit returns the batch's absolute completion time,
+/// which for the pipelined executor generally lies beyond the host clock.
 
 #include <cstdint>
 #include <deque>
@@ -80,6 +81,9 @@ struct BatchSpans {
     sim::SimTime h2d_done_us = 0.0;
     sim::SimTime compute_done_us = 0.0;
     sim::SimTime complete_us = 0.0;
+    /// Host time spent issuing the batch's input copies, us: the sum of
+    /// BatchExecutor::CopyIssueUs over its stages' copies.
+    sim::SimTime copy_issue_us = 0.0;
     /// Summed link time of the batch's input copies, us (0 when nothing
     /// crossed PCIe).
     sim::SimTime h2d_busy_us = 0.0;

@@ -620,41 +620,53 @@ TEST(DispatcherTest, StaticModesForceThePlacement)
 TEST(DispatcherTest, StagesOverlapDeviceWorkWithLaterHostStages)
 {
     // Two stages: the first stage's copy and kernel run while the host
-    // issues them and then does the second stage's host work; the second
-    // stage's device work starts once both are done. A one-stage batch
-    // prices exactly as host + transfers + chain.
+    // issues them and then does the second stage's host work. The second
+    // stage's copy starts when its host stage ends, as the executors put it
+    // on the link, and its kernel once that copy and the first kernel are
+    // done. A long first kernel outlasts the second host stage (the second
+    // copy then hides under it); a short one hides under it. A one-stage
+    // batch prices exactly as host + transfers + chain.
     const dispatch::HybridDispatcher dispatcher;
-    const std::vector<sim::KernelDesc> kernels = {
-        Desc("first", 2000000000, 64000000, 200000),
-        Desc("second", 1000000, 250000, 512)};
     const sim::LinkSpec& link = kTestbed.host_link;
     const auto gpu = [](const sim::KernelDesc& k) {
         return sim::KernelDuration(kTestbed.gpu, k);
     };
-
-    dispatch::WorkEstimate staged =
-        Estimate(kernels, nullptr, 64, 0.0, 0, 4096);
-    staged.launch_issue_us = 1.5;
-    staged.stages = {
-        {.host_us = 10.0, .h2d_bytes = 1 << 20, .launches = 1, .copy_issue_us = 2.5},
-        {.host_us = 40.0, .h2d_bytes = 8192, .launches = 1}};
-    const sim::SimTime first_done =
-        10.0 + link.TransferTime(1 << 20) + gpu(kernels[0]);
     const sim::SimTime second_host = 10.0 + 2.5 + 1.5 + 40.0;
-    const sim::SimTime expected =
-        std::max(second_host, first_done) +
-        (link.TransferTime(8192) + link.TransferTime(4096)) + gpu(kernels[1]);
-    EXPECT_DOUBLE_EQ(dispatcher.Decide(staged, kTestbed).predicted_gpu_us,
-                     expected);
+    for (const bool long_first : {true, false}) {
+        SCOPED_TRACE(long_first ? "long first kernel" : "short first kernel");
+        const std::vector<sim::KernelDesc> kernels = {
+            long_first ? Desc("first", 2000000000, 64000000, 200000)
+                       : Desc("first", 1000000, 250000, 512),
+            Desc("second", 1000000, 250000, 512)};
+        dispatch::WorkEstimate staged =
+            Estimate(kernels, nullptr, 64, 0.0, 0, 4096);
+        staged.launch_issue_us = 1.5;
+        staged.stages = {
+            {.host_us = 10.0, .h2d_bytes = 1 << 14, .launches = 1, .copy_issue_us = 2.5},
+            {.host_us = 40.0, .h2d_bytes = 8192, .launches = 1}};
+        const sim::SimTime first_done =
+            10.0 + link.TransferTime(1 << 14) + gpu(kernels[0]);
+        const sim::SimTime second_copy_done =
+            second_host + link.TransferTime(8192);
+        const sim::SimTime expected =
+            first_done > second_copy_done
+                ? first_done + gpu(kernels[1]) + link.TransferTime(4096)
+                : second_host +
+                      (link.TransferTime(8192) + link.TransferTime(4096)) +
+                      gpu(kernels[1]);
+        EXPECT_EQ(first_done > second_copy_done, long_first);
+        EXPECT_DOUBLE_EQ(dispatcher.Decide(staged, kTestbed).predicted_gpu_us,
+                         expected);
 
-    const dispatch::WorkEstimate flat =
-        Estimate(kernels, nullptr, 64, 50.0, (1 << 20) + 8192, 4096);
-    EXPECT_EQ(dispatcher.Decide(flat, kTestbed).predicted_gpu_us,
-              50.0 + (link.TransferTime((1 << 20) + 8192) +
-                      link.TransferTime(4096)) +
-                  (gpu(kernels[0]) + gpu(kernels[1])));
-    EXPECT_LT(dispatcher.Decide(staged, kTestbed).predicted_gpu_us,
-              dispatcher.Decide(flat, kTestbed).predicted_gpu_us);
+        const dispatch::WorkEstimate flat =
+            Estimate(kernels, nullptr, 64, 50.0, (1 << 14) + 8192, 4096);
+        EXPECT_EQ(dispatcher.Decide(flat, kTestbed).predicted_gpu_us,
+                  50.0 + (link.TransferTime((1 << 14) + 8192) +
+                          link.TransferTime(4096)) +
+                      (gpu(kernels[0]) + gpu(kernels[1])));
+        EXPECT_LT(dispatcher.Decide(staged, kTestbed).predicted_gpu_us,
+                  dispatcher.Decide(flat, kTestbed).predicted_gpu_us);
+    }
 }
 
 TEST(DispatcherTest, StatsExposeSparsityAndLaunchSignals)

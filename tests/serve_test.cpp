@@ -605,21 +605,26 @@ TEST(ServeTest, DeterministicAcrossRuns)
 TEST(ServeTest, SerialAndPipelinedAgreeInCpuOnlyMode)
 {
     // Without a device there is nothing to overlap: the pipelined executor
-    // must degenerate to exactly the serial schedule.
+    // must degenerate to exactly the serial schedule, for one-stage JODIE
+    // and three-stage TGN alike.
     const auto ds = TinyInteractions();
     models::Jodie jodie(ds, models::JodieConfig{16, 13});
-    ModelSession session(jodie, sim::ExecMode::kCpuOnly, 4);
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
     const auto arrivals = PoissonArrivals(1500.0, 128, 19);
+    for (models::DgnnModel* model : std::vector<models::DgnnModel*>{&jodie, &tgn}) {
+        SCOPED_TRACE(model->Name());
+        ModelSession session(*model, sim::ExecMode::kCpuOnly, 4);
 
-    TimeoutPolicy p1(16, 3000.0);
-    const ServingReport serial =
-        Serve(session, p1, arrivals, Options(ExecutorKind::kSerial));
-    TimeoutPolicy p2(16, 3000.0);
-    const ServingReport pipelined =
-        Serve(session, p2, arrivals, Options(ExecutorKind::kPipelined));
+        TimeoutPolicy p1(16, 3000.0);
+        const ServingReport serial =
+            Serve(session, p1, arrivals, Options(ExecutorKind::kSerial));
+        TimeoutPolicy p2(16, 3000.0);
+        const ServingReport pipelined =
+            Serve(session, p2, arrivals, Options(ExecutorKind::kPipelined));
 
-    EXPECT_DOUBLE_EQ(serial.latency.P99(), pipelined.latency.P99());
-    EXPECT_DOUBLE_EQ(serial.makespan_us, pipelined.makespan_us);
+        EXPECT_DOUBLE_EQ(serial.latency.P99(), pipelined.latency.P99());
+        EXPECT_DOUBLE_EQ(serial.makespan_us, pipelined.makespan_us);
+    }
 }
 
 TEST(ServeTest, PipelinedBeatsSerialAtSaturationInHybridMode)
@@ -782,6 +787,9 @@ TEST(ServeTest, LaterHostStagesHideEarlierDeviceWork)
     for (const ExecutorKind kind :
          {ExecutorKind::kSerial, ExecutorKind::kPipelined}) {
         SCOPED_TRACE(ToString(kind));
+        // The batch's dispatch-to-completion; also checks that Submit spent
+        // exactly CopyIssueUs of host time issuing each stage's input copy,
+        // the cost the dispatcher charges between host stages.
         const auto serve = [&](const BatchProfile& p) {
             sim::Runtime runtime = models::MakeRuntime(sim::ExecMode::kHybrid);
             runtime.EnsureWarm(0);
@@ -792,8 +800,18 @@ TEST(ServeTest, LaterHostStagesHideEarlierDeviceWork)
             } else {
                 executor = std::make_unique<PipelinedExecutor>(runtime);
             }
+            sim::SimTime copy_issue_us = 0.0;
+            for (size_t s = 0; s < p.stages.size(); ++s) {
+                copy_issue_us += executor->CopyIssueUs(
+                    p.stages[s].h2d_bytes +
+                    (s == p.StateStage() ? cold.miss_rows * cold.row_bytes : 0));
+            }
+            BatchSpans spans;
             const sim::SimTime dispatch = runtime.Now();
-            return executor->Submit(p, 0.0, cold) - dispatch;
+            const sim::SimTime complete = executor->Submit(p, 0.0, cold, &spans);
+            EXPECT_GT(copy_issue_us, 0.0);
+            EXPECT_NEAR(spans.copy_issue_us, copy_issue_us, 1e-9);
+            return complete - dispatch;
         };
         const sim::SimTime staged = serve(profile);
         const sim::SimTime flat = serve(Flat(profile));
@@ -811,6 +829,37 @@ TEST(ServeTest, LaterHostStagesHideEarlierDeviceWork)
                 << "staged " << staged << " us, flat " << flat
                 << " us, tgn_memory_fused " << memory_us << " us";
         }
+    }
+}
+
+TEST(ServeTest, CpuOnlyStagesCostTheFlatReplay)
+{
+    // A CPU-only runtime runs every kernel synchronously on the host and
+    // moves nothing, so replaying TGN's stages in order costs what the
+    // flat replay (all host work, then every kernel) does, up to the
+    // rounding of the clock's running sum.
+    const auto ds = TinyInteractions();
+    models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
+    ModelSession session(tgn, sim::ExecMode::kCpuOnly, 4);
+    const BatchProfile& profile = session.Profile(16);
+    ASSERT_EQ(profile.stages.size(), 3u);
+    for (const ExecutorKind kind :
+         {ExecutorKind::kSerial, ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(ToString(kind));
+        const auto serve = [&](const BatchProfile& p) {
+            sim::Runtime runtime = models::MakeRuntime(sim::ExecMode::kCpuOnly);
+            std::unique_ptr<BatchExecutor> executor;
+            if (kind == ExecutorKind::kSerial) {
+                executor = std::make_unique<SerialExecutor>(runtime);
+            } else {
+                executor = std::make_unique<PipelinedExecutor>(runtime);
+            }
+            const sim::SimTime dispatch = runtime.Now();
+            return executor->Submit(p, 0.5 * profile.prep_us, {}) - dispatch;
+        };
+        const sim::SimTime flat = serve(Flat(profile));
+        EXPECT_GT(flat, profile.host_us - 0.5 * profile.prep_us);
+        EXPECT_NEAR(serve(profile), flat, 1e-9);
     }
 }
 
@@ -939,9 +988,12 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
     // credit, and exactly host_us when none of its members was sampled
     // early. JODIE samples nothing on the host and gets no credit. Serial
     // runs, so a one-stage batch's (TGAT's, JODIE's) host work is the
-    // whole stall_done -> host_done span; TGN's span also holds the
-    // blocking input copy and kernel submits of the stages before its
-    // last, so it is longer by those.
+    // whole stall_done -> host_done span. TGN's span also holds, for each
+    // stage before its last, the stage's blocking input copy (the missed
+    // state rows on the stage that gathered them) and its kernel submits
+    // (the hit gather's on that stage too), on an otherwise idle link.
+    const sim::RuntimeConfig config;
+    const sim::LinkSpec& link = config.topology.NodeAt(0).host_link;
     const auto ds = TinyInteractions();
     models::Tgn tgn(ds, models::TgnConfig{16, 16, 2, 11});
     models::Tgat tgat(ds, models::TgatConfig{16, 2, 1, 4, 7});
@@ -974,13 +1026,23 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
             for (const BatchObservation& ob : log.batches) {
                 const sim::SimTime host_stage =
                     ob.spans.host_done_us - ob.spans.stall_done_us;
-                const sim::SimTime host_work =
-                    ob.profile->host_us - ob.prep_credit_us;
-                if (ob.profile->stages.size() == 1) {
-                    EXPECT_NEAR(host_stage, host_work, 1e-6);
-                } else {
-                    EXPECT_GT(host_stage, host_work);
+                const BatchProfile& p = *ob.profile;
+                const CacheBatchCost& cost = ob.cache_cost;
+                sim::SimTime expected = p.host_us - ob.prep_credit_us;
+                for (size_t s = 0; s + 1 < p.stages.size(); ++s) {
+                    const bool gathers = s == p.StateStage();
+                    const int64_t bytes =
+                        p.stages[s].h2d_bytes +
+                        (gathers ? cost.miss_rows * cost.row_bytes : 0);
+                    if (bytes > 0) {
+                        expected += link.TransferTime(bytes);
+                    }
+                    const int64_t launches =
+                        p.stages[s].launches + (gathers && cost.hit_rows > 0);
+                    expected += static_cast<double>(launches) *
+                                config.submit_overhead_us;
                 }
+                EXPECT_NEAR(host_stage, expected, 1e-6);
                 EXPECT_GE(ob.prep_credit_us, 0.0);
                 EXPECT_LE(ob.prepped_requests,
                           static_cast<int64_t>(ob.requests.size()));
