@@ -21,6 +21,8 @@
 #include "dispatch/dispatcher.hpp"
 #include "graph/tbatch.hpp"
 #include "graph/temporal_sampler.hpp"
+#include "models/fusion_catalog.hpp"
+#include "models/jodie.hpp"
 #include "models/tgat.hpp"
 #include "nn/attention.hpp"
 #include "nn/gcn.hpp"
@@ -361,51 +363,57 @@ BM_CacheGather(benchmark::State& state)
 }
 BENCHMARK(BM_CacheGather);
 
-// A JODIE-style launch-bound t-batch chain (4 narrow launches -> 1 fused)
-// at the given t-batch width, run for the given number of t-batches: one
+// JODIE's launch-bound t-batch chain (4 narrow launches -> 1 fused) at
+// the given t-batch width, run for the given number of t-batches: one
 // t-batch prices the chain alone, more collapse the chain launches into one
-// device-side loop (jodie_tbatch_run, a sim::FusedShape::kRun). Wall-clock
-// measures the collapse + pricing path itself; the counters report what
-// the simulator charges for the t-batches fused vs unfused on the GPU spec
-// (sim_speedup is the launch-overhead reduction fusion buys).
+// device-side loop (jodie_tbatch_run, a sim::FusedShape::kRun). The parts
+// are the serving JODIE's own descriptors (d = 64), weight bytes included,
+// and the boundaries are the catalog's. Wall-clock measures the collapse +
+// pricing path itself; the counters report what the simulator charges for
+// the t-batches fused vs unfused on the GPU spec (sim_speedup is the
+// launch-overhead reduction fusion buys) and the weight bytes the run reads
+// from its on-chip stash instead of device memory (sim_stashed_bytes).
 void
 BM_FusedChain(benchmark::State& state)
 {
     const int64_t m = state.range(0);      // t-batch rows
     const int64_t steps = state.range(1);  // t-batches in the batch
-    const int64_t d = 64;                  // embed dim
+    const models::JodieConfig config;
+    const int64_t d = config.embed_dim;
+    Rng rng(1);  // pricing reads only the parameters' shapes
+    const nn::RnnCell rnn(d, d, rng);
+    const nn::Linear predictor(d, d, rng);
+    const models::FusionPlan& plan = *models::FindFusionPlan("jodie_tbatch_fused");
     sim::FusedKernelDesc tbatch;
-    tbatch.name = "jodie_tbatch_fused";
-    tbatch.parts = {
-        {"project_user", m * d, m * d * 8, m, false},
-        {"predict_item", 2 * m * d * d, m * d * 8, m, false},
-        {"rnn_update", 6 * m * d * d, m * d * 12, m, false},
-        {"rnn_update", 6 * m * d * d, m * d * 12, m, false},
-    };
-    tbatch.intermediate_bytes = {m * d * 4, 0, 0};
+    tbatch.name = plan.chain;
+    tbatch.parts = {models::Jodie::ProjectUserCost(m, d), predictor.Cost("predict_item", m),
+                    rnn.Cost("rnn_update", m), rnn.Cost("rnn_update", m)};
+    tbatch.intermediate_bytes = plan.boundary_bytes(tbatch.parts, d * 4);
 
     const sim::DeviceSpec gpu = sim::DeviceSpec::RtxA6000();
     double fused_us = 0.0;
     double unfused_us = 0.0;
+    int64_t stashed_bytes = 0;
     for (auto _ : state) {
+        const sim::KernelDesc step = sim::Collapse(tbatch);
         if (steps == 1) {
-            fused_us = sim::FusedDuration(gpu, tbatch);
+            fused_us = sim::KernelDuration(gpu, step);
         } else {
-            const sim::FusedKernelDesc run{
-                "jodie_tbatch_run",
-                std::vector<sim::KernelDesc>(static_cast<size_t>(steps),
-                                             sim::Collapse(tbatch)),
-                std::vector<int64_t>(static_cast<size_t>(steps - 1), 0),
-                sim::FusedShape::kRun};
-            fused_us = sim::FusedDuration(gpu, run);
+            const sim::KernelDesc run = sim::Collapse(
+                {"jodie_tbatch_run", std::vector<sim::KernelDesc>(static_cast<size_t>(steps), step),
+                 std::vector<int64_t>(static_cast<size_t>(steps - 1), 0), sim::FusedShape::kRun});
+            fused_us = sim::KernelDuration(gpu, run);
+            stashed_bytes = steps * step.bytes - run.bytes;
         }
         unfused_us = static_cast<double>(steps) * sim::UnfusedDuration(gpu, tbatch);
         benchmark::DoNotOptimize(fused_us);
         benchmark::DoNotOptimize(unfused_us);
+        benchmark::DoNotOptimize(stashed_bytes);
     }
     state.counters["sim_unfused_us"] = unfused_us;
     state.counters["sim_fused_us"] = fused_us;
     state.counters["sim_speedup"] = unfused_us / fused_us;
+    state.counters["sim_stashed_bytes"] = static_cast<double>(stashed_bytes);
 }
 BENCHMARK(BM_FusedChain)->Args({1, 1})->Args({16, 1})->Args({256, 1})->Args({16, 11});
 

@@ -37,8 +37,8 @@ FusionCatalog()
              return {p[0].parallel_items * 4, 0, 0};
          }},
         // The batch's t-batches in one device-side loop. Each step reads the
-        // rows the previous one wrote back to device memory: nothing stays
-        // on-chip.
+        // rows the previous one wrote back to device memory, so no row stays
+        // on-chip; sim::Collapse keeps the steps' weights there instead.
         {"JODIE", "jodie_tbatch_run", {"jodie_tbatch_fused"},
          [](Parts p, int64_t) { return std::vector<int64_t>(p.size() - 1, 0); },
          sim::FusedShape::kRun},

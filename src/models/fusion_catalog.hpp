@@ -25,7 +25,10 @@
 ///                                (per t-batch: 4 launches -> 1)
 ///          jodie_tbatch_run      n >= 2 consecutive jodie_tbatch_fused
 ///                                {0, ...}  (a kRun: the batch's n
-///                                t-batches, n launches -> 1)
+///                                t-batches, n launches -> 1; no state row
+///                                stays on-chip between steps, but the
+///                                steps' shared RNN and predictor weights
+///                                do when they fit sim::kOnChipWeightBudget)
 
 #include <cstdint>
 #include <span>

@@ -29,6 +29,15 @@ Jodie::WeightBytes() const
            item_predictor_->ParameterBytes() + projection_w_.NumBytes();
 }
 
+sim::KernelDesc
+Jodie::ProjectUserCost(int64_t rows, int64_t embed_dim)
+{
+    return {.name = "project_user",
+            .flops = 3 * rows * embed_dim,
+            .bytes = 2 * rows * embed_dim * 4,
+            .parallel_items = rows * embed_dim};
+}
+
 RunResult
 Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
 {
@@ -138,10 +147,7 @@ Jodie::RunInference(sim::Runtime& runtime, const RunConfig& run)
                             u.At(i, j);
                     }
                 }
-                runtime.Launch({.name = "project_user",
-                                .flops = 3 * m * d,
-                                .bytes = 2 * m * d * 4,
-                                .parallel_items = m * d});
+                runtime.Launch(ProjectUserCost(m, d));
             }
 
             // [Predict Item Embedding]: linear head on projected users.

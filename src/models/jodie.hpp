@@ -46,6 +46,11 @@ class Jodie : public DgnnModel {
 
     int64_t WeightBytes() const;
 
+    /// The project_user kernel over @p rows rows of @p embed_dim floats:
+    /// u' = (1 + dt * w) * u reads and writes each row. Its d-float
+    /// projection vector is not charged.
+    static sim::KernelDesc ProjectUserCost(int64_t rows, int64_t embed_dim);
+
     /// One user/item embedding row (keyed by global node id). Rows are
     /// rewritten by the RNN updates, so they carry dirty bits; the rows a
     /// chunk gathers are exactly its event endpoints.

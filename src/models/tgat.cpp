@@ -282,6 +282,7 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
                 sim::KernelDesc merge =
                     merge_layers_[static_cast<size_t>(l)]->Cost("merge_ffn", q_rows);
                 merge.bytes = q_rows * 3 * d * 4;
+                merge.weight_bytes = 0;
                 runtime.Launch(merge);
             }
 

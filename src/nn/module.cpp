@@ -61,7 +61,8 @@ RowCost(std::string name, int64_t rows, int64_t flops, int64_t row_bytes,
     return {.name = std::move(name),
             .flops = flops,
             .bytes = rows * row_bytes + weight_bytes,
-            .parallel_items = std::max<int64_t>(1, rows * items_per_row)};
+            .parallel_items = std::max<int64_t>(1, rows * items_per_row),
+            .weight_bytes = weight_bytes};
 }
 
 }  // namespace dgnn::nn

@@ -29,6 +29,10 @@ Collapse(const FusedKernelDesc& fused)
         DGNN_CHECK(part.parallel_items >= 1, "fused chain '", fused.name,
                    "' part '", part.name, "' has non-positive parallel_items ",
                    part.parallel_items);
+        DGNN_CHECK(part.weight_bytes >= 0 && part.weight_bytes <= part.bytes,
+                   "fused chain '", fused.name, "' part '", part.name,
+                   "' has weight_bytes ", part.weight_bytes,
+                   " outside [0, bytes = ", part.bytes, "]");
         out.flops += part.flops;
         // The intermediate at each boundary stays on-chip: the producer does
         // not write it and the consumer does not read it back. Clamp per part
@@ -40,10 +44,26 @@ Collapse(const FusedKernelDesc& fused)
         if (i + 1 < n) {
             on_chip += fused.intermediate_bytes[i];
         }
-        out.bytes += std::max<int64_t>(0, part.bytes - on_chip);
+        const int64_t kept = std::max<int64_t>(0, part.bytes - on_chip);
+        out.bytes += kept;
+        out.weight_bytes += std::min(part.weight_bytes, kept);
         out.parallel_items = run ? std::min(out.parallel_items, part.parallel_items)
                                  : std::max(out.parallel_items, part.parallel_items);
         out.irregular = out.irregular || part.irregular;
+    }
+    // A device loop whose steps read the same weights loads them on-chip
+    // once when they fit; every step after the first reads them from there.
+    const int64_t step_weights = fused.parts[0].weight_bytes;
+    const bool stashed =
+        run && step_weights <= kOnChipWeightBudget &&
+        std::all_of(fused.parts.begin(), fused.parts.end(), [&](const KernelDesc& part) {
+            return part.weight_bytes == step_weights;
+        });
+    if (stashed) {
+        // (n - 1) x W, unless intermediates clamped some step's weights away.
+        const int64_t reused = std::max<int64_t>(0, out.weight_bytes - step_weights);
+        out.bytes -= reused;
+        out.weight_bytes -= reused;
     }
     return out;
 }

@@ -37,6 +37,11 @@ struct KernelDesc {
     /// True when the access pattern is data-dependent/random (graph
     /// sampling, gather/scatter); derates effective bandwidth.
     bool irregular = false;
+
+    /// The part of @c bytes that is module parameters (weights and biases),
+    /// in [0, bytes]. The cost model never reads it; sim::Collapse does, to
+    /// price a device loop that keeps its weights on-chip across steps.
+    int64_t weight_bytes = 0;
 };
 
 /// Fraction of the device the kernel occupies, in (0, 1].
