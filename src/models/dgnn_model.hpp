@@ -217,6 +217,12 @@ RunResult CollectRunStats(sim::Runtime& runtime, const std::string& model,
 /// host work.
 inline constexpr std::string_view kSamplingKernelName = "temporal_sampling";
 
+/// Name of the host->device copy that ships a batch's sampled temporal
+/// neighbourhoods (their node indices, and TGAT's time deltas): the bytes
+/// that exist as soon as the batch is sampled, by which
+/// serve::ProfileTable tells them apart from the rest of a stage's inputs.
+inline constexpr std::string_view kNeighborhoodCopyName = "neighborhood_h2d";
+
 /// Converts an accumulated sampling cost into a host kernel descriptor.
 /// Calibration: each bisection probe and each gathered neighbor entry is a
 /// cache-missing random access; framework per-target call overhead appears

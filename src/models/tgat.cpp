@@ -242,7 +242,8 @@ Tgat::RunInference(sim::Runtime& runtime, const RunConfig& run)
             gathered_nodes * d * 4 * 2, "tgat_batch");
         {
             sim::CategoryScope scope(runtime, "Memory Copy");
-            runtime.CopyToDevice(index_bytes + delta_bytes, "tgat_batch_h2d");
+            runtime.CopyToDevice(index_bytes + delta_bytes,
+                                 std::string(kNeighborhoodCopyName));
         }
 
         // --- Time Encoding: one kernel over all deltas.

@@ -216,7 +216,8 @@ Tgn::RunInference(sim::Runtime& runtime, const RunConfig& run)
             // moves here. The bulk transfer growth comes from the raw
             // messages in the aggregation phase (the paper's explanation).
             const int64_t n_targets = static_cast<int64_t>(nodes.size());
-            runtime.CopyToDevice(n_targets * (k + 1) * 8, "tgn_neighbor_idx_h2d");
+            runtime.CopyToDevice(n_targets * (k + 1) * 8,
+                                 std::string(kNeighborhoodCopyName));
 
             // Attention kernel over each target's neighborhood.
             runtime.Launch(

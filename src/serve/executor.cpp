@@ -40,54 +40,72 @@ Staging(const char* family, int64_t slot, size_t stage = 0)
     return name;
 }
 
-/// One stage as an executor issues it.
-struct StageWork {
-    /// Host build, less the prep credit on the stage holding the sampling.
-    sim::SimTime host_us = 0.0;
-    /// Input bytes, the batch's missed state rows included on the stage
-    /// that gathered them.
-    int64_t h2d_bytes = 0;
-    std::span<const sim::KernelDesc> kernels;
-    /// The stage gathers the batch's state rows: its input copy carries the
-    /// misses and it runs the hit gather.
-    bool gathers_state = false;
-    /// The stage's kernels update the gathered state rows in place (every
-    /// stage from the gathering one on).
-    bool updates_state = false;
-};
-
-/// Stage @p s of @p profile as the executor issues it.
-StageWork
-StageToIssue(const BatchProfile& profile, size_t s, sim::SimTime prep_credit_us,
-             const CacheBatchCost& cache_cost)
+/// Bytes of stage @p s's input copy before any state rows: its own inputs
+/// less its sampled neighbourhoods, which all ride the first copying stage.
+int64_t
+InputBytes(const BatchProfile& profile, size_t s)
 {
     const BatchStage& stage = profile.stages[s];
-    const size_t state_stage = profile.StateStage();
-    const int64_t miss_bytes = cache_cost.miss_rows * cache_cost.row_bytes;
-    return {.host_us = s == profile.PrepStage() ? stage.host_us - prep_credit_us
-                                                : stage.host_us,
-            .h2d_bytes = stage.h2d_bytes + (s == state_stage ? miss_bytes : 0),
-            .kernels = profile.StageKernels(s),
-            .gathers_state = s == state_stage,
-            .updates_state = s >= state_stage};
+    int64_t bytes = stage.h2d_bytes - stage.neighborhood_bytes;
+    if (s == profile.FirstCopyStage()) {
+        for (const BatchStage& other : profile.stages) {
+            bytes += other.neighborhood_bytes;
+        }
+    }
+    return bytes;
+}
+
+/// Whether the batch's missed state rows go out at dispatch: the stage that
+/// gathers them builds no inputs of its own.
+bool
+MissesAtDispatch(const BatchProfile& profile)
+{
+    return InputBytes(profile, profile.StateStage()) == 0;
 }
 
 /// Footprint of a stage's staged input copy: consumes the stage's host
-/// staging buffer, lands its device input buffer, and, on the stage that
-/// gathers state, opens the residency episode of every row the gather
-/// inserted (missed rows ride this copy).
+/// staging buffer and lands its device input buffer; with @p misses, the
+/// missed rows ride it, read from the host store, and it opens the
+/// residency episode of every row the gather inserted.
 sim::AccessSet
-InputCopyAccess(int64_t slot, size_t stage, const StageWork& work,
+InputCopyAccess(int64_t slot, size_t stage, bool misses,
                 const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
     access.reads.push_back(Staging("host_in", slot, stage));
     access.writes.push_back(Staging("dev_in", slot, stage));
-    if (work.gathers_state) {
+    if (misses) {
+        access.reads.emplace_back("host_store");
         access.writes.insert(access.writes.end(),
                              cache_cost.row_trace.inserted_rows.begin(),
                              cache_cost.row_trace.inserted_rows.end());
     }
+    return access;
+}
+
+/// Footprint of the dispatch-time state copy: the missed rows, read from
+/// the host store, land in the gathering stage's device inputs and open
+/// the residency episode of every row the gather inserted.
+sim::AccessSet
+StateCopyAccess(int64_t slot, size_t stage, const CacheBatchCost& cache_cost)
+{
+    sim::AccessSet access;
+    access.reads.emplace_back("host_store");
+    access.writes.push_back(Staging("dev_in", slot, stage));
+    access.writes.insert(access.writes.end(),
+                         cache_cost.row_trace.inserted_rows.begin(),
+                         cache_cost.row_trace.inserted_rows.end());
+    return access;
+}
+
+/// Footprint of a write-back: reads the evicted dirty rows and lands them
+/// in the host-side state store.
+sim::AccessSet
+WritebackAccess(const CacheBatchCost& cache_cost)
+{
+    sim::AccessSet access;
+    access.reads = cache_cost.row_trace.evicted_dirty_rows;
+    access.writes.emplace_back("host_store");
     return access;
 }
 
@@ -118,17 +136,15 @@ KernelAccess(int64_t slot, size_t stage, const StageWork& work,
 /// evicted-dirty rows riding the transfer, lands the host staging buffer
 /// and (for write-backs) the host-side state store.
 sim::AccessSet
-ResultCopyAccess(int64_t slot, const CacheBatchCost& cache_cost)
+ResultCopyAccess(int64_t slot, const CacheBatchCost& cache_cost,
+                 bool writebacks)
 {
     sim::AccessSet access;
-    access.reads.push_back(Staging("dev_out", slot));
-    access.reads.insert(access.reads.end(),
-                        cache_cost.row_trace.evicted_dirty_rows.begin(),
-                        cache_cost.row_trace.evicted_dirty_rows.end());
-    access.writes.push_back(Staging("host_out", slot));
-    if (cache_cost.writeback_rows > 0) {
-        access.writes.emplace_back("host_store");
+    if (writebacks) {
+        access = WritebackAccess(cache_cost);
     }
+    access.reads.push_back(Staging("dev_out", slot));
+    access.writes.push_back(Staging("host_out", slot));
     return access;
 }
 
@@ -156,18 +172,40 @@ struct StagesIssued {
     sim::SimTime compute_busy_us = 0.0;
 };
 
-/// Replays @p profile's stages on @p runtime in order, through staging slot
-/// @p slot: per stage one host build, one staged input copy when the stage
-/// moves bytes (@p copy_in issues it and returns when its inputs are
-/// ready), the hit gather on the stage that gathers state, then the stage's
-/// kernels.
-template <typename CopyIn>
+/// Issues @p profile's batch on @p runtime through staging slot @p slot, up
+/// to its result copy: at dispatch its write-backs (@p write_back issues
+/// them) and then its missed rows, when CopiesOf sends them there; then per
+/// stage one host build, one staged input copy when the stage moves bytes,
+/// the hit gather on the stage that gathers state, then the stage's
+/// kernels. @p copy_in issues every input copy and returns when its inputs
+/// are ready.
+template <typename WriteBack, typename CopyIn>
 StagesIssued
 IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
             sim::SimTime prep_credit_us, const CacheBatchCost& cache_cost,
-            int64_t slot, CopyIn&& copy_in)
+            const BatchCopies& copies, int64_t slot, WriteBack&& write_back,
+            CopyIn&& copy_in)
 {
     StagesIssued issued;
+    const auto issue_copy_in = [&](int64_t bytes) {
+        const sim::SimTime issue_start = runtime.Now();
+        issued.inputs_ready_us = copy_in(bytes);
+        issued.copy_issue_us += runtime.Now() - issue_start;
+        if (runtime.HasGpu()) {
+            issued.h2d_busy_us += runtime.Pcie().TransferTime(bytes);
+        }
+    };
+    if (copies.dispatch_d2h_bytes > 0) {
+        sim::MaybeAccess access(runtime,
+                                [&] { return WritebackAccess(cache_cost); });
+        write_back();
+    }
+    if (copies.dispatch_h2d_bytes > 0) {
+        sim::MaybeAccess access(runtime, [&] {
+            return StateCopyAccess(slot, profile.StateStage(), cache_cost);
+        });
+        issue_copy_in(copies.dispatch_h2d_bytes);
+    }
     const sim::Device& device = runtime.ComputeDevice();
     for (size_t s = 0; s < profile.stages.size(); ++s) {
         const StageWork stage = StageToIssue(profile, s, prep_credit_us, cache_cost);
@@ -182,14 +220,13 @@ IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
         issued.host_done_us = runtime.Now();
         if (stage.h2d_bytes > 0) {
             sim::MaybeAccess access(runtime, [&] {
-                return InputCopyAccess(slot, s, stage, cache_cost);
+                return InputCopyAccess(slot, s,
+                                       stage.gathers_state &&
+                                           copies.dispatch_h2d_bytes == 0 &&
+                                           cache_cost.miss_rows > 0,
+                                       cache_cost);
             });
-            const sim::SimTime issue_start = runtime.Now();
-            issued.inputs_ready_us = copy_in(stage.h2d_bytes);
-            issued.copy_issue_us += runtime.Now() - issue_start;
-            if (runtime.HasGpu()) {
-                issued.h2d_busy_us += runtime.Pcie().TransferTime(stage.h2d_bytes);
-            }
+            issue_copy_in(stage.h2d_bytes);
         }
         const sim::SimTime busy_before = device.BusyTime();
         if (stage.gathers_state && cache_cost.hit_rows > 0) {
@@ -213,6 +250,43 @@ IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
 }
 
 }  // namespace
+
+BatchCopies
+CopiesOf(const BatchProfile& profile, const CacheBatchCost& cache_cost)
+{
+    BatchCopies copies;
+    const bool writeback_at_dispatch =
+        profile.d2h_bytes == 0 && !cache_cost.writes_back_own_rows;
+    (writeback_at_dispatch ? copies.dispatch_d2h_bytes
+                           : copies.result_d2h_bytes) =
+        cache_cost.WritebackBytes();
+    copies.result_d2h_bytes += profile.d2h_bytes;
+    if (MissesAtDispatch(profile)) {
+        copies.dispatch_h2d_bytes = cache_cost.miss_rows * cache_cost.row_bytes;
+    }
+    return copies;
+}
+
+StageWork
+StageToIssue(const BatchProfile& profile, size_t s, sim::SimTime prep_credit_us,
+             const CacheBatchCost& cache_cost)
+{
+    const BatchStage& stage = profile.stages[s];
+    const size_t state_stage = profile.StateStage();
+    // Stage 0 samples the still-unsampled members; a one-stage profile's
+    // host work stays host_us - prep_credit_us to the bit.
+    const sim::SimTime host_us =
+        s == 0 ? stage.host_us + (profile.prep_us - stage.prep_us) - prep_credit_us
+               : stage.host_us - stage.prep_us;
+    const bool misses_ride = s == state_stage && !MissesAtDispatch(profile);
+    return {.host_us = host_us,
+            .h2d_bytes = InputBytes(profile, s) +
+                         (misses_ride ? cache_cost.miss_rows * cache_cost.row_bytes
+                                      : 0),
+            .kernels = profile.StageKernels(s),
+            .gathers_state = s == state_stage,
+            .updates_state = s >= state_stage};
+}
 
 sim::SimTime
 BatchExecutor::Drain()
@@ -280,34 +354,33 @@ SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime prep_credit_us,
     sim::CategoryScope scope(runtime_, "Serving Batch");
     const int64_t slot = 0;
     const sim::SimTime dispatch = runtime_.Now();
-    // Each stage's inputs (with the missed state rows on the stage that
-    // gathered them) ride one blocking staged copy; cache hits cost only
-    // the device-side gather kernel. Kernels are async, so a stage's
-    // kernels run while the host builds the next stage.
+    // Every copy blocks the host: the dispatch-time write-backs and missed
+    // rows, then each stage's inputs (with the missed state rows on the
+    // stage that gathered them, unless they went at dispatch) in one staged
+    // copy; cache hits cost only the device-side gather kernel. Kernels are
+    // async, so a stage's kernels run while the host builds the next stage.
+    const BatchCopies copies = CopiesOf(profile, cache_cost);
+    const auto write_back = [&] {
+        runtime_.WriteBackToHost(cache_cost.writeback_rows, cache_cost.row_bytes,
+                                 "serve_state");
+    };
     const StagesIssued issued = IssueStages(
-        runtime_, profile, prep_credit_us, cache_cost, slot, [&](int64_t bytes) {
+        runtime_, profile, prep_credit_us, cache_cost, copies, slot, write_back,
+        [&](int64_t bytes) {
             return runtime_.CopyToDevice(bytes, "serve_inputs_h2d");
         });
     (void)runtime_.Synchronize();
     const sim::SimTime compute_done = runtime_.Now();
     if (profile.d2h_bytes > 0) {
         sim::MaybeAccess access(runtime_, [&] {
-            sim::AccessSet set;
-            set.reads.push_back(Staging("dev_out", slot));
-            set.writes.push_back(Staging("host_out", slot));
-            return set;
+            return ResultCopyAccess(slot, cache_cost, false);
         });
         runtime_.CopyToHost(profile.d2h_bytes, "serve_results_d2h");
     }
-    if (cache_cost.writeback_rows > 0) {
-        sim::MaybeAccess access(runtime_, [&] {
-            sim::AccessSet set;
-            set.reads = cache_cost.row_trace.evicted_dirty_rows;
-            set.writes.emplace_back("host_store");
-            return set;
-        });
-        runtime_.WriteBackToHost(cache_cost.writeback_rows, cache_cost.row_bytes,
-                                 "serve_state");
+    if (copies.dispatch_d2h_bytes == 0 && cache_cost.writeback_rows > 0) {
+        sim::MaybeAccess access(runtime_,
+                                [&] { return WritebackAccess(cache_cost); });
+        write_back();
     }
     if (spans != nullptr) {
         // Every copy and the final sync block the host, so the boundaries
@@ -350,13 +423,28 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     const sim::SimTime stall_done = runtime_.Now();
 
     // Host stages overlap whatever the device still runs, this batch's
-    // earlier stages included. Each stage's inputs move by pinned async H2D
-    // on the copy stream (missed state rows ride the copy of the stage that
-    // gathered them: one pinned buffer, one DMA), and the compute stream
-    // waits on that copy's event, not the host; the hit-gather kernel and
-    // the stage's kernels queue behind the fence.
+    // earlier stages included. Every input copy is a pinned async H2D on the
+    // copy stream, and the compute stream waits on that copy's event, not
+    // the host; the hit-gather kernel and the stage's kernels queue behind
+    // the fence. Missed state rows ride the copy of the stage that gathered
+    // them (one pinned buffer, one DMA), or go at dispatch when that stage
+    // has no inputs of its own. A dispatch-time write-back goes first, once
+    // the rows' last writer, the last batch's kernels, is done; the missed
+    // rows queue behind it, so the compute fence on them covers it too.
+    const BatchCopies copies = CopiesOf(profile, cache_cost);
+    DGNN_CHECK(copies.dispatch_d2h_bytes == 0 || cache_cost.miss_rows > 0,
+               "a write-back at dispatch needs the misses that evicted its "
+               "rows");
     const StagesIssued issued = IssueStages(
-        runtime_, profile, prep_credit_us, cache_cost, slot, [&](int64_t bytes) {
+        runtime_, profile, prep_credit_us, cache_cost, copies, slot,
+        [&] {
+            if (last_compute_.has_value()) {
+                runtime_.StreamWaitEvent(sim::StreamId::kCopy, *last_compute_);
+            }
+            (void)runtime_.CopyToHostAsync(copies.dispatch_d2h_bytes,
+                                           "serve_writeback_d2h");
+        },
+        [&](int64_t bytes) {
             (void)runtime_.CopyToDeviceAsync(bytes, "serve_inputs_h2d");
             const sim::Event inputs_ready =
                 runtime_.RecordEvent(sim::StreamId::kCopy);
@@ -364,16 +452,20 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
             return inputs_ready.ready_us;
         });
 
-    // Result stage: D2H (results + evicted-dirty-row write-backs) behind
-    // the batch's compute event.
+    // Result stage: D2H (results + the write-backs not issued at dispatch)
+    // behind the batch's compute event.
     const sim::Event compute_done = runtime_.RecordEvent(sim::StreamId::kCompute);
+    last_compute_ = compute_done;
     sim::Event batch_done = compute_done;
-    const int64_t d2h_total = profile.d2h_bytes + cache_cost.WritebackBytes();
-    if (d2h_total > 0) {
-        sim::MaybeAccess access(
-            runtime_, [&] { return ResultCopyAccess(slot, cache_cost); });
+    if (copies.result_d2h_bytes > 0) {
+        sim::MaybeAccess access(runtime_, [&] {
+            return ResultCopyAccess(slot, cache_cost,
+                                    copies.dispatch_d2h_bytes == 0 &&
+                                        cache_cost.writeback_rows > 0);
+        });
         runtime_.StreamWaitEvent(sim::StreamId::kCopy, compute_done);
-        (void)runtime_.CopyToHostAsync(d2h_total, "serve_results_d2h");
+        (void)runtime_.CopyToHostAsync(copies.result_d2h_bytes,
+                                       "serve_results_d2h");
         batch_done = runtime_.RecordEvent(sim::StreamId::kCopy);
     }
     in_flight_.push_back(batch_done);

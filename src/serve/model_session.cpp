@@ -82,9 +82,14 @@ struct ProfileRecorder final : sim::RuntimeObserver {
             ++StageFor(false).launches;
             profile.kernels.push_back(*op.kernel);
             break;
-          case sim::OpKind::kCopyH2D:
-            StageFor(false).h2d_bytes += op.bytes;
+          case sim::OpKind::kCopyH2D: {
+            BatchStage& stage = StageFor(false);
+            stage.h2d_bytes += op.bytes;
+            if (*op.name == models::kNeighborhoodCopyName) {
+                stage.neighborhood_bytes += op.bytes;
+            }
             break;
+          }
           case sim::OpKind::kCopyD2H:
             StageFor(false).d2h_bytes += op.bytes;
             break;
@@ -140,9 +145,9 @@ BatchProfile::StateStage() const
 }
 
 size_t
-BatchProfile::PrepStage() const
+BatchProfile::FirstCopyStage() const
 {
-    return FirstStage(*this, [](const BatchStage& s) { return s.prep_us > 0.0; });
+    return FirstStage(*this, [](const BatchStage& s) { return s.h2d_bytes > 0; });
 }
 
 std::span<const sim::KernelDesc>

@@ -51,6 +51,11 @@ struct BatchStage {
     sim::SimTime prep_us = 0.0;
     /// Input bytes the stage moved host->device, per-node state excluded.
     int64_t h2d_bytes = 0;
+    /// The part of h2d_bytes that is the batch's sampled neighbourhoods
+    /// (the copies named models::kNeighborhoodCopyName): bytes that exist
+    /// once the batch is sampled, which the executors ship in the batch's
+    /// first input copy.
+    int64_t neighborhood_bytes = 0;
     /// Result bytes the stage moved device->host (the executors return a
     /// batch's results in one copy after its last kernel).
     int64_t d2h_bytes = 0;
@@ -92,9 +97,9 @@ struct BatchProfile {
     /// The stage that gathered the per-node state rows (the first with any),
     /// or 0 when none did.
     size_t StateStage() const;
-    /// The stage that holds the sampling ops (the first with prep time), or
-    /// 0 when none does: the stage a prep credit comes off.
-    size_t PrepStage() const;
+    /// The first stage that moves input bytes, or 0 when none does: the
+    /// stage whose copy carries the batch's sampled neighbourhoods.
+    size_t FirstCopyStage() const;
     /// The kernels stage @p stage launches.
     std::span<const sim::KernelDesc> StageKernels(size_t stage) const;
 };

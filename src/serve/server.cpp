@@ -39,30 +39,38 @@ struct PricedBatch {
     const BatchProfile* profile = nullptr;
 };
 
-/// Prices a batch of @p profile's size on @p runtime's node, stage by
-/// stage, with @p executor's costs of issuing each stage's device work. The
-/// device placements are charged the worst-case all-miss state volume on
-/// the stage that gathers it, the same bound the executors pay for
-/// uncached sessions.
+/// Prices a batch of @p profile's size on @p runtime's node as the
+/// executors issue it (CopiesOf, StageToIssue), with @p executor's costs of
+/// issuing each copy. The device placements are charged the worst-case
+/// all-miss state volume, the same bound the executors pay for uncached
+/// sessions; a dispatch-time state copy prices as a leading stage with no
+/// host work or kernels.
 PricedBatch
 PriceBatch(const dispatch::HybridDispatcher& dispatcher, ModelSession& session,
            const BatchProfile& profile, const sim::Runtime& runtime,
            const BatchExecutor& executor, bool allow_cpu)
 {
     const BatchProfile& fused_profile = session.FusedProfile(profile.batch_size);
+    CacheBatchCost all_miss;
+    all_miss.miss_rows = profile.state_rows;
+    all_miss.row_bytes = profile.state_row_bytes;
     dispatch::WorkEstimate estimate;
     estimate.batch_size = profile.batch_size;
-    estimate.stages.reserve(profile.stages.size());
+    estimate.stages.reserve(profile.stages.size() + 1);
+    const int64_t dispatch_h2d = CopiesOf(profile, all_miss).dispatch_h2d_bytes;
+    if (dispatch_h2d > 0) {
+        estimate.stages.push_back(
+            {.h2d_bytes = dispatch_h2d,
+             .copy_issue_us = executor.CopyIssueUs(dispatch_h2d)});
+    }
     for (size_t s = 0; s < profile.stages.size(); ++s) {
-        const BatchStage& stage = profile.stages[s];
-        const int64_t h2d_bytes =
-            stage.h2d_bytes + stage.state_rows * profile.state_row_bytes;
+        const StageWork stage = StageToIssue(profile, s, 0.0, all_miss);
         estimate.stages.push_back(
             {.host_us = stage.host_us,
-             .h2d_bytes = h2d_bytes,
-             .launches = stage.launches,
+             .h2d_bytes = stage.h2d_bytes,
+             .launches = static_cast<int64_t>(stage.kernels.size()),
              .fused_launches = fused_profile.stages[s].launches,
-             .copy_issue_us = executor.CopyIssueUs(h2d_bytes)});
+             .copy_issue_us = executor.CopyIssueUs(stage.h2d_bytes)});
     }
     estimate.d2h_bytes = profile.d2h_bytes;
     estimate.kernels = &profile.kernels;
@@ -314,6 +322,12 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                               (2 * profile.batch_size);
                 cache_cost.miss_rows += blind_rows;
                 cache_cost.writeback_rows += blind_rows;
+                // A batch whose rows outnumber the cache may evict rows its
+                // own gather touched; those, like the blind rows, are rows
+                // its kernels write.
+                cache_cost.writes_back_own_rows =
+                    blind_rows > 0 || static_cast<int64_t>(nodes.size()) >
+                                          session.Cache().CapacityRows();
             }
 
             if (options.shard_hook != nullptr) {

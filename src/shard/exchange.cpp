@@ -84,9 +84,13 @@ ShardExchangeHook::IssueExchange(sim::Runtime& runtime)
         config_.row_bytes * (config_.rows_mutable ? 2 : 1);
 
     // Back-fence: the slot's previous unpack must finish before the pulls
-    // overwrite the staging buffer. Both serving executors order this too
-    // (the pipelined compute->copy fence, the serial Synchronize); the hook
-    // keeps its own edge so it does not depend on the executor.
+    // overwrite the staging buffer. The serial executor's Synchronize orders
+    // it too, and so does the pipelined executor's compute->copy fence
+    // before a result copy. But a batch that returns no results (JODIE's)
+    // has no such fence, and its copy stream waits on compute only before a
+    // dispatch-time write-back, which comes after these pulls: dropping
+    // this wait on 2 shards leaves a JODIE pull racing the previous unpack
+    // (a WAR on exchange_in, MutationWallTest.EachDroppedEdgePinsItsHazards).
     if (slot_used_[slot_index]) {
         runtime.StreamWaitEvent(sim::StreamId::kCopy,
                                 unpack_done_[slot_index]);

@@ -470,20 +470,38 @@ TEST(ServingSweepTest, AttachingTheCheckerDoesNotPerturbTheRun)
 
 // ------------------------------------------------------------ mutation wall
 //
-// Each sync edge is named by the resource family the op before its event
-// writes: dev_in (input fence), dev_out (compute fence), host_out (the
-// throttle wait on a finished batch), exchange_in (exchange fence) and
-// dev_state (exchange back-fence).
+// Each sync edge is one timeline's waits on the events recorded right after
+// an op that wrote one resource family, and is named by that family:
+// dev_in (the compute stream's input fence), dev_out (the copy stream's
+// compute fence, before a result copy or, for a batch that returns no
+// results, before its dispatch-time write-back), host_out (the host's
+// throttle wait on a finished batch's result copy), exchange_in (the
+// compute stream's exchange fence) and dev_state (the copy stream's
+// exchange back-fence).
+
+/// The timeline whose waits make up sync edge @p edge.
+enum class Waiter { kCompute, kCopy, kHost };
+
+Waiter
+WaiterOf(const std::string& edge)
+{
+    if (edge == "host_out") {
+        return Waiter::kHost;
+    }
+    return edge == "dev_out" || edge == "dev_state" ? Waiter::kCopy
+                                                    : Waiter::kCompute;
+}
 
 /// Forwards every hook to @p inner except the waits on one sync edge: the
-/// StreamWaitEvent / WaitEvent calls on events recorded right after an op
-/// that wrote the @p edge resource family. The checker builds its clocks
-/// only from these hooks, so it sees exactly the program with those calls
-/// deleted, while the simulated run itself is untouched.
+/// StreamWaitEvent / WaitEvent calls of the edge's timeline on events
+/// recorded right after an op that wrote the @p edge resource family. The
+/// checker builds its clocks only from these hooks, so it sees exactly the
+/// program with those calls deleted, while the simulated run itself is
+/// untouched.
 class EdgeDropper final : public sim::RuntimeObserver {
   public:
     EdgeDropper(sim::RuntimeObserver& inner, std::string edge)
-        : inner_(inner), edge_(std::move(edge))
+        : inner_(inner), edge_(std::move(edge)), waiter_(WaiterOf(edge_))
     {
     }
 
@@ -509,13 +527,15 @@ class EdgeDropper final : public sim::RuntimeObserver {
     }
     void OnStreamWaitEvent(sim::StreamId stream, const sim::Event& event) override
     {
-        if (!Drops(event)) {
+        const Waiter waiter =
+            stream == sim::StreamId::kCopy ? Waiter::kCopy : Waiter::kCompute;
+        if (!Drops(waiter, event)) {
             inner_.OnStreamWaitEvent(stream, event);
         }
     }
     void OnHostWaitEvent(const sim::Event& event) override
     {
-        if (!Drops(event)) {
+        if (!Drops(Waiter::kHost, event)) {
             inner_.OnHostWaitEvent(event);
         }
     }
@@ -523,9 +543,9 @@ class EdgeDropper final : public sim::RuntimeObserver {
     void OnWindowReset() override { inner_.OnWindowReset(); }
 
   private:
-    bool Drops(const sim::Event& event)
+    bool Drops(Waiter waiter, const sim::Event& event)
     {
-        if (edge_events_.count(event.id) == 0) {
+        if (waiter != waiter_ || edge_events_.count(event.id) == 0) {
             return false;
         }
         ++dropped_;
@@ -534,6 +554,7 @@ class EdgeDropper final : public sim::RuntimeObserver {
 
     sim::RuntimeObserver& inner_;
     std::string edge_;
+    Waiter waiter_;
     bool last_op_writes_edge_ = false;
     std::set<int64_t> edge_events_;
     int64_t dropped_ = 0;
@@ -670,9 +691,11 @@ RunWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
 
 /// One drain wall run: the wall's stream served on @p model through the
 /// pipelined executor on one device, with the final drain withheld from
-/// the checker when @p drop_drain. Serving hands its results to the caller
-/// once the loop returns, so the caller's host read of both slots' result
-/// staging is declared to the checker after the run.
+/// the checker when @p drop_drain. Serving hands its outcome to the caller
+/// once the loop returns, so the caller's host read of it is declared to
+/// the checker after the run: both slots' result staging, or, for JODIE,
+/// whose batches return no results, the host store its flushed state rows
+/// land in.
 WallRun
 RunDrainWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
              bool drop_drain)
@@ -684,7 +707,9 @@ RunDrainWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
     (void)ServeCell(model, WallRequests(dataset), dataset,
                     serve::ExecutorKind::kPipelined, &observer);
     const std::string name = "consume_results";
-    const sim::AccessSet results = Reads({"host_out#0", "host_out#1"});
+    const sim::AccessSet results =
+        model.Name() == "JODIE" ? Reads({"host_store"})
+                                : Reads({"host_out#0", "host_out#1"});
     sim::OpRecord consume;
     consume.name = &name;
     consume.access = &results;
@@ -793,10 +818,21 @@ TEST(MutationWallTest, DroppedFinalDrainIsRawOnHostResults)
         // its Synchronize.
         EXPECT_GT(dropped.dropped, 0) << model->Name();
         EXPECT_LE(dropped.dropped, 3) << model->Name();
+        if (model == &jodie) {
+            // A JODIE caller reads the host store. The end-of-run flush
+            // writes it with a blocking copy that first drains the compute
+            // stream, and every JODIE copy lands before a kernel of its
+            // batch: its write-backs and misses leave at dispatch, ahead of
+            // a miss copy the kernels wait on. So the drain orders nothing
+            // the flush has not, and dropping it stays clean.
+            EXPECT_TRUE(dropped.report.Clean())
+                << model->Name() << "\n" << dropped.report.ToText();
+            continue;
+        }
         // The caller reads results the last batches' async D2H may not
-        // have landed yet. Collateral for memory models: the end-of-run
-        // flush's write-back may race the last batch's in-flight one on
-        // the host store.
+        // have landed yet. Collateral for TGN: the end-of-run flush's
+        // write-back may race the last batch's in-flight one on the host
+        // store.
         EXPECT_TRUE(HasHazard(dropped.report, HazardKind::kRaw, "host_out"))
             << model->Name() << "\n" << dropped.report.ToText();
         ExpectFamiliesWithin(dropped.report, {"host_out", "host_store"});
@@ -819,7 +855,10 @@ TEST(MutationWallTest, DroppedExchangeFenceIsRawOnExchangeInputs)
 TEST(MutationWallTest, EveryMutationIsDetected)
 {
     // The 100%-detection gate: every model, every edge the pipelined
-    // executor and the exchange hook need.
+    // executor and the exchange hook need. JODIE's batches return no
+    // results (ROADMAP item 11), so none has a result copy for the throttle
+    // to wait on: its host_out edge must be absent, and its dev_out edge is
+    // the fence its dispatch-time write-backs wait behind.
     const auto dataset = SweepDataset();
     models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
     models::Tgat tgat(dataset, models::TgatConfig{});
@@ -830,6 +869,10 @@ TEST(MutationWallTest, EveryMutationIsDetected)
              {"dev_in", "dev_out", "host_out", "exchange_in"}) {
             const WallRun run =
                 RunWall(*model, dataset, edge == "exchange_in", edge);
+            if (model == &jodie && edge == "host_out") {
+                EXPECT_EQ(run.dropped, 0);
+                continue;
+            }
             EXPECT_GT(run.dropped, 0) << model->Name() << " / " << edge;
             EXPECT_FALSE(run.report.Clean()) << model->Name() << " / " << edge;
         }
@@ -838,10 +881,16 @@ TEST(MutationWallTest, EveryMutationIsDetected)
 
 TEST(MutationWallTest, EachDroppedEdgePinsItsHazards)
 {
-    // Cached TGN: the exact hazard shape of every dropped edge, so a
-    // checker that starts reporting more, fewer or different conflicts
-    // fails here even while it still flags the edge.
+    // The exact hazard shape of every dropped edge of cached TGN, and of
+    // the edges other models add, so a checker that starts reporting more,
+    // fewer or different conflicts fails here even while it still flags
+    // the edge.
+    const auto dataset = SweepDataset();
+    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    models::Jodie jodie(dataset, models::JodieConfig{});
     struct Expected {
+        models::DgnnModel* model;
         bool two_shards;
         std::string edge;
         int64_t hazards;
@@ -849,30 +898,37 @@ TEST(MutationWallTest, EachDroppedEdgePinsItsHazards)
         std::string first;
     };
     const std::vector<Expected> table = {
-        {false, "", 0, 0, "-"},
+        {&tgn, false, "", 0, 0, "-"},
         // One hazard per shape: the cache rows the input copy opens are
         // one family however many rows the batches touch.
-        {false, "dev_in", 4, 609, "RAW on dev_in#0"},
-        {false, "dev_out", 4, 553, "RAW on dev_out#0"},
-        // Two stages of a TGN batch copy inputs, each from its own host
-        // staging: two WARs per reused slot.
-        {false, "host_out", 1, 28, "WAR on host_in#0"},
-        {true, "", 0, 0, "-"},
-        {true, "exchange_in", 1, 8, "RAW on exchange_in#0"},
-        // The exchange back-fence is redundant under both executors: the
-        // pipelined compute->copy fence already orders the previous unpack
-        // before the next pulls, and the serial executor's Synchronize
-        // drains it. If an executor change makes it necessary, this row
-        // stops being clean.
-        {true, "dev_state", 0, 0, "-"},
+        {&tgn, false, "dev_in", 4, 593, "RAW on dev_in#0"},
+        {&tgn, false, "dev_out", 4, 539, "RAW on dev_out#0"},
+        // One stage of a TGN batch copies inputs (its sampled
+        // neighbourhoods ride the first copy): one WAR per reused slot.
+        {&tgn, false, "host_out", 1, 14, "WAR on host_in#0"},
+        // The write-back fence: a JODIE batch writes its evicted rows back
+        // at dispatch, and without the copy stream's wait on the last
+        // batch's kernels the D2H reads rows they may not have written yet.
+        {&jodie, false, "dev_out", 1, 66, "RAW on row:8#g0"},
+        {&tgn, true, "", 0, 0, "-"},
+        {&tgn, true, "exchange_in", 1, 8, "RAW on exchange_in#0"},
+        // The exchange back-fence. TGN's result copy waits on its batch's
+        // kernels, and with them the exchange's unpack, so the next pulls
+        // queue behind it; TGAT's does too. A JODIE batch has no result
+        // copy, and its copy stream waits on compute only before a
+        // dispatch-time write-back, issued after the batch's pulls: without
+        // the back-fence those pulls overwrite staging the previous unpack
+        // may still read.
+        {&tgn, true, "dev_state", 0, 0, "-"},
+        {&tgat, true, "dev_state", 0, 0, "-"},
+        {&jodie, true, "dev_state", 1, 1, "WAR on exchange_in#0"},
     };
-    const auto dataset = SweepDataset();
-    models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
     for (const Expected& e : table) {
         const std::string label =
-            (e.two_shards ? "2 shards / " : "1 device / ") +
+            e.model->Name() +
+            (e.two_shards ? " / 2 shards / " : " / 1 device / ") +
             (e.edge.empty() ? std::string("none") : e.edge);
-        const WallRun run = RunWall(tgn, dataset, e.two_shards, e.edge);
+        const WallRun run = RunWall(*e.model, dataset, e.two_shards, e.edge);
         const HazardReport& report = run.report;
         std::string first = "-";
         if (!report.hazards.empty()) {

@@ -8,6 +8,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -450,6 +451,37 @@ TEST(ModelSessionTest, PrepIsTheProbesSamplingHostTime)
     }
 }
 
+TEST(ModelSessionTest, RecordsEachStagesSampledNeighbourhoodBytes)
+{
+    // The capture tells a stage's sampled-neighbourhood bytes apart from
+    // its other inputs by the copy's name, models::kNeighborhoodCopyName.
+    // TGN's ride its embedding stage: 2b targets of k + 1 node indices, 8
+    // bytes each, so 128 x 11 x 8 = 11,264 B at b = 64, k = 10, fused and
+    // unfused. TGAT's one stage copies nothing else (indices and time
+    // deltas); JODIE samples nothing.
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Tgn tgn(dataset, bench::kServingTgn);
+    models::Tgat tgat(dataset, models::TgatConfig{});
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    cache::DeviceCacheConfig quarter;
+    quarter.capacity_bytes = dataset.NumNodes() / 4 * tgn.CacheRowBytes();
+    ModelSession tgn_session(tgn, sim::ExecMode::kHybrid, 10, quarter);
+    for (const BatchProfile* p :
+         {&tgn_session.Profile(64), &tgn_session.FusedProfile(64)}) {
+        ASSERT_EQ(p->stages.size(), 3u);
+        EXPECT_EQ(p->stages[0].neighborhood_bytes, 0);
+        EXPECT_EQ(p->stages[1].neighborhood_bytes, 0);
+        EXPECT_EQ(p->stages[2].neighborhood_bytes, 11264);
+        EXPECT_EQ(p->stages[2].h2d_bytes, 11264);
+    }
+    ModelSession tgat_session(tgat, sim::ExecMode::kHybrid, 10);
+    const BatchProfile& tgat_profile = tgat_session.Profile(64);
+    EXPECT_GT(tgat_profile.h2d_bytes, 0);
+    EXPECT_EQ(tgat_profile.stages[0].neighborhood_bytes, tgat_profile.h2d_bytes);
+    ModelSession jodie_session(jodie, sim::ExecMode::kHybrid, 10);
+    EXPECT_EQ(jodie_session.Profile(64).stages[0].neighborhood_bytes, 0);
+}
+
 TEST(ModelSessionTest, StagesConserveTheProfile)
 {
     // A profile is its stages: every total is their sum, their launches
@@ -694,22 +726,86 @@ Flat(const BatchProfile& profile)
     return flat;
 }
 
+/// A batch's copies as the executors issue them, worked out by hand from
+/// its profile, @p miss_bytes of missed state rows and @p writeback_bytes
+/// of evicted dirty rows, which @p own_rows says include rows the batch's
+/// own kernels write.
+struct HandCopies {
+    /// Write-backs at dispatch: the batch returns no results, and its
+    /// kernels write none of the rows.
+    int64_t dispatch_d2h = 0;
+    /// Missed rows at dispatch: the stage that gathers state copies nothing
+    /// of its own.
+    int64_t dispatch_h2d = 0;
+    /// Each stage's input copy (0: none). The first stage that copies
+    /// anything also carries every stage's sampled neighbourhoods.
+    std::vector<int64_t> stage_h2d;
+    /// Results, plus the write-backs that did not go at dispatch.
+    int64_t result_d2h = 0;
+};
+
+HandCopies
+CopiesByHand(const BatchProfile& profile, int64_t miss_bytes,
+             int64_t writeback_bytes, bool own_rows = false)
+{
+    HandCopies copies;
+    int64_t neighborhoods = 0;
+    for (const BatchStage& stage : profile.stages) {
+        neighborhoods += stage.neighborhood_bytes;
+        copies.stage_h2d.push_back(stage.h2d_bytes - stage.neighborhood_bytes);
+    }
+    for (size_t s = 0; s < profile.stages.size(); ++s) {
+        if (profile.stages[s].h2d_bytes > 0) {
+            copies.stage_h2d[s] += neighborhoods;
+            break;
+        }
+    }
+    size_t state = 0;
+    while (state + 1 < profile.stages.size() &&
+           profile.stages[state].state_rows == 0) {
+        ++state;
+    }
+    if (profile.stages[state].state_rows == 0) {
+        state = 0;
+    }
+    (copies.stage_h2d[state] > 0 ? copies.stage_h2d[state]
+                                 : copies.dispatch_h2d) += miss_bytes;
+    (profile.d2h_bytes == 0 && !own_rows ? copies.dispatch_d2h
+                                         : copies.result_d2h) += writeback_bytes;
+    copies.result_d2h += profile.d2h_bytes;
+    return copies;
+}
+
+/// Stage @p s's host build by hand: the batch samples first, so stage 0
+/// does all of its sampling, less @p prep_credit_us, and every stage keeps
+/// the rest of its own host work.
+sim::SimTime
+HostByHand(const BatchProfile& profile, size_t s, sim::SimTime prep_credit_us)
+{
+    const BatchStage& stage = profile.stages[s];
+    return stage.host_us - stage.prep_us +
+           (s == 0 ? profile.prep_us - prep_credit_us : 0.0);
+}
+
 /// Dispatch-to-completion of @p profile's batch on an idle device, worked
 /// out by hand from the runtime's issue costs (RuntimeConfig's submit and
 /// event overheads), the host link's transfer time and the GPU's kernel
-/// durations: per stage, its host work, its input copy (blocking for the
+/// durations: at dispatch, the write-backs of a batch that returns no
+/// results (a blocking D2H for the serial executor, an async one for the
+/// pipelined) and then the missed rows when their stage copies nothing of
+/// its own; per stage, its host work, its input copy (blocking for the
 /// serial executor; async, with an event and a compute-stream fence, for
 /// the pipelined one) and its kernel launches, each kernel starting once it
 /// is submitted and the device work before it is done; then the result
-/// copy behind the last kernel. @p miss_bytes ride the stage that gathered
-/// state.
+/// copy behind the last kernel (CopiesByHand).
 sim::SimTime
 StagedCompletionUs(const BatchProfile& profile, int64_t miss_bytes,
-                   ExecutorKind kind)
+                   int64_t writeback_bytes, ExecutorKind kind)
 {
     const sim::RuntimeConfig config;
     const sim::TopologyNode& node = config.topology.NodeAt(0);
     const bool serial = kind == ExecutorKind::kSerial;
+    const HandCopies copies = CopiesByHand(profile, miss_bytes, writeback_bytes);
     sim::SimTime host = 0.0;
     sim::SimTime link = 0.0;     // PCIe free
     sim::SimTime copy = 0.0;     // copy stream drained
@@ -719,21 +815,34 @@ StagedCompletionUs(const BatchProfile& profile, int64_t miss_bytes,
         link = std::max(earliest, link) + node.host_link.TransferTime(bytes);
         return link;
     };
-    for (size_t s = 0; s < profile.stages.size(); ++s) {
-        const BatchStage& stage = profile.stages[s];
-        host += stage.host_us;
-        const int64_t bytes =
-            stage.h2d_bytes + (s == profile.StateStage() ? miss_bytes : 0);
-        if (bytes > 0 && serial) {
+    // One input copy issued now; the compute stream waits for it.
+    const auto copy_in = [&](int64_t bytes) {
+        if (serial) {
             host = transfer(host, bytes);
             compute = std::max(compute, host);
-        } else if (bytes > 0) {
-            host += config.submit_overhead_us;
-            copy = transfer(std::max(host, copy), bytes);
-            host += config.event_overhead_us;
-            const sim::SimTime inputs_ready = std::max(copy, host);
-            host += config.event_overhead_us;
-            compute = std::max(compute, inputs_ready);
+            return;
+        }
+        host += config.submit_overhead_us;
+        copy = transfer(std::max(host, copy), bytes);
+        host += config.event_overhead_us;
+        const sim::SimTime inputs_ready = std::max(copy, host);
+        host += config.event_overhead_us;
+        compute = std::max(compute, inputs_ready);
+    };
+    if (copies.dispatch_d2h > 0 && serial) {
+        host = transfer(host, copies.dispatch_d2h);
+    } else if (copies.dispatch_d2h > 0) {
+        // No earlier batch: the copy stream has no compute event to wait on.
+        host += config.submit_overhead_us;
+        copy = transfer(std::max(host, copy), copies.dispatch_d2h);
+    }
+    if (copies.dispatch_h2d > 0) {
+        copy_in(copies.dispatch_h2d);
+    }
+    for (size_t s = 0; s < profile.stages.size(); ++s) {
+        host += HostByHand(profile, s, 0.0);
+        if (copies.stage_h2d[s] > 0) {
+            copy_in(copies.stage_h2d[s]);
         }
         for (const sim::KernelDesc& kernel : profile.StageKernels(s)) {
             compute = std::max(host + config.submit_overhead_us, compute) +
@@ -742,30 +851,60 @@ StagedCompletionUs(const BatchProfile& profile, int64_t miss_bytes,
         }
     }
     if (serial) {
+        // Results, then the write-backs that did not go at dispatch, each
+        // its own blocking copy.
         host = std::max(host, compute);
-        return transfer(host, profile.d2h_bytes);
+        if (profile.d2h_bytes > 0) {
+            host = transfer(host, profile.d2h_bytes);
+        }
+        if (copies.result_d2h > profile.d2h_bytes) {
+            host = transfer(host, copies.result_d2h - profile.d2h_bytes);
+        }
+        return host;
     }
     host += config.event_overhead_us;
     const sim::SimTime compute_done = std::max(compute, host);
+    if (copies.result_d2h == 0) {
+        return compute_done;
+    }
     host += config.event_overhead_us;
     copy = std::max(copy, compute_done);
     host += config.submit_overhead_us;
-    copy = transfer(std::max(host, copy), profile.d2h_bytes);
+    copy = transfer(std::max(host, copy), copies.result_d2h);
     host += config.event_overhead_us;
     return std::max(copy, host);
 }
 
+/// A fresh hybrid runtime past its warm-up and @p kind's executor over it.
+struct ServedBatch {
+    sim::Runtime runtime = models::MakeRuntime(sim::ExecMode::kHybrid);
+    std::unique_ptr<BatchExecutor> executor;
+
+    explicit ServedBatch(ExecutorKind kind)
+    {
+        runtime.EnsureWarm(0);
+        runtime.ResetMeasurementWindow();
+        if (kind == ExecutorKind::kSerial) {
+            executor = std::make_unique<SerialExecutor>(runtime);
+        } else {
+            executor = std::make_unique<PipelinedExecutor>(runtime);
+        }
+    }
+};
+
 TEST(ServeTest, LaterHostStagesHideEarlierDeviceWork)
 {
     // One cached TGN batch of 64 on a cold cache (every state row misses),
-    // the chain the serving benches run at that size. Served as its
-    // captured stages, its memory update (and, pipelined, its first copy)
+    // the chain the serving benches run at that size. The batch samples
+    // first, so its neighbour indices ride the message build's copy with
+    // the missed rows, and the embedding stage copies nothing. Served as
+    // its captured stages, its memory update (and, pipelined, its one copy)
     // runs while the host builds the embedding stage: the batch completes
     // on the stage critical path, below the flat replay (all host work,
     // then all device work) by at least the memory update's kernel. The
-    // serial executor's copies block the host: its second copy pays its own
-    // link latency and the memory update's submit moves onto the host's
-    // path, so it saves exactly the kernel less those two.
+    // serial executor's copy blocks the host either way, and the memory
+    // update's submit moves onto the host's path, so it saves exactly the
+    // kernel less that submit.
     const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
     models::Tgn tgn(dataset, bench::kServingTgn);
     cache::DeviceCacheConfig quarter;
@@ -773,6 +912,9 @@ TEST(ServeTest, LaterHostStagesHideEarlierDeviceWork)
     ModelSession session(tgn, sim::ExecMode::kHybrid, 10, quarter);
     const BatchProfile& profile = session.FusedProfile(64);
     ASSERT_EQ(profile.stages.size(), 3u);
+    ASSERT_EQ(profile.stages[1].h2d_bytes, 0);
+    ASSERT_GT(profile.stages[2].neighborhood_bytes, 0);
+    ASSERT_EQ(profile.stages[2].h2d_bytes, profile.stages[2].neighborhood_bytes);
     CacheBatchCost cold;
     cold.miss_rows = profile.state_rows;
     cold.row_bytes = profile.state_row_bytes;
@@ -788,47 +930,104 @@ TEST(ServeTest, LaterHostStagesHideEarlierDeviceWork)
          {ExecutorKind::kSerial, ExecutorKind::kPipelined}) {
         SCOPED_TRACE(ToString(kind));
         // The batch's dispatch-to-completion; also checks that Submit spent
-        // exactly CopyIssueUs of host time issuing each stage's input copy,
-        // the cost the dispatcher charges between host stages.
+        // exactly CopyIssueUs of host time issuing its one input copy, every
+        // input byte and missed row in it, the cost the dispatcher charges
+        // between host stages.
         const auto serve = [&](const BatchProfile& p) {
-            sim::Runtime runtime = models::MakeRuntime(sim::ExecMode::kHybrid);
-            runtime.EnsureWarm(0);
-            runtime.ResetMeasurementWindow();
-            std::unique_ptr<BatchExecutor> executor;
-            if (kind == ExecutorKind::kSerial) {
-                executor = std::make_unique<SerialExecutor>(runtime);
-            } else {
-                executor = std::make_unique<PipelinedExecutor>(runtime);
-            }
-            sim::SimTime copy_issue_us = 0.0;
-            for (size_t s = 0; s < p.stages.size(); ++s) {
-                copy_issue_us += executor->CopyIssueUs(
-                    p.stages[s].h2d_bytes +
-                    (s == p.StateStage() ? cold.miss_rows * cold.row_bytes : 0));
-            }
+            ServedBatch batch(kind);
             BatchSpans spans;
-            const sim::SimTime dispatch = runtime.Now();
-            const sim::SimTime complete = executor->Submit(p, 0.0, cold, &spans);
-            EXPECT_GT(copy_issue_us, 0.0);
-            EXPECT_NEAR(spans.copy_issue_us, copy_issue_us, 1e-9);
+            const sim::SimTime dispatch = batch.runtime.Now();
+            const sim::SimTime complete =
+                batch.executor->Submit(p, 0.0, cold, &spans);
+            EXPECT_NEAR(spans.copy_issue_us,
+                        batch.executor->CopyIssueUs(
+                            p.h2d_bytes + cold.miss_rows * cold.row_bytes),
+                        1e-9);
             return complete - dispatch;
         };
         const sim::SimTime staged = serve(profile);
         const sim::SimTime flat = serve(Flat(profile));
         EXPECT_NEAR(staged,
                     StagedCompletionUs(profile, cold.miss_rows * cold.row_bytes,
-                                       kind),
+                                       0, kind),
                     1e-6);
         if (kind == ExecutorKind::kSerial) {
-            EXPECT_NEAR(flat - staged,
-                        memory_us - node.host_link.latency_us -
-                            config.submit_overhead_us,
+            EXPECT_NEAR(flat - staged, memory_us - config.submit_overhead_us,
                         1e-6);
         } else {
             EXPECT_LE(staged, flat - memory_us)
                 << "staged " << staged << " us, flat " << flat
                 << " us, tgn_memory_fused " << memory_us << " us";
         }
+    }
+}
+
+TEST(ServeTest, JodieCacheStateCopiesLeaveAtDispatch)
+{
+    // One cached JODIE batch of 64, the chain jodie_churn serves: every
+    // state row misses and 16 evicted dirty rows owe a write-back. The
+    // batch builds no inputs of its own and returns no results, so both
+    // copies carry only cache state and go at dispatch, write-backs first:
+    // serially they block the host before its build; pipelined they run
+    // under it, and the batch completes at its last kernel, later than a
+    // batch with no copies only by the copies' submits and fences.
+    const auto dataset = data::GenerateInteractions(bench::GauntletSpec());
+    models::Jodie jodie(dataset, models::JodieConfig{});
+    cache::DeviceCacheConfig quarter;
+    quarter.capacity_bytes = dataset.NumNodes() / 4 * jodie.CacheRowBytes();
+    ModelSession session(jodie, sim::ExecMode::kHybrid, 10, quarter);
+    const BatchProfile& profile = session.FusedProfile(64);
+    ASSERT_EQ(profile.stages.size(), 1u);
+    ASSERT_EQ(profile.h2d_bytes, 0);
+    ASSERT_EQ(profile.d2h_bytes, 0);
+    ASSERT_GT(profile.state_rows, 0);
+    CacheBatchCost churn;
+    churn.miss_rows = profile.state_rows;
+    churn.writeback_rows = 16;
+    churn.row_bytes = profile.state_row_bytes;
+    CacheBatchCost none;
+    none.row_bytes = profile.state_row_bytes;
+    const int64_t miss_bytes = churn.miss_rows * churn.row_bytes;
+    const int64_t writeback_bytes = churn.WritebackBytes();
+    const sim::RuntimeConfig config;
+    const sim::LinkSpec& link = config.topology.NodeAt(0).host_link;
+
+    for (const ExecutorKind kind :
+         {ExecutorKind::kSerial, ExecutorKind::kPipelined}) {
+        SCOPED_TRACE(ToString(kind));
+        const auto serve = [&](const CacheBatchCost& cost, BatchSpans& spans) {
+            ServedBatch batch(kind);
+            const sim::SimTime dispatch = batch.runtime.Now();
+            return batch.executor->Submit(profile, 0.0, cost, &spans) - dispatch;
+        };
+        BatchSpans spans;
+        BatchSpans bare_spans;
+        const sim::SimTime copied = serve(churn, spans);
+        const sim::SimTime bare = serve(none, bare_spans);
+        EXPECT_NEAR(copied,
+                    StagedCompletionUs(profile, miss_bytes, writeback_bytes, kind),
+                    1e-6);
+        // Both copies end before the host build starts (serial) or run
+        // under it (pipelined); the host build is the whole host span less
+        // the copies' issue costs.
+        const sim::SimTime copies_on_host =
+            kind == ExecutorKind::kSerial
+                ? link.TransferTime(writeback_bytes) + link.TransferTime(miss_bytes)
+                : 2.0 * config.submit_overhead_us + 2.0 * config.event_overhead_us;
+        EXPECT_NEAR(copied - bare, copies_on_host, 1e-6);
+        // The pipelined host span also holds the kernel submits and the
+        // compute event's record.
+        const sim::SimTime submits =
+            kind == ExecutorKind::kSerial
+                ? 0.0
+                : static_cast<double>(profile.kernels.size()) *
+                          config.submit_overhead_us +
+                      config.event_overhead_us;
+        EXPECT_NEAR(spans.host_done_us - spans.stall_done_us,
+                    profile.host_us + copies_on_host + submits, 1e-6);
+        EXPECT_LT(spans.h2d_done_us, spans.compute_done_us);
+        EXPECT_EQ(spans.compute_done_us, spans.complete_us);
+        EXPECT_NEAR(spans.h2d_busy_us, link.TransferTime(miss_bytes), 1e-9);
     }
 }
 
@@ -987,11 +1186,14 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
     // batch's host work is then its profile's host_us less its prep
     // credit, and exactly host_us when none of its members was sampled
     // early. JODIE samples nothing on the host and gets no credit. Serial
-    // runs, so a one-stage batch's (TGAT's, JODIE's) host work is the
-    // whole stall_done -> host_done span. TGN's span also holds, for each
-    // stage before its last, the stage's blocking input copy (the missed
-    // state rows on the stage that gathered them) and its kernel submits
-    // (the hit gather's on that stage too), on an otherwise idle link.
+    // runs, so the stall_done -> host_done span is the batch's host work
+    // plus what blocks the host before its last stage: the blocking copies
+    // at dispatch (a cached JODIE batch's write-backs and missed rows) and,
+    // for each stage before its last, its blocking input copy and its
+    // kernel submits (the hit gather's on the stage that gathers state
+    // too), on an otherwise idle link. The batch samples first, so TGN's
+    // first copy carries its neighbour indices and its last stage copies
+    // nothing (CopiesByHand).
     const sim::RuntimeConfig config;
     const sim::LinkSpec& link = config.topology.NodeAt(0).host_link;
     const auto ds = TinyInteractions();
@@ -1001,6 +1203,8 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
     const dispatch::HybridDispatcher dispatcher;
     cache::DeviceCacheConfig quarter;
     quarter.capacity_bytes = ds.NumNodes() / 4 * tgn.CacheRowBytes();
+    cache::DeviceCacheConfig jodie_quarter;
+    jodie_quarter.capacity_bytes = ds.NumNodes() / 4 * jodie.CacheRowBytes();
     struct Case {
         std::string name;
         models::DgnnModel* model;
@@ -1010,8 +1214,13 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
     const std::vector<Case> cases{{"TGN cached", &tgn, quarter, nullptr},
                                   {"TGN uncached", &tgn, {}, nullptr},
                                   {"TGAT dispatcher", &tgat, {}, &dispatcher},
-                                  {"JODIE", &jodie, {}, nullptr}};
+                                  {"JODIE", &jodie, {}, nullptr},
+                                  {"JODIE cached", &jodie, jodie_quarter, nullptr}};
     for (const Case& c : cases) {
+        // Batches whose write-backs went at dispatch, and batches whose
+        // write-backs waited for their own kernels.
+        int64_t early_writebacks = 0;
+        int64_t own_writebacks = 0;
         for (const double qps : {2000.0, 20000.0}) {
             SCOPED_TRACE(c.name + " " + std::to_string(qps) + " qps");
             ModelSession session(*c.model, sim::ExecMode::kHybrid, 4, c.cache);
@@ -1028,14 +1237,35 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
                     ob.spans.host_done_us - ob.spans.stall_done_us;
                 const BatchProfile& p = *ob.profile;
                 const CacheBatchCost& cost = ob.cache_cost;
+                if (session.CacheEnabled()) {
+                    // A batch with more rows than the cache may evict rows
+                    // its own gather touched.
+                    std::set<int64_t> nodes;
+                    for (const Request& r : ob.requests) {
+                        nodes.insert({r.src, r.dst});
+                    }
+                    EXPECT_EQ(cost.writes_back_own_rows,
+                              static_cast<int64_t>(nodes.size()) >
+                                  session.Cache().CapacityRows());
+                    if (cost.writeback_rows > 0) {
+                        ++(cost.writes_back_own_rows ? own_writebacks
+                                                     : early_writebacks);
+                    }
+                }
+                const HandCopies copies =
+                    CopiesByHand(p, cost.miss_rows * cost.row_bytes,
+                                 cost.WritebackBytes(), cost.writes_back_own_rows);
                 sim::SimTime expected = p.host_us - ob.prep_credit_us;
-                for (size_t s = 0; s + 1 < p.stages.size(); ++s) {
-                    const bool gathers = s == p.StateStage();
-                    const int64_t bytes =
-                        p.stages[s].h2d_bytes +
-                        (gathers ? cost.miss_rows * cost.row_bytes : 0);
+                for (const int64_t bytes :
+                     {copies.dispatch_d2h, copies.dispatch_h2d}) {
                     if (bytes > 0) {
                         expected += link.TransferTime(bytes);
+                    }
+                }
+                for (size_t s = 0; s + 1 < p.stages.size(); ++s) {
+                    const bool gathers = s == p.StateStage();
+                    if (copies.stage_h2d[s] > 0) {
+                        expected += link.TransferTime(copies.stage_h2d[s]);
                     }
                     const int64_t launches =
                         p.stages[s].launches + (gathers && cost.hit_rows > 0);
@@ -1056,6 +1286,10 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
             } else {
                 EXPECT_GT(prepped, 0);
             }
+        }
+        if (c.name == "JODIE cached") {
+            EXPECT_GT(early_writebacks, 0);
+            EXPECT_GT(own_writebacks, 0);
         }
     }
 }
