@@ -122,6 +122,7 @@ GatherResult
 DeviceCache::Gather(const std::vector<int64_t>& keys, GatherTrace* trace)
 {
     GatherResult result;
+    ++gathers_;
     for (const int64_t key : keys) {
         ++stats_.lookups;
         const int32_t hit = FindSlot(key);
@@ -131,6 +132,7 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, GatherTrace* trace)
             stats_.hit_bytes += config_.row_bytes;
             Slot& slot = At(hit);
             slot.dirty = true;
+            slot.touched_by = gathers_;
             if (hit != tail_) {
                 Unlink(hit);
                 Append(hit);
@@ -148,6 +150,7 @@ DeviceCache::Gather(const std::vector<int64_t>& keys, GatherTrace* trace)
             // its sync-back to the host store.
             ++result.writeback_rows;
             ++stats_.writeback_rows;
+            result.evicted_own_row = true;
             continue;
         }
         while (resident_rows_ >= capacity_rows_) {
@@ -206,6 +209,7 @@ DeviceCache::Insert(int64_t key, int64_t generation)
     Slot& slot = At(index);
     slot.key = key;
     slot.generation = generation;
+    slot.touched_by = gathers_;
     slot.dirty = true;
     Append(index);
     const size_t mask = table_.size() - 1;
@@ -282,6 +286,7 @@ DeviceCache::EvictOne(GatherResult& result, GatherTrace* trace)
     if (slot.dirty) {
         ++result.writeback_rows;
         ++stats_.writeback_rows;
+        result.evicted_own_row |= slot.touched_by == gathers_;
         if (trace != nullptr) {
             trace->evicted_dirty_rows.push_back(
                 RowResource(slot.key, slot.generation));

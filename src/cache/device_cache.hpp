@@ -95,6 +95,10 @@ struct GatherResult {
     int64_t miss_rows = 0;
     /// Dirty rows evicted by this gather — each owes a D2H write-back.
     int64_t writeback_rows = 0;
+    /// Whether one of those rows is a key of this very gather: its keys
+    /// outnumbered the capacity (or, disabled, nothing was retained), so its
+    /// write-back carries the update the caller's batch makes to the row.
+    bool evicted_own_row = false;
 };
 
 /// Logical-resource names of the rows one Gather touched, for the
@@ -173,6 +177,8 @@ class DeviceCache {
         int64_t key = 0;
         /// Residency episode this row belongs to (see GatherTrace).
         int64_t generation = 0;
+        /// The Gather that last touched the row (gathers_ at that call).
+        int64_t touched_by = 0;
         int32_t prev = kNoSlot;
         int32_t next = kNoSlot;
         bool dirty = false;
@@ -215,6 +221,8 @@ class DeviceCache {
     CacheStats stats_;
     /// Residency-episode counter; bumped once per insertion.
     int64_t next_generation_ = 0;
+    /// Gather calls so far (the current one included, during a Gather).
+    int64_t gathers_ = 0;
 };
 
 }  // namespace dgnn::cache

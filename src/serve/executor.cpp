@@ -64,17 +64,17 @@ MissesAtDispatch(const BatchProfile& profile)
 }
 
 /// Footprint of a stage's staged input copy: consumes the stage's host
-/// staging buffer and lands its device input buffer; with @p misses, the
-/// missed rows ride it, read from the host store, and it opens the
-/// residency episode of every row the gather inserted.
+/// staging buffer and lands its device input buffer; when the missed rows
+/// ride it, it reads them from the host store and opens the residency
+/// episode of every row the gather inserted.
 sim::AccessSet
-InputCopyAccess(int64_t slot, size_t stage, bool misses,
+InputCopyAccess(int64_t slot, size_t stage, const StageWork& work,
                 const CacheBatchCost& cache_cost)
 {
     sim::AccessSet access;
     access.reads.push_back(Staging("host_in", slot, stage));
     access.writes.push_back(Staging("dev_in", slot, stage));
-    if (misses) {
+    if (work.carries_misses) {
         access.reads.emplace_back("host_store");
         access.writes.insert(access.writes.end(),
                              cache_cost.row_trace.inserted_rows.begin(),
@@ -220,11 +220,7 @@ IssueStages(sim::Runtime& runtime, const BatchProfile& profile,
         issued.host_done_us = runtime.Now();
         if (stage.h2d_bytes > 0) {
             sim::MaybeAccess access(runtime, [&] {
-                return InputCopyAccess(slot, s,
-                                       stage.gathers_state &&
-                                           copies.dispatch_h2d_bytes == 0 &&
-                                           cache_cost.miss_rows > 0,
-                                       cache_cost);
+                return InputCopyAccess(slot, s, stage, cache_cost);
             });
             issue_copy_in(stage.h2d_bytes);
         }
@@ -258,9 +254,9 @@ CopiesOf(const BatchProfile& profile, const CacheBatchCost& cache_cost)
     const bool writeback_at_dispatch =
         profile.d2h_bytes == 0 && !cache_cost.writes_back_own_rows;
     (writeback_at_dispatch ? copies.dispatch_d2h_bytes
-                           : copies.result_d2h_bytes) =
+                           : copies.result_writeback_bytes) =
         cache_cost.WritebackBytes();
-    copies.result_d2h_bytes += profile.d2h_bytes;
+    copies.result_d2h_bytes = profile.d2h_bytes + copies.result_writeback_bytes;
     if (MissesAtDispatch(profile)) {
         copies.dispatch_h2d_bytes = cache_cost.miss_rows * cache_cost.row_bytes;
     }
@@ -285,6 +281,7 @@ StageToIssue(const BatchProfile& profile, size_t s, sim::SimTime prep_credit_us,
                                       : 0),
             .kernels = profile.StageKernels(s),
             .gathers_state = s == state_stage,
+            .carries_misses = misses_ride && cache_cost.miss_rows > 0,
             .updates_state = s >= state_stage};
 }
 
@@ -377,7 +374,7 @@ SerialExecutor::Submit(const BatchProfile& profile, sim::SimTime prep_credit_us,
         });
         runtime_.CopyToHost(profile.d2h_bytes, "serve_results_d2h");
     }
-    if (copies.dispatch_d2h_bytes == 0 && cache_cost.writeback_rows > 0) {
+    if (copies.result_writeback_bytes > 0) {
         sim::MaybeAccess access(runtime_,
                                 [&] { return WritebackAccess(cache_cost); });
         write_back();
@@ -460,8 +457,7 @@ PipelinedExecutor::Submit(const BatchProfile& profile,
     if (copies.result_d2h_bytes > 0) {
         sim::MaybeAccess access(runtime_, [&] {
             return ResultCopyAccess(slot, cache_cost,
-                                    copies.dispatch_d2h_bytes == 0 &&
-                                        cache_cost.writeback_rows > 0);
+                                    copies.result_writeback_bytes > 0);
         });
         runtime_.StreamWaitEvent(sim::StreamId::kCopy, compute_done);
         (void)runtime_.CopyToHostAsync(copies.result_d2h_bytes,

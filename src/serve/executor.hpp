@@ -50,9 +50,10 @@ struct CacheBatchCost {
     int64_t row_bytes = 0;
     int64_t writeback_rows = 0;
     /// Whether some write-back row is one this batch's own kernels write: a
-    /// row its gather touched and then evicted (the batch's rows outnumber
-    /// the cache's), or a node-blind row's per-batch sync-back. Such rows
-    /// cannot leave before the batch's kernels run.
+    /// row its gather touched and then evicted
+    /// (cache::GatherResult::evicted_own_row), or a node-blind row's
+    /// per-batch sync-back. Such rows cannot leave before the batch's
+    /// kernels run.
     bool writes_back_own_rows = false;
 
     /// Generation-tagged row resources for the hazard checker
@@ -73,8 +74,11 @@ struct BatchCopies {
     /// Missed state rows copied in at dispatch: when the stage that gathers
     /// them builds no inputs of its own.
     int64_t dispatch_h2d_bytes = 0;
-    /// The result copy after the last kernel: the batch's results plus the
+    /// Evicted dirty rows written back after the last kernel: the
     /// write-backs that did not leave at dispatch.
+    int64_t result_writeback_bytes = 0;
+    /// The result copy after the last kernel: the batch's results plus
+    /// result_writeback_bytes.
     int64_t result_d2h_bytes = 0;
 };
 
@@ -94,10 +98,11 @@ struct StageWork {
     /// unless they left at dispatch.
     int64_t h2d_bytes = 0;
     std::span<const sim::KernelDesc> kernels;
-    /// The stage gathers the batch's state rows: it runs the hit gather,
-    /// and its input copy (or else the dispatch-time copy) carries the
-    /// misses.
+    /// The stage gathers the batch's state rows: it runs the hit gather.
     bool gathers_state = false;
+    /// The stage's input copy carries the batch's missed rows (they did not
+    /// leave at dispatch).
+    bool carries_misses = false;
     /// The stage's kernels update the gathered state rows in place (every
     /// stage from the gathering one on).
     bool updates_state = false;

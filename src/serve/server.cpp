@@ -307,6 +307,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                     cache_cost.hit_rows = g.hit_rows;
                     cache_cost.miss_rows = g.miss_rows;
                     cache_cost.writeback_rows = g.writeback_rows;
+                    cache_cost.writes_back_own_rows = g.evicted_own_row;
                 }
                 // Pro-rated all-miss charge for the endpoints the cache
                 // cannot see (the probe's state_rows cover a full batch's
@@ -322,12 +323,7 @@ ServeRequests(ModelSession& session, BatchPolicy& policy,
                               (2 * profile.batch_size);
                 cache_cost.miss_rows += blind_rows;
                 cache_cost.writeback_rows += blind_rows;
-                // A batch whose rows outnumber the cache may evict rows its
-                // own gather touched; those, like the blind rows, are rows
-                // its kernels write.
-                cache_cost.writes_back_own_rows =
-                    blind_rows > 0 || static_cast<int64_t>(nodes.size()) >
-                                          session.Cache().CapacityRows();
+                cache_cost.writes_back_own_rows |= blind_rows > 0;
             }
 
             if (options.shard_hook != nullptr) {

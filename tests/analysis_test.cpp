@@ -420,15 +420,17 @@ SweepDataset()
 }
 
 /// Serves @p requests on a hybrid session of @p model with an LRU cache of
-/// a quarter of the nodes' rows, batch 32 / 5 ms, as the gauntlet does.
+/// 1/@p cache_divisor of the nodes' rows (a quarter, as the gauntlet has),
+/// batch 32 / 5 ms.
 serve::ServingReport
 ServeCell(models::DgnnModel& model, const std::vector<serve::Request>& requests,
           const data::InteractionDataset& dataset, serve::ExecutorKind kind,
           sim::RuntimeObserver* observer,
-          serve::BatchShardHook* shard_hook = nullptr)
+          serve::BatchShardHook* shard_hook = nullptr, int64_t cache_divisor = 4)
 {
     cache::DeviceCacheConfig cache_config;
-    cache_config.capacity_bytes = dataset.NumNodes() / 4 * model.CacheRowBytes();
+    cache_config.capacity_bytes =
+        dataset.NumNodes() / cache_divisor * model.CacheRowBytes();
     serve::ModelSession session(model, sim::ExecMode::kHybrid,
                                 /*num_neighbors=*/10, cache_config);
     serve::TimeoutPolicy policy(/*max_batch=*/32, /*timeout_us=*/5000.0);
@@ -470,14 +472,15 @@ TEST(ServingSweepTest, AttachingTheCheckerDoesNotPerturbTheRun)
 
 // ------------------------------------------------------------ mutation wall
 //
-// Each sync edge is one timeline's waits on the events recorded right after
-// an op that wrote one resource family, and is named by that family:
+// Each stream sync edge is one stream's waits on the events recorded right
+// after an op that wrote one resource family, and is named by that family:
 // dev_in (the compute stream's input fence), dev_out (the copy stream's
 // compute fence, before a result copy or, for a batch that returns no
-// results, before its dispatch-time write-back), host_out (the host's
-// throttle wait on a finished batch's result copy), exchange_in (the
-// compute stream's exchange fence) and dev_state (the copy stream's
-// exchange back-fence).
+// results, before its dispatch-time write-back), exchange_in (the compute
+// stream's exchange fence) and dev_state (the copy stream's exchange
+// back-fence). The throttle edge is named by its waiter: the host's waits
+// on a finished batch's completion event, whatever op recorded it (a
+// result copy, or the last kernel of a batch that returns no results).
 
 /// The timeline whose waits make up sync edge @p edge.
 enum class Waiter { kCompute, kCopy, kHost };
@@ -485,19 +488,21 @@ enum class Waiter { kCompute, kCopy, kHost };
 Waiter
 WaiterOf(const std::string& edge)
 {
-    if (edge == "host_out") {
+    if (edge == "throttle") {
         return Waiter::kHost;
     }
     return edge == "dev_out" || edge == "dev_state" ? Waiter::kCopy
                                                     : Waiter::kCompute;
 }
 
-/// Forwards every hook to @p inner except the waits on one sync edge: the
-/// StreamWaitEvent / WaitEvent calls of the edge's timeline on events
-/// recorded right after an op that wrote the @p edge resource family. The
-/// checker builds its clocks only from these hooks, so it sees exactly the
-/// program with those calls deleted, while the simulated run itself is
-/// untouched.
+/// Forwards every hook to @p inner except the waits on one sync edge: for
+/// a stream edge, that stream's StreamWaitEvent calls on events recorded
+/// right after an op that wrote the @p edge resource family; for the
+/// throttle, every host WaitEvent (the serving loop's host waits only on
+/// batch completion events: the throttle's, and the final drain's, which
+/// its Synchronize covers anyway). The checker builds its clocks only from
+/// these hooks, so it sees exactly the program with those calls deleted,
+/// while the simulated run itself is untouched.
 class EdgeDropper final : public sim::RuntimeObserver {
   public:
     EdgeDropper(sim::RuntimeObserver& inner, std::string edge)
@@ -545,7 +550,8 @@ class EdgeDropper final : public sim::RuntimeObserver {
   private:
     bool Drops(Waiter waiter, const sim::Event& event)
     {
-        if (waiter != waiter_ || edge_events_.count(event.id) == 0) {
+        if (waiter != waiter_ ||
+            (waiter != Waiter::kHost && edge_events_.count(event.id) == 0)) {
             return false;
         }
         ++dropped_;
@@ -661,10 +667,11 @@ struct WallRun {
 /// requests) served on @p model through the real pipelined executor, with
 /// the waits of @p edge ("" for none) withheld from the checker. With
 /// @p two_shards, shard 0 of a 2-shard hash split serves the requests whose
-/// source it owns and pulls the rest through a real ShardExchangeHook.
+/// source it owns and pulls the rest through a real ShardExchangeHook. The
+/// cache holds 1/@p cache_divisor of the nodes' rows.
 WallRun
 RunWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
-        bool two_shards, const std::string& edge)
+        bool two_shards, const std::string& edge, int64_t cache_divisor = 4)
 {
     std::vector<serve::Request> requests = WallRequests(dataset);
 
@@ -685,7 +692,7 @@ RunWall(models::DgnnModel& model, const data::InteractionDataset& dataset,
     HazardChecker checker;
     EdgeDropper dropper(checker, edge);
     (void)ServeCell(model, requests, dataset, serve::ExecutorKind::kPipelined,
-                    &dropper, two_shards ? &hook : nullptr);
+                    &dropper, two_shards ? &hook : nullptr, cache_divisor);
     return {checker.Report(), dropper.Dropped(), hook.Rounds()};
 }
 
@@ -792,7 +799,7 @@ TEST(MutationWallTest, DroppedThrottleWaitIsWarOnHostStaging)
     const auto dataset = SweepDataset();
     models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
     const HazardReport report =
-        RunWall(tgn, dataset, false, "host_out").report;
+        RunWall(tgn, dataset, false, "throttle").report;
     // Slot reuse without the completion wait: the rebuild clobbers staging
     // the previous owner's DMA still reads.
     EXPECT_TRUE(HasHazard(report, HazardKind::kWar, "host_in"))
@@ -856,9 +863,15 @@ TEST(MutationWallTest, EveryMutationIsDetected)
 {
     // The 100%-detection gate: every model, every edge the pipelined
     // executor and the exchange hook need. JODIE's batches return no
-    // results (ROADMAP item 11), so none has a result copy for the throttle
-    // to wait on: its host_out edge must be absent, and its dev_out edge is
-    // the fence its dispatch-time write-backs wait behind.
+    // results (ROADMAP item 11): its dev_out edge is the fence its
+    // dispatch-time write-backs wait behind, and its throttle waits on its
+    // compute event. In a quarter cache every JODIE batch after the first
+    // evicts, so its write-back fence orders its dispatch-time state copy
+    // after the kernels of the batch two before it, and the throttle orders
+    // nothing more (EachDroppedEdgePinsItsHazards pins that clean row).
+    // The throttle is what orders a batch that misses without evicting;
+    // in a cache that holds every row, every batch does, so JODIE's
+    // throttle cell runs on one.
     const auto dataset = SweepDataset();
     models::Tgn tgn(dataset, models::TgnConfig{64, 32, 1, 11});
     models::Tgat tgat(dataset, models::TgatConfig{});
@@ -866,13 +879,11 @@ TEST(MutationWallTest, EveryMutationIsDetected)
     for (models::DgnnModel* model :
          std::initializer_list<models::DgnnModel*>{&tgn, &tgat, &jodie}) {
         for (const std::string edge :
-             {"dev_in", "dev_out", "host_out", "exchange_in"}) {
-            const WallRun run =
-                RunWall(*model, dataset, edge == "exchange_in", edge);
-            if (model == &jodie && edge == "host_out") {
-                EXPECT_EQ(run.dropped, 0);
-                continue;
-            }
+             {"dev_in", "dev_out", "throttle", "exchange_in"}) {
+            const int64_t cache_divisor =
+                model == &jodie && edge == "throttle" ? 1 : 4;
+            const WallRun run = RunWall(*model, dataset, edge == "exchange_in",
+                                        edge, cache_divisor);
             EXPECT_GT(run.dropped, 0) << model->Name() << " / " << edge;
             EXPECT_FALSE(run.report.Clean()) << model->Name() << " / " << edge;
         }
@@ -896,6 +907,8 @@ TEST(MutationWallTest, EachDroppedEdgePinsItsHazards)
         int64_t hazards;
         int64_t occurrences;
         std::string first;
+        /// The cache holds 1/cache_divisor of the nodes' rows.
+        int64_t cache_divisor = 4;
     };
     const std::vector<Expected> table = {
         {&tgn, false, "", 0, 0, "-"},
@@ -905,11 +918,20 @@ TEST(MutationWallTest, EachDroppedEdgePinsItsHazards)
         {&tgn, false, "dev_out", 4, 539, "RAW on dev_out#0"},
         // One stage of a TGN batch copies inputs (its sampled
         // neighbourhoods ride the first copy): one WAR per reused slot.
-        {&tgn, false, "host_out", 1, 14, "WAR on host_in#0"},
+        {&tgn, false, "throttle", 1, 14, "WAR on host_in#0"},
         // The write-back fence: a JODIE batch writes its evicted rows back
         // at dispatch, and without the copy stream's wait on the last
         // batch's kernels the D2H reads rows they may not have written yet.
         {&jodie, false, "dev_out", 1, 66, "RAW on row:8#g0"},
+        // JODIE's throttle. In a quarter cache every batch after the first
+        // writes back behind the previous batch's kernels, which orders its
+        // dispatch-time state copy after the kernels of the batch two
+        // before it: dropping the throttle stays clean. In a cache that
+        // holds every row no batch evicts, and without the throttle each
+        // batch's state copy overwrites its slot's device inputs while the
+        // previous owner's kernels (and hit gather) may still use them.
+        {&jodie, false, "throttle", 0, 0, "-"},
+        {&jodie, false, "throttle", 2, 27, "WAR on dev_in#0", 1},
         {&tgn, true, "", 0, 0, "-"},
         {&tgn, true, "exchange_in", 1, 8, "RAW on exchange_in#0"},
         // The exchange back-fence. TGN's result copy waits on its batch's
@@ -927,8 +949,10 @@ TEST(MutationWallTest, EachDroppedEdgePinsItsHazards)
         const std::string label =
             e.model->Name() +
             (e.two_shards ? " / 2 shards / " : " / 1 device / ") +
-            (e.edge.empty() ? std::string("none") : e.edge);
-        const WallRun run = RunWall(*e.model, dataset, e.two_shards, e.edge);
+            (e.edge.empty() ? std::string("none") : e.edge) + " / cache 1/" +
+            std::to_string(e.cache_divisor);
+        const WallRun run =
+            RunWall(*e.model, dataset, e.two_shards, e.edge, e.cache_divisor);
         const HazardReport& report = run.report;
         std::string first = "-";
         if (!report.hazards.empty()) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,7 @@ TEST(DeviceCacheTest, DirtyRowsOweWritebackOnEviction)
     // Insert two new rows: both residents leave, and both write back.
     const GatherResult g = cache.Gather({3, 4});
     EXPECT_EQ(g.writeback_rows, 2);
+    EXPECT_FALSE(g.evicted_own_row);  // both were the last gather's rows
     EXPECT_EQ(cache.Stats().evictions, 2);
     EXPECT_EQ(cache.Stats().writeback_rows, 2);
 }
@@ -96,6 +98,7 @@ TEST(DeviceCacheTest, SameBatchEvictionStillOwesWriteback)
     const GatherResult g = cache.Gather({1, 2, 3, 4, 5});
     EXPECT_EQ(g.miss_rows, 5);
     EXPECT_EQ(g.writeback_rows, 3);  // 1, 2, 3 evicted dirty
+    EXPECT_TRUE(g.evicted_own_row);
     EXPECT_EQ(cache.FlushDirty(), 2);  // 4, 5 still resident and dirty
 }
 
@@ -123,6 +126,9 @@ TEST(DeviceCacheTest, DisabledCacheMissesEverythingAndRetainsNothing)
     const GatherResult g = disabled.Gather({1, 2, 1});
     EXPECT_EQ(g.miss_rows, 3);
     EXPECT_EQ(g.hit_rows, 0);
+    // Nothing is retained, so every row it gathered writes back.
+    EXPECT_EQ(g.writeback_rows, 3);
+    EXPECT_TRUE(g.evicted_own_row);
     EXPECT_FALSE(disabled.Enabled());
     EXPECT_EQ(disabled.ResidentRows(), 0);
 
@@ -747,6 +753,23 @@ RunRandomizedCacheTrial(const DeviceCacheConfig& config, uint64_t seed,
                 ASSERT_EQ(trace.inserted_rows, ref.trace.inserted_rows);
                 ASSERT_EQ(trace.evicted_dirty_rows,
                           ref.trace.evicted_dirty_rows);
+                // A row this gather touched and then evicted shows up in
+                // its trace twice: touched, and evicted dirty. A disabled
+                // cache names no rows, and every row it writes back is one
+                // of this gather's.
+                std::set<std::string> touched(trace.hit_rows.begin(),
+                                              trace.hit_rows.end());
+                touched.insert(trace.inserted_rows.begin(),
+                               trace.inserted_rows.end());
+                const bool evicted_own_row =
+                    cache.Enabled()
+                        ? std::any_of(trace.evicted_dirty_rows.begin(),
+                                      trace.evicted_dirty_rows.end(),
+                                      [&](const std::string& name) {
+                                          return touched.count(name) > 0;
+                                      })
+                        : result.writeback_rows > 0;
+                ASSERT_EQ(result.evicted_own_row, evicted_own_row);
             }
         } else if (kind < 18) {  // mid-run flush: its rows turn clean
             const std::vector<std::string> expected = ref.Flush();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -1228,6 +1229,10 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
             ServerOptions options = Options(ExecutorKind::kSerial);
             options.dispatcher = c.dispatcher;
             options.observer = &log;
+            // An attached runtime observer makes the loop record each
+            // batch's gather trace.
+            sim::RuntimeObserver passive;
+            options.runtime_observer = &passive;
             TimeoutPolicy policy(16, 1500.0);
             (void)ServeRequests(session, policy,
                                 TraceRequests(ds.stream, qps, 384), options);
@@ -1238,15 +1243,19 @@ TEST(ServeTest, PrepShortensOnlyTheHostStage)
                 const BatchProfile& p = *ob.profile;
                 const CacheBatchCost& cost = ob.cache_cost;
                 if (session.CacheEnabled()) {
-                    // A batch with more rows than the cache may evict rows
-                    // its own gather touched.
-                    std::set<int64_t> nodes;
-                    for (const Request& r : ob.requests) {
-                        nodes.insert({r.src, r.dst});
-                    }
+                    // A row the batch's gather touched and then evicted is
+                    // named in its trace as touched and as evicted dirty.
+                    const cache::GatherTrace& trace = cost.row_trace;
+                    std::set<std::string> touched(trace.hit_rows.begin(),
+                                                  trace.hit_rows.end());
+                    touched.insert(trace.inserted_rows.begin(),
+                                   trace.inserted_rows.end());
                     EXPECT_EQ(cost.writes_back_own_rows,
-                              static_cast<int64_t>(nodes.size()) >
-                                  session.Cache().CapacityRows());
+                              std::any_of(trace.evicted_dirty_rows.begin(),
+                                          trace.evicted_dirty_rows.end(),
+                                          [&](const std::string& row) {
+                                              return touched.count(row) > 0;
+                                          }));
                     if (cost.writeback_rows > 0) {
                         ++(cost.writes_back_own_rows ? own_writebacks
                                                      : early_writebacks);
